@@ -86,18 +86,14 @@ PathStats RunPath(bool optimistic) {
         const std::uint64_t page = kPages / 2 + rng % (kPages / 2);
         const auto t0 = std::chrono::steady_clock::now();
         if (optimistic) {
-          int op_retries = 0;
           auto fast = svc.TryReadPageOptimistic(**meta, page, /*from_node=*/0,
-                                                now, &now, nullptr,
-                                                &op_retries);
-          mine.retries += op_retries;
+                                                now, &now);
           if (fast.has_value()) {
             ++mine.hits;
           } else {
             ++mine.fallbacks;
             // Pre-placed read-only pages: the fallback cannot fail here.
-            (void)svc.ReadPage(**meta, page, 0, now, &now, nullptr,
-                               /*optimistic_fallback=*/true);
+            (void)svc.ReadPage(**meta, page, 0, now, &now);
           }
         } else {
           // Same: latency is the measurement, not the (always-ok) status.
@@ -119,8 +115,10 @@ PathStats RunPath(bool optimistic) {
                               s.latencies_ns.begin(), s.latencies_ns.end());
     total.hits += s.hits;
     total.fallbacks += s.fallbacks;
-    total.retries += s.retries;
   }
+  // Version-conflict retries of every attempt (all on the readers' node 0).
+  total.retries =
+      svc.metrics(0).GetCounter("mm.readpath.retry_count")->value();
   return total;
 }
 

@@ -152,10 +152,6 @@ struct MemoryTask {
   float score = 1.0f;
   std::size_t from_node = 0;
   sim::SimTime issue_time = 0.0;
-  /// True when this kGetPage is the queue fallback of a failed optimistic
-  /// read attempt (DESIGN.md §14): the submit path counts it under
-  /// mm.readpath.fallback_count so hit-rate telemetry reconciles.
-  bool optimistic_fallback = false;
   /// Causal flow identity minted at the request origin (DESIGN.md §11).
   /// The executing worker opens a child span linked to the origin's flow
   /// and installs the context so nested stager spans join it too. Invalid

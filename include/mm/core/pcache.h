@@ -114,7 +114,6 @@ struct PageFrame {
 struct PendingFetch {
   std::shared_future<TaskOutcome> future;
   std::size_t owner = 0;
-  bool remote = false;
 };
 
 /// One PCache per (rank, vector). Mutations are owner-thread-only; the

@@ -39,6 +39,7 @@
 namespace mm::core {
 
 class Service;
+struct PendingFetch;  // mm/core/pcache.h
 
 /// Registered state of one shared vector (connected to by key).
 struct VectorMeta {
@@ -110,23 +111,18 @@ class NodeRuntime {
   /// Stops accepting tasks, drains queues, joins workers.
   void Shutdown();
 
-  std::uint64_t tasks_executed() const {
-    return tasks_executed_.load(std::memory_order_relaxed);
-  }
-
   // ---- read fast path telemetry (DESIGN.md §14) ----
-  // Incremented by Service::TryReadPageOptimistic / ReadPage from *rank*
-  // threads (not workers): the handles are cached here because this node's
-  // runtime is where every other per-node counter lives.
+  // Incremented by Service::TryReadPageOptimistic from *rank* threads (not
+  // workers): the handles are cached here because this node's runtime is
+  // where every other per-node counter lives.
 
   /// A read served lock-free on the calling thread, bypassing the queues.
   void CountReadpathHit() { readpath_hit_->Inc(); }
-  /// Version-conflict retries spent inside optimistic attempts (a hit with
+  /// One version-conflict retry inside an optimistic attempt (a hit with
   /// one stable re-read after a racing writer counts 1).
-  void CountReadpathRetries(std::uint64_t n) {
-    if (n > 0) readpath_retry_->Inc(n);
-  }
-  /// An attempted optimistic read that landed on the queue path after all.
+  void CountReadpathRetry() { readpath_retry_->Inc(); }
+  /// An eligible optimistic read that declined (the caller takes the
+  /// routed fault instead).
   void CountReadpathFallback() { readpath_fallback_->Inc(); }
 
  private:
@@ -187,7 +183,6 @@ class NodeRuntime {
   std::vector<std::unique_ptr<BlockingQueue<MemoryTask>>> low_queues_;
   std::vector<std::thread> workers_;
   std::atomic<int> score_updates_{0};
-  std::atomic<std::uint64_t> tasks_executed_{0};
   std::atomic<bool> shut_down_{false};
 };
 
@@ -278,12 +273,15 @@ class Service {
     std::uint64_t lost = 0;
   };
 
-  /// Fences `node` out of page placement: DefaultOwner and ChooseReadSource
+  /// Fences `node` out of page placement: DefaultOwner and ResolveSource
   /// stop routing reads/writes at it. Sticky for the service's lifetime.
   void FenceNode(std::size_t node);
   bool NodeFenced(std::size_t node) const {
     return fenced_[node].load(std::memory_order_acquire);
   }
+  /// `node` when unfenced, else the next live node in ring order (placement
+  /// remap around dead nodes).
+  std::size_t Unfenced(std::size_t node) const;
 
   /// Survivor-side recovery of a dead node's pages (RecoveryPolicy::kRehome):
   /// fences the node, then walks every registered vector's directory
@@ -370,71 +368,53 @@ class Service {
   /// when available, otherwise the blob's home node.
   std::size_t DefaultOwner(VectorMeta& meta, const storage::BlobId& id);
 
-  /// Node a read of `id` should be served from (local copy > replica >
-  /// primary owner > default owner). Charges the metadata lookup to *done.
-  std::size_t ChooseReadSource(VectorMeta& meta, const storage::BlobId& id,
-                               std::size_t from_node, sim::SimTime now,
-                               sim::SimTime* done);
-
-  /// Under read-only replication: caches a remotely-fetched page in the
-  /// local scache partition and registers the replica (Fig. 3). No-op in
-  /// other modes. Called by both the fault and prefetch completion paths.
-  void MaybeReplicate(VectorMeta& meta, std::uint64_t page,
-                      const std::vector<std::uint8_t>& data,
-                      std::size_t from_node, sim::SimTime now);
+  /// Completes a routed page read that `owner` served to `from_node`:
+  /// charges the owner→reader transfer when remote and, under read-only
+  /// replication (unless `replicate` is off), caches the page in the
+  /// reader's scache partition as a registered replica (Fig. 3). Returns
+  /// the delivery time. The fault and prefetch completion paths end here.
+  sim::SimTime DeliverPage(VectorMeta& meta, std::uint64_t page,
+                           std::size_t owner, std::size_t from_node,
+                           const TaskOutcome& outcome, bool replicate = true);
 
   // ---- scache client API (called from rank threads) ----
 
   /// Synchronous page fault: fetches the whole page. Charges metadata
   /// lookup, remote transfer (if the owner is another node), device time,
-  /// and stage-in as applicable. Concurrent faults for the same page on the
-  /// same node share one fetch. `*done` receives the simulated completion.
-  /// `optimistic_fallback` marks the call as the queue fallback of a failed
-  /// optimistic attempt (counted under mm.readpath.fallback_count).
+  /// and stage-in as applicable. `read_intent` first tries
+  /// TryReadPageOptimistic; a valid copy in this node's scache is served
+  /// on the calling thread; anything else is a routed kGetPage, shared by
+  /// concurrent faults for the page on this node. `*done` receives the
+  /// simulated completion.
   StatusOr<std::vector<std::uint8_t>> ReadPage(VectorMeta& meta,
                                                std::uint64_t page,
                                                std::size_t from_node,
                                                sim::SimTime now,
                                                sim::SimTime* done,
                                                std::uint64_t* version = nullptr,
-                                               bool optimistic_fallback = false);
+                                               bool read_intent = false);
 
   /// Lock-free read fast path (DESIGN.md §14): serves a whole-page read on
   /// the calling thread, bypassing the worker queues entirely. The
   /// directory entry is sampled, the bytes are copied straight out of the
-  /// source node's scache (its BufferManager is internally synchronized),
-  /// and the directory version is re-sampled; a changed version means a
-  /// racing writer and the copy is retried (bounded), then abandoned.
-  /// Sources follow the §6 replica-validity rule: the page's primary node,
-  /// or a node the directory registers as a replica — never a stale cache.
+  /// source the §6 rule blesses (primary or registered replica — never a
+  /// stale cache), and the directory version is re-sampled; a changed
+  /// version means a racing writer and the copy is retried (bounded).
   /// Returns nullopt — caller falls back to ReadPage — on: miss (unplaced
   /// page), version conflict after retries, ineligible coherence mode,
   /// fenced source, CRC mismatch (the slow path heals it), or the
   /// `enable_optimistic_reads` switch being off. On success charges the
-  /// metadata round trips plus the owner→reader transfer when remote, and
-  /// counts mm.readpath.fastpath_hit_count / retry_count on `from_node`.
+  /// metadata round trips plus the owner→reader transfer when remote.
+  /// Counts mm.readpath.fastpath_hit_count / retry_count on `from_node`,
+  /// and fallback_count when an eligible attempt declines.
   std::optional<std::vector<std::uint8_t>> TryReadPageOptimistic(
       VectorMeta& meta, std::uint64_t page, std::size_t from_node,
-      sim::SimTime now, sim::SimTime* done, std::uint64_t* version = nullptr,
-      int* retries = nullptr);
-
-  /// Current write-version of a page per the metadata manager (0 when the
-  /// page has never been placed). Charges the metadata round trip.
-  std::uint64_t PageVersion(VectorMeta& meta, std::uint64_t page,
-                            std::size_t from_node, sim::SimTime now,
-                            sim::SimTime* done);
-
-  /// An asynchronous page fetch started by the prefetcher.
-  struct AsyncRead {
-    std::shared_future<TaskOutcome> future;
-    std::size_t owner = 0;
-  };
+      sim::SimTime now, sim::SimTime* done, std::uint64_t* version = nullptr);
 
   /// Starts an asynchronous page fetch (prefetch path). The caller charges
-  /// itself nothing now; on completion it must add the owner→reader
-  /// transfer when the owner is remote.
-  AsyncRead ReadPageAsync(VectorMeta& meta, std::uint64_t page,
-                          std::size_t from_node, sim::SimTime now);
+  /// itself nothing now; on completion it hands the outcome to DeliverPage.
+  PendingFetch ReadPageAsync(VectorMeta& meta, std::uint64_t page,
+                             std::size_t from_node, sim::SimTime now);
 
   /// Idle estimate of reading one page from wherever it currently lives
   /// (prefetcher input). Unplaced pages are assumed to cost a PFS stage-in.
@@ -528,10 +508,6 @@ class Service {
   /// death (release); placement paths acquire-load.
   std::vector<std::atomic<bool>> fenced_;
   RecoveryStats last_recovery_ MM_GUARDED_BY(lost_mu_);
-
-  /// `node` when unfenced, else the next live node in ring order (placement
-  /// remap around dead nodes).
-  std::size_t Unfenced(std::size_t node) const;
 
   // Lock order (MML101): RegisterVector publishes backend_ready for a
   // freshly built meta while still holding the registration lock.

@@ -680,14 +680,8 @@ class Vector {
         throw std::runtime_error("prefetch failed: " +
                                  outcome.status.ToString());
       }
-      sim::SimTime done = outcome.done;
-      if (pending->remote) {
-        auto rsp = service_->cluster().network().Transfer(
-            done, pending->owner, ctx_->node(), outcome.data.size());
-        done = rsp.delivered;
-        service_->MaybeReplicate(*meta_, page, outcome.data, ctx_->node(),
-                                 done);
-      }
+      const sim::SimTime done = service_->DeliverPage(
+          *meta_, page, pending->owner, ctx_->node(), outcome);
       const sim::SimTime wait_start = ctx_->clock().now();
       ctx_->clock().AdvanceTo(done);
       if (done > wait_start) {
@@ -700,45 +694,19 @@ class Vector {
       data = std::move(outcome.data);
       version = outcome.version;
     } else {
-      // Page fault. Read intents first try the lock-free fast path: a
-      // directly-copied, version-validated read that never enters a worker
-      // queue (DESIGN.md §14). Everything else — and every fast-path
-      // decline — takes the synchronous routed fault.
+      // Page fault: one service call. Read intents first try the lock-free
+      // fast path (DESIGN.md §14); every decline takes the routed fault.
       ++faults_;
       ctx_->Compute(ctx_->costs().page_fault_soft_s);
-      bool attempted = false;
-      bool fetched = false;
-      if (read_intent && service_->options().enable_optimistic_reads &&
-          AllowsOptimisticReads(meta_->mode.load(std::memory_order_relaxed))) {
-        attempted = true;
-        const sim::SimTime fast_start = ctx_->clock().now();
-        sim::SimTime fast_done = fast_start;
-        if (auto fast = service_->TryReadPageOptimistic(
-                *meta_, page, ctx_->node(), fast_start, &fast_done,
-                &version)) {
-          ctx_->clock().AdvanceTo(fast_done);
-          if (fast_done > fast_start) {
-            // Same treatment as prefetch_wait: a bare fault-cat span the
-            // analyzer counts as data-movement stall.
-            tel_.trace->Complete("opt_read", "fault", tel_.node, ctx_->rank(),
-                                 fast_start, fast_done);
-          }
-          data = std::move(*fast);
-          fetched = true;
-        }
+      sim::SimTime done = ctx_->clock().now();
+      auto data_or = service_->ReadPage(*meta_, page, ctx_->node(), done,
+                                        &done, &version, read_intent);
+      if (!data_or.ok()) {
+        throw std::runtime_error("page fault failed: " +
+                                 data_or.status().ToString());
       }
-      if (!fetched) {
-        sim::SimTime done = ctx_->clock().now();
-        auto data_or = service_->ReadPage(*meta_, page, ctx_->node(),
-                                          ctx_->clock().now(), &done, &version,
-                                          /*optimistic_fallback=*/attempted);
-        if (!data_or.ok()) {
-          throw std::runtime_error("page fault failed: " +
-                                   data_or.status().ToString());
-        }
-        ctx_->clock().AdvanceTo(done);
-        data = std::move(data_or).value();
-      }
+      ctx_->clock().AdvanceTo(done);
+      data = std::move(data_or).value();
     }
     MakeRoom();
     std::vector<std::uint8_t> displaced;
@@ -892,13 +860,11 @@ class Vector {
     };
     ops.fetch_ahead = [&](std::uint64_t page) {
       if (page * epp_ >= size()) return;
-      auto ar = service_->ReadPageAsync(*meta_, page, ctx_->node(),
-                                        ctx_->clock().now());
+      pcache_->AddPending(page,
+                          service_->ReadPageAsync(*meta_, page, ctx_->node(),
+                                                  ctx_->clock().now()));
       ++prefetches_;
       prefetch_issued_->Inc();
-      pcache_->AddPending(page,
-                          PendingFetch{std::move(ar.future), ar.owner,
-                                       ar.owner != ctx_->node()});
     };
     ops.cached_or_pending = [&](std::uint64_t page) {
       return pcache_->Contains(page) || pcache_->HasPending(page);

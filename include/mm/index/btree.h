@@ -497,18 +497,21 @@ class BTree : public BTreeBase {
   }
 
   /// Directory-validated scache copy on the calling thread (thread-safe:
-  /// the metadata and buffer managers are internally synchronized). Uses a
-  /// detached virtual timestamp — cross-thread probes have no rank clock
-  /// to charge, exactly like Vector::TryReadOptimistic.
+  /// the metadata and buffer managers are internally synchronized). The
+  /// default detached virtual timestamp serves cross-thread probes, which
+  /// have no rank clock to charge, exactly like Vector::TryReadOptimistic.
+  /// The probe's pooled page buffer goes straight back to the node pool.
   template <class T>
   bool TryProbeScache(core::VectorMeta& meta, std::uint64_t page, T* out,
-                      std::size_t bytes) const {
-    sim::SimTime done = 0.0;
-    auto data = svc_->TryReadPageOptimistic(meta, page, ctx_->node(), 0.0,
-                                            &done);
-    if (!data.has_value() || data->size() < bytes) return false;
-    std::memcpy(out, data->data(), bytes);
-    return true;
+                      std::size_t bytes, sim::SimTime now = 0.0,
+                      sim::SimTime* done = nullptr) const {
+    auto data =
+        svc_->TryReadPageOptimistic(meta, page, ctx_->node(), now, done);
+    if (!data.has_value()) return false;
+    const bool whole = data->size() >= bytes;
+    if (whole) std::memcpy(out, data->data(), bytes);
+    svc_->runtime(ctx_->node()).pool().Release(std::move(*data));
+    return whole;
   }
 
   /// Owner-thread node snapshot through the three-tier funnel. The funnel
@@ -530,13 +533,11 @@ class BTree : public BTreeBase {
         return;
       }
       if (leaf_hint) {
-        sim::SimTime t0 = ctx_->clock().now();
-        sim::SimTime t1 = t0;
-        auto data = svc_->TryReadPageOptimistic(arena_.meta(), id,
-                                                ctx_->node(), t0, &t1);
-        ctx_->clock().AdvanceTo(t1);
-        if (data.has_value() && data->size() >= sizeof(Block)) {
-          std::memcpy(out, data->data(), sizeof(Block));
+        sim::SimTime done = ctx_->clock().now();
+        const bool hit = TryProbeScache(arena_.meta(), id, out, sizeof(Block),
+                                        done, &done);
+        ctx_->clock().AdvanceTo(done);
+        if (hit) {
           metrics_.scache_probes->Inc();
           ++stats_.scache_probes;
           return;

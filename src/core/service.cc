@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mm/core/pcache.h"
 #include "mm/sim/cost_model.h"
 #include "mm/telemetry/critpath.h"
 #include "mm/telemetry/flightrec.h"
@@ -73,6 +74,187 @@ telemetry::Gauge* TierUsedGauge(telemetry::MetricsRegistry& reg,
     default:
       return reg.GetGauge("mm.tier.pfs_used_bytes");
   }
+}
+
+// ---------------------------------------------------------------------------
+// The page-read pipeline (DESIGN.md §6). Every read path is built from the
+// same three stages: the caller-thread fault (Service::ReadPage), the
+// lock-free probe (Service::TryReadPageOptimistic), the prefetch
+// (Service::ReadPageAsync) and the owner's worker
+// (NodeRuntime::ExecuteGetPage).
+// ---------------------------------------------------------------------------
+
+/// Where a read of one page may be served from.
+struct ReadSource {
+  std::optional<storage::BlobLocation> loc;  // directory entry; unplaced: none
+  std::size_t node = 0;                      // serving node
+  /// `node` holds bytes the §6 rule accepts: the local copy of an unplaced
+  /// page, the primary, or a registered replica. False for a default or
+  /// fenced-remapped owner, which must stage the page in.
+  bool has_copy = false;
+};
+
+/// Stage 1, the §6 replica-validity rule: this node's own copy when the
+/// directory maps the page here or registers this node as a replica, else
+/// under replication the primary or a replica spread by digest, else the
+/// primary; unplaced and fenced owners map to DefaultOwner/Unfenced.
+/// Charges the directory lookup to *done (nullptr: uncharged).
+ReadSource ResolveSource(Service& svc, VectorMeta& meta,
+                         const storage::BlobId& id, std::size_t from_node,
+                         sim::SimTime now, sim::SimTime* done) {
+  const bool local_bytes =
+      svc.runtime(from_node).buffer().FindBlob(id).has_value();
+  ReadSource src;
+  auto entry = svc.metadata().Lookup(id, from_node, now, done);
+  if (!entry.ok()) {
+    // Unplaced: the deterministic default owner, which every rank computes
+    // identically, so concurrent first-touches of one page can never
+    // materialize it on two nodes (split-brain).
+    src.node = local_bytes ? from_node : svc.DefaultOwner(meta, id);
+    src.has_copy = local_bytes;
+    return src;
+  }
+  src.loc = *entry;
+  src.node = entry->node;
+  // Local bytes count only while the directory maps the blob here or
+  // registers this node as a replica: an invalidated replica's bytes linger
+  // until the queued erase drains, and serving them would label stale data
+  // with the current version — or, routed at a worker the erase beat,
+  // fabricate a zero page.
+  const bool replicated =
+      AllowsReplication(meta.mode.load(std::memory_order_relaxed));
+  if (!(local_bytes && src.node == from_node) && (local_bytes || replicated)) {
+    auto replicas = svc.metadata().Replicas(id, from_node, now, nullptr);
+    if (local_bytes && std::find(replicas.begin(), replicas.end(),
+                                 from_node) != replicas.end()) {
+      src.node = from_node;
+    } else if (replicated && !replicas.empty()) {
+      std::vector<std::size_t> candidates{src.node};
+      candidates.insert(candidates.end(), replicas.begin(), replicas.end());
+      std::erase_if(candidates,
+                    [&svc](std::size_t n) { return svc.NodeFenced(n); });
+      if (!candidates.empty()) {
+        src.node = candidates[(id.Digest() ^ from_node) % candidates.size()];
+      }
+    }
+  }
+  // A fenced owner (directory entry not yet reconciled) is remapped to the
+  // next live node, which stages the page in from the backend on demand.
+  src.has_copy =
+      !svc.NodeFenced(src.node) && (src.node != from_node || local_bytes);
+  src.node = svc.Unfenced(src.node);
+  return src;
+}
+
+/// Stage 2: copies `id` out of `node`'s scache into *buf, then re-reads the
+/// page's directory entry into *entry (none: unplaced) and checks the copy
+/// against its CRC. A commit changes the bytes before the CRC, so judging
+/// the bytes by an entry read after them confines a false mismatch to a
+/// commit caught between the two reads. The copy is charged to *done; the
+/// re-read, issued when the copy completes, to *lookup_done (nullptr:
+/// uncharged). Returns OK, kDataLoss on a mismatch, or the copy's error.
+Status VerifiedCopy(Service& svc, std::size_t node, const storage::BlobId& id,
+                    std::size_t from_node, std::vector<std::uint8_t>* buf,
+                    sim::SimTime now, sim::SimTime* done,
+                    sim::SimTime* lookup_done,
+                    std::optional<storage::BlobLocation>* entry) {
+  MM_RETURN_IF_ERROR(svc.runtime(node).buffer().GetInto(id, buf, now, done));
+  auto reread = svc.metadata().Lookup(id, from_node, *done, lookup_done);
+  entry->reset();
+  if (reread.ok()) *entry = *reread;
+  if (*entry && svc.options().verify_checksums && (*entry)->crc != 0 &&
+      Crc32(*buf) != (*entry)->crc) {
+    return DataLoss("copy of page " + id.ToString() + " on node " +
+                    std::to_string(node) + " failed its CRC check");
+  }
+  return Status::Ok();
+}
+
+/// VerifiedCopy into a pooled `bytes`-sized buffer of `from_node`, under
+/// the one failure policy of the healing readers (the caller-thread fault
+/// and the owner's worker; the lock-free probe declines instead). A CRC
+/// mismatch drops the copy on `node` and the directory's claim on it — the
+/// replica record, or the whole entry for the primary — and a dirty
+/// primary's loss is recorded; a clean copy that errored is dropped.
+/// Returns the bytes, kNotFound when the page must be fetched elsewhere, or
+/// a terminal error (typed data loss, an I/O error on dirty bytes). The
+/// directory re-read is uncharged; heal charges land on *done (non-null).
+StatusOr<std::vector<std::uint8_t>> CopyOrHeal(
+    Service& svc, std::size_t node, const storage::BlobId& id,
+    std::size_t from_node, std::uint64_t bytes, sim::SimTime now,
+    sim::SimTime* done) {
+  PagePool& pool = svc.runtime(from_node).pool();
+  std::vector<std::uint8_t> buf = pool.Acquire(bytes);
+  PoolReturn buf_guard(pool, buf);
+  std::optional<storage::BlobLocation> loc;
+  Status st = VerifiedCopy(svc, node, id, from_node, &buf, now, done,
+                           /*lookup_done=*/nullptr, &loc);
+  if (st.ok()) return buf;  // implicit move detaches from buf_guard
+  if (st.code() == StatusCode::kDataLoss) {
+    // Silent media corruption. Drop the poisoned bytes (best effort: the
+    // page is re-fetched next, so a failed erase only wastes cache bytes),
+    // then the directory's claim on them.
+    (void)svc.runtime(node).buffer().Erase(id);
+    if (loc->node != node) {
+      // Idempotent: the replica may already be unregistered.
+      (void)svc.metadata().RemoveReplica(id, node, from_node, *done, done);
+    } else {
+      // Idempotent: a racing removal leaves nothing to remove.
+      (void)svc.metadata().Remove(id, from_node, *done, done);
+      if (loc->dirty) {
+        svc.RecordDataLoss(id, from_node, *done);
+        return DataLoss("page " + id.ToString() +
+                        " failed CRC check with unstaged modifications");
+      }
+    }
+  } else if (st.code() == StatusCode::kUnavailable) {
+    // The tier died under this read. The BufferManager already drained it
+    // and OnTierFailure reconciled the metadata — re-check whether this
+    // page's modifications went down with the tier.
+    if (svc.IsDataLost(id)) {
+      return DataLoss("page " + id.ToString() +
+                      " lost unstaged modifications");
+    }
+  } else if (st.code() == StatusCode::kIoError) {
+    // Retries exhausted on a live tier. A dirty page cannot be recreated
+    // from the backend, so surface the error; a clean copy is dropped and
+    // re-fetched.
+    auto cur = svc.metadata().Lookup(id, from_node, *done, nullptr);
+    if (cur.ok() && cur->dirty) return st;
+    // A failed erase is corrected by the exact-accounting drop in PutScored.
+    (void)svc.runtime(node).buffer().Erase(id);
+  }
+  // Whatever else went wrong, this copy is unusable: fetch elsewhere.
+  return st.code() == StatusCode::kNotFound ? st : NotFound(st.ToString());
+}
+
+/// Stage 3: builds the kGetPage task for `id` and routes it to `owner`,
+/// charging the request envelope when remote.
+std::shared_future<TaskOutcome> SubmitGetPage(Service& svc, VectorMeta& meta,
+                                              const storage::BlobId& id,
+                                              std::size_t owner,
+                                              std::size_t from_node,
+                                              sim::SimTime now,
+                                              telemetry::TraceContext tctx) {
+  MemoryTask task;
+  task.kind = MemoryTask::Kind::kGetPage;
+  task.vector_id = meta.vector_id;
+  task.id = id;
+  task.size = meta.page_bytes;
+  task.from_node = from_node;
+  task.tctx = tctx;
+  task.promise = std::make_shared<std::promise<TaskOutcome>>();
+  task.issue_time =
+      owner == from_node ? now
+                         : svc.cluster()
+                               .network()
+                               .Transfer(now, from_node, owner, kControlBytes)
+                               .delivered;
+  std::shared_future<TaskOutcome> future = task.promise->get_future().share();
+  // A shutdown rejection still fulfills the promise, so the future carries
+  // the error to every waiter.
+  (void)svc.runtime(owner).Submit(std::move(task));
+  return future;
 }
 }  // namespace
 
@@ -219,7 +401,6 @@ void NodeRuntime::WorkerLoop(BlockingQueue<MemoryTask>* queue, int worker_id) {
       telemetry::TraceContextScope flow_scope(tctx);
       outcome = Execute(*task);
     }
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
     task_executed_->Inc();
     task_latency_[static_cast<int>(kind)]->Observe((outcome.done - issued) *
                                                    1e9);
@@ -452,13 +633,11 @@ TaskOutcome NodeRuntime::StageInOrZero(VectorMeta& meta,
     }
     if (backend_size > page_off) {
       std::uint64_t avail = std::min<std::uint64_t>(want, backend_size - page_off);
-      std::vector<std::uint8_t> bytes;
-      Status st = BackendRead(meta, page_off, avail, &bytes, now, &out.done);
-      if (!st.ok()) {
-        out.status = st;
-        return out;
-      }
-      std::copy(bytes.begin(), bytes.end(), out.data.begin());
+      // Read straight into the page; the resize restores the zero tail past
+      // the backend's end.
+      out.status =
+          BackendRead(meta, page_off, avail, &out.data, now, &out.done);
+      out.data.resize(meta.page_bytes);
     }
   }
   return out;
@@ -472,104 +651,45 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
                           " lost unstaged modifications");
     return out;
   }
-  sim::SimTime dev_done = task.issue_time;
-  // Pooled read buffer: travels as the outcome payload on success, returns
-  // to the pool (via the guard) on every other path.
-  std::vector<std::uint8_t> buf = pool_.Acquire(task.size);
-  PoolReturn buf_guard(pool_, buf);
-  Status hit = bm_.GetInto(task.id, &buf, task.issue_time, &dev_done);
-  if (hit.ok()) {
-    auto cur = service_->metadata().Lookup(task.id, node_id_, dev_done,
-                                           nullptr);
-    // Same coherence validation as the ReadPage fast path: bytes of an
-    // invalidated replica awaiting its queued erase are not a valid
-    // source. Downgrade to a miss so the read serves through from the
-    // recorded owner below.
-    bool coherent = !cur.ok() || cur->node == node_id_;
-    if (!coherent) {
-      auto replicas = service_->metadata().Replicas(task.id, node_id_,
-                                                    dev_done, nullptr);
-      coherent = std::find(replicas.begin(), replicas.end(), node_id_) !=
-                 replicas.end();
-    }
-    if (!coherent) hit = NotFound("local bytes are an invalidated replica");
-    bool corrupted = !coherent;
-    if (coherent && cur.ok() && options_.verify_checksums && cur->crc != 0 &&
-        Crc32(buf) != cur->crc) {
-      // Silent media corruption. Drop the bad copy; a clean page self-heals
-      // from the backend below, a dirty page's modifications are gone.
-      corrupted = true;
-      // Best-effort cleanup of the poisoned copy: the page is re-fetched
-      // from the backend below, so a failed erase only wastes cache bytes.
-      (void)bm_.Erase(task.id);
-      // Same best-effort cleanup; the directory entry is rewritten below.
-      (void)service_->metadata().Remove(task.id, node_id_, dev_done, nullptr);
-      if (cur->dirty) {
-        service_->RecordDataLoss(task.id, node_id_, dev_done);
-        out.status = DataLoss("page " + task.id.ToString() +
-                              " failed CRC check with unstaged modifications");
-        out.done = dev_done;
-        return out;
-      }
-    }
-    if (!corrupted) {
-      out.data = std::move(buf);
-      out.done = dev_done;
-      if (cur.ok()) out.version = cur->version;
-      return out;
-    }
-  } else if (hit.code() == StatusCode::kUnavailable) {
-    // The tier died under this read. The BufferManager already drained it
-    // and OnTierFailure reconciled the metadata — re-check whether this
-    // page's modifications went down with the tier.
-    if (service_->IsDataLost(task.id)) {
-      out.status = DataLoss("page " + task.id.ToString() +
-                            " lost unstaged modifications");
-      out.done = dev_done;
-      return out;
-    }
-  } else if (hit.code() == StatusCode::kIoError) {
-    // Retries exhausted on a live tier. A dirty page cannot be recreated
-    // from the backend, so surface the error; a clean copy is dropped and
-    // re-staged below.
-    auto cur = service_->metadata().Lookup(task.id, node_id_, dev_done,
-                                           nullptr);
-    if (cur.ok() && cur->dirty) {
-      out.status = hit;
-      out.done = dev_done;
-      return out;
-    }
-    // The stale frame is replaced by the fresh Put below; a failed erase
-    // is corrected by the exact-accounting drop in PutScored.
-    (void)bm_.Erase(task.id);
-  }
-  // No usable local bytes. If the directory maps the blob to another node,
-  // this task was routed on stale information (e.g. an invalidated replica
-  // erased between routing and execution): serve the read through from the
-  // recorded owner. Falling into the zero-fill below would re-register a
-  // zero page under the preserved version and re-home the directory here,
-  // making the real copy unreachable.
-  if (!hit.ok()) {
-    auto placed = service_->metadata().Lookup(task.id, node_id_, dev_done,
-                                              nullptr);
-    if (placed.ok() && placed->node != node_id_) {
-      sim::SimTime remote_done = dev_done;
-      Status rst = service_->runtime(placed->node)
-                       .buffer()
-                       .GetInto(task.id, &buf, dev_done, &remote_done);
-      if (rst.ok()) {
-        auto rsp = service_->cluster().network().Transfer(
-            remote_done, placed->node, node_id_, buf.size());
-        out.data = std::move(buf);
-        out.done = rsp.delivered;
-        out.version = placed->version;
-        return out;
-      }
-    }
-  }
   VectorMeta* meta = service_->FindVectorById(task.id.vector_id);
   if (meta == nullptr) {
     out.status = NotFound("unknown vector for blob " + task.id.ToString());
+    return out;
+  }
+  // The caller routed on directory state that may have moved since (e.g. an
+  // invalidated replica erased in between): re-apply the §6 rule here.
+  const ReadSource src = ResolveSource(*service_, *meta, task.id, node_id_,
+                                       task.issue_time, nullptr);
+  StatusOr<std::vector<std::uint8_t>> copy =
+      NotFound("no valid copy on this node");
+  if (src.node == node_id_ && src.has_copy) {
+    copy = CopyOrHeal(*service_, node_id_, task.id, node_id_, task.size,
+                      out.done, &out.done);
+  }
+  // No usable local bytes. If the directory maps the blob to another node,
+  // serve the read through from the recorded owner. Falling into the
+  // zero-fill below would re-register a zero page under the preserved
+  // version and re-home the directory here, making the real copy
+  // unreachable.
+  if (copy.status().code() == StatusCode::kNotFound && src.loc &&
+      src.loc->node != node_id_) {
+    const std::size_t owner = src.loc->node;
+    copy = CopyOrHeal(*service_, owner, task.id, node_id_, task.size,
+                      out.done, &out.done);
+    if (copy.ok()) {
+      out.done = service_->cluster()
+                     .network()
+                     .Transfer(out.done, owner, node_id_, copy->size())
+                     .delivered;
+    }
+  }
+  if (copy.ok()) {
+    out.data = std::move(copy).value();
+    if (src.loc) out.version = src.loc->version;
+    return out;
+  }
+  if (copy.status().code() != StatusCode::kNotFound) {
+    out.status = copy.status();
     return out;
   }
   // Fault through to the backend (or zero-fill a fresh page).
@@ -579,19 +699,16 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
   // residency hint and the committed full-page CRC: verify the staged-in
   // bytes against it, so a torn or stale backend page surfaces as typed
   // data loss instead of silently serving wrong bytes (DESIGN.md §12).
-  if (options_.verify_checksums && meta->stager != nullptr) {
-    auto backed = service_->metadata().Lookup(task.id, node_id_, out.done,
-                                              nullptr);
-    if (backed.ok() && backed->tier == sim::TierKind::kPfs &&
-        !backed->dirty && backed->crc != 0 && Crc32(out.data) != backed->crc) {
-      service_->RecordDataLoss(task.id, node_id_, out.done);
-      pool_.Release(std::move(out.data));
-      out.data.clear();
-      out.status = DataLoss("page " + task.id.ToString() +
-                            " staged in from the backend does not match its "
-                            "recorded checksum");
-      return out;
-    }
+  if (options_.verify_checksums && meta->stager != nullptr && src.loc &&
+      src.loc->tier == sim::TierKind::kPfs && !src.loc->dirty &&
+      src.loc->crc != 0 && Crc32(out.data) != src.loc->crc) {
+    service_->RecordDataLoss(task.id, node_id_, out.done);
+    pool_.Release(std::move(out.data));
+    out.data.clear();
+    out.status = DataLoss("page " + task.id.ToString() +
+                          " staged in from the backend does not match its "
+                          "recorded checksum");
+    return out;
   }
   // Cache the page locally and record its location. A full scache is not an
   // error for reads: the page is served through without caching. The cached
@@ -604,8 +721,6 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
   if (tier.ok()) {
     // Preserve an existing version if the page previously lived elsewhere
     // (e.g. written through to the backend).
-    auto prev = service_->metadata().Lookup(task.id, node_id_, out.done,
-                                            nullptr);
     storage::BlobLocation loc;
     loc.node = node_id_;
     loc.tier = bm_.tier(*tier).kind();
@@ -613,7 +728,7 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
     loc.score = task.score;
     loc.score_node = task.from_node;
     loc.dirty = false;
-    loc.version = prev.ok() ? prev->version : 0;
+    loc.version = src.loc ? src.loc->version : 0;
     loc.crc = Crc32(out.data);
     // Directory upsert on the home shard cannot fail; timing is charged
     // through `done` on the read path instead.
@@ -1222,15 +1337,7 @@ void Service::OnTierFailure(std::size_t node, sim::TierKind tier,
     (void)metadata().Remove(id, node, now, nullptr);
     VectorMeta* meta = FindVectorById(id.vector_id);
     if (meta == nullptr || meta->stager == nullptr) continue;
-    MemoryTask restore;
-    restore.kind = MemoryTask::Kind::kGetPage;
-    restore.vector_id = id.vector_id;
-    restore.id = id;
-    restore.size = meta->page_bytes;
-    restore.score = loc->score;
-    restore.from_node = node;
-    restore.issue_time = now;
-    (void)runtime(node).Submit(std::move(restore));  // fire-and-forget
+    (void)SubmitGetPage(*this, *meta, id, node, node, now, {});  // no waiter
   }
 }
 
@@ -1380,108 +1487,57 @@ Status Service::EnsureBackend(VectorMeta& meta) {
   return Status::Ok();
 }
 
-std::uint64_t Service::PageVersion(VectorMeta& meta, std::uint64_t page,
-                                   std::size_t from_node, sim::SimTime now,
-                                   sim::SimTime* done) {
-  storage::BlobId id{meta.vector_id, page};
-  sim::SimTime t = now;
-  auto loc = metadata().Lookup(id, from_node, now, &t);
-  Merge(t, done);
-  return loc.ok() ? loc->version : 0;
-}
-
 StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
                                                       std::uint64_t page,
                                                       std::size_t from_node,
                                                       sim::SimTime now,
                                                       sim::SimTime* done,
                                                       std::uint64_t* version,
-                                                      bool optimistic_fallback) {
-  storage::BlobId id{meta.vector_id, page};
-  if (optimistic_fallback) {
-    // This read tried the lock-free fast path first and lost (conflict,
-    // miss, or ineligible source); reconcile the telemetry so hit + fallback
-    // counts cover every attempted optimistic read (DESIGN.md §14).
-    runtime(from_node).CountReadpathFallback();
-    telemetry::NodeSink fb = telemetry_sink(from_node);
-    fb.trace->Instant("readpath_fallback", "readpath", fb.node, 0, now);
+                                                      bool read_intent) {
+  telemetry::NodeSink sink = telemetry_sink(from_node);
+  if (read_intent) {
+    sim::SimTime fast_done = now;
+    if (auto fast = TryReadPageOptimistic(meta, page, from_node, now,
+                                          &fast_done, version)) {
+      // A bare fault-cat span, like prefetch_wait: the critical-path
+      // analyzer counts it as data-movement stall.
+      if (fast_done > now) {
+        sink.trace->Complete("opt_read", "fault", sink.node, 0, now,
+                             fast_done);
+      }
+      Merge(fast_done, done);
+      return std::move(*fast);
+    }
   }
+  storage::BlobId id{meta.vector_id, page};
   if (IsDataLost(id)) {
     return DataLoss("page " + id.ToString() + " lost unstaged modifications");
   }
-
-  // Fast path: the blob (or a replica) is already on this node. The read
-  // buffer comes from the node's page pool and travels to the caller on
-  // success; the guard hands it back on every other path.
-  if (runtime(from_node).buffer().FindBlob(id).has_value()) {
-    sim::SimTime local_done = now;
-    auto cur = metadata().Lookup(id, from_node, now, &local_done);
-    // Bytes here are only a coherent source while the directory still maps
-    // the blob to this node (primary) or registers this node as a replica:
-    // an invalidated replica's bytes linger until the queued erase drains,
-    // and serving them would label stale data with the current version.
-    bool local_coherent = !cur.ok() || cur->node == from_node;
-    if (!local_coherent) {
-      auto replicas = metadata().Replicas(id, from_node, now, nullptr);
-      local_coherent = std::find(replicas.begin(), replicas.end(),
-                                 from_node) != replicas.end();
-    }
-    PagePool& pool = runtime(from_node).pool();
-    std::vector<std::uint8_t> local = pool.Acquire(meta.page_bytes);
-    PoolReturn local_guard(pool, local);
-    Status local_st = local_coherent
-                          ? runtime(from_node).buffer().GetInto(id, &local,
-                                                                now,
-                                                                &local_done)
-                          : NotFound("local bytes are an invalidated replica");
-    if (local_st.ok()) {
-      bool corrupted = false;
-      if (version != nullptr) {
-        *version = cur.ok() ? cur->version : 0;
-        if (cur.ok() && options_.verify_checksums && cur->crc != 0 &&
-            Crc32(local) != cur->crc) {
-          // Silent corruption caught on the local copy. Drop it; dirty
-          // pages surface typed data loss, clean pages fall through to the
-          // slow path and self-heal from the owner/backend.
-          corrupted = true;
-          // Best-effort drop of the poisoned replica before re-fetching.
-          (void)runtime(from_node).buffer().Erase(id);
-          if (cur->node == from_node) {
-            // Idempotent: a racing removal leaves nothing to remove.
-            (void)metadata().Remove(id, from_node, local_done, &local_done);
-            if (cur->dirty) {
-              RecordDataLoss(id, from_node, local_done);
-              Merge(local_done, done);
-              return DataLoss("page " + id.ToString() +
-                              " failed CRC check with unstaged modifications");
-            }
-          } else {
-            // Idempotent: replica may already be unregistered.
-            (void)metadata().RemoveReplica(id, from_node, from_node,
-                                           local_done, &local_done);
-          }
-        }
+  sim::SimTime t = now;
+  ReadSource src = ResolveSource(*this, meta, id, from_node, now, &t);
+  if (src.node == from_node && src.has_copy) {
+    // A valid copy is already on this node: serve it on the calling thread
+    // in a buffer from the node's page pool.
+    sim::SimTime local_done = t;
+    auto local = CopyOrHeal(*this, from_node, id, from_node, meta.page_bytes,
+                            now, &local_done);
+    if (local.status().code() != StatusCode::kNotFound) {
+      Merge(local_done, done);
+      if (local.ok() && version != nullptr) {
+        *version = src.loc ? src.loc->version : 0;
       }
-      if (!corrupted) {
-        Merge(local_done, done);
-        return local;
-      }
+      return local;
     }
+    // The copy raced an eviction or was dropped: route the fault.
+    t = now;
+    src = ResolveSource(*this, meta, id, from_node, now, &t);
   }
 
-  // Slow path = a service-level page fault: count it here (the fast path
-  // above is the pcache's business), and span the whole fault — metadata
-  // lookup, task execution, and transfer — on success.
-  telemetry::NodeSink sink = telemetry_sink(from_node);
+  // Routed fault = a service-level page fault: count it here (the local
+  // copy above is the scache's business), and span the whole fault —
+  // metadata lookup, task execution, and transfer — on success.
   sink.metrics->GetCounter("mm.service.fault_count")->Inc();
-
-  // Locate the source: a replica under read-only replication, the primary
-  // owner, or (for unplaced pages) the deterministic default owner — which
-  // every rank computes identically, so concurrent first-touches of one
-  // page can never materialize it on two nodes (split-brain).
-  sim::SimTime t = now;
-  std::size_t owner = ChooseReadSource(meta, id, from_node, now, &t);
-
+  const std::size_t owner = src.node;
   // Concurrent faults for the same blob on this node share one fetch.
   InflightKey key{from_node, id};
   std::shared_future<TaskOutcome> fetch;
@@ -1498,27 +1554,8 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
     } else {
       leader = true;
       fault_ctx = telemetry::TraceRecorder::NewContext(sink.node);
-      MemoryTask task;
-      task.kind = MemoryTask::Kind::kGetPage;
-      task.vector_id = meta.vector_id;
-      task.id = id;
-      task.size = meta.page_bytes;
-      task.from_node = from_node;
-      task.optimistic_fallback = optimistic_fallback;
-      task.tctx = fault_ctx;
-      task.promise = std::make_shared<std::promise<TaskOutcome>>();
-      if (owner == from_node) {
-        task.issue_time = t;
-      } else {
-        auto req = cluster().network().Transfer(t, from_node, owner,
-                                                kControlBytes);
-        task.issue_time = req.delivered;
-      }
-      fetch = task.promise->get_future().share();
+      fetch = SubmitGetPage(*this, meta, id, owner, from_node, t, fault_ctx);
       inflight_[key] = fetch;
-      // A shutdown rejection still fulfills the promise, so the shared
-      // future below carries the error to every waiter.
-      (void)runtime(owner).Submit(std::move(task));
     }
   }
   TaskOutcome outcome = fetch.get();
@@ -1526,205 +1563,127 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
     MutexLock lock(inflight_mu_);
     inflight_.erase(key);
   }
-  if (!outcome.status.ok()) {
-    // Close the flow on the error path too — the worker already recorded
-    // its 't' hop, and a dangling flow would fail trace validation.
-    sink.trace->CompleteFlow("page_fault", "fault", sink.node, 0, now,
-                             outcome.done, fault_ctx, 's');
-    Merge(outcome.done, done);
-    return outcome.status;
-  }
-  if (version != nullptr) *version = outcome.version;
   sim::SimTime complete = outcome.done;
-  if (owner != from_node) {
-    auto rsp = cluster().network().Transfer(outcome.done, owner, from_node,
-                                            outcome.data.size());
-    complete = rsp.delivered;
-    if (leader) MaybeReplicate(meta, page, outcome.data, from_node, complete);
+  if (outcome.status.ok()) {
+    if (version != nullptr) *version = outcome.version;
+    complete = DeliverPage(meta, page, owner, from_node, outcome, leader);
+    sink.metrics
+        ->GetHistogram("mm.service.fault_latency_ns",
+                       telemetry::LatencyBoundsNs())
+        ->Observe((complete - now) * 1e9);
   }
-  sink.metrics
-      ->GetHistogram("mm.service.fault_latency_ns",
-                     telemetry::LatencyBoundsNs())
-      ->Observe((complete - now) * 1e9);
   // Sync origin of the fault's flow (plain span for non-leader sharers):
   // origin → get_page task on the owner → stager, one connected arrow
-  // chain across nodes.
+  // chain across nodes. Closed on the error path too — the worker already
+  // recorded its 't' hop, and a dangling flow would fail trace validation.
   sink.trace->CompleteFlow("page_fault", "fault", sink.node, 0, now, complete,
                            fault_ctx, 's');
   Merge(complete, done);
+  if (!outcome.status.ok()) return outcome.status;
   return std::move(outcome.data);
 }
 
 std::optional<std::vector<std::uint8_t>> Service::TryReadPageOptimistic(
     VectorMeta& meta, std::uint64_t page, std::size_t from_node,
-    sim::SimTime now, sim::SimTime* done, std::uint64_t* version,
-    int* retries) {
-  if (retries != nullptr) *retries = 0;
-  if (!options_.enable_optimistic_reads) return std::nullopt;
-  if (!AllowsOptimisticReads(meta.mode.load(std::memory_order_relaxed))) {
+    sim::SimTime now, sim::SimTime* done, std::uint64_t* version) {
+  if (!options_.enable_optimistic_reads ||
+      !AllowsOptimisticReads(meta.mode.load(std::memory_order_relaxed))) {
     return std::nullopt;
   }
   storage::BlobId id{meta.vector_id, page};
-  // Typed data loss is the slow path's story to tell.
-  if (IsDataLost(id)) return std::nullopt;
-
+  telemetry::NodeSink sink = telemetry_sink(from_node);
+  PagePool& pool = runtime(from_node).pool();
+  std::vector<std::uint8_t> bytes;
+  PoolReturn pool_guard(pool, bytes);
   sim::SimTime t = now;
   constexpr int kMaxAttempts = 3;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    // v1: sample the directory. Unplaced pages have no authoritative bytes
-    // anywhere yet — only the queued fault may materialize them.
-    sim::SimTime step = t;
-    auto v1 = metadata().Lookup(id, from_node, t, &step);
-    t = step;
-    if (!v1.ok()) return std::nullopt;
-
-    // Pick the source the §6 replica-validity rule blesses at v1: this
-    // node when the directory maps it as primary or registers it as a
-    // replica (never merely "bytes happen to linger here"), else the
-    // primary across the network.
-    std::size_t source = v1->node;
-    if (source != from_node &&
-        runtime(from_node).buffer().FindBlob(id).has_value()) {
-      auto replicas = metadata().Replicas(id, from_node, t, nullptr);
-      if (std::find(replicas.begin(), replicas.end(), from_node) !=
-          replicas.end()) {
-        source = from_node;
-      }
-    }
-    if (NodeFenced(source)) return std::nullopt;
-
+    // v1: sample the directory and take the source the §6 rule blesses.
+    // Unplaced pages have no authoritative bytes anywhere yet — only the
+    // routed fault may materialize them (or tell their typed data loss) —
+    // and fenced sources decline.
+    const ReadSource src = ResolveSource(*this, meta, id, from_node, t, &t);
+    if (!src.loc || !src.has_copy) break;
     // Copy the bytes straight out of the source scache on this thread —
     // the BufferManager is internally synchronized; no worker queue, no
     // promise, no task allocation.
-    PagePool& pool = runtime(from_node).pool();
-    std::vector<std::uint8_t> bytes = pool.Acquire(meta.page_bytes);
-    PoolReturn pool_guard(pool, bytes);
+    if (bytes.empty()) bytes = pool.Acquire(meta.page_bytes);
     sim::SimTime copy_done = t;
-    Status st = runtime(source).buffer().GetInto(id, &bytes, t, &copy_done);
-    if (!st.ok()) return std::nullopt;  // raced an eviction: slow path re-stages
-
-    // v2: the copy is coherent only if no writer committed meanwhile. This
-    // is the optimistic guard's validate step at directory granularity; a
-    // changed version or moved primary means the copy may be torn.
-    sim::SimTime check_done = copy_done;
-    auto v2 = metadata().Lookup(id, from_node, copy_done, &check_done);
-    t = check_done;
-    if (!v2.ok() || v2->node != v1->node || v2->version != v1->version) {
-      if (retries != nullptr) ++*retries;
-      runtime(from_node).CountReadpathRetries(1);
+    std::optional<storage::BlobLocation> v2;
+    Status st = VerifiedCopy(*this, src.node, id, from_node, &bytes, t,
+                             &copy_done, &t, &v2);
+    // The copy failed (raced an eviction, tier error): the routed fault
+    // re-stages.
+    if (!st.ok() && st.code() != StatusCode::kDataLoss) break;
+    // v2, the entry re-read after the copy: the copy is coherent only if no
+    // writer committed meanwhile. This is the optimistic guard's validate
+    // step at directory granularity; a changed version or moved primary
+    // means the copy may be torn.
+    if (!v2 || v2->node != src.loc->node || v2->version != src.loc->version) {
+      runtime(from_node).CountReadpathRetry();
       continue;
     }
-    if (options_.verify_checksums && v2->crc != 0 && Crc32(bytes) != v2->crc) {
-      // Corruption healing (replica drop, typed data loss) lives on the
-      // slow path; the fast path just declines.
-      return std::nullopt;
-    }
-    if (source != from_node) {
-      auto rsp =
-          cluster().network().Transfer(t, source, from_node, bytes.size());
-      t = rsp.delivered;
+    // Corruption healing (replica drop, typed data loss) lives on the
+    // routed fault; the fast path just declines.
+    if (!st.ok()) break;
+    if (src.node != from_node) {
+      t = cluster().network().Transfer(t, src.node, from_node, bytes.size())
+              .delivered;
     }
     if (version != nullptr) *version = v2->version;
     runtime(from_node).CountReadpathHit();
-    telemetry::NodeSink sink = telemetry_sink(from_node);
     sink.trace->Instant("readpath_hit", "readpath", sink.node, 0, t);
     Merge(t, done);
     return bytes;  // implicit move detaches from pool_guard (capacity 0 after)
   }
+  // An eligible attempt declined: the caller takes the routed fault, and
+  // hit + fallback counts cover every attempted read (DESIGN.md §14).
+  runtime(from_node).CountReadpathFallback();
+  sink.trace->Instant("readpath_fallback", "readpath", sink.node, 0, now);
   return std::nullopt;
 }
 
-/// Picks where to serve a page read from: a node-local copy when present,
-/// a replica (spread by digest) under read-only replication, the primary
-/// owner otherwise, or the deterministic default for unplaced pages.
-std::size_t Service::ChooseReadSource(VectorMeta& meta,
-                                      const storage::BlobId& id,
-                                      std::size_t from_node, sim::SimTime now,
-                                      sim::SimTime* done) {
-  bool local_bytes = runtime(from_node).buffer().FindBlob(id).has_value();
-  std::size_t owner = DefaultOwner(meta, id);
-  auto loc = metadata().Lookup(id, from_node, now, done);
-  if (!loc.ok()) return local_bytes ? from_node : owner;
-  owner = loc->node;
-  // Local bytes count as a source only while the directory still maps the
-  // blob here (primary) or registers this node as a replica below: an
-  // invalidated replica's bytes linger until the queued erase drains, and
-  // routing a read at them serves stale data — or a fabricated zero page
-  // if the erase wins the race to this node's worker.
-  if (local_bytes && owner == from_node) return from_node;
-  if (AllowsReplication(meta.mode.load(std::memory_order_relaxed))) {
-    auto replicas = metadata().Replicas(id, from_node, now, nullptr);
-    if (!replicas.empty()) {
-      for (std::size_t r : replicas) {
-        if (r == from_node && local_bytes) return from_node;
-      }
-      std::vector<std::size_t> candidates;
-      if (!NodeFenced(owner)) candidates.push_back(owner);
-      for (std::size_t r : replicas) {
-        if (!NodeFenced(r)) candidates.push_back(r);
-      }
-      if (!candidates.empty()) {
-        owner = candidates[(id.Digest() ^ from_node) % candidates.size()];
-      }
-    }
-  }
-  // A fenced owner (directory entry not yet reconciled, or home-hash on a
-  // dead node) is remapped to the next live node, which stage-ins from the
-  // backend on demand.
-  return Unfenced(owner);
-}
-
-void Service::MaybeReplicate(VectorMeta& meta, std::uint64_t page,
-                             const std::vector<std::uint8_t>& data,
-                             std::size_t from_node, sim::SimTime now) {
-  if (!AllowsReplication(meta.mode.load(std::memory_order_relaxed))) return;
+sim::SimTime Service::DeliverPage(VectorMeta& meta, std::uint64_t page,
+                                  std::size_t owner, std::size_t from_node,
+                                  const TaskOutcome& outcome, bool replicate) {
+  if (owner == from_node) return outcome.done;
+  auto rsp = cluster().network().Transfer(outcome.done, owner, from_node,
+                                          outcome.data.size());
+  const sim::SimTime now = rsp.delivered;
   storage::BlobId id{meta.vector_id, page};
-  if (runtime(from_node).buffer().FindBlob(id).has_value()) return;
+  if (!replicate ||
+      !AllowsReplication(meta.mode.load(std::memory_order_relaxed)) ||
+      runtime(from_node).buffer().FindBlob(id).has_value()) {
+    return now;
+  }
   sim::SimTime put_done = now;
   // Replica bytes come from the pool: the replication path runs on every
   // remote read under read-only mode, so it must not allocate steadily.
   PagePool& pool = runtime(from_node).pool();
-  std::vector<std::uint8_t> copy = pool.Acquire(data.size());
-  std::copy(data.begin(), data.end(), copy.begin());
+  std::vector<std::uint8_t> copy = pool.Acquire(outcome.data.size());
+  std::copy(outcome.data.begin(), outcome.data.end(), copy.begin());
   auto tier = runtime(from_node).buffer().PutScored(id, std::move(copy),
                                                     /*score=*/1.0f, now,
                                                     &put_done);
   if (tier.ok()) {
-    // Registration cannot fail once the primary entry exists (looked up
-    // above); a lost replica record only costs a remote re-read.
+    // Registration cannot fail once the primary entry exists; a lost
+    // replica record only costs a remote re-read.
     (void)metadata().AddReplica(id, from_node, from_node, now, nullptr);
     telemetry::NodeSink sink = telemetry_sink(from_node);
     sink.metrics->GetCounter("mm.coherence.replicate_count")->Inc();
     sink.trace->Instant("replicate", "coherence", sink.node, 0, now);
   }
+  return now;
 }
 
-Service::AsyncRead Service::ReadPageAsync(VectorMeta& meta,
-                                          std::uint64_t page,
-                                          std::size_t from_node,
-                                          sim::SimTime now) {
+PendingFetch Service::ReadPageAsync(VectorMeta& meta, std::uint64_t page,
+                                   std::size_t from_node, sim::SimTime now) {
   storage::BlobId id{meta.vector_id, page};
-  std::size_t owner = ChooseReadSource(meta, id, from_node, now, nullptr);
-  MemoryTask task;
-  task.kind = MemoryTask::Kind::kGetPage;
-  task.vector_id = meta.vector_id;
-  task.id = id;
-  task.size = meta.page_bytes;
-  task.from_node = from_node;
-  task.promise = std::make_shared<std::promise<TaskOutcome>>();
-  if (owner == from_node) {
-    task.issue_time = now;
-  } else {
-    auto req = cluster().network().Transfer(now, from_node, owner,
-                                            kControlBytes);
-    task.issue_time = req.delivered;
-  }
+  std::size_t owner =
+      ResolveSource(*this, meta, id, from_node, now, nullptr).node;
   telemetry::NodeSink sink = telemetry_sink(from_node);
   sink.trace->Instant("prefetch_issue", "prefetch", sink.node, 0, now);
-  AsyncRead result{task.promise->get_future().share(), owner};
-  // A shutdown rejection still fulfills the promise (error via the future).
-  (void)runtime(owner).Submit(std::move(task));
-  return result;
+  return {SubmitGetPage(*this, meta, id, owner, from_node, now, {}), owner};
 }
 
 double Service::EstimateReadSeconds(VectorMeta& meta, std::uint64_t page,

@@ -308,6 +308,46 @@ TEST_P(BTreeRanksTest, CrossRankInsertsAllVisible) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, BTreeRanksTest, ::testing::Values(2, 4));
 
+// A scache probe hands its pooled page buffer back to the node pool, so
+// repeated probes of one resident leaf recycle a single buffer instead of
+// allocating per probe.
+TEST(BTreeProbe, RepeatedScacheProbesReuseOnePoolBuffer) {
+  auto cluster = sim::Cluster::PaperTestbed(2);
+  core::Service svc(cluster.get(), SvcOptions());
+  auto run = comm::RunRanks(*cluster, 2, 1, [&](comm::RankContext& ctx) {
+    comm::Communicator comm(&ctx);
+    BTreeOptions opt;
+    opt.max_nodes = 1 << 10;
+    SmallTree tree(svc, ctx, "mem://bt_probe", opt);
+    if (comm.rank() == 0) {
+      tree.Create();
+      for (std::uint64_t k = 1; k <= 4; ++k) tree.Put(k, k * 10);  // one leaf
+    }
+    comm.Barrier();
+    if (comm.rank() == 1) {
+      tree.Refresh();
+      // The owner-path Get faults the anchor into this rank's pcache; the
+      // root leaf is served by the scache probe and never staged here.
+      std::uint64_t v = 0;
+      EXPECT_TRUE(tree.Get(3, &v));
+      core::PagePool& pool = svc.runtime(ctx.node()).pool();
+      telemetry::Counter* probes = svc.metrics(ctx.node()).GetCounter(
+          "mm.index.scache_probe_hit_count");
+      const std::uint64_t allocs = pool.allocations();
+      const std::uint64_t probes_before = probes->value();
+      for (int i = 0; i < 1000; ++i) {
+        v = 0;
+        EXPECT_TRUE(tree.TryGet(3, &v));
+        EXPECT_EQ(v, 30u);
+      }
+      EXPECT_EQ(probes->value() - probes_before, 1000u);
+      EXPECT_LE(pool.allocations() - allocs, 1u);
+    }
+    comm.Barrier();
+  });
+  ASSERT_TRUE(run.ok()) << run.error;
+}
+
 // ---------------------------------------------------------------------------
 // TSan stress: latch-free readers vs structure modifications
 // ---------------------------------------------------------------------------

@@ -506,50 +506,58 @@ TEST_F(ServiceFaultTest, DirtyPageLossSurfacesAsDataLossNotAbort) {
 }
 
 TEST_F(ServiceFaultTest, CrcCatchesSilentCorruption) {
-  auto svc = MakeService();
-  core::VectorOptions vo;
-  vo.page_size = 4096;
-  auto meta = svc->RegisterVector("posix://" + (dir_ / "v.bin").string(), 1,
-                                  vo, 8 * 4096);
-  ASSERT_TRUE(meta.ok());
-  sim::SimTime t = 0.0;
-  // Page 0: dirty (unstaged). Page 1: flushed clean.
-  for (std::uint64_t p = 0; p < 2; ++p) {
-    core::TaskOutcome out =
-        svc->WriteRegion(**meta, p, 0, PagePattern(p, 4096), 0, t).get();
-    ASSERT_TRUE(out.status.ok());
-    t = std::max(t, out.done);
+  // The check must not depend on whether the caller asks for the version.
+  for (bool with_version : {true, false}) {
+    SCOPED_TRACE(with_version ? "with version" : "without version");
+    auto svc = MakeService();
+    core::VectorOptions vo;
+    vo.page_size = 4096;
+    auto meta = svc->RegisterVector(
+        "posix://" +
+            (dir_ / (with_version ? "v_ver.bin" : "v_nover.bin")).string(),
+        1, vo, 8 * 4096);
+    ASSERT_TRUE(meta.ok());
+    sim::SimTime t = 0.0;
+    // Page 0: dirty (unstaged). Page 1: flushed clean.
+    for (std::uint64_t p = 0; p < 2; ++p) {
+      core::TaskOutcome out =
+          svc->WriteRegion(**meta, p, 0, PagePattern(p, 4096), 0, t).get();
+      ASSERT_TRUE(out.status.ok());
+      t = std::max(t, out.done);
+    }
+    ASSERT_TRUE(svc->FlushVector(**meta, 0, t, &t).ok());
+    core::TaskOutcome redirty =
+        svc->WriteRegion(**meta, 0, 8, std::vector<std::uint8_t>(16, 0x77), 0,
+                         t)
+            .get();
+    ASSERT_TRUE(redirty.status.ok());
+    t = std::max(t, redirty.done);
+
+    auto& bm = svc->runtime(0).buffer();
+    storage::BlobId dirty_id{(*meta)->vector_id, 0};
+    storage::BlobId clean_id{(*meta)->vector_id, 1};
+    auto dt = bm.FindBlob(dirty_id);
+    auto ct = bm.FindBlob(clean_id);
+    ASSERT_TRUE(dt.has_value());
+    ASSERT_TRUE(ct.has_value());
+    ASSERT_TRUE(bm.tier(*dt).CorruptBlob(dirty_id, 100).ok());
+    ASSERT_TRUE(bm.tier(*ct).CorruptBlob(clean_id, 100).ok());
+
+    // Dirty page: the CRC mismatch means the modification is unrecoverable.
+    std::uint64_t version = 0;
+    std::uint64_t* version_out = with_version ? &version : nullptr;
+    sim::SimTime done = t;
+    auto dirty_read = svc->ReadPage(**meta, 0, 0, t, &done, version_out);
+    ASSERT_FALSE(dirty_read.ok());
+    EXPECT_EQ(dirty_read.status().code(), StatusCode::kDataLoss);
+    EXPECT_GE(svc->data_loss_count(), 1u);
+
+    // Clean page: the bad copy is dropped and re-staged from the backend.
+    sim::SimTime done2 = t;
+    auto clean_read = svc->ReadPage(**meta, 1, 0, t, &done2, version_out);
+    ASSERT_TRUE(clean_read.ok()) << clean_read.status().message();
+    EXPECT_EQ(*clean_read, PagePattern(1, 4096));
   }
-  ASSERT_TRUE(svc->FlushVector(**meta, 0, t, &t).ok());
-  core::TaskOutcome redirty =
-      svc->WriteRegion(**meta, 0, 8, std::vector<std::uint8_t>(16, 0x77), 0, t)
-          .get();
-  ASSERT_TRUE(redirty.status.ok());
-  t = std::max(t, redirty.done);
-
-  auto& bm = svc->runtime(0).buffer();
-  storage::BlobId dirty_id{(*meta)->vector_id, 0};
-  storage::BlobId clean_id{(*meta)->vector_id, 1};
-  auto dt = bm.FindBlob(dirty_id);
-  auto ct = bm.FindBlob(clean_id);
-  ASSERT_TRUE(dt.has_value());
-  ASSERT_TRUE(ct.has_value());
-  ASSERT_TRUE(bm.tier(*dt).CorruptBlob(dirty_id, 100).ok());
-  ASSERT_TRUE(bm.tier(*ct).CorruptBlob(clean_id, 100).ok());
-
-  // Dirty page: the CRC mismatch means the modification is unrecoverable.
-  std::uint64_t version = 0;
-  sim::SimTime done = t;
-  auto dirty_read = svc->ReadPage(**meta, 0, 0, t, &done, &version);
-  ASSERT_FALSE(dirty_read.ok());
-  EXPECT_EQ(dirty_read.status().code(), StatusCode::kDataLoss);
-  EXPECT_GE(svc->data_loss_count(), 1u);
-
-  // Clean page: the bad copy is dropped and re-staged from the backend.
-  sim::SimTime done2 = t;
-  auto clean_read = svc->ReadPage(**meta, 1, 0, t, &done2, &version);
-  ASSERT_TRUE(clean_read.ok()) << clean_read.status().message();
-  EXPECT_EQ(*clean_read, PagePattern(1, 4096));
 }
 
 TEST_F(ServiceFaultTest, SubmitAfterShutdownReturnsFailedPrecondition) {

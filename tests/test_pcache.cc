@@ -185,13 +185,12 @@ TEST(PCacheTest, PendingLifecycle) {
   PCache pc(kPageBytes, kEPP, 4 * kPageBytes);
   std::promise<TaskOutcome> p;
   p.set_value(TaskOutcome{});
-  pc.AddPending(5, PendingFetch{p.get_future().share(), 2, true});
+  pc.AddPending(5, PendingFetch{p.get_future().share(), 2});
   EXPECT_TRUE(pc.HasPending(5));
   EXPECT_EQ(pc.committed(), kPageBytes);  // pending counts against budget
   auto fetch = pc.TakePending(5);
   ASSERT_TRUE(fetch.has_value());
   EXPECT_EQ(fetch->owner, 2u);
-  EXPECT_TRUE(fetch->remote);
   EXPECT_FALSE(pc.HasPending(5));
   EXPECT_FALSE(pc.TakePending(5).has_value());
 }
@@ -201,7 +200,7 @@ TEST(PCacheTest, ClearDropsEverything) {
   pc.Insert(0, Page(1));
   std::promise<TaskOutcome> p;
   p.set_value(TaskOutcome{});
-  pc.AddPending(1, PendingFetch{p.get_future().share(), 0, false});
+  pc.AddPending(1, PendingFetch{p.get_future().share(), 0});
   pc.Clear();
   EXPECT_EQ(pc.num_frames(), 0u);
   EXPECT_EQ(pc.num_pending(), 0u);

@@ -248,14 +248,14 @@ TEST(ReadpathServiceTest, OptimisticHitBypassesQueueAndCounts) {
   ASSERT_TRUE(first.ok());
 
   // Local optimistic read on node 0: pure fast path.
-  int retries = -1;
   std::uint64_t fast_version = 0;
   auto fast = svc.TryReadPageOptimistic(**meta, 0, 0, done, &done,
-                                        &fast_version, &retries);
+                                        &fast_version);
   ASSERT_TRUE(fast.has_value());
   EXPECT_EQ(fast->size(), (*meta)->page_bytes);
   EXPECT_EQ(fast_version, version);
-  EXPECT_EQ(retries, 0);
+  EXPECT_EQ(svc.metrics(0).GetCounter("mm.readpath.retry_count")->value(),
+            0u);
   EXPECT_EQ(
       svc.metrics(0).GetCounter("mm.readpath.fastpath_hit_count")->value(),
       1u);
@@ -263,21 +263,19 @@ TEST(ReadpathServiceTest, OptimisticHitBypassesQueueAndCounts) {
   // Remote optimistic read from node 1: still lock-free, pays the
   // owner→reader transfer on the virtual clock.
   sim::SimTime remote_done = done;
-  auto remote = svc.TryReadPageOptimistic(**meta, 0, 1, done, &remote_done,
-                                          nullptr, nullptr);
+  auto remote = svc.TryReadPageOptimistic(**meta, 0, 1, done, &remote_done);
   ASSERT_TRUE(remote.has_value());
   EXPECT_GT(remote_done, done);
   EXPECT_EQ(
       svc.metrics(1).GetCounter("mm.readpath.fastpath_hit_count")->value(),
       1u);
 
-  // Unplaced page: the fast path declines (miss), and the queue fallback
-  // is counted when flagged.
+  // Unplaced page: the fast path declines (miss) and counts the fallback
+  // itself; the routed fault that serves the read counts nothing more.
   auto miss = svc.TryReadPageOptimistic(**meta, 7, 0, remote_done,
-                                        &remote_done, nullptr, nullptr);
+                                        &remote_done);
   EXPECT_FALSE(miss.has_value());
-  auto fallback = svc.ReadPage(**meta, 7, 0, remote_done, &remote_done,
-                               nullptr, /*optimistic_fallback=*/true);
+  auto fallback = svc.ReadPage(**meta, 7, 0, remote_done, &remote_done);
   ASSERT_TRUE(fallback.ok());
   EXPECT_EQ(svc.metrics(0).GetCounter("mm.readpath.fallback_count")->value(),
             1u);
@@ -292,8 +290,7 @@ TEST(ReadpathServiceTest, OptimisticHitBypassesQueueAndCounts) {
   sim::SimTime d2 = 0.0;
   ASSERT_TRUE(svc2.ReadPage(**meta2, 0, 0, 0.0, &d2).ok());
   EXPECT_FALSE(
-      svc2.TryReadPageOptimistic(**meta2, 0, 0, d2, &d2, nullptr, nullptr)
-          .has_value());
+      svc2.TryReadPageOptimistic(**meta2, 0, 0, d2, &d2).has_value());
 }
 
 // Write-only coherence is the one mode the fast path must refuse.
@@ -316,9 +313,8 @@ TEST(ReadpathServiceTest, WriteOnlyModeIneligible) {
   ASSERT_TRUE(meta.ok());
   sim::SimTime done = 0.0;
   ASSERT_TRUE(svc.ReadPage(**meta, 0, 0, 0.0, &done).ok());
-  EXPECT_FALSE(svc.TryReadPageOptimistic(**meta, 0, 0, done, &done, nullptr,
-                                         nullptr)
-                   .has_value());
+  EXPECT_FALSE(
+      svc.TryReadPageOptimistic(**meta, 0, 0, done, &done).has_value());
 }
 
 }  // namespace

@@ -135,8 +135,13 @@ TEST_F(ServiceTest, VersionsIncrementPerCommit) {
       EXPECT_EQ(outcome.prev_version, expect - 1);
     }
   }
-  EXPECT_EQ(svc_->PageVersion(**meta, 0, 0, 0.0, nullptr), 3u);
-  EXPECT_EQ(svc_->PageVersion(**meta, 99, 0, 0.0, nullptr), 0u);
+  // The directory holds the committed version; unplaced pages have none.
+  auto placed = svc_->metadata().Lookup({(*meta)->vector_id, 0}, 0, 0.0,
+                                        nullptr);
+  ASSERT_TRUE(placed.ok());
+  EXPECT_EQ(placed->version, 3u);
+  EXPECT_FALSE(
+      svc_->metadata().Lookup({(*meta)->vector_id, 99}, 0, 0.0, nullptr).ok());
 }
 
 TEST_F(ServiceTest, ScoresReachTheOrganizer) {
