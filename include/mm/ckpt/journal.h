@@ -1,24 +1,33 @@
 // Per-node redo journal for crash-consistent stager writeback (DESIGN.md
-// §12, after Marathe et al., "Persistent Memory Transactions"). Every flush
-// appends a self-describing redo record — page id, directory version,
-// full-page CRC, backing key, payload — and flushes it to disk *before* the
-// in-place backend write. Recovery replays intact records (idempotent: the
-// same bytes land at the same offset) and discards a torn tail, so a crash
-// at any point mid-flush never leaves a torn page behind.
+// §12, after Marathe et al., "Persistent Memory Transactions"). A flush
+// group-commits one batch per owner node: every page's self-describing redo
+// record — page id, directory version, full-page CRC, backing key, payload —
+// is appended with one open and one flush, durable *before* any in-place
+// backend write of the batch. The simulated PFS is charged one write of
+// Σ(payload + kRecordOverheadBytes) for the whole batch. Recovery replays
+// intact batches (idempotent: the same bytes land at the same offset) and
+// discards a torn tail, so a crash at any point mid-flush never leaves a
+// torn page behind.
 //
 // On-disk record layout (host-endian, single writer per node):
 //
-//   [magic 'MMJ1' u32] [key_len u32] [vector_id u64] [page_idx u64]
+//   [magic 'MMJ2' u32] [key_len u32] [vector_id u64] [page_idx u64]
 //   [version u64] [offset u64] [payload_len u64] [page_crc u32]
-//   [payload_crc u32] <key bytes> [header_crc u32] <payload bytes>
+//   [payload_crc u32] [batch_left u32] <key bytes> [header_crc u32]
+//   <payload bytes>
 //
 // `page_crc` is the directory's CRC of the *full* resident page at
 // `version` (what a restored directory entry must carry); `payload_crc`
 // covers the possibly-trimmed payload and detects torn appends.
+// `batch_left` counts the records of the same batch that follow this one
+// (0 closes the batch). A batch is all-or-nothing: a crash mid-append
+// leaves a prefix of the batch's bytes, and every record of an unclosed
+// batch is discarded with the torn tail — none of them is replayed.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,20 +65,27 @@ class Journal {
 
   explicit Journal(std::string path);
 
-  /// Appends one redo record and flushes it to disk before returning.
-  Status Append(const JournalRecord& rec);
+  /// Group commit: appends every record of `batch` in order with one open
+  /// and one flush; all of them are on disk before this returns. A batch is
+  /// replayed whole or not at all.
+  Status AppendBatch(std::span<const JournalRecord> batch);
 
-  /// Crash simulation: appends a deliberately torn record (header plus half
-  /// the payload), exactly what a process killed mid-append leaves behind.
-  /// The record is not indexed; Replay must discard it.
-  Status AppendTorn(const JournalRecord& rec);
+  /// A batch of one record.
+  Status Append(const JournalRecord& rec) { return AppendBatch({&rec, 1}); }
+
+  /// Crash simulation: appends the first half of the batch's bytes, exactly
+  /// what a process killed mid-append leaves behind. Nothing of it is
+  /// indexed; Replay must discard all of it.
+  Status AppendTorn(std::span<const JournalRecord> batch);
+  Status AppendTorn(const JournalRecord& rec) { return AppendTorn({&rec, 1}); }
 
   /// Latest intact record for a page, payload read back from the file.
   StatusOr<JournalRecord> Latest(const storage::BlobId& id) const;
 
-  /// Scans the file, invoking `apply` on every intact record in append
-  /// order; stops at the first torn/corrupt record. `applied`/`torn` (when
-  /// non-null) receive the respective record counts.
+  /// Scans the file, invoking `apply` on every record of every intact batch
+  /// in append order; stops at the first torn/corrupt record or unclosed
+  /// batch. `applied`/`torn` (when non-null) receive the respective record
+  /// counts.
   Status Replay(const std::function<Status(const JournalRecord&)>& apply,
                 std::uint64_t* applied = nullptr,
                 std::uint64_t* torn = nullptr) const;
@@ -97,16 +113,18 @@ class Journal {
     storage::BlobId id;
     IndexEntry entry;
     std::vector<std::uint8_t> payload;
+    std::uint32_t batch_left = 0;  // records of its batch that follow it
   };
 
-  // Scans the file from the start, collecting every intact record in append
-  // order; stops at the first torn/corrupt record (counted into `torn`).
+  // Scans the file from the start, collecting every record of every closed
+  // batch in append order; stops at the first torn/corrupt record or
+  // unclosed batch (counted into `torn`).
   Status ScanLocked(std::vector<ScannedRecord>* out, bool want_payload,
                     std::uint64_t* torn) const MM_REQUIRES(mu_);
   Status ReindexLocked() MM_REQUIRES(mu_);
   // Trims a torn tail so the next append lands after the last intact record.
   Status TrimLocked() MM_REQUIRES(mu_);
-  Status AppendImpl(const JournalRecord& rec, bool torn);
+  Status AppendImpl(std::span<const JournalRecord> batch, bool torn);
 
   std::string path_;
   mutable Mutex mu_;

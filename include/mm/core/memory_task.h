@@ -131,6 +131,10 @@ struct TaskOutcome {
   /// equals `prev_version` (otherwise another rank's bytes are missing
   /// from the frame and it must refetch at the next acquire).
   std::uint64_t prev_version = ~0ULL;
+  /// For stage-outs: pages journaled and written in place, and their
+  /// payload bytes (trimmed to the vector's logical extent).
+  std::uint64_t pages_written = 0;
+  std::uint64_t bytes_written = 0;
 };
 
 struct MemoryTask {
@@ -138,7 +142,7 @@ struct MemoryTask {
     kGetPage,       // synchronous page fault read
     kWritePartial,  // async dirty-region update (copy-on-write commit)
     kScore,         // prefetcher importance score for the Data Organizer
-    kStageOut,      // persist a page to the vector's backend
+    kStageOut,      // persist one owner's dirty pages to the backend
     kErase,         // drop a page from the scache
     kBarrier,       // checkpoint quiesce marker: drains the queue ahead of it
   };
@@ -167,6 +171,9 @@ struct MemoryTask {
   /// null and skip the promise/shared-state allocation entirely — the
   /// worker then recycles the outcome's payload through the node pool.
   std::shared_ptr<std::promise<TaskOutcome>> promise;
+  /// kStageOut: the batch's page indices on this owner, ascending. Last, so
+  /// the fields every task touches keep their offsets.
+  std::vector<std::uint64_t> pages;
 };
 
 /// Bytes a task moves — used for low/high-latency group routing.

@@ -9,6 +9,7 @@
 #include <functional>
 #include <optional>
 #include <map>
+#include <span>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -143,21 +144,31 @@ class NodeRuntime {
   Status BackendRead(VectorMeta& meta, std::uint64_t offset,
                      std::uint64_t size, std::vector<std::uint8_t>* bytes,
                      sim::SimTime now, sim::SimTime* done);
-  Status BackendWrite(VectorMeta& meta, std::uint64_t offset,
-                      const std::uint8_t* bytes, std::uint64_t size,
+  /// Writes one contiguous run of pages in place, each from its own
+  /// buffer: one fault decision and one PFS charge of the run's bytes per
+  /// attempt.
+  Status BackendWrite(VectorMeta& meta,
+                      std::span<const ckpt::JournalRecord> run,
                       sim::SimTime now, sim::SimTime* done);
 
-  /// Crash-consistent flush (DESIGN.md §12): appends a redo record with the
-  /// page's directory version/CRC to this node's journal — durable before
-  /// the in-place BackendWrite — and honors the armed crash points.
-  /// `version`/`page_crc` describe the full committed page the payload
-  /// belongs to. Falls through to a plain BackendWrite when journaling is
-  /// off.
-  Status JournaledBackendWrite(VectorMeta& meta, const storage::BlobId& id,
-                               std::uint64_t version, std::uint32_t page_crc,
-                               std::uint64_t offset, const std::uint8_t* bytes,
-                               std::uint64_t size, sim::SimTime now,
-                               sim::SimTime* done);
+  /// Crash-consistent group commit (DESIGN.md §12): appends the redo
+  /// records of `batch` (ascending offsets; each carries its page's
+  /// directory version and full-page CRC) to this node's journal as one
+  /// batch charged as one PFS write, then — once they are durable — writes
+  /// each contiguous run in place with one BackendWrite. Honors the armed
+  /// crash points. Without journaling only the in-place writes run.
+  Status JournaledBackendWrite(VectorMeta& meta,
+                               std::span<const ckpt::JournalRecord> batch,
+                               sim::SimTime now, sim::SimTime* done);
+
+  /// Copies resident page `id` into *buf and returns the directory entry
+  /// the copy is a consistent snapshot of (Crc32 of the copy equals the
+  /// entry's CRC, re-read after the copy), re-copying with a bounded
+  /// backoff while a commit is mid-flight. kNotFound: nothing to persist.
+  StatusOr<storage::BlobLocation> SnapshotPage(const storage::BlobId& id,
+                                               std::vector<std::uint8_t>* buf,
+                                               sim::SimTime now,
+                                               sim::SimTime* done);
 
   Service* service_;
   std::size_t node_id_;
@@ -184,6 +195,12 @@ class NodeRuntime {
   std::vector<std::thread> workers_;
   std::atomic<int> score_updates_{0};
   std::atomic<bool> shut_down_{false};
+};
+
+/// What one FlushVector persisted.
+struct FlushCounts {
+  std::uint64_t pages = 0;
+  std::uint64_t bytes = 0;  // payload bytes, trimmed to the logical extent
 };
 
 class Service {
@@ -437,8 +454,14 @@ class Service {
 
   /// Stages all dirty pages of a vector to its backend; returns when
   /// persisted (real time). `*done` gets the last simulated completion.
+  /// Group commit (DESIGN.md §12): the dirty pages are grouped by owner
+  /// node, and each owner runs one kStageOut batch — one journal append of
+  /// all its redo records (one PFS write), then one in-place PFS write per
+  /// contiguous run. Under the Pgas hint an owner's pages form one run, so
+  /// a flush costs about two large writes per node. `*written` (optional)
+  /// accumulates the pages and payload bytes persisted.
   Status FlushVector(VectorMeta& meta, std::size_t from_node, sim::SimTime now,
-                     sim::SimTime* done);
+                     sim::SimTime* done, FlushCounts* written = nullptr);
 
   /// Changes the coherence phase; leaving read-only invalidates replicas
   /// (paper §III-C "Changing Phases").

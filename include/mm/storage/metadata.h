@@ -43,6 +43,12 @@ class MetadataManager {
   Status Update(const BlobId& id, const BlobLocation& loc,
                 std::size_t from_node, sim::SimTime now, sim::SimTime* done);
 
+  /// Clears the dirty flag only while the entry still carries `version`
+  /// (one atomic step on the home shard): a commit that lands after a
+  /// stage-out's snapshot keeps its newer version dirty.
+  void ClearDirty(const BlobId& id, std::uint64_t version,
+                  std::size_t from_node, sim::SimTime now, sim::SimTime* done);
+
   /// Removes a blob (and its replicas). NotFound if absent.
   Status Remove(const BlobId& id, std::size_t from_node, sim::SimTime now,
                 sim::SimTime* done);

@@ -2,7 +2,6 @@
 // subsystem but defines core::Service members, so it compiles into mm_core
 // (see src/core/CMakeLists.txt).
 #include <algorithm>
-#include <future>
 #include <memory>
 #include <string>
 #include <utility>
@@ -51,8 +50,8 @@ StatusOr<ckpt::CheckpointStats> Service::Checkpoint(const std::string& tag,
   ckpt::CheckpointStats stats;
   stats.tag = tag;
 
-  // 2. Incremental flush: only pages still dirty since the previous epoch.
-  //    Each flush is journaled (JournaledBackendWrite), so a crash mid-way
+  // 2. Incremental flush: only pages still dirty since the previous epoch,
+  //    group-committed per owner node by FlushVector, so a crash mid-way
   //    never leaves a torn page on the backend.
   std::vector<VectorMeta*> nonvolatile;
   {
@@ -63,41 +62,15 @@ StatusOr<ckpt::CheckpointStats> Service::Checkpoint(const std::string& tag,
       }
     }
   }
-  std::vector<std::shared_future<TaskOutcome>> futures;
-  std::vector<std::uint64_t> flush_bytes;
+  const sim::SimTime flush_start = t;
   for (VectorMeta* meta : nonvolatile) {
-    MM_RETURN_IF_ERROR(EnsureBackend(*meta));
-    std::uint64_t logical = meta->size_bytes.load(std::memory_order_relaxed);
-    for (const auto& id : metadata().BlobsOfVector(meta->vector_id)) {
-      auto loc = metadata().Lookup(id, from_node, t, nullptr);
-      if (!loc.ok() || !loc->dirty) continue;
-      std::uint64_t page_off = id.page_idx * meta->page_bytes;
-      std::uint64_t want =
-          page_off < logical ? std::min(meta->page_bytes, logical - page_off)
-                             : 0;
-      MemoryTask task;
-      task.kind = MemoryTask::Kind::kStageOut;
-      task.vector_id = meta->vector_id;
-      task.id = id;
-      task.from_node = from_node;
-      task.issue_time = t;
-      task.promise = std::make_shared<std::promise<TaskOutcome>>();
-      futures.push_back(task.promise->get_future().share());
-      flush_bytes.push_back(want);
-      // A shutdown rejection still fulfills the promise collected above.
-      (void)runtime(loc->node).Submit(std::move(task));
-    }
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    TaskOutcome out = futures[i].get();
-    t = std::max(t, out.done);
-    if (!out.status.ok()) {
-      // An unflushed dirty page means the epoch cannot be published; the
-      // journals stay in place for recovery.
-      return out.status;
-    }
-    ++stats.pages_written;
-    stats.bytes_written += flush_bytes[i];
+    FlushCounts written;
+    // An unflushed dirty page means the epoch cannot be published; the
+    // journals stay in place for recovery.
+    MM_RETURN_IF_ERROR(
+        FlushVector(*meta, from_node, flush_start, &t, &written));
+    stats.pages_written += written.pages;
+    stats.bytes_written += written.bytes;
   }
 
   // 3. Build the manifest from directory state. Versions/CRCs are the

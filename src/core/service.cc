@@ -1,6 +1,8 @@
 #include "mm/core/service.h"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 
 #include "mm/core/pcache.h"
 #include "mm/sim/cost_model.h"
@@ -499,10 +501,12 @@ Status NodeRuntime::BackendRead(VectorMeta& meta, std::uint64_t offset,
   return st;
 }
 
-Status NodeRuntime::BackendWrite(VectorMeta& meta, std::uint64_t offset,
-                                 const std::uint8_t* bytes, std::uint64_t size,
+Status NodeRuntime::BackendWrite(VectorMeta& meta,
+                                 std::span<const ckpt::JournalRecord> run,
                                  sim::SimTime now, sim::SimTime* done) {
   sim::Device& pfs = service_->cluster().pfs();
+  std::uint64_t run_bytes = 0;
+  for (const auto& rec : run) run_bytes += rec.payload.size();
   sim::SimTime end = now;
   int attempts = 0;
   Status st = RunWithRetry(
@@ -519,9 +523,14 @@ Status NodeRuntime::BackendWrite(VectorMeta& meta, std::uint64_t offset,
           return IoError("injected transient fault on backend write of '" +
                          meta.key + "'");
         }
-        MM_RETURN_IF_ERROR(meta.stager->Write(meta.uri, offset, bytes, size));
-        *attempt_done =
-            std::max(*attempt_done, pfs.Write(start, size, d.spike_factor));
+        // Each page leaves from its own pooled buffer; the run is one
+        // device request.
+        for (const auto& rec : run) {
+          MM_RETURN_IF_ERROR(meta.stager->Write(
+              meta.uri, rec.offset, rec.payload.data(), rec.payload.size()));
+        }
+        *attempt_done = std::max(*attempt_done,
+                                 pfs.Write(start, run_bytes, d.spike_factor));
         return Status::Ok();
       },
       &attempts);
@@ -536,20 +545,15 @@ Status NodeRuntime::BackendWrite(VectorMeta& meta, std::uint64_t offset,
   if (attempts > 1) {
     stager_retries_->Inc(static_cast<std::uint64_t>(attempts - 1));
   }
-  stager_write_bytes_->Inc(size);
+  stager_write_bytes_->Inc(run_bytes);
   tel_.trace->CompleteFlow("stager_write", "stager", tel_.node, 0, now, end,
                            telemetry::CurrentTraceContext(), 't');
   return st;
 }
 
-Status NodeRuntime::JournaledBackendWrite(VectorMeta& meta,
-                                          const storage::BlobId& id,
-                                          std::uint64_t version,
-                                          std::uint32_t page_crc,
-                                          std::uint64_t offset,
-                                          const std::uint8_t* bytes,
-                                          std::uint64_t size, sim::SimTime now,
-                                          sim::SimTime* done) {
+Status NodeRuntime::JournaledBackendWrite(
+    VectorMeta& meta, std::span<const ckpt::JournalRecord> batch,
+    sim::SimTime now, sim::SimTime* done) {
   sim::FaultInjector& inj = service_->fault_injector();
   if (inj.crashed()) {
     // A dead process writes nothing: later flushes of the same run must not
@@ -559,51 +563,73 @@ Status NodeRuntime::JournaledBackendWrite(VectorMeta& meta,
   ckpt::Journal* journal =
       service_->checkpointer().journaling() ? service_->journal(node_id_)
                                             : nullptr;
-  if (journal != nullptr && meta.stager != nullptr) {
-    ckpt::JournalRecord rec;
-    rec.id = id;
-    rec.version = version;
-    rec.offset = offset;
-    rec.page_crc = page_crc;
-    rec.key = meta.key;
-    rec.payload.assign(bytes, bytes + size);
+  // In-place writes start once every redo record is durable.
+  sim::SimTime durable = now;
+  if (journal != nullptr) {
     if (inj.AtCrashPoint(sim::CrashPoint::kMidJournalAppend)) {
-      // Death halfway through the append: a torn record on disk, no
-      // in-place write. Recovery must discard the tail and keep the
-      // backend's previous page intact.
+      // Death halfway through the group commit: a torn batch on disk, no
+      // in-place write. Recovery discards the whole batch and keeps the
+      // backend's previous pages intact.
       // mm-lint: allow(MML005 crash sim drops the torn append's status)
-      (void)journal->AppendTorn(rec);
+      (void)journal->AppendTorn(batch);
       service_->DumpFlightRecord(
           node_id_, sim::CrashPointName(sim::CrashPoint::kMidJournalAppend),
           now);
       return Unavailable("simulated crash mid journal append");
     }
-    MM_RETURN_IF_ERROR(journal->Append(rec));
-    // The redo record is real backend I/O: charge a PFS write for it.
-    sim::Device& pfs = service_->cluster().pfs();
-    Merge(pfs.Write(now, size + ckpt::Journal::kRecordOverheadBytes), done);
-    ckpt_journal_bytes_->Inc(size + ckpt::Journal::kRecordOverheadBytes);
+    MM_RETURN_IF_ERROR(journal->AppendBatch(batch));
+    // The batch is real backend I/O: one PFS write for all its records.
+    std::uint64_t journal_bytes = 0;
+    for (const auto& rec : batch) {
+      journal_bytes += rec.payload.size() + ckpt::Journal::kRecordOverheadBytes;
+    }
+    durable = service_->cluster().pfs().Write(now, journal_bytes);
+    Merge(durable, done);
+    ckpt_journal_bytes_->Inc(journal_bytes);
     if (inj.AtCrashPoint(sim::CrashPoint::kAfterJournalAppend)) {
-      // Record durable, in-place write never starts: recovery replays the
-      // record to bring the backend to `version`.
+      // Records durable, in-place writes never start: recovery replays the
+      // batch to bring the backend to the journaled versions.
       service_->DumpFlightRecord(
           node_id_, sim::CrashPointName(sim::CrashPoint::kAfterJournalAppend),
           now);
       return Unavailable("simulated crash between journal append and "
                          "in-place write");
     }
-    if (inj.AtCrashPoint(sim::CrashPoint::kMidInPlaceWrite)) {
-      // Death mid in-place write leaves a torn page on the backend; the
-      // durable record above is what heals it during recovery.
-      // mm-lint: allow(MML005 crash simulation leaves a deliberately torn page)
-      (void)meta.stager->Write(meta.uri, offset, bytes, size / 2);
+  }
+  // One in-place write per contiguous run of pages; the first failed run
+  // fails the batch, and its pages stay dirty.
+  for (std::size_t lo = 0; lo < batch.size();) {
+    std::size_t hi = lo + 1;
+    while (hi < batch.size() &&
+           batch[hi].offset ==
+               batch[hi - 1].offset + batch[hi - 1].payload.size()) {
+      ++hi;
+    }
+    std::span<const ckpt::JournalRecord> run = batch.subspan(lo, hi - lo);
+    lo = hi;
+    if (journal != nullptr &&
+        inj.AtCrashPoint(sim::CrashPoint::kMidInPlaceWrite)) {
+      // Death mid in-place write leaves the first half of the run's bytes
+      // on the backend — a torn run; the durable batch above is what heals
+      // it during recovery.
+      std::uint64_t budget = 0;
+      for (const auto& rec : run) budget += rec.payload.size();
+      budget /= 2;
+      for (const auto& rec : run) {
+        std::uint64_t len = std::min<std::uint64_t>(budget, rec.payload.size());
+        if (len == 0) break;
+        // mm-lint: allow(MML005 crash simulation leaves a torn run)
+        (void)meta.stager->Write(meta.uri, rec.offset, rec.payload.data(), len);
+        budget -= len;
+      }
       service_->DumpFlightRecord(
           node_id_, sim::CrashPointName(sim::CrashPoint::kMidInPlaceWrite),
-          now);
+          durable);
       return Unavailable("simulated crash mid in-place write");
     }
+    MM_RETURN_IF_ERROR(BackendWrite(meta, run, durable, done));
   }
-  return BackendWrite(meta, offset, bytes, size, now, done);
+  return Status::Ok();
 }
 
 TaskOutcome NodeRuntime::StageInOrZero(VectorMeta& meta,
@@ -826,10 +852,18 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
       page_data.resize(want);
       // Journal under the NEW version being committed: the write-through is
       // this page's only durable copy, so its redo record is what recovery
-      // replays if the in-place write tears.
-      Status wt = JournaledBackendWrite(*meta, task.id, loc.version, loc.crc,
-                                        page_off, page_data.data(),
-                                        page_data.size(), dev_done, &dev_done);
+      // replays if the in-place write tears. A batch of one page; the
+      // pooled bytes swap back for page_guard.
+      ckpt::JournalRecord rec;
+      rec.id = task.id;
+      rec.version = loc.version;
+      rec.page_crc = loc.crc;
+      rec.offset = page_off;
+      rec.key = meta->key;
+      rec.payload.swap(page_data);
+      Status wt =
+          JournaledBackendWrite(*meta, {&rec, 1}, dev_done, &dev_done);
+      rec.payload.swap(page_data);
       if (!wt.ok()) {
         out.status = wt;
         return out;
@@ -882,68 +916,96 @@ TaskOutcome NodeRuntime::ExecuteScore(MemoryTask& task) {
   return out;
 }
 
+StatusOr<storage::BlobLocation> NodeRuntime::SnapshotPage(
+    const storage::BlobId& id, std::vector<std::uint8_t>* buf,
+    sim::SimTime now, sim::SimTime* done) {
+  // A commit changes the bytes before the directory CRC, so a copy is a
+  // snapshot only when its CRC equals the CRC of the entry re-read after
+  // it (VerifiedCopy's rule). A mismatch is a commit caught mid-flight:
+  // back off and copy again, within a bound.
+  constexpr int kAttempts = 16;
+  constexpr int kMaxBackoffUs = 4096;
+  for (int attempt = 0;; ++attempt) {
+    MM_RETURN_IF_ERROR(bm_.GetInto(id, buf, now, done));
+    MM_ASSIGN_OR_RETURN(storage::BlobLocation entry,
+                        service_->metadata().Lookup(id, node_id_, *done,
+                                                    nullptr));
+    const std::uint32_t crc = Crc32(*buf);
+    if (entry.crc == 0 || entry.crc == crc) {
+      entry.crc = crc;
+      return entry;
+    }
+    if (attempt + 1 == kAttempts) {
+      return Unavailable("page " + id.ToString() +
+                         " kept changing under its stage-out; left dirty");
+    }
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(std::min(1 << attempt, kMaxBackoffUs)));
+  }
+}
+
 TaskOutcome NodeRuntime::ExecuteStageOut(MemoryTask& task) {
   TaskOutcome out;
   out.done = task.issue_time;
-  VectorMeta* meta = service_->FindVectorById(task.id.vector_id);
+  VectorMeta* meta = service_->FindVectorById(task.vector_id);
   if (meta == nullptr || meta->stager == nullptr) {
     out.status = FailedPrecondition("stage-out of volatile/unknown vector");
     return out;
   }
+  out.status = service_->EnsureBackend(*meta);
+  if (!out.status.ok()) return out;
+  const std::uint64_t logical =
+      meta->size_bytes.load(std::memory_order_relaxed);
+  // Copy every page into its own pooled buffer; a run is written from
+  // these buffers, never concatenated into a fresh one.
+  std::vector<ckpt::JournalRecord> batch;
+  batch.reserve(task.pages.size());
   sim::SimTime read_done = task.issue_time;
-  // Pooled staging buffer: read the resident page into it, trim to the
-  // logical extent in place, and return it to the pool when done.
-  std::vector<std::uint8_t> buf = pool_.Acquire(meta->page_bytes);
-  PoolReturn buf_guard(pool_, buf);
-  Status got = bm_.GetInto(task.id, &buf, task.issue_time, &read_done);
-  if (got.code() == StatusCode::kNotFound) {
-    // Nothing resident to persist (already staged or never written).
-    return out;
+  for (std::uint64_t page : task.pages) {
+    const storage::BlobId id{meta->vector_id, page};
+    const std::uint64_t page_off = page * meta->page_bytes;
+    if (page_off >= logical) continue;  // page past the logical end
+    ckpt::JournalRecord rec;
+    rec.payload = pool_.Acquire(meta->page_bytes);
+    auto snap = SnapshotPage(id, &rec.payload, task.issue_time, &read_done);
+    if (!snap.ok() || !snap->dirty) {
+      // Not resident or no longer placed (nothing to persist), or already
+      // staged by an earlier flush. A failed tier read or a page that kept
+      // changing stays dirty, and the flush reports it.
+      if (!snap.ok() && snap.status().code() != StatusCode::kNotFound &&
+          out.status.ok()) {
+        out.status = snap.status();
+      }
+      pool_.Release(std::move(rec.payload));
+      continue;
+    }
+    // The record promises exactly the snapshot's committed state: its
+    // version and full-page CRC, even when the logical tail trims the
+    // payload.
+    rec.id = id;
+    rec.version = snap->version;
+    rec.page_crc = snap->crc;
+    rec.offset = page_off;
+    rec.key = meta->key;
+    rec.payload.resize(std::min(meta->page_bytes, logical - page_off));
+    batch.push_back(std::move(rec));
   }
-  if (!got.ok()) {
-    // A resident page may exist but the tier read failed (kIoError with
-    // retries exhausted, kUnavailable after a tier death). Returning OK
-    // here would report a dirty page as persisted when it was not —
-    // propagate so FlushVector surfaces the failure.
-    out.status = got;
-    out.done = read_done;
-    return out;
-  }
-  Status eb = service_->EnsureBackend(*meta);
-  if (!eb.ok()) {
-    out.status = eb;
-    return out;
-  }
-  std::uint64_t page_off = task.id.page_idx * meta->page_bytes;
-  std::uint64_t logical = meta->size_bytes.load(std::memory_order_relaxed);
-  if (page_off >= logical) return out;  // page past the logical end
-  std::uint64_t want = std::min<std::uint64_t>(buf.size(), logical - page_off);
-  // The version/CRC this flush persists are fixed before touching the
-  // backend: the journal record must promise exactly the committed state a
-  // recovered directory entry will carry (full-page CRC, even when the
-  // logical tail trims the payload below).
-  std::uint32_t page_crc = Crc32(buf);
-  auto pre = service_->metadata().Lookup(task.id, node_id_, read_done, nullptr);
-  std::uint64_t version = pre.ok() ? pre->version : 0;
-  if (pre.ok() && pre->crc != 0) page_crc = pre->crc;
-  buf.resize(want);
   out.done = read_done;
-  Status st = JournaledBackendWrite(*meta, task.id, version, page_crc,
-                                    page_off, buf.data(), buf.size(),
-                                    read_done, &out.done);
-  if (!st.ok()) {
-    out.status = st;
-    return out;
+  if (!batch.empty()) {
+    Status st = JournaledBackendWrite(*meta, batch, read_done, &out.done);
+    if (st.ok()) {
+      for (const auto& rec : batch) {
+        // A commit that landed after the snapshot keeps the page dirty.
+        service_->metadata().ClearDirty(rec.id, rec.version, node_id_,
+                                        out.done, nullptr);
+        ++out.pages_written;
+        out.bytes_written += rec.payload.size();
+      }
+    } else {
+      out.status = st;
+    }
   }
-  // Clear the dirty flag.
-  auto loc = service_->metadata().Lookup(task.id, node_id_, out.done, nullptr);
-  if (loc.ok()) {
-    storage::BlobLocation updated = *loc;
-    updated.dirty = false;
-    // Directory upsert cannot fail; staging already reported its status.
-    (void)service_->metadata().Update(task.id, updated, node_id_, out.done,
-                                      nullptr);
-  }
+  for (auto& rec : batch) pool_.Release(std::move(rec.payload));
   return out;
 }
 
@@ -1762,29 +1824,38 @@ void Service::SubmitScore(VectorMeta& meta, std::uint64_t page, float score,
 }
 
 Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,
-                            sim::SimTime now, sim::SimTime* done) {
+                            sim::SimTime now, sim::SimTime* done,
+                            FlushCounts* written) {
   if (meta.stager == nullptr) return Status::Ok();  // volatile: no backend
   MM_RETURN_IF_ERROR(EnsureBackend(meta));
-  auto blobs = metadata().BlobsOfVector(meta.vector_id);
+  // One stage-out batch per owner node: its dirty pages, ascending.
+  std::map<std::size_t, std::vector<std::uint64_t>> batches;
+  for (const auto& id : metadata().BlobsOfVector(meta.vector_id)) {
+    auto loc = metadata().Lookup(id, from_node, now, nullptr);
+    if (loc.ok() && loc->dirty) batches[loc->node].push_back(id.page_idx);
+  }
   std::vector<std::shared_future<TaskOutcome>> futures;
   // One flow for the whole flush: the sync "flush" origin below fans out to
   // every stage_out task span ('t' hops) across the owning nodes.
   telemetry::TraceContext flush_ctx =
       telemetry::TraceRecorder::NewContext(static_cast<int>(from_node));
-  for (const auto& id : blobs) {
-    auto loc = metadata().Lookup(id, from_node, now, nullptr);
-    if (!loc.ok() || !loc->dirty) continue;
+  for (auto& [owner, pages] : batches) {
+    std::sort(pages.begin(), pages.end());
     MemoryTask task;
     task.kind = MemoryTask::Kind::kStageOut;
     task.vector_id = meta.vector_id;
-    task.id = id;
+    // Every batch of a vector routes by page 0's digest, so concurrent
+    // flushes of one vector serialize on the owner's queue: a later batch
+    // never journals an older snapshot of a page than an earlier one.
+    task.id = {meta.vector_id, 0};
+    task.pages = std::move(pages);
     task.from_node = from_node;
     task.issue_time = now;
     task.tctx = flush_ctx;
     task.promise = std::make_shared<std::promise<TaskOutcome>>();
     futures.push_back(task.promise->get_future().share());
     // A shutdown rejection still fulfills the promise collected above.
-    (void)runtime(loc->node).Submit(std::move(task));
+    (void)runtime(owner).Submit(std::move(task));
   }
   Status first_error;
   sim::SimTime flush_end = now;
@@ -1792,6 +1863,10 @@ Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,
     TaskOutcome outcome = f.get();
     Merge(outcome.done, done);
     Merge(outcome.done, &flush_end);
+    if (written != nullptr) {
+      written->pages += outcome.pages_written;
+      written->bytes += outcome.bytes_written;
+    }
     if (!outcome.status.ok() && first_error.ok()) {
       first_error = outcome.status;
     }

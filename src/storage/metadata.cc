@@ -70,6 +70,19 @@ Status MetadataManager::Update(const BlobId& id, const BlobLocation& loc,
   return Status::Ok();
 }
 
+void MetadataManager::ClearDirty(const BlobId& id, std::uint64_t version,
+                                 std::size_t from_node, sim::SimTime now,
+                                 sim::SimTime* done) {
+  std::size_t home = HomeNode(id);
+  SetDone(ChargeRtt(home, from_node, now), done);
+  Shard& shard = shards_[home];
+  MutexLock lock(shard.mu);
+  auto it = shard.entries.find(id);
+  if (it != shard.entries.end() && it->second.loc.version == version) {
+    it->second.loc.dirty = false;
+  }
+}
+
 Status MetadataManager::Remove(const BlobId& id, std::size_t from_node,
                                sim::SimTime now, sim::SimTime* done) {
   std::size_t home = HomeNode(id);

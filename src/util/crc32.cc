@@ -5,27 +5,53 @@
 namespace mm {
 namespace {
 
-// Reflected CRC-32 lookup table for polynomial 0xEDB88320, built once.
-constexpr std::array<std::uint32_t, 256> BuildCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// Reflected CRC-32 lookup tables for polynomial 0xEDB88320, built once.
+// Table 0 is the classic bytewise table; table k advances a byte's
+// contribution past k further zero bytes, so one step folds eight input
+// bytes ("slicing-by-8") and yields the same CRC as the bytewise loop.
+constexpr CrcTables BuildCrcTables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < 8; ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = BuildCrcTable();
+constexpr CrcTables kCrcTables = BuildCrcTables();
+
+// Little-endian load, independent of host byte order and alignment.
+std::uint32_t Load32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t size) {
+  const CrcTables& t = kCrcTables;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = kCrcTable[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = crc ^ Load32(data);
+    const std::uint32_t hi = Load32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

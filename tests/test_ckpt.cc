@@ -4,9 +4,11 @@
 // incremental second checkpoints, and journal-backed tier-death recovery.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 #include <unistd.h>
 
 #include "mm/ckpt/collective.h"
@@ -15,6 +17,7 @@
 #include "mm/ckpt/manifest.h"
 #include "mm/comm/launch.h"
 #include "mm/core/service.h"
+#include "mm/sim/cost_model.h"
 #include "mm/util/byte_units.h"
 #include "mm/util/hash.h"
 
@@ -454,6 +457,196 @@ TEST_F(ServiceCkptTest, FlushAppendsJournalRecordsBeforeInPlaceWrites) {
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(rec->key, (*meta)->key);
   EXPECT_EQ(rec->payload, Pattern(kPage, 100));
+}
+
+TEST_F(ServiceCkptTest, FlushGroupCommitsOneBatchPerOwner) {
+  // A Pgas-split vector over two nodes: each node owns one contiguous half.
+  constexpr std::uint64_t kBig = 16 * kKiB;
+  constexpr std::uint64_t kN = 64;
+  clusters_.push_back(sim::Cluster::PaperTestbed(2));
+  sim::Cluster& cluster = *clusters_.back();
+  core::ServiceOptions so;
+  so.tier_grants = {{TierKind::kDram, MEGABYTES(2)},
+                    {TierKind::kNvme, MEGABYTES(4)}};
+  so.ckpt.dir = (dir_ / "ckpt").string();
+  core::Service svc(&cluster, so);
+  core::VectorOptions vo;
+  vo.page_size = kBig;
+  auto meta = svc.RegisterVector("posix://" + (dir_ / "pgas.bin").string(), 1,
+                                 vo, kN * kBig);
+  ASSERT_TRUE(meta.ok());
+  svc.SetPgasHint(**meta, {kN * kBig, /*nprocs=*/2, /*ranks_per_node=*/1});
+  sim::SimTime t = 0.0;
+  for (std::uint64_t p = 0; p < kN; ++p) {
+    auto out = svc.WriteRegion(**meta, p, 0, Pattern(kBig, p), 0, t).get();
+    ASSERT_TRUE(out.status.ok()) << "page " << p;
+    t = std::max(t, out.done);
+  }
+
+  sim::SimTime done = t;
+  ASSERT_TRUE(svc.FlushVector(**meta, 0, t, &done).ok());
+
+  std::uint64_t stage_outs = 0, records = 0, stager_bytes = 0,
+                journal_bytes = 0;
+  for (std::size_t n = 0; n < 2; ++n) {
+    telemetry::MetricsRegistry& reg = svc.metrics(n);
+    stage_outs +=
+        reg.GetHistogram("mm.task.stage_out_ns", telemetry::LatencyBoundsNs())
+            ->count();
+    stager_bytes += reg.GetCounter("mm.stager.write_bytes")->value();
+    journal_bytes += reg.GetCounter("mm.ckpt.journal_bytes")->value();
+    records += svc.journal(n)->record_count();
+  }
+  // Exactly one stage-out task per owner node, one redo record per page.
+  EXPECT_EQ(stage_outs, 2u);
+  EXPECT_EQ(records, kN);
+  // The byte counters are the per-page sums, exactly as before batching.
+  EXPECT_EQ(stager_bytes, kN * kBig);
+  EXPECT_EQ(journal_bytes,
+            kN * (kBig + ckpt::Journal::kRecordOverheadBytes));
+
+  // Each owner pays its DRAM reads, one journal write and one in-place
+  // write of its run — not one PFS latency per page.
+  const sim::Device& pfs = cluster.pfs();
+  const sim::DeviceSpec dram = sim::DeviceSpec::Dram(0);
+  const std::uint64_t run_bytes = kN / 2 * kBig;
+  const double tier_reads =
+      kN / 2 * (dram.read_latency_s + kBig / dram.read_bw_Bps);
+  const double bound =
+      sim::CostModel::Default().task_dispatch_s + tier_reads +
+      pfs.WriteDuration(run_bytes +
+                        kN / 2 * ckpt::Journal::kRecordOverheadBytes) +
+      pfs.WriteDuration(run_bytes);
+  EXPECT_LE(done - t, bound);
+  EXPECT_LT(done - t, kN * pfs.WriteDuration(kBig) / pfs.spec().channels);
+}
+
+TEST_F(ServiceCkptTest, StageOutNeverJournalsACommitCaughtMidFlight) {
+  auto svc = MakeService();
+  auto meta = Register(*svc);
+  ASSERT_TRUE(meta.ok());
+  sim::SimTime t = WriteAll(*svc, **meta, 1, 0.0);
+  const storage::BlobId id{(*meta)->vector_id, 3};
+  // A commit caught between its bytes and its directory CRC: the scache
+  // already holds the new bytes, the entry still the old version and CRC.
+  const auto fresh = Pattern(kPage, 999);
+  ASSERT_TRUE(svc->runtime(0).buffer().PutPartial(id, 0, fresh, t, nullptr)
+                  .ok());
+  auto before = svc->metadata().Lookup(id, 0, t, nullptr);
+  ASSERT_TRUE(before.ok());
+
+  // The other pages persist; the page that never settles is left dirty,
+  // unjournaled, and reported.
+  sim::SimTime fd = t;
+  EXPECT_EQ(svc->FlushVector(**meta, 0, t, &fd).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(svc->journal(0)->record_count(), kPages - 1);
+  EXPECT_FALSE(svc->journal(0)->Latest(id).ok());
+  auto still = svc->metadata().Lookup(id, 0, t, nullptr);
+  ASSERT_TRUE(still.ok());
+  EXPECT_TRUE(still->dirty);
+
+  // Once the commit lands, the next flush journals the new bytes under the
+  // new version and their own CRC.
+  storage::BlobLocation landed = *before;
+  ++landed.version;
+  landed.crc = Crc32(fresh);
+  ASSERT_TRUE(svc->metadata().Update(id, landed, 0, t, nullptr).ok());
+  ASSERT_TRUE(svc->FlushVector(**meta, 0, t, &fd).ok());
+  auto rec = svc->journal(0)->Latest(id);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(rec->version, landed.version);
+  EXPECT_EQ(rec->payload, fresh);
+  EXPECT_EQ(rec->page_crc, Crc32(fresh));
+  auto after = svc->metadata().Lookup(id, 0, t, nullptr);
+  ASSERT_TRUE(after.ok());
+  EXPECT_FALSE(after->dirty);
+}
+
+TEST_F(ServiceCkptTest, FlushUnderAWriteStormJournalsConsistentSnapshots) {
+  // Large pages widen a commit's window between its bytes and its CRC.
+  constexpr std::uint64_t kBig = 64 * kKiB;
+  const std::string key = "posix://" + (dir_ / "storm.bin").string();
+  core::VectorOptions vo;
+  vo.page_size = kBig;
+  std::vector<std::uint64_t> last_salt(kPages);
+  {
+    auto svc = MakeService();
+    auto meta = svc->RegisterVector(key, 1, vo, kPages * kBig);
+    ASSERT_TRUE(meta.ok());
+    sim::SimTime t = 0.0;
+    for (std::uint64_t p = 0; p < kPages; ++p) {
+      last_salt[p] = 100 + p;
+      auto out =
+          svc->WriteRegion(**meta, p, 0, Pattern(kBig, last_salt[p]), 0, t)
+              .get();
+      ASSERT_TRUE(out.status.ok()) << "page " << p;
+    }
+    ASSERT_TRUE(svc->Checkpoint("e", 0, t, &t).ok());
+
+    // Commits keep landing on pages 1.. while page 0's queue runs the
+    // stage-out batches. Bursts of back-to-back commits per page keep a
+    // page dirty from one commit while the next is mid-flight.
+    std::atomic<bool> storming{true};
+    std::thread storm([&] {
+      std::uint64_t salt = 1000;
+      for (int round = 0; round < 40 && storming; ++round) {
+        std::vector<std::shared_future<core::TaskOutcome>> pending;
+        for (std::uint64_t p = 1; p < kPages; ++p) {
+          for (int burst = 0; burst < 4; ++burst, ++salt) {
+            pending.push_back(
+                svc->WriteRegion(**meta, p, 0, Pattern(kBig, salt), 0, t));
+            last_salt[p] = salt;
+          }
+        }
+        for (auto& f : pending) {
+          Status st = f.get().status;
+          if (!st.ok()) {
+            ADD_FAILURE() << st.ToString();
+            storming = false;
+          }
+        }
+      }
+      storming = false;
+    });
+    while (storming) {
+      sim::SimTime fd = t;
+      Status st = svc->FlushVector(**meta, 0, t, &fd);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+    storm.join();
+    // Every record journaled during the storm promises bytes that match its
+    // page CRC: a snapshot torn by a commit would fail its stage-in later.
+    std::uint64_t torn_snapshots = 0;
+    ASSERT_TRUE(svc->journal(0)
+                    ->Replay([&](const ckpt::JournalRecord& rec) {
+                      if (Crc32(rec.payload) != rec.page_crc) ++torn_snapshots;
+                      return Status::Ok();
+                    })
+                    .ok());
+    EXPECT_EQ(torn_snapshots, 0u);
+    // The final flush journals every page's last commit; then the process
+    // dies without its clean-exit flush.
+    sim::SimTime fd = t;
+    ASSERT_TRUE(svc->FlushVector(**meta, 0, t, &fd).ok());
+    svc->fault_injector().ForceCrash();
+  }
+
+  // Reboot over the journal: replay plus the restore overlay must bring
+  // back every page's last committed bytes under a matching CRC.
+  auto reborn = MakeService();
+  sim::SimTime t = 0.0;
+  ASSERT_TRUE(reborn->Restore("e", 0, 0.0, &t).ok());
+  core::VectorMeta* meta = reborn->FindVector(key);
+  ASSERT_NE(meta, nullptr);
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    sim::SimTime done = t;
+    auto page = reborn->ReadPage(*meta, p, 0, t, &done);
+    ASSERT_TRUE(page.ok()) << "page " << p << ": " << page.status().message();
+    EXPECT_EQ(*page, Pattern(kBig, last_salt[p])) << "page " << p;
+    t = std::max(t, done);
+  }
+  EXPECT_EQ(reborn->data_loss_count(), 0u);
 }
 
 TEST_F(ServiceCkptTest, JournalRecoversDirtyPageLostToTierDeath) {

@@ -7,6 +7,7 @@
 // published epoch otherwise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -110,9 +111,10 @@ class CkptCrashTest : public ::testing::Test {
     return std::max(t, out.done);
   }
 
-  /// Restores "e" on a reborn service and checks every page: the victim
+  /// Restores "e" on a reborn service and checks every page: the victims
   /// must read `victim_salt`, everything else the epoch's salt 1.
-  void ExpectRestored(core::Service& svc, std::uint64_t victim_salt) {
+  void ExpectRestored(core::Service& svc, std::uint64_t victim_salt,
+                      const std::vector<std::uint64_t>& victims = {kVictim}) {
     sim::SimTime t = 0.0;
     ASSERT_TRUE(svc.Restore("e", 0, 0.0, &t).ok());
     core::VectorMeta* meta = svc.FindVector(key_);
@@ -122,14 +124,44 @@ class CkptCrashTest : public ::testing::Test {
       auto page = svc.ReadPage(*meta, p, 0, t, &done);
       ASSERT_TRUE(page.ok()) << "page " << p << ": "
                              << page.status().message();
-      EXPECT_EQ(*page, Pattern(p, p == kVictim ? victim_salt : 1))
-          << "page " << p;
+      const bool victim =
+          std::find(victims.begin(), victims.end(), p) != victims.end();
+      EXPECT_EQ(*page, Pattern(p, victim ? victim_salt : 1)) << "page " << p;
       t = std::max(t, done);
     }
     EXPECT_EQ(svc.data_loss_count(), 0u);
   }
 
   static constexpr std::uint64_t kVictim = 2;
+
+  /// The multi-page batch: four dirty pages on the one owner node, one
+  /// contiguous run.
+  const std::vector<std::uint64_t> kBatch = {1, 2, 3, 4};
+
+  /// Seeds the epoch, dirties every kBatch page with salt-2 bytes, and
+  /// flushes them as one stage-out batch with the crash armed at `point`.
+  /// Returns the journal's record count as the crash left it.
+  std::uint64_t CrashMidBatch(CrashPoint point) {
+    auto svc = MakeService();
+    auto meta = Register(*svc);
+    EXPECT_TRUE(meta.ok());
+    sim::SimTime t = SeedEpoch(*svc, **meta);
+    for (std::uint64_t p : kBatch) {
+      auto out = svc->WriteRegion(**meta, p, 0, Pattern(p, 2), 0, t).get();
+      EXPECT_TRUE(out.status.ok()) << "page " << p;
+      t = std::max(t, out.done);
+    }
+    svc->fault_injector().ArmCrash(point);
+    sim::SimTime fd = t;
+    EXPECT_EQ(svc->FlushVector(**meta, 0, t, &fd).code(),
+              StatusCode::kUnavailable);
+    EXPECT_TRUE(svc->fault_injector().crashed());
+    return svc->journal(0)->record_count();
+  }
+
+  static std::uint64_t Replayed(core::Service& svc) {
+    return svc.metrics(0).GetCounter("mm.ckpt.replayed_count")->value();
+  }
 
   std::filesystem::path dir_;
   std::string key_;
@@ -203,6 +235,36 @@ TEST_F(CkptCrashTest, MidInPlaceWriteHealsTheTornPage) {
 
   auto reborn = MakeService();
   ExpectRestored(*reborn, 2);
+}
+
+TEST_F(CkptCrashTest, MidJournalAppendDropsTheWholeBatch) {
+  // The torn group commit holds whole records of the batch's first pages
+  // followed by a cut one; none of them was indexed.
+  EXPECT_EQ(CrashMidBatch(CrashPoint::kMidJournalAppend), 0u);
+  auto reborn = MakeService();
+  // A batch is all-or-nothing: its intact prefix is discarded with the torn
+  // tail, and every page reads the last published epoch.
+  EXPECT_EQ(Replayed(*reborn), 0u);
+  EXPECT_EQ(reborn->journal(0)->record_count(), 0u);
+  ExpectRestored(*reborn, 1);
+}
+
+TEST_F(CkptCrashTest, AfterJournalAppendReplaysTheWholeBatch) {
+  // One group commit made all four redo records durable; no in-place write.
+  EXPECT_EQ(CrashMidBatch(CrashPoint::kAfterJournalAppend), kBatch.size());
+  auto reborn = MakeService();
+  EXPECT_EQ(Replayed(*reborn), kBatch.size());
+  EXPECT_EQ(reborn->journal(0)->record_count(), kBatch.size());
+  ExpectRestored(*reborn, 2, kBatch);
+}
+
+TEST_F(CkptCrashTest, MidInPlaceWriteHealsTheTornRun) {
+  // The crash cut the run's in-place write halfway: the first pages carry
+  // salt 2, the rest still salt 1. Replay rewrites the whole run.
+  EXPECT_EQ(CrashMidBatch(CrashPoint::kMidInPlaceWrite), kBatch.size());
+  auto reborn = MakeService();
+  EXPECT_EQ(Replayed(*reborn), kBatch.size());
+  ExpectRestored(*reborn, 2, kBatch);
 }
 
 TEST_F(CkptCrashTest, MidManifestRenameLeavesThePreviousManifest) {

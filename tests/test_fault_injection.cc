@@ -262,6 +262,31 @@ TEST(Crc32, MatchesKnownVector) {
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
 }
 
+TEST(Crc32, MatchesTheBytewiseDefinitionAtEveryLengthAndOffset) {
+  // Reference: the bitwise definition of the reflected 0xEDB88320 CRC.
+  auto reference = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : (crc >> 1);
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  std::vector<std::uint8_t> data(300);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 37 + (i >> 3));
+  }
+  // Unaligned starts and every tail length past the 8-byte steps.
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; off + n <= data.size(); n += 7) {
+      EXPECT_EQ(Crc32(data.data() + off, n), reference(data.data() + off, n))
+          << "offset " << off << " length " << n;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // TierStore / BufferManager fault behavior
 // ---------------------------------------------------------------------------
