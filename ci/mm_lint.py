@@ -7,16 +7,8 @@ Rules (see DESIGN.md "Concurrency contracts & static analysis"):
           std::unique_lock, std::condition_variable, ...) outside util/.
           All runtime code must use the annotated mm::Mutex / mm::MutexLock /
           mm::CondVar wrappers so Clang's -Wthread-safety sees the locking.
-  MML002  PagePool Acquire/AcquireZeroed whose buffer is neither guarded by
-          a PoolReturn, handed off via std::move, nor explicitly Release'd
-          within the enclosing function. Un-returned buffers silently drop
-          out of the recycling loop and regress the zero-alloc hot path.
-          (ci/mm_verify.py carries an AST edition with per-variable
-          dataflow; this regex form is the no-libclang fallback.)
-  MML003  PCache Pin/Unpin call-site imbalance within a file. Every pin
-          must have a matching unpin path or pinned frames leak off the
-          LRU lists and become unevictable. (ci/mm_verify.py tallies per
-          class across files; this per-file count is the fallback.)
+  MML002  PagePool buffer leaks and PCache Pin/Unpin imbalance: checked
+  MML003  only by ci/mm_verify.py's dataflow passes (any machine).
   MML004  MM_CHECK inside a DESIGN.md §7 hot-path function
           (Span::operator[], PCache::{Find,Touch,MarkElemDirty,PickVictim},
           PagePool::{Acquire,AcquireZeroed,Release}). The fast path is two
@@ -97,16 +89,6 @@ RAW_SYNC_RE = re.compile(
     r"|std::condition_variable(?:_any)?\b"
     r"|#\s*include\s*<(?:mutex|shared_mutex|condition_variable)>"
 )
-
-# MML002 --------------------------------------------------------------------
-POOL_ACQUIRE_RE = re.compile(
-    r"(?:^|[^\w.])(\w*[Pp]ool\w*)\s*(?:\.|->)\s*(Acquire(?:Zeroed)?)\s*\("
-)
-POOL_HANDOFF_RE = re.compile(r"PoolReturn\b|std::move\s*\(|(?:\.|->)\s*Release\s*\(")
-
-# MML003 --------------------------------------------------------------------
-PIN_CALL_RE = re.compile(r"(?:\.|->)\s*Pin\s*\(")
-UNPIN_CALL_RE = re.compile(r"(?:\.|->)\s*Unpin\s*\(")
 
 # MML004: (filename substring, class-name hint, method name) ----------------
 HOT_PATHS = [
@@ -330,35 +312,6 @@ class FileScanner:
                             "mm::Mutex / mm::MutexLock / mm::CondVar "
                             "(mm/util/mutex.h)")
 
-    def check_mml002(self) -> None:
-        for m in POOL_ACQUIRE_RE.finditer(self.code):
-            pos = m.start(1)
-            block = self.enclosing_block(pos)
-            if block is None:
-                continue  # e.g. a default-argument expression
-            body = self.code[block[0]:block[1]]
-            if POOL_HANDOFF_RE.search(body):
-                continue
-            self.report(self.line_of(pos), "MML002",
-                        f"`{m.group(1)}.{m.group(2)}()` buffer is never "
-                        "guarded by PoolReturn, std::move'd, or Release'd in "
-                        "this function — it will leak out of the pool")
-
-    def check_mml003(self) -> None:
-        base = os.path.basename(self.rel)
-        if base.startswith("pcache"):
-            return  # definitions, not call sites
-        pins = [i + 1 for i, l in enumerate(self.code_lines)
-                if PIN_CALL_RE.search(l)]
-        unpins = [i + 1 for i, l in enumerate(self.code_lines)
-                  if UNPIN_CALL_RE.search(l)]
-        if len(pins) != len(unpins):
-            anchor = (pins or unpins)[0]
-            self.report(anchor, "MML003",
-                        f"Pin/Unpin imbalance in file: {len(pins)} Pin vs "
-                        f"{len(unpins)} Unpin call sites — a leaked pin "
-                        "makes the frame unevictable")
-
     def check_mml004(self) -> None:
         base = os.path.basename(self.rel)
         for fname_part, cls, method in HOT_PATHS:
@@ -526,8 +479,6 @@ class FileScanner:
 
     def run(self) -> list[Finding]:
         self.check_mml001()
-        self.check_mml002()
-        self.check_mml003()
         self.check_mml004()
         self.check_mml005()
         self.check_mml006()

@@ -37,14 +37,16 @@ cross-function properties no per-line tool can see:
           sim/ — bit-identical fault replay depends on every timestamp and
           random draw flowing through the virtual clock (DESIGN.md §4).
           Benchmarks that measure real elapsed time are allowlisted.
-  MML002  (AST edition) PagePool Acquire/AcquireZeroed whose result
-          variable is neither guarded by a PoolReturn, std::move'd,
-          Release'd, returned, stored into an outgoing object, nor handed
-          to a callee that takes the buffer by value. Per-variable dataflow
-          instead of mm_lint's per-function token scan.
-  MML003  (AST edition) PCache Pin/Unpin balance tallied per enclosing
-          *class* across the whole model (mm_lint counts per file), so a
-          Pin in a header and its Unpin in the matching .cc still balance.
+  MML002  PagePool Acquire/AcquireZeroed whose result variable is
+          neither guarded by a PoolReturn, std::move'd, Release'd,
+          returned, stored into an outgoing object, nor handed to a callee
+          that takes the buffer by value (per-variable dataflow).
+          Un-returned buffers drop out of the recycling loop.
+  MML003  PCache Pin/Unpin balance tallied per enclosing *class* across
+          the whole model, so a Pin in a header and its Unpin in the
+          matching .cc still balance. A leaked pin makes the frame
+          unevictable.
+          These two rules live only here; mm_lint has no copy.
 
 Frontends: the model can be built by two interchangeable frontends.
   - `libclang` parses the TUs listed in the clang-tidy lane's
@@ -98,6 +100,7 @@ MML104_BENCH_ALLOWLIST = (
     "bench/hotpath.cc",
     "bench/readpath.cc",
     "bench/micro_access_overhead.cc",
+    "bench/micro_collectives.cc",
     "bench/ycsb.cc",
 )
 
@@ -545,7 +548,8 @@ RANGE_FOR_RE = re.compile(
 AUTO_DEREF_RE = re.compile(
     r"auto\s*([&\*]?)\s+(\w+)\s*=\s*(?:&|\*)?\s*([\w.\->]+?)\s*;")
 RECV_CALL_RE = re.compile(r"\b(\w+)\s*(\.|->)\s*(\w+)\s*\(")
-CHAIN_CALL_RE = re.compile(r"\b(\w+)\s*\(\s*[^()]*\)\s*\.\s*(\w+)\s*\(")
+CHAIN_CALL_RE = re.compile(
+    r"(?:\b(\w+)\s*(?:\.|->)\s*)?\b(\w+)\s*\(\s*[^()]*\)\s*\.\s*(\w+)\s*\(")
 PLAIN_CALL_RE = re.compile(r"(?<![\w.>:])([A-Za-z_]\w*)\s*\(")
 
 
@@ -731,13 +735,17 @@ def _parse_body(model: Model, sf: SourceFile, fi: FunctionInfo) -> None:
         fi.calls.append(CallEvent(name=callee, recv_class=t or "?",
                                   pos=pos, line=sf.line_of(pos)))
     for m in CHAIN_CALL_RE.finditer(body):
-        accessor, callee = m.group(1), m.group(2)
+        recv, accessor, callee = m.group(1), m.group(2), m.group(3)
         if callee in KEYWORDS or accessor in KEYWORDS:
             continue
-        t = ""
-        if ci is not None:
-            t = ci.method_returns.get(accessor, "")
-        pos = base + m.start(2)
+        # `runtime(n).Submit(` on this class, or `svc.runtime(n).Submit(`
+        # on a typed receiver.
+        owner = ci
+        if recv is not None:
+            rt = _expr_type(model, fi, ci, recv)
+            owner = model.class_by_name(rt) if rt else None
+        t = owner.method_returns.get(accessor, "") if owner else ""
+        pos = base + m.start(3)
         seen.add(pos)
         fi.calls.append(CallEvent(name=callee, recv_class=t or "?",
                                   pos=pos, line=sf.line_of(pos)))
@@ -999,13 +1007,21 @@ def resolve_callee(model: Model, fi: FunctionInfo,
                    call: CallEvent) -> FunctionInfo | None:
     if call.recv_class and call.recv_class != "?":
         ci = model.class_by_name(call.recv_class)
-        if ci is not None:
-            return model.functions.get(f"{ci.qual}::{call.name}")
-        cand = model.functions.get(f"{call.recv_class}::{call.name}")
-        if cand is not None:
-            return cand
-    if call.recv_class == fi.cls and fi.cls:
-        return model.functions.get(f"{fi.cls}::{call.name}")
+        owner = ci.qual if ci is not None else call.recv_class
+        method = model.functions.get(f"{owner}::{call.name}")
+        if method is not None:
+            return method
+    if not fi.cls or call.recv_class != fi.cls:
+        return None
+    # An implicit-this call that names no method is a free function in an
+    # enclosing namespace (e.g. a file-local helper taking the object as a
+    # parameter).
+    ns = fi.cls.rpartition("::")[0]
+    while ns:
+        free = model.functions.get(f"{ns}::{call.name}")
+        if free is not None and not free.cls:
+            return free
+        ns = ns.rpartition("::")[0]
     return None
 
 
@@ -1524,7 +1540,7 @@ def check_mml104(sf: SourceFile) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# MML002 (AST edition): per-variable PagePool buffer dataflow
+# MML002: per-variable PagePool buffer dataflow
 # ---------------------------------------------------------------------------
 
 def check_mml002_ast(model: Model) -> list[Finding]:
@@ -1583,7 +1599,7 @@ def _buffer_handed_off(model: Model, fi: FunctionInfo, rest: str,
 
 
 # ---------------------------------------------------------------------------
-# MML003 (AST edition): class-level Pin/Unpin tally
+# MML003: class-level Pin/Unpin tally
 # ---------------------------------------------------------------------------
 
 def check_mml003_ast(model: Model) -> list[Finding]:

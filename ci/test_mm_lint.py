@@ -55,65 +55,6 @@ class Mml001RawSyncTest(unittest.TestCase):
         self.assertEqual(findings, [])
 
 
-class Mml002PoolLeakTest(unittest.TestCase):
-    def test_flags_unreturned_acquire(self):
-        snippet = ("void F(PagePool& pool) {\n"
-                   "  std::vector<std::uint8_t> buf = pool.Acquire(4096);\n"
-                   "  Use(buf);\n"
-                   "}\n")
-        self.assertEqual(rules_of(lint_snippet(snippet)), ["MML002"])
-
-    def test_pool_return_guard_is_clean(self):
-        snippet = ("void F(PagePool& pool) {\n"
-                   "  std::vector<std::uint8_t> buf = pool.Acquire(4096);\n"
-                   "  PoolReturn guard(pool, buf);\n"
-                   "  Use(buf);\n"
-                   "}\n")
-        self.assertEqual(lint_snippet(snippet), [])
-
-    def test_move_handoff_is_clean(self):
-        snippet = ("void F(PagePool& pool_) {\n"
-                   "  auto buf = pool_.AcquireZeroed(64);\n"
-                   "  task.data = std::move(buf);\n"
-                   "}\n")
-        self.assertEqual(lint_snippet(snippet), [])
-
-    def test_explicit_release_is_clean(self):
-        snippet = ("void F(PagePool& pool) {\n"
-                   "  auto buf = pool.Acquire(64);\n"
-                   "  pool.Release(std::move(buf));\n"
-                   "}\n")
-        self.assertEqual(lint_snippet(snippet), [])
-
-    def test_non_pool_acquire_is_ignored(self):
-        snippet = ("void F(DistributedLock& dl) {\n"
-                   "  dl.Acquire(ctx);\n"
-                   "}\n")
-        self.assertEqual(lint_snippet(snippet), [])
-
-
-class Mml003PinBalanceTest(unittest.TestCase):
-    def test_flags_unbalanced_pin(self):
-        snippet = ("void F() {\n"
-                   "  pcache_->Pin(p);\n"
-                   "  pcache_->Pin(q);\n"
-                   "  pcache_->Unpin(p);\n"
-                   "}\n")
-        self.assertEqual(rules_of(lint_snippet(snippet)), ["MML003"])
-
-    def test_balanced_file_is_clean(self):
-        snippet = ("void F() {\n"
-                   "  pcache_->Pin(p);\n"
-                   "  pcache_->Unpin(p);\n"
-                   "}\n")
-        self.assertEqual(lint_snippet(snippet), [])
-
-    def test_pcache_definitions_exempt(self):
-        snippet = "void PCache::Pin(std::uint64_t page) {}\n"
-        self.assertEqual(
-            lint_snippet(snippet, rel="src/core/pcache.cc"), [])
-
-
 class Mml004HotPathTest(unittest.TestCase):
     def test_flags_check_in_span_subscript(self):
         snippet = ("T& operator[](std::uint64_t i) {\n"

@@ -148,6 +148,39 @@ class Outer {
         self.assertEqual(len(fs), 1, fs)
         self.assertIn("MM_ACQUIRED_BEFORE", fs[0].message)
 
+    def test_edge_through_free_helper_and_accessor_chain(self):
+        # Outer::Go holds mu_ and calls a namespace-level helper, which
+        # reaches the queue through `outer.queue().Push()`: the pair must be
+        # observed (and flagged, being undeclared).
+        files = {
+            "src/x/a.cc": """
+namespace mm::x {
+class Queue {
+ public:
+  void Push(int v) { MutexLock lock(mu_); }
+  Mutex mu_;
+};
+class Outer {
+ public:
+  Queue& queue() { return q_; }
+  void Go();
+  Mutex mu_;
+  Queue q_;
+};
+namespace {
+void Enqueue(Outer& outer) { outer.queue().Push(1); }
+}  // namespace
+void Outer::Go() {
+  MutexLock lock(mu_);
+  Enqueue(*this);
+}
+}  // namespace mm::x
+""",
+        }
+        fs = findings_for(files, "MML101")
+        self.assertEqual(len(fs), 1, fs)
+        self.assertIn("Enqueue -> Push", fs[0].message)
+
     def test_leaf_lock_waives_declaration(self):
         files = {
             "src/x/a.cc": """
@@ -644,7 +677,7 @@ class TestMML104Determinism(unittest.TestCase):
 
 
 # ---------------------------------------------------------------------------
-# MML002/MML003 AST editions
+# MML002/MML003 (the only implementations; mm_lint keeps no regex copy)
 # ---------------------------------------------------------------------------
 
 class TestMML002PoolDataflow(unittest.TestCase):
@@ -736,6 +769,60 @@ class A {
         self.assertEqual(findings_for(files, "MML002"), [])
 
 
+    def test_explicit_release_ok(self):
+        files = {
+            "src/x/a.cc": """
+namespace mm::x {
+class A {
+ public:
+  void Scratch() {
+    auto buf = pool_.Acquire(64);
+    buf[0] = 1;
+    pool_.Release(buf);
+  }
+  PagePool pool_;
+};
+}  // namespace mm::x
+""",
+        }
+        self.assertEqual(findings_for(files, "MML002"), [])
+
+    def test_non_pool_acquire_ignored(self):
+        files = {
+            "src/x/a.cc": """
+namespace mm::x {
+class A {
+ public:
+  void Lock() {
+    auto lease = dlock_.Acquire(ctx_);
+    lease.Touch();
+  }
+  DistributedLock dlock_;
+  int ctx_;
+};
+}  // namespace mm::x
+""",
+        }
+        self.assertEqual(findings_for(files, "MML002"), [])
+
+    def test_mm_lint_suppression_spelling_honored(self):
+        files = {
+            "src/x/a.cc": """
+namespace mm::x {
+class A {
+ public:
+  void Leak() {
+    // mm-lint: allow(MML002 fixture hands the buffer off out of band)
+    auto buf = pool_.Acquire(4096);
+    buf[0] = 1;
+  }
+  PagePool pool_;
+};
+}  // namespace mm::x
+""",
+        }
+        self.assertEqual(findings_for(files, "MML002"), [])
+
 class TestMML003PinBalance(unittest.TestCase):
     def test_unbalanced_class_flagged(self):
         files = {
@@ -794,6 +881,48 @@ void A::Drop() { cache_->Unpin(page_); }
         }
         self.assertEqual(findings_for(files, "MML003"), [])
 
+
+    def test_unbalanced_within_one_function_flagged(self):
+        files = {
+            "src/x/a.cc": """
+namespace mm::x {
+class A {
+ public:
+  void Grab() {
+    cache_->Pin(p_);
+    cache_->Pin(q_);
+    cache_->Unpin(p_);
+  }
+  PCache* cache_;
+  int p_;
+  int q_;
+};
+}  // namespace mm::x
+""",
+        }
+        fs = findings_for(files, "MML003")
+        self.assertEqual(len(fs), 1, fs)
+        self.assertIn("2 Pin vs 1 Unpin", fs[0].message)
+
+    def test_pcache_definitions_exempt(self):
+        # The PCache class defines Pin/Unpin and calls them internally; only
+        # its callers' balance is checked.
+        files = {
+            "src/core/pcache.cc": """
+namespace mm::core {
+class PCache {
+ public:
+  void Pin(int page) { ++pins_; }
+  void Unpin(int page) { --pins_; }
+  void PinRange(int lo, int hi) {
+    for (int p = lo; p < hi; ++p) Pin(p);
+  }
+  int pins_;
+};
+}  // namespace mm::core
+""",
+        }
+        self.assertEqual(findings_for(files, "MML003"), [])
 
 # ---------------------------------------------------------------------------
 # Suppression hygiene + repo gate

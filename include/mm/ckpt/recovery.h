@@ -13,7 +13,7 @@
 //   1. detect   — a collective/receive returns kPeerDead
 //   2. revoke   — comm.Revoke() pulls every survivor out of its pending ops
 //   3. converge — all survivors call CollectiveRecover (barrier)
-//   4. fence    — serial section purges dead ranks' messages, fences nodes
+//   4. fence    — serial section purges undelivered messages, fences nodes
 //   5. recover  — re-home or rollback, per ServiceOptions::recovery_policy
 //   6. resume   — ClearRevoke, release, survivors Shrink() and continue
 #pragma once
@@ -45,7 +45,8 @@ inline StatusOr<core::Service::RecoveryStats> CollectiveRecover(
       [&](sim::SimTime sync) -> sim::SimTime {
     sim::SimTime done = sync;
     // Every survivor is parked: fencing cannot race a live sender, and the
-    // dead are sticky-dead, so the purge is complete.
+    // dead are sticky-dead, so purging every undelivered message leaves no
+    // stale one for the recovered epoch.
     world.FenceDeadRanks();
     Status st = Status::Ok();
     bool any_node_died = false;

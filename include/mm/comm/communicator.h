@@ -7,15 +7,19 @@
 // sub-communicators (Split) behave like MPI_Comm_split — DBSCAN and Random
 // Forest use them to recurse over left/right partitions.
 //
-// Failure handling (DESIGN.md §13): the blocking Recv*/collective calls
-// assume immortal peers and abort (MM_CHECK) if a peer dies mid-wait. The
-// *Or variants are deadline-bounded: they return kPeerDead once the failure
-// detector declares an expected peer dead (charging the detection latency
-// to the virtual clock) and propagate the verdict through the binomial
-// trees as poison envelopes so no rank ever hangs. After a kPeerDead
-// verdict, survivors call Revoke() + ShrinkAfterFailure() (or
-// ckpt::CollectiveRecover) to fence the dead and continue on a shrunk
-// communicator.
+// Failure handling (DESIGN.md §13): each collective has one
+// implementation, a tree of poison envelopes (binomial for Bcast/Reduce,
+// one level for GatherV/ScatterV), and every collective message carries a
+// one-byte verdict ahead of its payload. The *Or variants are
+// deadline-bounded: they return kPeerDead once the failure detector
+// declares an expected peer dead (charging the detection latency to the
+// virtual clock) and propagate the verdict down the tree so no rank ever
+// hangs. The blocking collectives are checked wrappers over those same
+// trees and, like the blocking Recv* calls, assume immortal peers: a
+// kPeerDead verdict aborts (MM_CHECK). After a kPeerDead verdict,
+// survivors call Revoke() + ShrinkAfterFailure() (or
+// ckpt::CollectiveRecover) to fence the failed epoch and continue on a
+// shrunk communicator.
 #pragma once
 
 #include <cstring>
@@ -124,9 +128,18 @@ class Communicator {
   }
 
   // ---- collectives ----
+  //
+  // A rank whose parent or subtree failed still forwards a poison envelope
+  // to its children, so the tree always unwinds: every *Or call returns (Ok
+  // or kPeerDead), nobody hangs. On kPeerDead the data is partial/garbage;
+  // run recovery and redo the collective on the shrunk communicator. The
+  // blocking forms abort (MM_CHECK) where the *Or form would return an
+  // error.
 
-  /// Synchronizes all communicator members and their virtual clocks.
-  void Barrier();
+  /// Synchronizes all communicator members and their virtual clocks. Sync
+  /// only: on the world communicator a dead rank's survivors are released
+  /// without it and no verdict is reported (BarrierOr adds the verdict).
+  void Barrier() { CheckCollective(SyncMembers()); }
 
   /// Death-aware barrier: synchronizes the *live* members and returns
   /// kPeerDead when any member of this communicator is dead at release —
@@ -143,45 +156,30 @@ class Communicator {
 
   /// Binomial-tree broadcast from `root` (communicator-local index).
   template <typename T>
-  void Bcast(std::vector<T>& data, int root);
-
-  /// Tree reduction of per-rank vectors with `op` applied elementwise;
-  /// result is valid on `root` only.
-  template <typename T, typename Op>
-  void Reduce(std::vector<T>& data, int root, Op op);
-
-  /// Reduce + Bcast.
-  template <typename T, typename Op>
-  void AllReduce(std::vector<T>& data, Op op);
-
-  /// Gathers variable-length vectors to `root`; result on root is indexed by
-  /// communicator-local rank.
-  template <typename T>
-  std::vector<std::vector<T>> GatherV(const std::vector<T>& mine, int root);
-
-  /// GatherV + Bcast of the concatenation.
-  template <typename T>
-  std::vector<T> AllGatherV(const std::vector<T>& mine);
-
-  /// Scatters `parts[i]` from root to rank i.
-  template <typename T>
-  std::vector<T> ScatterV(const std::vector<std::vector<T>>& parts, int root);
-
-  // ---- death-aware collectives (poison-envelope trees) ----
-  //
-  // Each message carries a one-byte verdict header. A rank whose parent or
-  // subtree failed still forwards a poison envelope to its children, so the
-  // tree always unwinds: every rank returns (Ok or kPeerDead), nobody
-  // hangs. On kPeerDead the data is partial/garbage; run recovery and redo
-  // the collective on the shrunk communicator.
+  void Bcast(std::vector<T>& data, int root) {
+    CheckCollective(BcastOr(data, root));
+  }
 
   template <typename T>
   [[nodiscard]] Status BcastOr(std::vector<T>& data, int root) {
     return BcastEnvelope(data, root, StatusCode::kOk);
   }
 
+  /// Tree reduction of per-rank vectors with `op` applied elementwise;
+  /// result is valid on `root` only.
+  template <typename T, typename Op>
+  void Reduce(std::vector<T>& data, int root, Op op) {
+    CheckCollective(ReduceOr(data, root, op));
+  }
+
   template <typename T, typename Op>
   [[nodiscard]] Status ReduceOr(std::vector<T>& data, int root, Op op);
+
+  /// Reduce + Bcast.
+  template <typename T, typename Op>
+  void AllReduce(std::vector<T>& data, Op op) {
+    CheckCollective(AllReduceOr(data, op));
+  }
 
   template <typename T, typename Op>
   [[nodiscard]] Status AllReduceOr(std::vector<T>& data, Op op) {
@@ -193,12 +191,34 @@ class Communicator {
     return !rs.ok() ? rs : bs;
   }
 
+  /// Gathers variable-length vectors to `root`; result on root is indexed by
+  /// communicator-local rank (empty on the other ranks).
+  template <typename T>
+  std::vector<std::vector<T>> GatherV(const std::vector<T>& mine, int root) {
+    std::vector<std::vector<T>> all;
+    CheckCollective(GatherVOr(mine, root, &all));
+    return all;
+  }
+
   /// Gathers to `root` into `*all` (indexed by communicator rank; dead
   /// members leave empty slots). Non-root ranks only contribute and always
   /// return Ok unless they themselves are cancelled.
   template <typename T>
   [[nodiscard]] Status GatherVOr(const std::vector<T>& mine, int root,
                                  std::vector<std::vector<T>>* all);
+
+  /// GatherV + Bcast of the concatenation.
+  template <typename T>
+  std::vector<T> AllGatherV(const std::vector<T>& mine);
+
+  /// Scatters `parts[i]` from root to rank i.
+  template <typename T>
+  std::vector<T> ScatterV(const std::vector<std::vector<T>>& parts,
+                          int root) {
+    std::vector<T> mine;
+    CheckCollective(ScatterVOr(parts, root, &mine));
+    return mine;
+  }
 
   /// Scatters `parts[i]` from root into `*mine`; kPeerDead when the root
   /// died before serving this rank.
@@ -218,24 +238,25 @@ class Communicator {
   /// verdict, before ShrinkAfterFailure / ckpt::CollectiveRecover.
   void Revoke() { ctx_->world().Revoke(); }
 
-  /// Survivor communicator: the live members of this group in order, with a
-  /// fresh tag epoch so stale in-flight messages from the failed epoch can
-  /// never match. Purely local — membership is shared state, so all
+  /// Survivor communicator: the live members of this group in order, in the
+  /// next tag epoch. Purely local — membership is shared state, so all
   /// survivors compute the same group without communicating. Call only
   /// after a synchronization point (ShrinkAfterFailure does it for you).
   Communicator Shrink();
 
   /// Post-failure membership reconciliation on the world communicator:
-  /// synchronizes all live ranks, fences the dead (purges their undelivered
-  /// messages), clears the revocation, and returns the survivor
-  /// communicator.
+  /// synchronizes all live ranks, fences the failed epoch (purges every
+  /// undelivered message, so no stale one can match a survivor receive),
+  /// clears the revocation, and returns the survivor communicator.
   StatusOr<Communicator> ShrinkAfterFailure();
 
  private:
-  /// Verdict + payload of one death-aware tree message.
+  /// One received death-aware tree message. `frame` is the message payload
+  /// as delivered — the verdict byte, then the data — so decoding copies the
+  /// data exactly once, straight into the caller's vector.
   struct Envelope {
     StatusCode code = StatusCode::kOk;
-    std::vector<std::uint8_t> payload;
+    std::vector<std::uint8_t> frame;
     int src_world = -1;
   };
 
@@ -251,24 +272,39 @@ class Communicator {
   /// already-dead (zombie) ranks from sending. Throws RankDeathError.
   void CheckAlive();
 
+  /// The blocking collectives' abort: a failed verdict becomes an MM_CHECK.
+  static void CheckCollective(const Status& st) {
+    MM_CHECK_MSG(st.ok(), st.ToString());
+  }
+
+  /// The sync step Barrier and BarrierOr share: the world barrier when this
+  /// communicator spans the world (it releases the live members), else an
+  /// empty-token tree all-reduce (every member ends at >= the max arrival
+  /// time).
+  Status SyncMembers();
+
+  /// Core send: one message whose payload is the optional `verdict` byte
+  /// followed by `size` bytes of `data`, built in a single copy.
+  void SendFrame(int dst, int tag, const std::uint8_t* verdict,
+                 const void* data, std::size_t size);
+
   /// Core bounded receive: blocks for a message with `wire_tag` from any of
   /// `srcs_world` (all group members but me when empty); cancels with
   /// kPeerDead when every candidate is dead or the world is revoked.
   StatusOr<std::vector<std::uint8_t>> RecvBytesMatch(
       const std::vector<int>& srcs_world, int wire_tag, int* actual_src_world);
 
-  /// Envelope plumbing for the death-aware trees (dst/pending are
-  /// communicator-local indices).
-  void SendEnvelope(int dst, int tag, StatusCode code, const void* data,
-                    std::size_t size);
-  StatusOr<Envelope> RecvEnvelopeFrom(const std::vector<int>& pending, int tag);
-
+  /// Envelope plumbing for the trees (dst/pending are communicator-local
+  /// indices).
   template <typename T>
-  void SendEnvelopeVec(int dst, int tag, StatusCode code,
-                       const std::vector<T>& data) {
+  void SendEnvelope(int dst, int tag, StatusCode code,
+                    const std::vector<T>& data) {
     static_assert(std::is_trivially_copyable_v<T>);
-    SendEnvelope(dst, tag, code, data.data(), data.size() * sizeof(T));
+    const auto verdict = static_cast<std::uint8_t>(code);
+    SendFrame(dst, tag, &verdict, data.data(), data.size() * sizeof(T));
   }
+
+  StatusOr<Envelope> RecvEnvelopeFrom(const std::vector<int>& pending, int tag);
 
   template <typename T>
   static Status DecodeEnvelope(const Envelope& env, std::vector<T>* out) {
@@ -276,16 +312,17 @@ class Communicator {
       return PeerDead("poisoned subtree: " +
                       std::string(StatusCodeName(env.code)));
     }
-    if (env.payload.size() % sizeof(T) != 0) {
+    const std::size_t size = env.frame.size() - 1;
+    if (size % sizeof(T) != 0) {
       return DataLoss("malformed envelope payload");
     }
-    out->resize(env.payload.size() / sizeof(T));
-    std::memcpy(out->data(), env.payload.data(), env.payload.size());
+    out->resize(size / sizeof(T));
+    if (size > 0) std::memcpy(out->data(), env.frame.data() + 1, size);
     return Status::Ok();
   }
 
   /// Binomial-tree broadcast of (verdict, data); `seed` lets the root
-  /// originate a poison verdict (AllReduceOr).
+  /// originate a poison verdict (AllReduceOr, AllGatherV).
   template <typename T>
   Status BcastEnvelope(std::vector<T>& data, int root, StatusCode seed);
 
@@ -301,111 +338,16 @@ class Communicator {
 // ---- template implementations ----
 
 template <typename T>
-void Communicator::Bcast(std::vector<T>& data, int root) {
-  // Binomial tree rooted at `root`. In relative ranks, a nonzero rank
-  // receives from its parent (lowest set bit cleared) and then forwards to
-  // rel + 2^j for j below its lowest set bit.
-  int n = size();
-  if (n == 1) return;
-  int rel = (my_index_ - root + n) % n;
-  constexpr int kTag = 0x1B;
-  int rounds = 0;
-  while ((1 << rounds) < n) ++rounds;
-  int start_j;
-  if (rel != 0) {
-    int low = __builtin_ctz(static_cast<unsigned>(rel));
-    int parent_rel = rel & (rel - 1);
-    data = Recv<T>((parent_rel + root) % n, kTag);
-    start_j = low - 1;
-  } else {
-    start_j = rounds - 1;
-  }
-  for (int j = start_j; j >= 0; --j) {
-    int child_rel = rel + (1 << j);
-    if (child_rel < n) {
-      Send<T>((child_rel + root) % n, kTag, data);
-    }
-  }
-}
-
-template <typename T, typename Op>
-void Communicator::Reduce(std::vector<T>& data, int root, Op op) {
-  int n = size();
-  if (n == 1) return;
-  int rel = (my_index_ - root + n) % n;
-  constexpr int kTag = 0x2C;
-  // Binomial-tree fan-in: at round k, ranks with bit k set send to rel-2^k.
-  for (int k = 0; (1 << k) < n; ++k) {
-    if (rel & (1 << k)) {
-      Send<T>(((rel ^ (1 << k)) + root) % n, kTag, data);
-      return;  // contributed and done
-    }
-    int peer_rel = rel | (1 << k);
-    if (peer_rel < n) {
-      auto theirs = Recv<T>((peer_rel + root) % n, kTag);
-      MM_CHECK(theirs.size() == data.size());
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        data[i] = op(data[i], theirs[i]);
-      }
-    }
-  }
-}
-
-template <typename T, typename Op>
-void Communicator::AllReduce(std::vector<T>& data, Op op) {
-  Reduce(data, /*root=*/0, op);
-  Bcast(data, /*root=*/0);
-}
-
-template <typename T>
-std::vector<std::vector<T>> Communicator::GatherV(const std::vector<T>& mine,
-                                                  int root) {
-  int n = size();
-  constexpr int kTag = 0x3D;
-  std::vector<std::vector<T>> all;
-  if (my_index_ == root) {
-    all.resize(n);
-    all[root] = mine;
-    for (int i = 0; i < n - 1; ++i) {
-      int src = kAnySource;
-      auto payload = Recv<T>(src, kTag, &src);
-      // Map the world rank back to its communicator index.
-      int idx = world_to_index_[src];
-      MM_CHECK(idx >= 0);
-      all[idx] = std::move(payload);
-    }
-  } else {
-    Send<T>(root, kTag, mine);
-  }
-  return all;
-}
-
-template <typename T>
 std::vector<T> Communicator::AllGatherV(const std::vector<T>& mine) {
-  auto parts = GatherV(mine, /*root=*/0);
+  std::vector<std::vector<T>> parts;
+  Status gs = GatherVOr(mine, /*root=*/0, &parts);
   std::vector<T> flat;
-  if (my_index_ == 0) {
-    for (auto& part : parts) {
-      flat.insert(flat.end(), part.begin(), part.end());
-    }
-  }
-  Bcast(flat, /*root=*/0);
+  for (auto& part : parts) flat.insert(flat.end(), part.begin(), part.end());
+  // As in AllReduceOr, the root seeds the broadcast with the gather's
+  // verdict so every rank fails the check, not just the root.
+  Status bs = BcastEnvelope(flat, /*root=*/0, gs.code());
+  CheckCollective(!gs.ok() ? gs : bs);
   return flat;
-}
-
-template <typename T>
-std::vector<T> Communicator::ScatterV(const std::vector<std::vector<T>>& parts,
-                                      int root) {
-  constexpr int kTag = 0x4E;
-  int n = size();
-  if (my_index_ == root) {
-    MM_CHECK(static_cast<int>(parts.size()) == n);
-    for (int i = 0; i < n; ++i) {
-      if (i != root) Send<T>(i, kTag, parts[i]);
-    }
-    return parts[root];
-  }
-  return Recv<T>(root, kTag);
 }
 
 template <typename T>
@@ -415,6 +357,9 @@ Status Communicator::BcastEnvelope(std::vector<T>& data, int root,
   if (n == 1) return seed == StatusCode::kOk
                          ? Status::Ok()
                          : PeerDead("collective poisoned at root");
+  // Binomial tree rooted at `root`. In relative ranks, a nonzero rank
+  // receives from its parent (lowest set bit cleared) and then forwards to
+  // rel + 2^j for j below its lowest set bit.
   int rel = (my_index_ - root + n) % n;
   constexpr int kTag = 0x5B;
   int rounds = 0;
@@ -442,10 +387,10 @@ Status Communicator::BcastEnvelope(std::vector<T>& data, int root,
     int child_rel = rel + (1 << j);
     if (child_rel < n) {
       if (st.ok()) {
-        SendEnvelopeVec((child_rel + root) % n, kTag, StatusCode::kOk, data);
+        SendEnvelope((child_rel + root) % n, kTag, StatusCode::kOk, data);
       } else {
         SendEnvelope((child_rel + root) % n, kTag, StatusCode::kPeerDead,
-                     nullptr, 0);
+                     std::vector<T>());
       }
     }
   }
@@ -460,11 +405,12 @@ Status Communicator::ReduceOr(std::vector<T>& data, int root, Op op) {
   int rel = (my_index_ - root + n) % n;
   constexpr int kTag = 0x6C;
   Status st = Status::Ok();
+  // Binomial-tree fan-in: at round k, ranks with bit k set send to rel-2^k.
   for (int k = 0; (1 << k) < n; ++k) {
     if (rel & (1 << k)) {
       // Contribute upward, tagging the partial aggregate with our verdict
       // so a poisoned subtree is visible at the root.
-      SendEnvelopeVec(((rel ^ (1 << k)) + root) % n, kTag, st.code(), data);
+      SendEnvelope(((rel ^ (1 << k)) + root) % n, kTag, st.code(), data);
       return st;
     }
     int peer_rel = rel | (1 << k);
@@ -476,11 +422,10 @@ Status Communicator::ReduceOr(std::vector<T>& data, int root, Op op) {
       }
       if (env->code != StatusCode::kOk) {
         st = PeerDead("poisoned subtree contribution");
+        env->code = StatusCode::kOk;  // still fold in the partial aggregate
       }
       std::vector<T> theirs;
-      Status decode = DecodeEnvelope(
-          Envelope{StatusCode::kOk, std::move(env->payload), env->src_world},
-          &theirs);
+      Status decode = DecodeEnvelope(*env, &theirs);
       if (!decode.ok() || theirs.size() != data.size()) {
         st = !decode.ok() ? decode : PeerDead("partial subtree contribution");
         continue;
@@ -499,7 +444,7 @@ Status Communicator::GatherVOr(const std::vector<T>& mine, int root,
   int n = size();
   constexpr int kTag = 0x7D;
   if (my_index_ != root) {
-    SendEnvelopeVec(root, kTag, StatusCode::kOk, mine);
+    SendEnvelope(root, kTag, StatusCode::kOk, mine);
     return Status::Ok();
   }
   all->assign(static_cast<std::size_t>(n), {});
@@ -534,7 +479,7 @@ Status Communicator::ScatterVOr(const std::vector<std::vector<T>>& parts,
   if (my_index_ == root) {
     MM_CHECK(static_cast<int>(parts.size()) == n);
     for (int i = 0; i < n; ++i) {
-      if (i != root) SendEnvelopeVec(i, kTag, StatusCode::kOk, parts[i]);
+      if (i != root) SendEnvelope(i, kTag, StatusCode::kOk, parts[i]);
     }
     *mine = parts[root];
     return Status::Ok();

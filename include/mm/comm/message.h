@@ -112,20 +112,12 @@ class Mailbox {
   /// predicate (called by World::KillRank / Revoke).
   void Interrupt() { cv_.NotifyAll(); }
 
-  /// Fencing: drops every queued message from `src` (a rank declared dead
-  /// whose in-flight traffic must not leak into the recovered epoch).
-  /// Returns the number of messages purged.
-  std::size_t PurgeFrom(int src) {
+  /// Fencing: drops every queued message (stale traffic that must not leak
+  /// into the recovered epoch). Returns the number of messages purged.
+  std::size_t Purge() {
     MutexLock lock(mu_);
-    std::size_t purged = 0;
-    for (auto it = messages_.begin(); it != messages_.end();) {
-      if (it->src == src) {
-        it = messages_.erase(it);
-        ++purged;
-      } else {
-        ++it;
-      }
-    }
+    std::size_t purged = messages_.size();
+    messages_.clear();
     return purged;
   }
 

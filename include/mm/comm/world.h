@@ -158,9 +158,11 @@ class World {
   /// every survivor is parked and the dead are fenced.
   void ClearRevoke() { revoked_.store(false, std::memory_order_release); }
 
-  /// Purges every dead rank's queued messages from all mailboxes so stale
-  /// in-flight traffic cannot leak into the recovered epoch. Idempotent;
-  /// call while quiesced (barrier serial section). Returns messages purged.
+  /// Purges every queued message from all mailboxes — the dead ranks'
+  /// in-flight traffic and the survivors' stale messages from abandoned
+  /// collectives or earlier Split communicators — so none can leak into the
+  /// recovered epoch. Idempotent; call while every live rank is parked in a
+  /// barrier serial section. Returns messages purged.
   std::size_t FenceDeadRanks();
 
   // ---- barrier ----
@@ -199,7 +201,6 @@ class World {
   std::atomic<int> live_ranks_;
   std::atomic<std::uint64_t> membership_epoch_{0};
   std::atomic<bool> revoked_{false};
-  std::atomic<bool> fenced_any_{false};
   std::vector<std::atomic<std::uint64_t>> send_seq_;
   telemetry::MetricsRegistry metrics_;
   telemetry::TraceRecorder* trace_ = &telemetry::TraceRecorder::Dummy();

@@ -49,16 +49,22 @@ void Communicator::CheckAlive() {
 
 void Communicator::SendBytes(int dst, int tag, const void* data,
                              std::size_t size) {
+  SendFrame(dst, tag, /*verdict=*/nullptr, data, size);
+}
+
+void Communicator::SendFrame(int dst, int tag, const std::uint8_t* verdict,
+                             const void* data, std::size_t size) {
   MM_CHECK(dst >= 0 && dst < this->size());
   CheckAlive();
   World& world = ctx_->world();
   int dst_world = group_[dst];
   int src_world = group_[my_index_];
+  const std::size_t wire_size = size + (verdict != nullptr ? 1 : 0);
   sim::Network::NetOutcome outcome;
   const sim::SimTime send_start = ctx_->clock().now();
   auto res = world.cluster().network().Transfer(
       send_start, world.NodeOfRank(src_world), world.NodeOfRank(dst_world),
-      size, &outcome);
+      wire_size, &outcome);
   // MPI_Send semantics: the sender resumes once its buffer is reusable,
   // i.e. when egress serialization completes.
   ctx_->clock().AdvanceTo(res.egress_done);
@@ -80,8 +86,10 @@ void Communicator::SendBytes(int dst, int tag, const void* data,
   msg.src = src_world;
   msg.tag = TagFor(tag);
   msg.seq = world.NextSeq(src_world, dst_world);
-  msg.payload.assign(static_cast<const std::uint8_t*>(data),
-                     static_cast<const std::uint8_t*>(data) + size);
+  msg.payload.reserve(wire_size);
+  if (verdict != nullptr) msg.payload.push_back(*verdict);
+  const auto* bytes = static_cast<const std::uint8_t*>(data);
+  msg.payload.insert(msg.payload.end(), bytes, bytes + size);
   msg.delivered = res.delivered;
   msg.trace_id = mctx.trace_id;
   msg.parent_span = mctx.parent_span;
@@ -180,14 +188,6 @@ std::vector<std::uint8_t> Communicator::RecvBytes(int src, int tag,
   return std::move(out).value();
 }
 
-void Communicator::SendEnvelope(int dst, int tag, StatusCode code,
-                                const void* data, std::size_t size) {
-  std::vector<std::uint8_t> buf(size + 1);
-  buf[0] = static_cast<std::uint8_t>(code);
-  if (size > 0) std::memcpy(buf.data() + 1, data, size);
-  SendBytes(dst, tag, buf.data(), buf.size());
-}
-
 StatusOr<Communicator::Envelope> Communicator::RecvEnvelopeFrom(
     const std::vector<int>& pending, int tag) {
   std::vector<int> srcs;
@@ -202,40 +202,29 @@ StatusOr<Communicator::Envelope> Communicator::RecvEnvelopeFrom(
   if (bytes->empty()) return DataLoss("envelope missing verdict header");
   Envelope env;
   env.code = static_cast<StatusCode>((*bytes)[0]);
-  env.payload.assign(bytes->begin() + 1, bytes->end());
+  env.frame = std::move(bytes).value();
   env.src_world = src_world;
   return env;
 }
 
-void Communicator::Barrier() {
+Status Communicator::SyncMembers() {
   World& world = ctx_->world();
   if (static_cast<int>(group_.size()) == world.num_ranks()) {
     sim::SimTime release = world.Barrier(ctx_->rank(), ctx_->clock().now());
     ctx_->clock().AdvanceTo(release);
-    return;
+    return Status::Ok();
   }
-  // Group barrier: an empty tree all-reduce carries the clock semantics
-  // (every member ends at >= the max arrival time).
   std::vector<std::uint8_t> token(1, 0);
-  AllReduce(token, [](std::uint8_t a, std::uint8_t b) {
+  return AllReduceOr(token, [](std::uint8_t a, std::uint8_t b) {
     return static_cast<std::uint8_t>(a | b);
   });
 }
 
 Status Communicator::BarrierOr() {
-  World& world = ctx_->world();
-  if (static_cast<int>(group_.size()) == world.num_ranks()) {
-    sim::SimTime release = world.Barrier(ctx_->rank(), ctx_->clock().now());
-    ctx_->clock().AdvanceTo(release);
-  } else {
-    std::vector<std::uint8_t> token(1, 0);
-    MM_RETURN_IF_ERROR(
-        AllReduceOr(token, [](std::uint8_t a, std::uint8_t b) {
-          return static_cast<std::uint8_t>(a | b);
-        }));
-  }
+  MM_RETURN_IF_ERROR(SyncMembers());
   // The barrier released over the live members; surface any death in this
   // group so the caller runs recovery before trusting collective results.
+  World& world = ctx_->world();
   for (int r : group_) {
     if (world.RankDead(r)) {
       return PeerDead("rank " + std::to_string(r) + " dead at barrier");
@@ -281,8 +270,9 @@ Communicator Communicator::Shrink() {
     if (!world.RankDead(r)) live.push_back(r);
   }
   Communicator sub(ctx_, std::move(live));
-  // Fresh tag epoch: a stale message from the failed epoch can never match
-  // a receive posted on the survivor communicator.
+  // Next tag epoch. A sibling Split of this communicator shares it, so a
+  // message left on one could match a survivor receive; the recovery fence
+  // (World::FenceDeadRanks) therefore purges every undelivered message.
   sub.color_epoch_ = color_epoch_ + 1;
   return sub;
 }
@@ -292,7 +282,8 @@ StatusOr<Communicator> Communicator::ShrinkAfterFailure() {
   std::function<sim::SimTime(sim::SimTime)> serial =
       [&world](sim::SimTime sync) {
         // Every live rank is parked here, so fencing cannot race a deposit
-        // from a live sender; dead senders are sticky-dead and purged.
+        // from a live sender: every undelivered message — a dead rank's or
+        // a stale one from an earlier Split — is purged.
         world.FenceDeadRanks();
         world.ClearRevoke();
         return sync;

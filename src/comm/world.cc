@@ -116,11 +116,7 @@ void World::Revoke() {
 
 std::size_t World::FenceDeadRanks() {
   std::size_t purged = 0;
-  for (int r = 0; r < num_ranks_; ++r) {
-    if (!RankDead(r)) continue;
-    for (auto& mb : mailboxes_) purged += mb->PurgeFrom(r);
-  }
-  if (purged > 0) fenced_any_.store(true, std::memory_order_release);
+  for (auto& mb : mailboxes_) purged += mb->Purge();
   return purged;
 }
 

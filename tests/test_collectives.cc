@@ -23,6 +23,37 @@ class CollectiveTest : public ::testing::TestWithParam<int> {
     });
     ASSERT_TRUE(result.ok()) << result.error;
   }
+
+  /// Per-rank results and virtual end times of one run on a fresh cluster.
+  struct FreshRun {
+    std::vector<std::vector<double>> data;
+    std::vector<sim::SimTime> rank_times;
+  };
+  using Body = std::function<std::vector<double>(RankContext&, Communicator&)>;
+
+  FreshRun RunFresh(const Body& body) {
+    int n = GetParam();
+    auto cluster = sim::Cluster::PaperTestbed((n + 3) / 4);
+    FreshRun run;
+    run.data.resize(static_cast<std::size_t>(n));
+    auto result = RunRanks(*cluster, n, 4, [&](RankContext& ctx) {
+      Communicator comm(&ctx);
+      run.data[ctx.rank()] = body(ctx, comm);
+    });
+    EXPECT_TRUE(result.ok()) << result.error;
+    run.rank_times = result.rank_times;
+    return run;
+  }
+
+  /// The blocking form and the *Or form must be the same tree: identical
+  /// results and identical virtual times, message for message.
+  void ExpectSameTree(const char* what, const Body& blocking,
+                      const Body& checked) {
+    FreshRun a = RunFresh(blocking);
+    FreshRun b = RunFresh(checked);
+    EXPECT_EQ(a.data, b.data) << what;
+    EXPECT_EQ(a.rank_times, b.rank_times) << what;
+  }
 };
 
 TEST_P(CollectiveTest, BcastFromRankZero) {
@@ -148,6 +179,72 @@ TEST_P(CollectiveTest, SubBarrierSynchronizesGroupClocks) {
     sub.Barrier();
     EXPECT_GE(ctx.clock().now(), max_before - 1e-12);
   });
+}
+
+TEST_P(CollectiveTest, BlockingFormsRunTheOrTrees) {
+  // GatherV is left out: its any-source fan-in reserves links in wall
+  // order, so its virtual times are not reproducible run to run.
+  auto mine = [](RankContext& ctx) {
+    return std::vector<double>{ctx.rank() + 1.5, ctx.rank() * 0.25};
+  };
+  auto sum = [](double a, double b) { return a + b; };
+  for (int root : {0, GetParam() - 1}) {
+    ExpectSameTree(
+        "Bcast",
+        [&](RankContext& ctx, Communicator& comm) {
+          std::vector<double> d;
+          if (comm.rank() == root) d = mine(ctx);
+          comm.Bcast(d, root);
+          return d;
+        },
+        [&](RankContext& ctx, Communicator& comm) {
+          std::vector<double> d;
+          if (comm.rank() == root) d = mine(ctx);
+          EXPECT_TRUE(comm.BcastOr(d, root).ok());
+          return d;
+        });
+    ExpectSameTree(
+        "Reduce",
+        [&](RankContext& ctx, Communicator& comm) {
+          auto d = mine(ctx);
+          comm.Reduce(d, root, sum);
+          return d;
+        },
+        [&](RankContext& ctx, Communicator& comm) {
+          auto d = mine(ctx);
+          EXPECT_TRUE(comm.ReduceOr(d, root, sum).ok());
+          return d;
+        });
+    auto parts = [&](Communicator& comm) {
+      std::vector<std::vector<double>> p;
+      if (comm.rank() == root) {
+        for (int r = 0; r < comm.size(); ++r) p.push_back({r * 2.0, 1.0});
+      }
+      return p;
+    };
+    ExpectSameTree(
+        "ScatterV",
+        [&](RankContext&, Communicator& comm) {
+          return comm.ScatterV(parts(comm), root);
+        },
+        [&](RankContext&, Communicator& comm) {
+          std::vector<double> d;
+          EXPECT_TRUE(comm.ScatterVOr(parts(comm), root, &d).ok());
+          return d;
+        });
+  }
+  ExpectSameTree(
+      "AllReduce",
+      [&](RankContext& ctx, Communicator& comm) {
+        auto d = mine(ctx);
+        comm.AllReduce(d, sum);
+        return d;
+      },
+      [&](RankContext& ctx, Communicator& comm) {
+        auto d = mine(ctx);
+        EXPECT_TRUE(comm.AllReduceOr(d, sum).ok());
+        return d;
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveTest,

@@ -258,6 +258,28 @@ TEST(CommTags, SplitGenerationsKeepTagSpacesDisjoint) {
   ASSERT_TRUE(result.ok()) << result.error;
 }
 
+TEST(CommTags, ShrinkAfterSplitKeepsTagSpacesDisjoint) {
+  // Regression: Split and Shrink of one communicator share a tag epoch, so
+  // a message left unreceived on the Split must not match a receive on the
+  // survivor communicator — the recovery fence purges it.
+  auto cluster = sim::Cluster::PaperTestbed(1);
+  auto result = comm::RunRanks(*cluster, 2, 2, [&](comm::RankContext& ctx) {
+    comm::Communicator world(&ctx);
+    comm::Communicator sub = world.Split(0);  // both ranks, epoch 1
+    constexpr int kTag = 7;
+    if (ctx.rank() == 1) sub.SendValue<int>(0, kTag, 42);  // never received
+    world.Barrier();
+    auto survivors = world.ShrinkAfterFailure();  // no death needed
+    ASSERT_TRUE(survivors.ok()) << survivors.status().ToString();
+    if (ctx.rank() == 1) {
+      survivors->SendValue<int>(0, kTag, 99);
+    } else {
+      EXPECT_EQ(survivors->RecvValue<int>(1, kTag), 99);
+    }
+  });
+  ASSERT_TRUE(result.ok()) << result.error;
+}
+
 TEST(CommTags, CollectivesWorkOnDeepSplitGenerations) {
   // Collective tags are epoch-scoped too: a chain of Splits must keep
   // working (each generation shifts its tag space).
@@ -304,8 +326,10 @@ TEST(DlockFaults, MutualExclusionHoldsUnderLinkFaults) {
   constexpr int kRanks = 8;
   constexpr int kIters = 25;
   int counter = 0;  // deliberately unsynchronized; the dlock protects it
+  // One lock shared by every rank: a per-rank lock object would exclude
+  // nobody.
+  comm::DistributedLock lock(cluster.get(), /*home_node=*/0);
   auto result = comm::RunRanks(*cluster, kRanks, 4, [&](comm::RankContext& ctx) {
-    comm::DistributedLock lock(&ctx.world(), /*home_node=*/0);
     for (int i = 0; i < kIters; ++i) {
       comm::DistributedLock::Guard guard(lock, ctx);
       ++counter;
