@@ -1,93 +1,161 @@
 #!/usr/bin/env python3
-"""mm_verify: whole-program concurrency analysis for the MegaMmap runtime.
+"""mm_verify: the MegaMmap static analyzer.
 
-Where ci/mm_lint.py is a line-oriented regex lint, mm_verify builds a
-structural model of the whole tree — classes, mutex fields, guarded fields,
-function bodies, lock-acquisition scopes, and a call graph — and checks
-cross-function properties no per-line tool can see:
+One textual frontend builds a structural model of the tree — classes, mutex
+fields, guarded fields, every function body, lock-acquisition scopes and a
+call graph — and one file walk feeds both the per-line rules and the
+whole-program rules (see DESIGN.md §10):
 
-  MML101  Lock-order / deadlock. Every nested `mm::MutexLock` acquisition
-          pair (resolved to `Class::field` identity, following callees to a
-          bounded depth) becomes an edge in a global lock graph. Any cycle
-          is reported as a potential deadlock with both witness paths, and
-          every observed edge must be declared with `MM_ACQUIRED_BEFORE` /
-          `MM_ACQUIRED_AFTER` on the mutex field so the hierarchy is an
-          explicit contract (DESIGN.md §10). Utility leaf locks (never
-          acquire anything nested) may instead carry a
-          `mm-verify: leaf-lock(<reason>)` comment: edges INTO a leaf are
-          exempt from the declaration requirement but still cycle-checked.
-          The observed+declared graph is emitted as Graphviz DOT
-          (build/lock_hierarchy.dot).
-  MML102  Guarded-field escape. A pointer/reference to an `MM_GUARDED_BY`
-          field that leaves its lock scope: returned (`return &field;` or
-          by-reference return), stored into a longer-lived object
-          (`obj->p = &field;`), or captured by reference in a lambda handed
-          to a deferred-execution sink (Submit/Push/Post/...).
-  MML103  Seqlock discipline (AST-grade MML009). Frame-byte writes
-          (`OptimisticGuard::StoreBytes`, `frame->bytes.store`,
-          `memcpy(frame->data...)`) must sit lexically inside a
-          `FrameWriteGuard` section, and data copied out through an
-          `OptimisticGuard` must not be dereferenced on the
-          `Validate()`-failed path before the retry. The seqlock
-          implementation itself (core/pcache, core/optimistic_guard) is
-          exempt.
-  MML104  Determinism. Wall clocks (`std::chrono::{system,steady,
-          high_resolution}_clock`), `time()`, `rand()`/`srand()` and
-          `std::random_device` are banned in src/ and include/mm/ outside
-          sim/ — bit-identical fault replay depends on every timestamp and
-          random draw flowing through the virtual clock (DESIGN.md §4).
-          Benchmarks that measure real elapsed time are allowlisted.
-  MML002  PagePool Acquire/AcquireZeroed whose result variable is
-          neither guarded by a PoolReturn, std::move'd, Release'd,
-          returned, stored into an outgoing object, nor handed to a callee
-          that takes the buffer by value (per-variable dataflow).
-          Un-returned buffers drop out of the recycling loop.
-  MML003  PCache Pin/Unpin balance tallied per enclosing *class* across
-          the whole model, so a Pin in a header and its Unpin in the
-          matching .cc still balance. A leaked pin makes the frame
-          unevictable.
-          These two rules live only here; mm_lint has no copy.
+  MML001  Raw std synchronization primitive (std::mutex, std::lock_guard,
+          std::condition_variable, <mutex>, ...) in include/ + src/ outside
+          util/: runtime code uses the annotated mm::Mutex / MutexLock /
+          CondVar wrappers so Clang's -Wthread-safety sees the locking.
+  MML002  PagePool Acquire/AcquireZeroed whose result variable is neither
+          PoolReturn-guarded, std::move'd, Release'd, returned, stored into
+          an outgoing object, nor handed to a callee (per-variable
+          dataflow). Un-returned buffers drop out of the recycling loop.
+  MML003  PCache Pin/Unpin balance tallied per enclosing *class* across the
+          model, so a Pin in a header and its Unpin in the .cc balance. A
+          leaked pin makes the frame unevictable.
+  MML004  MM_CHECK inside a DESIGN.md §7 hot-path function body (HOT_PATHS,
+          looked up by qualified name in the model). The fast path is two
+          integer ops by contract; checks belong on the scalar entry points.
+  MML005  (void)-discarded call without a same-line or preceding-line
+          comment saying why the result cannot matter.
+  MML006  Metric name literal passed to GetCounter/GetGauge/GetHistogram in
+          include/ + src/ that does not match `mm.<subsystem>.<name>` or
+          lacks a unit suffix (METRIC_UNIT_SUFFIXES).
+  MML007  std::ofstream/std::fstream open of a final path in ckpt code:
+          artifacts are published by write-to-temp + rename (DESIGN.md §12).
+          Exempt: append-mode opens (the redo journal), tmp/temp paths, and
+          opens inside a function that rename()s the file into place.
+  MML008  Unbounded Recv/RecvValue/RecvBytes in include/ + src/ outside
+          comm/: peer death must surface as a kPeerDead Status through the
+          deadline *Or variants (DESIGN.md §13).
+  MML009  Raw `frame->version` / `frame.version` access outside
+          core/pcache and core/optimistic_guard: the version word is half
+          of the §14 seqlock; use OptimisticGuard::Version / SetVersion.
+  MML010  Metric catalog drift: every `mm.*` metric literal in include/ +
+          src/ must appear in the DESIGN.md §11 "Metric catalog" table and
+          every catalog entry must be registered somewhere. Rows are
+          `| `mm.family.*` | `name`, `{a,b}_suffix`, ... |`, brace groups
+          expanded combinatorially.
+  MML011  Raw B-tree node byte access (`.leaf.keys`, `->inner.seps`,
+          `node.hdr`, ...) outside include/mm/index/ + src/index/
+          (tests/test_btree.cc is the white-box layout test): node bytes are
+          only coherent under the §15 frame-seqlock protocol.
+  MML101  Lock order / deadlock. Every nested `mm::MutexLock` acquisition
+          pair (resolved to `Class::field`, following callees to
+          CALL_DEPTH) is an edge in a global lock graph. Cycles are reported
+          with both witness paths, and every observed edge must be declared
+          with `MM_ACQUIRED_BEFORE` / `MM_ACQUIRED_AFTER` on the mutex
+          field. Utility leaf locks may instead carry a
+          `mm-verify: leaf-lock(<reason>)` comment: edges INTO a leaf need no
+          declaration but are still cycle-checked. The observed+declared
+          graph is written as Graphviz DOT (build/lock_hierarchy.dot).
+  MML102  Guarded-field escape: a pointer/reference to an `MM_GUARDED_BY`
+          field returned, stored into a longer-lived object, or captured by
+          reference in a lambda handed to a deferred sink (Submit/Push/...).
+  MML103  Seqlock discipline: frame-byte writes (`StoreBytes`,
+          `frame->bytes.store`, `memcpy(frame->data...)`) sit inside a
+          `FrameWriteGuard` section, and data copied through an
+          `OptimisticGuard` is not used on the `Validate()`-failed path.
+          core/pcache and core/optimistic_guard are exempt.
+  MML104  Determinism: wall clocks, `time()`, `rand()`/`srand()` and
+          `std::random_device` are banned in src/, include/mm/ and bench/
+          outside sim/ (DESIGN.md §4); real-time benches are allowlisted.
 
-Frontends: the model can be built by two interchangeable frontends.
-  - `libclang` parses the TUs listed in the clang-tidy lane's
-    compile_commands.json via `clang.cindex` (precise receiver types and
-    callee resolution). Used in the mm-verify CI lane.
-  - `textual` is a dependency-free structural parser (brace trees,
-    namespace/class scopes, field tables, receiver-type resolution) that
-    always works. It is the fallback whenever `clang.cindex` or the
-    compilation database is unavailable (a warning is printed), so every
-    rule stays active on any machine.
-Lock-hierarchy *annotations* are always read textually: MM_ACQUIRED_BEFORE
-expands to nothing at compile time (see thread_annotations.h), so the
-source text is the contract of record.
+The model covers every scanned directory except tests/, which only the
+per-line rules read. Lock-hierarchy annotations are read from the source
+text: MM_ACQUIRED_BEFORE expands to nothing at compile time, so the text is
+the contract of record.
 
-Suppression: `mm-verify: allow(MMLnnn <reason>)` — or the mm_lint spelling
-`mm-lint: allow(...)` — in a comment on the offending line or the line
-above. Suppressions without a reason are findings.
+Suppression: `mm-verify: allow(MMLnnn <reason>)` in a comment on the
+offending line or the line above. Suppressions without a reason are
+findings.
 
-Usage: python3 ci/mm_verify.py [--root DIR] [-p BUILD_DIR]
-           [--frontend auto|textual|libclang] [--dot PATH|-]
-           [--call-depth N] [files...]
-Exit status is the number of findings (0 == clean).
+Usage: python3 ci/mm_verify.py [--root DIR] [--dot PATH|-] [--verbose]
+           [files...]
+The positional files only filter which findings are reported; the whole
+tree is always analyzed. Exit status is the number of findings (0 == clean).
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
+import itertools
 import os
 import re
 import sys
 from dataclasses import dataclass, field as dc_field
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from mm_lint import Finding, strip_comments_and_strings  # noqa: E402
-
+SOURCE_DIRS = ("bench", "examples", "include", "src", "tests")
 SOURCE_EXTS = (".h", ".hpp", ".cc", ".cpp")
-MODEL_DIRS = ("include", "src")          # structural model (MML101/102/002/003)
-LEXICAL_DIRS = ("include", "src", "bench", "apps", "examples")  # MML104
+LEXICAL_ONLY_DIRS = ("tests/",)   # scanned by the per-line rules, not modeled
+CALL_DEPTH = 3                    # callee lock-summary propagation depth
 
-ALLOW_RE = re.compile(r"mm-(?:lint|verify):\s*allow\(\s*(MML\d{3})\b([^)]*)\)")
+ALLOW_RE = re.compile(r"mm-verify:\s*allow\(\s*(MML\d{3})\b([^)]*)\)")
 LEAF_RE = re.compile(r"mm-verify:\s*leaf-lock\(([^)]*)\)")
+
+# MML001 ---------------------------------------------------------------------
+RAW_SYNC_RE = re.compile(
+    r"std::(?:recursive_|timed_|shared_)?mutex\b"
+    r"|std::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b"
+    r"|std::condition_variable(?:_any)?\b"
+    r"|#\s*include\s*<(?:mutex|shared_mutex|condition_variable)>"
+)
+
+# MML004: (file-name substring, qualified hot-path function) -----------------
+HOT_PATHS = (
+    ("vector.h", "mm::core::Vector::Span::operator[]"),
+    ("pcache", "mm::core::PCache::Find"),
+    ("pcache", "mm::core::PCache::Touch"),
+    ("pcache", "mm::core::PCache::MarkElemDirty"),
+    ("pcache", "mm::core::PCache::PickVictim"),
+    ("memory_task.h", "mm::core::PagePool::Acquire"),
+    ("memory_task.h", "mm::core::PagePool::AcquireZeroed"),
+    ("memory_task.h", "mm::core::PagePool::Release"),
+)
+MM_CHECK_RE = re.compile(r"\bMM_CHECK(?:_MSG)?\s*\(")
+
+# MML005 ---------------------------------------------------------------------
+VOID_DISCARD_RE = re.compile(r"\(\s*void\s*\)\s*[\w:~]")
+
+# MML006 / MML010 ------------------------------------------------------------
+METRIC_GET_RE = re.compile(
+    r"Get(?:Counter|Gauge|Histogram)\s*\(\s*\"([^\"]*)\"")
+METRIC_NAME_RE = re.compile(r"mm\.[a-z_]+\.[a-z_]+\Z")
+METRIC_UNIT_SUFFIXES = ("_bytes", "_ns", "_count", "_ratio")
+CATALOG_HEADER = "### Metric catalog"
+CATALOG_FAMILY_RE = re.compile(r"`(mm\.[a-z_]+)\.\*`")
+CATALOG_TOKEN_RE = re.compile(r"`([^`]+)`")
+BRACE_RE = re.compile(r"\{([^{}]*)\}")
+
+# MML007 ---------------------------------------------------------------------
+CKPT_STREAM_RE = re.compile(r"std::(?:ofstream|fstream)\b[^;]*")
+CKPT_DIRS = ("src/ckpt/", "include/mm/ckpt/")
+
+# MML008 ---------------------------------------------------------------------
+# Matches `.Recv(`, `->RecvValue<T>(`, `.RecvBytes(` — the lookahead stops
+# the alternatives from matching a prefix of the *Or deadline variants.
+UNBOUNDED_RECV_RE = re.compile(
+    r"(?:\.|->)\s*(Recv(?:Bytes|Value)?)(?=\s*[<(])")
+COMM_DIRS = ("src/comm/", "include/mm/comm/")
+
+# MML009 / MML103 ------------------------------------------------------------
+FRAME_VERSION_RE = re.compile(
+    r"\b(\w*[Ff]rame\w*)\s*(?:\.|->)\s*version\b")
+SEQLOCK_EXEMPT = ("core/pcache", "core/optimistic_guard")
+
+# MML011 ---------------------------------------------------------------------
+# Two routes into node bytes: the NodeBlock union arms (`blk.leaf.keys`) or
+# an identifier containing "node" touching a node field directly.
+TREE_NODE_UNION_RE = re.compile(
+    r"(?:\.|->)\s*(leaf|inner)\s*\.\s*(keys|vals|seps|children|fence)\b")
+TREE_NODE_IDENT_RE = re.compile(
+    r"\b(\w*[Nn]ode\w*)\s*(?:\.|->)\s*(hdr|keys|vals|seps|children|fence)\b")
+TREE_NODE_EXEMPT = ("include/mm/index/", "src/index/", "tests/test_btree.cc")
 
 # MML104 ---------------------------------------------------------------------
 WALL_CLOCK_RE = re.compile(
@@ -105,7 +173,6 @@ MML104_BENCH_ALLOWLIST = (
 )
 
 # MML103 ---------------------------------------------------------------------
-SEQLOCK_EXEMPT = ("core/pcache", "core/optimistic_guard")
 STORE_BYTES_RE = re.compile(r"OptimisticGuard::StoreBytes\s*\(")
 BYTES_STORE_RE = re.compile(r"\b(\w+)\s*(?:->|\.)\s*bytes\s*\.\s*store\s*\(")
 FRAME_MEMCPY_RE = re.compile(
@@ -143,8 +210,62 @@ UNWRAP_TEMPLATES = ("std::unique_ptr", "std::shared_ptr", "std::vector",
 
 
 # ---------------------------------------------------------------------------
-# Model dataclasses
+# Findings, comment stripping, model dataclasses
 # ---------------------------------------------------------------------------
+
+@dataclass
+class Finding:
+    path: str
+    line: int  # 1-based
+    rule: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"{self.path}:{self.line}: {self.rule}: {self.message}"
+
+
+def strip_comments_and_strings(text: str) -> str:
+    """Blanks out comments and string/char literals, preserving offsets and
+    newlines so line numbers and brace depths stay valid."""
+    out = list(text)
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "/" and i + 1 < n and text[i + 1] == "/":
+            j = i
+            while j < n and text[j] != "\n":
+                out[j] = " "
+                j += 1
+            i = j
+        elif c == "/" and i + 1 < n and text[i + 1] == "*":
+            j = i
+            while j < n - 1 and not (text[j] == "*" and text[j + 1] == "/"):
+                if text[j] != "\n":
+                    out[j] = " "
+                j += 1
+            if j < n - 1:
+                out[j] = out[j + 1] = " "
+                j += 2
+            i = j
+        elif c in ("\"", "'"):
+            quote = c
+            j = i + 1
+            while j < n and text[j] != quote:
+                if text[j] == "\\":
+                    out[j] = " "
+                    j += 1
+                    if j < n and text[j] != "\n":
+                        out[j] = " "
+                    j += 1
+                    continue
+                if text[j] != "\n":
+                    out[j] = " "
+                j += 1
+            i = j + 1
+        else:
+            i += 1
+    return "".join(out)
+
 
 @dataclass
 class MutexField:
@@ -240,12 +361,20 @@ class SourceFile:
                 self.leaf_marks[idx + 1] = lm.group(1).strip()
                 self.leaf_marks[idx + 2] = lm.group(1).strip()
         self._brace_pairs: list[tuple[int, int]] | None = None
+        self._line_starts = list(itertools.accumulate(
+            (len(line) + 1 for line in self.code_lines[:-1]), initial=0))
 
     def suppressed(self, line: int, rule: str) -> bool:
         return rule in self.suppressions.get(line, set())
 
+    def report(self, out: list[Finding], line: int, rule: str,
+               message: str) -> None:
+        """Appends a finding at `line` unless an allow-comment covers it."""
+        if not self.suppressed(line, rule):
+            out.append(Finding(self.rel, line, rule, message))
+
     def line_of(self, pos: int) -> int:
-        return self.code.count("\n", 0, pos) + 1
+        return bisect.bisect_right(self._line_starts, pos)
 
     def brace_pairs(self) -> list[tuple[int, int]]:
         """All matched {...} pairs as (open, close) offsets, sorted by open.
@@ -278,11 +407,18 @@ class SourceFile:
 
 class Model:
     def __init__(self) -> None:
-        self.files: dict[str, SourceFile] = {}
+        self.files: dict[str, SourceFile] = {}       # every scanned file
         self.classes: dict[str, ClassInfo] = {}      # qual -> info
         self.by_simple: dict[str, list[str]] = {}    # simple -> [qual...]
-        self.functions: dict[str, FunctionInfo] = {} # qualname -> info
-        self.frontend = "textual"
+        # qualname -> every body with that name (overloads, #if twins).
+        self.functions: dict[str, list[FunctionInfo]] = {}
+
+    def bodies(self) -> list[FunctionInfo]:
+        return [fi for fis in self.functions.values() for fi in fis]
+
+    def enclosing_function(self, rel: str, pos: int) -> FunctionInfo | None:
+        return next((fi for fi in self.bodies()
+                     if fi.rel == rel and fi.open < pos < fi.close), None)
 
     def class_by_name(self, name: str) -> ClassInfo | None:
         """Resolve a possibly-unqualified class name to a unique ClassInfo."""
@@ -384,10 +520,6 @@ CLASS_RE = re.compile(
 ANNOT_RE = re.compile(
     r"\b(MM_GUARDED_BY|MM_PT_GUARDED_BY|MM_ACQUIRED_BEFORE|"
     r"MM_ACQUIRED_AFTER)\s*\(([^()]*)\)")
-METHOD_DECL_RE = re.compile(
-    r"^\s*(?:virtual\s+|static\s+|inline\s+|constexpr\s+|explicit\s+)*"
-    r"([\w:]+(?:\s*<[^;{}]*>)?\s*[&\*]?)\s+(\w+)\s*\($")
-
 
 def collect_scopes(sf: SourceFile) -> list[tuple[str, str, int, int]]:
     """Returns [(kind, name, open, close)] for namespace/class/struct scopes,
@@ -423,8 +555,8 @@ def qual_at(scopes: list[tuple[str, str, int, int]], pos: int,
     return "::".join(parts)
 
 
-def parse_declarations(model: Model, sf: SourceFile) -> None:
-    scopes = collect_scopes(sf)
+def parse_declarations(model: Model, sf: SourceFile,
+                       scopes: list[tuple[str, str, int, int]]) -> None:
     for kind, name, o, c in scopes:
         if kind != "class":
             continue
@@ -435,18 +567,15 @@ def parse_declarations(model: Model, sf: SourceFile) -> None:
             ci = ClassInfo(qual=qual, name=name, rel=sf.rel, open=o, close=c)
             model.classes[qual] = ci
             model.by_simple.setdefault(name, []).append(qual)
-        _parse_class_body(model, sf, ci, scopes)
+        _parse_class_body(model, sf, ci)
 
 
-def _parse_class_body(model: Model, sf: SourceFile, ci: ClassInfo,
-                      scopes: list[tuple[str, str, int, int]]) -> None:
+def _parse_class_body(model: Model, sf: SourceFile, ci: ClassInfo) -> None:
     """Walk the class body at its own depth, splitting statements at `;`
     and skipping nested braces (methods, nested classes, initializers)."""
     code = sf.code
     i = ci.open + 1
     stmt_start = i
-    nested = [(o, c) for k, n, o, c in scopes
-              if k == "class" and ci.open < o and c < ci.close]
     pair_by_open = dict(sf.brace_pairs())
     while i < ci.close:
         ch = code[i]
@@ -468,7 +597,6 @@ def _parse_class_body(model: Model, sf: SourceFile, ci: ClassInfo,
             stmt_start = i
             continue
         i += 1
-    _ = nested
 
 
 def _classify_member(model: Model, sf: SourceFile, ci: ClassInfo,
@@ -509,7 +637,6 @@ def _classify_member(model: Model, sf: SourceFile, ci: ClassInfo,
     line = sf.line_of(stmt_pos + stmt.find(stmt.strip()[:1] or " "))
     # Anchor on the declaration's last line (where the field name sits) so
     # leaf-lock markers/suppressions above multi-line decls still align.
-    line = sf.line_of(stmt_pos) if line <= 0 else line
     decl_line = sf.line_of(stmt_pos + len(stmt.rstrip()) - 1)
 
     plain = re.sub(r"\b(?:mutable|static|const)\b", " ", type_text).strip()
@@ -534,7 +661,7 @@ def _classify_member(model: Model, sf: SourceFile, ci: ClassInfo,
 
 
 # ---------------------------------------------------------------------------
-# Pass 2 (textual frontend): function bodies
+# Pass 2: function bodies
 # ---------------------------------------------------------------------------
 
 LOCK_DECL_RE = re.compile(
@@ -551,6 +678,7 @@ RECV_CALL_RE = re.compile(r"\b(\w+)\s*(\.|->)\s*(\w+)\s*\(")
 CHAIN_CALL_RE = re.compile(
     r"(?:\b(\w+)\s*(?:\.|->)\s*)?\b(\w+)\s*\(\s*[^()]*\)\s*\.\s*(\w+)\s*\(")
 PLAIN_CALL_RE = re.compile(r"(?<![\w.>:])([A-Za-z_]\w*)\s*\(")
+OPERATOR_CALL_RE = re.compile(r"\boperator\s*(?:\[\s*\]|\(\s*\))$")
 
 
 def find_function_bodies(sf: SourceFile,
@@ -591,12 +719,8 @@ def _function_header(header: str) -> bool:
             h = h[:-len("MM_NO_THREAD_SAFETY_ANALYSIS")].rstrip()
         else:
             break
-    if h.endswith(":") or not h.endswith(")"):
-        # Constructor initializer lists (`: field_(x)`) end with ')' too but
-        # the ctor header before ':' still parses; a bare trailing ':' means
-        # we grabbed only part of the initializer list — reject.
-        if not h.endswith(")"):
-            return False
+    if not h.endswith(")"):
+        return False
     depth = 0
     for i in range(len(h) - 1, -1, -1):
         ch = h[i]
@@ -606,6 +730,8 @@ def _function_header(header: str) -> bool:
             depth -= 1
             if depth == 0:
                 before = h[:i].rstrip()
+                if OPERATOR_CALL_RE.search(before):
+                    return True  # `operator[](`/`operator()(` are not lambdas
                 kw = re.search(r"([\w\]]+)\s*$", before)
                 if kw is None:
                     return False  # lambda: `[...](` has no declarator name
@@ -623,8 +749,8 @@ def _split_header(header: str) -> tuple[str, str, str]:
     h = header
     # Cut a constructor initializer list: `Ctor(args) : a_(x), b_(y)`.
     # Find the top-level '(' matching the FIRST declarator parens.
-    m = re.search(r"((?:[\w~]+\s*::\s*)*(?:operator\s*[^\s(]+|[\w~]+))\s*\(",
-                  h)
+    m = re.search(r"((?:[\w~]+\s*::\s*)*"
+                  r"(?:operator\s*(?:\(\s*\)|[^\s(]+)|[\w~]+))\s*\(", h)
     if not m:
         return h, "", ""
     name = re.sub(r"\s+", "", m.group(1))
@@ -643,8 +769,8 @@ def _split_header(header: str) -> tuple[str, str, str]:
     return ret, name, params
 
 
-def parse_functions_textual(model: Model, sf: SourceFile) -> None:
-    scopes = collect_scopes(sf)
+def parse_functions_textual(model: Model, sf: SourceFile,
+                            scopes: list[tuple[str, str, int, int]]) -> None:
     for header, o, c in find_function_bodies(sf, scopes):
         ret, name, params_text = _split_header(header)
         if not name:
@@ -678,9 +804,7 @@ def parse_functions_textual(model: Model, sf: SourceFile) -> None:
             if pm and pm.group(2) not in KEYWORDS:
                 fi.params[pm.group(2)] = base_type(pm.group(1))
         _parse_body(model, sf, fi)
-        # Header-inline definitions may be seen once; .cc definitions of the
-        # same method override a header stub (rare), last writer wins.
-        model.functions[qualname] = fi
+        model.functions.setdefault(qualname, []).append(fi)
 
 
 def _parse_body(model: Model, sf: SourceFile, fi: FunctionInfo) -> None:
@@ -803,8 +927,6 @@ def _resolve_lock_expr(model: Model, fi: FunctionInfo, ci: ClassInfo | None,
         t = fi.locals.get(e) or fi.params.get(e)
         if t in ("Mutex", "mm::Mutex", "util::Mutex", "mm::util::Mutex"):
             return f"local:{fi.qualname}::{e}", True
-        if t:  # a Mutex& parameter typed as Mutex resolves above
-            return f"?:{expr}", False
         return f"?:{expr}", False
     m = re.fullmatch(r"([\w.\->()\[\]]+?)(?:\.|->)(\w+)", e)
     if m:
@@ -816,201 +938,17 @@ def _resolve_lock_expr(model: Model, fi: FunctionInfo, ci: ClassInfo | None,
 
 
 # ---------------------------------------------------------------------------
-# Optional libclang frontend (CI): precise bodies from compile_commands.json
-# ---------------------------------------------------------------------------
-
-def parse_functions_libclang(model: Model, root: str, build_dir: str,
-                             warn) -> bool:
-    """Re-parses function bodies through clang.cindex, overriding the
-    textual FunctionInfo for every definition the AST can see. Returns
-    False (caller keeps the textual bodies) if clang.cindex or the
-    compilation database is unavailable; per-TU failures fall back to the
-    textual parse of those files."""
-    try:
-        from clang import cindex  # type: ignore
-    except Exception as e:  # pragma: no cover - environment dependent
-        warn(f"clang.cindex unavailable ({e}); using the textual frontend")
-        return False
-    try:
-        db = cindex.CompilationDatabase.fromDirectory(build_dir)
-    except Exception as e:  # pragma: no cover
-        warn(f"no compile_commands.json in {build_dir} ({e}); "
-             "using the textual frontend")
-        return False
-    index = cindex.Index.create()
-    parsed_rels: set[str] = set()
-    ok_tus = 0
-    for cmd in db.getAllCompileCommands():
-        src = os.path.join(cmd.directory, cmd.filename)
-        src = os.path.normpath(src)
-        if not src.startswith(os.path.normpath(root) + os.sep):
-            continue
-        args = [a for a in list(cmd.arguments)[1:]
-                if a not in ("-c", "-o", cmd.filename, src)]
-        # Drop the "-o <file>" argument pair remnants.
-        clean, skip = [], False
-        for a in args:
-            if skip:
-                skip = False
-                continue
-            if a == "-o":
-                skip = True
-                continue
-            clean.append(a)
-        try:
-            tu = index.parse(src, args=clean)
-            if any(d.severity >= cindex.Diagnostic.Error
-                   for d in tu.diagnostics):
-                raise RuntimeError(next(
-                    d.spelling for d in tu.diagnostics
-                    if d.severity >= cindex.Diagnostic.Error))
-            _walk_tu(model, root, tu, parsed_rels)
-            ok_tus += 1
-        except Exception as e:  # pragma: no cover
-            warn(f"libclang failed on {cmd.filename} ({e}); "
-                 "textual bodies kept for that TU")
-    if ok_tus == 0:
-        warn("libclang parsed no TUs; using the textual frontend")
-        return False
-    model.frontend = "libclang"
-    return True
-
-
-def _cursor_qualname(cur) -> tuple[str, str]:  # pragma: no cover - CI only
-    parts, cls_parts = [], []
-    p = cur.semantic_parent
-    from clang import cindex  # type: ignore
-    while p is not None and p.kind != cindex.CursorKind.TRANSLATION_UNIT:
-        if p.spelling:
-            parts.append(p.spelling)
-            if p.kind in (cindex.CursorKind.CLASS_DECL,
-                          cindex.CursorKind.STRUCT_DECL,
-                          cindex.CursorKind.CLASS_TEMPLATE):
-                cls_parts = list(parts)
-        p = p.semantic_parent
-    parts.reverse()
-    cls_parts.reverse()
-    qual = "::".join(parts + [cur.spelling])
-    cls = "::".join(parts) if cls_parts else ""
-    return qual, cls
-
-
-def _walk_tu(model: Model, root: str, tu,
-             parsed_rels: set[str]) -> None:  # pragma: no cover - CI only
-    from clang import cindex  # type: ignore
-    fn_kinds = (cindex.CursorKind.CXX_METHOD, cindex.CursorKind.FUNCTION_DECL,
-                cindex.CursorKind.CONSTRUCTOR, cindex.CursorKind.DESTRUCTOR)
-
-    def visit(cur):
-        for child in cur.get_children():
-            loc_file = child.location.file
-            if loc_file is None:
-                continue
-            path = os.path.normpath(str(loc_file))
-            if not path.startswith(os.path.normpath(root) + os.sep):
-                continue
-            if child.kind in fn_kinds and child.is_definition():
-                rel = os.path.relpath(path, root).replace(os.sep, "/")
-                sf = model.files.get(rel)
-                if sf is not None:
-                    _lift_function(model, sf, child)
-                continue
-            visit(child)
-
-    visit(tu.cursor)
-
-
-def _lift_function(model: Model, sf: SourceFile,
-                   cur) -> None:  # pragma: no cover - CI only
-    from clang import cindex  # type: ignore
-    qualname, cls = _cursor_qualname(cur)
-    ext = cur.extent
-    prev = model.functions.get(qualname)
-    fi = FunctionInfo(
-        qualname=qualname, cls=cls, rel=sf.rel,
-        header=prev.header if prev else cur.displayname,
-        ret=cur.result_type.spelling if cur.result_type else "",
-        open=ext.start.offset, close=ext.end.offset)
-    ci = model.classes.get(cls)
-
-    def scope_end(c) -> int:
-        p = c.semantic_parent
-        return ext.end.offset if p is None else ext.end.offset
-
-    def visit(c, compound_end: int):
-        for ch in c.get_children():
-            nxt_end = compound_end
-            if ch.kind == cindex.CursorKind.COMPOUND_STMT:
-                nxt_end = ch.extent.end.offset
-            if ch.kind == cindex.CursorKind.VAR_DECL:
-                ts = ch.type.spelling
-                kind = ("mutex" if "MutexLock" in ts else
-                        "frame" if "FrameWriteGuard" in ts else "")
-                if kind:
-                    pos = ch.extent.start.offset
-                    expr = sf.code[pos:ch.extent.end.offset]
-                    expr = expr[expr.find("(") + 1:expr.rfind(")")] \
-                        if "(" in expr else ""
-                    lock_id, resolved = _lock_id_from_decl(model, fi, ci,
-                                                           ch, expr)
-                    end = compound_end
-                    un = re.search(
-                        r"\b" + re.escape(ch.spelling) +
-                        r"\s*\.\s*Unlock\s*\(", sf.code[pos:end])
-                    if un:
-                        end = pos + un.start()
-                    fi.lock_events.append(LockEvent(
-                        kind=kind, var=ch.spelling, expr=expr.strip(),
-                        lock_id=lock_id, resolved=resolved, pos=pos,
-                        end=end, line=sf.line_of(pos)))
-            if ch.kind in (cindex.CursorKind.CALL_EXPR,):
-                ref = ch.referenced
-                if ref is not None and ref.spelling:
-                    cq, ccls = _cursor_qualname(ref)
-                    pos = ch.extent.start.offset
-                    fi.calls.append(CallEvent(
-                        name=ref.spelling, recv_class=ccls or "?",
-                        pos=pos, line=sf.line_of(pos)))
-            visit(ch, nxt_end)
-
-    visit(cur, ext.end.offset)
-    _ = scope_end
-    model.functions[qualname] = fi
-
-
-def _lock_id_from_decl(model: Model, fi: FunctionInfo, ci, cur,
-                       expr: str):  # pragma: no cover - CI only
-    from clang import cindex  # type: ignore
-    stack = list(cur.get_children())
-    while stack:
-        c = stack.pop(0)
-        if c.kind in (cindex.CursorKind.MEMBER_REF_EXPR,
-                      cindex.CursorKind.DECL_REF_EXPR):
-            ref = c.referenced
-            if ref is not None and "Mutex" in ref.type.spelling:
-                owner = ref.semantic_parent
-                if owner is not None and owner.kind in (
-                        cindex.CursorKind.CLASS_DECL,
-                        cindex.CursorKind.STRUCT_DECL):
-                    oq, _ = _cursor_qualname(ref)
-                    return oq, True
-                return f"local:{fi.qualname}::{ref.spelling}", True
-        stack.extend(c.get_children())
-    return _resolve_lock_expr(model, fi, ci, expr)
-
-
-# ---------------------------------------------------------------------------
 # Lock summaries: which locks does calling f acquire (transitively)?
 # ---------------------------------------------------------------------------
 
 def resolve_callee(model: Model, fi: FunctionInfo,
-                   call: CallEvent) -> FunctionInfo | None:
+                   call: CallEvent) -> str | None:
+    """Qualified name of the modeled function `call` reaches, or None."""
     if call.recv_class and call.recv_class != "?":
         ci = model.class_by_name(call.recv_class)
         owner = ci.qual if ci is not None else call.recv_class
-        method = model.functions.get(f"{owner}::{call.name}")
-        if method is not None:
-            return method
+        if f"{owner}::{call.name}" in model.functions:
+            return f"{owner}::{call.name}"
     if not fi.cls or call.recv_class != fi.cls:
         return None
     # An implicit-this call that names no method is a free function in an
@@ -1019,35 +957,35 @@ def resolve_callee(model: Model, fi: FunctionInfo,
     ns = fi.cls.rpartition("::")[0]
     while ns:
         free = model.functions.get(f"{ns}::{call.name}")
-        if free is not None and not free.cls:
-            return free
+        if free is not None and not free[0].cls:
+            return f"{ns}::{call.name}"
         ns = ns.rpartition("::")[0]
     return None
 
 
-def compute_summaries(model: Model, depth: int
+def compute_summaries(model: Model
                       ) -> dict[str, dict[str, tuple[str, int, str]]]:
-    """qualname -> {lock_id: (rel, line, via)} where `via` describes the
-    call chain that reaches the acquisition."""
-    summaries: dict[str, dict[str, tuple[str, int, str]]] = {}
-    for qn, fi in model.functions.items():
-        direct: dict[str, tuple[str, int, str]] = {}
+    """qualname -> {lock_id: (rel, line, via)} over the union of every body
+    with that name, where `via` describes the call chain that reaches the
+    acquisition."""
+    summaries: dict[str, dict[str, tuple[str, int, str]]] = {
+        qn: {} for qn in model.functions}
+    for fi in model.bodies():
         for ev in fi.lock_events:
             if ev.kind == "mutex" and ev.resolved:
-                direct.setdefault(ev.lock_id, (fi.rel, ev.line, ""))
-        summaries[qn] = direct
-    for _ in range(max(1, depth)):
+                summaries[fi.qualname].setdefault(ev.lock_id,
+                                                  (fi.rel, ev.line, ""))
+    for _ in range(CALL_DEPTH):
         changed = False
-        for qn, fi in model.functions.items():
-            mine = summaries[qn]
+        for fi in model.bodies():
+            mine = summaries[fi.qualname]
             for call in fi.calls:
                 callee = resolve_callee(model, fi, call)
-                if callee is None or callee.qualname == qn:
+                if callee is None or callee == fi.qualname:
                     continue
-                for lock_id, (rel, line, via) in \
-                        summaries[callee.qualname].items():
+                for lock_id, (rel, line, via) in summaries[callee].items():
                     if lock_id not in mine:
-                        chain = callee.qualname.split("::")[-1]
+                        chain = callee.split("::")[-1]
                         if via:
                             chain += " -> " + via
                         mine[lock_id] = (rel, line, chain)
@@ -1074,7 +1012,7 @@ class LockEdge:
 def observed_edges(model: Model, summaries) -> list[LockEdge]:
     edges: list[LockEdge] = []
     seen: set[tuple[str, str, str, int]] = set()
-    for qn, fi in model.functions.items():
+    for fi in model.bodies():
         mutex_events = [e for e in fi.lock_events if e.kind == "mutex"]
         for outer in mutex_events:
             if not outer.resolved:
@@ -1092,16 +1030,12 @@ def observed_edges(model: Model, summaries) -> list[LockEdge]:
                 if not (outer.pos < call.pos < outer.end):
                     continue
                 callee = resolve_callee(model, fi, call)
-                if callee is None or callee.qualname == qn:
+                if callee is None or callee == fi.qualname:
                     continue
-                for lock_id, (rel, line, via) in \
-                        summaries[callee.qualname].items():
-                    if lock_id == outer.lock_id:
-                        # Re-acquisition through a callee is reported as a
-                        # self-edge (a real deadlock with non-reentrant
-                        # mm::Mutex).
-                        pass
-                    chain = callee.qualname.split("::")[-1]
+                # Re-acquiring the outer lock through a callee yields a
+                # self-edge: a real deadlock with non-reentrant mm::Mutex.
+                for lock_id, (rel, line, via) in summaries[callee].items():
+                    chain = callee.split("::")[-1]
                     if via:
                         chain += " -> " + via
                     key = (outer.lock_id, lock_id, fi.rel, call.line)
@@ -1232,13 +1166,12 @@ def check_mml101(model: Model, summaries, dot_path: str | None,
     leaf_ids = {mf.lock_id: mf for mf in model.all_mutexes() if mf.leaf}
 
     for e in obs:
-        sf = model.files.get(e.rel)
+        sf = model.files[e.rel]
         if e.src == e.dst:
-            msg = (f"{e.src} re-acquired while already held"
-                   + (f" (via {e.via})" if e.via else "")
-                   + " — mm::Mutex is non-reentrant; this self-deadlocks")
-            if sf is None or not sf.suppressed(e.line, "MML101"):
-                findings.append(Finding(e.rel, e.line, "MML101", msg))
+            sf.report(findings, e.line, "MML101",
+                      f"{e.src} re-acquired while already held"
+                      + (f" (via {e.via})" if e.via else "")
+                      + " — mm::Mutex is non-reentrant; this self-deadlocks")
             continue
         if e.dst.startswith("local:") or e.src.startswith("local:"):
             continue  # function-local mutexes have no global ordering
@@ -1247,13 +1180,11 @@ def check_mml101(model: Model, summaries, dot_path: str | None,
         if e.dst in leaf_ids:
             continue  # leaf locks never nest further; declaration waived
         via = f" (via {e.via})" if e.via else ""
-        if sf is None or not sf.suppressed(e.line, "MML101"):
-            findings.append(Finding(
-                e.rel, e.line, "MML101",
-                f"nested acquisition {e.src} -> {e.dst}{via} is not "
-                f"declared: add MM_ACQUIRED_BEFORE on {e.src} (or "
-                f"MM_ACQUIRED_AFTER on {e.dst}) — the lock hierarchy is an "
-                "explicit contract (DESIGN.md §10)"))
+        sf.report(findings, e.line, "MML101",
+                  f"nested acquisition {e.src} -> {e.dst}{via} is not "
+                  f"declared: add MM_ACQUIRED_BEFORE on {e.src} (or "
+                  f"MM_ACQUIRED_AFTER on {e.dst}) — the lock hierarchy is an "
+                  "explicit contract (DESIGN.md §10)")
 
     # Cycle detection over observed + declared edges.
     adj: dict[str, set[str]] = {}
@@ -1343,21 +1274,17 @@ def write_dot(model: Model, obs: list[LockEdge], decl: list[LockEdge],
 
 def check_mml102(model: Model) -> list[Finding]:
     findings: list[Finding] = []
-    for fi in model.functions.values():
+    for fi in model.bodies():
         ci = model.classes.get(fi.cls)
         if ci is None or not ci.guarded:
             continue
-        sf = model.files.get(fi.rel)
-        if sf is None:
-            continue
+        sf = model.files[fi.rel]
         body = sf.code[fi.open + 1:fi.close - 1]
         base = fi.open + 1
         names = "|".join(re.escape(g) for g in ci.guarded)
 
         def emit(pos: int, msg: str) -> None:
-            line = sf.line_of(pos)
-            if not sf.suppressed(line, "MML102"):
-                findings.append(Finding(sf.rel, line, "MML102", msg))
+            sf.report(findings, sf.line_of(pos), "MML102", msg)
 
         # E1a: return &guarded;
         for m in re.finditer(r"\breturn\s*&\s*(" + names + r")\b", body):
@@ -1423,12 +1350,10 @@ def check_mml102(model: Model) -> list[Finding]:
 
 def check_mml103(model: Model) -> list[Finding]:
     findings: list[Finding] = []
-    for fi in model.functions.values():
+    for fi in model.bodies():
         if any(part in fi.rel for part in SEQLOCK_EXEMPT):
             continue
-        sf = model.files.get(fi.rel)
-        if sf is None:
-            continue
+        sf = model.files[fi.rel]
         body = sf.code[fi.open + 1:fi.close - 1]
         base = fi.open + 1
         guards = [e for e in fi.lock_events if e.kind == "frame"]
@@ -1437,9 +1362,7 @@ def check_mml103(model: Model) -> list[Finding]:
             return any(g.pos < pos < g.end for g in guards)
 
         def emit(pos: int, msg: str) -> None:
-            line = sf.line_of(pos)
-            if not sf.suppressed(line, "MML103"):
-                findings.append(Finding(sf.rel, line, "MML103", msg))
+            sf.report(findings, sf.line_of(pos), "MML103", msg)
 
         for m in STORE_BYTES_RE.finditer(body):
             pos = base + m.start()
@@ -1515,13 +1438,11 @@ def check_mml104(sf: SourceFile) -> list[Finding]:
     findings: list[Finding] = []
 
     def emit(line: int, what: str) -> None:
-        if not sf.suppressed(line, "MML104"):
-            findings.append(Finding(
-                rel, line, "MML104",
-                f"{what} breaks deterministic replay — route time through "
-                "sim::VirtualClock / Env::NowS and randomness through a "
-                "seeded engine (DESIGN.md §4); benches measuring real time "
-                "belong on the MML104 allowlist"))
+        sf.report(findings, line, "MML104",
+                  f"{what} breaks deterministic replay — route time through "
+                  "sim::VirtualClock / Env::NowS and randomness through a "
+                  "seeded engine (DESIGN.md §4); benches measuring real time "
+                  "belong on the MML104 allowlist")
 
     for idx, line in enumerate(sf.code_lines):
         m = WALL_CLOCK_RE.search(line)
@@ -1540,21 +1461,243 @@ def check_mml104(sf: SourceFile) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# Per-line and per-file rules: MML001, MML004–MML011
+# ---------------------------------------------------------------------------
+
+def _runtime(rel: str) -> bool:
+    return rel.startswith(("include/", "src/"))
+
+
+def check_mml001(sf: SourceFile) -> list[Finding]:
+    if not _runtime(sf.rel) or "/util/" in sf.rel:
+        return []
+    findings: list[Finding] = []
+    for idx, line in enumerate(sf.code_lines):
+        m = RAW_SYNC_RE.search(line)
+        if m:
+            sf.report(findings, idx + 1, "MML001",
+                      f"raw `{m.group(0).strip()}` outside util/ — use "
+                      "mm::Mutex / mm::MutexLock / mm::CondVar "
+                      "(mm/util/mutex.h)")
+    return findings
+
+
+def check_mml004(model: Model) -> list[Finding]:
+    """MM_CHECK in a hot-path body. A modeled name matches a HOT_PATHS entry
+    when it is a suffix of it, so definitions outside their namespace or
+    class scope still resolve."""
+    findings: list[Finding] = []
+    for fi in model.bodies():
+        base = os.path.basename(fi.rel)
+        hot = next((qn for part, qn in HOT_PATHS if part in base and (
+            qn == fi.qualname or qn.endswith("::" + fi.qualname))), None)
+        if hot is None:
+            continue
+        sf = model.files[fi.rel]
+        cm = MM_CHECK_RE.search(sf.code, fi.open, fi.close)
+        if cm:
+            short = "::".join(hot.split("::")[-2:])
+            sf.report(findings, sf.line_of(cm.start()), "MML004",
+                      f"MM_CHECK inside hot path {short} (DESIGN.md §7: the "
+                      "fast path must stay check-free; validate at the "
+                      "scalar entry points instead)")
+    return findings
+
+
+def check_mml005(sf: SourceFile) -> list[Finding]:
+    findings: list[Finding] = []
+    for idx, line in enumerate(sf.code_lines):
+        if not VOID_DISCARD_RE.search(line):
+            continue
+        # The reason comment lives in the original text (code is stripped).
+        above = sf.lines[idx - 1] if idx > 0 else ""
+        if "//" in sf.lines[idx] or above.lstrip().startswith("//"):
+            continue
+        sf.report(findings, idx + 1, "MML005",
+                  "(void)-discard without a reason comment — say why the "
+                  "result cannot matter, on this line or the line above")
+    return findings
+
+
+def check_mml006(sf: SourceFile) -> list[Finding]:
+    # Runtime code only: tests/benches may register ad-hoc fixture names.
+    # Scans the original text because string literals are blanked in code.
+    if not _runtime(sf.rel):
+        return []
+    findings: list[Finding] = []
+    for m in METRIC_GET_RE.finditer(sf.text):
+        name = m.group(1)
+        line = sf.line_of(m.start(1))  # the literal itself (multi-line calls)
+        if not METRIC_NAME_RE.fullmatch(name):
+            sf.report(findings, line, "MML006",
+                      f'metric name "{name}" must match '
+                      "`mm.<subsystem>.<name>` "
+                      "(lowercase letters and underscores)")
+        elif not name.endswith(METRIC_UNIT_SUFFIXES):
+            sf.report(findings, line, "MML006",
+                      f'metric name "{name}" lacks a unit suffix '
+                      f"({', '.join(METRIC_UNIT_SUFFIXES)})")
+    return findings
+
+
+def check_mml007(model: Model) -> list[Finding]:
+    # Scans the original text so path expressions like `path + ".tmp"` stay
+    # visible.
+    findings: list[Finding] = []
+    for sf in model.files.values():
+        if not sf.rel.startswith(CKPT_DIRS):
+            continue
+        for m in CKPT_STREAM_RE.finditer(sf.text):
+            stmt = m.group(0)
+            if "ios::app" in stmt:
+                continue  # the redo journal IS the write-ahead log
+            if re.search(r"tmp|temp", stmt, re.IGNORECASE):
+                continue  # the temp half of a temp+rename publish
+            fi = model.enclosing_function(sf.rel, m.start())
+            if fi is not None and re.search(r"\brename\s*\(",
+                                            sf.code[fi.open:fi.close]):
+                continue  # the same function renames the file into place
+            sf.report(findings, sf.line_of(m.start()), "MML007",
+                      "direct stream open of a final path in ckpt code — "
+                      "publish via write-to-temp + std::filesystem::rename "
+                      "(or open the journal in append mode)")
+    return findings
+
+
+def check_mml008(sf: SourceFile) -> list[Finding]:
+    if not _runtime(sf.rel) or sf.rel.startswith(COMM_DIRS):
+        return []
+    findings: list[Finding] = []
+    for idx, line in enumerate(sf.code_lines):
+        m = UNBOUNDED_RECV_RE.search(line)
+        if m:
+            sf.report(findings, idx + 1, "MML008",
+                      f"unbounded `{m.group(1)}` outside comm/ aborts on "
+                      "peer death — use the deadline variant "
+                      f"`{m.group(1)}Or` and route kPeerDead into recovery")
+    return findings
+
+
+def check_mml009(sf: SourceFile) -> list[Finding]:
+    if any(part in sf.rel for part in SEQLOCK_EXEMPT):
+        return []
+    findings: list[Finding] = []
+    for idx, line in enumerate(sf.code_lines):
+        m = FRAME_VERSION_RE.search(line)
+        if m:
+            sf.report(findings, idx + 1, "MML009",
+                      f"raw `{m.group(1)}` version access outside the "
+                      "seqlock implementation — use OptimisticGuard::"
+                      "Version/SetVersion (reads need the acquire + "
+                      "validate protocol, writes a FrameWriteGuard)")
+    return findings
+
+
+def check_mml011(sf: SourceFile) -> list[Finding]:
+    if sf.rel.startswith(TREE_NODE_EXEMPT):
+        return []
+    findings: list[Finding] = []
+    for idx, line in enumerate(sf.code_lines):
+        m = TREE_NODE_UNION_RE.search(line)
+        what = "byte" if m else "field"
+        m = m or TREE_NODE_IDENT_RE.search(line)
+        if m:
+            sf.report(findings, idx + 1, "MML011",
+                      f"raw node {what} access `{m.group(1)}.{m.group(2)}` "
+                      "outside index/ — go through mm::BTree (or NodeRef "
+                      "over a guard-validated snapshot)")
+    return findings
+
+
+def expand_token(token: str) -> list[str]:
+    """Expands `{a,b}_x` brace groups combinatorially: `{a,b}_{c,d}` ->
+    a_c, a_d, b_c, b_d. Tokens without braces pass through unchanged."""
+    m = BRACE_RE.search(token)
+    if not m:
+        return [token]
+    out: list[str] = []
+    for alt in m.group(1).split(","):
+        out.extend(expand_token(token[:m.start()] + alt.strip() +
+                                token[m.end():]))
+    return out
+
+
+def parse_metric_catalog(design_text: str) -> dict[str, int] | None:
+    """Full metric names -> 1-based DESIGN.md line, from the §11 catalog
+    table. None when the `### Metric catalog` section is missing."""
+    lines = design_text.split("\n")
+    start = next((i for i, line in enumerate(lines)
+                  if line.strip() == CATALOG_HEADER), None)
+    if start is None:
+        return None
+    names: dict[str, int] = {}
+    for idx in range(start + 1, len(lines)):
+        line = lines[idx]
+        if line.startswith("#"):
+            break  # next section
+        stripped = line.strip()
+        if not stripped.startswith("|"):
+            continue
+        cells = [c.strip() for c in stripped.strip("|").split("|")]
+        fam = CATALOG_FAMILY_RE.match(cells[0]) if len(cells) >= 2 else None
+        if fam is None:
+            continue  # header / divider rows
+        for tok in CATALOG_TOKEN_RE.finditer(cells[1]):
+            for name in expand_token(tok.group(1)):
+                names.setdefault(fam.group(1) + "." + name, idx + 1)
+    return names
+
+
+def check_mml010(model: Model, design_text: str | None) -> list[Finding]:
+    """Code metric literals in include/ + src/ vs the DESIGN.md §11 catalog,
+    both directions. Without a DESIGN.md there is nothing to check."""
+    if design_text is None:
+        return []
+    catalog = parse_metric_catalog(design_text)
+    if catalog is None:
+        return [Finding("DESIGN.md", 1, "MML010",
+                        f"missing `{CATALOG_HEADER}` section in §11 — the "
+                        "metric catalog is the contract MML010 checks "
+                        "registrations against")]
+    used: dict[str, tuple[str, int]] = {}
+    for sf in model.files.values():
+        if not _runtime(sf.rel):
+            continue
+        for m in METRIC_GET_RE.finditer(sf.text):
+            name = m.group(1)
+            if not name.startswith("mm."):
+                continue  # MML006's problem, not drift
+            line = sf.line_of(m.start(1))
+            if not sf.suppressed(line, "MML010"):
+                used.setdefault(name, (sf.rel, line))
+    findings = [Finding(*used[name], "MML010",
+                        f'metric "{name}" is not in the DESIGN.md §11 '
+                        "metric catalog — add it to the family table")
+                for name in sorted(used) if name not in catalog]
+    findings += [Finding("DESIGN.md", catalog[name], "MML010",
+                         f'catalog metric "{name}" is not registered '
+                         "anywhere in include/ or src/ — remove the entry "
+                         "or wire the metric up")
+                 for name in sorted(catalog) if name not in used]
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # MML002: per-variable PagePool buffer dataflow
 # ---------------------------------------------------------------------------
 
-def check_mml002_ast(model: Model) -> list[Finding]:
+def check_mml002(model: Model) -> list[Finding]:
     findings: list[Finding] = []
-    for fi in model.functions.values():
-        sf = model.files.get(fi.rel)
-        if sf is None:
-            continue
+    for fi in model.bodies():
+        sf = model.files[fi.rel]
         body = sf.code[fi.open + 1:fi.close - 1]
         base = fi.open + 1
+        if "Acquire" not in body:
+            continue
         for m in ACQUIRE_ASSIGN_RE.finditer(body):
             var = m.group(1)
             rest = body[m.end():]
-            if _buffer_handed_off(model, fi, rest, var):
+            if _buffer_handed_off(rest, var):
                 continue
             # `out.data = pool_.Acquire...` — m.group(1) only captures the
             # last identifier; detect the member-store shape and treat the
@@ -1563,20 +1706,15 @@ def check_mml002_ast(model: Model) -> list[Finding]:
             stmt = body[stmt_start:m.end()]
             if MEMBER_ACQUIRE_RE.search(stmt):
                 continue
-            pos = base + m.start(1)
-            line = sf.line_of(pos)
-            if not sf.suppressed(line, "MML002"):
-                findings.append(Finding(
-                    sf.rel, line, "MML002",
-                    f"PagePool buffer `{var}` is neither PoolReturn-guarded,"
-                    " std::move'd, Release'd, returned, nor handed to a "
-                    "callee after Acquire — it leaks out of the recycling "
-                    "loop"))
+            sf.report(findings, sf.line_of(base + m.start(1)), "MML002",
+                      f"PagePool buffer `{var}` is neither PoolReturn-"
+                      "guarded, std::move'd, Release'd, returned, nor handed "
+                      "to a callee after Acquire — it leaks out of the "
+                      "recycling loop")
     return findings
 
 
-def _buffer_handed_off(model: Model, fi: FunctionInfo, rest: str,
-                       var: str) -> bool:
+def _buffer_handed_off(rest: str, var: str) -> bool:
     v = re.escape(var)
     if re.search(r"\bPoolReturn\s+\w+\s*[({][^;]*\b" + v + r"\b", rest):
         return True
@@ -1602,10 +1740,10 @@ def _buffer_handed_off(model: Model, fi: FunctionInfo, rest: str,
 # MML003: class-level Pin/Unpin tally
 # ---------------------------------------------------------------------------
 
-def check_mml003_ast(model: Model) -> list[Finding]:
+def check_mml003(model: Model) -> list[Finding]:
     findings: list[Finding] = []
     tallies: dict[str, dict[str, list[tuple[str, int]]]] = {}
-    for fi in model.functions.values():
+    for fi in model.bodies():
         cls = fi.cls or f"<free:{fi.rel}>"
         if cls.endswith("PCache"):
             continue  # the definitions themselves
@@ -1619,14 +1757,11 @@ def check_mml003_ast(model: Model) -> list[Finding]:
         if len(pins) == len(unpins):
             continue
         rel, line = (pins or unpins)[0]
-        sf = model.files.get(rel)
-        if sf is not None and sf.suppressed(line, "MML003"):
-            continue
-        findings.append(Finding(
-            rel, line, "MML003",
+        model.files[rel].report(
+            findings, line, "MML003",
             f"Pin/Unpin imbalance in {cls}: {len(pins)} Pin vs "
             f"{len(unpins)} Unpin call sites across the class — a leaked "
-            "pin makes the frame unevictable"))
+            "pin makes the frame unevictable")
     return findings
 
 
@@ -1634,56 +1769,79 @@ def check_mml003_ast(model: Model) -> list[Finding]:
 # Driver
 # ---------------------------------------------------------------------------
 
-def collect_tree(root: str) -> list[str]:
-    files = []
-    for d in sorted(set(MODEL_DIRS + LEXICAL_DIRS)):
-        top = os.path.join(root, d)
-        if not os.path.isdir(top):
-            continue
-        for dirpath, _dirs, names in os.walk(top):
+def read_tree(root: str) -> list[tuple[str, str]]:
+    """[(rel_path, text)] for every source file under SOURCE_DIRS."""
+    file_texts: list[tuple[str, str]] = []
+    for d in SOURCE_DIRS:
+        for dirpath, dirs, names in os.walk(os.path.join(root, d)):
+            dirs.sort()
             for name in sorted(names):
-                if name.endswith(SOURCE_EXTS):
-                    files.append(os.path.join(dirpath, name))
-    return files
+                if not name.endswith(SOURCE_EXTS):
+                    continue
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, root)
+                try:
+                    with open(path, "r", encoding="utf-8",
+                              errors="replace") as f:
+                        file_texts.append((rel, f.read()))
+                except OSError as e:
+                    print(f"mm_verify: warning: unreadable {rel}: {e}",
+                          file=sys.stderr)
+    return file_texts
 
 
 def build_model(file_texts: list[tuple[str, str]]) -> Model:
     """file_texts: [(rel_path, text)]. Declarations first (so cross-file
-    receiver types resolve), then function bodies."""
+    receiver types resolve), then function bodies; tests/ is not modeled."""
     model = Model()
     for rel, text in file_texts:
-        model.files[rel.replace(os.sep, "/")] = SourceFile(rel, text)
-    for sf in model.files.values():
-        parse_declarations(model, sf)
-    for sf in model.files.values():
-        parse_functions_textual(model, sf)
+        sf = SourceFile(rel, text)
+        model.files[sf.rel] = sf
+    modeled = [(sf, collect_scopes(sf)) for sf in model.files.values()
+               if not sf.rel.startswith(LEXICAL_ONLY_DIRS)]
+    for sf, scopes in modeled:
+        parse_declarations(model, sf, scopes)
+    for sf, scopes in modeled:
+        parse_functions_textual(model, sf, scopes)
     return model
 
 
+FILE_RULES = (check_mml001, check_mml005, check_mml006, check_mml008,
+              check_mml009, check_mml011, check_mml104)
+MODEL_RULES = (check_mml002, check_mml003, check_mml004, check_mml007,
+               check_mml102, check_mml103)
+
+
 def run_rules(model: Model, dot_path: str | None = None,
-              call_depth: int = 3, verbose: bool = False,
-              rules: tuple[str, ...] = ("MML101", "MML102", "MML103",
-                                        "MML104", "MML002", "MML003"),
-              ) -> list[Finding]:
+              verbose: bool = False,
+              design_text: str | None = None) -> list[Finding]:
+    """Every rule over the model; MML010 runs when design_text (DESIGN.md)
+    is given."""
     findings: list[Finding] = []
     for sf in model.files.values():
         findings.extend(sf.bad_suppressions)
-    summaries = compute_summaries(model, call_depth)
-    if "MML101" in rules:
-        findings.extend(check_mml101(model, summaries, dot_path, verbose))
-    if "MML102" in rules:
-        findings.extend(check_mml102(model))
-    if "MML103" in rules:
-        findings.extend(check_mml103(model))
-    if "MML104" in rules:
-        for sf in model.files.values():
-            findings.extend(check_mml104(sf))
-    if "MML002" in rules:
-        findings.extend(check_mml002_ast(model))
-    if "MML003" in rules:
-        findings.extend(check_mml003_ast(model))
+        for check in FILE_RULES:
+            findings.extend(check(sf))
+    for check in MODEL_RULES:
+        findings.extend(check(model))
+    findings.extend(check_mml101(model, compute_summaries(model), dot_path,
+                                 verbose))
+    findings.extend(check_mml010(model, design_text))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
+
+
+def analyze(root: str, dot_path: str | None = None,
+            verbose: bool = False) -> tuple[Model, list[Finding]]:
+    """Scans the tree under root once and runs every rule."""
+    model = build_model(read_tree(root))
+    try:
+        with open(os.path.join(root, "DESIGN.md"), "r", encoding="utf-8",
+                  errors="replace") as f:
+            design_text: str | None = f.read()
+    except OSError:
+        design_text = None
+    return model, run_rules(model, dot_path, verbose, design_text)
 
 
 def main(argv: list[str]) -> int:
@@ -1692,55 +1850,21 @@ def main(argv: list[str]) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     default_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser.add_argument("--root", default=default_root)
-    parser.add_argument("-p", "--build-dir", default=None,
-                        help="directory holding compile_commands.json "
-                             "(default: <root>/build)")
-    parser.add_argument("--frontend", choices=("auto", "textual", "libclang"),
-                        default="auto",
-                        help="auto tries libclang and falls back to the "
-                             "textual parser with a warning")
     parser.add_argument("--dot", default=None,
                         help="lock-hierarchy DOT output path "
                              "(default: <root>/build/lock_hierarchy.dot; "
                              "'-' disables)")
-    parser.add_argument("--call-depth", type=int, default=3,
-                        help="callee lock-summary propagation depth")
     parser.add_argument("--verbose", action="store_true",
                         help="print every observed lock edge")
     parser.add_argument("files", nargs="*",
-                        help="restrict REPORTED findings to these paths "
-                             "(the model is always whole-tree)")
+                        help="report findings only for these paths "
+                             "(the whole tree is always analyzed)")
     args = parser.parse_args(argv)
 
-    def warn(msg: str) -> None:
-        print(f"mm_verify: warning: {msg}", file=sys.stderr)
-
     root = os.path.abspath(args.root)
-    build_dir = args.build_dir or os.path.join(root, "build")
-    file_texts: list[tuple[str, str]] = []
-    for path in collect_tree(root):
-        rel = os.path.relpath(path, root)
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as f:
-                file_texts.append((rel, f.read()))
-        except OSError as e:
-            warn(f"unreadable {rel}: {e}")
-    model = build_model(file_texts)
-
-    if args.frontend in ("auto", "libclang"):
-        ok = parse_functions_libclang(model, root, build_dir, warn)
-        if not ok and args.frontend == "libclang":
-            warn("libclang frontend requested but unavailable; "
-                 "rules still ran on the textual model")
-
-    dot_path = args.dot
-    if dot_path is None:
-        dot_path = os.path.join(root, "build", "lock_hierarchy.dot")
-    elif dot_path == "-":
-        dot_path = None
-
-    findings = run_rules(model, dot_path=dot_path,
-                         call_depth=args.call_depth, verbose=args.verbose)
+    dot_path = args.dot or os.path.join(root, "build", "lock_hierarchy.dot")
+    model, findings = analyze(root, None if dot_path == "-" else dot_path,
+                              args.verbose)
     if args.files:
         wanted = {os.path.relpath(os.path.abspath(f), root).replace(
             os.sep, "/") for f in args.files}
@@ -1748,10 +1872,8 @@ def main(argv: list[str]) -> int:
 
     for f in findings:
         print(f)
-    n_funcs = len(model.functions)
-    n_locks = len(model.all_mutexes())
-    tag = (f"frontend={model.frontend}, {n_funcs} functions, "
-           f"{n_locks} mutexes")
+    tag = (f"{len(model.bodies())} functions, "
+           f"{len(model.all_mutexes())} mutexes")
     if findings:
         print(f"mm_verify: {len(findings)} finding(s) ({tag})",
               file=sys.stderr)

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Unit tests for ci/mm_verify.py: fixture C++ snippets per rule, plus the
-repo-tree-is-clean gate. Mirrors ci/test_mm_lint.py.
+"""Unit tests for ci/mm_verify.py: fixture C++ snippets per rule (one
+positive and one negative fixture at least), the suppression machinery, and
+the repo-tree-is-clean gate.
 
 Usage: python3 ci/test_mm_verify.py
 """
@@ -16,17 +17,28 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import mm_verify  # noqa: E402
 
 
-def verify(files: dict[str, str], rules=None, dot_path=None, depth=3):
+def verify(files: dict[str, str], dot_path=None):
     model = mm_verify.build_model(sorted(files.items()))
-    kwargs = {"dot_path": dot_path, "call_depth": depth}
-    if rules is not None:
-        kwargs["rules"] = rules
-    return model, mm_verify.run_rules(model, **kwargs)
+    return model, mm_verify.run_rules(model, dot_path=dot_path)
 
 
 def findings_for(files: dict[str, str], rule: str, **kw):
     _, fs = verify(files, **kw)
     return [f for f in fs if f.rule == rule]
+
+
+def lint_snippet(snippet: str, rel: str = "src/core/fake.cc"):
+    """Every finding on a one-file tree holding `snippet` at `rel`."""
+    return verify({rel: snippet})[1]
+
+
+def rules_of(findings):
+    return [f.rule for f in findings]
+
+
+def catalog_findings(root: str):
+    """MML010 findings of a whole-tree run over a fake repo at root."""
+    return [f for f in mm_verify.analyze(root)[1] if f.rule == "MML010"]
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +319,61 @@ class A {
         cycles = [f for f in fs if "cycle" in f.message]
         self.assertEqual(len(cycles), 1, fs)
         self.assertIn("declared at", cycles[0].message)
+
+    def test_every_overload_is_analyzed(self):
+        # Only the first Put nests the locks; a model keyed by name alone
+        # would keep the second body and miss the edge.
+        files = {
+            "src/x/a.cc": """
+namespace mm::x {
+class B {
+ public:
+  Mutex mu_;
+};
+class A {
+ public:
+  void Put(int k, B& b) {
+    MutexLock lock(mu_);
+    MutexLock inner(b.mu_);
+  }
+  void Put(int k) { MutexLock lock(mu_); }
+  Mutex mu_;
+};
+}  // namespace mm::x
+""",
+        }
+        model, fs = verify(files)
+        self.assertEqual(len(model.functions["mm::x::A::Put"]), 2)
+        fs = [f for f in fs if f.rule == "MML101"]
+        self.assertEqual(len(fs), 1, fs)
+        self.assertIn("mm::x::A::mu_ -> mm::x::B::mu_", fs[0].message)
+
+    def test_callee_summary_unions_overloads(self):
+        # The model cannot tell overloads apart by their arguments, so a
+        # call to Put takes the union of every Put body's locks.
+        files = {
+            "src/x/a.cc": """
+namespace mm::x {
+class B {
+ public:
+  void Put(int k) { MutexLock lock(mu_); }
+  void Put(int k, int v) {}
+  Mutex mu_;
+};
+class A {
+ public:
+  void Go(B& b) {
+    MutexLock lock(mu_);
+    b.Put(1, 2);
+  }
+  Mutex mu_;
+};
+}  // namespace mm::x
+""",
+        }
+        fs = findings_for(files, "MML101")
+        self.assertEqual(len(fs), 1, fs)
+        self.assertIn("via Put", fs[0].message)
 
 
 class TestLockHierarchyDot(unittest.TestCase):
@@ -677,7 +744,7 @@ class TestMML104Determinism(unittest.TestCase):
 
 
 # ---------------------------------------------------------------------------
-# MML002/MML003 (the only implementations; mm_lint keeps no regex copy)
+# MML002/MML003: PagePool buffer dataflow, Pin/Unpin balance
 # ---------------------------------------------------------------------------
 
 class TestMML002PoolDataflow(unittest.TestCase):
@@ -805,24 +872,6 @@ class A {
         }
         self.assertEqual(findings_for(files, "MML002"), [])
 
-    def test_mm_lint_suppression_spelling_honored(self):
-        files = {
-            "src/x/a.cc": """
-namespace mm::x {
-class A {
- public:
-  void Leak() {
-    // mm-lint: allow(MML002 fixture hands the buffer off out of band)
-    auto buf = pool_.Acquire(4096);
-    buf[0] = 1;
-  }
-  PagePool pool_;
-};
-}  // namespace mm::x
-""",
-        }
-        self.assertEqual(findings_for(files, "MML002"), [])
-
 class TestMML003PinBalance(unittest.TestCase):
     def test_unbalanced_class_flagged(self):
         files = {
@@ -858,9 +907,8 @@ class A {
         self.assertEqual(findings_for(files, "MML003"), [])
 
     def test_balanced_across_files_ok(self):
-        # The AST edition tallies per class, so a Pin in the header and the
-        # matching Unpin in the .cc must balance (mm_lint's per-file count
-        # would flag both files).
+        # The tally is per class, so a Pin in the header and the matching
+        # Unpin in the .cc must balance (a per-file count would flag both).
         files = {
             "include/mm/x/a.h": """
 namespace mm::x {
@@ -925,6 +973,562 @@ class PCache {
         self.assertEqual(findings_for(files, "MML003"), [])
 
 # ---------------------------------------------------------------------------
+# Per-line and per-file rules: MML001, MML004–MML011
+# ---------------------------------------------------------------------------
+
+class Mml001RawSyncTest(unittest.TestCase):
+    def test_flags_raw_mutex_in_core(self):
+        findings = lint_snippet("#include <mutex>\nstd::mutex mu_;\n")
+        self.assertEqual(rules_of(findings), ["MML001", "MML001"])
+
+    def test_flags_lock_guard_and_condvar(self):
+        snippet = ("std::lock_guard<std::mutex> lock(mu_);\n"
+                   "std::condition_variable cv_;\n")
+        self.assertEqual(rules_of(lint_snippet(snippet)),
+                         ["MML001", "MML001"])  # one finding per line
+
+    def test_allows_wrappers(self):
+        snippet = ('#include "mm/util/mutex.h"\n'
+                   "mm::Mutex mu_;\nmm::MutexLock lock(mu_);\n")
+        self.assertEqual(lint_snippet(snippet), [])
+
+    def test_util_is_exempt(self):
+        findings = lint_snippet("std::mutex mu_;\n",
+                                rel="include/mm/util/mutex.h")
+        self.assertEqual(findings, [])
+
+    def test_tests_are_exempt(self):
+        # Scope is include/ + src/: tests may build raw-primitive fixtures.
+        findings = lint_snippet("std::mutex mu_;\n", rel="tests/test_x.cc")
+        self.assertEqual(findings, [])
+
+    def test_commented_mention_is_ignored(self):
+        findings = lint_snippet("// replaces std::mutex with mm::Mutex\n")
+        self.assertEqual(findings, [])
+
+
+class Mml004HotPathTest(unittest.TestCase):
+    def test_flags_check_in_span_subscript(self):
+        snippet = ("T& operator[](std::uint64_t i) {\n"
+                   "  MM_CHECK(i < n_);\n"
+                   "  return *p_;\n"
+                   "}\n")
+        self.assertEqual(
+            rules_of(lint_snippet(snippet, rel="include/mm/core/vector.h")),
+            ["MML004"])
+
+    def test_check_free_hot_function_is_clean(self):
+        snippet = ("T& operator[](std::uint64_t i) {\n"
+                   "  return *p_;\n"
+                   "}\n")
+        self.assertEqual(
+            lint_snippet(snippet, rel="include/mm/core/vector.h"), [])
+
+    def test_flags_check_in_pcache_find(self):
+        snippet = ("PageFrame* PCache::Find(std::uint64_t page) {\n"
+                   "  MM_CHECK_MSG(page < max_, \"bad page\");\n"
+                   "  return nullptr;\n"
+                   "}\n")
+        self.assertEqual(
+            rules_of(lint_snippet(snippet, rel="src/core/pcache.cc")),
+            ["MML004"])
+
+    def test_cold_function_in_hot_file_is_clean(self):
+        snippet = ("void PCache::Validate() {\n"
+                   "  MM_CHECK(frames_.size() <= capacity_);\n"
+                   "}\n")
+        self.assertEqual(lint_snippet(snippet, rel="src/core/pcache.cc"), [])
+
+    def test_declaration_is_not_a_body(self):
+        snippet = "PageFrame* Find(std::uint64_t page);\n"
+        self.assertEqual(lint_snippet(snippet, rel="src/core/pcache.cc"), [])
+
+    def test_call_to_hot_function_is_not_its_body(self):
+        snippet = ("void PCache::Evict(std::uint64_t p) "
+                   "{ if (Find(p) != nullptr) { MM_CHECK(p < 10); } }\n")
+        self.assertEqual(lint_snippet(snippet, rel="src/core/pcache.cc"), [])
+
+    def test_span_subscript_overloads_are_modeled(self):
+        snippet = ("namespace mm::core {\n"
+                   "template <typename T>\n"
+                   "class Vector {\n"
+                   " public:\n"
+                   "  class Span {\n"
+                   "   public:\n"
+                   "    T& operator[](std::uint64_t i) { return p_[i]; }\n"
+                   "    const T& operator[](std::uint64_t i) const {\n"
+                   "      MM_CHECK(i < n_);\n"
+                   "      return p_[i];\n"
+                   "    }\n"
+                   "    T* p_;\n"
+                   "  };\n"
+                   "  std::size_t operator()(int k) const { return k; }\n"
+                   "};\n"
+                   "}  // namespace mm::core\n")
+        model, fs = verify({"include/mm/core/vector.h": snippet})
+        spans = model.functions["mm::core::Vector::Span::operator[]"]
+        self.assertEqual([model.files[f.rel].line_of(f.open) for f in spans],
+                         [7, 8])
+        self.assertIn("mm::core::Vector::operator()", model.functions)
+        self.assertEqual([(f.rule, f.line) for f in fs], [("MML004", 9)])
+
+
+class Mml005VoidDiscardTest(unittest.TestCase):
+    def test_flags_bare_discard(self):
+        snippet = "void F() {\n  (void)DoThing();\n}\n"
+        self.assertEqual(rules_of(lint_snippet(snippet)), ["MML005"])
+
+    def test_same_line_comment_is_clean(self):
+        snippet = "void F() {\n  (void)DoThing();  // teardown path\n}\n"
+        self.assertEqual(lint_snippet(snippet), [])
+
+    def test_preceding_comment_is_clean(self):
+        snippet = ("void F() {\n"
+                   "  // Best-effort cleanup; failure only wastes bytes.\n"
+                   "  (void)DoThing();\n"
+                   "}\n")
+        self.assertEqual(lint_snippet(snippet), [])
+
+    def test_void_cast_in_cast_expression_unflagged(self):
+        # `(void*)` is a pointer cast, not a discard.
+        snippet = "void F() {\n  auto* p = (void*)buf;\n}\n"
+        self.assertEqual(lint_snippet(snippet), [])
+
+
+class Mml006MetricNamesTest(unittest.TestCase):
+    def test_flags_wrong_scheme(self):
+        snippet = 'void F() {\n  reg.GetCounter("pcache_hits");\n}\n'
+        self.assertEqual(rules_of(lint_snippet(snippet)), ["MML006"])
+
+    def test_flags_missing_unit_suffix(self):
+        snippet = 'void F() {\n  reg.GetCounter("mm.pcache.hits");\n}\n'
+        self.assertEqual(rules_of(lint_snippet(snippet)), ["MML006"])
+
+    def test_flags_uppercase(self):
+        snippet = 'void F() {\n  reg.GetGauge("mm.Tier.used_bytes");\n}\n'
+        self.assertEqual(rules_of(lint_snippet(snippet)), ["MML006"])
+
+    def test_well_formed_names_are_clean(self):
+        snippet = ('void F() {\n'
+                   '  reg.GetCounter("mm.pcache.hit_count");\n'
+                   '  reg.GetGauge("mm.tier.dram_used_bytes");\n'
+                   '  reg.GetHistogram("mm.task.get_page_ns", bounds);\n'
+                   '}\n')
+        self.assertEqual(lint_snippet(snippet), [])
+
+    def test_multiline_call_is_checked(self):
+        snippet = ('void F() {\n'
+                   '  reg.GetHistogram(\n'
+                   '      "mm.service.fault.latency",\n'
+                   '      bounds);\n'
+                   '}\n')
+        findings = lint_snippet(snippet)
+        self.assertEqual(rules_of(findings), ["MML006"])
+        self.assertEqual(findings[0].line, 3)
+
+    def test_tests_and_bench_are_exempt(self):
+        snippet = 'void F() {\n  reg.GetCounter("whatever");\n}\n'
+        self.assertEqual(lint_snippet(snippet, rel="tests/test_x.cc"), [])
+        self.assertEqual(lint_snippet(snippet, rel="bench/hotpath.cc"), [])
+
+    def test_non_literal_first_arg_is_ignored(self):
+        # Dynamic names can't be validated statically; the catalog review
+        # catches them.
+        snippet = 'void F() {\n  reg.GetCounter(name);\n}\n'
+        self.assertEqual(lint_snippet(snippet), [])
+
+
+class Mml007AtomicPublishTest(unittest.TestCase):
+    def test_flags_direct_open_of_final_path(self):
+        snippet = ('void F(const std::string& path) {\n'
+                   '  std::ofstream out(path, std::ios::binary);\n'
+                   '  out << "x";\n'
+                   '}\n')
+        findings = lint_snippet(snippet, rel="src/ckpt/manifest.cc")
+        self.assertEqual(rules_of(findings), ["MML007"])
+        self.assertEqual(findings[0].line, 2)
+
+    def test_tmp_named_path_is_clean(self):
+        snippet = ('void F(const std::string& path) {\n'
+                   '  std::string tmp = path + ".tmp";\n'
+                   '  std::ofstream out(tmp, std::ios::binary);\n'
+                   '}\n')
+        self.assertEqual(lint_snippet(snippet, rel="src/ckpt/manifest.cc"), [])
+
+    def test_append_mode_is_clean(self):
+        # The redo journal IS the write-ahead log: append-mode opens of the
+        # journal file are the mechanism, not a violation.
+        snippet = ('void F(const std::string& path) {\n'
+                   '  std::ofstream out(path,'
+                   ' std::ios::binary | std::ios::app);\n'
+                   '}\n')
+        self.assertEqual(lint_snippet(snippet, rel="src/ckpt/journal.cc"), [])
+
+    def test_renaming_function_is_clean(self):
+        snippet = ('void F(const std::string& path, const std::string& f) {\n'
+                   '  std::ofstream out(f, std::ios::binary);\n'
+                   '  out.close();\n'
+                   '  std::filesystem::rename(f, path);\n'
+                   '}\n')
+        self.assertEqual(lint_snippet(snippet, rel="src/ckpt/manifest.cc"), [])
+
+    def test_rename_in_another_function_does_not_count(self):
+        snippet = ('void Publish(const std::string& f, const std::string& p) {\n'
+                   '  std::filesystem::rename(f, p);\n'
+                   '}\n'
+                   'void F(const std::string& path) {\n'
+                   '  std::ofstream out(path, std::ios::binary);\n'
+                   '}\n')
+        findings = lint_snippet(snippet, rel="src/ckpt/manifest.cc")
+        self.assertEqual([(f.rule, f.line) for f in findings],
+                         [("MML007", 5)])
+
+    def test_non_ckpt_files_are_exempt(self):
+        snippet = ('void F(const std::string& path) {\n'
+                   '  std::ofstream out(path, std::ios::binary);\n'
+                   '}\n')
+        self.assertEqual(lint_snippet(snippet, rel="src/storage/stager.cc"),
+                         [])
+
+    def test_suppression_applies(self):
+        snippet = ('void F(const std::string& path) {\n'
+                   '  // mm-verify: allow(MML007 bootstrap file, no readers)\n'
+                   '  std::ofstream out(path, std::ios::binary);\n'
+                   '}\n')
+        self.assertEqual(lint_snippet(snippet, rel="src/ckpt/manifest.cc"), [])
+
+
+class Mml008UnboundedRecvTest(unittest.TestCase):
+    def test_flags_blocking_recv_in_apps(self):
+        snippet = ("void F(Communicator& comm) {\n"
+                   "  auto tmp = comm.Recv<double>(src, tag);\n"
+                   "}\n")
+        findings = lint_snippet(snippet, rel="src/apps/gray_scott.cc")
+        self.assertEqual(rules_of(findings), ["MML008"])
+        self.assertEqual(findings[0].line, 2)
+
+    def test_flags_recv_value_and_recv_bytes(self):
+        snippet = ("void F(Communicator* comm) {\n"
+                   "  int v = comm->RecvValue<int>(0, 1);\n"
+                   "  auto b = comm->RecvBytes(0, 2);\n"
+                   "}\n")
+        self.assertEqual(rules_of(lint_snippet(snippet)),
+                         ["MML008", "MML008"])
+
+    def test_deadline_variants_are_clean(self):
+        snippet = ("void F(Communicator& comm) {\n"
+                   "  auto a = comm.RecvOr<double>(src, tag);\n"
+                   "  auto b = comm.RecvValueOr<int>(0, 1);\n"
+                   "  auto c = comm.RecvBytesOr(0, 2);\n"
+                   "}\n")
+        self.assertEqual(lint_snippet(snippet), [])
+
+    def test_comm_layer_is_exempt(self):
+        # The wrappers' own definitions live in comm/.
+        snippet = ("std::vector<std::uint8_t> RecvBytes(int src, int tag) {\n"
+                   "  auto out = mailbox.RecvBytes(src, tag);\n"
+                   "  return out;\n"
+                   "}\n")
+        self.assertEqual(
+            lint_snippet(snippet, rel="include/mm/comm/communicator.h"), [])
+        self.assertEqual(
+            lint_snippet(snippet, rel="src/comm/communicator.cc"), [])
+
+    def test_tests_are_exempt(self):
+        snippet = ("void F(Communicator& comm) {\n"
+                   "  int v = comm.RecvValue<int>(0, 1);\n"
+                   "}\n")
+        self.assertEqual(lint_snippet(snippet, rel="tests/test_comm.cc"), [])
+
+    def test_unrelated_recv_named_method_is_ignored(self):
+        # Only the exact Recv/RecvValue/RecvBytes names are unbounded.
+        snippet = ("void F(Stats& s) {\n"
+                   "  s.RecvCount();\n"
+                   "  Recv(x);\n"  # free function, not a comm method
+                   "}\n")
+        self.assertEqual(lint_snippet(snippet), [])
+
+    def test_suppression_applies(self):
+        snippet = ("void F(Communicator& comm) {\n"
+                   "  // mm-verify: allow(MML008 bootstrap runs pre-detector)\n"
+                   "  auto b = comm.RecvBytes(0, 2);\n"
+                   "}\n")
+        self.assertEqual(lint_snippet(snippet), [])
+
+
+class Mml009FrameVersionTest(unittest.TestCase):
+    def test_flags_arrow_access_in_core(self):
+        snippet = ("void F(PageFrame* frame) {\n"
+                   "  std::uint64_t v = frame->version.load();\n"
+                   "}\n")
+        findings = lint_snippet(snippet, rel="src/core/vector_impl.cc")
+        self.assertEqual(rules_of(findings), ["MML009"])
+        self.assertEqual(findings[0].line, 2)
+
+    def test_flags_dot_access_and_frame_substring_names(self):
+        snippet = ("void F(PageFrame& victim_frame, PageFrame* frame_ptr) {\n"
+                   "  auto a = victim_frame.version;\n"
+                   "  frame_ptr->version = 7;\n"
+                   "}\n")
+        self.assertEqual(rules_of(lint_snippet(snippet)),
+                         ["MML009", "MML009"])
+
+    def test_flags_in_tests_and_benches_too(self):
+        # The guard protocol binds every reader, fixtures included.
+        snippet = ("TEST(X, Y) {\n"
+                   "  EXPECT_EQ(frame->version.load(), 1u);\n"
+                   "}\n")
+        self.assertEqual(
+            rules_of(lint_snippet(snippet, rel="tests/test_vector.cc")),
+            ["MML009"])
+
+    def test_guard_api_is_clean(self):
+        snippet = ("void F(const PageFrame& frame) {\n"
+                   "  OptimisticGuard g(frame);\n"
+                   "  std::uint64_t v = OptimisticGuard::Version(frame);\n"
+                   "  OptimisticGuard::SetVersion(frame, v + 1);\n"
+                   "  std::uint64_t gv = g.version();\n"
+                   "}\n")
+        self.assertEqual(lint_snippet(snippet), [])
+
+    def test_implementation_files_are_exempt(self):
+        snippet = ("void F(PageFrame* frame) {\n"
+                   "  frame->version.store(2, std::memory_order_release);\n"
+                   "}\n")
+        self.assertEqual(
+            lint_snippet(snippet, rel="src/core/pcache.cc"), [])
+        self.assertEqual(
+            lint_snippet(snippet, rel="include/mm/core/pcache.h"), [])
+        self.assertEqual(
+            lint_snippet(snippet,
+                         rel="include/mm/core/optimistic_guard.h"), [])
+
+    def test_non_frame_version_fields_are_ignored(self):
+        # BlobLocation and friends have version fields too; only
+        # frame-named identifiers are the seqlock word.
+        snippet = ("void F(const BlobLocation& loc, Record* rec) {\n"
+                   "  auto a = loc.version;\n"
+                   "  auto b = rec->version;\n"
+                   "}\n")
+        self.assertEqual(lint_snippet(snippet), [])
+
+    def test_suppression_applies(self):
+        snippet = ("void F(PageFrame* frame) {\n"
+                   "  // mm-verify: allow(MML009 owner thread, no readers yet)\n"
+                   "  frame->version = 1;\n"
+                   "}\n")
+        self.assertEqual(lint_snippet(snippet), [])
+
+
+class Mml011TreeNodeBytesTest(unittest.TestCase):
+    def test_flags_union_arm_access_in_core(self):
+        snippet = ("void F(NodeBlock& blk) {\n"
+                   "  auto k = blk.leaf.keys[0];\n"
+                   "  blk.inner.children[1] = 7;\n"
+                   "}\n")
+        findings = lint_snippet(snippet)
+        self.assertEqual(rules_of(findings), ["MML011", "MML011"])
+        self.assertEqual(findings[0].line, 2)
+
+    def test_flags_node_named_identifier_fields(self):
+        snippet = ("void F(LeafNode* node, InnerNode& root_node) {\n"
+                   "  node->hdr.count = 0;\n"
+                   "  auto s = root_node.seps[2];\n"
+                   "}\n")
+        self.assertEqual(rules_of(lint_snippet(snippet)),
+                         ["MML011", "MML011"])
+
+    def test_flags_in_benches_too(self):
+        snippet = ("int main() {\n"
+                   "  auto f = blk.leaf.fence;\n"
+                   "}\n")
+        self.assertEqual(rules_of(lint_snippet(snippet, rel="bench/x.cc")),
+                        ["MML011"])
+
+    def test_index_subsystem_and_layout_test_are_exempt(self):
+        snippet = ("void F(NodeBlock& blk) {\n"
+                   "  blk.leaf.keys[0] = 1;\n"
+                   "}\n")
+        for rel in ("include/mm/index/btree.h", "src/index/metrics.cc",
+                    "tests/test_btree.cc"):
+            self.assertEqual(lint_snippet(snippet, rel=rel), [], rel)
+
+    def test_api_use_is_clean(self):
+        snippet = ("void F(mm::index::BTree<int, int>& tree, NodeRef r) {\n"
+                   "  tree.Put(1, 2);\n"
+                   "  auto k = r.key(0);\n"
+                   "  auto c = r.child(1);\n"
+                   "}\n")
+        self.assertEqual(lint_snippet(snippet), [])
+
+    def test_suppression_applies(self):
+        snippet = ("void F(NodeBlock& blk) {\n"
+                   "  // mm-verify: allow(MML011 offline repair tool)\n"
+                   "  blk.leaf.keys[0] = 1;\n"
+                   "}\n")
+        self.assertEqual(lint_snippet(snippet), [])
+
+
+CATALOG_STUB = ("## 11. Telemetry\n"
+                "### Metric catalog\n"
+                "| family | metrics |\n"
+                "|---|---|\n"
+                "| `mm.pcache.*` | `hit_count`, `miss_count` |\n"
+                "| `mm.tier.*` | `{dram,nvme}_{read,write}_bytes` |\n"
+                "## 12. Next\n")
+
+
+def write_tree(root: str, design: str, sources: dict):
+    """Lays out a fake repo: DESIGN.md plus {relpath: text} source files."""
+    with open(os.path.join(root, "DESIGN.md"), "w") as f:
+        f.write(design)
+    for rel, text in sources.items():
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as f:
+            f.write(text)
+
+
+class Mml010CatalogDriftTest(unittest.TestCase):
+    def test_expand_token_passthrough_and_braces(self):
+        self.assertEqual(mm_verify.expand_token("hit_count"), ["hit_count"])
+        self.assertEqual(mm_verify.expand_token("{a,b}_ns"), ["a_ns", "b_ns"])
+        self.assertEqual(
+            mm_verify.expand_token("{a, b}_{x,y}"),
+            ["a_x", "a_y", "b_x", "b_y"])  # whitespace in alternatives ok
+
+    def test_parse_metric_catalog(self):
+        names = mm_verify.parse_metric_catalog(CATALOG_STUB)
+        self.assertIn("mm.pcache.hit_count", names)
+        self.assertIn("mm.tier.nvme_write_bytes", names)
+        self.assertEqual(len(names), 2 + 4)
+        # Values are 1-based DESIGN.md lines of the family row.
+        self.assertEqual(names["mm.pcache.miss_count"], 5)
+
+    def test_parse_missing_section_returns_none(self):
+        self.assertIsNone(mm_verify.parse_metric_catalog("## 11\nno table\n"))
+
+    def test_clean_round_trip(self):
+        with tempfile.TemporaryDirectory() as root:
+            write_tree(root, CATALOG_STUB, {
+                "src/core/a.cc":
+                    'void F() {\n'
+                    '  reg.GetCounter("mm.pcache.hit_count");\n'
+                    '  reg.GetCounter("mm.pcache.miss_count");\n'
+                    '  reg.GetCounter("mm.tier.dram_read_bytes");\n'
+                    '  reg.GetCounter("mm.tier.dram_write_bytes");\n'
+                    '  reg.GetCounter("mm.tier.nvme_read_bytes");\n'
+                    '  reg.GetCounter("mm.tier.nvme_write_bytes");\n'
+                    '}\n'})
+            self.assertEqual(catalog_findings(root), [])
+
+    def test_flags_metric_missing_from_catalog(self):
+        with tempfile.TemporaryDirectory() as root:
+            write_tree(root, CATALOG_STUB, {
+                "src/core/a.cc":
+                    'void F() {\n'
+                    '  reg.GetCounter("mm.pcache.hit_count");\n'
+                    '  reg.GetCounter("mm.pcache.miss_count");\n'
+                    '  reg.GetCounter("mm.tier.dram_read_bytes");\n'
+                    '  reg.GetCounter("mm.tier.dram_write_bytes");\n'
+                    '  reg.GetCounter("mm.tier.nvme_read_bytes");\n'
+                    '  reg.GetCounter("mm.tier.nvme_write_bytes");\n'
+                    '  reg.GetCounter("mm.rogue.thing_count");\n'
+                    '}\n'})
+            findings = catalog_findings(root)
+            self.assertEqual(rules_of(findings), ["MML010"])
+            self.assertEqual(findings[0].path, "src/core/a.cc")
+            self.assertEqual(findings[0].line, 8)
+            self.assertIn("mm.rogue.thing_count", findings[0].message)
+
+    def test_flags_stale_catalog_entry(self):
+        with tempfile.TemporaryDirectory() as root:
+            write_tree(root, CATALOG_STUB, {
+                "src/core/a.cc":
+                    'void F() {\n'
+                    '  reg.GetCounter("mm.pcache.hit_count");\n'
+                    '  reg.GetCounter("mm.tier.dram_read_bytes");\n'
+                    '  reg.GetCounter("mm.tier.dram_write_bytes");\n'
+                    '  reg.GetCounter("mm.tier.nvme_read_bytes");\n'
+                    '  reg.GetCounter("mm.tier.nvme_write_bytes");\n'
+                    '}\n'})  # miss_count documented but never registered
+            findings = catalog_findings(root)
+            self.assertEqual(rules_of(findings), ["MML010"])
+            self.assertEqual(findings[0].path, "DESIGN.md")
+            self.assertEqual(findings[0].line, 5)
+            self.assertIn("mm.pcache.miss_count", findings[0].message)
+
+    def test_missing_catalog_section_is_a_finding(self):
+        with tempfile.TemporaryDirectory() as root:
+            write_tree(root, "## 11. Telemetry\nprose only\n", {})
+            findings = catalog_findings(root)
+            self.assertEqual(rules_of(findings), ["MML010"])
+            self.assertEqual(findings[0].path, "DESIGN.md")
+
+    def test_file_filter_reports_drift_in_listed_files(self):
+        # Positional files only filter the report: the catalog check still
+        # runs, and the stale DESIGN.md entry is filtered out.
+        with tempfile.TemporaryDirectory() as root:
+            write_tree(root, CATALOG_STUB, {
+                "src/core/a.cc":
+                    'void F() {\n'
+                    '  reg.GetCounter("mm.pcache.hit_count");\n'
+                    '  reg.GetCounter("mm.rogue.thing_count");\n'
+                    '}\n'})
+            rc = mm_verify.main(["--root", root, "--dot", "-",
+                                 os.path.join(root, "src/core/a.cc")])
+            self.assertEqual(rc, 1)
+
+    def test_allow_comment_suppresses_registration(self):
+        with tempfile.TemporaryDirectory() as root:
+            write_tree(root, CATALOG_STUB, {
+                "src/core/a.cc":
+                    'void F() {\n'
+                    '  reg.GetCounter("mm.pcache.hit_count");\n'
+                    '  reg.GetCounter("mm.pcache.miss_count");\n'
+                    '  reg.GetCounter("mm.tier.dram_read_bytes");\n'
+                    '  reg.GetCounter("mm.tier.dram_write_bytes");\n'
+                    '  reg.GetCounter("mm.tier.nvme_read_bytes");\n'
+                    '  reg.GetCounter("mm.tier.nvme_write_bytes");\n'
+                    '  // mm-verify: allow(MML010 experimental, not in catalog)\n'
+                    '  reg.GetCounter("mm.lab.probe_count");\n'
+                    '}\n'})
+            self.assertEqual(catalog_findings(root), [])
+
+
+class SuppressionTest(unittest.TestCase):
+    def test_allow_comment_suppresses_same_line(self):
+        snippet = ("std::mutex mu_;  "
+                   "// mm-verify: allow(MML001 fixture for wrapper tests)\n")
+        self.assertEqual(lint_snippet(snippet), [])
+
+    def test_allow_comment_suppresses_next_line(self):
+        snippet = ("// mm-verify: allow(MML001 fixture for wrapper tests)\n"
+                   "std::mutex mu_;\n")
+        self.assertEqual(lint_snippet(snippet), [])
+
+    def test_allow_without_reason_is_a_finding(self):
+        snippet = "std::mutex mu_;  // mm-verify: allow(MML001)\n"
+        rules = rules_of(lint_snippet(snippet))
+        self.assertIn("MML001", rules)  # reasonless allow does not suppress
+
+    def test_allow_only_covers_named_rule(self):
+        snippet = ("// mm-verify: allow(MML005 audited)\n"
+                   "std::mutex mu_;\n")
+        self.assertEqual(rules_of(lint_snippet(snippet)), ["MML001"])
+
+
+class StripperTest(unittest.TestCase):
+    def test_preserves_offsets(self):
+        text = 'a = "x{y}"; // std::mutex\nb;\n'
+        stripped = mm_verify.strip_comments_and_strings(text)
+        self.assertEqual(len(stripped), len(text))
+        self.assertEqual(stripped.count("\n"), text.count("\n"))
+        self.assertNotIn("mutex", stripped)
+        self.assertNotIn("{", stripped)
+
+
+# ---------------------------------------------------------------------------
 # Suppression hygiene + repo gate
 # ---------------------------------------------------------------------------
 
@@ -935,12 +1539,12 @@ class TestSuppressions(unittest.TestCase):
         self.assertEqual(len(fs), 1, fs)
         self.assertIn("without a reason", fs[0].message)
 
-    def test_mm_lint_spelling_accepted(self):
+    def test_retired_mm_lint_spelling_does_not_suppress(self):
         files = {"src/core/f.cc": (
             "namespace mm {\nvoid F() {\n"
-            "  // mm-lint: allow(MML104 shared suppression spelling)\n"
+            "  // mm-lint: allow(MML104 retired suppression spelling)\n"
             "  auto t = std::chrono::steady_clock::now();\n}\n}\n")}
-        self.assertEqual(findings_for(files, "MML104"), [])
+        self.assertEqual(len(findings_for(files, "MML104")), 1)
 
 
 class TestRepoTreeClean(unittest.TestCase):
@@ -948,21 +1552,20 @@ class TestRepoTreeClean(unittest.TestCase):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with tempfile.TemporaryDirectory() as td:
             rc = mm_verify.main(
-                ["--root", root, "--frontend", "auto",
+                ["--root", root,
                  "--dot", os.path.join(td, "lock_hierarchy.dot")])
             self.assertEqual(rc, 0)
+
+    def test_repo_catalog_matches_code(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        self.assertEqual([str(f) for f in catalog_findings(root)], [])
 
     def test_repo_observes_known_hierarchy(self):
         # The annotated contract must stay anchored to reality: these edges
         # are observed in today's tree and should remain in the model.
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        file_texts = []
-        for path in mm_verify.collect_tree(root):
-            rel = os.path.relpath(path, root)
-            with open(path, encoding="utf-8", errors="replace") as f:
-                file_texts.append((rel, f.read()))
-        model = mm_verify.build_model(file_texts)
-        summaries = mm_verify.compute_summaries(model, 3)
+        model = mm_verify.build_model(mm_verify.read_tree(root))
+        summaries = mm_verify.compute_summaries(model)
         edges = {(e.src, e.dst)
                  for e in mm_verify.observed_edges(model, summaries)}
         self.assertIn(("mm::storage::BufferManager::mu_",

@@ -17,7 +17,7 @@
 //
 // Raw field access (`keys`/`vals`/`seps`/`children`/`hdr` on a node) is the
 // index subsystem's private business: outside include/mm/index + src/index
-// it is flagged by ci/mm_lint.py rule MML011 — external code goes through
+// it is flagged by ci/mm_verify.py rule MML011 — external code goes through
 // `NodeRef` (read view) or the `mm::BTree` API.
 #pragma once
 

@@ -9,7 +9,7 @@
 // inline stub, so instrumentation compiles to nothing.
 //
 // Metric names follow `mm.<subsystem>.<name>` with a unit suffix
-// (`_bytes`, `_ns`, `_count`) — enforced by ci/mm_lint.py rule MML006.
+// (`_bytes`, `_ns`, `_count`, `_ratio`) — enforced by ci/mm_verify.py MML006.
 #pragma once
 
 #include <atomic>

@@ -5,7 +5,7 @@
 //
 // All MegaMmap code outside util/ must use these wrappers instead of raw
 // std::mutex/std::lock_guard/std::unique_lock/std::condition_variable —
-// enforced by ci/mm_lint.py rule MML001 — because the raw types carry no
+// enforced by ci/mm_verify.py rule MML001 — because the raw types carry no
 // capability attributes and silently opt out of the analysis.
 #pragma once
 

@@ -38,7 +38,7 @@ const char* StatusCodeName(StatusCode code);
 
 /// A success-or-error result with an optional message. [[nodiscard]]: a
 /// dropped Status is a swallowed failure, so every discarded result must be
-/// an explicit, commented `(void)` cast (mm_lint rule MML005).
+/// an explicit, commented `(void)` cast (mm_verify rule MML005).
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

@@ -570,7 +570,7 @@ Status NodeRuntime::JournaledBackendWrite(
       // Death halfway through the group commit: a torn batch on disk, no
       // in-place write. Recovery discards the whole batch and keeps the
       // backend's previous pages intact.
-      // mm-lint: allow(MML005 crash sim drops the torn append's status)
+      // mm-verify: allow(MML005 crash sim drops the torn append's status)
       (void)journal->AppendTorn(batch);
       service_->DumpFlightRecord(
           node_id_, sim::CrashPointName(sim::CrashPoint::kMidJournalAppend),
@@ -618,7 +618,7 @@ Status NodeRuntime::JournaledBackendWrite(
       for (const auto& rec : run) {
         std::uint64_t len = std::min<std::uint64_t>(budget, rec.payload.size());
         if (len == 0) break;
-        // mm-lint: allow(MML005 crash simulation leaves a torn run)
+        // mm-verify: allow(MML005 crash simulation leaves a torn run)
         (void)meta.stager->Write(meta.uri, rec.offset, rec.payload.data(), len);
         budget -= len;
       }
@@ -642,7 +642,7 @@ TaskOutcome NodeRuntime::StageInOrZero(VectorMeta& meta,
   // Pooled and explicitly zeroed: a recycled buffer must not leak a
   // previous page's bytes into a logically-fresh page. Ownership travels
   // out as the TaskOutcome payload; the worker recycles it after use.
-  // mm-lint: allow(MML002 buffer leaves as the returned outcome payload)
+  // mm-verify: allow(MML002 buffer leaves as the returned outcome payload)
   out.data = pool_.AcquireZeroed(meta.page_bytes);
   if (meta.stager != nullptr && page_off < logical) {
     std::uint64_t want = std::min(meta.page_bytes, logical - page_off);
