@@ -2,12 +2,15 @@
 //
 // Each tier (DRAM, NVMe, SATA SSD, HDD, plus a remote PFS backend) is modeled
 // by capacity, latency, bandwidth, and $/GB. Devices serialize concurrent
-// requests through a BusyChannel, which is what produces the spill cliffs and
-// contention effects in Figs. 6-8. Dollar costs reproduce Fig. 7's cost axis
+// requests through BusyChannels, which is what produces the spill cliffs and
+// contention effects in Figs. 6-8; a striped device (the PFS) spreads one
+// large request over its channels. Dollar costs reproduce Fig. 7's cost axis
 // (paper: HDD $0.02/GB, SATA SSD $0.04/GB, NVMe $0.08/GB).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,9 +42,14 @@ struct DeviceSpec {
   double read_bw_Bps = 0.0;   // bytes/second (per channel)
   double write_bw_Bps = 0.0;  // bytes/second (per channel)
   double dollars_per_gb = 0.0;
-  /// Internal parallelism: concurrent requests that proceed without
-  /// queueing behind each other (NVMe queue pairs, PFS stripe servers).
+  /// Internal parallelism: concurrent requests (or stripe pieces of one
+  /// request) that proceed without queueing behind each other (NVMe queue
+  /// pairs, PFS stripe servers).
   int channels = 1;
+  /// Stripe size of a striped device, 0 for unstriped. A request larger
+  /// than one stripe is served as ceil(bytes / stripe_bytes) pieces spread
+  /// over the channels, each paying its own latency.
+  std::uint64_t stripe_bytes = 0;
 
   /// Calibrated presets (DESIGN.md §2): plausible 2024-era hardware with the
   /// ratios the paper reports (HDD 6-10x slower than SSD/NVMe, NVMe within
@@ -56,7 +64,7 @@ struct DeviceSpec {
   static DeviceSpec ForKind(TierKind kind, std::uint64_t capacity);
 };
 
-/// A live device instance: spec + busy channel + usage accounting.
+/// A live device instance: spec + busy channels + usage accounting.
 class Device {
  public:
   explicit Device(DeviceSpec spec)
@@ -68,38 +76,38 @@ class Device {
   TierKind kind() const { return spec_.kind; }
 
   /// Simulates a read of `bytes` starting at `now`; returns completion time.
-  /// `time_factor` scales the duration (fault-injected latency spikes).
+  /// On a striped device a request larger than one stripe is split into
+  /// stripe-sized pieces, each paying its own latency on the least-busy
+  /// channel from `now`; the request completes with its last piece.
+  /// `time_factor` scales every piece (fault-injected latency spikes).
   SimTime Read(SimTime now, std::uint64_t bytes, double time_factor = 1.0) {
-    double dur = (spec_.read_latency_s +
-                  static_cast<double>(bytes) / spec_.read_bw_Bps) *
-                 time_factor;
     bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
-    return LeastBusy().Reserve(now, dur);
+    return Serve(channels_, now, bytes, spec_.read_latency_s,
+                 spec_.read_bw_Bps, time_factor);
   }
 
-  /// Simulates a write of `bytes` starting at `now`; returns completion time.
+  /// Simulates a write of `bytes` starting at `now`; returns completion
+  /// time. Striped exactly like Read.
   SimTime Write(SimTime now, std::uint64_t bytes, double time_factor = 1.0) {
-    double dur = (spec_.write_latency_s +
-                  static_cast<double>(bytes) / spec_.write_bw_Bps) *
-                 time_factor;
     bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
-    return LeastBusy().Reserve(now, dur);
+    return Serve(channels_, now, bytes, spec_.write_latency_s,
+                 spec_.write_bw_Bps, time_factor);
   }
 
   /// Occupies the least-busy channel for `seconds` without transferring
   /// bytes. Models fault-injected latency spikes and failed-attempt stalls,
   /// which consume device time but move no data.
   SimTime Stall(SimTime now, double seconds) {
-    return LeastBusy().Reserve(now, seconds);
+    return ReserveLeastBusy(channels_, now, seconds);
   }
 
-  /// Duration a read/write of `bytes` would take with an idle device.
+  /// Duration a read/write of `bytes` takes on an idle device: exactly what
+  /// Read/Write charge when every channel is free at `now`.
   double ReadDuration(std::uint64_t bytes) const {
-    return spec_.read_latency_s + static_cast<double>(bytes) / spec_.read_bw_Bps;
+    return IdleDuration(bytes, spec_.read_latency_s, spec_.read_bw_Bps);
   }
   double WriteDuration(std::uint64_t bytes) const {
-    return spec_.write_latency_s +
-           static_cast<double>(bytes) / spec_.write_bw_Bps;
+    return IdleDuration(bytes, spec_.write_latency_s, spec_.write_bw_Bps);
   }
 
   std::uint64_t bytes_read() const {
@@ -122,17 +130,33 @@ class Device {
   }
 
  private:
-  BusyChannel& LeastBusy() {
-    std::size_t best = 0;
-    SimTime best_t = channels_[0].busy_until();
-    for (std::size_t i = 1; i < channels_.size(); ++i) {
-      SimTime t = channels_[i].busy_until();
-      if (t < best_t) {
-        best_t = t;
-        best = i;
-      }
+  /// Serves one request on `channels` from `now`: one piece per stripe (the
+  /// whole request on an unstriped device), each on the least-busy channel.
+  SimTime Serve(std::span<BusyChannel> channels, SimTime now,
+                std::uint64_t bytes, double latency_s, double bw_Bps,
+                double time_factor) const {
+    const std::uint64_t stripe =
+        spec_.stripe_bytes > 0 ? spec_.stripe_bytes : bytes;
+    SimTime done = now;
+    std::uint64_t off = 0;
+    do {
+      const std::uint64_t piece = std::min(stripe, bytes - off);
+      const double dur =
+          (latency_s + static_cast<double>(piece) / bw_Bps) * time_factor;
+      done = std::max(done, ReserveLeastBusy(channels, now, dur));
+      off += piece;
+    } while (off < bytes);
+    return done;
+  }
+
+  /// The same pieces served on a fresh set of idle channels.
+  double IdleDuration(std::uint64_t bytes, double latency_s,
+                      double bw_Bps) const {
+    if (spec_.stripe_bytes == 0 || bytes <= spec_.stripe_bytes) {
+      return latency_s + static_cast<double>(bytes) / bw_Bps;
     }
-    return channels_[best];
+    std::vector<BusyChannel> idle(channels_.size());
+    return Serve(idle, 0.0, bytes, latency_s, bw_Bps, 1.0);
   }
 
   DeviceSpec spec_;

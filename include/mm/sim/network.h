@@ -118,7 +118,6 @@ class Network {
   NetworkSpec loopback_;
   struct Nic {
     BusyChannel lanes[kNicLanes];
-    BusyChannel& LeastBusy();
   };
   std::vector<std::unique_ptr<Nic>> nics_;
   std::atomic<std::uint64_t> total_bytes_{0};

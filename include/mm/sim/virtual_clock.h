@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 
 namespace mm::sim {
 
@@ -76,18 +77,15 @@ class VirtualClock {
 /// contend for the same device.
 class BusyChannel {
  public:
-  /// Reserves the channel for an operation that takes `duration` starting no
-  /// earlier than `earliest`. Returns the completion time.
-  SimTime Reserve(SimTime earliest, SimTime duration) {
-    double expected = busy_until_.load(std::memory_order_relaxed);
-    while (true) {
-      double start = std::max(earliest, expected);
-      double end = start + duration;
-      if (busy_until_.compare_exchange_weak(expected, end,
-                                            std::memory_order_acq_rel)) {
-        return end;
-      }
-    }
+  /// Reserves the channel for `duration` starting no earlier than
+  /// `earliest`, but only while it is still busy until `seen`: a pick made
+  /// by reading `seen` cannot land behind a request that took the channel
+  /// in between. Callers go through ReserveLeastBusy.
+  bool ReserveIfUnchanged(SimTime seen, SimTime earliest, SimTime duration) {
+    double expected = seen;
+    return busy_until_.compare_exchange_strong(
+        expected, std::max(earliest, seen) + duration,
+        std::memory_order_acq_rel);
   }
 
   SimTime busy_until() const {
@@ -99,5 +97,30 @@ class BusyChannel {
  private:
   std::atomic<double> busy_until_{0.0};
 };
+
+/// Reserves `duration` from `earliest` on the least-busy of `channels`
+/// (device channels, NIC lanes). The pick and the reservation are one CAS:
+/// if another request took the chosen channel after the scan, the scan
+/// reruns, so concurrent requests never queue on one channel while another
+/// idles. busy_until only grows (between resets), so a channel that still
+/// holds the value it was chosen by is still a least-busy one. Returns the
+/// completion time.
+inline SimTime ReserveLeastBusy(std::span<BusyChannel> channels,
+                                SimTime earliest, SimTime duration) {
+  while (true) {
+    std::size_t best = 0;
+    SimTime best_t = channels[0].busy_until();
+    for (std::size_t i = 1; i < channels.size(); ++i) {
+      SimTime t = channels[i].busy_until();
+      if (t < best_t) {
+        best_t = t;
+        best = i;
+      }
+    }
+    if (channels[best].ReserveIfUnchanged(best_t, earliest, duration)) {
+      return std::max(earliest, best_t) + duration;
+    }
+  }
+}
 
 }  // namespace mm::sim

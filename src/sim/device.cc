@@ -1,5 +1,7 @@
 #include "mm/sim/device.h"
 
+#include "mm/util/byte_units.h"
+
 namespace mm::sim {
 
 const char* TierKindName(TierKind kind) {
@@ -76,12 +78,14 @@ DeviceSpec DeviceSpec::Hdd(std::uint64_t capacity) {
 DeviceSpec DeviceSpec::Pfs(std::uint64_t capacity) {
   // A shared remote parallel filesystem: high latency, moderate per-client
   // bandwidth. Used as the persistent backend for nonvolatile vectors.
-  // Striped across 8 servers: per-stream latency stays high but eight
-  // requests proceed concurrently.
+  // Striped across 8 servers in 1 MiB stripes (Lustre's default stripe
+  // size): per-stream latency stays high, but eight requests, or the eight
+  // stripes of one large request, proceed concurrently.
   return DeviceSpec{TierKind::kPfs, capacity,
                     /*read_latency_s=*/0.8e-3, /*write_latency_s=*/1.2e-3,
                     /*read_bw_Bps=*/1.0 * kGB, /*write_bw_Bps=*/0.8 * kGB,
-                    /*dollars_per_gb=*/0.01, /*channels=*/8};
+                    /*dollars_per_gb=*/0.01, /*channels=*/8,
+                    /*stripe_bytes=*/kMiB};
 }
 
 DeviceSpec DeviceSpec::ForKind(TierKind kind, std::uint64_t capacity) {

@@ -24,19 +24,6 @@ Network::Network(std::size_t num_nodes, NetworkSpec spec)
   }
 }
 
-BusyChannel& Network::Nic::LeastBusy() {
-  std::size_t best = 0;
-  SimTime best_t = lanes[0].busy_until();
-  for (std::size_t i = 1; i < kNicLanes; ++i) {
-    SimTime t = lanes[i].busy_until();
-    if (t < best_t) {
-      best_t = t;
-      best = i;
-    }
-  }
-  return lanes[best];
-}
-
 void Network::ConfigureFaults(const NetFaultSpec& spec, std::uint64_t seed,
                               RetryPolicy rto) {
   fault_spec_ = spec;
@@ -128,15 +115,16 @@ Network::TransferResult Network::Transfer(SimTime now, std::size_t src,
   }
   if (src == dst) {
     // Intra-node: a single memory-channel reservation.
-    SimTime done = nics_[src]->LeastBusy().Reserve(now, link.latency_s + wire);
+    SimTime done =
+        ReserveLeastBusy(nics_[src]->lanes, now, link.latency_s + wire);
     return {done, done};
   }
   // Egress serialization on the sender NIC, then propagation, then ingress
   // serialization on the receiver NIC.
-  SimTime sent = nics_[src]->LeastBusy().Reserve(now, wire);
+  SimTime sent = ReserveLeastBusy(nics_[src]->lanes, now, wire);
   SimTime arrive_start = sent + link.latency_s + extra_latency - wire;
-  SimTime delivered = nics_[dst]->LeastBusy().Reserve(
-      arrive_start > now ? arrive_start : now, wire);
+  SimTime delivered = ReserveLeastBusy(
+      nics_[dst]->lanes, arrive_start > now ? arrive_start : now, wire);
   return {sent, delivered};
 }
 

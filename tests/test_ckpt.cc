@@ -459,15 +459,21 @@ TEST_F(ServiceCkptTest, FlushAppendsJournalRecordsBeforeInPlaceWrites) {
   EXPECT_EQ(rec->payload, Pattern(kPage, 100));
 }
 
-TEST_F(ServiceCkptTest, FlushGroupCommitsOneBatchPerOwner) {
+// Page sizes at which each owner's run fits in one PFS stripe (16 KiB pages,
+// 512 KiB runs) and spans two stripes (64 KiB pages, 2 MiB runs).
+class FlushGroupCommitTest
+    : public ServiceCkptTest,
+      public ::testing::WithParamInterface<std::uint64_t> {};
+
+TEST_P(FlushGroupCommitTest, FlushGroupCommitsOneBatchPerOwner) {
   // A Pgas-split vector over two nodes: each node owns one contiguous half.
-  constexpr std::uint64_t kBig = 16 * kKiB;
+  const std::uint64_t kBig = GetParam();
   constexpr std::uint64_t kN = 64;
   clusters_.push_back(sim::Cluster::PaperTestbed(2));
   sim::Cluster& cluster = *clusters_.back();
   core::ServiceOptions so;
-  so.tier_grants = {{TierKind::kDram, MEGABYTES(2)},
-                    {TierKind::kNvme, MEGABYTES(4)}};
+  so.tier_grants = {{TierKind::kDram, MEGABYTES(8)},
+                    {TierKind::kNvme, MEGABYTES(16)}};
   so.ckpt.dir = (dir_ / "ckpt").string();
   core::Service svc(&cluster, so);
   core::VectorOptions vo;
@@ -519,7 +525,21 @@ TEST_F(ServiceCkptTest, FlushGroupCommitsOneBatchPerOwner) {
       pfs.WriteDuration(run_bytes);
   EXPECT_LE(done - t, bound);
   EXPECT_LT(done - t, kN * pfs.WriteDuration(kBig) / pfs.spec().channels);
+  if (run_bytes > pfs.spec().stripe_bytes) {
+    // A multi-stripe run: the journal batch and the in-place write each
+    // spread over the stripe servers, so the flush beats one unstriped
+    // journal write plus one unstriped in-place write of the run.
+    EXPECT_LT(done - t,
+              2 * (pfs.spec().write_latency_s +
+                   static_cast<double>(run_bytes) / pfs.spec().write_bw_Bps));
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(PageSizes, FlushGroupCommitTest,
+                         ::testing::Values(16 * kKiB, 64 * kKiB),
+                         [](const auto& info) {
+                           return std::to_string(info.param / kKiB) + "KiB";
+                         });
 
 TEST_F(ServiceCkptTest, StageOutNeverJournalsACommitCaughtMidFlight) {
   auto svc = MakeService();

@@ -1,6 +1,10 @@
 // Tests for the virtual-time substrate: clocks, devices, network, cluster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <functional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -27,18 +31,29 @@ TEST(VirtualClock, AdvanceAndAdvanceTo) {
 
 TEST(BusyChannel, SerializesOverlappingRequests) {
   BusyChannel ch;
-  SimTime a = ch.Reserve(0.0, 1.0);
+  std::span<BusyChannel> one(&ch, 1);
+  SimTime a = ReserveLeastBusy(one, 0.0, 1.0);
   EXPECT_DOUBLE_EQ(a, 1.0);
   // Second request issued at t=0.5 must queue behind the first.
-  SimTime b = ch.Reserve(0.5, 1.0);
+  SimTime b = ReserveLeastBusy(one, 0.5, 1.0);
   EXPECT_DOUBLE_EQ(b, 2.0);
   // A request after the channel idles starts immediately.
-  SimTime c = ch.Reserve(10.0, 1.0);
+  SimTime c = ReserveLeastBusy(one, 10.0, 1.0);
   EXPECT_DOUBLE_EQ(c, 11.0);
+}
+
+TEST(BusyChannel, ReserveIfUnchangedFailsOnceTaken) {
+  BusyChannel ch;
+  EXPECT_TRUE(ch.ReserveIfUnchanged(0.0, 2.0, 1.0));
+  EXPECT_DOUBLE_EQ(ch.busy_until(), 3.0);
+  // A pick made when the channel read 0.0 is stale now.
+  EXPECT_FALSE(ch.ReserveIfUnchanged(0.0, 0.0, 1.0));
+  EXPECT_DOUBLE_EQ(ch.busy_until(), 3.0);
 }
 
 TEST(BusyChannel, ConcurrentReservationsNeverOverlap) {
   BusyChannel ch;
+  std::span<BusyChannel> one(&ch, 1);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
   std::vector<std::thread> threads;
@@ -46,7 +61,7 @@ TEST(BusyChannel, ConcurrentReservationsNeverOverlap) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        ends[t].push_back(ch.Reserve(0.0, 0.001));
+        ends[t].push_back(ReserveLeastBusy(one, 0.0, 0.001));
       }
     });
   }
@@ -70,6 +85,131 @@ TEST(Device, ReadChargesLatencyPlusBandwidth) {
                     static_cast<double>(bytes) / dev.spec().read_bw_Bps;
   EXPECT_NEAR(done, expected, 1e-12);
   EXPECT_EQ(dev.bytes_read(), bytes);
+}
+
+// Runs `threads` threads that each issue `requests` requests at t=0 and
+// counts the results that came back earlier than the same thread's previous
+// one. A race-free pick reserves each request on a channel that is least
+// busy when the reservation lands, and the least-busy level only rises, so
+// one thread's results never decrease. A request that queued on a channel
+// another request took after the pick ends later than a least-busy channel
+// allows, and the thread's next request then ends earlier. The request
+// counts are large enough that, even on one core, preemption lands between
+// a pick and its reservation many times per run.
+int OutOfOrderResults(int threads, int requests,
+                      const std::function<SimTime()>& issue) {
+  std::atomic<int> out_of_order{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&] {
+      SimTime last = 0.0;
+      int bad = 0;
+      for (int i = 0; i < requests; ++i) {
+        SimTime end = issue();
+        if (end < last) ++bad;
+        last = std::max(last, end);
+      }
+      out_of_order.fetch_add(bad, std::memory_order_relaxed);
+    });
+  }
+  for (auto& th : pool) th.join();
+  return out_of_order.load();
+}
+
+TEST(Device, ConcurrentRequestsNeverDoubleBookAChannel) {
+  // Eight writers, each reserving four stripes per request, as concurrent
+  // group-commit flushes do.
+  Device pfs(DeviceSpec::Pfs(GIGABYTES(1)));
+  constexpr int kThreads = 8;
+  constexpr int kRequests = 100'000;
+  EXPECT_EQ(OutOfOrderResults(kThreads, kRequests,
+                              [&] { return pfs.Write(0.0, 4 * kMiB); }),
+            0);
+  EXPECT_EQ(pfs.bytes_written(),
+            std::uint64_t{kThreads} * kRequests * 4 * kMiB);
+}
+
+TEST(Network, ConcurrentTransfersNeverDoubleBookALane) {
+  // Every sender's egress reservation lands on node 0's NIC lanes.
+  Network net(2, NetworkSpec::Roce40());
+  EXPECT_EQ(OutOfOrderResults(static_cast<int>(Network::kNicLanes), 500'000,
+                              [&] {
+                                return net.Transfer(0.0, 0, 1, 1'000'000)
+                                    .egress_done;
+                              }),
+            0);
+}
+
+TEST(Device, StripedRequestSpreadsOverChannels) {
+  Device pfs(DeviceSpec::Pfs(GIGABYTES(1)));
+  const DeviceSpec& s = pfs.spec();
+  ASSERT_EQ(s.stripe_bytes, kMiB);
+  // Four 1 MiB pieces on four idle stripe servers end together.
+  EXPECT_DOUBLE_EQ(pfs.Write(0.0, 4 * kMiB),
+                   s.write_latency_s +
+                       static_cast<double>(s.stripe_bytes) / s.write_bw_Bps);
+  EXPECT_EQ(pfs.bytes_written(), 4 * kMiB);
+  EXPECT_DOUBLE_EQ(pfs.Read(0.0, 3 * kMiB),
+                   s.read_latency_s +
+                       static_cast<double>(s.stripe_bytes) / s.read_bw_Bps);
+  EXPECT_EQ(pfs.bytes_read(), 3 * kMiB);
+}
+
+TEST(Device, SubStripeAndUnstripedRequestsChargeAsBefore) {
+  Device pfs(DeviceSpec::Pfs(GIGABYTES(1)));
+  const std::uint64_t page = 64 * kKiB;
+  EXPECT_DOUBLE_EQ(pfs.Write(0.0, page),
+                   pfs.spec().write_latency_s +
+                       static_cast<double>(page) / pfs.spec().write_bw_Bps);
+  for (const DeviceSpec& spec :
+       {DeviceSpec::Nvme(GIGABYTES(1)), DeviceSpec::Hdd(GIGABYTES(1))}) {
+    EXPECT_EQ(spec.stripe_bytes, 0u);
+    const std::uint64_t bytes = 4 * kMiB;
+    Device w(spec);
+    EXPECT_DOUBLE_EQ(w.Write(0.0, bytes),
+                     spec.write_latency_s +
+                         static_cast<double>(bytes) / spec.write_bw_Bps);
+    Device r(spec);
+    EXPECT_DOUBLE_EQ(r.Read(0.0, bytes),
+                     spec.read_latency_s +
+                         static_cast<double>(bytes) / spec.read_bw_Bps);
+  }
+}
+
+TEST(Device, MoreStripesThanChannelsWrapToASecondRound) {
+  const DeviceSpec s = DeviceSpec::Pfs(GIGABYTES(1));
+  const std::uint64_t channels = static_cast<std::uint64_t>(s.channels);
+  const double stripe =
+      s.write_latency_s + static_cast<double>(s.stripe_bytes) / s.write_bw_Bps;
+  const double tail = s.write_latency_s + 4096.0 / s.write_bw_Bps;
+  Device a(s);
+  EXPECT_DOUBLE_EQ(a.Write(0.0, (channels + 1) * s.stripe_bytes),
+                   2 * stripe);
+  Device b(s);
+  EXPECT_DOUBLE_EQ(b.Write(0.0, channels * s.stripe_bytes + 4096),
+                   stripe + tail);
+}
+
+TEST(Device, IdleDurationEqualsTheIdleCharge) {
+  const DeviceSpec s = DeviceSpec::Pfs(GIGABYTES(1));
+  for (std::uint64_t bytes :
+       {64 * kKiB, kMiB, kMiB + 1, 4 * kMiB, 8 * kMiB, 9 * kMiB,
+        8 * kMiB + 3 * kKiB, 11 * kMiB + 5, 20 * kMiB}) {
+    Device w(s);
+    EXPECT_DOUBLE_EQ(w.Write(0.0, bytes), w.WriteDuration(bytes)) << bytes;
+    Device r(s);
+    EXPECT_DOUBLE_EQ(r.Read(0.0, bytes), r.ReadDuration(bytes)) << bytes;
+  }
+}
+
+TEST(Device, TimeFactorScalesEveryPiece) {
+  const DeviceSpec s = DeviceSpec::Pfs(GIGABYTES(1));
+  Device pfs(s);
+  EXPECT_DOUBLE_EQ(pfs.Write(0.0, 4 * kMiB, /*time_factor=*/3.0),
+                   3.0 * pfs.WriteDuration(4 * kMiB));
+  Device nvme(DeviceSpec::Nvme(GIGABYTES(1)));
+  EXPECT_DOUBLE_EQ(nvme.Read(0.0, 4 * kMiB, /*time_factor=*/2.0),
+                   2.0 * nvme.ReadDuration(4 * kMiB));
 }
 
 TEST(Device, TierOrderingFastestFirst) {
