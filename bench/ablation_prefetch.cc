@@ -2,7 +2,10 @@
 // memory pressure. KMeans runs with a pcache far smaller than its
 // partition; with prefetching the sequential transactions pipeline the
 // page fetches behind compute (this is the mechanism behind Fig. 8's flat
-// region), without it every page is a synchronous fault.
+// region), without it every page is a synchronous fault. Coverage is the
+// share of pcache misses a prefetch served (mm.prefetch.useful_count over
+// mm.pcache.miss_count): unlike useful/issued it exposes a prefetcher that
+// fetches too little.
 #include "bench/common.h"
 
 #include "mm/apps/kmeans.h"
@@ -18,7 +21,8 @@ int main(int argc, char** argv) {
 
   std::printf("=== Ablation: prefetcher on/off under memory pressure ===\n\n");
   TablePrinter table(
-      {"prefetch", "pcache_frac", "runtime_s", "slowdown_vs_prefetch"});
+      {"prefetch", "pcache_frac", "runtime_s", "slowdown_vs_prefetch",
+       "coverage"});
 
   apps::KMeansConfig cfg;
   cfg.k = 8;
@@ -32,20 +36,29 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(partition_bytes * frac));
     double with = 0;
     for (bool prefetch : {true, false}) {
+      std::uint64_t useful = 0, misses = 0;
       double t = MeasureSeconds(reps, [&] {
         auto cluster = sim::Cluster::PaperTestbed(2);
         core::ServiceOptions so;
         so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(64)}};
         so.enable_prefetch = prefetch;
         core::Service svc(cluster.get(), so);
-        return comm::RunRanks(*cluster, 8, 4, [&](comm::RankContext& ctx) {
-          comm::Communicator comm(&ctx);
-          apps::KMeansMega(svc, comm, key, cfg);
-        });
+        auto result =
+            comm::RunRanks(*cluster, 8, 4, [&](comm::RankContext& ctx) {
+              comm::Communicator comm(&ctx);
+              apps::KMeansMega(svc, comm, key, cfg);
+            });
+        auto counters = svc.TelemetrySnapshot().totals.counters;
+        useful += counters["mm.prefetch.useful_count"];
+        misses += counters["mm.pcache.miss_count"];
+        return result;
       });
       if (prefetch) with = t;
+      // Blank when telemetry is compiled out (no misses counted).
+      const std::string coverage =
+          misses > 0 ? Fmt(static_cast<double>(useful) / misses, 3) : "";
       table.AddRow({prefetch ? "on" : "off", Fmt(frac, 3), Fmt(t),
-                    Fmt(t / with, 2)});
+                    Fmt(t / with, 2), coverage});
     }
   }
   std::printf("%s", table.Render(csv).c_str());

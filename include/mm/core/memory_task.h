@@ -139,7 +139,7 @@ struct TaskOutcome {
 
 struct MemoryTask {
   enum class Kind : std::uint8_t {
-    kGetPage,       // synchronous page fault read
+    kGetPage,       // page read: a fault, a prefetch, or a prefetch run
     kWritePartial,  // async dirty-region update (copy-on-write commit)
     kScore,         // prefetcher importance score for the Data Organizer
     kStageOut,      // persist one owner's dirty pages to the backend
@@ -150,6 +150,11 @@ struct MemoryTask {
   Kind kind = Kind::kGetPage;
   std::uint64_t vector_id = 0;
   storage::BlobId id;
+  /// Routing unit in pages: NodeRuntime::Submit hashes (vector, page /
+  /// block_pages). A backed vector's tasks carry its stage-in block
+  /// (Service::RunPages), so every task on a block shares one queue; 1
+  /// routes by page.
+  std::uint64_t block_pages = 1;
   std::uint64_t offset = 0;  // for partial ops, offset within the page
   std::uint64_t size = 0;    // for reads: bytes requested (0 = whole page)
   std::vector<std::uint8_t> data;  // for writes
@@ -171,9 +176,14 @@ struct MemoryTask {
   /// null and skip the promise/shared-state allocation entirely — the
   /// worker then recycles the outcome's payload through the node pool.
   std::shared_ptr<std::promise<TaskOutcome>> promise;
-  /// kStageOut: the batch's page indices on this owner, ascending. Last, so
-  /// the fields every task touches keep their offsets.
+  /// kStageOut: the batch's page indices on this owner, ascending. kGetPage
+  /// run: the run's consecutive pages, `id` being the first. Last, so the
+  /// fields every task touches keep their offsets.
   std::vector<std::uint64_t> pages;
+  /// kGetPage run: one promise per page of `pages`, fulfilled by the
+  /// executing worker (or by Submit's shutdown rejection); `promise` stays
+  /// null.
+  std::vector<std::promise<TaskOutcome>> page_promises;
 };
 
 /// Bytes a task moves — used for low/high-latency group routing.

@@ -6,10 +6,11 @@
 //   Evict phase:  pages touched in [Head, Tail) score 0 and are evicted —
 //                 unless the transaction may retouch pages (random); pages
 //                 in the upcoming window [Tail, Tail + Max/PageSize) score 1.
-//   Prefetch:     pages that fit in the free pcache space are fetched ahead
-//                 asynchronously; pages beyond that are scored by
-//                 time-to-fault so the Data Organizer can pre-position them
-//                 in fast tiers.
+//   Prefetch:     pages that fit in the free pcache space — counted after
+//                 the evict phase, so freed frames refill at once — are
+//                 fetched ahead asynchronously; pages beyond that are
+//                 scored by time-to-fault so the Data Organizer can
+//                 pre-position them in fast tiers.
 //
 // Note on the score formula: the paper's pseudocode computes
 // Score = EstTime/BaseTime inside a `while Score > MinScore` loop, which
@@ -32,7 +33,8 @@ struct PrefetcherOps {
   /// Sends an importance score to the Data Organizer (async score task).
   std::function<void(std::uint64_t page, float score)> set_score;
   /// Evicts a page from the pcache (dirty data is flushed by the owner).
-  std::function<void(std::uint64_t page)> evict_page;
+  /// Returns whether it did: a resident page pinned by a live span stays.
+  std::function<bool(std::uint64_t page)> evict_page;
   /// Starts an asynchronous fetch of a page into the pcache.
   std::function<void(std::uint64_t page)> fetch_ahead;
   /// True when the page is resident or already being fetched.
@@ -56,7 +58,9 @@ class Prefetcher {
   static constexpr std::uint64_t kMaxScoredAhead = 64;
 
   /// One prefetcher invocation (Algorithm 1 PREFETCHER): evicts, scores,
-  /// fetches ahead, then acknowledges the accesses (Head = Tail).
+  /// fetches ahead, then acknowledges the accesses (Head = Tail). The
+  /// fetch-ahead budget N is taken after the evict phase: the frames it
+  /// just freed are refilled in the same step.
   static void Step(const PrefetchVecState& vec, Transaction& tx,
                    double min_score, const PrefetcherOps& ops);
 };

@@ -135,14 +135,30 @@ class NodeRuntime {
   TaskOutcome ExecuteStageOut(MemoryTask& task);
   TaskOutcome ExecuteErase(MemoryTask& task);
 
-  /// Loads page bytes from the backend (or zero-fills) with PFS charging.
-  TaskOutcome StageInOrZero(VectorMeta& meta, const storage::BlobId& id,
-                            sim::SimTime now);
+  /// A kGetPage run: re-resolves each page's source, stages the run in
+  /// with one backend read while every page is still unplaced, else reads
+  /// page by page; fulfils each page's promise.
+  TaskOutcome ExecuteGetRun(MemoryTask& task);
 
-  /// Stager calls routed through the fault injector and retry policy, with
-  /// PFS device time charged per attempt.
+  /// Loads pages [first, first + outs.size()) into one pooled buffer each,
+  /// zero-filled past what the backend holds. The pages the backend holds
+  /// are one BackendRead; each out they cover gets its status and done.
+  void StageInOrZero(VectorMeta& meta, std::uint64_t first,
+                     std::span<TaskOutcome> outs, sim::SimTime now);
+
+  /// Caches a page staged in for `task` in this node's scache and records
+  /// its directory entry under `version` (sets out->version and out->done).
+  /// A full scache is not an error for reads: the page is served uncached.
+  void CacheStagedPage(const MemoryTask& task, const storage::BlobId& id,
+                       std::uint64_t version, TaskOutcome* out);
+
+  /// Reads `size` backend bytes from `offset` as one request, each page
+  /// straight into its own buffer (pages[i] gets the bytes from offset + i
+  /// * page_bytes on): one fault decision and one PFS charge of `size` per
+  /// attempt, through the fault injector and retry policy.
   Status BackendRead(VectorMeta& meta, std::uint64_t offset,
-                     std::uint64_t size, std::vector<std::uint8_t>* bytes,
+                     std::uint64_t size,
+                     std::span<std::vector<std::uint8_t>* const> pages,
                      sim::SimTime now, sim::SimTime* done);
   /// Writes one contiguous run of pages in place, each from its own
   /// buffer: one fault decision and one PFS charge of the run's bytes per
@@ -180,6 +196,7 @@ class NodeRuntime {
   telemetry::Counter* task_executed_;          // mm.task.executed_count
   telemetry::Gauge* queue_depth_;              // mm.task.queue_depth_count
   telemetry::Counter* stager_read_bytes_;      // mm.stager.read_bytes
+  telemetry::Counter* stager_read_count_;      // mm.stager.read_count
   telemetry::Counter* stager_write_bytes_;     // mm.stager.write_bytes
   telemetry::Counter* stager_errors_;          // mm.stager.errors_count
   telemetry::Counter* stager_retries_;         // mm.stager.retries_count
@@ -428,10 +445,23 @@ class Service {
       VectorMeta& meta, std::uint64_t page, std::size_t from_node,
       sim::SimTime now, sim::SimTime* done, std::uint64_t* version = nullptr);
 
-  /// Starts an asynchronous page fetch (prefetch path). The caller charges
-  /// itself nothing now; on completion it hands the outcome to DeliverPage.
-  PendingFetch ReadPageAsync(VectorMeta& meta, std::uint64_t page,
-                             std::size_t from_node, sim::SimTime now);
+  /// Starts asynchronous fetches of pages [first, first + n) (prefetch
+  /// path); one PendingFetch per page, in order. The caller charges itself
+  /// nothing now; on completion it hands each outcome to DeliverPage.
+  /// Consecutive pages of one stage-in block (RunPages) that are unplaced
+  /// and share an owner form a run: one kGetPage task that stages them in
+  /// with one backend read. Every other page is a single-page task.
+  std::vector<PendingFetch> ReadPagesAsync(VectorMeta& meta,
+                                           std::uint64_t first,
+                                           std::uint64_t n,
+                                           std::size_t from_node,
+                                           sim::SimTime now);
+
+  /// Pages per stage-in block of `meta`: the PFS stripe over the page size
+  /// (16 for 64 KiB pages on 1 MiB stripes). 1 for a volatile vector, an
+  /// unstriped PFS, or pages of at least one stripe. Blocks start at page
+  /// multiples of it; tasks on one block share a worker queue.
+  std::uint64_t RunPages(const VectorMeta& meta) const;
 
   /// Idle estimate of reading one page from wherever it currently lives
   /// (prefetcher input). Unplaced pages are assumed to cost a PFS stage-in.

@@ -841,13 +841,16 @@ class Vector {
     }
   }
 
-  /// One Algorithm 1 invocation.
+  /// One Algorithm 1 invocation. The step's fetch-ahead pages are issued
+  /// together once it returns, one ReadPagesAsync per ascending run of
+  /// consecutive pages, so the service can stage unplaced ones in as runs.
   void PrefetchStep() {
     if (tx_ == nullptr || !service_->options().enable_prefetch) return;
     PrefetchVecState state;
     state.max_bytes = options_.pcache_bytes;
     state.cur_bytes = pcache_->committed();
     state.page_bytes = meta_->page_bytes;
+    std::vector<std::uint64_t> fetch;
     PrefetcherOps ops;
     ops.set_score = [&](std::uint64_t page, float score) {
       score_count_->Inc();
@@ -856,15 +859,12 @@ class Vector {
     };
     ops.evict_page = [&](std::uint64_t page) {
       // Pages pinned by a live span survive the eviction pass.
-      if (pcache_->Contains(page) && !pcache_->IsPinned(page)) EvictPage(page);
+      if (!pcache_->Contains(page) || pcache_->IsPinned(page)) return false;
+      EvictPage(page);
+      return true;
     };
     ops.fetch_ahead = [&](std::uint64_t page) {
-      if (page * epp_ >= size()) return;
-      pcache_->AddPending(page,
-                          service_->ReadPageAsync(*meta_, page, ctx_->node(),
-                                                  ctx_->clock().now()));
-      ++prefetches_;
-      prefetch_issued_->Inc();
+      if (page * epp_ < size()) fetch.push_back(page);
     };
     ops.cached_or_pending = [&](std::uint64_t page) {
       return pcache_->Contains(page) || pcache_->HasPending(page);
@@ -873,6 +873,18 @@ class Vector {
       return service_->EstimateReadSeconds(*meta_, page, bytes);
     };
     Prefetcher::Step(state, *tx_, options_.min_score, ops);
+    for (std::size_t lo = 0; lo < fetch.size();) {
+      std::size_t hi = lo + 1;
+      while (hi < fetch.size() && fetch[hi] == fetch[hi - 1] + 1) ++hi;
+      std::vector<PendingFetch> pendings = service_->ReadPagesAsync(
+          *meta_, fetch[lo], hi - lo, ctx_->node(), ctx_->clock().now());
+      for (std::size_t i = 0; i < pendings.size(); ++i) {
+        pcache_->AddPending(fetch[lo + i], std::move(pendings[i]));
+      }
+      prefetches_ += hi - lo;
+      prefetch_issued_->Inc(hi - lo);
+      lo = hi;
+    }
   }
 
   Service* service_;

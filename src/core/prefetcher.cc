@@ -26,15 +26,22 @@ void Prefetcher::Step(const PrefetchVecState& vec, Transaction& tx,
   // reproducible from the seed, so pages that WILL be retouched soon show
   // up in `upcoming` and survive (Algorithm 1's note that random scores
   // "may not be 0 if a page is expected to be retouched").
+  std::uint64_t freed_bytes = 0;
   for (const PageRegion& r : tx.GetTouchedPages()) {
     if (upcoming.count(r.page_idx) > 0) continue;  // will be re-used
     ops.set_score(r.page_idx, 0.0f);
-    ops.evict_page(r.page_idx);  // EvictIfZeroScore
+    if (ops.evict_page(r.page_idx)) {  // EvictIfZeroScore
+      freed_bytes += vec.page_bytes;
+    }
   }
 
   // ---- PREFETCH (Algorithm 1 lines 16-33) ----
+  // Cur as the evict phase left it: the frames just freed are refilled now,
+  // not one step later when their pages are already being accessed.
+  const std::uint64_t cur_bytes =
+      vec.cur_bytes > freed_bytes ? vec.cur_bytes - freed_bytes : 0;
   std::uint64_t free_bytes =
-      vec.max_bytes > vec.cur_bytes ? vec.max_bytes - vec.cur_bytes : 0;
+      vec.max_bytes > cur_bytes ? vec.max_bytes - cur_bytes : 0;
   std::uint64_t n_fit = free_bytes / vec.page_bytes;  // N = (Max-Cur)/PageSize
 
   // Enumerate distinct future pages in access order; the first n_fit get

@@ -82,7 +82,7 @@ telemetry::Gauge* TierUsedGauge(telemetry::MetricsRegistry& reg,
 // The page-read pipeline (DESIGN.md §6). Every read path is built from the
 // same three stages: the caller-thread fault (Service::ReadPage), the
 // lock-free probe (Service::TryReadPageOptimistic), the prefetch
-// (Service::ReadPageAsync) and the owner's worker
+// (Service::ReadPagesAsync) and the owner's worker
 // (NodeRuntime::ExecuteGetPage).
 // ---------------------------------------------------------------------------
 
@@ -230,33 +230,43 @@ StatusOr<std::vector<std::uint8_t>> CopyOrHeal(
   return st.code() == StatusCode::kNotFound ? st : NotFound(st.ToString());
 }
 
-/// Stage 3: builds the kGetPage task for `id` and routes it to `owner`,
-/// charging the request envelope when remote.
-std::shared_future<TaskOutcome> SubmitGetPage(Service& svc, VectorMeta& meta,
-                                              const storage::BlobId& id,
-                                              std::size_t owner,
-                                              std::size_t from_node,
-                                              sim::SimTime now,
-                                              telemetry::TraceContext tctx) {
+/// Stage 3: builds the kGetPage task for pages [first, first + n) and
+/// routes it to `owner`, charging the request envelope when remote. One page
+/// is a plain task; more form a run with one promise per page. Returns one
+/// future per page.
+std::vector<std::shared_future<TaskOutcome>> SubmitGetPages(
+    Service& svc, VectorMeta& meta, std::uint64_t first, std::uint64_t n,
+    std::size_t owner, std::size_t from_node, sim::SimTime now,
+    telemetry::TraceContext tctx) {
   MemoryTask task;
   task.kind = MemoryTask::Kind::kGetPage;
   task.vector_id = meta.vector_id;
-  task.id = id;
+  task.id = {meta.vector_id, first};
+  task.block_pages = svc.RunPages(meta);
   task.size = meta.page_bytes;
   task.from_node = from_node;
   task.tctx = tctx;
-  task.promise = std::make_shared<std::promise<TaskOutcome>>();
+  std::vector<std::shared_future<TaskOutcome>> futures;
+  if (n == 1) {
+    task.promise = std::make_shared<std::promise<TaskOutcome>>();
+    futures.push_back(task.promise->get_future().share());
+  } else {
+    task.page_promises.resize(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      task.pages.push_back(first + i);
+      futures.push_back(task.page_promises[i].get_future().share());
+    }
+  }
   task.issue_time =
       owner == from_node ? now
                          : svc.cluster()
                                .network()
                                .Transfer(now, from_node, owner, kControlBytes)
                                .delivered;
-  std::shared_future<TaskOutcome> future = task.promise->get_future().share();
-  // A shutdown rejection still fulfills the promise, so the future carries
+  // A shutdown rejection still fulfills every promise, so the futures carry
   // the error to every waiter.
   (void)svc.runtime(owner).Submit(std::move(task));
-  return future;
+  return futures;
 }
 }  // namespace
 
@@ -274,6 +284,7 @@ NodeRuntime::NodeRuntime(Service* service, std::size_t node_id,
       task_executed_(tel_.metrics->GetCounter("mm.task.executed_count")),
       queue_depth_(tel_.metrics->GetGauge("mm.task.queue_depth_count")),
       stager_read_bytes_(tel_.metrics->GetCounter("mm.stager.read_bytes")),
+      stager_read_count_(tel_.metrics->GetCounter("mm.stager.read_count")),
       stager_write_bytes_(tel_.metrics->GetCounter("mm.stager.write_bytes")),
       stager_errors_(tel_.metrics->GetCounter("mm.stager.errors_count")),
       stager_retries_(tel_.metrics->GetCounter("mm.stager.retries_count")),
@@ -355,15 +366,22 @@ sim::SimTime NodeRuntime::Quiesce(sim::SimTime now) {
 }
 
 Status NodeRuntime::Submit(MemoryTask task) {
-  bool is_write = task.kind == MemoryTask::Kind::kWritePartial ||
-                  task.kind == MemoryTask::Kind::kStageOut ||
-                  task.kind == MemoryTask::Kind::kErase;
-  std::uint64_t digest = task.id.Digest();
-  // Writes always go to the (ordered, page-hashed) high-latency group so
-  // same-page writes serialize; small reads and scores take the
-  // low-latency group to dodge head-of-line blocking (paper §III-B).
+  const bool ordered = task.kind == MemoryTask::Kind::kWritePartial ||
+                       task.kind == MemoryTask::Kind::kStageOut ||
+                       task.kind == MemoryTask::Kind::kErase ||
+                       !task.page_promises.empty();  // a run
+  // Tasks on one page hash to one queue (paper §III-B). A backed vector's
+  // unit is its stage-in block, so a run and a commit to one of its pages
+  // serialize: otherwise the run could publish the backend's bytes over a
+  // commit that landed between its source check and its directory update.
+  const std::uint64_t digest =
+      storage::BlobId{task.id.vector_id, task.id.page_idx / task.block_pages}
+          .Digest();
+  // Writes and runs always go to the (ordered, block-hashed) high-latency
+  // group; small reads and scores take the low-latency group to dodge
+  // head-of-line blocking (paper §III-B).
   BlockingQueue<MemoryTask>* queue;
-  if (!is_write && !low_queues_.empty() &&
+  if (!ordered && !low_queues_.empty() &&
       TaskBytes(task) < options_.low_latency_threshold) {
     queue = low_queues_[digest % low_queues_.size()].get();
   } else {
@@ -378,12 +396,14 @@ Status NodeRuntime::Submit(MemoryTask task) {
     return Status::Ok();
   }
   Status st = FailedPrecondition("submit after runtime shutdown");
-  if (task.promise != nullptr) {
+  auto reject = [&](std::promise<TaskOutcome>& promise) {
     TaskOutcome out;
     out.status = st;
     out.done = task.issue_time;
-    task.promise->set_value(std::move(out));
-  }
+    promise.set_value(std::move(out));
+  };
+  if (task.promise != nullptr) reject(*task.promise);
+  for (auto& promise : task.page_promises) reject(promise);
   return st;
 }
 
@@ -454,10 +474,10 @@ TaskOutcome NodeRuntime::Execute(MemoryTask& task) {
   return TaskOutcome{Internal("unknown task kind"), {}, task.issue_time};
 }
 
-Status NodeRuntime::BackendRead(VectorMeta& meta, std::uint64_t offset,
-                                std::uint64_t size,
-                                std::vector<std::uint8_t>* bytes,
-                                sim::SimTime now, sim::SimTime* done) {
+Status NodeRuntime::BackendRead(
+    VectorMeta& meta, std::uint64_t offset, std::uint64_t size,
+    std::span<std::vector<std::uint8_t>* const> pages, sim::SimTime now,
+    sim::SimTime* done) {
   sim::Device& pfs = service_->cluster().pfs();
   sim::SimTime end = now;
   int attempts = 0;
@@ -475,8 +495,15 @@ Status NodeRuntime::BackendRead(VectorMeta& meta, std::uint64_t offset,
           return IoError("injected transient fault on backend read of '" +
                          meta.key + "'");
         }
-        bytes->clear();
-        MM_RETURN_IF_ERROR(meta.stager->Read(meta.uri, offset, size, bytes));
+        // Each page lands in its own pooled buffer; the run is one device
+        // request.
+        for (std::size_t i = 0; i < pages.size(); ++i) {
+          const std::uint64_t off = i * meta.page_bytes;
+          pages[i]->clear();
+          MM_RETURN_IF_ERROR(meta.stager->Read(
+              meta.uri, offset + off, std::min(meta.page_bytes, size - off),
+              pages[i]));
+        }
         *attempt_done =
             std::max(*attempt_done, pfs.Read(start, size, d.spike_factor));
         return Status::Ok();
@@ -495,7 +522,8 @@ Status NodeRuntime::BackendRead(VectorMeta& meta, std::uint64_t offset,
   if (attempts > 1) {
     stager_retries_->Inc(static_cast<std::uint64_t>(attempts - 1));
   }
-  stager_read_bytes_->Inc(bytes->size());
+  stager_read_bytes_->Inc(size);
+  stager_read_count_->Inc();
   tel_.trace->CompleteFlow("stager_read", "stager", tel_.node, 0, now, end,
                            telemetry::CurrentTraceContext(), 't');
   return st;
@@ -632,44 +660,82 @@ Status NodeRuntime::JournaledBackendWrite(
   return Status::Ok();
 }
 
-TaskOutcome NodeRuntime::StageInOrZero(VectorMeta& meta,
-                                       const storage::BlobId& id,
-                                       sim::SimTime now) {
-  TaskOutcome out;
-  out.done = now;
-  std::uint64_t page_off = id.page_idx * meta.page_bytes;
-  std::uint64_t logical = meta.size_bytes.load(std::memory_order_relaxed);
+void NodeRuntime::StageInOrZero(VectorMeta& meta, std::uint64_t first,
+                                std::span<TaskOutcome> outs,
+                                sim::SimTime now) {
   // Pooled and explicitly zeroed: a recycled buffer must not leak a
   // previous page's bytes into a logically-fresh page. Ownership travels
   // out as the TaskOutcome payload; the worker recycles it after use.
-  // mm-verify: allow(MML002 buffer leaves as the returned outcome payload)
-  out.data = pool_.AcquireZeroed(meta.page_bytes);
-  if (meta.stager != nullptr && page_off < logical) {
-    std::uint64_t want = std::min(meta.page_bytes, logical - page_off);
-    // Only stage in what the backend actually holds.
-    bool exists = false;
-    std::uint64_t backend_size = 0;
-    {
-      MutexLock lock(meta.backend_mu);
-      exists = meta.backend_ready || meta.stager->Exists(meta.uri);
-    }
-    if (exists) {
-      auto size_or = meta.stager->Size(meta.uri);
-      if (size_or.ok()) backend_size = *size_or;
-    }
-    if (backend_size > page_off) {
-      std::uint64_t avail = std::min<std::uint64_t>(want, backend_size - page_off);
-      // Read straight into the page; the resize restores the zero tail past
-      // the backend's end.
-      out.status =
-          BackendRead(meta, page_off, avail, &out.data, now, &out.done);
-      out.data.resize(meta.page_bytes);
-    }
+  for (TaskOutcome& out : outs) {
+    out.done = now;
+    // mm-verify: allow(MML002 buffer leaves as the returned outcome payload)
+    out.data = pool_.AcquireZeroed(meta.page_bytes);
   }
-  return out;
+  const std::uint64_t first_off = first * meta.page_bytes;
+  const std::uint64_t logical = meta.size_bytes.load(std::memory_order_relaxed);
+  if (meta.stager == nullptr || first_off >= logical) return;
+  // Only stage in what the backend actually holds.
+  bool exists = false;
+  std::uint64_t backend_size = 0;
+  {
+    MutexLock lock(meta.backend_mu);
+    exists = meta.backend_ready || meta.stager->Exists(meta.uri);
+  }
+  if (exists) {
+    auto size_or = meta.stager->Size(meta.uri);
+    if (size_or.ok()) backend_size = *size_or;
+  }
+  // The pages the backend holds are a prefix of the run, read as one
+  // request straight into their pages.
+  const std::uint64_t end = std::min(logical, backend_size);
+  std::vector<std::vector<std::uint8_t>*> held;
+  std::uint64_t bytes = 0;
+  for (TaskOutcome& out : outs) {
+    const std::uint64_t off = first_off + held.size() * meta.page_bytes;
+    if (off >= end) break;
+    held.push_back(&out.data);
+    bytes += std::min(meta.page_bytes, end - off);
+  }
+  if (held.empty()) return;
+  sim::SimTime done = now;
+  const Status st = BackendRead(meta, first_off, bytes, held, now, &done);
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    // The resize restores the zero tail past the backend's end.
+    held[i]->resize(meta.page_bytes);
+    outs[i].status = st;
+    outs[i].done = done;
+  }
+}
+
+void NodeRuntime::CacheStagedPage(const MemoryTask& task,
+                                  const storage::BlobId& id,
+                                  std::uint64_t version, TaskOutcome* out) {
+  // The cached copy comes from the pool so the steady-state read path
+  // allocates nothing.
+  sim::SimTime put_done = out->done;
+  std::vector<std::uint8_t> cache_copy = pool_.Acquire(out->data.size());
+  std::copy(out->data.begin(), out->data.end(), cache_copy.begin());
+  auto tier = bm_.PutScored(id, std::move(cache_copy), task.score, out->done,
+                            &put_done);
+  if (!tier.ok()) return;
+  storage::BlobLocation loc;
+  loc.node = node_id_;
+  loc.tier = bm_.tier(*tier).kind();
+  loc.size = out->data.size();
+  loc.score = task.score;
+  loc.score_node = task.from_node;
+  loc.dirty = false;
+  loc.version = version;
+  loc.crc = Crc32(out->data);
+  // Directory upsert on the home shard cannot fail; timing is charged
+  // through `done` on the read path instead.
+  (void)service_->metadata().Update(id, loc, node_id_, out->done, nullptr);
+  out->version = loc.version;
+  out->done = put_done;
 }
 
 TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
+  if (!task.page_promises.empty()) return ExecuteGetRun(task);
   TaskOutcome out;
   out.done = task.issue_time;
   if (service_->IsDataLost(task.id)) {
@@ -718,8 +784,9 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
     out.status = copy.status();
     return out;
   }
-  // Fault through to the backend (or zero-fill a fresh page).
-  out = StageInOrZero(*meta, task.id, task.issue_time);
+  // Fault through to the backend (or zero-fill a fresh page): a run of one.
+  out = TaskOutcome{};
+  StageInOrZero(*meta, task.id.page_idx, {&out, 1}, task.issue_time);
   if (!out.status.ok()) return out;
   // Restored and written-through pages keep a directory entry with a kPfs
   // residency hint and the committed full-page CRC: verify the staged-in
@@ -736,34 +803,56 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
                           "recorded checksum");
     return out;
   }
-  // Cache the page locally and record its location. A full scache is not an
-  // error for reads: the page is served through without caching. The cached
-  // copy comes from the pool so the steady-state read path allocates nothing.
-  sim::SimTime put_done = out.done;
-  std::vector<std::uint8_t> cache_copy = pool_.Acquire(out.data.size());
-  std::copy(out.data.begin(), out.data.end(), cache_copy.begin());
-  auto tier = bm_.PutScored(task.id, std::move(cache_copy), task.score,
-                            out.done, &put_done);
-  if (tier.ok()) {
-    // Preserve an existing version if the page previously lived elsewhere
-    // (e.g. written through to the backend).
-    storage::BlobLocation loc;
-    loc.node = node_id_;
-    loc.tier = bm_.tier(*tier).kind();
-    loc.size = out.data.size();
-    loc.score = task.score;
-    loc.score_node = task.from_node;
-    loc.dirty = false;
-    loc.version = src.loc ? src.loc->version : 0;
-    loc.crc = Crc32(out.data);
-    // Directory upsert on the home shard cannot fail; timing is charged
-    // through `done` on the read path instead.
-    (void)service_->metadata().Update(task.id, loc, node_id_, out.done,
-                                      nullptr);
-    out.version = loc.version;
-    out.done = put_done;
-  }
+  // Preserve an existing version if the page previously lived elsewhere
+  // (e.g. written through to the backend).
+  CacheStagedPage(task, task.id, src.loc ? src.loc->version : 0, &out);
   return out;
+}
+
+TaskOutcome NodeRuntime::ExecuteGetRun(MemoryTask& task) {
+  const std::size_t n = task.pages.size();
+  std::vector<TaskOutcome> outs(n);
+  // Stage 1 again for every page: a commit, fault or restore may have
+  // placed one since the run formed.
+  VectorMeta* meta = service_->FindVectorById(task.vector_id);
+  bool unplaced = meta != nullptr;
+  for (std::size_t i = 0; unplaced && i < n; ++i) {
+    const storage::BlobId id{task.vector_id, task.pages[i]};
+    const ReadSource src = ResolveSource(*service_, *meta, id, node_id_,
+                                         task.issue_time, nullptr);
+    unplaced = !src.loc && !src.has_copy && !service_->IsDataLost(id);
+  }
+  if (unplaced) {
+    // One backend read for the run; each page is then cached and
+    // published exactly as a single-page stage-in is.
+    StageInOrZero(*meta, task.pages.front(), outs, task.issue_time);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (outs[i].status.ok()) {
+        CacheStagedPage(task, {task.vector_id, task.pages[i]}, 0, &outs[i]);
+      }
+    }
+  } else {
+    // Placement moved under the run: every page takes the single-page path.
+    for (std::size_t i = 0; i < n; ++i) {
+      MemoryTask one;
+      one.kind = MemoryTask::Kind::kGetPage;
+      one.vector_id = task.vector_id;
+      one.id = {task.vector_id, task.pages[i]};
+      one.size = task.size;
+      one.score = task.score;
+      one.from_node = task.from_node;
+      one.issue_time = task.issue_time;
+      outs[i] = ExecuteGetPage(one);
+    }
+  }
+  TaskOutcome run;
+  run.done = task.issue_time;
+  for (std::size_t i = 0; i < n; ++i) {
+    run.done = std::max(run.done, outs[i].done);
+    if (run.status.ok()) run.status = outs[i].status;
+    task.page_promises[i].set_value(std::move(outs[i]));
+  }
+  return run;
 }
 
 TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
@@ -804,7 +893,8 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
         return out;
       }
     }
-    TaskOutcome base = StageInOrZero(*meta, task.id, task.issue_time);
+    TaskOutcome base;
+    StageInOrZero(*meta, task.id.page_idx, {&base, 1}, task.issue_time);
     if (!base.status.ok()) return base;
     MM_CHECK(task.offset + task.data.size() <= base.data.size());
     std::copy(task.data.begin(), task.data.end(),
@@ -1399,7 +1489,8 @@ void Service::OnTierFailure(std::size_t node, sim::TierKind tier,
     (void)metadata().Remove(id, node, now, nullptr);
     VectorMeta* meta = FindVectorById(id.vector_id);
     if (meta == nullptr || meta->stager == nullptr) continue;
-    (void)SubmitGetPage(*this, *meta, id, node, node, now, {});  // no waiter
+    // No waiter.
+    (void)SubmitGetPages(*this, *meta, id.page_idx, 1, node, node, now, {});
   }
 }
 
@@ -1616,7 +1707,9 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
     } else {
       leader = true;
       fault_ctx = telemetry::TraceRecorder::NewContext(sink.node);
-      fetch = SubmitGetPage(*this, meta, id, owner, from_node, t, fault_ctx);
+      fetch = SubmitGetPages(*this, meta, page, 1, owner, from_node, t,
+                             fault_ctx)
+                  .front();
       inflight_[key] = fetch;
     }
   }
@@ -1738,14 +1831,48 @@ sim::SimTime Service::DeliverPage(VectorMeta& meta, std::uint64_t page,
   return now;
 }
 
-PendingFetch Service::ReadPageAsync(VectorMeta& meta, std::uint64_t page,
-                                   std::size_t from_node, sim::SimTime now) {
-  storage::BlobId id{meta.vector_id, page};
-  std::size_t owner =
-      ResolveSource(*this, meta, id, from_node, now, nullptr).node;
+std::vector<PendingFetch> Service::ReadPagesAsync(VectorMeta& meta,
+                                                  std::uint64_t first,
+                                                  std::uint64_t n,
+                                                  std::size_t from_node,
+                                                  sim::SimTime now) {
   telemetry::NodeSink sink = telemetry_sink(from_node);
-  sink.trace->Instant("prefetch_issue", "prefetch", sink.node, 0, now);
-  return {SubmitGetPage(*this, meta, id, owner, from_node, now, {}), owner};
+  std::vector<ReadSource> srcs;
+  srcs.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    srcs.push_back(ResolveSource(*this, meta, {meta.vector_id, first + i},
+                                 from_node, now, nullptr));
+    sink.trace->Instant("prefetch_issue", "prefetch", sink.node, 0, now);
+  }
+  // A run: consecutive pages of one stage-in block, each with no directory
+  // entry and no copy, owned by one node. Anything else is a run of one.
+  const std::uint64_t block = RunPages(meta);
+  auto unplaced = [&](std::uint64_t i) {
+    return !srcs[i].loc && !srcs[i].has_copy;
+  };
+  std::vector<PendingFetch> fetches;
+  fetches.reserve(n);
+  for (std::uint64_t lo = 0; lo < n;) {
+    std::uint64_t hi = lo + 1;
+    while (hi < n && unplaced(lo) && unplaced(hi) &&
+           srcs[hi].node == srcs[lo].node &&
+           (first + hi) / block == (first + lo) / block) {
+      ++hi;
+    }
+    const std::size_t owner = srcs[lo].node;
+    for (auto& future : SubmitGetPages(*this, meta, first + lo, hi - lo, owner,
+                                       from_node, now, {})) {
+      fetches.push_back({std::move(future), owner});
+    }
+    lo = hi;
+  }
+  return fetches;
+}
+
+std::uint64_t Service::RunPages(const VectorMeta& meta) const {
+  const std::uint64_t stripe = cluster_->pfs().spec().stripe_bytes;
+  if (meta.stager == nullptr || stripe <= meta.page_bytes) return 1;
+  return stripe / meta.page_bytes;
 }
 
 double Service::EstimateReadSeconds(VectorMeta& meta, std::uint64_t page,
@@ -1779,6 +1906,7 @@ std::shared_future<TaskOutcome> Service::WriteRegion(
   task.kind = MemoryTask::Kind::kWritePartial;
   task.vector_id = meta.vector_id;
   task.id = id;
+  task.block_pages = RunPages(meta);
   task.offset = offset;
   task.data = std::move(bytes);
   task.from_node = from_node;
@@ -1816,6 +1944,7 @@ void Service::SubmitScore(VectorMeta& meta, std::uint64_t page, float score,
   task.kind = MemoryTask::Kind::kScore;
   task.vector_id = meta.vector_id;
   task.id = id;
+  task.block_pages = RunPages(meta);
   task.score = score;
   task.from_node = from_node;
   task.issue_time = now;
@@ -1909,6 +2038,7 @@ Status Service::ChangePhase(VectorMeta& meta, CoherenceMode new_mode,
         task.kind = MemoryTask::Kind::kErase;
         task.vector_id = meta.vector_id;
         task.id = id;
+        task.block_pages = RunPages(meta);
         task.from_node = from_node;
         task.issue_time = inval_done;
         // Fire-and-forget replica erase; stale bytes are re-validated by

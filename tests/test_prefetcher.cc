@@ -25,7 +25,7 @@ struct Harness {
     ops.set_score = [this](std::uint64_t p, float s) { scores[p] = s; };
     ops.evict_page = [this](std::uint64_t p) {
       evicted.insert(p);
-      cached.erase(p);
+      return cached.erase(p) > 0;
     };
     ops.fetch_ahead = [this](std::uint64_t p) {
       fetched.push_back(p);
@@ -63,6 +63,36 @@ TEST(PrefetcherTest, EvictsTouchedPagesOutsideWindow) {
   EXPECT_FLOAT_EQ(h.scores[4], 1.0f);
   // Head acknowledged.
   EXPECT_EQ(tx.head(), tx.tail());
+}
+
+TEST(PrefetcherTest, RefillsTheFramesItEvicts) {
+  // A full 2-page cache with pages 0-2 touched: the evict pass frees their
+  // frames, and the same step refills them with the next two pages instead
+  // of leaving them empty until they are already being accessed.
+  SeqTx tx(MM_READ_ONLY, kES, kEPP, 0, 10 * kEPP);
+  for (std::size_t i = 0; i < 3 * kEPP; ++i) tx.AdvanceTail();
+  Harness h;
+  h.cached = {0, 1, 2};
+  Prefetcher::Step(State(2, 2), tx, 0.25, h.Ops());
+  EXPECT_EQ(h.evicted, (std::set<std::uint64_t>{0, 1, 2}));
+  EXPECT_EQ(h.fetched, (std::vector<std::uint64_t>{3, 4}));
+}
+
+TEST(PrefetcherTest, PinnedPagesFreeNoFrames) {
+  // A touched page the evict pass cannot drop (pinned by a live span) keeps
+  // its frame, so the refill budget leaves room for it.
+  SeqTx tx(MM_READ_ONLY, kES, kEPP, 0, 10 * kEPP);
+  for (std::size_t i = 0; i < 2 * kEPP; ++i) tx.AdvanceTail();
+  Harness h;
+  h.cached = {0, 1};
+  PrefetcherOps ops = h.Ops();
+  ops.evict_page = [&h](std::uint64_t p) {
+    if (p == 1) return false;  // pinned
+    h.evicted.insert(p);
+    return h.cached.erase(p) > 0;
+  };
+  Prefetcher::Step(State(2, 2), tx, 0.25, ops);
+  EXPECT_EQ(h.fetched, (std::vector<std::uint64_t>{2}));
 }
 
 TEST(PrefetcherTest, RandomTransactionsKeepPredictedRetouches) {

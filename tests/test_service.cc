@@ -5,11 +5,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
 #include "mm/mega_mmap.h"
+#include "mm/core/pcache.h"
+#include "mm/sim/cost_model.h"
+#include "mm/util/hash.h"
 
 namespace mm::core {
 namespace {
@@ -243,6 +247,240 @@ TEST_F(ServiceTest, ShutdownVsInflightSubmitFulfillsEveryPromise) {
   svc_->Shutdown();
   for (auto& t : submitters) t.join();
   EXPECT_EQ(resolved.load(), kSubmitters * kPerThread);
+}
+
+// ---- run stage-in (ReadPagesAsync) ----
+
+constexpr std::uint64_t kRunPage = 64 * kKiB;
+
+/// A service over a posix-backed vector of `pages` pages (64 KiB unless
+/// given) whose bytes are a position pattern, placed by a Pgas hint over
+/// `nprocs` ranks (one per node).
+class RunStageInTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("mm_run_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::create_directories(dir_);
+    cluster_ = sim::Cluster::PaperTestbed(4);
+  }
+  void TearDown() override {
+    svc_.reset();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  VectorMeta& Open(std::uint64_t pages, int nprocs,
+                   std::uint64_t page_bytes = kRunPage,
+                   sim::FaultConfig faults = {}) {
+    file_.resize(pages * page_bytes);
+    for (std::size_t i = 0; i < file_.size(); ++i) {
+      file_[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 16));
+    }
+    const std::string path = (dir_ / "run.bin").string();
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(reinterpret_cast<const char*>(file_.data()),
+                static_cast<std::streamsize>(file_.size()));
+    }
+    ServiceOptions so;
+    so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(16)},
+                      {sim::TierKind::kNvme, MEGABYTES(64)}};
+    so.faults = faults;
+    svc_ = std::make_unique<Service>(cluster_.get(), so);
+    VectorOptions vo;
+    vo.page_size = page_bytes;
+    auto meta = svc_->RegisterVector("posix://" + path, 1, vo);
+    MM_CHECK(meta.ok());
+    svc_->SetPgasHint(**meta, VectorMeta::PgasHint{file_.size(), nprocs, 1});
+    return **meta;
+  }
+
+  std::uint64_t Counter(const char* name) {
+    std::uint64_t total = 0;
+    for (std::size_t n = 0; n < svc_->num_nodes(); ++n) {
+      total += svc_->metrics(n).GetCounter(name)->value();
+    }
+    return total;
+  }
+
+  /// The file's bytes of `page`.
+  std::vector<std::uint8_t> FilePage(const VectorMeta& meta,
+                                     std::uint64_t page) const {
+    auto first = file_.begin() +
+                 static_cast<std::ptrdiff_t>(page * meta.page_bytes);
+    return {first, first + static_cast<std::ptrdiff_t>(meta.page_bytes)};
+  }
+
+  std::filesystem::path dir_;
+  std::unique_ptr<sim::Cluster> cluster_;
+  std::unique_ptr<Service> svc_;
+  std::vector<std::uint8_t> file_;
+};
+
+TEST_F(RunStageInTest, RunPagesFollowTheStripe) {
+  VectorMeta& meta = Open(1, 1);
+  const std::uint64_t stripe = cluster_->pfs().spec().stripe_bytes;
+  EXPECT_EQ(svc_->RunPages(meta), stripe / kRunPage);
+  VectorOptions vo;
+  vo.nonvolatile = false;
+  auto vol = svc_->RegisterVector("volatile", 1, vo, kMiB);
+  ASSERT_TRUE(vol.ok());
+  EXPECT_EQ(svc_->RunPages(**vol), 1u);
+}
+
+TEST_F(RunStageInTest, SixteenUnplacedPagesStageInAsOneRead) {
+  VectorMeta& meta = Open(16, 1);
+  ASSERT_EQ(svc_->RunPages(meta), 16u);
+  const std::uint64_t reads = Counter("mm.stager.read_count");
+  const std::uint64_t bytes = Counter("mm.stager.read_bytes");
+  std::vector<PendingFetch> fetches = svc_->ReadPagesAsync(meta, 0, 16, 0, 0.0);
+  ASSERT_EQ(fetches.size(), 16u);
+  for (std::uint64_t page = 0; page < 16; ++page) {
+    const TaskOutcome& out = fetches[page].future.get();
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+    EXPECT_EQ(fetches[page].owner, 0u);
+    EXPECT_EQ(out.version, 0u);
+    EXPECT_EQ(out.data, FilePage(meta, page)) << "page " << page;
+    auto loc = svc_->metadata().Lookup({meta.vector_id, page}, 0, 0.0, nullptr);
+    ASSERT_TRUE(loc.ok()) << "page " << page;
+    EXPECT_EQ(loc->version, 0u);
+    EXPECT_FALSE(loc->dirty);
+    EXPECT_EQ(loc->crc, Crc32(out.data));
+  }
+  EXPECT_EQ(Counter("mm.stager.read_count") - reads, 1u);
+  EXPECT_EQ(Counter("mm.stager.read_bytes") - bytes, kMiB);
+}
+
+TEST_F(RunStageInTest, PlacedPagesSplitTheRun) {
+  // Page 5 is placed (a fault staged it in): the run splits around it, and
+  // page 5 is served from its copy, not from the backend again.
+  VectorMeta& meta = Open(16, 1);
+  sim::SimTime done = 0.0;
+  ASSERT_TRUE(svc_->ReadPage(meta, 5, 0, 0.0, &done).ok());
+  const std::uint64_t reads = Counter("mm.stager.read_count");
+  std::vector<PendingFetch> fetches =
+      svc_->ReadPagesAsync(meta, 0, 16, 0, done);
+  for (std::uint64_t page = 0; page < 16; ++page) {
+    const TaskOutcome& out = fetches[page].future.get();
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+    EXPECT_EQ(out.data, FilePage(meta, page)) << "page " << page;
+  }
+  EXPECT_EQ(Counter("mm.stager.read_count") - reads, 2u);  // [0,5) + [6,16)
+}
+
+TEST_F(RunStageInTest, FourRunsShareTheStripeServers) {
+  // Four ranks (one per node) each prefetch their own 16-page block at t=0:
+  // four 1 MiB requests on the PFS's eight stripe servers all start at
+  // once, where 64 single-page requests would queue for eight rounds.
+  VectorMeta& meta = Open(64, 4);
+  std::vector<std::vector<PendingFetch>> fetches;
+  for (std::size_t r = 0; r < 4; ++r) {
+    fetches.push_back(svc_->ReadPagesAsync(meta, 16 * r, 16, r, 0.0));
+  }
+  const sim::Device& pfs = cluster_->pfs();
+  const sim::DeviceSpec dram = sim::DeviceSpec::Dram(0);
+  const double puts = 16 * (dram.write_latency_s +
+                            static_cast<double>(kRunPage) / dram.write_bw_Bps);
+  const double bound = pfs.ReadDuration(pfs.spec().stripe_bytes) + puts +
+                       sim::CostModel::Default().task_dispatch_s;
+  sim::SimTime last = 0.0;
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::uint64_t i = 0; i < 16; ++i) {
+      const TaskOutcome& out = fetches[r][i].future.get();
+      ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+      EXPECT_EQ(fetches[r][i].owner, r);
+      last = std::max(last, svc_->DeliverPage(meta, 16 * r + i, r, r, out));
+    }
+  }
+  EXPECT_LE(last, bound);
+  EXPECT_EQ(Counter("mm.stager.read_count"), 4u);
+}
+
+TEST_F(RunStageInTest, CommitInsideAnInflightRunIsNeverLost) {
+  // A commit to a page of an in-flight run lands on the run's queue, so it
+  // is ordered against the run's stage-in: whichever runs first, the
+  // committed bytes and version survive. Each iteration uses a fresh pair
+  // of unplaced 4 KiB pages of one stage-in block.
+  constexpr int kIters = 1000;
+  VectorMeta& meta = Open(2 * kIters, 1, 4 * kKiB);
+  ASSERT_GE(svc_->RunPages(meta), 2u);
+  for (int it = 0; it < kIters; ++it) {
+    const std::uint64_t first = 2 * static_cast<std::uint64_t>(it);
+    const std::uint64_t value = 0xA000 + static_cast<std::uint64_t>(it);
+    std::vector<std::uint8_t> bytes(sizeof(value));
+    std::memcpy(bytes.data(), &value, sizeof(value));
+    std::shared_future<TaskOutcome> commit;
+    std::thread writer([&] {
+      commit = svc_->WriteRegion(meta, first + 1, 8, bytes, 0, 0.0);
+    });
+    std::vector<PendingFetch> fetches =
+        svc_->ReadPagesAsync(meta, first, 2, 0, 0.0);
+    writer.join();
+    const TaskOutcome& committed = commit.get();
+    ASSERT_TRUE(committed.status.ok()) << committed.status.ToString();
+    for (auto& f : fetches) ASSERT_TRUE(f.future.get().status.ok());
+    sim::SimTime done = 0.0;
+    auto page = svc_->ReadPage(meta, first + 1, 0, 0.0, &done);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    std::uint64_t got = 0;
+    std::memcpy(&got, page->data() + 8, sizeof(got));
+    ASSERT_EQ(got, value) << "iteration " << it;
+    auto loc =
+        svc_->metadata().Lookup({meta.vector_id, first + 1}, 0, 0.0, nullptr);
+    ASSERT_TRUE(loc.ok());
+    ASSERT_EQ(loc->version, 1u) << "iteration " << it;
+    ASSERT_TRUE(loc->dirty);
+  }
+}
+
+TEST_F(RunStageInTest, TransientFaultRetriesTheWholeRunOnce) {
+  // Pick a seed whose first backend op draws a transient fault and whose
+  // second does not, so the run fails once and then succeeds.
+  sim::FaultConfig faults;
+  faults.backend.transient_error_rate = 0.5;
+  for (faults.seed = 1;; ++faults.seed) {
+    sim::FaultInjector probe(faults);
+    if (probe.OnBackendOp().kind ==
+            sim::FaultInjector::Decision::Kind::kTransient &&
+        probe.OnBackendOp().kind == sim::FaultInjector::Decision::Kind::kOk) {
+      break;
+    }
+  }
+  VectorMeta& meta = Open(16, 1, kRunPage, faults);
+  std::vector<PendingFetch> fetches = svc_->ReadPagesAsync(meta, 0, 16, 0, 0.0);
+  for (std::uint64_t page = 0; page < 16; ++page) {
+    const TaskOutcome& out = fetches[page].future.get();
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+    EXPECT_EQ(out.data, FilePage(meta, page)) << "page " << page;
+  }
+  EXPECT_EQ(Counter("mm.stager.retries_count"), 1u);
+  EXPECT_EQ(Counter("mm.stager.read_count"), 1u);
+  EXPECT_EQ(Counter("mm.stager.read_bytes"), kMiB);
+}
+
+TEST_F(RunStageInTest, PermanentFaultFailsEveryPage) {
+  VectorMeta& meta = Open(16, 1);
+  svc_->fault_injector().FailBackend();
+  std::vector<PendingFetch> fetches = svc_->ReadPagesAsync(meta, 0, 16, 0, 0.0);
+  ASSERT_EQ(fetches.size(), 16u);
+  for (auto& f : fetches) {
+    EXPECT_EQ(f.future.get().status.code(), StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(Counter("mm.stager.read_count"), 0u);
+}
+
+TEST_F(RunStageInTest, RunAfterShutdownFulfilsEveryPage) {
+  VectorMeta& meta = Open(16, 1);
+  svc_->Shutdown();
+  std::vector<PendingFetch> fetches = svc_->ReadPagesAsync(meta, 0, 16, 0, 0.0);
+  ASSERT_EQ(fetches.size(), 16u);
+  for (auto& f : fetches) {
+    ASSERT_EQ(f.future.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    EXPECT_EQ(f.future.get().status.code(), StatusCode::kFailedPrecondition);
+  }
 }
 
 // ---- ServiceOptions::FromYaml ----

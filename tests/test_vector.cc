@@ -2,7 +2,9 @@
 // MemoryTasks, tiered scache, metadata, staging backends, coherence modes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <numeric>
 
 #include "mm/mega_mmap.h"
@@ -398,6 +400,54 @@ TEST_F(VectorTest, PrefetchReducesFaults) {
   run(true, Key("posix", "pf_on.bin"), &faults_with);
   run(false, Key("posix", "pf_off.bin"), &faults_without);
   EXPECT_LT(faults_with, faults_without);
+}
+
+TEST_F(VectorTest, SpanScanAdoptsAPrefetchOnEveryMiss) {
+  // Two ranks each scan their Pgas partition of a posix-backed vector
+  // read-only, through an 8-page pcache, in spans of MaxSpanElems (half the
+  // pcache). Each prefetch step refills the frames its evict pass frees, so
+  // after the first chunk every pcache miss adopts a prefetch. The one
+  // exception: rank 1's partition starts mid-page, so its chunks span one
+  // page more than half the cache, and the second chunk's last page may be
+  // a demand fault.
+  constexpr std::uint64_t kEpp = 4096 / sizeof(std::uint64_t);
+  constexpr std::uint64_t kN = 49 * kEpp;  // the partition boundary is mid-page
+  const std::string path = (dir_ / "scan.bin").string();
+  {
+    std::vector<std::uint64_t> init(kN);
+    std::iota(init.begin(), init.end(), 0);
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(init.data()),
+              static_cast<std::streamsize>(kN * sizeof(std::uint64_t)));
+  }
+  Service svc(cluster_.get(), sopts_);
+  std::atomic<std::uint64_t> total{0};
+  auto result = comm::RunRanks(*cluster_, 2, 1, [&](comm::RankContext& ctx) {
+    VectorOptions o = SmallPages();
+    o.pcache_bytes = 8 * 4096;
+    Vector<std::uint64_t> v(svc, ctx, "posix://" + path, 0, o);
+    ASSERT_EQ(v.size(), kN);
+    v.Pgas(ctx.rank(), ctx.size());
+    const std::uint64_t lo = v.local_off();
+    const std::uint64_t hi = lo + v.local_size();
+    const std::uint64_t chunk = v.MaxSpanElems();
+    v.SeqTxBegin(lo, hi - lo, MM_READ_ONLY);
+    std::uint64_t sum = 0;
+    std::uint64_t faults_after_first = 0;
+    for (std::uint64_t s = lo; s < hi; s += chunk) {
+      const std::uint64_t e = std::min(hi, s + chunk);
+      const std::uint64_t faults_before = v.faults();
+      auto span = v.ReadSpan(s, e);
+      for (std::uint64_t i = s; i < e; ++i) sum += span[i];
+      if (s != lo) faults_after_first += v.faults() - faults_before;
+    }
+    v.TxEnd();
+    total.fetch_add(sum);
+    EXPECT_LE(faults_after_first, 1u) << "rank " << ctx.rank();
+    EXPECT_GT(v.prefetches(), 0u);
+  });
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(total.load(), kN * (kN - 1) / 2);
 }
 
 TEST_F(VectorTest, LargeDatasetSpillsToNvme) {
