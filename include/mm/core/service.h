@@ -169,7 +169,7 @@ class NodeRuntime {
 
   /// Crash-consistent group commit (DESIGN.md §12): appends the redo
   /// records of `batch` (ascending offsets; each carries its page's
-  /// directory version and full-page CRC) to this node's journal as one
+  /// committed version and full-page CRC) to this node's journal as one
   /// batch charged as one PFS write, then — once they are durable — writes
   /// each contiguous run in place with one BackendWrite. Honors the armed
   /// crash points. Without journaling only the in-place writes run.
@@ -177,11 +177,13 @@ class NodeRuntime {
                                std::span<const ckpt::JournalRecord> batch,
                                sim::SimTime now, sim::SimTime* done);
 
-  /// Copies resident page `id` into *buf and returns the directory entry
-  /// the copy is a consistent snapshot of (Crc32 of the copy equals the
-  /// entry's CRC, re-read after the copy), re-copying with a bounded
-  /// backoff while a commit is mid-flight. kNotFound: nothing to persist.
+  /// Copies resident page `id` (`bytes` long) into a pooled *buf under
+  /// the healing readers' policy and returns its directory entry with the
+  /// version and CRC of the stamp the copy was taken under: a committed
+  /// state by construction. kNotFound: nothing to persist; kDataLoss: the
+  /// copy failed its CRC check.
   StatusOr<storage::BlobLocation> SnapshotPage(const storage::BlobId& id,
+                                               std::uint64_t bytes,
                                                std::vector<std::uint8_t>* buf,
                                                sim::SimTime now,
                                                sim::SimTime* done);
@@ -433,7 +435,8 @@ class Service {
   /// directory entry is sampled, the bytes are copied straight out of the
   /// source the §6 rule blesses (primary or registered replica — never a
   /// stale cache), and the directory version is re-sampled; a changed
-  /// version means a racing writer and the copy is retried (bounded).
+  /// version, or a copy whose stamp is not the sampled version, means a
+  /// racing writer and the copy is retried (bounded).
   /// Returns nullopt — caller falls back to ReadPage — on: miss (unplaced
   /// page), version conflict after retries, ineligible coherence mode,
   /// fenced source, CRC mismatch (the slow path heals it), or the

@@ -35,6 +35,18 @@ struct BlobIdHash {
   }
 };
 
+/// The commit stamp of one scache copy: the write version its bytes were
+/// committed under and their CRC-32. A copy's bytes and stamp change
+/// together under its tier's lock, so a reader checks the bytes it copied
+/// against the stamp they were copied with (DESIGN.md §6). A crc of 0 is
+/// "not computed": it skips a check, never fails one.
+struct BlobStamp {
+  std::uint64_t version = 0;
+  std::uint32_t crc = 0;
+
+  bool operator==(const BlobStamp&) const = default;
+};
+
 /// Where a blob currently lives and how it is scored.
 struct BlobLocation {
   std::size_t node = 0;
@@ -54,6 +66,8 @@ struct BlobLocation {
   /// CRC-32 of the page bytes as of `version`. 0 means "not yet computed"
   /// (a valid page whose content happens to CRC to 0 is re-verified as a
   /// match, so the sentinel only ever skips a check, never fails one).
+  /// For a resident page this mirrors the scache copy's BlobStamp; it is
+  /// the check for backend-resident pages, stage-in and manifests.
   std::uint32_t crc = 0;
 };
 

@@ -62,19 +62,23 @@ class BufferManager {
   std::uint64_t used() const;
   std::uint64_t capacity() const;
 
-  /// Places a blob with an importance score. Tries live tiers fastest-first;
-  /// if a tier is full, demotes its lowest-scoring blobs below the incoming
+  /// Places a blob committed under `stamp` with an importance score
+  /// (replacing any copy and its stamp). Tries live tiers fastest-first; if
+  /// a tier is full, demotes its lowest-scoring blobs below the incoming
   /// score to the next tier down (cascading). Returns the tier index used.
   /// Fails with kResourceExhausted when nothing fits anywhere, or
   /// kUnavailable when every tier has permanently failed.
   StatusOr<std::size_t> PutScored(const BlobId& id,
                                   std::vector<std::uint8_t> data, float score,
-                                  sim::SimTime now, sim::SimTime* done);
+                                  BlobStamp stamp, sim::SimTime now,
+                                  sim::SimTime* done);
 
-  /// Updates bytes [offset, ...) of a resident blob in place.
-  Status PutPartial(const BlobId& id, std::uint64_t offset,
-                    const std::vector<std::uint8_t>& data, sim::SimTime now,
-                    sim::SimTime* done);
+  /// Commits bytes [offset, ...) of a resident blob in place: the version
+  /// is bumped and the CRC re-computed with the bytes, under the tier's
+  /// lock. Returns the new stamp.
+  StatusOr<BlobStamp> PutPartial(const BlobId& id, std::uint64_t offset,
+                                 const std::vector<std::uint8_t>& data,
+                                 sim::SimTime now, sim::SimTime* done);
 
   /// Reads a whole blob from whichever tier holds it.
   StatusOr<std::vector<std::uint8_t>> Get(const BlobId& id, sim::SimTime now,
@@ -82,8 +86,9 @@ class BufferManager {
 
   /// Reads a whole blob into a caller-provided buffer, reusing its
   /// capacity (zero-copy task path: workers pass pooled page buffers).
-  Status GetInto(const BlobId& id, std::vector<std::uint8_t>* out,
-                 sim::SimTime now, sim::SimTime* done);
+  /// Returns the stamp the bytes were copied under.
+  StatusOr<BlobStamp> GetInto(const BlobId& id, std::vector<std::uint8_t>* out,
+                              sim::SimTime now, sim::SimTime* done);
 
   /// Reads a fragment of a blob.
   StatusOr<std::vector<std::uint8_t>> GetPartial(const BlobId& id,
@@ -96,9 +101,6 @@ class BufferManager {
   std::optional<std::size_t> FindBlob(const BlobId& id) const;
 
   Status Erase(const BlobId& id);
-
-  /// CRC-32 of a resident blob (integrity metadata; no device charge).
-  StatusOr<std::uint32_t> Checksum(const BlobId& id) const;
 
   /// Re-scores a resident blob (organizer input).
   void SetScore(const BlobId& id, float score);
@@ -125,18 +127,21 @@ class BufferManager {
   // them: a lambda body is a separate, unannotated function to Clang.
   StatusOr<std::size_t> PutScoredLocked(const BlobId& id,
                                         std::vector<std::uint8_t> data,
-                                        float score, sim::SimTime now,
-                                        sim::SimTime* done) MM_REQUIRES(mu_);
-  Status PutPartialLocked(const BlobId& id, std::uint64_t offset,
-                          const std::vector<std::uint8_t>& data,
-                          sim::SimTime now, sim::SimTime* done)
+                                        float score, BlobStamp stamp,
+                                        sim::SimTime now, sim::SimTime* done)
+      MM_REQUIRES(mu_);
+  StatusOr<BlobStamp> PutPartialLocked(const BlobId& id, std::uint64_t offset,
+                                       const std::vector<std::uint8_t>& data,
+                                       sim::SimTime now, sim::SimTime* done)
       MM_REQUIRES(mu_);
   StatusOr<std::vector<std::uint8_t>> GetLocked(const BlobId& id,
                                                 sim::SimTime now,
                                                 sim::SimTime* done)
       MM_REQUIRES(mu_);
-  Status GetIntoLocked(const BlobId& id, std::vector<std::uint8_t>* out,
-                       sim::SimTime now, sim::SimTime* done) MM_REQUIRES(mu_);
+  StatusOr<BlobStamp> GetIntoLocked(const BlobId& id,
+                                    std::vector<std::uint8_t>* out,
+                                    sim::SimTime now, sim::SimTime* done)
+      MM_REQUIRES(mu_);
   StatusOr<std::vector<std::uint8_t>> GetPartialLocked(const BlobId& id,
                                                        std::uint64_t offset,
                                                        std::uint64_t size,
@@ -144,7 +149,8 @@ class BufferManager {
                                                        sim::SimTime* done)
       MM_REQUIRES(mu_);
 
-  /// Moves one blob from tier `from` to tier `to` (charges both devices).
+  /// Moves one blob with its stamp from tier `from` to tier `to` (charges
+  /// both devices).
   /// Holds mu_ for the whole placement decision it is part of.
   Status Move(const BlobId& id, std::size_t from, std::size_t to,
               sim::SimTime now, sim::SimTime* done) MM_REQUIRES(mu_);
@@ -170,8 +176,8 @@ class BufferManager {
   telemetry::Counter* demotions_;   // mm.tier.demotion_count
   telemetry::Counter* promotions_;  // mm.tier.promotion_count
   // Guards scores_ and placement orchestration. Lock order (MML101): the
-  // placement paths call into TierStore (Contains/Erase/FindBlob/Checksum)
-  // while holding mu_, and each TierStore locks its own mutex.
+  // placement paths call into TierStore (Contains/Erase/FindBlob) while
+  // holding mu_, and each TierStore locks its own mutex.
   mutable Mutex mu_ MM_ACQUIRED_BEFORE(TierStore::mu_);
   std::unordered_map<BlobId, float, BlobIdHash> scores_ MM_GUARDED_BY(mu_);
   std::vector<bool> tier_drained_ MM_GUARDED_BY(mu_);

@@ -46,18 +46,20 @@ class TierStore {
   sim::Device& device() { return *device_; }
   const sim::Device& device() const { return *device_; }
 
-  /// Writes a whole blob. Fails with kResourceExhausted when it does not
-  /// fit; the caller (BufferManager) must evict/demote first. On success
-  /// sets `*done` to the simulated completion time. `data` is consumed
-  /// only on success, so the caller keeps the bytes for a retry or for
-  /// placement on another tier.
+  /// Writes a whole blob committed under `stamp`. Fails with
+  /// kResourceExhausted when it does not fit; the caller (BufferManager)
+  /// must evict/demote first. On success sets `*done` to the simulated
+  /// completion time. `data` is consumed only on success, so the caller
+  /// keeps the bytes for a retry or for placement on another tier.
   Status Put(const BlobId& id, std::vector<std::uint8_t>&& data,
-             sim::SimTime now, sim::SimTime* done);
+             BlobStamp stamp, sim::SimTime now, sim::SimTime* done);
 
-  /// Overwrites bytes [offset, offset+data.size()) of an existing blob.
-  Status PutPartial(const BlobId& id, std::uint64_t offset,
-                    const std::vector<std::uint8_t>& data, sim::SimTime now,
-                    sim::SimTime* done);
+  /// Overwrites bytes [offset, offset+data.size()) of an existing blob and
+  /// commits them: under the one lock, bumps the stamp's version and
+  /// re-computes its CRC over the whole blob. Returns the new stamp.
+  StatusOr<BlobStamp> PutPartial(const BlobId& id, std::uint64_t offset,
+                                 const std::vector<std::uint8_t>& data,
+                                 sim::SimTime now, sim::SimTime* done);
 
   /// Reads a whole blob.
   StatusOr<std::vector<std::uint8_t>> Get(const BlobId& id, sim::SimTime now,
@@ -65,8 +67,9 @@ class TierStore {
 
   /// Reads a whole blob into a caller-provided buffer, reusing its
   /// capacity (zero-copy task path: workers pass pooled page buffers).
-  Status GetInto(const BlobId& id, std::vector<std::uint8_t>* out,
-                 sim::SimTime now, sim::SimTime* done) const;
+  /// Returns the stamp the bytes were copied under.
+  StatusOr<BlobStamp> GetInto(const BlobId& id, std::vector<std::uint8_t>* out,
+                              sim::SimTime now, sim::SimTime* done) const;
 
   /// Reads bytes [offset, offset+size).
   StatusOr<std::vector<std::uint8_t>> GetPartial(const BlobId& id,
@@ -75,7 +78,8 @@ class TierStore {
                                                  sim::SimTime now,
                                                  sim::SimTime* done) const;
 
-  /// Removes a blob (no device charge: drop is a metadata operation).
+  /// Removes a blob and its stamp (no device charge: drop is a metadata
+  /// operation).
   Status Erase(const BlobId& id);
 
   bool Contains(const BlobId& id) const;
@@ -98,17 +102,15 @@ class TierStore {
   /// True once the tier has permanently failed.
   bool failed() const { return failed_.load(std::memory_order_acquire); }
 
-  /// Marks the tier permanently failed and drops all contents, returning
+  /// Marks the tier permanently failed and drops all contents (bytes and
+  /// stamps), returning
   /// the ids that were lost. Idempotent: a second call returns empty.
   /// No device time is charged — the device is gone, not busy.
   std::vector<BlobId> FailAndDrain();
 
-  /// CRC-32 of a resident blob's bytes. Integrity metadata, no device
-  /// charge and no fault draw.
-  StatusOr<std::uint32_t> Checksum(const BlobId& id) const;
-
-  /// Flips one byte of a resident blob in place — silent media corruption
-  /// for tests/fault drills. Bypasses the device model and the injector.
+  /// Flips one byte of a resident blob in place, leaving its stamp — silent
+  /// media corruption for tests/fault drills. Bypasses the device model
+  /// and the injector.
   Status CorruptBlob(const BlobId& id, std::uint64_t offset);
 
  private:
@@ -130,9 +132,14 @@ class TierStore {
   telemetry::Counter* write_bytes_;  // mm.tier.<kind>_write_bytes
   mutable std::atomic<bool> failed_{false};
   mutable Mutex mu_;
+  /// One resident blob: its bytes and the stamp they were committed under,
+  /// one record so no reader can see one without the other.
+  struct Blob {
+    std::vector<std::uint8_t> bytes;
+    BlobStamp stamp;
+  };
   std::uint64_t used_ MM_GUARDED_BY(mu_) = 0;
-  std::unordered_map<BlobId, std::vector<std::uint8_t>, BlobIdHash> blobs_
-      MM_GUARDED_BY(mu_);
+  std::unordered_map<BlobId, Blob, BlobIdHash> blobs_ MM_GUARDED_BY(mu_);
 };
 
 }  // namespace mm::storage

@@ -1,8 +1,6 @@
 #include "mm/core/service.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "mm/core/pcache.h"
 #include "mm/sim/cost_model.h"
@@ -148,59 +146,59 @@ ReadSource ResolveSource(Service& svc, VectorMeta& meta,
   return src;
 }
 
-/// Stage 2: copies `id` out of `node`'s scache into *buf, then re-reads the
-/// page's directory entry into *entry (none: unplaced) and checks the copy
-/// against its CRC. A commit changes the bytes before the CRC, so judging
-/// the bytes by an entry read after them confines a false mismatch to a
-/// commit caught between the two reads. The copy is charged to *done; the
-/// re-read, issued when the copy completes, to *lookup_done (nullptr:
-/// uncharged). Returns OK, kDataLoss on a mismatch, or the copy's error.
-Status VerifiedCopy(Service& svc, std::size_t node, const storage::BlobId& id,
-                    std::size_t from_node, std::vector<std::uint8_t>* buf,
-                    sim::SimTime now, sim::SimTime* done,
-                    sim::SimTime* lookup_done,
-                    std::optional<storage::BlobLocation>* entry) {
-  MM_RETURN_IF_ERROR(svc.runtime(node).buffer().GetInto(id, buf, now, done));
-  auto reread = svc.metadata().Lookup(id, from_node, *done, lookup_done);
-  entry->reset();
-  if (reread.ok()) *entry = *reread;
-  if (*entry && svc.options().verify_checksums && (*entry)->crc != 0 &&
-      Crc32(*buf) != (*entry)->crc) {
+/// Stage 2: copies `id` out of `node`'s scache into *buf and checks the
+/// copy against the stamp it was copied under. A commit publishes a page's
+/// bytes and stamp together, so a mismatch is media corruption, never a
+/// racing commit. The copy is charged to *done. Returns the stamp, kDataLoss
+/// on a mismatch, or the copy's error.
+StatusOr<storage::BlobStamp> VerifiedCopy(Service& svc, std::size_t node,
+                                          const storage::BlobId& id,
+                                          std::vector<std::uint8_t>* buf,
+                                          sim::SimTime now,
+                                          sim::SimTime* done) {
+  MM_ASSIGN_OR_RETURN(storage::BlobStamp stamp,
+                      svc.runtime(node).buffer().GetInto(id, buf, now, done));
+  if (svc.options().verify_checksums && stamp.crc != 0 &&
+      Crc32(*buf) != stamp.crc) {
     return DataLoss("copy of page " + id.ToString() + " on node " +
                     std::to_string(node) + " failed its CRC check");
   }
-  return Status::Ok();
+  return stamp;
 }
 
 /// VerifiedCopy into a pooled `bytes`-sized buffer of `from_node`, under
-/// the one failure policy of the healing readers (the caller-thread fault
-/// and the owner's worker; the lock-free probe declines instead). A CRC
-/// mismatch drops the copy on `node` and the directory's claim on it — the
-/// replica record, or the whole entry for the primary — and a dirty
-/// primary's loss is recorded; a clean copy that errored is dropped.
-/// Returns the bytes, kNotFound when the page must be fetched elsewhere, or
-/// a terminal error (typed data loss, an I/O error on dirty bytes). The
-/// directory re-read is uncharged; heal charges land on *done (non-null).
+/// the one failure policy of the healing readers (the caller-thread fault,
+/// the owner's worker and the stage-out snapshot; the lock-free probe
+/// declines instead). A CRC mismatch drops the copy on `node` and the
+/// directory's claim on it — the replica record, or the whole entry for the
+/// primary — and a dirty primary's loss is recorded; a clean copy that
+/// errored is dropped. Returns the bytes and sets *stamp, or returns
+/// kNotFound when the page must be fetched elsewhere, or a terminal error
+/// (typed data loss, an I/O error on dirty bytes). The heal's directory
+/// lookup is uncharged; its other charges land on *done (non-null).
 StatusOr<std::vector<std::uint8_t>> CopyOrHeal(
     Service& svc, std::size_t node, const storage::BlobId& id,
     std::size_t from_node, std::uint64_t bytes, sim::SimTime now,
-    sim::SimTime* done) {
+    sim::SimTime* done, storage::BlobStamp* stamp) {
   PagePool& pool = svc.runtime(from_node).pool();
   std::vector<std::uint8_t> buf = pool.Acquire(bytes);
   PoolReturn buf_guard(pool, buf);
-  std::optional<storage::BlobLocation> loc;
-  Status st = VerifiedCopy(svc, node, id, from_node, &buf, now, done,
-                           /*lookup_done=*/nullptr, &loc);
-  if (st.ok()) return buf;  // implicit move detaches from buf_guard
+  auto copied = VerifiedCopy(svc, node, id, &buf, now, done);
+  if (copied.ok()) {
+    *stamp = *copied;
+    return buf;  // implicit move detaches from buf_guard
+  }
+  const Status& st = copied.status();
   if (st.code() == StatusCode::kDataLoss) {
     // Silent media corruption. Drop the poisoned bytes (best effort: the
     // page is re-fetched next, so a failed erase only wastes cache bytes),
-    // then the directory's claim on them.
+    // then the directory's claim on them, if any.
     (void)svc.runtime(node).buffer().Erase(id);
-    if (loc->node != node) {
+    auto loc = svc.metadata().Lookup(id, from_node, *done, nullptr);
+    if (loc.ok() && loc->node != node) {
       // Idempotent: the replica may already be unregistered.
       (void)svc.metadata().RemoveReplica(id, node, from_node, *done, done);
-    } else {
+    } else if (loc.ok()) {
       // Idempotent: a racing removal leaves nothing to remove.
       (void)svc.metadata().Remove(id, from_node, *done, done);
       if (loc->dirty) {
@@ -715,8 +713,9 @@ void NodeRuntime::CacheStagedPage(const MemoryTask& task,
   sim::SimTime put_done = out->done;
   std::vector<std::uint8_t> cache_copy = pool_.Acquire(out->data.size());
   std::copy(out->data.begin(), out->data.end(), cache_copy.begin());
-  auto tier = bm_.PutScored(id, std::move(cache_copy), task.score, out->done,
-                            &put_done);
+  const storage::BlobStamp stamp{version, Crc32(out->data)};
+  auto tier = bm_.PutScored(id, std::move(cache_copy), task.score, stamp,
+                            out->done, &put_done);
   if (!tier.ok()) return;
   storage::BlobLocation loc;
   loc.node = node_id_;
@@ -725,8 +724,8 @@ void NodeRuntime::CacheStagedPage(const MemoryTask& task,
   loc.score = task.score;
   loc.score_node = task.from_node;
   loc.dirty = false;
-  loc.version = version;
-  loc.crc = Crc32(out->data);
+  loc.version = stamp.version;
+  loc.crc = stamp.crc;
   // Directory upsert on the home shard cannot fail; timing is charged
   // through `done` on the read path instead.
   (void)service_->metadata().Update(id, loc, node_id_, out->done, nullptr);
@@ -754,9 +753,10 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
                                        task.issue_time, nullptr);
   StatusOr<std::vector<std::uint8_t>> copy =
       NotFound("no valid copy on this node");
+  storage::BlobStamp stamp;
   if (src.node == node_id_ && src.has_copy) {
     copy = CopyOrHeal(*service_, node_id_, task.id, node_id_, task.size,
-                      out.done, &out.done);
+                      out.done, &out.done, &stamp);
   }
   // No usable local bytes. If the directory maps the blob to another node,
   // serve the read through from the recorded owner. Falling into the
@@ -767,7 +767,7 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
       src.loc->node != node_id_) {
     const std::size_t owner = src.loc->node;
     copy = CopyOrHeal(*service_, owner, task.id, node_id_, task.size,
-                      out.done, &out.done);
+                      out.done, &out.done, &stamp);
     if (copy.ok()) {
       out.done = service_->cluster()
                      .network()
@@ -777,7 +777,7 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
   }
   if (copy.ok()) {
     out.data = std::move(copy).value();
-    if (src.loc) out.version = src.loc->version;
+    out.version = stamp.version;
     return out;
   }
   if (copy.status().code() != StatusCode::kNotFound) {
@@ -875,10 +875,10 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
     }
   }
   sim::SimTime dev_done = task.issue_time;
-  Status st = bm_.PutPartial(task.id, task.offset, task.data, task.issue_time,
-                             &dev_done);
-  if (st.code() == StatusCode::kNotFound ||
-      st.code() == StatusCode::kUnavailable) {
+  auto stamp = bm_.PutPartial(task.id, task.offset, task.data,
+                              task.issue_time, &dev_done);
+  if (stamp.status().code() == StatusCode::kNotFound ||
+      stamp.status().code() == StatusCode::kUnavailable) {
     // Page not resident (or its tier just died): materialize it (stage-in
     // or zeros), apply the modification, and cache the result. If the tier
     // death took unstaged modifications with it (recorded by OnTierFailure
@@ -904,11 +904,6 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
     // page_data came from the pool (StageInOrZero); hand it back on every
     // exit from this scope, including errors.
     PoolReturn page_guard(pool_, page_data);
-    std::uint32_t page_crc = Crc32(page_data);
-    std::vector<std::uint8_t> cache_copy = pool_.Acquire(page_data.size());
-    std::copy(page_data.begin(), page_data.end(), cache_copy.begin());
-    auto tier = bm_.PutScored(task.id, std::move(cache_copy), task.score,
-                              dev_done, &dev_done);
     auto prev = service_->metadata().Lookup(task.id, node_id_, dev_done,
                                             nullptr);
     storage::BlobLocation loc;
@@ -917,7 +912,11 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
     loc.score = task.score;
     loc.score_node = task.from_node;
     loc.version = (prev.ok() ? prev->version : 0) + 1;
-    loc.crc = page_crc;
+    loc.crc = Crc32(page_data);
+    std::vector<std::uint8_t> cache_copy = pool_.Acquire(page_data.size());
+    std::copy(page_data.begin(), page_data.end(), cache_copy.begin());
+    auto tier = bm_.PutScored(task.id, std::move(cache_copy), task.score,
+                              {loc.version, loc.crc}, dev_done, &dev_done);
     if (tier.ok()) {
       loc.tier = bm_.tier(*tier).kind();
       loc.dirty = true;
@@ -969,24 +968,24 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
     out.done = dev_done;
     return out;
   }
-  if (!st.ok()) {
-    out.status = st;
+  if (!stamp.ok()) {
+    out.status = stamp.status();
     return out;
   }
-  // Mark dirty, bump the write version, and re-checksum the committed page.
+  // The commit point was the PutPartial: mirror its stamp into the
+  // directory entry and mark the page dirty.
   auto loc = service_->metadata().Lookup(task.id, node_id_, dev_done, nullptr);
   if (loc.ok()) {
     storage::BlobLocation updated = *loc;
     updated.dirty = true;
-    out.prev_version = updated.version;
-    ++updated.version;
-    auto crc = bm_.Checksum(task.id);
-    updated.crc = crc.ok() ? *crc : 0;
+    updated.version = stamp->version;
+    updated.crc = stamp->crc;
     // Directory upsert cannot fail; the commit's status is what callers see.
     (void)service_->metadata().Update(task.id, updated, node_id_, dev_done,
                                       nullptr);
-    out.version = updated.version;
   }
+  out.prev_version = stamp->version - 1;
+  out.version = stamp->version;
   out.done = dev_done;
   return out;
 }
@@ -1007,31 +1006,17 @@ TaskOutcome NodeRuntime::ExecuteScore(MemoryTask& task) {
 }
 
 StatusOr<storage::BlobLocation> NodeRuntime::SnapshotPage(
-    const storage::BlobId& id, std::vector<std::uint8_t>* buf,
-    sim::SimTime now, sim::SimTime* done) {
-  // A commit changes the bytes before the directory CRC, so a copy is a
-  // snapshot only when its CRC equals the CRC of the entry re-read after
-  // it (VerifiedCopy's rule). A mismatch is a commit caught mid-flight:
-  // back off and copy again, within a bound.
-  constexpr int kAttempts = 16;
-  constexpr int kMaxBackoffUs = 4096;
-  for (int attempt = 0;; ++attempt) {
-    MM_RETURN_IF_ERROR(bm_.GetInto(id, buf, now, done));
-    MM_ASSIGN_OR_RETURN(storage::BlobLocation entry,
-                        service_->metadata().Lookup(id, node_id_, *done,
-                                                    nullptr));
-    const std::uint32_t crc = Crc32(*buf);
-    if (entry.crc == 0 || entry.crc == crc) {
-      entry.crc = crc;
-      return entry;
-    }
-    if (attempt + 1 == kAttempts) {
-      return Unavailable("page " + id.ToString() +
-                         " kept changing under its stage-out; left dirty");
-    }
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(std::min(1 << attempt, kMaxBackoffUs)));
-  }
+    const storage::BlobId& id, std::uint64_t bytes,
+    std::vector<std::uint8_t>* buf, sim::SimTime now, sim::SimTime* done) {
+  storage::BlobStamp stamp;
+  MM_ASSIGN_OR_RETURN(*buf, CopyOrHeal(*service_, node_id_, id, node_id_,
+                                       bytes, now, done, &stamp));
+  MM_ASSIGN_OR_RETURN(storage::BlobLocation entry,
+                      service_->metadata().Lookup(id, node_id_, *done,
+                                                  nullptr));
+  entry.version = stamp.version;
+  entry.crc = stamp.crc;
+  return entry;
 }
 
 TaskOutcome NodeRuntime::ExecuteStageOut(MemoryTask& task) {
@@ -1056,12 +1041,12 @@ TaskOutcome NodeRuntime::ExecuteStageOut(MemoryTask& task) {
     const std::uint64_t page_off = page * meta->page_bytes;
     if (page_off >= logical) continue;  // page past the logical end
     ckpt::JournalRecord rec;
-    rec.payload = pool_.Acquire(meta->page_bytes);
-    auto snap = SnapshotPage(id, &rec.payload, task.issue_time, &read_done);
+    auto snap = SnapshotPage(id, meta->page_bytes, &rec.payload,
+                             task.issue_time, &read_done);
     if (!snap.ok() || !snap->dirty) {
       // Not resident or no longer placed (nothing to persist), or already
-      // staged by an earlier flush. A failed tier read or a page that kept
-      // changing stays dirty, and the flush reports it.
+      // staged by an earlier flush. A dirty page whose copy failed its CRC
+      // check or its tier read is not journaled, and the flush reports it.
       if (!snap.ok() && snap.status().code() != StatusCode::kNotFound &&
           out.status.ok()) {
         out.status = snap.status();
@@ -1672,13 +1657,12 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
     // A valid copy is already on this node: serve it on the calling thread
     // in a buffer from the node's page pool.
     sim::SimTime local_done = t;
+    storage::BlobStamp stamp;
     auto local = CopyOrHeal(*this, from_node, id, from_node, meta.page_bytes,
-                            now, &local_done);
+                            now, &local_done, &stamp);
     if (local.status().code() != StatusCode::kNotFound) {
       Merge(local_done, done);
-      if (local.ok() && version != nullptr) {
-        *version = src.loc ? src.loc->version : 0;
-      }
+      if (local.ok() && version != nullptr) *version = stamp.version;
       return local;
     }
     // The copy raced an eviction or was dropped: route the fault.
@@ -1764,23 +1748,24 @@ std::optional<std::vector<std::uint8_t>> Service::TryReadPageOptimistic(
     // promise, no task allocation.
     if (bytes.empty()) bytes = pool.Acquire(meta.page_bytes);
     sim::SimTime copy_done = t;
-    std::optional<storage::BlobLocation> v2;
-    Status st = VerifiedCopy(*this, src.node, id, from_node, &bytes, t,
-                             &copy_done, &t, &v2);
+    auto stamp = VerifiedCopy(*this, src.node, id, &bytes, t, &copy_done);
     // The copy failed (raced an eviction, tier error): the routed fault
     // re-stages.
-    if (!st.ok() && st.code() != StatusCode::kDataLoss) break;
+    if (!stamp.ok() && stamp.status().code() != StatusCode::kDataLoss) break;
     // v2, the entry re-read after the copy: the copy is coherent only if no
-    // writer committed meanwhile. This is the optimistic guard's validate
-    // step at directory granularity; a changed version or moved primary
-    // means the copy may be torn.
-    if (!v2 || v2->node != src.loc->node || v2->version != src.loc->version) {
+    // writer committed or moved the primary meanwhile, and it is the state
+    // v1 named. This is the optimistic guard's validate step at directory
+    // granularity.
+    auto v2 = metadata().Lookup(id, from_node, copy_done, &t);
+    if (!v2.ok() || v2->node != src.loc->node ||
+        v2->version != src.loc->version ||
+        (stamp.ok() && stamp->version != src.loc->version)) {
       runtime(from_node).CountReadpathRetry();
       continue;
     }
     // Corruption healing (replica drop, typed data loss) lives on the
     // routed fault; the fast path just declines.
-    if (!st.ok()) break;
+    if (!stamp.ok()) break;
     if (src.node != from_node) {
       t = cluster().network().Transfer(t, src.node, from_node, bytes.size())
               .delivered;
@@ -1817,9 +1802,10 @@ sim::SimTime Service::DeliverPage(VectorMeta& meta, std::uint64_t page,
   PagePool& pool = runtime(from_node).pool();
   std::vector<std::uint8_t> copy = pool.Acquire(outcome.data.size());
   std::copy(outcome.data.begin(), outcome.data.end(), copy.begin());
-  auto tier = runtime(from_node).buffer().PutScored(id, std::move(copy),
-                                                    /*score=*/1.0f, now,
-                                                    &put_done);
+  // The replica carries the stamp of the bytes it copies.
+  const storage::BlobStamp stamp{outcome.version, Crc32(outcome.data)};
+  auto tier = runtime(from_node).buffer().PutScored(
+      id, std::move(copy), /*score=*/1.0f, stamp, now, &put_done);
   if (tier.ok()) {
     // Registration cannot fail once the primary entry exists; a lost
     // replica record only costs a remote re-read.

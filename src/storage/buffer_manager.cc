@@ -61,10 +61,11 @@ std::uint64_t BufferManager::capacity() const {
 
 StatusOr<std::size_t> BufferManager::PutScored(const BlobId& id,
                                                std::vector<std::uint8_t> data,
-                                               float score, sim::SimTime now,
+                                               float score, BlobStamp stamp,
+                                               sim::SimTime now,
                                                sim::SimTime* done) {
   MutexLock lock(mu_);
-  auto result = PutScoredLocked(id, std::move(data), score, now, done);
+  auto result = PutScoredLocked(id, std::move(data), score, stamp, now, done);
   std::vector<PendingFailure> failures = CollectFailuresLocked();
   lock.Unlock();
   NotifyFailures(std::move(failures), now);
@@ -73,7 +74,7 @@ StatusOr<std::size_t> BufferManager::PutScored(const BlobId& id,
 
 StatusOr<std::size_t> BufferManager::PutScoredLocked(
     const BlobId& id, std::vector<std::uint8_t> data, float score,
-    sim::SimTime now, sim::SimTime* done) {
+    BlobStamp stamp, sim::SimTime now, sim::SimTime* done) {
   {
     // Drop any stale copy so capacity accounting stays exact.
     for (auto& t : tiers_) {
@@ -97,7 +98,8 @@ StatusOr<std::size_t> BufferManager::PutScoredLocked(
       Status st = RunWithRetry(retry_, now, done,
                                [&](double start, double* attempt_done) {
                                  return tiers_[t]->Put(id, std::move(data),
-                                                       start, attempt_done);
+                                                       stamp, start,
+                                                       attempt_done);
                                });
       if (st.ok()) return t;
       // kUnavailable (tier died mid-put), kResourceExhausted, or kIoError
@@ -118,20 +120,22 @@ StatusOr<std::size_t> BufferManager::PutScoredLocked(
   }
 }
 
-Status BufferManager::PutPartial(const BlobId& id, std::uint64_t offset,
-                                 const std::vector<std::uint8_t>& data,
-                                 sim::SimTime now, sim::SimTime* done) {
+StatusOr<BlobStamp> BufferManager::PutPartial(
+    const BlobId& id, std::uint64_t offset,
+    const std::vector<std::uint8_t>& data, sim::SimTime now,
+    sim::SimTime* done) {
   MutexLock lock(mu_);
-  Status result = PutPartialLocked(id, offset, data, now, done);
+  auto result = PutPartialLocked(id, offset, data, now, done);
   std::vector<PendingFailure> failures = CollectFailuresLocked();
   lock.Unlock();
   NotifyFailures(std::move(failures), now);
   return result;
 }
 
-Status BufferManager::PutPartialLocked(const BlobId& id, std::uint64_t offset,
-                                       const std::vector<std::uint8_t>& data,
-                                       sim::SimTime now, sim::SimTime* done) {
+StatusOr<BlobStamp> BufferManager::PutPartialLocked(
+    const BlobId& id, std::uint64_t offset,
+    const std::vector<std::uint8_t>& data, sim::SimTime now,
+    sim::SimTime* done) {
   for (auto& t : tiers_) {
     if (t->failed()) continue;
     if (t->Contains(id)) {
@@ -170,19 +174,21 @@ StatusOr<std::vector<std::uint8_t>> BufferManager::GetLocked(
   return NotFound("blob " + id.ToString() + " not resident");
 }
 
-Status BufferManager::GetInto(const BlobId& id, std::vector<std::uint8_t>* out,
-                              sim::SimTime now, sim::SimTime* done) {
+StatusOr<BlobStamp> BufferManager::GetInto(const BlobId& id,
+                                           std::vector<std::uint8_t>* out,
+                                           sim::SimTime now,
+                                           sim::SimTime* done) {
   MutexLock lock(mu_);
-  Status result = GetIntoLocked(id, out, now, done);
+  auto result = GetIntoLocked(id, out, now, done);
   std::vector<PendingFailure> failures = CollectFailuresLocked();
   lock.Unlock();
   NotifyFailures(std::move(failures), now);
   return result;
 }
 
-Status BufferManager::GetIntoLocked(const BlobId& id,
-                                    std::vector<std::uint8_t>* out,
-                                    sim::SimTime now, sim::SimTime* done) {
+StatusOr<BlobStamp> BufferManager::GetIntoLocked(
+    const BlobId& id, std::vector<std::uint8_t>* out, sim::SimTime now,
+    sim::SimTime* done) {
   for (auto& t : tiers_) {
     if (t->failed()) continue;
     if (t->Contains(id)) {
@@ -239,14 +245,6 @@ Status BufferManager::Erase(const BlobId& id) {
   return NotFound("blob " + id.ToString() + " not resident");
 }
 
-StatusOr<std::uint32_t> BufferManager::Checksum(const BlobId& id) const {
-  MutexLock lock(mu_);
-  for (const auto& t : tiers_) {
-    if (t->Contains(id)) return t->Checksum(id);
-  }
-  return NotFound("blob " + id.ToString() + " not resident");
-}
-
 void BufferManager::SetScore(const BlobId& id, float score) {
   MutexLock lock(mu_);
   scores_[id] = score;
@@ -261,14 +259,16 @@ float BufferManager::GetScore(const BlobId& id) const {
 Status BufferManager::Move(const BlobId& id, std::size_t from, std::size_t to,
                            sim::SimTime now, sim::SimTime* done) {
   sim::SimTime read_done = now;
-  auto data = RunWithRetry(retry_, now, &read_done,
-                           [&](double start, double* attempt_done) {
-                             return tiers_[from]->Get(id, start, attempt_done);
-                           });
-  MM_RETURN_IF_ERROR(data.status());
+  std::vector<std::uint8_t> data;
+  auto stamp = RunWithRetry(retry_, now, &read_done,
+                            [&](double start, double* attempt_done) {
+                              return tiers_[from]->GetInto(id, &data, start,
+                                                           attempt_done);
+                            });
+  MM_RETURN_IF_ERROR(stamp.status());
   MM_RETURN_IF_ERROR(RunWithRetry(
       retry_, read_done, done, [&](double start, double* attempt_done) {
-        return tiers_[to]->Put(id, std::move(data).value(), start,
+        return tiers_[to]->Put(id, std::move(data), *stamp, start,
                                attempt_done);
       }));
   MergeDone(read_done, done);

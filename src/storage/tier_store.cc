@@ -92,14 +92,14 @@ Status TierStore::InjectFault(bool is_write, sim::SimTime now,
 }
 
 Status TierStore::Put(const BlobId& id, std::vector<std::uint8_t>&& data,
-                      sim::SimTime now, sim::SimTime* done) {
+                      BlobStamp stamp, sim::SimTime now, sim::SimTime* done) {
   double factor = 1.0;
   MM_RETURN_IF_ERROR(InjectFault(/*is_write=*/true, now, done, &factor));
   std::uint64_t size = data.size();
   {
     MutexLock lock(mu_);
     auto it = blobs_.find(id);
-    std::uint64_t old_size = it == blobs_.end() ? 0 : it->second.size();
+    std::uint64_t old_size = it == blobs_.end() ? 0 : it->second.bytes.size();
     if (used_ - old_size + size > capacity_) {
       return ResourceExhausted("tier " +
                                std::string(sim::TierKindName(kind())) +
@@ -108,7 +108,7 @@ Status TierStore::Put(const BlobId& id, std::vector<std::uint8_t>&& data,
                                std::to_string(size));
     }
     used_ = used_ - old_size + size;
-    blobs_[id] = std::move(data);
+    blobs_[id] = Blob{std::move(data), stamp};
   }
   sim::SimTime end = device_->Write(now, size, factor);
   if (done != nullptr) *done = end;
@@ -116,28 +116,34 @@ Status TierStore::Put(const BlobId& id, std::vector<std::uint8_t>&& data,
   return Status::Ok();
 }
 
-Status TierStore::PutPartial(const BlobId& id, std::uint64_t offset,
-                             const std::vector<std::uint8_t>& data,
-                             sim::SimTime now, sim::SimTime* done) {
+StatusOr<BlobStamp> TierStore::PutPartial(
+    const BlobId& id, std::uint64_t offset,
+    const std::vector<std::uint8_t>& data, sim::SimTime now,
+    sim::SimTime* done) {
   double factor = 1.0;
   MM_RETURN_IF_ERROR(InjectFault(/*is_write=*/true, now, done, &factor));
+  BlobStamp stamp;
   {
     MutexLock lock(mu_);
     auto it = blobs_.find(id);
     if (it == blobs_.end()) {
       return NotFound("blob " + id.ToString() + " not in tier");
     }
+    std::vector<std::uint8_t>& bytes = it->second.bytes;
     // Overflow-safe bounds check: `offset + data.size()` could wrap.
-    if (offset > it->second.size() ||
-        data.size() > it->second.size() - offset) {
+    if (offset > bytes.size() || data.size() > bytes.size() - offset) {
       return OutOfRange("partial write past end of blob " + id.ToString());
     }
-    std::memcpy(it->second.data() + offset, data.data(), data.size());
+    std::memcpy(bytes.data() + offset, data.data(), data.size());
+    // The commit point: the new bytes and their stamp publish together.
+    ++it->second.stamp.version;
+    it->second.stamp.crc = Crc32(bytes);
+    stamp = it->second.stamp;
   }
   sim::SimTime end = device_->Write(now, data.size(), factor);
   if (done != nullptr) *done = end;
   Record(/*is_write=*/true, data.size(), now, end);
-  return Status::Ok();
+  return stamp;
 }
 
 StatusOr<std::vector<std::uint8_t>> TierStore::Get(const BlobId& id,
@@ -152,7 +158,7 @@ StatusOr<std::vector<std::uint8_t>> TierStore::Get(const BlobId& id,
     if (it == blobs_.end()) {
       return NotFound("blob " + id.ToString() + " not in tier");
     }
-    copy = it->second;
+    copy = it->second.bytes;
   }
   sim::SimTime end = device_->Read(now, copy.size(), factor);
   if (done != nullptr) *done = end;
@@ -160,24 +166,26 @@ StatusOr<std::vector<std::uint8_t>> TierStore::Get(const BlobId& id,
   return copy;
 }
 
-Status TierStore::GetInto(const BlobId& id, std::vector<std::uint8_t>* out,
-                          sim::SimTime now, sim::SimTime* done) const {
+StatusOr<BlobStamp> TierStore::GetInto(const BlobId& id,
+                                       std::vector<std::uint8_t>* out,
+                                       sim::SimTime now,
+                                       sim::SimTime* done) const {
   double factor = 1.0;
   MM_RETURN_IF_ERROR(InjectFault(/*is_write=*/false, now, done, &factor));
-  std::uint64_t size = 0;
+  BlobStamp stamp;
   {
     MutexLock lock(mu_);
     auto it = blobs_.find(id);
     if (it == blobs_.end()) {
       return NotFound("blob " + id.ToString() + " not in tier");
     }
-    out->assign(it->second.begin(), it->second.end());
-    size = it->second.size();
+    out->assign(it->second.bytes.begin(), it->second.bytes.end());
+    stamp = it->second.stamp;
   }
-  sim::SimTime end = device_->Read(now, size, factor);
+  sim::SimTime end = device_->Read(now, out->size(), factor);
   if (done != nullptr) *done = end;
-  Record(/*is_write=*/false, size, now, end);
-  return Status::Ok();
+  Record(/*is_write=*/false, out->size(), now, end);
+  return stamp;
 }
 
 StatusOr<std::vector<std::uint8_t>> TierStore::GetPartial(
@@ -192,12 +200,13 @@ StatusOr<std::vector<std::uint8_t>> TierStore::GetPartial(
     if (it == blobs_.end()) {
       return NotFound("blob " + id.ToString() + " not in tier");
     }
+    const std::vector<std::uint8_t>& bytes = it->second.bytes;
     // Overflow-safe bounds check: `offset + size` could wrap.
-    if (offset > it->second.size() || size > it->second.size() - offset) {
+    if (offset > bytes.size() || size > bytes.size() - offset) {
       return OutOfRange("partial read past end of blob " + id.ToString());
     }
-    copy.assign(it->second.begin() + static_cast<std::ptrdiff_t>(offset),
-                it->second.begin() + static_cast<std::ptrdiff_t>(offset + size));
+    copy.assign(bytes.begin() + static_cast<std::ptrdiff_t>(offset),
+                bytes.begin() + static_cast<std::ptrdiff_t>(offset + size));
   }
   sim::SimTime end = device_->Read(now, size, factor);
   if (done != nullptr) *done = end;
@@ -211,7 +220,7 @@ Status TierStore::Erase(const BlobId& id) {
   if (it == blobs_.end()) {
     return NotFound("blob " + id.ToString() + " not in tier");
   }
-  used_ -= it->second.size();
+  used_ -= it->second.bytes.size();
   blobs_.erase(it);
   return Status::Ok();
 }
@@ -224,7 +233,7 @@ bool TierStore::Contains(const BlobId& id) const {
 std::uint64_t TierStore::BlobSize(const BlobId& id) const {
   MutexLock lock(mu_);
   auto it = blobs_.find(id);
-  return it == blobs_.end() ? 0 : it->second.size();
+  return it == blobs_.end() ? 0 : it->second.bytes.size();
 }
 
 std::vector<BlobId> TierStore::ListBlobs() const {
@@ -246,25 +255,16 @@ std::vector<BlobId> TierStore::FailAndDrain() {
   return ids;
 }
 
-StatusOr<std::uint32_t> TierStore::Checksum(const BlobId& id) const {
-  MutexLock lock(mu_);
-  auto it = blobs_.find(id);
-  if (it == blobs_.end()) {
-    return NotFound("blob " + id.ToString() + " not in tier");
-  }
-  return Crc32(it->second);
-}
-
 Status TierStore::CorruptBlob(const BlobId& id, std::uint64_t offset) {
   MutexLock lock(mu_);
   auto it = blobs_.find(id);
   if (it == blobs_.end()) {
     return NotFound("blob " + id.ToString() + " not in tier");
   }
-  if (offset >= it->second.size()) {
+  if (offset >= it->second.bytes.size()) {
     return OutOfRange("corruption offset past end of blob " + id.ToString());
   }
-  it->second[offset] ^= 0xFF;
+  it->second.bytes[offset] ^= 0xFF;
   return Status::Ok();
 }
 

@@ -541,46 +541,75 @@ INSTANTIATE_TEST_SUITE_P(PageSizes, FlushGroupCommitTest,
                            return std::to_string(info.param / kKiB) + "KiB";
                          });
 
-TEST_F(ServiceCkptTest, StageOutNeverJournalsACommitCaughtMidFlight) {
+TEST_F(ServiceCkptTest, StageOutLeavesACommitLandingAfterItsSnapshotDirty) {
   auto svc = MakeService();
   auto meta = Register(*svc);
   ASSERT_TRUE(meta.ok());
   sim::SimTime t = WriteAll(*svc, **meta, 1, 0.0);
   const storage::BlobId id{(*meta)->vector_id, 3};
-  // A commit caught between its bytes and its directory CRC: the scache
-  // already holds the new bytes, the entry still the old version and CRC.
-  const auto fresh = Pattern(kPage, 999);
-  ASSERT_TRUE(svc->runtime(0).buffer().PutPartial(id, 0, fresh, t, nullptr)
-                  .ok());
   auto before = svc->metadata().Lookup(id, 0, t, nullptr);
   ASSERT_TRUE(before.ok());
+  // A commit whose directory mirror has not landed: the scache copy holds
+  // the new bytes under the new stamp, the entry the old version.
+  const auto fresh = Pattern(kPage, 999);
+  auto stamp = svc->runtime(0).buffer().PutPartial(id, 0, fresh, t, nullptr);
+  ASSERT_TRUE(stamp.ok());
+  ASSERT_EQ(stamp->version, before->version + 1);
 
-  // The other pages persist; the page that never settles is left dirty,
-  // unjournaled, and reported.
+  // The stage-out journals the copy under its own stamp, a committed
+  // state. The entry it clears still names the old version, so the commit
+  // landing after the snapshot keeps the page dirty.
   sim::SimTime fd = t;
-  EXPECT_EQ(svc->FlushVector(**meta, 0, t, &fd).code(),
-            StatusCode::kUnavailable);
-  EXPECT_EQ(svc->journal(0)->record_count(), kPages - 1);
-  EXPECT_FALSE(svc->journal(0)->Latest(id).ok());
+  ASSERT_TRUE(svc->FlushVector(**meta, 0, t, &fd).ok());
+  EXPECT_EQ(svc->journal(0)->record_count(), kPages);
+  auto rec = svc->journal(0)->Latest(id);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(rec->version, stamp->version);
+  EXPECT_EQ(rec->payload, fresh);
+  EXPECT_EQ(rec->page_crc, Crc32(fresh));
   auto still = svc->metadata().Lookup(id, 0, t, nullptr);
   ASSERT_TRUE(still.ok());
   EXPECT_TRUE(still->dirty);
 
-  // Once the commit lands, the next flush journals the new bytes under the
-  // new version and their own CRC.
+  // Once the mirror lands, the next flush journals the new bytes under the
+  // new stamp's version and CRC, and the page is clean.
   storage::BlobLocation landed = *before;
-  ++landed.version;
-  landed.crc = Crc32(fresh);
+  landed.version = stamp->version;
+  landed.crc = stamp->crc;
   ASSERT_TRUE(svc->metadata().Update(id, landed, 0, t, nullptr).ok());
   ASSERT_TRUE(svc->FlushVector(**meta, 0, t, &fd).ok());
-  auto rec = svc->journal(0)->Latest(id);
+  EXPECT_EQ(svc->journal(0)->record_count(), kPages + 1);
+  rec = svc->journal(0)->Latest(id);
   ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->version, landed.version);
+  EXPECT_EQ(rec->version, stamp->version);
   EXPECT_EQ(rec->payload, fresh);
-  EXPECT_EQ(rec->page_crc, Crc32(fresh));
+  EXPECT_EQ(rec->page_crc, stamp->crc);
   auto after = svc->metadata().Lookup(id, 0, t, nullptr);
   ASSERT_TRUE(after.ok());
   EXPECT_FALSE(after->dirty);
+}
+
+TEST_F(ServiceCkptTest, CorruptDirtyPageAtStageOutIsDataLoss) {
+  auto svc = MakeService();
+  auto meta = Register(*svc);
+  ASSERT_TRUE(meta.ok());
+  sim::SimTime t = WriteAll(*svc, **meta, 1, 0.0);
+  const storage::BlobId id{(*meta)->vector_id, 3};
+  storage::BufferManager& bm = svc->runtime(0).buffer();
+  auto tier = bm.FindBlob(id);
+  ASSERT_TRUE(tier.has_value());
+  ASSERT_TRUE(bm.tier(*tier).CorruptBlob(id, 100).ok());
+
+  // The corrupt copy fails its CRC check at once: a typed loss naming the
+  // page, never journaled; the other pages persist.
+  sim::SimTime fd = t;
+  Status st = svc->FlushVector(**meta, 0, t, &fd);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+  EXPECT_NE(st.message().find(id.ToString()), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(svc->journal(0)->record_count(), kPages - 1);
+  EXPECT_FALSE(svc->journal(0)->Latest(id).ok());
+  EXPECT_TRUE(svc->IsDataLost(id));
 }
 
 TEST_F(ServiceCkptTest, FlushUnderAWriteStormJournalsConsistentSnapshots) {

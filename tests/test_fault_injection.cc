@@ -299,7 +299,7 @@ TEST(TierStoreFaults, TransientFaultReturnsIoErrorWithoutConsumingData) {
   storage::TierStore store(&dev, MEGABYTES(1), &inj);
   std::vector<std::uint8_t> data(1000, 0xAB);
   sim::SimTime done = 0;
-  Status st = store.Put({1, 0}, std::move(data), 0.0, &done);
+  Status st = store.Put({1, 0}, std::move(data), {}, 0.0, &done);
   EXPECT_EQ(st.code(), StatusCode::kIoError);
   EXPECT_EQ(data.size(), 1000u);  // kept for the caller's retry
   EXPECT_GT(done, 0.0);           // the failed attempt still took time
@@ -312,7 +312,7 @@ TEST(TierStoreFaults, PermanentFaultFlipsStoreToFailed) {
   FaultInjector inj(cfg);
   sim::Device dev(sim::DeviceSpec::Nvme(MEGABYTES(10)));
   storage::TierStore store(&dev, MEGABYTES(1), &inj);
-  ASSERT_TRUE(store.Put({1, 0}, std::vector<std::uint8_t>(64, 1), 0.0,
+  ASSERT_TRUE(store.Put({1, 0}, std::vector<std::uint8_t>(64, 1), {}, 0.0,
                         nullptr).ok());
   EXPECT_EQ(store.Get({1, 0}, 0.0, nullptr).status().code(),
             StatusCode::kUnavailable);
@@ -325,20 +325,25 @@ TEST(TierStoreFaults, PermanentFaultFlipsStoreToFailed) {
   EXPECT_TRUE(store.FailAndDrain().empty());  // idempotent
 }
 
-TEST(TierStoreFaults, ChecksumAndCorruptBlob) {
+TEST(TierStoreFaults, CorruptBlobFlipsBytesUnderTheirStamp) {
   sim::Device dev(sim::DeviceSpec::Nvme(MEGABYTES(10)));
   storage::TierStore store(&dev, MEGABYTES(1));
   std::vector<std::uint8_t> data(256, 0x5A);
-  std::uint32_t expected = Crc32(data);
-  ASSERT_TRUE(store.Put({1, 0}, std::move(data), 0.0, nullptr).ok());
-  auto crc = store.Checksum({1, 0});
-  ASSERT_TRUE(crc.ok());
-  EXPECT_EQ(*crc, expected);
+  const storage::BlobStamp stamp{1, Crc32(data)};
+  ASSERT_TRUE(store.Put({1, 0}, std::move(data), stamp, 0.0, nullptr).ok());
+  std::vector<std::uint8_t> copy;
+  auto got = store.GetInto({1, 0}, &copy, 0.0, nullptr);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, stamp);
+  EXPECT_EQ(Crc32(copy), stamp.crc);
+  // Silent media corruption: the bytes change, their stamp does not, so a
+  // reader's CRC check catches it.
   ASSERT_TRUE(store.CorruptBlob({1, 0}, 17).ok());
-  auto crc2 = store.Checksum({1, 0});
-  ASSERT_TRUE(crc2.ok());
-  EXPECT_NE(*crc2, expected);
-  EXPECT_FALSE(store.Checksum({9, 9}).ok());
+  got = store.GetInto({1, 0}, &copy, 0.0, nullptr);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, stamp);
+  EXPECT_NE(Crc32(copy), stamp.crc);
+  EXPECT_EQ(store.CorruptBlob({9, 9}, 0).code(), StatusCode::kNotFound);
 }
 
 TEST(BufferManagerFaults, RetriesTransientFaultsTransparently) {
@@ -354,7 +359,7 @@ TEST(BufferManagerFaults, RetriesTransientFaultsTransparently) {
   sim::SimTime t = 0;
   for (std::uint64_t p = 0; p < 32; ++p) {
     ASSERT_TRUE(bm.PutScored({1, p}, std::vector<std::uint8_t>(4096, 0x11),
-                             0.5f, t, &t).ok());
+                             0.5f, {}, t, &t).ok());
   }
   for (std::uint64_t p = 0; p < 32; ++p) {
     auto data = bm.Get({1, p}, t, &t);
@@ -381,7 +386,7 @@ TEST(BufferManagerFaults, PermanentFailureDrainsAndReRoutes) {
     reported_kind = kind;
     reported = lost;
   });
-  auto t0 = bm.PutScored({1, 0}, std::vector<std::uint8_t>(4096, 1), 0.5f,
+  auto t0 = bm.PutScored({1, 0}, std::vector<std::uint8_t>(4096, 1), 0.5f, {},
                          0.0, nullptr);
   ASSERT_TRUE(t0.ok());
   EXPECT_EQ(*t0, 0u);  // DRAM
@@ -395,7 +400,7 @@ TEST(BufferManagerFaults, PermanentFailureDrainsAndReRoutes) {
   EXPECT_EQ(reported_kind, TierKind::kDram);
   EXPECT_EQ(bm.num_live_tiers(), 1u);
   // Placement now re-routes to the surviving tier.
-  auto t1 = bm.PutScored({1, 1}, std::vector<std::uint8_t>(4096, 2), 0.5f,
+  auto t1 = bm.PutScored({1, 1}, std::vector<std::uint8_t>(4096, 2), 0.5f, {},
                          2.0, nullptr);
   ASSERT_TRUE(t1.ok());
   EXPECT_EQ(*t1, 1u);  // NVMe
@@ -411,7 +416,8 @@ TEST(BufferManagerFaults, AllTiersDeadReturnsUnavailable) {
                             {{TierKind::kDram, MEGABYTES(1)}}, &inj,
                             RetryPolicy{});
   inj.FailTier(TierKind::kDram);
-  auto st = bm.PutScored({1, 0}, std::vector<std::uint8_t>(64, 1), 0.5f, 0.0,
+  auto st = bm.PutScored({1, 0}, std::vector<std::uint8_t>(64, 1), 0.5f, {},
+                         0.0,
                          nullptr);
   EXPECT_EQ(st.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(bm.num_live_tiers(), 0u);

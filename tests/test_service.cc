@@ -148,6 +148,48 @@ TEST_F(ServiceTest, VersionsIncrementPerCommit) {
       svc_->metadata().Lookup({(*meta)->vector_id, 99}, 0, 0.0, nullptr).ok());
 }
 
+TEST_F(ServiceTest, ReaderInACommitGapGetsACommittedStateAndHealsNothing) {
+  VectorOptions vo;
+  vo.nonvolatile = false;
+  vo.page_size = 4096;
+  auto meta = svc_->RegisterVector("gap", 1, vo, 4096);
+  ASSERT_TRUE(meta.ok());
+  const storage::BlobId id{(*meta)->vector_id, 0};
+  const std::vector<std::uint8_t> old_bytes(4096, 0x11);
+  TaskOutcome first = svc_->WriteRegion(**meta, 0, 0, old_bytes, 0, 0.0).get();
+  ASSERT_TRUE(first.status.ok());
+  auto entry = svc_->metadata().Lookup(id, 0, first.done, nullptr);
+  ASSERT_TRUE(entry.ok());
+  ASSERT_TRUE(entry->dirty);
+  const std::size_t owner = entry->node;
+
+  // The first half of a second commit: the owner's scache copy takes the
+  // new bytes and stamp; the directory mirror has not landed yet.
+  const std::vector<std::uint8_t> new_bytes(4096, 0x22);
+  auto stamp = svc_->runtime(owner).buffer().PutPartial(id, 0, new_bytes,
+                                                        first.done, nullptr);
+  ASSERT_TRUE(stamp.ok());
+  ASSERT_EQ(stamp->version, first.version + 1);
+
+  const std::size_t remote = (owner + 1) % svc_->num_nodes();
+  for (std::size_t reader : {owner, remote}) {
+    SCOPED_TRACE("reader on node " + std::to_string(reader));
+    std::uint64_t version = 0;
+    sim::SimTime done = first.done;
+    auto page = svc_->ReadPage(**meta, 0, reader, first.done, &done, &version,
+                               /*read_intent=*/reader == remote);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    if (*page == new_bytes) {
+      EXPECT_EQ(version, stamp->version);
+    } else {
+      EXPECT_EQ(*page, old_bytes);
+      EXPECT_EQ(version, first.version);
+    }
+    EXPECT_TRUE(svc_->runtime(owner).buffer().FindBlob(id).has_value());
+    EXPECT_FALSE(svc_->IsDataLost(id));
+  }
+}
+
 TEST_F(ServiceTest, ScoresReachTheOrganizer) {
   VectorOptions vo;
   vo.nonvolatile = false;

@@ -25,7 +25,7 @@ class TierStoreTest : public ::testing::Test {
 TEST_F(TierStoreTest, PutGetRoundTrip) {
   BlobId id{1, 0};
   sim::SimTime done = 0;
-  ASSERT_TRUE(store_.Put(id, Bytes(1000, 0xAB), 0.0, &done).ok());
+  ASSERT_TRUE(store_.Put(id, Bytes(1000, 0xAB), {}, 0.0, &done).ok());
   EXPECT_GT(done, 0.0);
   EXPECT_TRUE(store_.Contains(id));
   EXPECT_EQ(store_.used(), 1000u);
@@ -37,16 +37,16 @@ TEST_F(TierStoreTest, PutGetRoundTrip) {
 
 TEST_F(TierStoreTest, CapacityEnforced) {
   BlobId a{1, 0}, b{1, 1};
-  ASSERT_TRUE(store_.Put(a, Bytes(MEGABYTES(1), 1), 0.0, nullptr).ok());
-  auto st = store_.Put(b, Bytes(1, 2), 0.0, nullptr);
+  ASSERT_TRUE(store_.Put(a, Bytes(MEGABYTES(1), 1), {}, 0.0, nullptr).ok());
+  auto st = store_.Put(b, Bytes(1, 2), {}, 0.0, nullptr);
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
 }
 
 TEST_F(TierStoreTest, OverwriteReusesSpace) {
   BlobId id{1, 0};
-  ASSERT_TRUE(store_.Put(id, Bytes(MEGABYTES(1), 1), 0.0, nullptr).ok());
+  ASSERT_TRUE(store_.Put(id, Bytes(MEGABYTES(1), 1), {}, 0.0, nullptr).ok());
   // Replacing the blob with an equal-size one must succeed.
-  ASSERT_TRUE(store_.Put(id, Bytes(MEGABYTES(1), 2), 0.0, nullptr).ok());
+  ASSERT_TRUE(store_.Put(id, Bytes(MEGABYTES(1), 2), {}, 0.0, nullptr).ok());
   EXPECT_EQ(store_.used(), MEGABYTES(1));
   auto data = store_.Get(id, 0.0, nullptr);
   EXPECT_EQ((*data)[0], 2);
@@ -54,7 +54,7 @@ TEST_F(TierStoreTest, OverwriteReusesSpace) {
 
 TEST_F(TierStoreTest, PartialReadWrite) {
   BlobId id{2, 3};
-  ASSERT_TRUE(store_.Put(id, Bytes(4096, 0), 0.0, nullptr).ok());
+  ASSERT_TRUE(store_.Put(id, Bytes(4096, 0), {}, 0.0, nullptr).ok());
   ASSERT_TRUE(store_.PutPartial(id, 100, Bytes(50, 0xCD), 0.0, nullptr).ok());
   auto frag = store_.GetPartial(id, 90, 70, 0.0, nullptr);
   ASSERT_TRUE(frag.ok());
@@ -66,19 +66,21 @@ TEST_F(TierStoreTest, PartialReadWrite) {
 
 TEST_F(TierStoreTest, PartialBoundsChecked) {
   BlobId id{2, 3};
-  ASSERT_TRUE(store_.Put(id, Bytes(100, 0), 0.0, nullptr).ok());
-  EXPECT_EQ(store_.PutPartial(id, 90, Bytes(20, 1), 0.0, nullptr).code(),
-            StatusCode::kOutOfRange);
+  ASSERT_TRUE(store_.Put(id, Bytes(100, 0), {}, 0.0, nullptr).ok());
+  EXPECT_EQ(
+      store_.PutPartial(id, 90, Bytes(20, 1), 0.0, nullptr).status().code(),
+      StatusCode::kOutOfRange);
   EXPECT_EQ(store_.GetPartial(id, 90, 20, 0.0, nullptr).status().code(),
             StatusCode::kOutOfRange);
   EXPECT_EQ(store_.PutPartial(BlobId{9, 9}, 0, Bytes(1, 1), 0.0, nullptr)
+                .status()
                 .code(),
             StatusCode::kNotFound);
 }
 
 TEST_F(TierStoreTest, EraseFreesSpace) {
   BlobId id{1, 0};
-  ASSERT_TRUE(store_.Put(id, Bytes(1000, 1), 0.0, nullptr).ok());
+  ASSERT_TRUE(store_.Put(id, Bytes(1000, 1), {}, 0.0, nullptr).ok());
   ASSERT_TRUE(store_.Erase(id).ok());
   EXPECT_FALSE(store_.Contains(id));
   EXPECT_EQ(store_.used(), 0u);
@@ -89,21 +91,23 @@ TEST_F(TierStoreTest, DeviceTimeCharged) {
   // The NVMe preset has 4 channels: the first 4 concurrent writes proceed
   // in parallel, the 5th must queue behind one of them.
   sim::SimTime first = 0, fifth = 0;
-  ASSERT_TRUE(store_.Put(BlobId{1, 0}, Bytes(100'000, 1), 0.0, &first).ok());
+  ASSERT_TRUE(store_.Put(BlobId{1, 0}, Bytes(100'000, 1), {}, 0.0,
+                         &first).ok());
   for (std::uint64_t i = 1; i < 4; ++i) {
     sim::SimTime t = 0;
-    ASSERT_TRUE(store_.Put(BlobId{1, i}, Bytes(100'000, 1), 0.0, &t).ok());
+    ASSERT_TRUE(store_.Put(BlobId{1, i}, Bytes(100'000, 1), {}, 0.0, &t).ok());
     EXPECT_DOUBLE_EQ(t, first);  // parallel channels
   }
-  ASSERT_TRUE(store_.Put(BlobId{1, 4}, Bytes(100'000, 1), 0.0, &fifth).ok());
+  ASSERT_TRUE(store_.Put(BlobId{1, 4}, Bytes(100'000, 1), {}, 0.0,
+                         &fifth).ok());
   EXPECT_GT(fifth, first);  // queued
   EXPECT_NEAR(fifth, 2 * first, first);
   EXPECT_EQ(device_.bytes_written(), 500'000u);
 }
 
 TEST_F(TierStoreTest, ListBlobs) {
-  ASSERT_TRUE(store_.Put(BlobId{1, 0}, Bytes(10, 1), 0.0, nullptr).ok());
-  ASSERT_TRUE(store_.Put(BlobId{1, 1}, Bytes(10, 1), 0.0, nullptr).ok());
+  ASSERT_TRUE(store_.Put(BlobId{1, 0}, Bytes(10, 1), {}, 0.0, nullptr).ok());
+  ASSERT_TRUE(store_.Put(BlobId{1, 1}, Bytes(10, 1), {}, 0.0, nullptr).ok());
   auto ids = store_.ListBlobs();
   EXPECT_EQ(ids.size(), 2u);
   EXPECT_EQ(store_.num_blobs(), 2u);
@@ -111,7 +115,7 @@ TEST_F(TierStoreTest, ListBlobs) {
 
 TEST_F(TierStoreTest, BlobSizeReportsZeroWhenAbsent) {
   EXPECT_EQ(store_.BlobSize(BlobId{5, 5}), 0u);
-  ASSERT_TRUE(store_.Put(BlobId{5, 5}, Bytes(77, 1), 0.0, nullptr).ok());
+  ASSERT_TRUE(store_.Put(BlobId{5, 5}, Bytes(77, 1), {}, 0.0, nullptr).ok());
   EXPECT_EQ(store_.BlobSize(BlobId{5, 5}), 77u);
 }
 
