@@ -5,7 +5,8 @@
 // region), without it every page is a synchronous fault. Coverage is the
 // share of pcache misses a prefetch served (mm.prefetch.useful_count over
 // mm.pcache.miss_count): unlike useful/issued it exposes a prefetcher that
-// fetches too little.
+// fetches too little. Staged is mm.prefetch.staged_count per repetition:
+// the pages staged in from the backend ahead of their fetch.
 #include "bench/common.h"
 
 #include "mm/apps/kmeans.h"
@@ -22,7 +23,7 @@ int main(int argc, char** argv) {
   std::printf("=== Ablation: prefetcher on/off under memory pressure ===\n\n");
   TablePrinter table(
       {"prefetch", "pcache_frac", "runtime_s", "slowdown_vs_prefetch",
-       "coverage"});
+       "coverage", "staged"});
 
   apps::KMeansConfig cfg;
   cfg.k = 8;
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(partition_bytes * frac));
     double with = 0;
     for (bool prefetch : {true, false}) {
-      std::uint64_t useful = 0, misses = 0;
+      std::uint64_t useful = 0, misses = 0, staged = 0;
       double t = MeasureSeconds(reps, [&] {
         auto cluster = sim::Cluster::PaperTestbed(2);
         core::ServiceOptions so;
@@ -51,6 +52,7 @@ int main(int argc, char** argv) {
         auto counters = svc.TelemetrySnapshot().totals.counters;
         useful += counters["mm.prefetch.useful_count"];
         misses += counters["mm.pcache.miss_count"];
+        staged += counters["mm.prefetch.staged_count"];
         return result;
       });
       if (prefetch) with = t;
@@ -58,7 +60,8 @@ int main(int argc, char** argv) {
       const std::string coverage =
           misses > 0 ? Fmt(static_cast<double>(useful) / misses, 3) : "";
       table.AddRow({prefetch ? "on" : "off", Fmt(frac, 3), Fmt(t),
-                    Fmt(t / with, 2), coverage});
+                    Fmt(t / with, 2), coverage,
+                    std::to_string(staged / std::max(reps, 1))});
     }
   }
   std::printf("%s", table.Render(csv).c_str());

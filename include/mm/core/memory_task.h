@@ -170,6 +170,11 @@ struct MemoryTask {
   /// commits): the worker's task span closes the flow ('f') instead of a
   /// plain step ('t'), since no origin span outlives it.
   bool trace_terminal = false;
+  /// kGetPage stage-ahead (Service::StageAhead): the pages are placed in
+  /// the scache only. Staged bytes move into it, and any other bytes the
+  /// worker read go back to its pool, so the outcomes carry a status and a
+  /// `done` time but no data.
+  bool placement_only = false;
   /// Fulfilled by the executing worker when non-null. Awaited tasks (page
   /// faults, commits TxEnd orders on, stage-outs) allocate a promise;
   /// fire-and-forget tasks (kScore, kErase, recovery restores) leave it

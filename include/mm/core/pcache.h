@@ -31,6 +31,7 @@
 #include <list>
 #include <memory>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -227,6 +228,11 @@ class PCache {
     return std::nullopt;
   }
 
+  /// Up to `n` victims in PickVictim's order (clean LRU, then dirty LRU),
+  /// skipping the pages in `keep`. Pinned frames are never returned.
+  std::vector<std::uint64_t> PickVictims(
+      std::uint64_t n, const std::set<std::uint64_t>& keep) const;
+
   /// Retires a frame (eviction/flush/invalidation). Refuses (via MM_CHECK)
   /// to remove a pinned frame: a live Span still points into it. The
   /// returned frame stays owned by the cache's free list with its data and
@@ -277,6 +283,11 @@ class PCache {
     std::size_t n = pending_.size();
     pending_.clear();
     return n;
+  }
+  /// Waits (real time) until every pending fetch has completed, so none
+  /// can still place a page after its vector is torn down.
+  void WaitPendings() const {
+    for (const auto& [page, fetch] : pending_) fetch.future.wait();
   }
   /// Prefetches in flight also count against the capacity budget.
   std::uint64_t committed() const {

@@ -149,6 +149,8 @@ class NodeRuntime {
   /// Caches a page staged in for `task` in this node's scache and records
   /// its directory entry under `version` (sets out->version and out->done).
   /// A full scache is not an error for reads: the page is served uncached.
+  /// A placement-only task's bytes move into the cache, leaving out->data
+  /// empty.
   void CacheStagedPage(const MemoryTask& task, const storage::BlobId& id,
                        std::uint64_t version, TaskOutcome* out);
 
@@ -459,6 +461,17 @@ class Service {
                                            std::uint64_t n,
                                            std::size_t from_node,
                                            sim::SimTime now);
+
+  /// Stage-ahead, the Data Organizer's placement of scored pages the
+  /// prefetcher sees past its window (DESIGN.md §6): of pages
+  /// [first, first + n), those still unplaced and inside the backend's
+  /// extent are staged in from the backend and cached at `score`, without
+  /// returning their bytes. Each run of them within one stage-in block and
+  /// owner is one placement-only kGetPage task. Returns one future per
+  /// submitted page; its `done` is when the page landed in the scache.
+  std::vector<std::pair<std::uint64_t, std::shared_future<TaskOutcome>>>
+  StageAhead(VectorMeta& meta, std::uint64_t first, std::uint64_t n,
+             float score, std::size_t from_node, sim::SimTime now);
 
   /// Pages per stage-in block of `meta`: the PFS stripe over the page size
   /// (16 for 64 KiB pages on 1 MiB stripes). 1 for a volatile vector, an

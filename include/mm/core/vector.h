@@ -29,6 +29,7 @@
 #include <memory>
 #include <stdexcept>
 #include <type_traits>
+#include <unordered_map>
 
 #include "mm/comm/world.h"
 #include "mm/core/optimistic_guard.h"
@@ -83,6 +84,7 @@ class Vector {
     prefetch_useful_ = tel.metrics->GetCounter("mm.prefetch.useful_count");
     prefetch_wasted_ = tel.metrics->GetCounter("mm.prefetch.wasted_count");
     score_count_ = tel.metrics->GetCounter("mm.prefetch.score_count");
+    staged_count_ = tel.metrics->GetCounter("mm.prefetch.staged_count");
     readpath_hit_ = tel.metrics->GetCounter("mm.readpath.fastpath_hit_count");
     readpath_retry_ = tel.metrics->GetCounter("mm.readpath.retry_count");
   }
@@ -438,9 +440,11 @@ class Vector {
   /// read-only invalidates replicas. Live spans keep their frames resident
   /// (pinned pages are skipped) but see no invalidation — end spans first.
   void ChangePhase(CoherenceMode new_mode) {
-    // Local modifications must be committed under the old phase's rules.
+    // Local modifications must be committed under the old phase's rules,
+    // and stage-aheads placed under them.
     FlushDirtyFrames(/*retain=*/true);
     WaitOutstanding();
+    WaitStaged();
     sim::SimTime done = ctx_->clock().now();
     Status st = service_->ChangePhase(*meta_, new_mode, ctx_->node(),
                                       ctx_->clock().now(), &done);
@@ -468,6 +472,11 @@ class Vector {
   /// design. The backend object is kept unless `remove_backend`.
   void Destroy(bool remove_backend = false) {
     WaitOutstanding();
+    // A prefetch or stage-ahead landing after the teardown would leak its
+    // scache page.
+    pcache_->WaitPendings();
+    WaitStaged();
+    staged_.clear();
     // Pending prefetches dropped here were fetched for nothing.
     prefetch_wasted_->Inc(pcache_->num_pending());
     pcache_->Clear();
@@ -481,6 +490,17 @@ class Vector {
   std::uint64_t faults() const { return faults_; }
   std::uint64_t evictions() const { return evictions_; }
   std::uint64_t prefetches() const { return prefetches_; }
+  /// The virtual time this rank's stage-ahead of `page` landed in the
+  /// scache while that is still ahead of the rank's clock, else 0. Waits
+  /// (real time only) for a stage-ahead still in flight.
+  sim::SimTime StagedReadyTime(std::uint64_t page) {
+    auto it = staged_.find(page);
+    if (it == staged_.end()) return 0.0;
+    const sim::SimTime ready = it->second.get().done;
+    if (ready > ctx_->clock().now()) return ready;
+    staged_.erase(it);  // the clock is past it for good
+    return 0.0;
+  }
   PCache& pcache() { return *pcache_; }
   VectorMeta& meta() { return *meta_; }
 
@@ -699,6 +719,8 @@ class Vector {
       ++faults_;
       ctx_->Compute(ctx_->costs().page_fault_soft_s);
       sim::SimTime done = ctx_->clock().now();
+      // A page this rank staged ahead is read no earlier than it landed.
+      if (!staged_.empty()) done = std::max(done, StagedReadyTime(page));
       auto data_or = service_->ReadPage(*meta_, page, ctx_->node(), done,
                                         &done, &version, read_intent);
       if (!data_or.ok()) {
@@ -738,9 +760,9 @@ class Vector {
   /// application pays only the copy (paper §III-B "Lifecycle of Modified
   /// Data"). The page buffer returns to the node's pool for the next fetch.
   void EvictPage(std::uint64_t page) {
-    // The retired frame (and its buffer) stays alive on the pcache free
-    // list: a racing optimistic reader dereferences live memory and fails
-    // validation. Its dirty runs are still this rank's to ship.
+    // The retired frame stays alive on the pcache free list: a racing
+    // optimistic reader dereferences live memory and fails validation. Its
+    // dirty runs are still this rank's to ship.
     PageFrame* frame = pcache_->Remove(page);
     if (frame == nullptr) return;
     if (page == last_page_) {
@@ -752,6 +774,10 @@ class Vector {
     if (frame->dirty.Any()) {
       ShipDirtyRuns(page, *frame);
     }
+    // Without optimistic readers nothing can still read the buffer, so it
+    // goes back to the pool now, for the fetches that refill the frame;
+    // with them it stays parked until the next Insert recycles it.
+    if (!options_.optimistic_readers) ReleasePageBytes(std::move(frame->data));
   }
 
   /// Sends each dirty run of a frame as a partial-page write task. The
@@ -799,6 +825,12 @@ class Vector {
     service_->runtime(ctx_->node()).pool().Release(std::move(data));
   }
 
+  /// Real-time wait for in-flight stage-aheads (no virtual charge: they
+  /// complete in the background of simulated time).
+  void WaitStaged() {
+    for (auto& [page, f] : staged_) f.wait();
+  }
+
   /// Real-time wait for outstanding async commits (no virtual charge: the
   /// writes are asynchronous in simulated time).
   void WaitOutstanding() {
@@ -843,7 +875,10 @@ class Vector {
 
   /// One Algorithm 1 invocation. The step's fetch-ahead pages are issued
   /// together once it returns, one ReadPagesAsync per ascending run of
-  /// consecutive pages, so the service can stage unplaced ones in as runs.
+  /// consecutive pages, so the service can stage unplaced ones in as runs;
+  /// a page this rank staged ahead is issued no earlier than it landed.
+  /// Then, for a reading transaction on a backed vector, the scored pages
+  /// it offers are staged ahead the same way (Service::StageAhead).
   void PrefetchStep() {
     if (tx_ == nullptr || !service_->options().enable_prefetch) return;
     PrefetchVecState state;
@@ -851,6 +886,7 @@ class Vector {
     state.cur_bytes = pcache_->committed();
     state.page_bytes = meta_->page_bytes;
     std::vector<std::uint64_t> fetch;
+    std::vector<std::pair<std::uint64_t, float>> stage;
     PrefetcherOps ops;
     ops.set_score = [&](std::uint64_t page, float score) {
       score_count_->Inc();
@@ -864,7 +900,11 @@ class Vector {
       return true;
     };
     ops.fetch_ahead = [&](std::uint64_t page) {
-      if (page * epp_ < size()) fetch.push_back(page);
+      if (page * epp_ >= size()) return;
+      // Read-your-writes, as on the fault path: the prefetch must not
+      // overtake this rank's own commit of the page.
+      WaitPage(page);
+      fetch.push_back(page);
     };
     ops.cached_or_pending = [&](std::uint64_t page) {
       return pcache_->Contains(page) || pcache_->HasPending(page);
@@ -872,17 +912,55 @@ class Vector {
     ops.est_read_seconds = [&](std::uint64_t page, std::uint64_t bytes) {
       return service_->EstimateReadSeconds(*meta_, page, bytes);
     };
+    ops.reclaim = [&](std::uint64_t frames,
+                      const std::set<std::uint64_t>& keep) {
+      const std::vector<std::uint64_t> victims =
+          pcache_->PickVictims(frames, keep);
+      for (std::uint64_t page : victims) EvictPage(page);
+      return static_cast<std::uint64_t>(victims.size());
+    };
+    if (tx_->reads() && meta_->stager != nullptr) {
+      ops.stage_ahead = [&](std::uint64_t page, float score) {
+        if (page * epp_ < size() && staged_.count(page) == 0) {
+          stage.emplace_back(page, score);
+        }
+      };
+    }
     Prefetcher::Step(state, *tx_, options_.min_score, ops);
+    const sim::SimTime now = ctx_->clock().now();
+    std::vector<sim::SimTime> issue(fetch.size(), now);
+    if (!staged_.empty()) {
+      for (std::size_t i = 0; i < fetch.size(); ++i) {
+        issue[i] = std::max(now, StagedReadyTime(fetch[i]));
+      }
+    }
     for (std::size_t lo = 0; lo < fetch.size();) {
       std::size_t hi = lo + 1;
-      while (hi < fetch.size() && fetch[hi] == fetch[hi - 1] + 1) ++hi;
+      while (hi < fetch.size() && fetch[hi] == fetch[hi - 1] + 1 &&
+             issue[hi] == issue[lo]) {
+        ++hi;
+      }
       std::vector<PendingFetch> pendings = service_->ReadPagesAsync(
-          *meta_, fetch[lo], hi - lo, ctx_->node(), ctx_->clock().now());
+          *meta_, fetch[lo], hi - lo, ctx_->node(), issue[lo]);
       for (std::size_t i = 0; i < pendings.size(); ++i) {
         pcache_->AddPending(fetch[lo + i], std::move(pendings[i]));
       }
       prefetches_ += hi - lo;
       prefetch_issued_->Inc(hi - lo);
+      lo = hi;
+    }
+    for (std::size_t lo = 0; lo < stage.size();) {
+      std::size_t hi = lo + 1;
+      while (hi < stage.size() && stage[hi].first == stage[hi - 1].first + 1) {
+        ++hi;
+      }
+      // The run is cached at its nearest page's score.
+      for (auto& [page, future] :
+           service_->StageAhead(*meta_, stage[lo].first, hi - lo,
+                                stage[lo].second, ctx_->node(), now)) {
+        staged_.emplace(page, std::move(future));
+        staged_count_->Inc();
+      }
       lo = hi;
     }
   }
@@ -895,6 +973,9 @@ class Vector {
   std::unique_ptr<Transaction> tx_;
   std::vector<std::pair<std::uint64_t, std::shared_future<TaskOutcome>>>
       outstanding_;
+  /// This rank's stage-aheads by page, kept until the rank's clock passes
+  /// the time each landed (StagedReadyTime).
+  std::unordered_map<std::uint64_t, std::shared_future<TaskOutcome>> staged_;
   std::uint64_t last_page_ = kNoPage;
   PageFrame* last_frame_ = nullptr;
   // Strength-reduced address math for the scalar path: elems-per-page is
@@ -921,6 +1002,7 @@ class Vector {
   telemetry::Counter* prefetch_useful_ = nullptr;
   telemetry::Counter* prefetch_wasted_ = nullptr;
   telemetry::Counter* score_count_ = nullptr;
+  telemetry::Counter* staged_count_ = nullptr;
   telemetry::Counter* readpath_hit_ = nullptr;
   telemetry::Counter* readpath_retry_ = nullptr;
   telemetry::NodeSink tel_ = telemetry::NodeSink::Dummy();

@@ -193,6 +193,19 @@ void PCache::Unpin(std::uint64_t page) {
   }
 }
 
+std::vector<std::uint64_t> PCache::PickVictims(
+    std::uint64_t n, const std::set<std::uint64_t>& keep) const {
+  std::vector<std::uint64_t> victims;
+  for (const std::list<PageFrame*>* lru : {&clean_lru_, &dirty_lru_}) {
+    for (const PageFrame* f : *lru) {
+      if (victims.size() == n) return victims;
+      const std::uint64_t page = f->page.load(std::memory_order_relaxed);
+      if (keep.count(page) == 0) victims.push_back(page);
+    }
+  }
+  return victims;
+}
+
 std::vector<std::uint64_t> PCache::ResidentPages() const {
   std::vector<std::uint64_t> pages;
   pages.reserve(frames_.size());

@@ -1,7 +1,6 @@
 #include "mm/core/prefetcher.h"
 
 #include <algorithm>
-#include <set>
 
 namespace mm::core {
 
@@ -36,42 +35,54 @@ void Prefetcher::Step(const PrefetchVecState& vec, Transaction& tx,
   }
 
   // ---- PREFETCH (Algorithm 1 lines 16-33) ----
-  // Cur as the evict phase left it: the frames just freed are refilled now,
-  // not one step later when their pages are already being accessed.
+  // Distinct future pages in access order: the first pages_capacity form
+  // the window, the next kMaxScoredAhead at most are scored.
+  std::vector<std::uint64_t> pages;
+  std::set<std::uint64_t> seen;
+  for (const PageRegion& r : tx.GetPages(
+           tx.tail(), (pages_capacity + kMaxScoredAhead) * elems_per_page)) {
+    if (seen.insert(r.page_idx).second) pages.push_back(r.page_idx);
+  }
+  const std::size_t window =
+      std::min<std::size_t>(pages.size(), pages_capacity);
+  std::vector<std::uint64_t> uncached;
+  for (std::size_t i = 0; i < window; ++i) {
+    if (!ops.cached_or_pending(pages[i])) uncached.push_back(pages[i]);
+  }
+  // N = (Max-Cur)/PageSize free frames, Cur as the evict phase left it, so
+  // the frames just freed are refilled now, not one step later when their
+  // pages are already being accessed. Frames the window needs beyond that
+  // are reclaimed from pages it will not touch (see the header note).
   const std::uint64_t cur_bytes =
       vec.cur_bytes > freed_bytes ? vec.cur_bytes - freed_bytes : 0;
-  std::uint64_t free_bytes =
-      vec.max_bytes > cur_bytes ? vec.max_bytes - cur_bytes : 0;
-  std::uint64_t n_fit = free_bytes / vec.page_bytes;  // N = (Max-Cur)/PageSize
+  std::uint64_t n_free =
+      (vec.max_bytes > cur_bytes ? vec.max_bytes - cur_bytes : 0) /
+      vec.page_bytes;
+  if (uncached.size() > n_free) {
+    n_free += ops.reclaim(uncached.size() - n_free, upcoming);
+  }
+  const std::size_t n_fetch = std::min<std::size_t>(uncached.size(), n_free);
+  for (std::size_t i = 0; i < n_fetch; ++i) ops.fetch_ahead(uncached[i]);
 
-  // Enumerate distinct future pages in access order; the first n_fit get
-  // fetched ahead, the rest get decreasing scores until MinScore.
-  std::vector<PageRegion> window = tx.GetPages(
-      tx.tail(), (n_fit + kMaxScoredAhead) * elems_per_page);
-  std::set<std::uint64_t> seen;
+  // Beyond the window: score by time-to-fault, BaseTime being the window's
+  // reads (see the header note on the inverted ratio relative to the
+  // paper's pseudocode).
   double base_time = 0.0;
-  double est_time = 0.0;
-  std::uint64_t distinct = 0;
-  for (const PageRegion& r : window) {
-    if (!seen.insert(r.page_idx).second) continue;
-    ++distinct;
-    double cost = ops.est_read_seconds(r.page_idx, vec.page_bytes);
-    if (distinct <= n_fit) {
-      // Fits in the pcache now: fetch it asynchronously.
-      base_time += cost;  // BaseTime accumulates the in-window reads
-      if (!ops.cached_or_pending(r.page_idx)) {
-        ops.fetch_ahead(r.page_idx);
-      }
-      est_time = base_time;
-      continue;
-    }
-    // Beyond the window: score by time-to-fault (see header note on the
-    // inverted ratio relative to the paper's pseudocode).
-    est_time += cost;
+  for (std::size_t i = 0; i < window; ++i) {
+    base_time += ops.est_read_seconds(pages[i], vec.page_bytes);
+  }
+  double est_time = base_time;
+  const std::size_t scored_end =
+      std::min<std::size_t>(pages.size(), window + kMaxScoredAhead);
+  for (std::size_t i = window; i < scored_end; ++i) {
+    est_time += ops.est_read_seconds(pages[i], vec.page_bytes);
     double score =
         est_time > 0.0 ? std::max(1e-9, base_time) / est_time : 1.0;
     if (score <= min_score) break;
-    ops.set_score(r.page_idx, static_cast<float>(score));
+    ops.set_score(pages[i], static_cast<float>(score));
+    if (ops.stage_ahead && !ops.cached_or_pending(pages[i])) {
+      ops.stage_ahead(pages[i], static_cast<float>(score));
+    }
   }
 
   // Acknowledge the accesses (Algorithm 1 line 4: Tx.Head = Tx.Tail).

@@ -228,22 +228,65 @@ StatusOr<std::vector<std::uint8_t>> CopyOrHeal(
   return st.code() == StatusCode::kNotFound ? st : NotFound(st.ToString());
 }
 
+/// A page with no directory entry and no copy: only a stage-in (or a
+/// zero-fill) can materialize it.
+bool Unplaced(const ReadSource& src) { return !src.loc && !src.has_copy; }
+
+/// Splits pages [first, first + srcs.size()) into fetch runs and calls
+/// fn(lo, hi) for each, in order: consecutive unplaced pages of one
+/// stage-in block (`block` pages) owned by one node. Anything else is a run
+/// of one.
+template <typename Fn>
+void ForEachRun(const std::vector<ReadSource>& srcs, std::uint64_t first,
+                std::uint64_t block, Fn fn) {
+  const std::uint64_t n = srcs.size();
+  for (std::uint64_t lo = 0; lo < n;) {
+    std::uint64_t hi = lo + 1;
+    while (hi < n && Unplaced(srcs[lo]) && Unplaced(srcs[hi]) &&
+           srcs[hi].node == srcs[lo].node &&
+           (first + hi) / block == (first + lo) / block) {
+      ++hi;
+    }
+    fn(lo, hi);
+    lo = hi;
+  }
+}
+
+/// Bytes of `meta` the backend holds within the vector's logical extent (0
+/// for a volatile vector or a backend not created yet).
+std::uint64_t BackendExtent(VectorMeta& meta) {
+  if (meta.stager == nullptr) return 0;
+  bool exists = false;
+  {
+    MutexLock lock(meta.backend_mu);
+    exists = meta.backend_ready || meta.stager->Exists(meta.uri);
+  }
+  if (!exists) return 0;
+  auto size_or = meta.stager->Size(meta.uri);
+  if (!size_or.ok()) return 0;
+  return std::min(meta.size_bytes.load(std::memory_order_relaxed), *size_or);
+}
+
 /// Stage 3: builds the kGetPage task for pages [first, first + n) and
 /// routes it to `owner`, charging the request envelope when remote. One page
-/// is a plain task; more form a run with one promise per page. Returns one
-/// future per page.
+/// is a plain task; more form a run with one promise per page. Staged-in
+/// pages are cached at `score`; a `placement_only` task returns no bytes.
+/// Returns one future per page.
 std::vector<std::shared_future<TaskOutcome>> SubmitGetPages(
     Service& svc, VectorMeta& meta, std::uint64_t first, std::uint64_t n,
     std::size_t owner, std::size_t from_node, sim::SimTime now,
-    telemetry::TraceContext tctx) {
+    telemetry::TraceContext tctx, float score = 1.0f,
+    bool placement_only = false) {
   MemoryTask task;
   task.kind = MemoryTask::Kind::kGetPage;
   task.vector_id = meta.vector_id;
   task.id = {meta.vector_id, first};
   task.block_pages = svc.RunPages(meta);
   task.size = meta.page_bytes;
+  task.score = score;
   task.from_node = from_node;
   task.tctx = tctx;
+  task.placement_only = placement_only;
   std::vector<std::shared_future<TaskOutcome>> futures;
   if (n == 1) {
     task.promise = std::make_shared<std::promise<TaskOutcome>>();
@@ -367,7 +410,8 @@ Status NodeRuntime::Submit(MemoryTask task) {
   const bool ordered = task.kind == MemoryTask::Kind::kWritePartial ||
                        task.kind == MemoryTask::Kind::kStageOut ||
                        task.kind == MemoryTask::Kind::kErase ||
-                       !task.page_promises.empty();  // a run
+                       !task.page_promises.empty() ||  // a run
+                       task.placement_only;
   // Tasks on one page hash to one queue (paper §III-B). A backed vector's
   // unit is its stage-in block, so a run and a commit to one of its pages
   // serialize: otherwise the run could publish the backend's bytes over a
@@ -375,9 +419,9 @@ Status NodeRuntime::Submit(MemoryTask task) {
   const std::uint64_t digest =
       storage::BlobId{task.id.vector_id, task.id.page_idx / task.block_pages}
           .Digest();
-  // Writes and runs always go to the (ordered, block-hashed) high-latency
-  // group; small reads and scores take the low-latency group to dodge
-  // head-of-line blocking (paper §III-B).
+  // Writes, runs and stage-aheads always go to the (ordered, block-hashed)
+  // high-latency group; small reads and scores take the low-latency group
+  // to dodge head-of-line blocking (paper §III-B).
   BlockingQueue<MemoryTask>* queue;
   if (!ordered && !low_queues_.empty() &&
       TaskBytes(task) < options_.low_latency_threshold) {
@@ -438,6 +482,9 @@ void NodeRuntime::WorkerLoop(BlockingQueue<MemoryTask>* queue, int worker_id) {
     // succeeded or failed, so error paths do not leak buffers out of the
     // pool's circulation.
     if (task->data.capacity() > 0) pool_.Release(std::move(task->data));
+    if (task->placement_only && outcome.data.capacity() > 0) {
+      pool_.Release(std::move(outcome.data));  // placed; nobody reads it
+    }
     if (task->promise != nullptr) {
       task->promise->set_value(std::move(outcome));
     } else if (outcome.data.capacity() > 0) {
@@ -670,22 +717,10 @@ void NodeRuntime::StageInOrZero(VectorMeta& meta, std::uint64_t first,
     out.data = pool_.AcquireZeroed(meta.page_bytes);
   }
   const std::uint64_t first_off = first * meta.page_bytes;
+  // Only stage in what the backend actually holds: the pages it holds are
+  // a prefix of the run, read as one request straight into their pages.
   const std::uint64_t logical = meta.size_bytes.load(std::memory_order_relaxed);
-  if (meta.stager == nullptr || first_off >= logical) return;
-  // Only stage in what the backend actually holds.
-  bool exists = false;
-  std::uint64_t backend_size = 0;
-  {
-    MutexLock lock(meta.backend_mu);
-    exists = meta.backend_ready || meta.stager->Exists(meta.uri);
-  }
-  if (exists) {
-    auto size_or = meta.stager->Size(meta.uri);
-    if (size_or.ok()) backend_size = *size_or;
-  }
-  // The pages the backend holds are a prefix of the run, read as one
-  // request straight into their pages.
-  const std::uint64_t end = std::min(logical, backend_size);
+  const std::uint64_t end = first_off < logical ? BackendExtent(meta) : 0;
   std::vector<std::vector<std::uint8_t>*> held;
   std::uint64_t bytes = 0;
   for (TaskOutcome& out : outs) {
@@ -709,18 +744,25 @@ void NodeRuntime::CacheStagedPage(const MemoryTask& task,
                                   const storage::BlobId& id,
                                   std::uint64_t version, TaskOutcome* out) {
   // The cached copy comes from the pool so the steady-state read path
-  // allocates nothing.
+  // allocates nothing. A placement-only task has no reader for the bytes:
+  // they move into the cache uncopied.
   sim::SimTime put_done = out->done;
-  std::vector<std::uint8_t> cache_copy = pool_.Acquire(out->data.size());
-  std::copy(out->data.begin(), out->data.end(), cache_copy.begin());
+  const std::uint64_t size = out->data.size();
   const storage::BlobStamp stamp{version, Crc32(out->data)};
+  std::vector<std::uint8_t> cache_copy;
+  if (task.placement_only) {
+    cache_copy = std::move(out->data);
+  } else {
+    cache_copy = pool_.Acquire(size);
+    std::copy(out->data.begin(), out->data.end(), cache_copy.begin());
+  }
   auto tier = bm_.PutScored(id, std::move(cache_copy), task.score, stamp,
                             out->done, &put_done);
   if (!tier.ok()) return;
   storage::BlobLocation loc;
   loc.node = node_id_;
   loc.tier = bm_.tier(*tier).kind();
-  loc.size = out->data.size();
+  loc.size = size;
   loc.score = task.score;
   loc.score_node = task.from_node;
   loc.dirty = false;
@@ -815,13 +857,14 @@ TaskOutcome NodeRuntime::ExecuteGetRun(MemoryTask& task) {
   // Stage 1 again for every page: a commit, fault or restore may have
   // placed one since the run formed.
   VectorMeta* meta = service_->FindVectorById(task.vector_id);
-  bool unplaced = meta != nullptr;
-  for (std::size_t i = 0; unplaced && i < n; ++i) {
+  auto unplaced_at = [&](std::size_t i) {
     const storage::BlobId id{task.vector_id, task.pages[i]};
     const ReadSource src = ResolveSource(*service_, *meta, id, node_id_,
                                          task.issue_time, nullptr);
-    unplaced = !src.loc && !src.has_copy && !service_->IsDataLost(id);
-  }
+    return Unplaced(src) && !service_->IsDataLost(id);
+  };
+  bool unplaced = meta != nullptr;
+  for (std::size_t i = 0; unplaced && i < n; ++i) unplaced = unplaced_at(i);
   if (unplaced) {
     // One backend read for the run; each page is then cached and
     // published exactly as a single-page stage-in is.
@@ -832,8 +875,13 @@ TaskOutcome NodeRuntime::ExecuteGetRun(MemoryTask& task) {
       }
     }
   } else {
-    // Placement moved under the run: every page takes the single-page path.
+    // Placement moved under the run: every page takes the single-page path;
+    // a stage-ahead skips the pages already placed.
     for (std::size_t i = 0; i < n; ++i) {
+      if (task.placement_only && meta != nullptr && !unplaced_at(i)) {
+        outs[i].done = task.issue_time;
+        continue;
+      }
       MemoryTask one;
       one.kind = MemoryTask::Kind::kGetPage;
       one.vector_id = task.vector_id;
@@ -850,6 +898,7 @@ TaskOutcome NodeRuntime::ExecuteGetRun(MemoryTask& task) {
   for (std::size_t i = 0; i < n; ++i) {
     run.done = std::max(run.done, outs[i].done);
     if (run.status.ok()) run.status = outs[i].status;
+    if (task.placement_only) pool_.Release(std::move(outs[i].data));
     task.page_promises[i].set_value(std::move(outs[i]));
   }
   return run;
@@ -1830,29 +1879,45 @@ std::vector<PendingFetch> Service::ReadPagesAsync(VectorMeta& meta,
                                  from_node, now, nullptr));
     sink.trace->Instant("prefetch_issue", "prefetch", sink.node, 0, now);
   }
-  // A run: consecutive pages of one stage-in block, each with no directory
-  // entry and no copy, owned by one node. Anything else is a run of one.
-  const std::uint64_t block = RunPages(meta);
-  auto unplaced = [&](std::uint64_t i) {
-    return !srcs[i].loc && !srcs[i].has_copy;
-  };
   std::vector<PendingFetch> fetches;
   fetches.reserve(n);
-  for (std::uint64_t lo = 0; lo < n;) {
-    std::uint64_t hi = lo + 1;
-    while (hi < n && unplaced(lo) && unplaced(hi) &&
-           srcs[hi].node == srcs[lo].node &&
-           (first + hi) / block == (first + lo) / block) {
-      ++hi;
-    }
+  ForEachRun(srcs, first, RunPages(meta), [&](std::uint64_t lo,
+                                              std::uint64_t hi) {
     const std::size_t owner = srcs[lo].node;
     for (auto& future : SubmitGetPages(*this, meta, first + lo, hi - lo, owner,
                                        from_node, now, {})) {
       fetches.push_back({std::move(future), owner});
     }
-    lo = hi;
-  }
+  });
   return fetches;
+}
+
+std::vector<std::pair<std::uint64_t, std::shared_future<TaskOutcome>>>
+Service::StageAhead(VectorMeta& meta, std::uint64_t first, std::uint64_t n,
+                    float score, std::size_t from_node, sim::SimTime now) {
+  std::vector<std::pair<std::uint64_t, std::shared_future<TaskOutcome>>> staged;
+  std::vector<ReadSource> srcs;
+  srcs.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    srcs.push_back(ResolveSource(*this, meta, {meta.vector_id, first + i},
+                                 from_node, now, nullptr));
+  }
+  if (std::none_of(srcs.begin(), srcs.end(), Unplaced)) return staged;
+  // The backend's extent in pages, a partial last page included.
+  const std::uint64_t end =
+      (BackendExtent(meta) + meta.page_bytes - 1) / meta.page_bytes;
+  ForEachRun(srcs, first, RunPages(meta), [&](std::uint64_t lo,
+                                              std::uint64_t hi) {
+    if (!Unplaced(srcs[lo]) || first + lo >= end) return;
+    hi = std::min(hi, end - first);
+    auto futures = SubmitGetPages(*this, meta, first + lo, hi - lo,
+                                  srcs[lo].node, from_node, now, {}, score,
+                                  /*placement_only=*/true);
+    for (std::uint64_t i = lo; i < hi; ++i) {
+      staged.emplace_back(first + i, std::move(futures[i - lo]));
+    }
+  });
+  return staged;
 }
 
 std::uint64_t Service::RunPages(const VectorMeta& meta) const {

@@ -477,6 +477,47 @@ TEST_F(RunStageInTest, CommitInsideAnInflightRunIsNeverLost) {
   }
 }
 
+TEST_F(RunStageInTest, StageAheadPlacesUnplacedPagesWithoutTheirBytes) {
+  // Pages 5 and 7 of the 16-page file are placed, and pages 16-19 lie past
+  // its end: stage-ahead of pages [0, 20) places [0, 5), 6 and [8, 16) —
+  // one backend read each — and hands none of their bytes back. Each
+  // staged page takes one pooled buffer, which moves into the scache.
+  VectorMeta& meta = Open(16, 1);
+  sim::SimTime done = 0.0;
+  ASSERT_TRUE(svc_->ReadPage(meta, 5, 0, 0.0, &done).ok());
+  ASSERT_TRUE(svc_->ReadPage(meta, 7, 0, 0.0, &done).ok());
+  const std::uint64_t reads = Counter("mm.stager.read_count");
+  const std::uint64_t bytes = Counter("mm.stager.read_bytes");
+  PagePool& pool = svc_->runtime(0).pool();
+  const std::uint64_t buffers = pool.allocations() + pool.reuses();
+  auto staged = svc_->StageAhead(meta, 0, 20, 0.5f, 0, done);
+  std::vector<std::uint64_t> pages;
+  for (auto& [page, future] : staged) {
+    pages.push_back(page);
+    const TaskOutcome& out = future.get();
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+    EXPECT_TRUE(out.data.empty()) << "page " << page;
+    EXPECT_GE(out.done, done);
+  }
+  EXPECT_EQ(pages, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 6, 8, 9, 10,
+                                               11, 12, 13, 14, 15}));
+  EXPECT_EQ(Counter("mm.stager.read_count") - reads, 3u);
+  EXPECT_EQ(Counter("mm.stager.read_bytes") - bytes, 14 * kRunPage);
+  EXPECT_EQ(pool.allocations() + pool.reuses() - buffers, 14u);
+  // Every staged page now reads from its scache copy, not the backend.
+  for (std::uint64_t page : pages) {
+    auto loc = svc_->metadata().Lookup({meta.vector_id, page}, 0, 0.0, nullptr);
+    ASSERT_TRUE(loc.ok()) << "page " << page;
+    EXPECT_FALSE(loc->dirty);
+    auto read = svc_->ReadPage(meta, page, 0, done, &done);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(*read, FilePage(meta, page)) << "page " << page;
+  }
+  EXPECT_EQ(Counter("mm.stager.read_count") - reads, 3u);
+  // Placed pages, and pages past the backend's end, are never staged.
+  EXPECT_TRUE(svc_->StageAhead(meta, 0, 20, 0.5f, 0, done).empty());
+}
+
 TEST_F(RunStageInTest, TransientFaultRetriesTheWholeRunOnce) {
   // Pick a seed whose first backend op draws a transient fault and whose
   // second does not, so the run fails once and then succeeds.

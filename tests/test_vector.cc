@@ -46,6 +46,29 @@ class VectorTest : public ::testing::Test {
     return o;
   }
 
+  /// Elements of std::uint64_t per SmallPages() page.
+  static constexpr std::uint64_t kEpp = 4096 / sizeof(std::uint64_t);
+
+  /// Writes 0, 1, ..., n-1 as std::uint64_t to `name`; returns its path.
+  std::string WriteIota(const std::string& name, std::uint64_t n) {
+    std::vector<std::uint64_t> init(n);
+    std::iota(init.begin(), init.end(), 0);
+    const std::string path = (dir_ / name).string();
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(init.data()),
+              static_cast<std::streamsize>(n * sizeof(std::uint64_t)));
+    return path;
+  }
+
+  /// A counter summed over every node of `svc`.
+  static std::uint64_t Counter(Service& svc, const char* name) {
+    std::uint64_t total = 0;
+    for (std::size_t node = 0; node < svc.num_nodes(); ++node) {
+      total += svc.metrics(node).GetCounter(name)->value();
+    }
+    return total;
+  }
+
   std::filesystem::path dir_;
   std::unique_ptr<sim::Cluster> cluster_;
   ServiceOptions sopts_;
@@ -410,16 +433,8 @@ TEST_F(VectorTest, SpanScanAdoptsAPrefetchOnEveryMiss) {
   // exception: rank 1's partition starts mid-page, so its chunks span one
   // page more than half the cache, and the second chunk's last page may be
   // a demand fault.
-  constexpr std::uint64_t kEpp = 4096 / sizeof(std::uint64_t);
   constexpr std::uint64_t kN = 49 * kEpp;  // the partition boundary is mid-page
-  const std::string path = (dir_ / "scan.bin").string();
-  {
-    std::vector<std::uint64_t> init(kN);
-    std::iota(init.begin(), init.end(), 0);
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(init.data()),
-              static_cast<std::streamsize>(kN * sizeof(std::uint64_t)));
-  }
+  const std::string path = WriteIota("scan.bin", kN);
   Service svc(cluster_.get(), sopts_);
   std::atomic<std::uint64_t> total{0};
   auto result = comm::RunRanks(*cluster_, 2, 1, [&](comm::RankContext& ctx) {
@@ -448,6 +463,132 @@ TEST_F(VectorTest, SpanScanAdoptsAPrefetchOnEveryMiss) {
   });
   ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_EQ(total.load(), kN * (kN - 1) / 2);
+}
+
+TEST_F(VectorTest, BackToBackScansTakeNoMoreFaultsOnTheSecondPass) {
+  // One rank scans a 48-page posix-backed vector from mid-page 0 through
+  // an 8-page pcache in MaxSpanElems spans, twice, one read-only
+  // transaction per pass. The second pass starts with the pcache full of
+  // the first pass's frames; its first prefetch step reclaims them for its
+  // window, so after its first chunk it takes no more demand faults than
+  // the first pass did.
+  const std::uint64_t n = 48 * kEpp;
+  const std::string path = WriteIota("passes.bin", n);
+  Service svc(cluster_.get(), sopts_);
+  auto result = comm::RunRanks(*cluster_, 1, 1, [&](comm::RankContext& ctx) {
+    VectorOptions o = SmallPages();
+    o.pcache_bytes = 8 * 4096;
+    Vector<std::uint64_t> v(svc, ctx, "posix://" + path, 0, o);
+    const std::uint64_t lo = kEpp / 2;
+    const std::uint64_t chunk = v.MaxSpanElems();
+    auto pass = [&] {
+      v.SeqTxBegin(lo, n - lo, MM_READ_ONLY);
+      std::uint64_t sum = 0;
+      std::uint64_t faults_after_first = 0;
+      for (std::uint64_t s = lo; s < n; s += chunk) {
+        const std::uint64_t e = std::min(n, s + chunk);
+        const std::uint64_t faults_before = v.faults();
+        auto span = v.ReadSpan(s, e);
+        for (std::uint64_t i = s; i < e; ++i) sum += span[i];
+        if (s != lo) faults_after_first += v.faults() - faults_before;
+      }
+      v.TxEnd();
+      EXPECT_EQ(sum, n * (n - 1) / 2 - lo * (lo - 1) / 2);
+      return faults_after_first;
+    };
+    const std::uint64_t first = pass();
+    const std::uint64_t second = pass();
+    EXPECT_LE(second, first);
+  });
+  ASSERT_TRUE(result.ok()) << result.error;
+}
+
+TEST_F(VectorTest, StagedPagesAreReadNoEarlierThanTheyLanded) {
+  // A read-only transaction on a posix-backed vector stages the scored
+  // pages past its prefetch window in from the backend. A page it then
+  // adopts from a prefetch, or faults, completes in virtual time no earlier
+  // than its stage-ahead landed, and every page stages in exactly once.
+  const std::uint64_t pages = 96;
+  const std::uint64_t n = pages * kEpp;
+  const std::string path = WriteIota("staged.bin", n);
+  Service svc(cluster_.get(), sopts_);
+  std::atomic<std::uint64_t> total{0};
+  auto result = comm::RunRanks(*cluster_, 1, 1, [&](comm::RankContext& ctx) {
+    VectorOptions o = SmallPages();
+    o.pcache_bytes = 8 * 4096;
+    // Score past a resident window too: next to its DRAM reads, a PFS page
+    // would score below the default floor.
+    o.min_score = 1e-9;
+    Vector<std::uint64_t> v(svc, ctx, "posix://" + path, 0, o);
+    v.Pgas(0, 1);  // every page stages in on this rank's node
+    auto read_page = [&](std::uint64_t page) {
+      const sim::SimTime ready = v.StagedReadyTime(page);
+      auto span = v.ReadSpan(page * kEpp, (page + 1) * kEpp);
+      std::uint64_t page_sum = 0;
+      for (std::uint64_t i = page * kEpp; i < (page + 1) * kEpp; ++i) {
+        page_sum += span[i];
+      }
+      EXPECT_GE(ctx.clock().now(), ready) << "page " << page;
+      return page_sum;
+    };
+    // Pages 0-7 fault in. With the window 0-7 resident, a transaction over
+    // [0, 9) stages page 8 in alone, and one over [8, 9) then prefetches it
+    // as it lands.
+    for (std::uint64_t page = 0; page < 8; ++page) read_page(page);
+    v.SeqTxBegin(0, 9 * kEpp, MM_READ_ONLY);
+    v.TxEnd();
+    v.SeqTxBegin(8 * kEpp, kEpp, MM_READ_ONLY);
+    v.TxEnd();
+    const std::uint64_t faults = v.faults();
+    EXPECT_GT(v.StagedReadyTime(8), ctx.clock().now());
+    read_page(8);  // adopts the prefetch
+    EXPECT_EQ(v.faults(), faults);
+    // A transaction over [0, 10) stages page 9 in alone; still landing, it
+    // is then read as a demand fault.
+    v.SeqTxBegin(0, 10 * kEpp, MM_READ_ONLY);
+    v.TxEnd();
+    EXPECT_GT(v.StagedReadyTime(9), ctx.clock().now());
+    read_page(9);
+    EXPECT_EQ(v.faults(), faults + 1);
+    // Every page once more: [0, 80) in a transaction, the rest outside.
+    std::uint64_t sum = 0;
+    v.SeqTxBegin(0, 80 * kEpp, MM_READ_ONLY);
+    for (std::uint64_t page = 0; page < 80; ++page) sum += read_page(page);
+    v.TxEnd();
+    for (std::uint64_t page = 80; page < pages; ++page) sum += read_page(page);
+    total.fetch_add(sum);
+  });
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(total.load(), n * (n - 1) / 2);
+  EXPECT_GT(Counter(svc, "mm.prefetch.staged_count"), 0u);
+  EXPECT_EQ(Counter(svc, "mm.stager.read_bytes"), n * sizeof(std::uint64_t));
+}
+
+TEST_F(VectorTest, DestroyAndChangePhaseWaitForStageAheads) {
+  // A transaction's first prefetch step stages pages ahead; ending the
+  // transaction at once leaves those runs in flight. ChangePhase and
+  // Destroy must neither hang on them nor let one land after the teardown.
+  const std::uint64_t n = 96 * kEpp;
+  const std::string path = WriteIota("inflight.bin", n);
+  Service svc(cluster_.get(), sopts_);
+  auto result = comm::RunRanks(*cluster_, 1, 1, [&](comm::RankContext& ctx) {
+    VectorOptions o = SmallPages();
+    o.pcache_bytes = 8 * 4096;
+    o.mode = core::CoherenceMode::kReadOnlyGlobal;
+    Vector<std::uint64_t> v(svc, ctx, "posix://" + path, 0, o);
+    v.SeqTxBegin(0, n, MM_READ_ONLY);
+    v.TxEnd();
+    v.ChangePhase(core::CoherenceMode::kReadWriteGlobal);
+    // A staged page reads back the backend's bytes under the new phase.
+    EXPECT_EQ(v.Read(40 * kEpp + 3), 40 * kEpp + 3);
+    v.SeqTxBegin(0, n, MM_READ_ONLY);
+    v.TxEnd();
+    v.Destroy();
+  });
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_GT(Counter(svc, "mm.prefetch.staged_count"), 0u);
+  EXPECT_EQ(svc.metadata().TotalBlobs(), 0u);
+  EXPECT_EQ(svc.ScacheDramUsed(), 0u);
 }
 
 TEST_F(VectorTest, LargeDatasetSpillsToNvme) {
