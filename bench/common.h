@@ -61,7 +61,9 @@ class BenchDir {
 /// One measured configuration: runs `body` `reps` times, returns the mean
 /// virtual runtime in seconds. `body` returns the job RunResult. When
 /// `samples` is given the per-rep runtimes are appended to it (for
-/// BenchReport percentile series).
+/// BenchReport percentile series). With reps > 1 it prints the spread to
+/// stderr: one line per configuration with the mean and the coefficient of
+/// variation (stddev / mean).
 inline double MeasureSeconds(int reps,
                              const std::function<mm::comm::RunResult()>& body,
                              bool* oom = nullptr,
@@ -80,6 +82,10 @@ inline double MeasureSeconds(int reps,
     }
     acc.Add(result.max_time);
     if (samples != nullptr) samples->Add(result.max_time);
+  }
+  if (reps > 1) {
+    std::fprintf(stderr, "spread: %d reps, mean %.6g s, cv %.4f\n", reps,
+                 acc.Mean(), acc.Mean() > 0 ? acc.Stddev() / acc.Mean() : 0.0);
   }
   return acc.Mean();
 }

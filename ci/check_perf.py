@@ -3,7 +3,7 @@
 
 Usage: check_perf.py CURRENT.json [BASELINE.json] [--threshold 0.25]
 
-Two report kinds are gated, keyed by the report's "name":
+Seven report kinds are gated, keyed by the report's "name":
 
   hotpath        wall-clock per-access metrics compared against the
                  checked-in baseline (BASELINE.json is required). Only
@@ -140,11 +140,8 @@ YCSB_EXACT = [
 
 
 def metric(report: dict, key: str) -> float:
-    """Reads a metric from the unified schema ({"metrics": {...}}), falling
-    back to the flat pre-unification layout."""
-    if "metrics" in report and key in report["metrics"]:
-        return report["metrics"][key]
-    return report[key]
+    """Reads a metric from the unified schema ({"metrics": {...}})."""
+    return report["metrics"][key]
 
 
 def gate_hotpath(current: dict, baseline: dict, threshold: float) -> bool:

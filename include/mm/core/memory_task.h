@@ -139,7 +139,7 @@ struct TaskOutcome {
 
 struct MemoryTask {
   enum class Kind : std::uint8_t {
-    kGetPage,       // page read: a fault, a prefetch, or a prefetch run
+    kGetPage,       // read of a run of n >= 1 consecutive pages
     kWritePartial,  // async dirty-region update (copy-on-write commit)
     kScore,         // prefetcher importance score for the Data Organizer
     kStageOut,      // persist one owner's dirty pages to the backend
@@ -149,14 +149,14 @@ struct MemoryTask {
 
   Kind kind = Kind::kGetPage;
   std::uint64_t vector_id = 0;
-  storage::BlobId id;
+  storage::BlobId id;  // the page; kGetPage: the run's first page
   /// Routing unit in pages: NodeRuntime::Submit hashes (vector, page /
   /// block_pages). A backed vector's tasks carry its stage-in block
   /// (Service::RunPages), so every task on a block shares one queue; 1
   /// routes by page.
   std::uint64_t block_pages = 1;
   std::uint64_t offset = 0;  // for partial ops, offset within the page
-  std::uint64_t size = 0;    // for reads: bytes requested (0 = whole page)
+  std::uint64_t size = 0;    // kGetPage: bytes per page (page_bytes)
   std::vector<std::uint8_t> data;  // for writes
   float score = 1.0f;
   std::size_t from_node = 0;
@@ -175,19 +175,23 @@ struct MemoryTask {
   /// worker read go back to its pool, so the outcomes carry a status and a
   /// `done` time but no data.
   bool placement_only = false;
-  /// Fulfilled by the executing worker when non-null. Awaited tasks (page
-  /// faults, commits TxEnd orders on, stage-outs) allocate a promise;
-  /// fire-and-forget tasks (kScore, kErase, recovery restores) leave it
-  /// null and skip the promise/shared-state allocation entirely — the
-  /// worker then recycles the outcome's payload through the node pool.
+  /// kGetPage: the submitter's stage 1 found the first page unplaced or
+  /// resident only on the PFS, so the task stages in and joins the ordered
+  /// group with the commits to its block (NodeRuntime::Submit).
+  bool stages_in = false;
+  /// Fulfilled by the executing worker when non-null. Awaited tasks
+  /// (commits TxEnd orders on, stage-outs, quiesce markers) allocate a
+  /// promise; fire-and-forget tasks (kScore, kErase) leave it null and skip
+  /// the promise/shared-state allocation entirely — the worker then
+  /// recycles the outcome's payload through the node pool. kGetPage uses
+  /// `page_promises` instead.
   std::shared_ptr<std::promise<TaskOutcome>> promise;
-  /// kStageOut: the batch's page indices on this owner, ascending. kGetPage
-  /// run: the run's consecutive pages, `id` being the first. Last, so the
-  /// fields every task touches keep their offsets.
+  /// kStageOut: the batch's page indices on this owner, ascending.
+  /// kGetPage: the run's consecutive pages, `id` being the first. Last, so
+  /// the fields every task touches keep their offsets.
   std::vector<std::uint64_t> pages;
-  /// kGetPage run: one promise per page of `pages`, fulfilled by the
-  /// executing worker (or by Submit's shutdown rejection); `promise` stays
-  /// null.
+  /// kGetPage: one promise per page of `pages`, fulfilled by the executing
+  /// worker (or by Submit's shutdown rejection).
   std::vector<std::promise<TaskOutcome>> page_promises;
 };
 

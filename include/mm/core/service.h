@@ -41,6 +41,7 @@ namespace mm::core {
 
 class Service;
 struct PendingFetch;  // mm/core/pcache.h
+struct ReadSource;    // src/core/service.cc: stage 1 of the page-read pipeline
 
 /// Registered state of one shared vector (connected to by key).
 struct VectorMeta {
@@ -129,16 +130,20 @@ class NodeRuntime {
  private:
   void WorkerLoop(BlockingQueue<MemoryTask>* queue, int worker_id);
   TaskOutcome Execute(MemoryTask& task);
+  /// A kGetPage run of n >= 1 pages: re-resolves each page's source,
+  /// stages the run in with one backend read while every page is still
+  /// unplaced, else serves page by page (ServePage); fulfils each page's
+  /// promise.
   TaskOutcome ExecuteGetPage(MemoryTask& task);
   TaskOutcome ExecuteWritePartial(MemoryTask& task);
   TaskOutcome ExecuteScore(MemoryTask& task);
   TaskOutcome ExecuteStageOut(MemoryTask& task);
   TaskOutcome ExecuteErase(MemoryTask& task);
 
-  /// A kGetPage run: re-resolves each page's source, stages the run in
-  /// with one backend read while every page is still unplaced, else reads
-  /// page by page; fulfils each page's promise.
-  TaskOutcome ExecuteGetRun(MemoryTask& task);
+  /// One page of a kGetPage task from `src`: this node's copy, else served
+  /// through from the recorded owner, else staged in (or zero-filled) alone.
+  TaskOutcome ServePage(VectorMeta& meta, const MemoryTask& task,
+                        std::uint64_t page, const ReadSource& src);
 
   /// Loads pages [first, first + outs.size()) into one pooled buffer each,
   /// zero-filled past what the backend holds. The pages the backend holds
@@ -454,8 +459,8 @@ class Service {
   /// path); one PendingFetch per page, in order. The caller charges itself
   /// nothing now; on completion it hands each outcome to DeliverPage.
   /// Consecutive pages of one stage-in block (RunPages) that are unplaced
-  /// and share an owner form a run: one kGetPage task that stages them in
-  /// with one backend read. Every other page is a single-page task.
+  /// and share an owner form one kGetPage run that stages them in with one
+  /// backend read. Every other page is a run of one.
   std::vector<PendingFetch> ReadPagesAsync(VectorMeta& meta,
                                            std::uint64_t first,
                                            std::uint64_t n,

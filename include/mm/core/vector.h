@@ -886,7 +886,8 @@ class Vector {
     state.cur_bytes = pcache_->committed();
     state.page_bytes = meta_->page_bytes;
     std::vector<std::uint64_t> fetch;
-    std::vector<std::pair<std::uint64_t, float>> stage;
+    std::vector<std::uint64_t> stage;
+    std::vector<float> stage_scores;
     PrefetcherOps ops;
     ops.set_score = [&](std::uint64_t page, float score) {
       score_count_->Inc();
@@ -922,7 +923,8 @@ class Vector {
     if (tx_->reads() && meta_->stager != nullptr) {
       ops.stage_ahead = [&](std::uint64_t page, float score) {
         if (page * epp_ < size() && staged_.count(page) == 0) {
-          stage.emplace_back(page, score);
+          stage.push_back(page);
+          stage_scores.push_back(score);
         }
       };
     }
@@ -934,12 +936,20 @@ class Vector {
         issue[i] = std::max(now, StagedReadyTime(fetch[i]));
       }
     }
-    for (std::size_t lo = 0; lo < fetch.size();) {
+    // End of the run of consecutive pages of the ascending `pages` that
+    // starts at `lo`, also cut before any page i where joins(i) is false.
+    auto run_end = [](const std::vector<std::uint64_t>& pages,
+                      std::size_t lo, auto joins) {
       std::size_t hi = lo + 1;
-      while (hi < fetch.size() && fetch[hi] == fetch[hi - 1] + 1 &&
-             issue[hi] == issue[lo]) {
+      while (hi < pages.size() && pages[hi] == pages[hi - 1] + 1 &&
+             joins(hi)) {
         ++hi;
       }
+      return hi;
+    };
+    for (std::size_t lo = 0, hi = 0; lo < fetch.size(); lo = hi) {
+      hi = run_end(fetch, lo,
+                   [&](std::size_t i) { return issue[i] == issue[lo]; });
       std::vector<PendingFetch> pendings = service_->ReadPagesAsync(
           *meta_, fetch[lo], hi - lo, ctx_->node(), issue[lo]);
       for (std::size_t i = 0; i < pendings.size(); ++i) {
@@ -947,21 +957,16 @@ class Vector {
       }
       prefetches_ += hi - lo;
       prefetch_issued_->Inc(hi - lo);
-      lo = hi;
     }
-    for (std::size_t lo = 0; lo < stage.size();) {
-      std::size_t hi = lo + 1;
-      while (hi < stage.size() && stage[hi].first == stage[hi - 1].first + 1) {
-        ++hi;
-      }
+    for (std::size_t lo = 0, hi = 0; lo < stage.size(); lo = hi) {
+      hi = run_end(stage, lo, [](std::size_t) { return true; });
       // The run is cached at its nearest page's score.
       for (auto& [page, future] :
-           service_->StageAhead(*meta_, stage[lo].first, hi - lo,
-                                stage[lo].second, ctx_->node(), now)) {
+           service_->StageAhead(*meta_, stage[lo], hi - lo, stage_scores[lo],
+                                ctx_->node(), now)) {
         staged_.emplace(page, std::move(future));
         staged_count_->Inc();
       }
-      lo = hi;
     }
   }
 

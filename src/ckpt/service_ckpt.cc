@@ -202,7 +202,7 @@ Status Service::Restore(const std::string& tag, std::size_t from_node,
       // restored job runs on fewer nodes.
       loc.node = std::min(static_cast<std::size_t>(mp.node), num_nodes() - 1);
       // Truthful residency: the bytes live on the backend until first
-      // touch, which stages them in lazily (CRC-verified in ExecuteGetPage).
+      // touch, which stages them in lazily (CRC-verified in ServePage).
       loc.tier = sim::TierKind::kPfs;
       loc.size = meta->page_bytes;
       loc.dirty = false;

@@ -10,6 +10,16 @@
 
 namespace mm::core {
 
+/// Where a read of one page may be served from.
+struct ReadSource {
+  std::optional<storage::BlobLocation> loc;  // directory entry; unplaced: none
+  std::size_t node = 0;                      // serving node
+  /// `node` holds bytes the §6 rule accepts: the local copy of an unplaced
+  /// page, the primary, or a registered replica. False for a default or
+  /// fenced-remapped owner, which must stage the page in.
+  bool has_copy = false;
+};
+
 namespace {
 constexpr std::uint64_t kControlBytes = 64;  // task request envelope
 
@@ -83,16 +93,6 @@ telemetry::Gauge* TierUsedGauge(telemetry::MetricsRegistry& reg,
 // (Service::ReadPagesAsync) and the owner's worker
 // (NodeRuntime::ExecuteGetPage).
 // ---------------------------------------------------------------------------
-
-/// Where a read of one page may be served from.
-struct ReadSource {
-  std::optional<storage::BlobLocation> loc;  // directory entry; unplaced: none
-  std::size_t node = 0;                      // serving node
-  /// `node` holds bytes the §6 rule accepts: the local copy of an unplaced
-  /// page, the primary, or a registered replica. False for a default or
-  /// fenced-remapped owner, which must stage the page in.
-  bool has_copy = false;
-};
 
 /// Stage 1, the §6 replica-validity rule: this node's own copy when the
 /// directory maps the page here or registers this node as a replica, else
@@ -267,14 +267,14 @@ std::uint64_t BackendExtent(VectorMeta& meta) {
   return std::min(meta.size_bytes.load(std::memory_order_relaxed), *size_or);
 }
 
-/// Stage 3: builds the kGetPage task for pages [first, first + n) and
-/// routes it to `owner`, charging the request envelope when remote. One page
-/// is a plain task; more form a run with one promise per page. Staged-in
-/// pages are cached at `score`; a `placement_only` task returns no bytes.
-/// Returns one future per page.
+/// Stage 3: builds the kGetPage task for the run of pages [first, first +
+/// n), with one promise per page, and routes it to `src.node`, stage 1's
+/// verdict for its first page, charging the request envelope when remote.
+/// Staged-in pages are cached at `score`; a `placement_only` task returns
+/// no bytes. Returns one future per page.
 std::vector<std::shared_future<TaskOutcome>> SubmitGetPages(
     Service& svc, VectorMeta& meta, std::uint64_t first, std::uint64_t n,
-    std::size_t owner, std::size_t from_node, sim::SimTime now,
+    const ReadSource& src, std::size_t from_node, sim::SimTime now,
     telemetry::TraceContext tctx, float score = 1.0f,
     bool placement_only = false) {
   MemoryTask task;
@@ -287,26 +287,24 @@ std::vector<std::shared_future<TaskOutcome>> SubmitGetPages(
   task.from_node = from_node;
   task.tctx = tctx;
   task.placement_only = placement_only;
+  task.stages_in =
+      Unplaced(src) || (src.loc && src.loc->tier == sim::TierKind::kPfs);
+  task.page_promises.resize(n);
   std::vector<std::shared_future<TaskOutcome>> futures;
-  if (n == 1) {
-    task.promise = std::make_shared<std::promise<TaskOutcome>>();
-    futures.push_back(task.promise->get_future().share());
-  } else {
-    task.page_promises.resize(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      task.pages.push_back(first + i);
-      futures.push_back(task.page_promises[i].get_future().share());
-    }
+  for (std::uint64_t i = 0; i < n; ++i) {
+    task.pages.push_back(first + i);
+    futures.push_back(task.page_promises[i].get_future().share());
   }
   task.issue_time =
-      owner == from_node ? now
-                         : svc.cluster()
-                               .network()
-                               .Transfer(now, from_node, owner, kControlBytes)
-                               .delivered;
+      src.node == from_node
+          ? now
+          : svc.cluster()
+                .network()
+                .Transfer(now, from_node, src.node, kControlBytes)
+                .delivered;
   // A shutdown rejection still fulfills every promise, so the futures carry
   // the error to every waiter.
-  (void)svc.runtime(owner).Submit(std::move(task));
+  (void)svc.runtime(src.node).Submit(std::move(task));
   return futures;
 }
 }  // namespace
@@ -410,18 +408,16 @@ Status NodeRuntime::Submit(MemoryTask task) {
   const bool ordered = task.kind == MemoryTask::Kind::kWritePartial ||
                        task.kind == MemoryTask::Kind::kStageOut ||
                        task.kind == MemoryTask::Kind::kErase ||
-                       !task.page_promises.empty() ||  // a run
-                       task.placement_only;
+                       task.stages_in;
   // Tasks on one page hash to one queue (paper §III-B). A backed vector's
-  // unit is its stage-in block, so a run and a commit to one of its pages
-  // serialize: otherwise the run could publish the backend's bytes over a
-  // commit that landed between its source check and its directory update.
+  // unit is its stage-in block, so a stage-in cannot publish backend bytes
+  // over a commit to one of its pages that landed after its source check.
   const std::uint64_t digest =
       storage::BlobId{task.id.vector_id, task.id.page_idx / task.block_pages}
           .Digest();
-  // Writes, runs and stage-aheads always go to the (ordered, block-hashed)
-  // high-latency group; small reads and scores take the low-latency group
-  // to dodge head-of-line blocking (paper §III-B).
+  // Writes and stage-ins always go to the (ordered, block-hashed)
+  // high-latency group; small reads of placed pages and scores take the
+  // low-latency group to dodge head-of-line blocking (paper §III-B).
   BlockingQueue<MemoryTask>* queue;
   if (!ordered && !low_queues_.empty() &&
       TaskBytes(task) < options_.low_latency_threshold) {
@@ -482,9 +478,6 @@ void NodeRuntime::WorkerLoop(BlockingQueue<MemoryTask>* queue, int worker_id) {
     // succeeded or failed, so error paths do not leak buffers out of the
     // pool's circulation.
     if (task->data.capacity() > 0) pool_.Release(std::move(task->data));
-    if (task->placement_only && outcome.data.capacity() > 0) {
-      pool_.Release(std::move(outcome.data));  // placed; nobody reads it
-    }
     if (task->promise != nullptr) {
       task->promise->set_value(std::move(outcome));
     } else if (outcome.data.capacity() > 0) {
@@ -776,29 +769,70 @@ void NodeRuntime::CacheStagedPage(const MemoryTask& task,
 }
 
 TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
-  if (!task.page_promises.empty()) return ExecuteGetRun(task);
+  const std::size_t n = task.pages.size();
+  std::vector<TaskOutcome> outs(n);
+  std::vector<ReadSource> srcs(n);
+  VectorMeta* meta = service_->FindVectorById(task.vector_id);
+  // Stage 1 again for every page: a commit, fault or restore may have
+  // placed one since the task formed.
+  bool unplaced = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const storage::BlobId id{task.vector_id, task.pages[i]};
+    outs[i].done = task.issue_time;
+    if (service_->IsDataLost(id)) {
+      outs[i].status =
+          DataLoss("page " + id.ToString() + " lost unstaged modifications");
+    } else if (meta == nullptr) {
+      outs[i].status = NotFound("unknown vector for blob " + id.ToString());
+    } else {
+      srcs[i] = ResolveSource(*service_, *meta, id, node_id_, task.issue_time,
+                              nullptr);
+    }
+    unplaced = unplaced && outs[i].status.ok() && Unplaced(srcs[i]);
+  }
+  if (unplaced) {
+    // One backend read for the run; each page is then cached and published
+    // under version 0.
+    StageInOrZero(*meta, task.pages.front(), outs, task.issue_time);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (outs[i].status.ok()) {
+        CacheStagedPage(task, {task.vector_id, task.pages[i]}, 0, &outs[i]);
+      }
+    }
+  } else {
+    // Page by page; a stage-ahead skips the pages found placed.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!outs[i].status.ok() ||
+          (task.placement_only && !Unplaced(srcs[i]))) {
+        continue;
+      }
+      outs[i] = ServePage(*meta, task, task.pages[i], srcs[i]);
+    }
+  }
+  TaskOutcome run;
+  run.done = task.issue_time;
+  for (std::size_t i = 0; i < n; ++i) {
+    run.done = std::max(run.done, outs[i].done);
+    if (run.status.ok()) run.status = outs[i].status;
+    // A stage-ahead's staged bytes moved into the scache; whatever else it
+    // read (a failed stage-in's buffer) has no reader.
+    if (task.placement_only) pool_.Release(std::move(outs[i].data));
+    task.page_promises[i].set_value(std::move(outs[i]));
+  }
+  return run;
+}
+
+TaskOutcome NodeRuntime::ServePage(VectorMeta& meta, const MemoryTask& task,
+                                   std::uint64_t page, const ReadSource& src) {
+  const storage::BlobId id{task.vector_id, page};
   TaskOutcome out;
   out.done = task.issue_time;
-  if (service_->IsDataLost(task.id)) {
-    out.status = DataLoss("page " + task.id.ToString() +
-                          " lost unstaged modifications");
-    return out;
-  }
-  VectorMeta* meta = service_->FindVectorById(task.id.vector_id);
-  if (meta == nullptr) {
-    out.status = NotFound("unknown vector for blob " + task.id.ToString());
-    return out;
-  }
-  // The caller routed on directory state that may have moved since (e.g. an
-  // invalidated replica erased in between): re-apply the §6 rule here.
-  const ReadSource src = ResolveSource(*service_, *meta, task.id, node_id_,
-                                       task.issue_time, nullptr);
   StatusOr<std::vector<std::uint8_t>> copy =
       NotFound("no valid copy on this node");
   storage::BlobStamp stamp;
   if (src.node == node_id_ && src.has_copy) {
-    copy = CopyOrHeal(*service_, node_id_, task.id, node_id_, task.size,
-                      out.done, &out.done, &stamp);
+    copy = CopyOrHeal(*service_, node_id_, id, node_id_, task.size, out.done,
+                      &out.done, &stamp);
   }
   // No usable local bytes. If the directory maps the blob to another node,
   // serve the read through from the recorded owner. Falling into the
@@ -808,8 +842,8 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
   if (copy.status().code() == StatusCode::kNotFound && src.loc &&
       src.loc->node != node_id_) {
     const std::size_t owner = src.loc->node;
-    copy = CopyOrHeal(*service_, owner, task.id, node_id_, task.size,
-                      out.done, &out.done, &stamp);
+    copy = CopyOrHeal(*service_, owner, id, node_id_, task.size, out.done,
+                      &out.done, &stamp);
     if (copy.ok()) {
       out.done = service_->cluster()
                      .network()
@@ -828,80 +862,27 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
   }
   // Fault through to the backend (or zero-fill a fresh page): a run of one.
   out = TaskOutcome{};
-  StageInOrZero(*meta, task.id.page_idx, {&out, 1}, task.issue_time);
+  StageInOrZero(meta, page, {&out, 1}, task.issue_time);
   if (!out.status.ok()) return out;
   // Restored and written-through pages keep a directory entry with a kPfs
   // residency hint and the committed full-page CRC: verify the staged-in
   // bytes against it, so a torn or stale backend page surfaces as typed
   // data loss instead of silently serving wrong bytes (DESIGN.md §12).
-  if (options_.verify_checksums && meta->stager != nullptr && src.loc &&
+  if (options_.verify_checksums && meta.stager != nullptr && src.loc &&
       src.loc->tier == sim::TierKind::kPfs && !src.loc->dirty &&
       src.loc->crc != 0 && Crc32(out.data) != src.loc->crc) {
-    service_->RecordDataLoss(task.id, node_id_, out.done);
+    service_->RecordDataLoss(id, node_id_, out.done);
     pool_.Release(std::move(out.data));
     out.data.clear();
-    out.status = DataLoss("page " + task.id.ToString() +
+    out.status = DataLoss("page " + id.ToString() +
                           " staged in from the backend does not match its "
                           "recorded checksum");
     return out;
   }
   // Preserve an existing version if the page previously lived elsewhere
   // (e.g. written through to the backend).
-  CacheStagedPage(task, task.id, src.loc ? src.loc->version : 0, &out);
+  CacheStagedPage(task, id, src.loc ? src.loc->version : 0, &out);
   return out;
-}
-
-TaskOutcome NodeRuntime::ExecuteGetRun(MemoryTask& task) {
-  const std::size_t n = task.pages.size();
-  std::vector<TaskOutcome> outs(n);
-  // Stage 1 again for every page: a commit, fault or restore may have
-  // placed one since the run formed.
-  VectorMeta* meta = service_->FindVectorById(task.vector_id);
-  auto unplaced_at = [&](std::size_t i) {
-    const storage::BlobId id{task.vector_id, task.pages[i]};
-    const ReadSource src = ResolveSource(*service_, *meta, id, node_id_,
-                                         task.issue_time, nullptr);
-    return Unplaced(src) && !service_->IsDataLost(id);
-  };
-  bool unplaced = meta != nullptr;
-  for (std::size_t i = 0; unplaced && i < n; ++i) unplaced = unplaced_at(i);
-  if (unplaced) {
-    // One backend read for the run; each page is then cached and
-    // published exactly as a single-page stage-in is.
-    StageInOrZero(*meta, task.pages.front(), outs, task.issue_time);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (outs[i].status.ok()) {
-        CacheStagedPage(task, {task.vector_id, task.pages[i]}, 0, &outs[i]);
-      }
-    }
-  } else {
-    // Placement moved under the run: every page takes the single-page path;
-    // a stage-ahead skips the pages already placed.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (task.placement_only && meta != nullptr && !unplaced_at(i)) {
-        outs[i].done = task.issue_time;
-        continue;
-      }
-      MemoryTask one;
-      one.kind = MemoryTask::Kind::kGetPage;
-      one.vector_id = task.vector_id;
-      one.id = {task.vector_id, task.pages[i]};
-      one.size = task.size;
-      one.score = task.score;
-      one.from_node = task.from_node;
-      one.issue_time = task.issue_time;
-      outs[i] = ExecuteGetPage(one);
-    }
-  }
-  TaskOutcome run;
-  run.done = task.issue_time;
-  for (std::size_t i = 0; i < n; ++i) {
-    run.done = std::max(run.done, outs[i].done);
-    if (run.status.ok()) run.status = outs[i].status;
-    if (task.placement_only) pool_.Release(std::move(outs[i].data));
-    task.page_promises[i].set_value(std::move(outs[i]));
-  }
-  return run;
 }
 
 TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
@@ -1523,8 +1504,9 @@ void Service::OnTierFailure(std::size_t node, sim::TierKind tier,
     (void)metadata().Remove(id, node, now, nullptr);
     VectorMeta* meta = FindVectorById(id.vector_id);
     if (meta == nullptr || meta->stager == nullptr) continue;
-    // No waiter.
-    (void)SubmitGetPages(*this, *meta, id.page_idx, 1, node, node, now, {});
+    // No waiter; the page is unplaced, owned by `node`.
+    (void)SubmitGetPages(*this, *meta, id.page_idx, 1,
+                         ReadSource{std::nullopt, node, false}, node, now, {});
   }
 }
 
@@ -1740,9 +1722,9 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
     } else {
       leader = true;
       fault_ctx = telemetry::TraceRecorder::NewContext(sink.node);
-      fetch = SubmitGetPages(*this, meta, page, 1, owner, from_node, t,
-                             fault_ctx)
-                  .front();
+      fetch =
+          SubmitGetPages(*this, meta, page, 1, src, from_node, t, fault_ctx)
+              .front();
       inflight_[key] = fetch;
     }
   }
@@ -1883,10 +1865,9 @@ std::vector<PendingFetch> Service::ReadPagesAsync(VectorMeta& meta,
   fetches.reserve(n);
   ForEachRun(srcs, first, RunPages(meta), [&](std::uint64_t lo,
                                               std::uint64_t hi) {
-    const std::size_t owner = srcs[lo].node;
-    for (auto& future : SubmitGetPages(*this, meta, first + lo, hi - lo, owner,
-                                       from_node, now, {})) {
-      fetches.push_back({std::move(future), owner});
+    for (auto& future : SubmitGetPages(*this, meta, first + lo, hi - lo,
+                                       srcs[lo], from_node, now, {})) {
+      fetches.push_back({std::move(future), srcs[lo].node});
     }
   });
   return fetches;
@@ -1910,8 +1891,8 @@ Service::StageAhead(VectorMeta& meta, std::uint64_t first, std::uint64_t n,
                                               std::uint64_t hi) {
     if (!Unplaced(srcs[lo]) || first + lo >= end) return;
     hi = std::min(hi, end - first);
-    auto futures = SubmitGetPages(*this, meta, first + lo, hi - lo,
-                                  srcs[lo].node, from_node, now, {}, score,
+    auto futures = SubmitGetPages(*this, meta, first + lo, hi - lo, srcs[lo],
+                                  from_node, now, {}, score,
                                   /*placement_only=*/true);
     for (std::uint64_t i = lo; i < hi; ++i) {
       staged.emplace_back(first + i, std::move(futures[i - lo]));

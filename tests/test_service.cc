@@ -441,39 +441,43 @@ TEST_F(RunStageInTest, FourRunsShareTheStripeServers) {
 }
 
 TEST_F(RunStageInTest, CommitInsideAnInflightRunIsNeverLost) {
-  // A commit to a page of an in-flight run lands on the run's queue, so it
-  // is ordered against the run's stage-in: whichever runs first, the
+  // A commit to a page of an in-flight stage-in lands on the stage-in's
+  // queue, so it is ordered against the stage-in: whichever runs first, the
   // committed bytes and version survive. Each iteration uses a fresh pair
-  // of unplaced 4 KiB pages of one stage-in block.
+  // of unplaced 4 KiB pages of one stage-in block and reads a run of one
+  // (the committed page alone) or of two pages.
   constexpr int kIters = 1000;
-  VectorMeta& meta = Open(2 * kIters, 1, 4 * kKiB);
+  VectorMeta& meta = Open(4 * kIters, 1, 4 * kKiB);
   ASSERT_GE(svc_->RunPages(meta), 2u);
-  for (int it = 0; it < kIters; ++it) {
-    const std::uint64_t first = 2 * static_cast<std::uint64_t>(it);
-    const std::uint64_t value = 0xA000 + static_cast<std::uint64_t>(it);
-    std::vector<std::uint8_t> bytes(sizeof(value));
-    std::memcpy(bytes.data(), &value, sizeof(value));
-    std::shared_future<TaskOutcome> commit;
-    std::thread writer([&] {
-      commit = svc_->WriteRegion(meta, first + 1, 8, bytes, 0, 0.0);
-    });
-    std::vector<PendingFetch> fetches =
-        svc_->ReadPagesAsync(meta, first, 2, 0, 0.0);
-    writer.join();
-    const TaskOutcome& committed = commit.get();
-    ASSERT_TRUE(committed.status.ok()) << committed.status.ToString();
-    for (auto& f : fetches) ASSERT_TRUE(f.future.get().status.ok());
-    sim::SimTime done = 0.0;
-    auto page = svc_->ReadPage(meta, first + 1, 0, 0.0, &done);
-    ASSERT_TRUE(page.ok()) << page.status().ToString();
-    std::uint64_t got = 0;
-    std::memcpy(&got, page->data() + 8, sizeof(got));
-    ASSERT_EQ(got, value) << "iteration " << it;
-    auto loc =
-        svc_->metadata().Lookup({meta.vector_id, first + 1}, 0, 0.0, nullptr);
-    ASSERT_TRUE(loc.ok());
-    ASSERT_EQ(loc->version, 1u) << "iteration " << it;
-    ASSERT_TRUE(loc->dirty);
+  for (const std::uint64_t run : {1u, 2u}) {
+    for (int it = 0; it < kIters; ++it) {
+      const std::uint64_t first =
+          2 * ((run - 1) * kIters + static_cast<std::uint64_t>(it));
+      const std::uint64_t value = 0xA000 + static_cast<std::uint64_t>(it);
+      std::vector<std::uint8_t> bytes(sizeof(value));
+      std::memcpy(bytes.data(), &value, sizeof(value));
+      std::shared_future<TaskOutcome> commit;
+      std::thread writer([&] {
+        commit = svc_->WriteRegion(meta, first + 1, 8, bytes, 0, 0.0);
+      });
+      std::vector<PendingFetch> fetches =
+          svc_->ReadPagesAsync(meta, first + 2 - run, run, 0, 0.0);
+      writer.join();
+      const TaskOutcome& committed = commit.get();
+      ASSERT_TRUE(committed.status.ok()) << committed.status.ToString();
+      for (auto& f : fetches) ASSERT_TRUE(f.future.get().status.ok());
+      sim::SimTime done = 0.0;
+      auto page = svc_->ReadPage(meta, first + 1, 0, 0.0, &done);
+      ASSERT_TRUE(page.ok()) << page.status().ToString();
+      std::uint64_t got = 0;
+      std::memcpy(&got, page->data() + 8, sizeof(got));
+      ASSERT_EQ(got, value) << "run of " << run << ", iteration " << it;
+      auto loc = svc_->metadata().Lookup({meta.vector_id, first + 1}, 0, 0.0,
+                                         nullptr);
+      ASSERT_TRUE(loc.ok());
+      ASSERT_EQ(loc->version, 1u) << "run of " << run << ", iteration " << it;
+      ASSERT_TRUE(loc->dirty);
+    }
   }
 }
 
