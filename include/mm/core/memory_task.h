@@ -1,7 +1,8 @@
 // MemoryTasks: the unit of work submitted by the MegaMmap library to the
 // runtime (paper §III-B). Tasks carry the blob id, payload, and a simulated
-// issue time; workers execute them against the node's BufferManager,
-// metadata, and stagers, and fulfill a promise with the outcome.
+// issue time; each node's worker executes them in submission order against
+// the node's BufferManager, metadata, and stagers, and fulfills a promise
+// with the outcome.
 #pragma once
 
 #include <atomic>
@@ -150,11 +151,6 @@ struct MemoryTask {
   Kind kind = Kind::kGetPage;
   std::uint64_t vector_id = 0;
   storage::BlobId id;  // the page; kGetPage: the run's first page
-  /// Routing unit in pages: NodeRuntime::Submit hashes (vector, page /
-  /// block_pages). A backed vector's tasks carry its stage-in block
-  /// (Service::RunPages), so every task on a block shares one queue; 1
-  /// routes by page.
-  std::uint64_t block_pages = 1;
   std::uint64_t offset = 0;  // for partial ops, offset within the page
   std::uint64_t size = 0;    // kGetPage: bytes per page (page_bytes)
   std::vector<std::uint8_t> data;  // for writes
@@ -175,10 +171,6 @@ struct MemoryTask {
   /// worker read go back to its pool, so the outcomes carry a status and a
   /// `done` time but no data.
   bool placement_only = false;
-  /// kGetPage: the submitter's stage 1 found the first page unplaced or
-  /// resident only on the PFS, so the task stages in and joins the ordered
-  /// group with the commits to its block (NodeRuntime::Submit).
-  bool stages_in = false;
   /// Fulfilled by the executing worker when non-null. Awaited tasks
   /// (commits TxEnd orders on, stage-outs, quiesce markers) allocate a
   /// promise; fire-and-forget tasks (kScore, kErase) leave it null and skip
@@ -194,10 +186,5 @@ struct MemoryTask {
   /// worker (or by Submit's shutdown rejection).
   std::vector<std::promise<TaskOutcome>> page_promises;
 };
-
-/// Bytes a task moves — used for low/high-latency group routing.
-inline std::uint64_t TaskBytes(const MemoryTask& task) {
-  return task.data.empty() ? task.size : task.data.size();
-}
 
 }  // namespace mm::core

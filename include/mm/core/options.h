@@ -89,13 +89,6 @@ struct ServiceOptions {
   /// this). Empty means "all of DRAM+NVMe at paper defaults" is NOT
   /// assumed; callers must set grants explicitly.
   std::vector<storage::TierGrant> tier_grants;
-  /// High-latency worker group size per node (large transfers).
-  int workers_per_node = 2;
-  /// Low-latency worker group size per node (small, latency-sensitive).
-  int low_latency_workers = 1;
-  /// Tasks strictly below this byte size go to the low-latency group
-  /// (paper §III-B: 16 KB).
-  std::uint64_t low_latency_threshold = 16 * kKiB;
   /// Score updates between Data Organizer rebalance sweeps.
   int organize_every = 64;
   /// Master switches used by the scalability study (Fig. 5 runs MegaMmap
@@ -126,11 +119,10 @@ struct ServiceOptions {
   /// How ckpt::CollectiveRecover treats a dead node's pages.
   RecoveryPolicy recovery_policy = RecoveryPolicy::kRehome;
 
-  /// Parses a service config from YAML, e.g.:
+  /// Parses a service config from YAML; a `runtime:` key it does not know
+  /// is an InvalidArgument error naming the key. E.g.:
   ///   runtime:
-  ///     workers_per_node: 2
-  ///     low_latency_workers: 1
-  ///     low_latency_threshold: 16k
+  ///     organize_every: 64
   ///     recovery_policy: rehome   # or: rollback
   ///   tiers:
   ///     - kind: dram

@@ -1,8 +1,9 @@
-// The MegaMmap service: per-node runtimes (worker pools executing
-// MemoryTasks), the distributed metadata manager, the vector registry, and
-// the scache client API that mm::Vector uses. One Service instance exists
-// per simulated job, shared by all ranks (paper Fig. 2: application
-// processes submit MemoryTasks to the runtime through queues).
+// The MegaMmap service: per-node runtimes (one worker each, executing
+// MemoryTasks in submission order), the distributed metadata manager, the
+// vector registry, and the scache client API that mm::Vector uses. One
+// Service instance exists per simulated job, shared by all ranks (paper
+// Fig. 2: application processes submit MemoryTasks to the runtime through
+// queues).
 #pragma once
 
 #include <atomic>
@@ -79,9 +80,12 @@ struct VectorMeta {
   }
 };
 
-/// One node's runtime: worker threads draining MemoryTask queues. Tasks for
-/// the same page hash to the same worker; tasks under the low-latency
-/// threshold run on a separate worker group (paper §III-B).
+/// One node's runtime: one worker thread draining one FIFO MemoryTask
+/// queue. Every task on the node runs in submission order, which gives
+/// §III-B's same-page ordering for every page and block, stage-ins against
+/// commits included. The paper's two worker groups are not reproduced
+/// (EXPERIMENTS.md): a task carries its own issue time, so extra workers
+/// add wall-clock interleavings and no virtual-time behaviour.
 class NodeRuntime {
  public:
   NodeRuntime(Service* service, std::size_t node_id,
@@ -92,9 +96,10 @@ class NodeRuntime {
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
 
-  /// Routes a task to its worker queue. Thread-safe. After Shutdown the
-  /// task is rejected with kFailedPrecondition (its promise, if any, is
-  /// fulfilled with that status) instead of aborting the process.
+  /// Queues a task behind every task submitted before it. Thread-safe.
+  /// After Shutdown the task is rejected with kFailedPrecondition (its
+  /// promise, if any, is fulfilled with that status) instead of aborting
+  /// the process.
   Status Submit(MemoryTask task);
 
   storage::BufferManager& buffer() { return bm_; }
@@ -104,13 +109,12 @@ class NodeRuntime {
   /// instead of allocating fresh vectors on every task.
   PagePool& pool() { return pool_; }
 
-  /// Checkpoint quiesce: pushes one kBarrier marker into every queue and
-  /// waits until all of them execute — by FIFO order, every task submitted
-  /// before the call has then committed. Returns the drain's virtual
-  /// completion time (>= now).
+  /// Checkpoint quiesce: submits one kBarrier marker and waits until it
+  /// executes — by FIFO order, every task submitted before the call has
+  /// then committed. Returns the drain's virtual completion time (>= now).
   sim::SimTime Quiesce(sim::SimTime now);
 
-  /// Stops accepting tasks, drains queues, joins workers.
+  /// Stops accepting tasks, drains the queue, joins the worker.
   void Shutdown();
 
   // ---- read fast path telemetry (DESIGN.md §14) ----
@@ -128,7 +132,7 @@ class NodeRuntime {
   void CountReadpathFallback() { readpath_fallback_->Inc(); }
 
  private:
-  void WorkerLoop(BlockingQueue<MemoryTask>* queue, int worker_id);
+  void WorkerLoop();
   TaskOutcome Execute(MemoryTask& task);
   /// A kGetPage run of n >= 1 pages: re-resolves each page's source,
   /// stages the run in with one backend read while every page is still
@@ -216,9 +220,8 @@ class NodeRuntime {
   telemetry::Counter* readpath_fallback_;      // mm.readpath.fallback_count
   storage::BufferManager bm_;
   PagePool pool_;
-  std::vector<std::unique_ptr<BlockingQueue<MemoryTask>>> high_queues_;
-  std::vector<std::unique_ptr<BlockingQueue<MemoryTask>>> low_queues_;
-  std::vector<std::thread> workers_;
+  BlockingQueue<MemoryTask> queue_;
+  std::thread worker_;
   std::atomic<int> score_updates_{0};
   std::atomic<bool> shut_down_{false};
 };
@@ -438,7 +441,7 @@ class Service {
                                                bool read_intent = false);
 
   /// Lock-free read fast path (DESIGN.md §14): serves a whole-page read on
-  /// the calling thread, bypassing the worker queues entirely. The
+  /// the calling thread, bypassing the worker queue entirely. The
   /// directory entry is sampled, the bytes are copied straight out of the
   /// source the §6 rule blesses (primary or registered replica — never a
   /// stale cache), and the directory version is re-sampled; a changed
@@ -481,7 +484,7 @@ class Service {
   /// Pages per stage-in block of `meta`: the PFS stripe over the page size
   /// (16 for 64 KiB pages on 1 MiB stripes). 1 for a volatile vector, an
   /// unstriped PFS, or pages of at least one stripe. Blocks start at page
-  /// multiples of it; tasks on one block share a worker queue.
+  /// multiples of it.
   std::uint64_t RunPages(const VectorMeta& meta) const;
 
   /// Idle estimate of reading one page from wherever it currently lives

@@ -19,7 +19,7 @@ struct BlobId {
 
   bool operator==(const BlobId&) const = default;
 
-  /// Stable 64-bit digest used for home-node and worker hashing.
+  /// Stable 64-bit digest used for home-node hashing.
   std::uint64_t Digest() const {
     return HashCombine(MixU64(vector_id), page_idx);
   }

@@ -1,5 +1,8 @@
 #include "mm/core/options.h"
 
+#include <algorithm>
+#include <string_view>
+
 namespace mm::core {
 
 namespace {
@@ -12,18 +15,22 @@ StatusOr<sim::TierKind> ParseTierKind(const std::string& name) {
   return InvalidArgument("unknown tier kind '" + name + "'");
 }
 
+// Every key FromYaml reads under `runtime:`.
+constexpr std::string_view kRuntimeKeys[] = {
+    "organize_every",          "enable_prefetch",  "enable_organizer",
+    "enable_optimistic_reads", "verify_checksums", "recovery_policy"};
+
 }  // namespace
 
 StatusOr<ServiceOptions> ServiceOptions::FromYaml(const yaml::Node& root) {
   ServiceOptions opts;
   const yaml::Node& runtime = root["runtime"];
   if (runtime.IsMap()) {
-    opts.workers_per_node =
-        static_cast<int>(runtime.GetInt("workers_per_node", opts.workers_per_node));
-    opts.low_latency_workers = static_cast<int>(
-        runtime.GetInt("low_latency_workers", opts.low_latency_workers));
-    opts.low_latency_threshold =
-        runtime.GetBytes("low_latency_threshold", opts.low_latency_threshold);
+    for (const std::string& key : runtime.Keys()) {
+      if (std::ranges::count(kRuntimeKeys, key) == 0) {
+        return InvalidArgument("unknown runtime key '" + key + "'");
+      }
+    }
     opts.organize_every =
         static_cast<int>(runtime.GetInt("organize_every", opts.organize_every));
     opts.enable_prefetch =
@@ -85,9 +92,6 @@ StatusOr<ServiceOptions> ServiceOptions::FromYaml(const yaml::Node& root) {
       if (cap == 0) return InvalidArgument("tier capacity must be set");
       opts.tier_grants.push_back({kind, cap});
     }
-  }
-  if (opts.workers_per_node < 1) {
-    return InvalidArgument("workers_per_node must be >= 1");
   }
   return opts;
 }

@@ -268,27 +268,24 @@ std::uint64_t BackendExtent(VectorMeta& meta) {
 }
 
 /// Stage 3: builds the kGetPage task for the run of pages [first, first +
-/// n), with one promise per page, and routes it to `src.node`, stage 1's
+/// n), with one promise per page, and routes it to `owner`, stage 1's
 /// verdict for its first page, charging the request envelope when remote.
 /// Staged-in pages are cached at `score`; a `placement_only` task returns
 /// no bytes. Returns one future per page.
 std::vector<std::shared_future<TaskOutcome>> SubmitGetPages(
     Service& svc, VectorMeta& meta, std::uint64_t first, std::uint64_t n,
-    const ReadSource& src, std::size_t from_node, sim::SimTime now,
+    std::size_t owner, std::size_t from_node, sim::SimTime now,
     telemetry::TraceContext tctx, float score = 1.0f,
     bool placement_only = false) {
   MemoryTask task;
   task.kind = MemoryTask::Kind::kGetPage;
   task.vector_id = meta.vector_id;
   task.id = {meta.vector_id, first};
-  task.block_pages = svc.RunPages(meta);
   task.size = meta.page_bytes;
   task.score = score;
   task.from_node = from_node;
   task.tctx = tctx;
   task.placement_only = placement_only;
-  task.stages_in =
-      Unplaced(src) || (src.loc && src.loc->tier == sim::TierKind::kPfs);
   task.page_promises.resize(n);
   std::vector<std::shared_future<TaskOutcome>> futures;
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -296,15 +293,15 @@ std::vector<std::shared_future<TaskOutcome>> SubmitGetPages(
     futures.push_back(task.page_promises[i].get_future().share());
   }
   task.issue_time =
-      src.node == from_node
+      owner == from_node
           ? now
           : svc.cluster()
                 .network()
-                .Transfer(now, from_node, src.node, kControlBytes)
+                .Transfer(now, from_node, owner, kControlBytes)
                 .delivered;
   // A shutdown rejection still fulfills every promise, so the futures carry
   // the error to every waiter.
-  (void)svc.runtime(src.node).Submit(std::move(task));
+  (void)svc.runtime(owner).Submit(std::move(task));
   return futures;
 }
 }  // namespace
@@ -346,90 +343,37 @@ NodeRuntime::NodeRuntime(Service* service, std::size_t node_id,
              sim::SimTime now) {
         service_->OnTierFailure(node_id_, kind, lost, now);
       });
-  int high = std::max(1, options_.workers_per_node);
-  int low = std::max(0, options_.low_latency_workers);
-  for (int i = 0; i < high; ++i) {
-    high_queues_.push_back(std::make_unique<BlockingQueue<MemoryTask>>());
-  }
-  for (int i = 0; i < low; ++i) {
-    low_queues_.push_back(std::make_unique<BlockingQueue<MemoryTask>>());
-  }
-  int wid = 0;
-  auto spawn = [this, &wid](BlockingQueue<MemoryTask>* q) {
-    int id = wid++;
-    workers_.emplace_back([this, q, id] { WorkerLoop(q, id); });
-  };
-  for (auto& q : high_queues_) spawn(q.get());
-  for (auto& q : low_queues_) spawn(q.get());
+  worker_ = std::thread([this] { WorkerLoop(); });
 }
 
 NodeRuntime::~NodeRuntime() { Shutdown(); }
 
 void NodeRuntime::Shutdown() {
   if (shut_down_.exchange(true)) return;
-  for (auto& q : high_queues_) q->Close();
-  for (auto& q : low_queues_) q->Close();
-  for (auto& t : workers_) t.join();
-  workers_.clear();
+  queue_.Close();
+  worker_.join();
 }
 
 sim::SimTime NodeRuntime::Quiesce(sim::SimTime now) {
-  // One barrier marker per queue: FIFO order guarantees that by the time a
-  // marker's promise resolves, every task enqueued before it has executed.
-  // Markers go straight to the queues — not through Submit's digest routing
-  // — so every queue in both groups drains, and the depth gauge is mirrored
-  // by hand for the same reason.
-  std::vector<std::future<TaskOutcome>> pending;
-  auto push_marker = [&](BlockingQueue<MemoryTask>* q) {
-    MemoryTask marker;
-    marker.kind = MemoryTask::Kind::kBarrier;
-    marker.issue_time = now;
-    marker.promise = std::make_shared<std::promise<TaskOutcome>>();
-    std::future<TaskOutcome> fut = marker.promise->get_future();
-    if (shut_down_.load(std::memory_order_acquire) ||
-        !q->Push(std::move(marker))) {
-      // Closed queue: its worker already drained and exited — nothing to
-      // wait for (and the unfulfilled promise must not be waited on).
-      return;
-    }
-    queue_depth_->Add(1);
-    pending.push_back(std::move(fut));
-  };
-  for (auto& q : high_queues_) push_marker(q.get());
-  for (auto& q : low_queues_) push_marker(q.get());
-  sim::SimTime done = now;
-  for (auto& fut : pending) {
-    done = std::max(done, fut.get().done);
-  }
-  return done;
+  // FIFO order: by the time the marker's promise resolves, every task
+  // submitted before it has executed. After Shutdown, Submit rejects the
+  // marker with done = now; the worker drained the queue on its way out.
+  MemoryTask marker;
+  marker.kind = MemoryTask::Kind::kBarrier;
+  marker.issue_time = now;
+  marker.promise = std::make_shared<std::promise<TaskOutcome>>();
+  std::future<TaskOutcome> fut = marker.promise->get_future();
+  // A shutdown rejection fulfills the promise too: the future reports it.
+  (void)Submit(std::move(marker));
+  return std::max(now, fut.get().done);
 }
 
 Status NodeRuntime::Submit(MemoryTask task) {
-  const bool ordered = task.kind == MemoryTask::Kind::kWritePartial ||
-                       task.kind == MemoryTask::Kind::kStageOut ||
-                       task.kind == MemoryTask::Kind::kErase ||
-                       task.stages_in;
-  // Tasks on one page hash to one queue (paper §III-B). A backed vector's
-  // unit is its stage-in block, so a stage-in cannot publish backend bytes
-  // over a commit to one of its pages that landed after its source check.
-  const std::uint64_t digest =
-      storage::BlobId{task.id.vector_id, task.id.page_idx / task.block_pages}
-          .Digest();
-  // Writes and stage-ins always go to the (ordered, block-hashed)
-  // high-latency group; small reads of placed pages and scores take the
-  // low-latency group to dodge head-of-line blocking (paper §III-B).
-  BlockingQueue<MemoryTask>* queue;
-  if (!ordered && !low_queues_.empty() &&
-      TaskBytes(task) < options_.low_latency_threshold) {
-    queue = low_queues_[digest % low_queues_.size()].get();
-  } else {
-    queue = high_queues_[digest % high_queues_.size()].get();
-  }
   // A shutdown race is an orderly rejection, not a crash: Push refuses
   // (without consuming the task) once the queue is closed, and the task's
   // promise — if any — is fulfilled so no waiter hangs.
   if (!shut_down_.load(std::memory_order_acquire) &&
-      queue->Push(std::move(task))) {
+      queue_.Push(std::move(task))) {
     queue_depth_->Add(1);
     return Status::Ok();
   }
@@ -445,11 +389,11 @@ Status NodeRuntime::Submit(MemoryTask task) {
   return st;
 }
 
-void NodeRuntime::WorkerLoop(BlockingQueue<MemoryTask>* queue, int worker_id) {
+void NodeRuntime::WorkerLoop() {
   // Worker log lines carry the node rank. No virtual-clock callback: tasks
   // carry their own issue times, there is no per-worker clock to sample.
   ScopedLogContext log_ctx(nullptr, static_cast<int>(node_id_));
-  while (auto task = queue->Pop()) {
+  while (auto task = queue_.Pop()) {
     queue_depth_->Add(-1);
     const MemoryTask::Kind kind = task->kind;
     const sim::SimTime issued = task->issue_time;
@@ -468,10 +412,10 @@ void NodeRuntime::WorkerLoop(BlockingQueue<MemoryTask>* queue, int worker_id) {
       // Child span of the origin's flow; terminal tasks (async write
       // commits) close the flow, everything else is a plain step.
       tel_.trace->CompleteFlow(TaskKindName(kind), "task", tel_.node,
-                               worker_id, issued, outcome.done, tctx,
+                               /*tid=*/0, issued, outcome.done, tctx,
                                task->trace_terminal ? 'f' : 't');
     } else {
-      tel_.trace->Complete(TaskKindName(kind), "task", tel_.node, worker_id,
+      tel_.trace->Complete(TaskKindName(kind), "task", tel_.node, /*tid=*/0,
                            issued, outcome.done);
     }
     // Recycle the request payload (Execute consumed it) whether the task
@@ -1505,8 +1449,7 @@ void Service::OnTierFailure(std::size_t node, sim::TierKind tier,
     VectorMeta* meta = FindVectorById(id.vector_id);
     if (meta == nullptr || meta->stager == nullptr) continue;
     // No waiter; the page is unplaced, owned by `node`.
-    (void)SubmitGetPages(*this, *meta, id.page_idx, 1,
-                         ReadSource{std::nullopt, node, false}, node, now, {});
+    (void)SubmitGetPages(*this, *meta, id.page_idx, 1, node, node, now, {});
   }
 }
 
@@ -1723,7 +1666,8 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
       leader = true;
       fault_ctx = telemetry::TraceRecorder::NewContext(sink.node);
       fetch =
-          SubmitGetPages(*this, meta, page, 1, src, from_node, t, fault_ctx)
+          SubmitGetPages(*this, meta, page, 1, src.node, from_node, t,
+                         fault_ctx)
               .front();
       inflight_[key] = fetch;
     }
@@ -1866,7 +1810,7 @@ std::vector<PendingFetch> Service::ReadPagesAsync(VectorMeta& meta,
   ForEachRun(srcs, first, RunPages(meta), [&](std::uint64_t lo,
                                               std::uint64_t hi) {
     for (auto& future : SubmitGetPages(*this, meta, first + lo, hi - lo,
-                                       srcs[lo], from_node, now, {})) {
+                                       srcs[lo].node, from_node, now, {})) {
       fetches.push_back({std::move(future), srcs[lo].node});
     }
   });
@@ -1891,8 +1835,8 @@ Service::StageAhead(VectorMeta& meta, std::uint64_t first, std::uint64_t n,
                                               std::uint64_t hi) {
     if (!Unplaced(srcs[lo]) || first + lo >= end) return;
     hi = std::min(hi, end - first);
-    auto futures = SubmitGetPages(*this, meta, first + lo, hi - lo, srcs[lo],
-                                  from_node, now, {}, score,
+    auto futures = SubmitGetPages(*this, meta, first + lo, hi - lo,
+                                  srcs[lo].node, from_node, now, {}, score,
                                   /*placement_only=*/true);
     for (std::uint64_t i = lo; i < hi; ++i) {
       staged.emplace_back(first + i, std::move(futures[i - lo]));
@@ -1938,7 +1882,6 @@ std::shared_future<TaskOutcome> Service::WriteRegion(
   task.kind = MemoryTask::Kind::kWritePartial;
   task.vector_id = meta.vector_id;
   task.id = id;
-  task.block_pages = RunPages(meta);
   task.offset = offset;
   task.data = std::move(bytes);
   task.from_node = from_node;
@@ -1976,7 +1919,6 @@ void Service::SubmitScore(VectorMeta& meta, std::uint64_t page, float score,
   task.kind = MemoryTask::Kind::kScore;
   task.vector_id = meta.vector_id;
   task.id = id;
-  task.block_pages = RunPages(meta);
   task.score = score;
   task.from_node = from_node;
   task.issue_time = now;
@@ -2005,10 +1947,9 @@ Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,
     MemoryTask task;
     task.kind = MemoryTask::Kind::kStageOut;
     task.vector_id = meta.vector_id;
-    // Every batch of a vector routes by page 0's digest, so concurrent
-    // flushes of one vector serialize on the owner's queue: a later batch
-    // never journals an older snapshot of a page than an earlier one.
-    task.id = {meta.vector_id, 0};
+    // The owner runs its tasks in submission order, so concurrent flushes
+    // of one vector serialize there: a later batch never journals an older
+    // snapshot of a page than an earlier one.
     task.pages = std::move(pages);
     task.from_node = from_node;
     task.issue_time = now;
@@ -2070,7 +2011,6 @@ Status Service::ChangePhase(VectorMeta& meta, CoherenceMode new_mode,
         task.kind = MemoryTask::Kind::kErase;
         task.vector_id = meta.vector_id;
         task.id = id;
-        task.block_pages = RunPages(meta);
         task.from_node = from_node;
         task.issue_time = inval_done;
         // Fire-and-forget replica erase; stale bytes are re-validated by

@@ -1,5 +1,5 @@
-// Service-level tests: vector registry, task routing, organizer wiring,
-// ownership/placement, phases, YAML options.
+// Service-level tests: vector registry, task ordering and quiesce,
+// organizer wiring, ownership/placement, phases, YAML options.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -291,6 +291,113 @@ TEST_F(ServiceTest, ShutdownVsInflightSubmitFulfillsEveryPromise) {
   EXPECT_EQ(resolved.load(), kSubmitters * kPerThread);
 }
 
+/// A backend of `bytes` whose reads wait until `gate` opens: a stage-in
+/// from it holds its node's worker.
+class GatedStager : public storage::Stager {
+ public:
+  GatedStager(std::uint64_t bytes, std::shared_future<void> gate)
+      : bytes_(bytes), gate_(std::move(gate)) {}
+  StatusOr<std::uint64_t> Size(const Uri&) override { return bytes_; }
+  Status Create(const Uri&, std::uint64_t) override { return Status::Ok(); }
+  Status Read(const Uri&, std::uint64_t, std::uint64_t size,
+              std::vector<std::uint8_t>* out) override {
+    gate_.wait();
+    out->assign(size, 0);
+    return Status::Ok();
+  }
+  Status Write(const Uri&, std::uint64_t, const std::uint8_t*,
+               std::uint64_t) override {
+    return Status::Ok();
+  }
+  bool Exists(const Uri&) override { return true; }
+  Status Remove(const Uri&) override { return Status::Ok(); }
+
+ private:
+  std::uint64_t bytes_;
+  std::shared_future<void> gate_;
+};
+
+// Quiesce drains every task submitted before it, fire-and-forget ones
+// included. Each node's worker is held in a stage-in while commits and
+// scores queue up behind it, so they are all still pending when the gate
+// opens and Quiesce is called.
+TEST(ServiceQuiesce, DrainsEveryTaskSubmittedBeforeIt) {
+  auto cluster = sim::Cluster::PaperTestbed(2);
+  ServiceOptions so;
+  so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(4)}};
+  Service svc(cluster.get(), so);
+  constexpr std::uint64_t kPage = 64;  // 8 elements
+  VectorOptions vo;
+  vo.page_size = kPage;
+  std::promise<void> gate;
+  storage::StagerRegistry::Default().Register(
+      "gated",
+      std::make_unique<GatedStager>(2 * kPage, gate.get_future().share()));
+  auto gated = svc.RegisterVector("gated://quiesce", 8, vo, 16);
+  vo.nonvolatile = false;
+  auto meta = svc.RegisterVector("quiesced", 8, vo, 64);
+  ASSERT_TRUE(gated.ok() && meta.ok());
+  // 2 ranks, one per node: the gated vector's page 0 and the volatile
+  // vector's pages 0-3 live on node 0, the rest on node 1.
+  svc.SetPgasHint(**gated, VectorMeta::PgasHint{16, 2, 1});
+  svc.SetPgasHint(**meta, VectorMeta::PgasHint{64, 2, 1});
+  constexpr std::uint64_t kPages = 8;
+  const std::vector<std::uint8_t> bytes(8, 3);
+  // Place every page first: a score for an unplaced page is dropped.
+  for (std::uint64_t page = 0; page < kPages; ++page) {
+    ASSERT_TRUE(svc.WriteRegion(**meta, page, 0, bytes, page / 4, 0.0)
+                    .get()
+                    .status.ok());
+  }
+  auto executed = [&] {
+    std::uint64_t total = 0;
+    for (std::size_t node = 0; node < svc.num_nodes(); ++node) {
+      total += svc.metrics(node).GetCounter("mm.task.executed_count")->value();
+    }
+    return total;
+  };
+  const std::uint64_t before = executed();
+  std::vector<PendingFetch> held;
+  for (std::size_t node = 0; node < svc.num_nodes(); ++node) {
+    for (auto& f : svc.ReadPagesAsync(**gated, node, 1, node, 0.0)) {
+      held.push_back(std::move(f));
+    }
+  }
+  std::uint64_t submitted = held.size();
+  std::vector<std::shared_future<TaskOutcome>> commits;
+  for (std::uint64_t round = 0; round < 16; ++round) {
+    for (std::uint64_t page = 0; page < kPages; ++page) {
+      commits.push_back(svc.WriteRegion(**meta, page, round % 8 * 8, bytes,
+                                        page / 4, 0.0));
+      svc.SubmitScore(**meta, page, 0.5f, page / 4, 0.0);
+      submitted += 2;
+    }
+  }
+  for (auto& commit : commits) {
+    ASSERT_NE(commit.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+  }
+  gate.set_value();
+  const sim::SimTime now = 1.0;
+  for (std::size_t node = 0; node < svc.num_nodes(); ++node) {
+    EXPECT_GE(svc.runtime(node).Quiesce(now), now);
+    ++submitted;  // the marker
+  }
+  for (auto& commit : commits) {
+    ASSERT_EQ(commit.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_TRUE(commit.get().status.ok());
+  }
+  for (auto& f : held) EXPECT_TRUE(f.future.get().status.ok());
+#if MM_TELEMETRY_ENABLED
+  EXPECT_EQ(executed() - before, submitted);
+  for (std::size_t node = 0; node < svc.num_nodes(); ++node) {
+    EXPECT_EQ(
+        svc.metrics(node).GetGauge("mm.task.queue_depth_count")->value(), 0);
+  }
+#endif
+}
+
 // ---- run stage-in (ReadPagesAsync) ----
 
 constexpr std::uint64_t kRunPage = 64 * kKiB;
@@ -575,9 +682,6 @@ TEST_F(RunStageInTest, RunAfterShutdownFulfilsEveryPage) {
 TEST(ServiceOptionsYaml, ParsesFullConfig) {
   auto root = yaml::Parse(
       "runtime:\n"
-      "  workers_per_node: 3\n"
-      "  low_latency_workers: 2\n"
-      "  low_latency_threshold: 32k\n"
       "  organize_every: 16\n"
       "  enable_prefetch: false\n"
       "tiers:\n"
@@ -590,9 +694,6 @@ TEST(ServiceOptionsYaml, ParsesFullConfig) {
   ASSERT_TRUE(root.ok());
   auto opts = ServiceOptions::FromYaml(*root);
   ASSERT_TRUE(opts.ok());
-  EXPECT_EQ(opts->workers_per_node, 3);
-  EXPECT_EQ(opts->low_latency_workers, 2);
-  EXPECT_EQ(opts->low_latency_threshold, 32 * kKiB);
   EXPECT_EQ(opts->organize_every, 16);
   EXPECT_FALSE(opts->enable_prefetch);
   EXPECT_TRUE(opts->enable_organizer);
@@ -608,7 +709,35 @@ TEST(ServiceOptionsYaml, DefaultsWhenSectionsMissing) {
   ASSERT_TRUE(root.ok());
   auto opts = ServiceOptions::FromYaml(*root);
   ASSERT_TRUE(opts.ok());
-  EXPECT_EQ(opts->workers_per_node, ServiceOptions{}.workers_per_node);
+  EXPECT_EQ(opts->organize_every, ServiceOptions{}.organize_every);
+}
+
+// A typo or a key the runtime no longer has is an error that names the
+// key, not a silently ignored setting.
+TEST(ServiceOptionsYaml, RejectsUnknownRuntimeKeys) {
+  for (const std::string key : {"workers_per_node", "enable_prefech"}) {
+    auto root = yaml::Parse("runtime:\n  " + key + ": 2\n");
+    ASSERT_TRUE(root.ok());
+    auto opts = ServiceOptions::FromYaml(*root);
+    ASSERT_FALSE(opts.ok()) << key;
+    EXPECT_EQ(opts.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opts.status().message().find(key), std::string::npos)
+        << opts.status().ToString();
+  }
+}
+
+// The shipped example config stays loadable.
+TEST(ServiceOptionsYaml, ExampleConfigParses) {
+  auto root = yaml::ParseFile(std::string(MM_SOURCE_DIR) +
+                              "/examples/configs/megammap.yaml");
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  auto opts = ServiceOptions::FromYaml(*root);
+  ASSERT_TRUE(opts.ok()) << opts.status().ToString();
+  EXPECT_EQ(opts->organize_every, 64);
+  ASSERT_EQ(opts->tier_grants.size(), 4u);
+  EXPECT_EQ(opts->tier_grants[0].kind, sim::TierKind::kDram);
+  EXPECT_EQ(opts->tier_grants[0].capacity, 48 * kGiB);
+  EXPECT_EQ(opts->retry.max_attempts, 4);
 }
 
 TEST(ServiceOptionsYaml, RejectsBadTier) {
@@ -629,7 +758,7 @@ TEST(ServiceOptionsYaml, ConfigFileEndToEnd) {
   std::filesystem::create_directories(dir);
   {
     std::ofstream out(dir / "mm.yaml");
-    out << "runtime:\n  workers_per_node: 2\n"
+    out << "runtime:\n  organize_every: 16\n"
         << "tiers:\n  - kind: dram\n    capacity: 8m\n";
   }
   auto root = yaml::ParseFile((dir / "mm.yaml").string());
@@ -639,7 +768,7 @@ TEST(ServiceOptionsYaml, ConfigFileEndToEnd) {
   // A service boots from the parsed config.
   auto cluster = sim::Cluster::PaperTestbed(1);
   Service svc(cluster.get(), *opts);
-  EXPECT_EQ(svc.options().workers_per_node, 2);
+  EXPECT_EQ(svc.options().organize_every, 16);
   std::filesystem::remove_all(dir);
 }
 
