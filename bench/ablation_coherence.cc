@@ -61,5 +61,5 @@ int main(int argc, char** argv) {
   std::printf("%s", table.Render(csv).c_str());
   std::printf("\nExpected: read-only-global wins by replicating pages near\n"
               "readers and skipping per-transaction version checks.\n");
-  return 0;
+  return ExitCode();
 }

@@ -78,5 +78,5 @@ int main(int argc, char** argv) {
   std::printf("\nExpected: sequential improves with page size (fewer, larger\n"
               "faults); sparse random degrades past a knee (I/O\n"
               "amplification) — the paper's case for per-vector page sizes.\n");
-  return 0;
+  return ExitCode();
 }

@@ -68,5 +68,5 @@ int main(int argc, char** argv) {
   std::printf("\nExpected: prefetch-off degrades as the pcache shrinks;\n"
               "prefetch-on stays close to flat (Algorithm 1 pipelines the\n"
               "sequential window).\n");
-  return 0;
+  return ExitCode();
 }

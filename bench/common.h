@@ -4,6 +4,7 @@
 // geometry (documented per figure in EXPERIMENTS.md).
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -58,12 +59,23 @@ class BenchDir {
   std::filesystem::path path_;
 };
 
+/// Set when any MeasureSeconds repetition fails; every figure and ablation
+/// main returns ExitCode(), so a failed run cannot pass as a fast one.
+inline bool g_run_failed = false;
+
+inline int ExitCode() { return g_run_failed ? 1 : 0; }
+
 /// One measured configuration: runs `body` `reps` times, returns the mean
 /// virtual runtime in seconds. `body` returns the job RunResult. When
 /// `samples` is given the per-rep runtimes are appended to it (for
 /// BenchReport percentile series). With reps > 1 it prints the spread to
 /// stderr: one line per configuration with the mean and the coefficient of
 /// variation (stddev / mean).
+///
+/// A simulated OOM with `oom` given sets `*oom` and returns 0 (the caller
+/// prints its own OOM-killed cell). Any other failed repetition, or an OOM
+/// nobody asked about, sets g_run_failed and returns NaN, which Fmt prints
+/// as FAILED.
 inline double MeasureSeconds(int reps,
                              const std::function<mm::comm::RunResult()>& body,
                              bool* oom = nullptr,
@@ -72,13 +84,15 @@ inline double MeasureSeconds(int reps,
   if (oom != nullptr) *oom = false;
   for (int r = 0; r < reps; ++r) {
     auto result = body();
-    if (result.oom) {
-      if (oom != nullptr) *oom = true;
+    if (result.oom && oom != nullptr) {
+      *oom = true;
       return 0.0;
     }
     if (!result.ok()) {
-      std::fprintf(stderr, "bench run failed: %s\n", result.error.c_str());
-      return 0.0;
+      std::fprintf(stderr, "bench run failed: %s\n",
+                   result.oom ? "OOM" : result.error.c_str());
+      g_run_failed = true;
+      return std::nan("");
     }
     acc.Add(result.max_time);
     if (samples != nullptr) samples->Add(result.max_time);
@@ -154,12 +168,13 @@ class BenchReport {
   };
 
   static std::string Num(double v) {
-    // NaN/inf render as bare words under %g, which is not JSON; a report
-    // with a degenerate metric must still parse in check_perf.py.
+    // NaN/inf have no JSON spelling; a report with a degenerate metric
+    // must still parse in check_perf.py.
     if (!std::isfinite(v)) return "0";
+    // The shortest text that parses back to the same double, so a gate
+    // that compares exactly compares the measured bits.
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   }
 
   static std::string Escape(const std::string& s) {
@@ -212,8 +227,9 @@ inline std::string StageParticles(const BenchDir& dir,
   return key;
 }
 
+/// A table cell; NaN marks a failed measurement (see MeasureSeconds).
 inline std::string Fmt(double v, int prec = 4) {
-  return mm::FormatDouble(v, prec);
+  return std::isnan(v) ? "FAILED" : mm::FormatDouble(v, prec);
 }
 
 }  // namespace mmbench

@@ -251,5 +251,5 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.Render(csv).c_str());
   report.Write("BENCH_fig5_weak_scaling.json");
-  return 0;
+  return ExitCode();
 }

@@ -94,5 +94,5 @@ int main(int argc, char** argv) {
   std::printf("\nExpected shape: all MPI rows OOM once the slabs exceed the\n"
               "scaled node DRAM; MegaMmap keeps running (NVMe spill) and is\n"
               "faster than the synchronous backends below the cliff.\n");
-  return 0;
+  return ExitCode();
 }

@@ -200,5 +200,5 @@ int main(int argc, char** argv) {
   report.Write(out_path);
   std::printf("\nExpected shape: HDD-only overflow slowest; adding NVMe/SSD\n"
               "improves ~1.5x; all-NVMe ~1.8x; cost tracks performance.\n");
-  return 0;
+  return ExitCode();
 }

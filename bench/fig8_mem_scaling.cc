@@ -177,5 +177,5 @@ int main(int argc, char** argv) {
   std::printf("%s", table.Render(csv).c_str());
   std::printf("\nExpected shape: flat (within ~10%%) down to ~0.4-0.5 of the\n"
               "full grant, then a fault/spill cliff of up to ~2.5x.\n");
-  return 0;
+  return ExitCode();
 }

@@ -165,10 +165,8 @@ TIME_RE = re.compile(r"(?<![\w:])(?:std::)?time\s*\(\s*(?:NULL|nullptr|0|&|\))")
 RANDOM_DEVICE_RE = re.compile(r"std::random_device\b")
 # Benchmarks that intentionally measure real elapsed wall time.
 MML104_BENCH_ALLOWLIST = (
-    "bench/hotpath.cc",
+    "bench/ledger.cc",
     "bench/readpath.cc",
-    "bench/micro_access_overhead.cc",
-    "bench/micro_collectives.cc",
     "bench/ycsb.cc",
 )
 
