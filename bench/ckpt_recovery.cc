@@ -124,8 +124,7 @@ void WriteState(core::Service& svc, core::VectorMeta& meta,
   std::vector<std::uint8_t> bytes(sizeof(KmState));
   std::memcpy(bytes.data(), &state, sizeof(KmState));
   auto out = svc.WriteRegion(meta, 0, 0, std::move(bytes), ctx.node(),
-                             ctx.clock().now())
-                 .get();
+                             ctx.clock().now());
   if (!out.status.ok()) {
     std::fprintf(stderr, "state write failed: %s\n",
                  out.status.ToString().c_str());

@@ -1,15 +1,15 @@
 // Read fast-path microbenchmark (DESIGN.md §14): 8 reader threads on node 0
-// hammer random pages homed on node 1 and we measure REAL wall-clock
-// per-read latency — the one number the virtual clock cannot show, because
-// the queue path's cost is host-side machinery (task enqueue, worker
-// wake-up, promise/future handoff) that the simulator models as zero.
+// hammer random pages homed on node 1, and we measure real wall-clock
+// per-read latency on two paths:
 //
-//   queue path      Service::ReadPage            (enable_optimistic_reads off)
+//   queue path      Service::ReadPage, a kGetPage task run on node 1's
+//                   execution mutex        (enable_optimistic_reads off)
 //   optimistic path Service::TryReadPageOptimistic, ReadPage on decline
 //
 // Reported: p50/p99/p999 per path, optimistic hit ratio, retry rate, and
-// the self-relative p99 speedup ci/check_perf.py gates (>= 3x at 8 readers,
-// hit ratio >= 0.95, retry rate < 0.05).
+// the p99 speedup between the paths. ci/check_perf.py gates the hit ratio
+// (>= 0.95) and the retry rate (< 0.05); the ratio is reported only, and
+// the ledger's opt_read_remote row prices the optimistic read.
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -59,7 +59,7 @@ PathStats RunPath(bool optimistic) {
   }
   // Balanced PGAS split over 2 single-rank nodes: the upper half of the
   // pages is homed on node 1, which is what the readers (on node 0) touch —
-  // every queue-path read crosses to node 1's worker pool.
+  // every queue-path read runs a task on node 1.
   svc.SetPgasHint(**meta, {elems, /*nprocs=*/2, /*ranks_per_node=*/1});
 
   // Materialize the upper half on its home node once, outside the timers.
@@ -151,9 +151,9 @@ void EmitTrace(const std::string& trace_path) {
     // one origin -> remote get_page -> stager flow.
     for (std::uint64_t p = kPages / 2; p < kPages / 2 + 4; ++p) {
       std::vector<std::uint8_t> bytes(kPageBytes, 0x5a);
-      auto fut = svc.WriteRegion(**meta, p, 0, std::move(bytes),
+      auto out = svc.WriteRegion(**meta, p, 0, std::move(bytes),
                                  /*from_node=*/1, t);
-      t = std::max(t, fut.get().done);
+      t = std::max(t, out.done);
     }
     for (std::uint64_t p = kPages / 2; p < kPages / 2 + 4; ++p) {
       // Only the emitted fault flows matter; the data is checked elsewhere.

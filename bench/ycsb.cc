@@ -3,18 +3,14 @@
 // starved of pcache (cache ≪ data), across 2-4 simulated nodes.
 //
 // Virtual-clock numbers (throughput, per-op p50/p99/p999) report the
-// modeled cost of the descent funnel. The gated headline is wall-clock and
-// self-relative, exactly like bench/readpath: the same read-heavy mix runs
-// once with the latch-free tiers on and once as the queue-path-only
-// ablation (optimistic reads disabled end to end), and the p99 Get
-// speedup between the two is machine-independent because both halves run
-// on the same host in the same process. The queue path's cost is host-side
-// machinery (task enqueue, worker wake-up, promise/future handoff) that a
-// latch-free descent never touches.
+// modeled cost of the descent funnel. The read-heavy mix also runs as the
+// queue-path-only ablation (optimistic reads disabled end to end), and the
+// wall p99 Get speedup between the two is reported, not gated: the ledger's
+// btree_get row prices a Get against a floor instead.
 //
-// Gates (ci/check_perf.py "ycsb"): p99_get_speedup >= 3x, scans in exact
-// sorted order, std::map-oracle checksum bit-exact across 3 seeds,
-// optimistic restart rate < 5%.
+// Gates (ci/check_perf.py "ycsb"): scans in exact sorted order,
+// std::map-oracle checksum bit-exact across 3 seeds, optimistic restart
+// rate < 5%.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -65,7 +61,7 @@ struct MixResult {
 
 // One full mix measurement. `latch_free` flips BOTH the tree's descent
 // tiers and the service's optimistic read path, so false is the pure
-// queue-path ablation the gate compares against.
+// queue-path ablation the speedup compares against.
 MixResult RunMix(const MixSpec& mix, bool latch_free) {
   auto cluster = mm::sim::Cluster::PaperTestbed(mix.nodes);
   mm::core::ServiceOptions so;

@@ -435,7 +435,7 @@ class Model:
 
     def lock_field(self, ref: str, ctx_class: str = "") -> MutexField | None:
         """Resolve a lock reference like `mu_`, `TierStore::mu_` or
-        `mm::util::BlockingQueue::mu_` (optionally relative to ctx_class)."""
+        `mm::storage::TierStore::mu_` (optionally relative to ctx_class)."""
         ref = ref.strip()
         if "::" in ref:
             cls_part, _, fld = ref.rpartition("::")

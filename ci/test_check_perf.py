@@ -139,16 +139,6 @@ class CheckPerfTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("fault_hdd.virtual_ns: FAIL (metric missing)", out)
 
-    def test_ratio_sides_print(self):
-        readpath = {"retry_rate": 0.01, "hit_ratio": 0.99,
-                    "p99_speedup": 2.0, "queue_p99_ns": 9000.0,
-                    "optimistic_p99_ns": 4500.0}
-        code, out = self.run_gate("readpath", readpath)
-        self.assertEqual(code, 1)
-        self.assertIn("p99_speedup: 2 (floor 3) FAIL", out)
-        self.assertIn("  queue_p99_ns: 9000.0", out)
-        self.assertIn("  optimistic_p99_ns: 4500.0", out)
-
 
 if __name__ == "__main__":
     unittest.main()

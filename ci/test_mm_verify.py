@@ -1572,8 +1572,13 @@ class TestRepoTreeClean(unittest.TestCase):
                        "mm::storage::TierStore::mu_"), edges)
         self.assertIn(("mm::core::Service::vectors_mu_",
                        "mm::core::VectorMeta::backend_mu"), edges)
-        self.assertIn(("mm::core::Service::inflight_mu_",
-                       "mm::BlockingQueue::mu_"), edges)
+        # A task runs under its node's execution mutex, so what it takes
+        # nests under that mutex.
+        self.assertIn(("mm::core::NodeRuntime::exec_mu_",
+                       "mm::storage::BufferManager::mu_"), edges)
+        # The page fault runs its fetch outside the dedup lock.
+        self.assertNotIn(("mm::core::Service::inflight_mu_",
+                          "mm::core::NodeRuntime::exec_mu_"), edges)
         # The index subsystem's SMO lease sits above the distributed lock
         # and the service internals (DESIGN.md §15): its MM_ACQUIRED_BEFORE
         # declaration must resolve (no MML101 unresolved-ref findings) and
@@ -1584,7 +1589,7 @@ class TestRepoTreeClean(unittest.TestCase):
         for dst in ("mm::comm::DistributedLock::mu_",
                     "mm::core::Service::vectors_mu_",
                     "mm::core::Service::inflight_mu_",
-                    "mm::BlockingQueue::mu_"):
+                    "mm::core::NodeRuntime::exec_mu_"):
             self.assertIn(("mm::index::BTreeBase::smo_mu_", dst),
                           declared_pairs)
 

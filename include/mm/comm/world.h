@@ -95,14 +95,9 @@ class World {
 
   // ---- critical-path wall accounting (DESIGN.md §11) ----
 
-  /// Per-rank compute/stall accumulators fed by every RankContext clock
-  /// (sim layer takes raw atomics; see VirtualClock::SetCritpathSinks).
-  std::atomic<std::uint64_t>* CritpathComputeSink(int rank) {
-    return &critpath_compute_ns_[rank];
-  }
-  std::atomic<std::uint64_t>* CritpathStallSink(int rank) {
-    return &critpath_stall_ns_[rank];
-  }
+  /// A rank's compute/stall accumulators, fed by its RankContext clock
+  /// (see VirtualClock::SetCritpathSinks).
+  sim::CritpathSlot* CritpathSinks(int rank) { return &critpath_[rank]; }
   /// Totals across ranks: {compute_ns, stall_ns}. compute + stall equals
   /// the sum of every rank's clock position, exactly.
   std::pair<std::uint64_t, std::uint64_t> CritpathTotals() const;
@@ -204,8 +199,7 @@ class World {
   std::vector<std::atomic<std::uint64_t>> send_seq_;
   telemetry::MetricsRegistry metrics_;
   telemetry::TraceRecorder* trace_ = &telemetry::TraceRecorder::Dummy();
-  std::vector<std::atomic<std::uint64_t>> critpath_compute_ns_;
-  std::vector<std::atomic<std::uint64_t>> critpath_stall_ns_;
+  std::vector<sim::CritpathSlot> critpath_;
 
   // Reusable generation-counted barrier, death-aware: the release condition
   // is "every live rank arrived"; parked_gen_ records which generation a
@@ -227,8 +221,7 @@ class RankContext {
   RankContext(World* world, int rank) : world_(world), rank_(rank) {
     // Route this rank's compute/stall into the world's critical-path
     // accounting; compute + stall then equals wall time per rank.
-    clock_.SetCritpathSinks(world_->CritpathComputeSink(rank),
-                            world_->CritpathStallSink(rank));
+    clock_.SetCritpathSinks(world_->CritpathSinks(rank));
   }
 
   int rank() const { return rank_; }

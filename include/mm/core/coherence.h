@@ -15,7 +15,7 @@ enum class CoherenceMode : std::uint8_t {
   /// pcache and nearby scache partitions to improve availability.
   kReadOnlyGlobal = 1,
   /// Write Only Global: concurrent writers; MemoryTasks for the same page
-  /// hash to the same worker and execute in order.
+  /// run on its owner node, one at a time, in submission order.
   kWriteOnlyGlobal = 2,
   /// Append Only Global: like write-only, plus atomic tail extension.
   kAppendOnlyGlobal = 3,
@@ -32,7 +32,7 @@ inline bool AllowsReplication(CoherenceMode mode) {
 }
 
 /// True when writes under this mode must be ordered through the owner
-/// node's page-hashed worker.
+/// node's runtime.
 inline bool RequiresOrderedWrites(CoherenceMode mode) {
   return mode == CoherenceMode::kWriteOnlyGlobal ||
          mode == CoherenceMode::kAppendOnlyGlobal ||
@@ -40,8 +40,8 @@ inline bool RequiresOrderedWrites(CoherenceMode mode) {
 }
 
 /// True when read intents under this mode may be served on the calling
-/// thread through the optimistic read path (DESIGN.md §14) instead of the
-/// owner worker's queue. Reads validate the directory version across the
+/// thread through the optimistic read path (DESIGN.md §14) instead of a
+/// task on the owner node. Reads validate the directory version across the
 /// copy, so every mode qualifies except write-only: its phases have no
 /// read intents by contract, and a mid-phase read would race the write
 /// stream into wasted retries rather than useful hits.

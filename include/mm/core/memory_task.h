@@ -1,14 +1,13 @@
 // MemoryTasks: the unit of work submitted by the MegaMmap library to the
 // runtime (paper §III-B). Tasks carry the blob id, payload, and a simulated
-// issue time; each node's worker executes them in submission order against
-// the node's BufferManager, metadata, and stagers, and fulfills a promise
-// with the outcome.
+// issue time; NodeRuntime::Submit runs each on the submitting thread, one
+// at a time per node in submission order, against the node's
+// BufferManager, metadata, and stagers, and returns the outcome.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -145,7 +144,6 @@ struct MemoryTask {
     kScore,         // prefetcher importance score for the Data Organizer
     kStageOut,      // persist one owner's dirty pages to the backend
     kErase,         // drop a page from the scache
-    kBarrier,       // checkpoint quiesce marker: drains the queue ahead of it
   };
 
   Kind kind = Kind::kGetPage;
@@ -158,33 +156,23 @@ struct MemoryTask {
   std::size_t from_node = 0;
   sim::SimTime issue_time = 0.0;
   /// Causal flow identity minted at the request origin (DESIGN.md §11).
-  /// The executing worker opens a child span linked to the origin's flow
-  /// and installs the context so nested stager spans join it too. Invalid
-  /// (zero) for background work — prefetch, scores, erases.
+  /// The runtime opens a child span linked to the origin's flow and
+  /// installs the context while the task runs, so nested stager spans join
+  /// it too. Invalid (zero) for background work — prefetch, scores, erases.
   telemetry::TraceContext tctx;
   /// True when this task is the terminal hop of an *async* flow (write
-  /// commits): the worker's task span closes the flow ('f') instead of a
-  /// plain step ('t'), since no origin span outlives it.
+  /// commits): the task span closes the flow ('f') instead of a plain step
+  /// ('t'), since no origin span outlives it.
   bool trace_terminal = false;
   /// kGetPage stage-ahead (Service::StageAhead): the pages are placed in
   /// the scache only. Staged bytes move into it, and any other bytes the
-  /// worker read go back to its pool, so the outcomes carry a status and a
-  /// `done` time but no data.
+  /// task read go back to the node's pool, so the outcomes carry a status
+  /// and a `done` time but no data.
   bool placement_only = false;
-  /// Fulfilled by the executing worker when non-null. Awaited tasks
-  /// (commits TxEnd orders on, stage-outs, quiesce markers) allocate a
-  /// promise; fire-and-forget tasks (kScore, kErase) leave it null and skip
-  /// the promise/shared-state allocation entirely — the worker then
-  /// recycles the outcome's payload through the node pool. kGetPage uses
-  /// `page_promises` instead.
-  std::shared_ptr<std::promise<TaskOutcome>> promise;
   /// kStageOut: the batch's page indices on this owner, ascending.
   /// kGetPage: the run's consecutive pages, `id` being the first. Last, so
   /// the fields every task touches keep their offsets.
   std::vector<std::uint64_t> pages;
-  /// kGetPage: one promise per page of `pages`, fulfilled by the executing
-  /// worker (or by Submit's shutdown rejection).
-  std::vector<std::promise<TaskOutcome>> page_promises;
 };
 
 }  // namespace mm::core

@@ -27,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <list>
 #include <memory>
 #include <optional>
@@ -111,9 +110,10 @@ struct PageFrame {
   PageFrame& operator=(const PageFrame&) = delete;
 };
 
-/// An in-flight asynchronous prefetch for a page.
+/// A prefetched page not yet adopted by a demand access: the fetch has
+/// run, but in virtual time it lands at `outcome.done`.
 struct PendingFetch {
-  std::shared_future<TaskOutcome> future;
+  TaskOutcome outcome;
   std::size_t owner = 0;
 };
 
@@ -274,31 +274,25 @@ class PCache {
   }
   std::optional<PendingFetch> TakePending(std::uint64_t page);
   std::size_t num_pending() const { return pending_.size(); }
-  /// Detaches every pending fetch without waiting (as in Clear); resident
-  /// frames stay. Returns how many fetches were dropped. Used at phase
-  /// changes: an in-flight prefetch was routed and versioned under the old
-  /// phase's coherence rules, so adopting it later could resurrect an
-  /// invalidated replica's data.
+  /// Drops every pending fetch (as in Clear); resident frames stay.
+  /// Returns how many fetches were dropped. Used at phase changes: a
+  /// pending prefetch was routed and versioned under the old phase's
+  /// coherence rules, so adopting it later could resurrect an invalidated
+  /// replica's data.
   std::size_t DropPendings() {
     std::size_t n = pending_.size();
     pending_.clear();
     return n;
-  }
-  /// Waits (real time) until every pending fetch has completed, so none
-  /// can still place a page after its vector is torn down.
-  void WaitPendings() const {
-    for (const auto& [page, fetch] : pending_) fetch.future.wait();
   }
   /// Prefetches in flight also count against the capacity budget.
   std::uint64_t committed() const {
     return used() + pending_.size() * page_bytes_;
   }
 
-  /// Retires all frames and detaches pending fetches without waiting on
-  /// them: the worker still fulfills its promise, but nobody adopts the
-  /// outcome (used on Destroy, where the fetched bytes are moot). Retired
-  /// frames stay allocated on the free list, so optimistic readers racing
-  /// a Destroy fail validation instead of dereferencing freed memory.
+  /// Retires all frames and drops pending fetches unadopted (used on
+  /// Destroy, where the fetched bytes are moot). Retired frames stay
+  /// allocated on the free list, so optimistic readers racing a Destroy
+  /// fail validation instead of dereferencing freed memory.
   void Clear();
 
  private:

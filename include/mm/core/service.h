@@ -1,20 +1,20 @@
-// The MegaMmap service: per-node runtimes (one worker each, executing
-// MemoryTasks in submission order), the distributed metadata manager, the
-// vector registry, and the scache client API that mm::Vector uses. One
-// Service instance exists per simulated job, shared by all ranks (paper
-// Fig. 2: application processes submit MemoryTasks to the runtime through
-// queues).
+// The MegaMmap service: per-node runtimes (each runs MemoryTasks one at a
+// time, on the thread that submits them), the distributed metadata
+// manager, the vector registry, and the scache client API that mm::Vector
+// uses. One Service instance exists per simulated job, shared by all ranks
+// (paper Fig. 2 has application processes submit MemoryTasks to a runtime
+// through queues; here the submitting rank thread runs the task itself).
 #pragma once
 
 #include <atomic>
 #include <functional>
+#include <future>
 #include <optional>
 #include <map>
 #include <span>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -35,7 +35,6 @@
 #include "mm/telemetry/report.h"
 #include "mm/telemetry/sink.h"
 #include "mm/telemetry/trace.h"
-#include "mm/util/blocking_queue.h"
 #include "mm/util/mutex.h"
 
 namespace mm::core {
@@ -80,12 +79,14 @@ struct VectorMeta {
   }
 };
 
-/// One node's runtime: one worker thread draining one FIFO MemoryTask
-/// queue. Every task on the node runs in submission order, which gives
-/// §III-B's same-page ordering for every page and block, stage-ins against
-/// commits included. The paper's two worker groups are not reproduced
-/// (EXPERIMENTS.md): a task carries its own issue time, so extra workers
-/// add wall-clock interleavings and no virtual-time behaviour.
+/// One node's runtime. It owns no thread: Submit runs each MemoryTask on
+/// the calling thread under the node's execution mutex, so every task on
+/// the node runs alone and in submission order. That gives §III-B's
+/// same-page ordering for every page and block, stage-ins against commits
+/// included. The paper's per-node worker pool is not reproduced
+/// (EXPERIMENTS.md, "Inline tasks"): a task carries its own issue time and
+/// a worker has no clock, so workers would add wall-clock interleavings
+/// and no virtual-time behaviour.
 class NodeRuntime {
  public:
   NodeRuntime(Service* service, std::size_t node_id,
@@ -96,11 +97,17 @@ class NodeRuntime {
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
 
-  /// Queues a task behind every task submitted before it. Thread-safe.
-  /// After Shutdown the task is rejected with kFailedPrecondition (its
-  /// promise, if any, is fulfilled with that status) instead of aborting
-  /// the process.
-  Status Submit(MemoryTask task);
+  /// Runs `task` on the calling thread once every task submitted to this
+  /// node before it has run, and returns its outcome. A kGetPage run also
+  /// leaves one outcome per page in *pages (optional; without it the
+  /// pages' bytes go back to the pool). Thread-safe. After Shutdown the
+  /// task is rejected: the outcome, and each page's, carry
+  /// kFailedPrecondition. A Submit made from inside a running task (the
+  /// tier-failure re-stage) is deferred until the outermost task on this
+  /// thread ends, so the thread never waits on a mutex it holds; it returns
+  /// at once with an Ok outcome at the issue time and no page outcomes.
+  TaskOutcome Submit(MemoryTask task,
+                     std::vector<TaskOutcome>* pages = nullptr);
 
   storage::BufferManager& buffer() { return bm_; }
 
@@ -109,20 +116,15 @@ class NodeRuntime {
   /// instead of allocating fresh vectors on every task.
   PagePool& pool() { return pool_; }
 
-  /// Checkpoint quiesce: submits one kBarrier marker and waits until it
-  /// executes — by FIFO order, every task submitted before the call has
-  /// then committed. Returns the drain's virtual completion time (>= now).
-  sim::SimTime Quiesce(sim::SimTime now);
-
-  /// Stops accepting tasks, drains the queue, joins the worker.
+  /// Rejects every later Submit, once the task running now (if any) ends.
   void Shutdown();
 
   // ---- read fast path telemetry (DESIGN.md §14) ----
-  // Incremented by Service::TryReadPageOptimistic from *rank* threads (not
-  // workers): the handles are cached here because this node's runtime is
-  // where every other per-node counter lives.
+  // Incremented by Service::TryReadPageOptimistic outside any task: the
+  // handles are cached here because this node's runtime is where every
+  // other per-node counter lives.
 
-  /// A read served lock-free on the calling thread, bypassing the queues.
+  /// A read served lock-free on the calling thread, without a task.
   void CountReadpathHit() { readpath_hit_->Inc(); }
   /// One version-conflict retry inside an optimistic attempt (a hit with
   /// one stable re-read after a racing writer counts 1).
@@ -132,13 +134,17 @@ class NodeRuntime {
   void CountReadpathFallback() { readpath_fallback_->Inc(); }
 
  private:
-  void WorkerLoop();
-  TaskOutcome Execute(MemoryTask& task);
+  /// Runs one task under exec_mu_ (or rejects it after Shutdown), then
+  /// records its count, latency histogram and span and recycles its
+  /// payload.
+  TaskOutcome Run(MemoryTask& task, std::vector<TaskOutcome>* pages);
+  TaskOutcome Execute(MemoryTask& task, std::vector<TaskOutcome>* pages);
   /// A kGetPage run of n >= 1 pages: re-resolves each page's source,
   /// stages the run in with one backend read while every page is still
-  /// unplaced, else serves page by page (ServePage); fulfils each page's
-  /// promise.
-  TaskOutcome ExecuteGetPage(MemoryTask& task);
+  /// unplaced, else serves page by page (ServePage); hands each page's
+  /// outcome to *pages.
+  TaskOutcome ExecuteGetPage(MemoryTask& task,
+                             std::vector<TaskOutcome>* pages);
   TaskOutcome ExecuteWritePartial(MemoryTask& task);
   TaskOutcome ExecuteScore(MemoryTask& task);
   TaskOutcome ExecuteStageOut(MemoryTask& task);
@@ -207,23 +213,27 @@ class NodeRuntime {
   // is constructed with this node's sink.
   telemetry::NodeSink tel_;
   telemetry::Counter* task_executed_;          // mm.task.executed_count
-  telemetry::Gauge* queue_depth_;              // mm.task.queue_depth_count
   telemetry::Counter* stager_read_bytes_;      // mm.stager.read_bytes
   telemetry::Counter* stager_read_count_;      // mm.stager.read_count
   telemetry::Counter* stager_write_bytes_;     // mm.stager.write_bytes
   telemetry::Counter* stager_errors_;          // mm.stager.errors_count
   telemetry::Counter* stager_retries_;         // mm.stager.retries_count
-  telemetry::Histogram* task_latency_[6];      // mm.task.<kind>_ns, by Kind
+  telemetry::Histogram* task_latency_[5];      // mm.task.<kind>_ns, by Kind
   telemetry::Counter* ckpt_journal_bytes_;     // mm.ckpt.journal_bytes
   telemetry::Counter* readpath_hit_;           // mm.readpath.fastpath_hit_count
   telemetry::Counter* readpath_retry_;         // mm.readpath.retry_count
   telemetry::Counter* readpath_fallback_;      // mm.readpath.fallback_count
   storage::BufferManager bm_;
   PagePool pool_;
-  BlockingQueue<MemoryTask> queue_;
-  std::thread worker_;
+  // Held for the whole of one task's execution, so everything a task takes
+  // comes after it (MML101).
+  Mutex exec_mu_ MM_ACQUIRED_BEFORE(
+      Service::vectors_mu_, Service::lost_mu_, VectorMeta::backend_mu,
+      VectorMeta::hint_mu, storage::MetadataManager::Shard::mu,
+      storage::BufferManager::mu_, storage::TierStore::mu_,
+      ckpt::Journal::mu_);
+  bool shut_down_ MM_GUARDED_BY(exec_mu_) = false;
   std::atomic<int> score_updates_{0};
-  std::atomic<bool> shut_down_{false};
 };
 
 /// What one FlushVector persisted.
@@ -369,10 +379,10 @@ class Service {
 
   /// Coordinated incremental epoch checkpoint (single-rank form; ranks of a
   /// job use ckpt::CollectiveCheckpoint, which wraps this in a barrier
-  /// serial section). Quiesces every node's task queues, stages out only
-  /// pages dirtied since the previous epoch (journaled), and atomically
-  /// publishes the `<tag>.mmck` manifest via temp + rename. Defined in
-  /// src/ckpt/service_ckpt.cc.
+  /// serial section). Stages out only pages dirtied since the previous
+  /// epoch (journaled; every task submitted before the call has run), and
+  /// atomically publishes the `<tag>.mmck` manifest via temp + rename.
+  /// Defined in src/ckpt/service_ckpt.cc.
   StatusOr<ckpt::CheckpointStats> Checkpoint(const std::string& tag,
                                              std::size_t from_node,
                                              sim::SimTime now,
@@ -441,12 +451,12 @@ class Service {
                                                bool read_intent = false);
 
   /// Lock-free read fast path (DESIGN.md §14): serves a whole-page read on
-  /// the calling thread, bypassing the worker queue entirely. The
-  /// directory entry is sampled, the bytes are copied straight out of the
-  /// source the §6 rule blesses (primary or registered replica — never a
-  /// stale cache), and the directory version is re-sampled; a changed
-  /// version, or a copy whose stamp is not the sampled version, means a
-  /// racing writer and the copy is retried (bounded).
+  /// the calling thread without a task. The directory entry is sampled,
+  /// the bytes are copied straight out of the source the §6 rule blesses
+  /// (primary or registered replica — never a stale cache), and the
+  /// directory version is re-sampled; a changed version, or a copy whose
+  /// stamp is not the sampled version, means a racing writer and the copy
+  /// is retried (bounded).
   /// Returns nullopt — caller falls back to ReadPage — on: miss (unplaced
   /// page), version conflict after retries, ineligible coherence mode,
   /// fenced source, CRC mismatch (the slow path heals it), or the
@@ -458,9 +468,10 @@ class Service {
       VectorMeta& meta, std::uint64_t page, std::size_t from_node,
       sim::SimTime now, sim::SimTime* done, std::uint64_t* version = nullptr);
 
-  /// Starts asynchronous fetches of pages [first, first + n) (prefetch
-  /// path); one PendingFetch per page, in order. The caller charges itself
-  /// nothing now; on completion it hands each outcome to DeliverPage.
+  /// Fetches pages [first, first + n) for the prefetch path, asynchronous
+  /// in virtual time only; one PendingFetch per page, in order. The caller
+  /// charges itself nothing now; when it adopts a page it hands the
+  /// outcome to DeliverPage.
   /// Consecutive pages of one stage-in block (RunPages) that are unplaced
   /// and share an owner form one kGetPage run that stages them in with one
   /// backend read. Every other page is a run of one.
@@ -475,9 +486,9 @@ class Service {
   /// [first, first + n), those still unplaced and inside the backend's
   /// extent are staged in from the backend and cached at `score`, without
   /// returning their bytes. Each run of them within one stage-in block and
-  /// owner is one placement-only kGetPage task. Returns one future per
+  /// owner is one placement-only kGetPage task. Returns one outcome per
   /// submitted page; its `done` is when the page landed in the scache.
-  std::vector<std::pair<std::uint64_t, std::shared_future<TaskOutcome>>>
+  std::vector<std::pair<std::uint64_t, TaskOutcome>>
   StageAhead(VectorMeta& meta, std::uint64_t first, std::uint64_t n,
              float score, std::size_t from_node, sim::SimTime now);
 
@@ -492,22 +503,19 @@ class Service {
   double EstimateReadSeconds(VectorMeta& meta, std::uint64_t page,
                              std::uint64_t bytes);
 
-  /// Asynchronous dirty-region commit (copy-on-write eviction/TxEnd path).
-  /// The caller should charge itself only the copy cost; the returned
-  /// future is for real-time ordering (TxEnd waits on it).
-  std::shared_future<TaskOutcome> WriteRegion(VectorMeta& meta,
-                                              std::uint64_t page,
-                                              std::uint64_t offset,
-                                              std::vector<std::uint8_t> bytes,
-                                              std::size_t from_node,
-                                              sim::SimTime now);
+  /// Dirty-region commit (copy-on-write eviction/TxEnd path), asynchronous
+  /// in virtual time: the caller charges itself only the copy cost, and the
+  /// outcome's `done` is when the commit landed.
+  TaskOutcome WriteRegion(VectorMeta& meta, std::uint64_t page,
+                          std::uint64_t offset, std::vector<std::uint8_t> bytes,
+                          std::size_t from_node, sim::SimTime now);
 
   /// Async importance-score update for the Data Organizer.
   void SubmitScore(VectorMeta& meta, std::uint64_t page, float score,
                    std::size_t from_node, sim::SimTime now);
 
   /// Stages all dirty pages of a vector to its backend; returns when
-  /// persisted (real time). `*done` gets the last simulated completion.
+  /// persisted. `*done` gets the last simulated completion.
   /// Group commit (DESIGN.md §12): the dirty pages are grouped by owner
   /// node, and each owner runs one kStageOut batch — one journal append of
   /// all its redo records (one PFS write), then one in-place PFS write per
@@ -560,7 +568,7 @@ class Service {
   ServiceOptions options_;
   std::unique_ptr<sim::FaultInjector> injector_;
   std::unique_ptr<storage::MetadataManager> metadata_;
-  // Precedes runtimes_: workers consult the journals while executing.
+  // Precedes runtimes_: tasks consult the journals while executing.
   std::unique_ptr<ckpt::Coordinator> ckpt_;
   // Telemetry state must precede runtimes_: each NodeRuntime grabs its sink
   // during construction.
@@ -604,7 +612,8 @@ class Service {
 
   // Per-node in-flight page-fault dedup: concurrent faults for the same
   // blob on one node share one fetch (also how MM_COLLECTIVE transactions
-  // avoid overloading the owner).
+  // avoid overloading the owner). The leader publishes its fetch's future
+  // here and runs the fetch outside the lock; followers wait on it.
   struct InflightKey {
     std::size_t node;
     storage::BlobId id;
@@ -615,10 +624,7 @@ class Service {
       return HashCombine(k.id.Digest(), k.node);
     }
   };
-  // Lock order (MML101): PageFault submits the fetch task to the owner's
-  // runtime while holding the dedup lock, and Submit pushes onto a
-  // BlockingQueue (which locks its own mutex).
-  Mutex inflight_mu_ MM_ACQUIRED_BEFORE(BlockingQueue::mu_);
+  Mutex inflight_mu_;
   std::unordered_map<InflightKey, std::shared_future<TaskOutcome>,
                      InflightKeyHash>
       inflight_ MM_GUARDED_BY(inflight_mu_);

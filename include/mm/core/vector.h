@@ -178,13 +178,13 @@ class Vector {
   void TxBegin(std::unique_ptr<Transaction> tx) { BeginTx(std::move(tx)); }
 
   /// Ends the transaction: commits all unflushed modifications (the commit
-  /// is asynchronous in simulated time; real execution waits so later
+  /// is asynchronous in simulated time; in real time it has run, so later
   /// readers observe the writes after the application's synchronization).
   /// Spans created under the transaction must be destroyed first.
   void TxEnd() {
     MM_CHECK_MSG(tx_ != nullptr, "TxEnd without active transaction");
     FlushDirtyFrames(/*retain=*/true);
-    WaitOutstanding();
+    RetireCommits();
     tel_.trace->Complete(tx_->writes() ? "tx_write" : "tx_read", "tx",
                          tel_.node, ctx_->rank(), tx_begin_s_,
                          ctx_->clock().now());
@@ -407,7 +407,7 @@ class Vector {
   /// stages the vector's dirty pages to the backend.
   void Flush() {
     FlushDirtyFrames(/*retain=*/true);
-    WaitOutstanding();
+    RetireCommits();
     sim::SimTime done = ctx_->clock().now();
     Status st =
         service_->FlushVector(*meta_, ctx_->node(), ctx_->clock().now(), &done);
@@ -420,7 +420,7 @@ class Vector {
   /// non-transactional writes (Append/Set) before a synchronization point.
   void Commit() {
     FlushDirtyFrames(/*retain=*/true);
-    WaitOutstanding();
+    RetireCommits();
   }
 
   /// Commits local modifications and stages dirty pages without stalling
@@ -430,7 +430,7 @@ class Vector {
   /// staging before returning, so the data is durable.
   void FlushAsync() {
     FlushDirtyFrames(/*retain=*/true);
-    WaitOutstanding();
+    RetireCommits();
     Status st = service_->FlushVector(*meta_, ctx_->node(),
                                       ctx_->clock().now(), nullptr);
     if (!st.ok()) throw std::runtime_error("FlushAsync: " + st.ToString());
@@ -440,11 +440,9 @@ class Vector {
   /// read-only invalidates replicas. Live spans keep their frames resident
   /// (pinned pages are skipped) but see no invalidation — end spans first.
   void ChangePhase(CoherenceMode new_mode) {
-    // Local modifications must be committed under the old phase's rules,
-    // and stage-aheads placed under them.
+    // Local modifications must be committed under the old phase's rules.
     FlushDirtyFrames(/*retain=*/true);
-    WaitOutstanding();
-    WaitStaged();
+    RetireCommits();
     sim::SimTime done = ctx_->clock().now();
     Status st = service_->ChangePhase(*meta_, new_mode, ctx_->node(),
                                       ctx_->clock().now(), &done);
@@ -471,11 +469,7 @@ class Vector {
   /// Destroys the shared object (all processes' view of it). Explicit by
   /// design. The backend object is kept unless `remove_backend`.
   void Destroy(bool remove_backend = false) {
-    WaitOutstanding();
-    // A prefetch or stage-ahead landing after the teardown would leak its
-    // scache page.
-    pcache_->WaitPendings();
-    WaitStaged();
+    RetireCommits();
     staged_.clear();
     // Pending prefetches dropped here were fetched for nothing.
     prefetch_wasted_->Inc(pcache_->num_pending());
@@ -491,12 +485,11 @@ class Vector {
   std::uint64_t evictions() const { return evictions_; }
   std::uint64_t prefetches() const { return prefetches_; }
   /// The virtual time this rank's stage-ahead of `page` landed in the
-  /// scache while that is still ahead of the rank's clock, else 0. Waits
-  /// (real time only) for a stage-ahead still in flight.
+  /// scache while that is still ahead of the rank's clock, else 0.
   sim::SimTime StagedReadyTime(std::uint64_t page) {
     auto it = staged_.find(page);
     if (it == staged_.end()) return 0.0;
-    const sim::SimTime ready = it->second.get().done;
+    const sim::SimTime ready = it->second;
     if (ready > ctx_->clock().now()) return ready;
     staged_.erase(it);  // the clock is past it for good
     return 0.0;
@@ -682,20 +675,18 @@ class Vector {
       return f;
     }
     miss_count_->Inc();
-    // Read-your-writes: if this rank evicted dirty data for this page and
-    // the async commit has not landed yet, wait for it (real time only —
-    // the commit is still asynchronous in simulated time).
-    WaitPage(page);
+    // Read-your-writes: retire this rank's commits of the page (in virtual
+    // time they are still asynchronous).
+    RetireCommits(page);
     std::vector<std::uint8_t> data;
     std::uint64_t version = 0;
     if (auto pending = pcache_->TakePending(page)) {
       // A demand access adopting an in-flight prefetch is what makes the
       // prefetch useful; pendings dropped unadopted count as wasted.
       prefetch_useful_->Inc();
-      // A prefetch already fetched (or is fetching) this page: the access
-      // only stalls for whatever part of the fetch has not overlapped with
-      // compute.
-      TaskOutcome outcome = pending->future.get();
+      // A prefetch already fetched this page: the access only stalls for
+      // whatever part of the fetch has not overlapped with compute.
+      TaskOutcome outcome = std::move(pending->outcome);
       if (!outcome.status.ok()) {
         throw std::runtime_error("prefetch failed: " +
                                  outcome.status.ToString());
@@ -825,51 +816,29 @@ class Vector {
     service_->runtime(ctx_->node()).pool().Release(std::move(data));
   }
 
-  /// Real-time wait for in-flight stage-aheads (no virtual charge: they
-  /// complete in the background of simulated time).
-  void WaitStaged() {
-    for (auto& [page, f] : staged_) f.wait();
-  }
-
-  /// Real-time wait for outstanding async commits (no virtual charge: the
-  /// writes are asynchronous in simulated time).
-  void WaitOutstanding() {
-    for (auto& [page, f] : outstanding_) {
-      TaskOutcome outcome = f.get();
+  /// Retires this rank's commits (of `page` only, when given): a failed
+  /// one throws, and a resident frame adopts the committed version only
+  /// when no other rank's write landed in between (its bytes would be
+  /// missing here). No virtual charge: the writes are asynchronous in
+  /// simulated time.
+  void RetireCommits(std::uint64_t page = kNoPage) {
+    auto it = outstanding_.begin();
+    while (it != outstanding_.end()) {
+      if (page != kNoPage && it->first != page) {
+        ++it;
+        continue;
+      }
+      const TaskOutcome& outcome = it->second;
       if (!outcome.status.ok()) {
         throw std::runtime_error("async commit failed: " +
                                  outcome.status.ToString());
       }
-      // The frame may adopt the committed version only when no other
-      // rank's write landed in between (its bytes would be missing here).
-      if (PageFrame* frame = pcache_->Find(page)) {
+      if (PageFrame* frame = pcache_->Find(it->first)) {
         if (outcome.prev_version == OptimisticGuard::Version(*frame)) {
           OptimisticGuard::SetVersion(*frame, outcome.version);
         }
       }
-    }
-    outstanding_.clear();
-  }
-
-  /// Waits for (and retires) outstanding commits targeting one page.
-  void WaitPage(std::uint64_t page) {
-    auto it = outstanding_.begin();
-    while (it != outstanding_.end()) {
-      if (it->first == page) {
-        TaskOutcome outcome = it->second.get();
-        if (!outcome.status.ok()) {
-          throw std::runtime_error("async commit failed: " +
-                                   outcome.status.ToString());
-        }
-        if (PageFrame* frame = pcache_->Find(page)) {
-          if (outcome.prev_version == OptimisticGuard::Version(*frame)) {
-            OptimisticGuard::SetVersion(*frame, outcome.version);
-          }
-        }
-        it = outstanding_.erase(it);
-      } else {
-        ++it;
-      }
+      it = outstanding_.erase(it);
     }
   }
 
@@ -902,9 +871,8 @@ class Vector {
     };
     ops.fetch_ahead = [&](std::uint64_t page) {
       if (page * epp_ >= size()) return;
-      // Read-your-writes, as on the fault path: the prefetch must not
-      // overtake this rank's own commit of the page.
-      WaitPage(page);
+      // Read-your-writes, as on the fault path.
+      RetireCommits(page);
       fetch.push_back(page);
     };
     ops.cached_or_pending = [&](std::uint64_t page) {
@@ -961,10 +929,10 @@ class Vector {
     for (std::size_t lo = 0, hi = 0; lo < stage.size(); lo = hi) {
       hi = run_end(stage, lo, [](std::size_t) { return true; });
       // The run is cached at its nearest page's score.
-      for (auto& [page, future] :
+      for (const auto& [page, out] :
            service_->StageAhead(*meta_, stage[lo], hi - lo, stage_scores[lo],
                                 ctx_->node(), now)) {
-        staged_.emplace(page, std::move(future));
+        staged_.emplace(page, out.done);
         staged_count_->Inc();
       }
     }
@@ -976,11 +944,11 @@ class Vector {
   VectorMeta* meta_ = nullptr;
   std::unique_ptr<PCache> pcache_;
   std::unique_ptr<Transaction> tx_;
-  std::vector<std::pair<std::uint64_t, std::shared_future<TaskOutcome>>>
-      outstanding_;
-  /// This rank's stage-aheads by page, kept until the rank's clock passes
-  /// the time each landed (StagedReadyTime).
-  std::unordered_map<std::uint64_t, std::shared_future<TaskOutcome>> staged_;
+  /// This rank's commits by page, until RetireCommits.
+  std::vector<std::pair<std::uint64_t, TaskOutcome>> outstanding_;
+  /// When this rank's stage-aheads landed, by page, kept until the rank's
+  /// clock passes the time (StagedReadyTime).
+  std::unordered_map<std::uint64_t, sim::SimTime> staged_;
   std::uint64_t last_page_ = kNoPage;
   PageFrame* last_frame_ = nullptr;
   // Strength-reduced address math for the scalar path: elems-per-page is

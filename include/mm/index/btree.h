@@ -91,7 +91,7 @@ class BTreeBase {
   mutable Mutex smo_mu_ MM_ACQUIRED_BEFORE(comm::DistributedLock::mu_,
                                            core::Service::vectors_mu_,
                                            core::Service::inflight_mu_,
-                                           BlockingQueue::mu_);
+                                           core::NodeRuntime::exec_mu_);
 };
 
 template <class K, class V, std::size_t Bytes = 4096>

@@ -19,15 +19,23 @@ namespace mm::sim {
 /// Simulated time in seconds.
 using SimTime = double;
 
+/// One rank's critical-path sinks, on a cache line of its own so ranks
+/// charging concurrently never share one. Only the owning rank writes its
+/// slot (a relaxed load and store, no read-modify-write); anyone may read.
+struct alignas(64) CritpathSlot {
+  std::atomic<std::uint64_t> compute_ns{0};
+  std::atomic<std::uint64_t> stall_ns{0};
+};
+
 /// Per-rank virtual clock. Thread-confined: only the owning rank thread
 /// mutates it, so no locking is needed on the hot path.
 ///
 /// Critical-path sinks: every Advance() is compute and every forward
 /// AdvanceTo() delta is a stall, so together the two sinks account for
 /// the rank's entire wall time (compute_ns + stall_ns == now in ns).
-/// The sinks are raw atomics rather than telemetry handles because sim
-/// sits below telemetry in the layering; comm::World owns the per-rank
-/// atomics and the service bridges their totals into mm.critpath.*.
+/// The sinks are a raw CritpathSlot rather than telemetry handles because
+/// sim sits below telemetry in the layering; comm::World owns one slot per
+/// rank and the service bridges their totals into mm.critpath.*.
 class VirtualClock {
  public:
   VirtualClock() = default;
@@ -37,44 +45,38 @@ class VirtualClock {
   /// Charges `seconds` of virtual time (compute, local work).
   void Advance(SimTime seconds) {
     now_ += seconds;
-    if (compute_ns_ != nullptr && seconds > 0) {
-      compute_ns_->fetch_add(ToNs(seconds), std::memory_order_relaxed);
-    }
+    if (sinks_ != nullptr && seconds > 0) Add(sinks_->compute_ns, seconds);
   }
 
   /// Moves the clock forward to `t` if `t` is later (blocking waits,
   /// message receives, synchronous I/O completions).
   void AdvanceTo(SimTime t) {
     if (t <= now_) return;
-    if (stall_ns_ != nullptr) {
-      stall_ns_->fetch_add(ToNs(t - now_), std::memory_order_relaxed);
-    }
+    if (sinks_ != nullptr) Add(sinks_->stall_ns, t - now_);
     now_ = t;
   }
 
-  /// Points the compute/stall accumulators at caller-owned atomics
-  /// (nullptr detaches). Both sinks are bumped with relaxed adds only.
-  void SetCritpathSinks(std::atomic<std::uint64_t>* compute_ns,
-                        std::atomic<std::uint64_t>* stall_ns) {
-    compute_ns_ = compute_ns;
-    stall_ns_ = stall_ns;
-  }
+  /// Points the compute/stall accumulators at a caller-owned slot that
+  /// this clock's thread alone writes (nullptr detaches).
+  void SetCritpathSinks(CritpathSlot* sinks) { sinks_ = sinks; }
 
   void Reset() { now_ = 0.0; }
 
  private:
-  static std::uint64_t ToNs(SimTime seconds) {
-    return static_cast<std::uint64_t>(seconds * 1e9);
+  /// A single writer needs no atomic add: the store publishes the sum.
+  static void Add(std::atomic<std::uint64_t>& sink, SimTime seconds) {
+    sink.store(sink.load(std::memory_order_relaxed) +
+                   static_cast<std::uint64_t>(seconds * 1e9),
+               std::memory_order_relaxed);
   }
 
   SimTime now_ = 0.0;
-  std::atomic<std::uint64_t>* compute_ns_ = nullptr;
-  std::atomic<std::uint64_t>* stall_ns_ = nullptr;
+  CritpathSlot* sinks_ = nullptr;
 };
 
 /// A serialized shared resource (device channel, NIC): requests queue behind
-/// one another. Thread-safe; multiple rank threads and runtime workers
-/// contend for the same device.
+/// one another. Thread-safe; multiple rank threads contend for the same
+/// device.
 class BusyChannel {
  public:
   /// Reserves the channel for `duration` starting no earlier than

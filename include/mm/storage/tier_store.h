@@ -66,7 +66,7 @@ class TierStore {
                                           sim::SimTime* done) const;
 
   /// Reads a whole blob into a caller-provided buffer, reusing its
-  /// capacity (zero-copy task path: workers pass pooled page buffers).
+  /// capacity (zero-copy task path: tasks pass pooled page buffers).
   /// Returns the stamp the bytes were copied under.
   StatusOr<BlobStamp> GetInto(const BlobId& id, std::vector<std::uint8_t>* out,
                               sim::SimTime now, sim::SimTime* done) const;

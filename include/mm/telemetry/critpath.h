@@ -3,8 +3,8 @@
 // waited on into queue-wait / network / device / coherence buckets:
 //
 //   device     = stager/tier span time inside flow tasks
-//   queue_wait = flow task time not covered by device spans (time the
-//                request sat in or behind the worker queue)
+//   queue_wait = flow task time not covered by device spans (the task's
+//                dispatch and non-device work on the owner node)
 //   network    = sync-origin time not covered by its tasks (transfer +
 //                response legs), plus the full origin span of async flows
 //                (write commits, messages — their requester-visible cost

@@ -3,7 +3,7 @@
 // (sim::SimTime seconds → microseconds), so the simulated I/O time is what
 // shows up on the timeline, not wall time. One process-wide recorder; the
 // Chrome `pid` field carries the node id so each node renders as its own
-// track, and `tid` carries the rank or worker id within the node.
+// track, and `tid` carries the rank within the node (0 for task spans).
 //
 // Causal tracing: a `TraceContext` (trace id + parent span id) is minted at
 // fault origin, rides through MemoryTask and the comm::Message header, and
@@ -53,7 +53,7 @@ struct TraceEvent {
   double ts_us = 0.0;
   double dur_us = 0.0;  // spans only
   int pid = 0;          // node id
-  int tid = 0;          // rank / worker id within the node
+  int tid = 0;          // rank within the node; 0 for task spans
   // Flow linkage (CompleteFlow spans only). The serializer expands
   // flow_ph into Perfetto flow companions:
   //   's' sync origin   -> flow 's' at span start + 'f' at span end
@@ -138,8 +138,8 @@ class TraceRecorder {
   std::size_t flight_head_ MM_GUARDED_BY(mu_) = 0;
 };
 
-/// RAII ambient trace context for the current thread. The worker loop
-/// installs the task's context before Execute() so nested stager/tier
+/// RAII ambient trace context for the current thread. The runtime
+/// installs the task's context around Execute() so nested stager/tier
 /// spans can join the flow without threading a parameter through every
 /// layer.
 class TraceContextScope {

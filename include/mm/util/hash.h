@@ -1,5 +1,5 @@
 // Hashing helpers: FNV-1a over bytes/strings and a hash combiner. Used for
-// page→worker scheduling, blob→home-node placement, and metadata sharding,
+// blob→home-node placement, replica spreading and metadata sharding,
 // so the functions here must be deterministic across runs and platforms.
 #pragma once
 

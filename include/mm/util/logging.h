@@ -52,7 +52,7 @@ class Logger {
 LogLevel ParseLogLevel(const std::string& name);
 
 // ---- per-thread log context ------------------------------------------------
-// Rank and worker threads install a context so their log lines carry the
+// Rank threads install a context so their log lines carry the
 // virtual-clock timestamp and node rank: "[t=12.345s n3 WARN] module: ...".
 // Threads without a context keep the bare "[WARN] module: ..." format.
 // The clock callback runs on the owning thread only (VirtualClock is

@@ -41,16 +41,14 @@ StatusOr<ckpt::CheckpointStats> Service::Checkpoint(const std::string& tag,
   telemetry::NodeSink sink = telemetry_sink(from_node);
   sim::SimTime t = now;
 
-  // 1. Quiesce every node's task queues. By FIFO order, every task
-  //    submitted before this call has committed once the barrier markers
-  //    resolve; the collective's serial section keeps other ranks from
-  //    submitting more until the manifest is published.
-  for (auto& rt : runtimes_) t = std::max(t, rt->Quiesce(now));
-
   ckpt::CheckpointStats stats;
   stats.tag = tag;
 
-  // 2. Incremental flush: only pages still dirty since the previous epoch,
+  // Every task submitted before this call has run: Submit returns only
+  // once its task has, and the collective's serial section keeps other
+  // ranks from submitting more until the manifest is published.
+  //
+  // 1. Incremental flush: only pages still dirty since the previous epoch,
   //    group-committed per owner node by FlushVector, so a crash mid-way
   //    never leaves a torn page on the backend.
   std::vector<VectorMeta*> nonvolatile;
@@ -73,7 +71,7 @@ StatusOr<ckpt::CheckpointStats> Service::Checkpoint(const std::string& tag,
     stats.bytes_written += written.bytes;
   }
 
-  // 3. Build the manifest from directory state. Versions/CRCs are the
+  // 2. Build the manifest from directory state. Versions/CRCs are the
   //    commit-time values — independent of when the flush above happened.
   ckpt::Manifest manifest;
   manifest.epoch = ckpt_->NextEpoch();
@@ -108,7 +106,7 @@ StatusOr<ckpt::CheckpointStats> Service::Checkpoint(const std::string& tag,
       static_cast<double>(stats.pages_written) /
       static_cast<double>(std::max<std::uint64_t>(1, stats.pages_total));
 
-  // 4. Atomic publication: write the temp file, then rename. A crash
+  // 3. Atomic publication: write the temp file, then rename. A crash
   //    between the two (kMidManifestRename) leaves the previous manifest —
   //    and the journals, still un-truncated — as the recovery source.
   stats.manifest_path = ckpt_->ManifestPathFor(tag);
@@ -124,7 +122,7 @@ StatusOr<ckpt::CheckpointStats> Service::Checkpoint(const std::string& tag,
   }
   MM_RETURN_IF_ERROR(ckpt::PublishManifest(stats.manifest_path));
 
-  // 5. The published manifest covers every journaled flush: spend the
+  // 4. The published manifest covers every journaled flush: spend the
   //    journals.
   MM_RETURN_IF_ERROR(ckpt_->TruncateJournals());
 

@@ -19,8 +19,7 @@ World::World(sim::Cluster* cluster, int num_ranks, int ranks_per_node,
       comm_ops_(static_cast<std::size_t>(num_ranks)),
       live_ranks_(num_ranks),
       send_seq_(static_cast<std::size_t>(num_ranks) * num_ranks),
-      critpath_compute_ns_(static_cast<std::size_t>(num_ranks)),
-      critpath_stall_ns_(static_cast<std::size_t>(num_ranks)),
+      critpath_(static_cast<std::size_t>(num_ranks)),
       parked_gen_(static_cast<std::size_t>(num_ranks), kNotParked) {
   MM_CHECK(num_ranks > 0 && ranks_per_node > 0);
   MM_CHECK_MSG(static_cast<std::size_t>((num_ranks + ranks_per_node - 1) /
@@ -33,8 +32,6 @@ World::World(sim::Cluster* cluster, int num_ranks, int ranks_per_node,
     dead_[i].store(false, std::memory_order_relaxed);
     death_time_[i].store(0.0, std::memory_order_relaxed);
     comm_ops_[i].store(0, std::memory_order_relaxed);
-    critpath_compute_ns_[i].store(0, std::memory_order_relaxed);
-    critpath_stall_ns_[i].store(0, std::memory_order_relaxed);
   }
   for (auto& seq : send_seq_) seq.store(0, std::memory_order_relaxed);
 }
@@ -43,8 +40,8 @@ std::pair<std::uint64_t, std::uint64_t> World::CritpathTotals() const {
   std::uint64_t compute = 0;
   std::uint64_t stall = 0;
   for (int r = 0; r < num_ranks_; ++r) {
-    compute += critpath_compute_ns_[r].load(std::memory_order_relaxed);
-    stall += critpath_stall_ns_[r].load(std::memory_order_relaxed);
+    compute += critpath_[r].compute_ns.load(std::memory_order_relaxed);
+    stall += critpath_[r].stall_ns.load(std::memory_order_relaxed);
   }
   return {compute, stall};
 }

@@ -240,9 +240,7 @@ std::optional<PendingFetch> PCache::TakePending(std::uint64_t page) {
 
 void PCache::Clear() {
   MM_CHECK_MSG(num_pinned_ == 0, "Clear with live Spans (pinned frames)");
-  // Pending fetches are detached, not drained: the worker fulfills its
-  // promise into the shared state and the bytes are dropped when the last
-  // future reference dies. Nothing here would adopt the outcome anyway.
+  // Nothing here would adopt a pending fetch's bytes.
   pending_.clear();
   clean_lru_.clear();
   dirty_lru_.clear();

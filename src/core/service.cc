@@ -1,6 +1,7 @@
 #include "mm/core/service.h"
 
 #include <algorithm>
+#include <deque>
 
 #include "mm/core/pcache.h"
 #include "mm/sim/cost_model.h"
@@ -39,8 +40,6 @@ const char* TaskKindName(MemoryTask::Kind kind) {
       return "stage_out";
     case MemoryTask::Kind::kErase:
       return "erase";
-    case MemoryTask::Kind::kBarrier:
-      return "barrier";
   }
   return "task";
 }
@@ -61,9 +60,6 @@ telemetry::Histogram* TaskHistogram(telemetry::NodeSink sink,
       return sink.metrics->GetHistogram("mm.task.score_ns", std::move(bounds));
     case MemoryTask::Kind::kStageOut:
       return sink.metrics->GetHistogram("mm.task.stage_out_ns",
-                                        std::move(bounds));
-    case MemoryTask::Kind::kBarrier:
-      return sink.metrics->GetHistogram("mm.task.barrier_ns",
                                         std::move(bounds));
     default:
       return sink.metrics->GetHistogram("mm.task.erase_ns", std::move(bounds));
@@ -90,7 +86,7 @@ telemetry::Gauge* TierUsedGauge(telemetry::MetricsRegistry& reg,
 // The page-read pipeline (DESIGN.md §6). Every read path is built from the
 // same three stages: the caller-thread fault (Service::ReadPage), the
 // lock-free probe (Service::TryReadPageOptimistic), the prefetch
-// (Service::ReadPagesAsync) and the owner's worker
+// (Service::ReadPagesAsync) and the owner's kGetPage task
 // (NodeRuntime::ExecuteGetPage).
 // ---------------------------------------------------------------------------
 
@@ -118,9 +114,9 @@ ReadSource ResolveSource(Service& svc, VectorMeta& meta,
   src.node = entry->node;
   // Local bytes count only while the directory maps the blob here or
   // registers this node as a replica: an invalidated replica's bytes linger
-  // until the queued erase drains, and serving them would label stale data
-  // with the current version — or, routed at a worker the erase beat,
-  // fabricate a zero page.
+  // until the erase task runs, and serving them would label stale data with
+  // the current version — or, routed at a node the erase beat, fabricate a
+  // zero page.
   const bool replicated =
       AllowsReplication(meta.mode.load(std::memory_order_relaxed));
   if (!(local_bytes && src.node == from_node) && (local_bytes || replicated)) {
@@ -168,8 +164,8 @@ StatusOr<storage::BlobStamp> VerifiedCopy(Service& svc, std::size_t node,
 
 /// VerifiedCopy into a pooled `bytes`-sized buffer of `from_node`, under
 /// the one failure policy of the healing readers (the caller-thread fault,
-/// the owner's worker and the stage-out snapshot; the lock-free probe
-/// declines instead). A CRC mismatch drops the copy on `node` and the
+/// the owner's kGetPage task and the stage-out snapshot; the lock-free
+/// probe declines instead). A CRC mismatch drops the copy on `node` and the
 /// directory's claim on it — the replica record, or the whole entry for the
 /// primary — and a dirty primary's loss is recorded; a clean copy that
 /// errored is dropped. Returns the bytes and sets *stamp, or returns
@@ -268,11 +264,11 @@ std::uint64_t BackendExtent(VectorMeta& meta) {
 }
 
 /// Stage 3: builds the kGetPage task for the run of pages [first, first +
-/// n), with one promise per page, and routes it to `owner`, stage 1's
-/// verdict for its first page, charging the request envelope when remote.
-/// Staged-in pages are cached at `score`; a `placement_only` task returns
-/// no bytes. Returns one future per page.
-std::vector<std::shared_future<TaskOutcome>> SubmitGetPages(
+/// n) and routes it to `owner`, stage 1's verdict for its first page,
+/// charging the request envelope when remote. Staged-in pages are cached at
+/// `score`; a `placement_only` task returns no bytes. Returns one outcome
+/// per page (none when the Submit was deferred).
+std::vector<TaskOutcome> SubmitGetPages(
     Service& svc, VectorMeta& meta, std::uint64_t first, std::uint64_t n,
     std::size_t owner, std::size_t from_node, sim::SimTime now,
     telemetry::TraceContext tctx, float score = 1.0f,
@@ -286,12 +282,7 @@ std::vector<std::shared_future<TaskOutcome>> SubmitGetPages(
   task.from_node = from_node;
   task.tctx = tctx;
   task.placement_only = placement_only;
-  task.page_promises.resize(n);
-  std::vector<std::shared_future<TaskOutcome>> futures;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    task.pages.push_back(first + i);
-    futures.push_back(task.page_promises[i].get_future().share());
-  }
+  for (std::uint64_t i = 0; i < n; ++i) task.pages.push_back(first + i);
   task.issue_time =
       owner == from_node
           ? now
@@ -299,11 +290,19 @@ std::vector<std::shared_future<TaskOutcome>> SubmitGetPages(
                 .network()
                 .Transfer(now, from_node, owner, kControlBytes)
                 .delivered;
-  // A shutdown rejection still fulfills every promise, so the futures carry
-  // the error to every waiter.
-  (void)svc.runtime(owner).Submit(std::move(task));
-  return futures;
+  std::vector<TaskOutcome> outs;
+  // The pages' outcomes are in `outs`; a shutdown rejection gives each one.
+  (void)svc.runtime(owner).Submit(std::move(task), &outs);
+  return outs;
 }
+
+/// The calling thread's inline-execution state: whether it is running a
+/// task, and the Submits made from inside that task, which run after it.
+struct InlineState {
+  bool executing = false;
+  std::deque<std::pair<NodeRuntime*, MemoryTask>> deferred;
+};
+thread_local InlineState t_inline;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -318,7 +317,6 @@ NodeRuntime::NodeRuntime(Service* service, std::size_t node_id,
       options_(options),
       tel_(service->telemetry_sink(node_id)),
       task_executed_(tel_.metrics->GetCounter("mm.task.executed_count")),
-      queue_depth_(tel_.metrics->GetGauge("mm.task.queue_depth_count")),
       stager_read_bytes_(tel_.metrics->GetCounter("mm.stager.read_bytes")),
       stager_read_count_(tel_.metrics->GetCounter("mm.stager.read_count")),
       stager_write_bytes_(tel_.metrics->GetCounter("mm.stager.write_bytes")),
@@ -328,8 +326,7 @@ NodeRuntime::NodeRuntime(Service* service, std::size_t node_id,
                     TaskHistogram(tel_, MemoryTask::Kind::kWritePartial),
                     TaskHistogram(tel_, MemoryTask::Kind::kScore),
                     TaskHistogram(tel_, MemoryTask::Kind::kStageOut),
-                    TaskHistogram(tel_, MemoryTask::Kind::kErase),
-                    TaskHistogram(tel_, MemoryTask::Kind::kBarrier)},
+                    TaskHistogram(tel_, MemoryTask::Kind::kErase)},
       ckpt_journal_bytes_(tel_.metrics->GetCounter("mm.ckpt.journal_bytes")),
       readpath_hit_(
           tel_.metrics->GetCounter("mm.readpath.fastpath_hit_count")),
@@ -343,100 +340,93 @@ NodeRuntime::NodeRuntime(Service* service, std::size_t node_id,
              sim::SimTime now) {
         service_->OnTierFailure(node_id_, kind, lost, now);
       });
-  worker_ = std::thread([this] { WorkerLoop(); });
 }
 
 NodeRuntime::~NodeRuntime() { Shutdown(); }
 
 void NodeRuntime::Shutdown() {
-  if (shut_down_.exchange(true)) return;
-  queue_.Close();
-  worker_.join();
+  // Taking the mutex waits for the task running now; every later Submit
+  // then sees the flag and is rejected.
+  MutexLock lock(exec_mu_);
+  shut_down_ = true;
 }
 
-sim::SimTime NodeRuntime::Quiesce(sim::SimTime now) {
-  // FIFO order: by the time the marker's promise resolves, every task
-  // submitted before it has executed. After Shutdown, Submit rejects the
-  // marker with done = now; the worker drained the queue on its way out.
-  MemoryTask marker;
-  marker.kind = MemoryTask::Kind::kBarrier;
-  marker.issue_time = now;
-  marker.promise = std::make_shared<std::promise<TaskOutcome>>();
-  std::future<TaskOutcome> fut = marker.promise->get_future();
-  // A shutdown rejection fulfills the promise too: the future reports it.
-  (void)Submit(std::move(marker));
-  return std::max(now, fut.get().done);
-}
-
-Status NodeRuntime::Submit(MemoryTask task) {
-  // A shutdown race is an orderly rejection, not a crash: Push refuses
-  // (without consuming the task) once the queue is closed, and the task's
-  // promise — if any — is fulfilled so no waiter hangs.
-  if (!shut_down_.load(std::memory_order_acquire) &&
-      queue_.Push(std::move(task))) {
-    queue_depth_->Add(1);
-    return Status::Ok();
-  }
-  Status st = FailedPrecondition("submit after runtime shutdown");
-  auto reject = [&](std::promise<TaskOutcome>& promise) {
+TaskOutcome NodeRuntime::Submit(MemoryTask task,
+                                std::vector<TaskOutcome>* pages) {
+  InlineState& state = t_inline;
+  if (state.executing) {
+    // Only the tier-failure re-stage submits from inside a task. Run now,
+    // it would wait on this node's mutex, which this thread may hold, or on
+    // another node's whose holder waits on one this thread holds.
     TaskOutcome out;
-    out.status = st;
     out.done = task.issue_time;
-    promise.set_value(std::move(out));
-  };
-  if (task.promise != nullptr) reject(*task.promise);
-  for (auto& promise : task.page_promises) reject(promise);
-  return st;
-}
-
-void NodeRuntime::WorkerLoop() {
-  // Worker log lines carry the node rank. No virtual-clock callback: tasks
-  // carry their own issue times, there is no per-worker clock to sample.
-  ScopedLogContext log_ctx(nullptr, static_cast<int>(node_id_));
-  while (auto task = queue_.Pop()) {
-    queue_depth_->Add(-1);
-    const MemoryTask::Kind kind = task->kind;
-    const sim::SimTime issued = task->issue_time;
-    const telemetry::TraceContext tctx = task->tctx;
-    TaskOutcome outcome;
-    {
-      // Ambient context for the duration of the task: nested stager/tier
-      // spans join the origin's flow without parameter plumbing.
-      telemetry::TraceContextScope flow_scope(tctx);
-      outcome = Execute(*task);
-    }
-    task_executed_->Inc();
-    task_latency_[static_cast<int>(kind)]->Observe((outcome.done - issued) *
-                                                   1e9);
-    if (tctx.valid()) {
-      // Child span of the origin's flow; terminal tasks (async write
-      // commits) close the flow, everything else is a plain step.
-      tel_.trace->CompleteFlow(TaskKindName(kind), "task", tel_.node,
-                               /*tid=*/0, issued, outcome.done, tctx,
-                               task->trace_terminal ? 'f' : 't');
-    } else {
-      tel_.trace->Complete(TaskKindName(kind), "task", tel_.node, /*tid=*/0,
-                           issued, outcome.done);
-    }
-    // Recycle the request payload (Execute consumed it) whether the task
-    // succeeded or failed, so error paths do not leak buffers out of the
-    // pool's circulation.
-    if (task->data.capacity() > 0) pool_.Release(std::move(task->data));
-    if (task->promise != nullptr) {
-      task->promise->set_value(std::move(outcome));
-    } else if (outcome.data.capacity() > 0) {
-      // Fire-and-forget: nobody adopts the outcome, reuse its buffer.
-      pool_.Release(std::move(outcome.data));
-    }
+    state.deferred.emplace_back(this, std::move(task));
+    return out;
   }
+  TaskOutcome out = Run(task, pages);
+  // The deferred Submits run in order once no mutex is held; each may
+  // defer more.
+  while (!state.deferred.empty()) {
+    auto [runtime, next] = std::move(state.deferred.front());
+    state.deferred.pop_front();
+    // No one waits on a deferred task: its outcome has no reader.
+    (void)runtime->Run(next, nullptr);
+  }
+  return out;
 }
 
-TaskOutcome NodeRuntime::Execute(MemoryTask& task) {
+TaskOutcome NodeRuntime::Run(MemoryTask& task,
+                             std::vector<TaskOutcome>* pages) {
+  const MemoryTask::Kind kind = task.kind;
+  const sim::SimTime issued = task.issue_time;
+  TaskOutcome outcome;
+  {
+    MutexLock lock(exec_mu_);
+    if (shut_down_) {
+      // An orderly rejection, not a crash: every page gets the status too.
+      outcome.status = FailedPrecondition("submit after runtime shutdown");
+      outcome.done = issued;
+      if (pages != nullptr) pages->assign(task.pages.size(), outcome);
+      return outcome;
+    }
+    // Marks the thread as running a task, on every exit path, so a Submit
+    // from inside the task is deferred.
+    struct Executing {
+      Executing() { t_inline.executing = true; }
+      ~Executing() { t_inline.executing = false; }
+    } executing;
+    // Ambient context for the duration of the task: nested stager/tier
+    // spans join the origin's flow without parameter plumbing.
+    telemetry::TraceContextScope flow_scope(task.tctx);
+    outcome = Execute(task, pages);
+  }
+  task_executed_->Inc();
+  task_latency_[static_cast<int>(kind)]->Observe((outcome.done - issued) *
+                                                 1e9);
+  if (task.tctx.valid()) {
+    // Child span of the origin's flow; terminal tasks (async write
+    // commits) close the flow, everything else is a plain step.
+    tel_.trace->CompleteFlow(TaskKindName(kind), "task", tel_.node,
+                             /*tid=*/0, issued, outcome.done, task.tctx,
+                             task.trace_terminal ? 'f' : 't');
+  } else {
+    tel_.trace->Complete(TaskKindName(kind), "task", tel_.node, /*tid=*/0,
+                         issued, outcome.done);
+  }
+  // Recycle the request payload (Execute consumed it) whether the task
+  // succeeded or failed, so error paths do not leak buffers out of the
+  // pool's circulation.
+  if (task.data.capacity() > 0) pool_.Release(std::move(task.data));
+  return outcome;
+}
+
+TaskOutcome NodeRuntime::Execute(MemoryTask& task,
+                                 std::vector<TaskOutcome>* pages) {
   // Every task pays the software dispatch cost before touching devices.
   task.issue_time += sim::CostModel::Default().task_dispatch_s;
   switch (task.kind) {
     case MemoryTask::Kind::kGetPage:
-      return ExecuteGetPage(task);
+      return ExecuteGetPage(task, pages);
     case MemoryTask::Kind::kWritePartial:
       return ExecuteWritePartial(task);
     case MemoryTask::Kind::kScore:
@@ -445,13 +435,6 @@ TaskOutcome NodeRuntime::Execute(MemoryTask& task) {
       return ExecuteStageOut(task);
     case MemoryTask::Kind::kErase:
       return ExecuteErase(task);
-    case MemoryTask::Kind::kBarrier: {
-      // Quiesce marker: by FIFO order, every task enqueued before it has
-      // executed. Nothing to do but report when the queue drained.
-      TaskOutcome out;
-      out.done = task.issue_time;
-      return out;
-    }
   }
   return TaskOutcome{Internal("unknown task kind"), {}, task.issue_time};
 }
@@ -647,7 +630,7 @@ void NodeRuntime::StageInOrZero(VectorMeta& meta, std::uint64_t first,
                                 sim::SimTime now) {
   // Pooled and explicitly zeroed: a recycled buffer must not leak a
   // previous page's bytes into a logically-fresh page. Ownership travels
-  // out as the TaskOutcome payload; the worker recycles it after use.
+  // out as the TaskOutcome payload; its reader recycles it after use.
   for (TaskOutcome& out : outs) {
     out.done = now;
     // mm-verify: allow(MML002 buffer leaves as the returned outcome payload)
@@ -712,7 +695,8 @@ void NodeRuntime::CacheStagedPage(const MemoryTask& task,
   out->done = put_done;
 }
 
-TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
+TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task,
+                                        std::vector<TaskOutcome>* pages) {
   const std::size_t n = task.pages.size();
   std::vector<TaskOutcome> outs(n);
   std::vector<ReadSource> srcs(n);
@@ -759,10 +743,13 @@ TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task) {
     run.done = std::max(run.done, outs[i].done);
     if (run.status.ok()) run.status = outs[i].status;
     // A stage-ahead's staged bytes moved into the scache; whatever else it
-    // read (a failed stage-in's buffer) has no reader.
-    if (task.placement_only) pool_.Release(std::move(outs[i].data));
-    task.page_promises[i].set_value(std::move(outs[i]));
+    // read (a failed stage-in's buffer) has no reader, and neither has a
+    // run submitted without page outcomes.
+    if (task.placement_only || pages == nullptr) {
+      pool_.Release(std::move(outs[i].data));
+    }
   }
+  if (pages != nullptr) *pages = std::move(outs);
   return run;
 }
 
@@ -1097,7 +1084,7 @@ Service::Service(sim::Cluster* cluster, ServiceOptions options)
   }
   reporter_ =
       std::make_unique<telemetry::EpochReporter>(options_.telemetry.report_path);
-  // The checkpoint coordinator precedes the runtimes: workers consult the
+  // The checkpoint coordinator precedes the runtimes: tasks consult the
   // per-node journals while executing, and startup recovery must heal the
   // backends before any stage-in reads them (DESIGN.md §12).
   ckpt_ = std::make_unique<ckpt::Coordinator>(options_.ckpt,
@@ -1149,7 +1136,7 @@ void Service::Shutdown() {
   if (!injector_->crashed()) {
     std::vector<VectorMeta*> to_flush;
     {
-      // Collect outside the lock: stage-out workers call FindVectorById,
+      // Collect outside the lock: stage-out tasks call FindVectorById,
       // which takes vectors_mu_.
       MutexLock lock(vectors_mu_);
       for (auto& [key, meta] : vectors_) {
@@ -1174,7 +1161,7 @@ void Service::Shutdown() {
       }
     }
   }
-  // Final telemetry drain, after every worker has quiesced: one closing
+  // Final telemetry drain, after every runtime has shut down: one closing
   // epoch (stamped at the last reported virtual time) and the Chrome-trace
   // dump.
   if (options_.telemetry.enabled) {
@@ -1651,7 +1638,8 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
   const std::size_t owner = src.node;
   // Concurrent faults for the same blob on this node share one fetch.
   InflightKey key{from_node, id};
-  std::shared_future<TaskOutcome> fetch;
+  std::promise<TaskOutcome> publish;  // the leader's
+  std::shared_future<TaskOutcome> fetch;  // a follower's
   bool leader = false;
   // Flow identity of this fault, minted by the leader only: one connected
   // origin → task → stager chain per shared fetch (followers record plain
@@ -1665,17 +1653,22 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
     } else {
       leader = true;
       fault_ctx = telemetry::TraceRecorder::NewContext(sink.node);
-      fetch =
-          SubmitGetPages(*this, meta, page, 1, src.node, from_node, t,
-                         fault_ctx)
-              .front();
-      inflight_[key] = fetch;
+      inflight_.emplace(key, publish.get_future().share());
     }
   }
-  TaskOutcome outcome = fetch.get();
+  TaskOutcome outcome;
   if (leader) {
+    // Outside the dedup lock: holding it across the fetch would serialise
+    // every fault in the service.
+    std::vector<TaskOutcome> outs = SubmitGetPages(
+        *this, meta, page, 1, src.node, from_node, t, fault_ctx);
+    MM_CHECK_MSG(outs.size() == 1, "page fault submitted inside a task");
+    outcome = std::move(outs.front());
+    publish.set_value(outcome);
     MutexLock lock(inflight_mu_);
     inflight_.erase(key);
+  } else {
+    outcome = fetch.get();
   }
   sim::SimTime complete = outcome.done;
   if (outcome.status.ok()) {
@@ -1688,7 +1681,7 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
   }
   // Sync origin of the fault's flow (plain span for non-leader sharers):
   // origin → get_page task on the owner → stager, one connected arrow
-  // chain across nodes. Closed on the error path too — the worker already
+  // chain across nodes. Closed on the error path too — the task already
   // recorded its 't' hop, and a dangling flow would fail trace validation.
   sink.trace->CompleteFlow("page_fault", "fault", sink.node, 0, now, complete,
                            fault_ctx, 's');
@@ -1719,8 +1712,8 @@ std::optional<std::vector<std::uint8_t>> Service::TryReadPageOptimistic(
     const ReadSource src = ResolveSource(*this, meta, id, from_node, t, &t);
     if (!src.loc || !src.has_copy) break;
     // Copy the bytes straight out of the source scache on this thread —
-    // the BufferManager is internally synchronized; no worker queue, no
-    // promise, no task allocation.
+    // the BufferManager is internally synchronized; no task, no node
+    // mutex.
     if (bytes.empty()) bytes = pool.Acquire(meta.page_bytes);
     sim::SimTime copy_done = t;
     auto stamp = VerifiedCopy(*this, src.node, id, &bytes, t, &copy_done);
@@ -1809,18 +1802,18 @@ std::vector<PendingFetch> Service::ReadPagesAsync(VectorMeta& meta,
   fetches.reserve(n);
   ForEachRun(srcs, first, RunPages(meta), [&](std::uint64_t lo,
                                               std::uint64_t hi) {
-    for (auto& future : SubmitGetPages(*this, meta, first + lo, hi - lo,
-                                       srcs[lo].node, from_node, now, {})) {
-      fetches.push_back({std::move(future), srcs[lo].node});
+    for (auto& out : SubmitGetPages(*this, meta, first + lo, hi - lo,
+                                    srcs[lo].node, from_node, now, {})) {
+      fetches.push_back({std::move(out), srcs[lo].node});
     }
   });
   return fetches;
 }
 
-std::vector<std::pair<std::uint64_t, std::shared_future<TaskOutcome>>>
-Service::StageAhead(VectorMeta& meta, std::uint64_t first, std::uint64_t n,
-                    float score, std::size_t from_node, sim::SimTime now) {
-  std::vector<std::pair<std::uint64_t, std::shared_future<TaskOutcome>>> staged;
+std::vector<std::pair<std::uint64_t, TaskOutcome>> Service::StageAhead(
+    VectorMeta& meta, std::uint64_t first, std::uint64_t n, float score,
+    std::size_t from_node, sim::SimTime now) {
+  std::vector<std::pair<std::uint64_t, TaskOutcome>> staged;
   std::vector<ReadSource> srcs;
   srcs.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -1835,11 +1828,11 @@ Service::StageAhead(VectorMeta& meta, std::uint64_t first, std::uint64_t n,
                                               std::uint64_t hi) {
     if (!Unplaced(srcs[lo]) || first + lo >= end) return;
     hi = std::min(hi, end - first);
-    auto futures = SubmitGetPages(*this, meta, first + lo, hi - lo,
-                                  srcs[lo].node, from_node, now, {}, score,
-                                  /*placement_only=*/true);
+    auto outs = SubmitGetPages(*this, meta, first + lo, hi - lo,
+                               srcs[lo].node, from_node, now, {}, score,
+                               /*placement_only=*/true);
     for (std::uint64_t i = lo; i < hi; ++i) {
-      staged.emplace_back(first + i, std::move(futures[i - lo]));
+      staged.emplace_back(first + i, std::move(outs[i - lo]));
     }
   });
   return staged;
@@ -1863,13 +1856,14 @@ double Service::EstimateReadSeconds(VectorMeta& meta, std::uint64_t page,
   return dev;
 }
 
-std::shared_future<TaskOutcome> Service::WriteRegion(
-    VectorMeta& meta, std::uint64_t page, std::uint64_t offset,
-    std::vector<std::uint8_t> bytes, std::size_t from_node, sim::SimTime now) {
+TaskOutcome Service::WriteRegion(VectorMeta& meta, std::uint64_t page,
+                                 std::uint64_t offset,
+                                 std::vector<std::uint8_t> bytes,
+                                 std::size_t from_node, sim::SimTime now) {
   storage::BlobId id{meta.vector_id, page};
   // Writes are routed to the page's owner. Unplaced pages go to the blob's
   // deterministic home node so concurrent first-writes serialize on one
-  // worker (two producers choosing themselves would fork the page). The
+  // node (two producers choosing themselves would fork the page). The
   // Data Organizer can migrate the page toward its writer afterwards
   // (Fig. 3's locality is restored by score locality hints). The lookup is
   // part of the async path, so its cost lands on the network model, not on
@@ -1885,10 +1879,9 @@ std::shared_future<TaskOutcome> Service::WriteRegion(
   task.offset = offset;
   task.data = std::move(bytes);
   task.from_node = from_node;
-  task.promise = std::make_shared<std::promise<TaskOutcome>>();
-  // Async flow origin: the caller does not wait for the commit, so the
-  // origin span covers only issue (+ the cross-node transfer). The worker's
-  // write_partial span is the terminal hop and closes the flow.
+  // Async flow origin: the caller's clock does not wait for the commit, so
+  // the origin span covers only issue (+ the cross-node transfer). The
+  // task's write_partial span is the terminal hop and closes the flow.
   telemetry::TraceContext wctx =
       telemetry::TraceRecorder::NewContext(static_cast<int>(from_node));
   task.tctx = wctx;
@@ -1903,10 +1896,7 @@ std::shared_future<TaskOutcome> Service::WriteRegion(
   telemetry::NodeSink sink = telemetry_sink(from_node);
   sink.trace->CompleteFlow("write_commit", "commit", sink.node, 0, now,
                            task.issue_time, wctx, 'a');
-  auto future = task.promise->get_future().share();
-  // A shutdown rejection still fulfills the promise (error via the future).
-  (void)runtime(owner).Submit(std::move(task));
-  return future;
+  return runtime(owner).Submit(std::move(task));
 }
 
 void Service::SubmitScore(VectorMeta& meta, std::uint64_t page, float score,
@@ -1937,11 +1927,12 @@ Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,
     auto loc = metadata().Lookup(id, from_node, now, nullptr);
     if (loc.ok() && loc->dirty) batches[loc->node].push_back(id.page_idx);
   }
-  std::vector<std::shared_future<TaskOutcome>> futures;
   // One flow for the whole flush: the sync "flush" origin below fans out to
   // every stage_out task span ('t' hops) across the owning nodes.
   telemetry::TraceContext flush_ctx =
       telemetry::TraceRecorder::NewContext(static_cast<int>(from_node));
+  Status first_error;
+  sim::SimTime flush_end = now;
   for (auto& [owner, pages] : batches) {
     std::sort(pages.begin(), pages.end());
     MemoryTask task;
@@ -1954,15 +1945,7 @@ Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,
     task.from_node = from_node;
     task.issue_time = now;
     task.tctx = flush_ctx;
-    task.promise = std::make_shared<std::promise<TaskOutcome>>();
-    futures.push_back(task.promise->get_future().share());
-    // A shutdown rejection still fulfills the promise collected above.
-    (void)runtime(owner).Submit(std::move(task));
-  }
-  Status first_error;
-  sim::SimTime flush_end = now;
-  for (auto& f : futures) {
-    TaskOutcome outcome = f.get();
+    const TaskOutcome outcome = runtime(owner).Submit(std::move(task));
     Merge(outcome.done, done);
     Merge(outcome.done, &flush_end);
     if (written != nullptr) {
@@ -1973,7 +1956,7 @@ Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,
       first_error = outcome.status;
     }
   }
-  if (!futures.empty()) {
+  if (!batches.empty()) {
     telemetry::NodeSink sink = telemetry_sink(from_node);
     // `done == nullptr` is the FlushAsync path: the caller's clock never
     // advances to flush_end, so the flow must be async ('a') or the

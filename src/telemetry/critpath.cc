@@ -44,7 +44,7 @@ CritpathBreakdown AnalyzeCritpath(const std::vector<TraceEvent>& events,
       out.coherence_ns += ToNs(ev.dur_us);
     }
     // Bare fault-cat spans (prefetch adoption waits, optimistic remote
-    // copies) are caller stall that never enters a worker queue: pure
+    // copies) are caller stall that runs no task: pure
     // data-movement time.
     if (ev.cat == "fault" && ev_end > begin_us && ev_end <= end_us) {
       out.network_ns += ToNs(ev.dur_us);

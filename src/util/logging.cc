@@ -44,7 +44,7 @@ Logger& Logger::Get() {
 
 Logger::Logger() : level_(LogLevel::kWarn) {
   // Runs exactly once, inside the magic-static init of Get(), before any
-  // worker thread exists — no concurrent setenv can race it.
+  // rank thread exists — no concurrent setenv can race it.
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   if (const char* env = std::getenv("MM_LOG_LEVEL")) {
     level_ = ParseLogLevel(env);

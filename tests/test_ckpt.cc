@@ -352,8 +352,7 @@ class ServiceCkptTest : public CkptDirTest {
                         std::uint64_t salt, sim::SimTime t) {
     for (std::uint64_t p = 0; p < kPages; ++p) {
       auto out = svc.WriteRegion(meta, p, 0, Pattern(kPage, salt * 100 + p),
-                                 0, t)
-                     .get();
+                                 0, t);
       EXPECT_TRUE(out.status.ok()) << "page " << p;
       t = std::max(t, out.done);
     }
@@ -420,7 +419,7 @@ TEST_F(ServiceCkptTest, SecondCheckpointIsIncremental) {
   ASSERT_TRUE(first.ok());
 
   // Touch exactly one page; the next epoch flushes only that page.
-  auto out = svc->WriteRegion(**meta, 3, 0, Pattern(kPage, 777), 0, t).get();
+  auto out = svc->WriteRegion(**meta, 3, 0, Pattern(kPage, 777), 0, t);
   ASSERT_TRUE(out.status.ok());
   t = std::max(t, out.done);
   auto second = svc->Checkpoint("e2", 0, t, &t);
@@ -484,7 +483,7 @@ TEST_P(FlushGroupCommitTest, FlushGroupCommitsOneBatchPerOwner) {
   svc.SetPgasHint(**meta, {kN * kBig, /*nprocs=*/2, /*ranks_per_node=*/1});
   sim::SimTime t = 0.0;
   for (std::uint64_t p = 0; p < kN; ++p) {
-    auto out = svc.WriteRegion(**meta, p, 0, Pattern(kBig, p), 0, t).get();
+    auto out = svc.WriteRegion(**meta, p, 0, Pattern(kBig, p), 0, t);
     ASSERT_TRUE(out.status.ok()) << "page " << p;
     t = std::max(t, out.done);
   }
@@ -627,20 +626,20 @@ TEST_F(ServiceCkptTest, FlushUnderAWriteStormJournalsConsistentSnapshots) {
     for (std::uint64_t p = 0; p < kPages; ++p) {
       last_salt[p] = 100 + p;
       auto out =
-          svc->WriteRegion(**meta, p, 0, Pattern(kBig, last_salt[p]), 0, t)
-              .get();
+          svc->WriteRegion(**meta, p, 0, Pattern(kBig, last_salt[p]), 0, t);
       ASSERT_TRUE(out.status.ok()) << "page " << p;
     }
     ASSERT_TRUE(svc->Checkpoint("e", 0, t, &t).ok());
 
-    // Commits keep landing on pages 1.. while page 0's queue runs the
-    // stage-out batches. Bursts of back-to-back commits per page keep a
-    // page dirty from one commit while the next is mid-flight.
+    // Commits keep landing on pages 1.. between the stage-out batches
+    // (tasks of one node run one at a time). Bursts of back-to-back
+    // commits per page keep a page dirty from one commit while the next is
+    // mid-flight.
     std::atomic<bool> storming{true};
     std::thread storm([&] {
       std::uint64_t salt = 1000;
       for (int round = 0; round < 40 && storming; ++round) {
-        std::vector<std::shared_future<core::TaskOutcome>> pending;
+        std::vector<core::TaskOutcome> pending;
         for (std::uint64_t p = 1; p < kPages; ++p) {
           for (int burst = 0; burst < 4; ++burst, ++salt) {
             pending.push_back(
@@ -648,8 +647,8 @@ TEST_F(ServiceCkptTest, FlushUnderAWriteStormJournalsConsistentSnapshots) {
             last_salt[p] = salt;
           }
         }
-        for (auto& f : pending) {
-          Status st = f.get().status;
+        for (auto& out : pending) {
+          Status st = out.status;
           if (!st.ok()) {
             ADD_FAILURE() << st.ToString();
             storming = false;
@@ -703,7 +702,7 @@ TEST_F(ServiceCkptTest, JournalRecoversDirtyPageLostToTierDeath) {
   auto meta = Register(*svc);
   ASSERT_TRUE(meta.ok());
   auto pattern = Pattern(kPage, 5);
-  auto out = svc->WriteRegion(**meta, 0, 0, pattern, 0, 0.0).get();
+  auto out = svc->WriteRegion(**meta, 0, 0, pattern, 0, 0.0);
   ASSERT_TRUE(out.status.ok());
   storage::BlobId id{(*meta)->vector_id, 0};
 
@@ -756,8 +755,7 @@ TEST_F(ServiceCkptTest, CollectiveCheckpointElectsOneLeader) {
     for (std::uint64_t p = begin; p < end; ++p) {
       auto out =
           svc->WriteRegion(**meta, p, 0, Pattern(kPage, 100 + p),
-                           ctx.node(), t)
-              .get();
+                           ctx.node(), t);
       ASSERT_TRUE(out.status.ok());
       t = std::max(t, out.done);
     }

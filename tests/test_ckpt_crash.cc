@@ -93,7 +93,7 @@ class CkptCrashTest : public ::testing::Test {
   sim::SimTime SeedEpoch(core::Service& svc, core::VectorMeta& meta) {
     sim::SimTime t = 0.0;
     for (std::uint64_t p = 0; p < kPages; ++p) {
-      auto out = svc.WriteRegion(meta, p, 0, Pattern(p, 1), 0, t).get();
+      auto out = svc.WriteRegion(meta, p, 0, Pattern(p, 1), 0, t);
       EXPECT_TRUE(out.status.ok()) << "page " << p;
       t = std::max(t, out.done);
     }
@@ -105,8 +105,7 @@ class CkptCrashTest : public ::testing::Test {
   /// Dirties page `kVictim` with salt-2 bytes after the epoch.
   sim::SimTime DirtyVictim(core::Service& svc, core::VectorMeta& meta,
                            sim::SimTime t) {
-    auto out = svc.WriteRegion(meta, kVictim, 0, Pattern(kVictim, 2), 0, t)
-                   .get();
+    auto out = svc.WriteRegion(meta, kVictim, 0, Pattern(kVictim, 2), 0, t);
     EXPECT_TRUE(out.status.ok());
     return std::max(t, out.done);
   }
@@ -147,7 +146,7 @@ class CkptCrashTest : public ::testing::Test {
     EXPECT_TRUE(meta.ok());
     sim::SimTime t = SeedEpoch(*svc, **meta);
     for (std::uint64_t p : kBatch) {
-      auto out = svc->WriteRegion(**meta, p, 0, Pattern(p, 2), 0, t).get();
+      auto out = svc->WriteRegion(**meta, p, 0, Pattern(p, 2), 0, t);
       EXPECT_TRUE(out.status.ok()) << "page " << p;
       t = std::max(t, out.done);
     }

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <thread>
 #include <unistd.h>
 
@@ -473,8 +477,8 @@ TEST_F(ServiceFaultTest, PermanentTierFailureDegradesAndRestoresCleanPages) {
   const std::uint64_t kPages = 48;
   sim::SimTime t = 0.0;
   for (std::uint64_t p = 0; p < kPages; ++p) {
-    auto fut = svc->WriteRegion(**meta, p, 0, PagePattern(p, 4096), 0, t);
-    core::TaskOutcome out = fut.get();
+    core::TaskOutcome out =
+        svc->WriteRegion(**meta, p, 0, PagePattern(p, 4096), 0, t);
     ASSERT_TRUE(out.status.ok()) << "page " << p;
     t = std::max(t, out.done);
   }
@@ -497,8 +501,88 @@ TEST_F(ServiceFaultTest, PermanentTierFailureDegradesAndRestoresCleanPages) {
   EXPECT_EQ(svc->runtime(0).buffer().num_live_tiers(), 1u);
   EXPECT_EQ(svc->fault_injector().permanent_failures(), 1u);
   // New writes re-route to the surviving DRAM tier (or write through).
-  auto fut = svc->WriteRegion(**meta, 2, 0, PagePattern(99, 4096), 0, t);
-  EXPECT_TRUE(fut.get().status.ok());
+  auto out = svc->WriteRegion(**meta, 2, 0, PagePattern(99, 4096), 0, t);
+  EXPECT_TRUE(out.status.ok());
+}
+
+TEST_F(ServiceFaultTest, TierFailureInsideATaskRestagesAfterIt) {
+  // The NVMe tier dies, and the first to notice is a page read's task on
+  // the node: the tier-failure handler then re-stages the lost clean pages
+  // by submitting to that same node from inside the task. The re-stage must
+  // run once the task ends, and the read must return, not wait forever on
+  // the node's execution mutex its own thread holds.
+  auto svc = MakeService();
+  core::VectorOptions vo;
+  vo.page_size = 4096;
+  constexpr std::uint64_t kPages = 16;
+  auto meta = svc->RegisterVector("posix://" + (dir_ / "v.bin").string(), 1,
+                                  vo, kPages * 4096);
+  // A volatile vector fills the 32-page DRAM slice first, so the backed
+  // vector's pages land on NVMe; dropping it leaves DRAM room to re-stage.
+  core::VectorOptions fill = vo;
+  fill.nonvolatile = false;
+  auto filler = svc->RegisterVector("filler", 1, fill, 32 * 4096);
+  ASSERT_TRUE(meta.ok() && filler.ok());
+  sim::SimTime t = 0.0;
+  for (std::uint64_t p = 0; p < 32; ++p) {
+    ASSERT_TRUE(svc->WriteRegion(**filler, p, 0, PagePattern(p, 4096), 0, t)
+                    .status.ok());
+  }
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    core::TaskOutcome out =
+        svc->WriteRegion(**meta, p, 0, PagePattern(p, 4096), 0, t);
+    ASSERT_TRUE(out.status.ok()) << "page " << p;
+    t = std::max(t, out.done);
+  }
+  sim::SimTime flush_done = t;
+  ASSERT_TRUE(svc->FlushVector(**meta, 0, t, &flush_done).ok());
+  t = flush_done;
+  storage::BufferManager& bm = svc->runtime(0).buffer();
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    auto tier = bm.FindBlob({(*meta)->vector_id, p});
+    ASSERT_TRUE(tier.has_value()) << "page " << p;
+    ASSERT_EQ(bm.tier(*tier).kind(), TierKind::kNvme) << "page " << p;
+  }
+  ASSERT_TRUE(svc->DestroyVector(**filler).ok());
+  auto counter = [&](const char* name) {
+    return svc->metrics(0).GetCounter(name)->value();
+  };
+  const std::uint64_t reads = counter("mm.stager.read_count");
+  const std::uint64_t executed = counter("mm.task.executed_count");
+  svc->fault_injector().FailTier(TierKind::kNvme);
+
+  std::promise<std::vector<core::PendingFetch>> result;
+  auto returned = result.get_future();
+  std::thread reader(
+      [&] { result.set_value(svc->ReadPagesAsync(**meta, 0, 1, 0, t)); });
+  if (returned.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    // The reader is stuck holding the node's mutex: tearing the service
+    // down would wait on it too.
+    std::fprintf(stderr, "ReadPagesAsync did not return within 30 s\n");
+    std::_Exit(1);
+  }
+  reader.join();
+  const std::vector<core::PendingFetch> fetched = returned.get();
+  ASSERT_EQ(fetched.size(), 1u);
+  ASSERT_TRUE(fetched[0].outcome.status.ok())
+      << fetched[0].outcome.status.ToString();
+  EXPECT_EQ(fetched[0].outcome.data, PagePattern(0, 4096));
+  EXPECT_EQ(svc->fault_injector().permanent_failures(), 1u);
+  if (MM_TELEMETRY_ENABLED) {
+    // The read, then one re-stage per lost page: the read staged page 0 in
+    // itself, so its re-stage finds it placed; every other one is a
+    // backend read. All ran before ReadPagesAsync returned.
+    EXPECT_EQ(counter("mm.task.executed_count") - executed, 1 + kPages);
+    EXPECT_EQ(counter("mm.stager.read_count") - reads, kPages);
+  }
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    auto loc = svc->metadata().Lookup({(*meta)->vector_id, p}, 0, t, nullptr);
+    ASSERT_TRUE(loc.ok()) << "page " << p << " was not re-staged";
+    EXPECT_FALSE(loc->dirty);
+    EXPECT_EQ(loc->tier, TierKind::kDram) << "page " << p;
+  }
+  EXPECT_EQ(svc->data_loss_count(), 0u);
 }
 
 TEST_F(ServiceFaultTest, DirtyPageLossSurfacesAsDataLossNotAbort) {
@@ -509,9 +593,8 @@ TEST_F(ServiceFaultTest, DirtyPageLossSurfacesAsDataLossNotAbort) {
                                   vo, 8 * 4096);
   ASSERT_TRUE(meta.ok());
   // Dirty write, never flushed: the only copy lives in the scache.
-  auto fut = svc->WriteRegion(**meta, 0, 16, std::vector<std::uint8_t>(64, 0xEE),
-                              0, 0.0);
-  core::TaskOutcome out = fut.get();
+  core::TaskOutcome out = svc->WriteRegion(
+      **meta, 0, 16, std::vector<std::uint8_t>(64, 0xEE), 0, 0.0);
   ASSERT_TRUE(out.status.ok());
   storage::BlobId id{(*meta)->vector_id, 0};
   auto tier_idx = svc->runtime(0).buffer().FindBlob(id);
@@ -526,8 +609,8 @@ TEST_F(ServiceFaultTest, DirtyPageLossSurfacesAsDataLossNotAbort) {
   EXPECT_EQ(page.status().code(), StatusCode::kDataLoss);
   EXPECT_GE(svc->data_loss_count(), 1u);
   // A full-page overwrite replaces the lost bytes and clears the condition.
-  auto fut2 = svc->WriteRegion(**meta, 0, 0, PagePattern(0, 4096), 0, done);
-  core::TaskOutcome out2 = fut2.get();
+  core::TaskOutcome out2 =
+      svc->WriteRegion(**meta, 0, 0, PagePattern(0, 4096), 0, done);
   ASSERT_TRUE(out2.status.ok()) << out2.status.message();
   EXPECT_EQ(svc->data_loss_count(), 0u);
   sim::SimTime done2 = out2.done;
@@ -552,15 +635,14 @@ TEST_F(ServiceFaultTest, CrcCatchesSilentCorruption) {
     // Page 0: dirty (unstaged). Page 1: flushed clean.
     for (std::uint64_t p = 0; p < 2; ++p) {
       core::TaskOutcome out =
-          svc->WriteRegion(**meta, p, 0, PagePattern(p, 4096), 0, t).get();
+          svc->WriteRegion(**meta, p, 0, PagePattern(p, 4096), 0, t);
       ASSERT_TRUE(out.status.ok());
       t = std::max(t, out.done);
     }
     ASSERT_TRUE(svc->FlushVector(**meta, 0, t, &t).ok());
     core::TaskOutcome redirty =
         svc->WriteRegion(**meta, 0, 8, std::vector<std::uint8_t>(16, 0x77), 0,
-                         t)
-            .get();
+                         t);
     ASSERT_TRUE(redirty.status.ok());
     t = std::max(t, redirty.done);
 
@@ -600,10 +682,10 @@ TEST_F(ServiceFaultTest, SubmitAfterShutdownReturnsFailedPrecondition) {
   ASSERT_TRUE(meta.ok());
   svc->Shutdown();
   // A straggler write after shutdown is rejected with a typed error — it
-  // must not abort the process or hang the returned future.
-  auto fut = svc->WriteRegion(**meta, 0, 0, std::vector<std::uint8_t>(16, 1),
+  // must not abort the process or hang.
+  auto out = svc->WriteRegion(**meta, 0, 0, std::vector<std::uint8_t>(16, 1),
                               0, 0.0);
-  EXPECT_EQ(fut.get().status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(out.status.code(), StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------------

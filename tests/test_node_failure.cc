@@ -292,9 +292,8 @@ TEST_F(NodeFailureCkptTest, RehomePolicyRestagesCleanPagesOfDeadNode) {
     std::uint64_t end = ctx.rank() == 0 ? kPages / 2 : kPages;
     sim::SimTime t = ctx.clock().now();
     for (std::uint64_t p = begin; p < end; ++p) {
-      auto out =
-          svc->WriteRegion(**meta, p, 0, Pattern(kPage, 100 + p), ctx.node(), t)
-              .get();
+      auto out = svc->WriteRegion(**meta, p, 0, Pattern(kPage, 100 + p),
+                                  ctx.node(), t);
       ASSERT_TRUE(out.status.ok());
       t = std::max(t, out.done);
     }
@@ -353,9 +352,8 @@ TEST_F(NodeFailureCkptTest, RollbackPolicyRestoresLastCheckpoint) {
     std::uint64_t end = ctx.rank() == 0 ? kPages / 2 : kPages;
     sim::SimTime t = ctx.clock().now();
     for (std::uint64_t p = begin; p < end; ++p) {
-      auto out =
-          svc->WriteRegion(**meta, p, 0, Pattern(kPage, 100 + p), ctx.node(), t)
-              .get();
+      auto out = svc->WriteRegion(**meta, p, 0, Pattern(kPage, 100 + p),
+                                  ctx.node(), t);
       ASSERT_TRUE(out.status.ok());
       t = std::max(t, out.done);
     }
@@ -366,9 +364,8 @@ TEST_F(NodeFailureCkptTest, RollbackPolicyRestoresLastCheckpoint) {
     // deliberately discards.
     t = ctx.clock().now();
     for (std::uint64_t p = begin; p < end; ++p) {
-      auto out =
-          svc->WriteRegion(**meta, p, 0, Pattern(kPage, 500 + p), ctx.node(), t)
-              .get();
+      auto out = svc->WriteRegion(**meta, p, 0, Pattern(kPage, 500 + p),
+                                  ctx.node(), t);
       ASSERT_TRUE(out.status.ok());
       t = std::max(t, out.done);
     }
@@ -411,7 +408,7 @@ TEST_F(NodeFailureCkptTest, JournalHealsDirtyPagesOfDeadNode) {
   sim::SimTime t = 0.0;
   for (std::uint64_t p = 0; p < kPages; ++p) {
     auto out =
-        svc->WriteRegion(**meta, p, 0, Pattern(kPage, 100 + p), 1, t).get();
+        svc->WriteRegion(**meta, p, 0, Pattern(kPage, 100 + p), 1, t);
     ASSERT_TRUE(out.status.ok());
     t = std::max(t, out.done);
   }
@@ -449,7 +446,7 @@ TEST_F(NodeFailureCkptTest, DirtyPagesWithoutJournalAreTypedDataLoss) {
   sim::SimTime t = 0.0;
   for (std::uint64_t p = 0; p < kPages; ++p) {
     auto out =
-        svc->WriteRegion(**meta, p, 0, Pattern(kPage, 100 + p), 1, t).get();
+        svc->WriteRegion(**meta, p, 0, Pattern(kPage, 100 + p), 1, t);
     ASSERT_TRUE(out.status.ok());
     t = std::max(t, out.done);
   }

@@ -183,9 +183,7 @@ TEST(PCacheTest, DirtyPagesLists) {
 
 TEST(PCacheTest, PendingLifecycle) {
   PCache pc(kPageBytes, kEPP, 4 * kPageBytes);
-  std::promise<TaskOutcome> p;
-  p.set_value(TaskOutcome{});
-  pc.AddPending(5, PendingFetch{p.get_future().share(), 2});
+  pc.AddPending(5, PendingFetch{TaskOutcome{}, 2});
   EXPECT_TRUE(pc.HasPending(5));
   EXPECT_EQ(pc.committed(), kPageBytes);  // pending counts against budget
   auto fetch = pc.TakePending(5);
@@ -198,9 +196,7 @@ TEST(PCacheTest, PendingLifecycle) {
 TEST(PCacheTest, ClearDropsEverything) {
   PCache pc(kPageBytes, kEPP, 4 * kPageBytes);
   pc.Insert(0, Page(1));
-  std::promise<TaskOutcome> p;
-  p.set_value(TaskOutcome{});
-  pc.AddPending(1, PendingFetch{p.get_future().share(), 0});
+  pc.AddPending(1, PendingFetch{TaskOutcome{}, 0});
   pc.Clear();
   EXPECT_EQ(pc.num_frames(), 0u);
   EXPECT_EQ(pc.num_pending(), 0u);

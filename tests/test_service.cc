@@ -1,4 +1,4 @@
-// Service-level tests: vector registry, task ordering and quiesce,
+// Service-level tests: vector registry, inline task execution,
 // organizer wiring, ownership/placement, phases, YAML options.
 #include <gtest/gtest.h>
 
@@ -106,9 +106,8 @@ TEST_F(ServiceTest, WriteThenReadThroughTasks) {
   auto meta = svc_->RegisterVector("taskio", 1, vo, 8192);
   ASSERT_TRUE(meta.ok());
   std::vector<std::uint8_t> bytes(100, 0x5A);
-  auto fut = svc_->WriteRegion(**meta, /*page=*/1, /*offset=*/50, bytes,
-                               /*from_node=*/0, /*now=*/0.0);
-  TaskOutcome outcome = fut.get();
+  TaskOutcome outcome = svc_->WriteRegion(**meta, /*page=*/1, /*offset=*/50,
+                                          bytes, /*from_node=*/0, /*now=*/0.0);
   ASSERT_TRUE(outcome.status.ok());
   EXPECT_EQ(outcome.version, 1u);
   sim::SimTime done = 0;
@@ -128,7 +127,7 @@ TEST_F(ServiceTest, VersionsIncrementPerCommit) {
   std::vector<std::uint8_t> bytes(10, 1);
   for (std::uint64_t expect = 1; expect <= 3; ++expect) {
     auto outcome =
-        svc_->WriteRegion(**meta, 0, 0, bytes, 0, 0.0).get();
+        svc_->WriteRegion(**meta, 0, 0, bytes, 0, 0.0);
     ASSERT_TRUE(outcome.status.ok());
     EXPECT_EQ(outcome.version, expect);
     if (expect == 1) {
@@ -156,7 +155,7 @@ TEST_F(ServiceTest, ReaderInACommitGapGetsACommittedStateAndHealsNothing) {
   ASSERT_TRUE(meta.ok());
   const storage::BlobId id{(*meta)->vector_id, 0};
   const std::vector<std::uint8_t> old_bytes(4096, 0x11);
-  TaskOutcome first = svc_->WriteRegion(**meta, 0, 0, old_bytes, 0, 0.0).get();
+  TaskOutcome first = svc_->WriteRegion(**meta, 0, 0, old_bytes, 0, 0.0);
   ASSERT_TRUE(first.status.ok());
   auto entry = svc_->metadata().Lookup(id, 0, first.done, nullptr);
   ASSERT_TRUE(entry.ok());
@@ -196,21 +195,14 @@ TEST_F(ServiceTest, ScoresReachTheOrganizer) {
   vo.page_size = 4096;
   auto meta = svc_->RegisterVector("scored", 1, vo, 4096);
   std::vector<std::uint8_t> bytes(10, 1);
-  auto outcome = svc_->WriteRegion(**meta, 0, 0, bytes, 0, 0.0).get();
+  auto outcome = svc_->WriteRegion(**meta, 0, 0, bytes, 0, 0.0);
   ASSERT_TRUE(outcome.status.ok());
   auto loc = svc_->metadata().Lookup({(*meta)->vector_id, 0}, 0, 0.0, nullptr);
   ASSERT_TRUE(loc.ok());
   std::size_t owner = loc->node;
   svc_->SubmitScore(**meta, 0, 0.77f, 0, 0.0);
-  // Scores are async: poll the owner's buffer manager (real time).
   storage::BlobId id{(*meta)->vector_id, 0};
-  float score = 0;
-  for (int i = 0; i < 200; ++i) {
-    score = svc_->runtime(owner).buffer().GetScore(id);
-    if (score == 0.77f) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_FLOAT_EQ(score, 0.77f);
+  EXPECT_FLOAT_EQ(svc_->runtime(owner).buffer().GetScore(id), 0.77f);
 }
 
 TEST_F(ServiceTest, ChangePhaseDropsReplicas) {
@@ -221,7 +213,7 @@ TEST_F(ServiceTest, ChangePhaseDropsReplicas) {
   auto meta = svc_->RegisterVector("phased", 1, vo, 4096);
   std::vector<std::uint8_t> bytes(4096, 7);
   // Place the page on node 0, then read it from node 2 (replicates).
-  auto outcome = svc_->WriteRegion(**meta, 0, 0, bytes, 0, 0.0).get();
+  auto outcome = svc_->WriteRegion(**meta, 0, 0, bytes, 0, 0.0);
   ASSERT_TRUE(outcome.status.ok());
   sim::SimTime done = 0;
   ASSERT_TRUE(svc_->ReadPage(**meta, 0, 2, outcome.done, &done).ok());
@@ -240,7 +232,7 @@ TEST_F(ServiceTest, DestroyIsIdempotent) {
   auto meta = svc_->RegisterVector("bye", 1, vo, 4096);
   std::vector<std::uint8_t> bytes(10, 1);
   // Write outcome is irrelevant; the test exercises DestroyVector below.
-  (void)svc_->WriteRegion(**meta, 0, 0, bytes, 0, 0.0).get();
+  (void)svc_->WriteRegion(**meta, 0, 0, bytes, 0, 0.0);
   EXPECT_TRUE(svc_->DestroyVector(**meta).ok());
   EXPECT_TRUE(svc_->DestroyVector(**meta).ok());
   EXPECT_EQ(svc_->metadata().BlobsOfVector((*meta)->vector_id).size(), 0u);
@@ -261,9 +253,9 @@ TEST_F(ServiceTest, ScacheDramReservedAgainstNodeBudget) {
   EXPECT_EQ(cluster_->node(0).dram_used(), before - MEGABYTES(4));
 }
 
-// Shutdown racing in-flight Submit()s (run under TSan in CI): every awaited
-// task's promise must be fulfilled — accepted tasks complete, rejected ones
-// carry kFailedPrecondition — and no submitter may hang or crash.
+// Shutdown racing in-flight Submit()s (run under TSan in CI): every task
+// gets an outcome — accepted tasks complete, rejected ones carry
+// kFailedPrecondition — and no submitter may hang or crash.
 TEST_F(ServiceTest, ShutdownVsInflightSubmitFulfillsEveryPromise) {
   VectorOptions vo;
   vo.nonvolatile = false;
@@ -276,9 +268,9 @@ TEST_F(ServiceTest, ShutdownVsInflightSubmitFulfillsEveryPromise) {
   for (int t = 0; t < kSubmitters; ++t) {
     submitters.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        auto fut = svc_->WriteRegion(**meta, 0, (t * kPerThread + i) % 256,
-                                     bytes, 0, 0.0);
-        TaskOutcome out = fut.get();  // must never hang
+        // Must never hang.
+        TaskOutcome out = svc_->WriteRegion(
+            **meta, 0, (t * kPerThread + i) % 256, bytes, 0, 0.0);
         EXPECT_TRUE(out.status.ok() ||
                     out.status.code() == StatusCode::kFailedPrecondition)
             << out.status.ToString();
@@ -291,37 +283,10 @@ TEST_F(ServiceTest, ShutdownVsInflightSubmitFulfillsEveryPromise) {
   EXPECT_EQ(resolved.load(), kSubmitters * kPerThread);
 }
 
-/// A backend of `bytes` whose reads wait until `gate` opens: a stage-in
-/// from it holds its node's worker.
-class GatedStager : public storage::Stager {
- public:
-  GatedStager(std::uint64_t bytes, std::shared_future<void> gate)
-      : bytes_(bytes), gate_(std::move(gate)) {}
-  StatusOr<std::uint64_t> Size(const Uri&) override { return bytes_; }
-  Status Create(const Uri&, std::uint64_t) override { return Status::Ok(); }
-  Status Read(const Uri&, std::uint64_t, std::uint64_t size,
-              std::vector<std::uint8_t>* out) override {
-    gate_.wait();
-    out->assign(size, 0);
-    return Status::Ok();
-  }
-  Status Write(const Uri&, std::uint64_t, const std::uint8_t*,
-               std::uint64_t) override {
-    return Status::Ok();
-  }
-  bool Exists(const Uri&) override { return true; }
-  Status Remove(const Uri&) override { return Status::Ok(); }
-
- private:
-  std::uint64_t bytes_;
-  std::shared_future<void> gate_;
-};
-
-// Quiesce drains every task submitted before it, fire-and-forget ones
-// included. Each node's worker is held in a stage-in while commits and
-// scores queue up behind it, so they are all still pending when the gate
-// opens and Quiesce is called.
-TEST(ServiceQuiesce, DrainsEveryTaskSubmittedBeforeIt) {
+// Every outcome is final when Submit returns: each commit, score and
+// read-back below is observable the moment its call returns, on both
+// nodes, and mm.task.executed_count rose by exactly the tasks submitted.
+TEST(ServiceInline, EveryOutcomeIsFinalWhenSubmitReturns) {
   auto cluster = sim::Cluster::PaperTestbed(2);
   ServiceOptions so;
   so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(4)}};
@@ -329,26 +294,12 @@ TEST(ServiceQuiesce, DrainsEveryTaskSubmittedBeforeIt) {
   constexpr std::uint64_t kPage = 64;  // 8 elements
   VectorOptions vo;
   vo.page_size = kPage;
-  std::promise<void> gate;
-  storage::StagerRegistry::Default().Register(
-      "gated",
-      std::make_unique<GatedStager>(2 * kPage, gate.get_future().share()));
-  auto gated = svc.RegisterVector("gated://quiesce", 8, vo, 16);
   vo.nonvolatile = false;
-  auto meta = svc.RegisterVector("quiesced", 8, vo, 64);
-  ASSERT_TRUE(gated.ok() && meta.ok());
-  // 2 ranks, one per node: the gated vector's page 0 and the volatile
-  // vector's pages 0-3 live on node 0, the rest on node 1.
-  svc.SetPgasHint(**gated, VectorMeta::PgasHint{16, 2, 1});
+  auto meta = svc.RegisterVector("inline", 8, vo, 64);
+  ASSERT_TRUE(meta.ok());
+  // 2 ranks, one per node: pages 0-3 live on node 0, pages 4-7 on node 1.
   svc.SetPgasHint(**meta, VectorMeta::PgasHint{64, 2, 1});
   constexpr std::uint64_t kPages = 8;
-  const std::vector<std::uint8_t> bytes(8, 3);
-  // Place every page first: a score for an unplaced page is dropped.
-  for (std::uint64_t page = 0; page < kPages; ++page) {
-    ASSERT_TRUE(svc.WriteRegion(**meta, page, 0, bytes, page / 4, 0.0)
-                    .get()
-                    .status.ok());
-  }
   auto executed = [&] {
     std::uint64_t total = 0;
     for (std::size_t node = 0; node < svc.num_nodes(); ++node) {
@@ -357,44 +308,42 @@ TEST(ServiceQuiesce, DrainsEveryTaskSubmittedBeforeIt) {
     return total;
   };
   const std::uint64_t before = executed();
-  std::vector<PendingFetch> held;
-  for (std::size_t node = 0; node < svc.num_nodes(); ++node) {
-    for (auto& f : svc.ReadPagesAsync(**gated, node, 1, node, 0.0)) {
-      held.push_back(std::move(f));
-    }
-  }
-  std::uint64_t submitted = held.size();
-  std::vector<std::shared_future<TaskOutcome>> commits;
+  std::uint64_t submitted = 0;
   for (std::uint64_t round = 0; round < 16; ++round) {
     for (std::uint64_t page = 0; page < kPages; ++page) {
-      commits.push_back(svc.WriteRegion(**meta, page, round % 8 * 8, bytes,
-                                        page / 4, 0.0));
-      svc.SubmitScore(**meta, page, 0.5f, page / 4, 0.0);
+      const storage::BlobId id{(*meta)->vector_id, page};
+      const std::size_t node = page / 4;
+      const std::vector<std::uint8_t> bytes(8, std::uint8_t(round + 1));
+      TaskOutcome commit =
+          svc.WriteRegion(**meta, page, round % 8 * 8, bytes, node, 0.0);
+      ASSERT_TRUE(commit.status.ok()) << commit.status.ToString();
+      EXPECT_EQ(commit.version, round + 1);
+      auto loc = svc.metadata().Lookup(id, node, 0.0, nullptr);
+      ASSERT_TRUE(loc.ok());
+      EXPECT_EQ(loc->node, node);
+      EXPECT_EQ(loc->version, round + 1);
+      const float score = 0.5f + 0.01f * float(round);
+      svc.SubmitScore(**meta, page, score, node, 0.0);
+      EXPECT_FLOAT_EQ(svc.runtime(node).buffer().GetScore(id), score);
       submitted += 2;
     }
   }
-  for (auto& commit : commits) {
-    ASSERT_NE(commit.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
+  // A fetch run of every page from node 0 returns the committed bytes.
+  std::vector<PendingFetch> fetches =
+      svc.ReadPagesAsync(**meta, 0, kPages, 0, 0.0);
+  ASSERT_EQ(fetches.size(), kPages);
+  for (std::uint64_t page = 0; page < kPages; ++page) {
+    const TaskOutcome& out = fetches[page].outcome;
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+    EXPECT_EQ(out.version, 16u);
+    for (std::uint64_t off = 0; off < kPage; ++off) {
+      // Round r wrote byte r + 1 at offset r % 8 * 8; rounds 8-15 last.
+      EXPECT_EQ(out.data[off], off / 8 + 9) << "page " << page;
+    }
+    ++submitted;  // every page is a run of one: each is placed
   }
-  gate.set_value();
-  const sim::SimTime now = 1.0;
-  for (std::size_t node = 0; node < svc.num_nodes(); ++node) {
-    EXPECT_GE(svc.runtime(node).Quiesce(now), now);
-    ++submitted;  // the marker
-  }
-  for (auto& commit : commits) {
-    ASSERT_EQ(commit.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_TRUE(commit.get().status.ok());
-  }
-  for (auto& f : held) EXPECT_TRUE(f.future.get().status.ok());
 #if MM_TELEMETRY_ENABLED
   EXPECT_EQ(executed() - before, submitted);
-  for (std::size_t node = 0; node < svc.num_nodes(); ++node) {
-    EXPECT_EQ(
-        svc.metrics(node).GetGauge("mm.task.queue_depth_count")->value(), 0);
-  }
 #endif
 }
 
@@ -487,7 +436,7 @@ TEST_F(RunStageInTest, SixteenUnplacedPagesStageInAsOneRead) {
   std::vector<PendingFetch> fetches = svc_->ReadPagesAsync(meta, 0, 16, 0, 0.0);
   ASSERT_EQ(fetches.size(), 16u);
   for (std::uint64_t page = 0; page < 16; ++page) {
-    const TaskOutcome& out = fetches[page].future.get();
+    const TaskOutcome& out = fetches[page].outcome;
     ASSERT_TRUE(out.status.ok()) << out.status.ToString();
     EXPECT_EQ(fetches[page].owner, 0u);
     EXPECT_EQ(out.version, 0u);
@@ -512,7 +461,7 @@ TEST_F(RunStageInTest, PlacedPagesSplitTheRun) {
   std::vector<PendingFetch> fetches =
       svc_->ReadPagesAsync(meta, 0, 16, 0, done);
   for (std::uint64_t page = 0; page < 16; ++page) {
-    const TaskOutcome& out = fetches[page].future.get();
+    const TaskOutcome& out = fetches[page].outcome;
     ASSERT_TRUE(out.status.ok()) << out.status.ToString();
     EXPECT_EQ(out.data, FilePage(meta, page)) << "page " << page;
   }
@@ -537,7 +486,7 @@ TEST_F(RunStageInTest, FourRunsShareTheStripeServers) {
   sim::SimTime last = 0.0;
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::uint64_t i = 0; i < 16; ++i) {
-      const TaskOutcome& out = fetches[r][i].future.get();
+      const TaskOutcome& out = fetches[r][i].outcome;
       ASSERT_TRUE(out.status.ok()) << out.status.ToString();
       EXPECT_EQ(fetches[r][i].owner, r);
       last = std::max(last, svc_->DeliverPage(meta, 16 * r + i, r, r, out));
@@ -548,11 +497,12 @@ TEST_F(RunStageInTest, FourRunsShareTheStripeServers) {
 }
 
 TEST_F(RunStageInTest, CommitInsideAnInflightRunIsNeverLost) {
-  // A commit to a page of an in-flight stage-in lands on the stage-in's
-  // queue, so it is ordered against the stage-in: whichever runs first, the
-  // committed bytes and version survive. Each iteration uses a fresh pair
-  // of unplaced 4 KiB pages of one stage-in block and reads a run of one
-  // (the committed page alone) or of two pages.
+  // A commit to a page of a concurrent stage-in runs on the stage-in's
+  // node, one task at a time, so it is ordered against the stage-in:
+  // whichever runs first, the committed bytes and version survive. Each
+  // iteration uses a fresh pair of unplaced 4 KiB pages of one stage-in
+  // block and reads a run of one (the committed page alone) or of two
+  // pages.
   constexpr int kIters = 1000;
   VectorMeta& meta = Open(4 * kIters, 1, 4 * kKiB);
   ASSERT_GE(svc_->RunPages(meta), 2u);
@@ -563,16 +513,16 @@ TEST_F(RunStageInTest, CommitInsideAnInflightRunIsNeverLost) {
       const std::uint64_t value = 0xA000 + static_cast<std::uint64_t>(it);
       std::vector<std::uint8_t> bytes(sizeof(value));
       std::memcpy(bytes.data(), &value, sizeof(value));
-      std::shared_future<TaskOutcome> commit;
+      TaskOutcome commit;
       std::thread writer([&] {
         commit = svc_->WriteRegion(meta, first + 1, 8, bytes, 0, 0.0);
       });
       std::vector<PendingFetch> fetches =
           svc_->ReadPagesAsync(meta, first + 2 - run, run, 0, 0.0);
       writer.join();
-      const TaskOutcome& committed = commit.get();
+      const TaskOutcome& committed = commit;
       ASSERT_TRUE(committed.status.ok()) << committed.status.ToString();
-      for (auto& f : fetches) ASSERT_TRUE(f.future.get().status.ok());
+      for (auto& f : fetches) ASSERT_TRUE(f.outcome.status.ok());
       sim::SimTime done = 0.0;
       auto page = svc_->ReadPage(meta, first + 1, 0, 0.0, &done);
       ASSERT_TRUE(page.ok()) << page.status().ToString();
@@ -603,9 +553,8 @@ TEST_F(RunStageInTest, StageAheadPlacesUnplacedPagesWithoutTheirBytes) {
   const std::uint64_t buffers = pool.allocations() + pool.reuses();
   auto staged = svc_->StageAhead(meta, 0, 20, 0.5f, 0, done);
   std::vector<std::uint64_t> pages;
-  for (auto& [page, future] : staged) {
+  for (auto& [page, out] : staged) {
     pages.push_back(page);
-    const TaskOutcome& out = future.get();
     ASSERT_TRUE(out.status.ok()) << out.status.ToString();
     EXPECT_TRUE(out.data.empty()) << "page " << page;
     EXPECT_GE(out.done, done);
@@ -645,7 +594,7 @@ TEST_F(RunStageInTest, TransientFaultRetriesTheWholeRunOnce) {
   VectorMeta& meta = Open(16, 1, kRunPage, faults);
   std::vector<PendingFetch> fetches = svc_->ReadPagesAsync(meta, 0, 16, 0, 0.0);
   for (std::uint64_t page = 0; page < 16; ++page) {
-    const TaskOutcome& out = fetches[page].future.get();
+    const TaskOutcome& out = fetches[page].outcome;
     ASSERT_TRUE(out.status.ok()) << out.status.ToString();
     EXPECT_EQ(out.data, FilePage(meta, page)) << "page " << page;
   }
@@ -660,7 +609,7 @@ TEST_F(RunStageInTest, PermanentFaultFailsEveryPage) {
   std::vector<PendingFetch> fetches = svc_->ReadPagesAsync(meta, 0, 16, 0, 0.0);
   ASSERT_EQ(fetches.size(), 16u);
   for (auto& f : fetches) {
-    EXPECT_EQ(f.future.get().status.code(), StatusCode::kUnavailable);
+    EXPECT_EQ(f.outcome.status.code(), StatusCode::kUnavailable);
   }
   EXPECT_EQ(Counter("mm.stager.read_count"), 0u);
 }
@@ -671,9 +620,7 @@ TEST_F(RunStageInTest, RunAfterShutdownFulfilsEveryPage) {
   std::vector<PendingFetch> fetches = svc_->ReadPagesAsync(meta, 0, 16, 0, 0.0);
   ASSERT_EQ(fetches.size(), 16u);
   for (auto& f : fetches) {
-    ASSERT_EQ(f.future.wait_for(std::chrono::seconds(10)),
-              std::future_status::ready);
-    EXPECT_EQ(f.future.get().status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(f.outcome.status.code(), StatusCode::kFailedPrecondition);
   }
 }
 
