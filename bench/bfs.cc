@@ -1,8 +1,9 @@
 // Graph500-style BFS benchmark: R-MAT graph in a CSR spread over two
 // MegaMmap vectors, level-synchronous traversal across ranks, TEPS on the
-// virtual clock. The irregular, read-only page touches are the optimistic
-// read path's home turf; correctness is gated hard — the traversal must
-// match the in-memory reference depth-for-depth (bfs_identical).
+// virtual clock. The irregular, read-only page touches fault through
+// ReadPage and replicate under read-only-global coherence; correctness is
+// gated hard — the traversal must match the in-memory reference
+// depth-for-depth (bfs_identical).
 #include <cstdio>
 
 #include "bench/common.h"

@@ -25,9 +25,6 @@
 //   fault_*                    a page faulted from local scache DRAM, a
 //                              remote node's scache, the NVMe and HDD
 //                              tiers, and a backend stage-in (2 nodes);
-//   opt_read_remote            the remote fault inside a read transaction:
-//                              every miss is served by the lock-free
-//                              Service::TryReadPageOptimistic;
 //   btree_get                  BTree::Get over a warmed 1-node tree with the
 //                              default 64-node pcache;
 //   bcast_*, allreduce_*,      8-rank collectives at 16 doubles and 1 MiB
@@ -39,13 +36,17 @@
 // The access rows always time kAccessPasses passes; --reps (default 3)
 // repeats the eviction, fault and collective rows.
 //
-// Usage: ledger [OUT.json] [--reps N] [--csv]. Writes BENCH_ledger.json by
-// default; CI gates it against bench/BENCH_ledger_baseline.json.
+// Usage: ledger [OUT.json] [--reps N] [--csv] [--trace FILE]. Writes
+// BENCH_ledger.json by default; CI gates it against
+// bench/BENCH_ledger_baseline.json. --trace first runs an untimed 2-node
+// job whose remote faults after a write commit each record one causal
+// flow (origin -> remote get_page -> stager), and writes its trace to FILE.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -362,14 +363,12 @@ struct EvictSweep {
 
 // ---- fault rows ----
 
-/// Where the pages rank 0 faults live, and whether it reads them inside a
-/// read transaction.
+/// Where the pages rank 0 faults live.
 struct FaultSource {
   const char* name;
   std::vector<storage::TierGrant> grants;
   bool remote_owner;
   bool from_backend;
-  bool read_tx = false;
 };
 
 constexpr std::uint64_t kFaultPage = 64 * 1024;
@@ -421,25 +420,13 @@ bool FaultOnce(const FaultSource& src, const std::string& dir, Row* row) {
     const std::uint64_t first =
         (!src.from_backend && src.remote_owner) ? 32 : 0;
     const std::uint64_t epp = kFaultPage / sizeof(double);
-    telemetry::Counter* hits =
-        svc.metrics(0).GetCounter("mm.readpath.fastpath_hit_count");
-    const std::uint64_t hits0 = hits->value();
     const double t0 = ctx.clock().now();
     const double wall = WallNs([&] {
-      if (src.read_tx) {
-        // The transaction handle only iterates; TxEnd below closes it.
-        (void)v.SeqTxBegin(first * epp, pages * epp, core::MM_READ_ONLY);
-      }
       for (std::uint64_t p = first; p < first + pages; ++p) {
         g_sink = v.Read(p * epp);
       }
-      if (src.read_tx) v.TxEnd();
     });
     const double virt = (ctx.clock().now() - t0) * 1e9;
-    // The row prices the optimistic path only if it served every miss.
-    if (src.read_tx && MM_TELEMETRY_ENABLED) {
-      MM_CHECK(hits->value() - hits0 == pages);
-    }
     row->Add(virt / double(pages), wall / double(pages),
              PageCopyNs(kFaultPage, pages) / double(pages));
   });
@@ -480,6 +467,47 @@ void BTreeGetOnce(Row* row) {
   const double wall = env.Time(get_all, &virt);
   const double n = double(kTreeKeys);
   row->Add(virt / n, wall / n, PageCopyNs(4096, kTreeKeys) / n);
+}
+
+// ---- trace ----
+
+/// Writes the trace of an untimed 2-node job to `path`: four pages are
+/// committed on node 1, then faulted from node 0, so each read is one
+/// origin -> remote get_page -> stager flow.
+void EmitTrace(const std::string& path) {
+  constexpr std::uint64_t kPageBytes = 4096, kPages = 64;
+  auto cluster = sim::Cluster::PaperTestbed(2);
+  core::ServiceOptions so;
+  so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(64)},
+                    {sim::TierKind::kNvme, MEGABYTES(256)}};
+  so.telemetry.trace_path = path;
+  {
+    core::Service svc(cluster.get(), so);
+    core::VectorOptions vo;
+    vo.nonvolatile = false;
+    vo.page_size = kPageBytes;
+    const std::uint64_t elems = kPages * kPageBytes / 8;
+    auto meta = svc.RegisterVector("ledger_trace", 8, vo, elems);
+    if (!meta.ok()) {
+      std::fprintf(stderr, "RegisterVector: %s\n",
+                   meta.status().ToString().c_str());
+      std::exit(1);
+    }
+    svc.SetPgasHint(**meta, {elems, /*nprocs=*/2, /*ranks_per_node=*/1});
+    sim::SimTime t = 0.0;
+    for (std::uint64_t p = kPages / 2; p < kPages / 2 + 4; ++p) {
+      std::vector<std::uint8_t> bytes(kPageBytes, 0x5a);
+      auto out = svc.WriteRegion(**meta, p, 0, std::move(bytes),
+                                 /*from_node=*/1, t);
+      t = std::max(t, out.done);
+    }
+    for (std::uint64_t p = kPages / 2; p < kPages / 2 + 4; ++p) {
+      // Only the emitted fault flows matter; the data is checked elsewhere.
+      (void)svc.ReadPage(**meta, p, /*from_node=*/0, t, &t);
+    }
+    // The Service destructor writes the trace.
+  }
+  std::printf("wrote %s\n", path.c_str());
 }
 
 // ---- collective rows ----
@@ -560,6 +588,9 @@ int main(int argc, char** argv) {
       argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_ledger.json";
   const bool csv = mmbench::CsvMode(argc, argv);
   const int reps = mmbench::Reps(argc, argv);
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::string(argv[i]) == "--trace") EmitTrace(argv[i + 1]);
+  }
 
   std::vector<Row> rows;
   double telemetry_overhead_ns = 0;
@@ -603,11 +634,6 @@ int main(int argc, char** argv) {
        {{sim::TierKind::kDram, GIGABYTES(1)}},
        false,
        true},
-      {"opt_read_remote",
-       {{sim::TierKind::kDram, GIGABYTES(1)}},
-       true,
-       false,
-       /*read_tx=*/true},
   };
   for (const FaultSource& src : sources) {
     Row row(src.name);

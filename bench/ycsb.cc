@@ -3,13 +3,12 @@
 // starved of pcache (cache ≪ data), across 2-4 simulated nodes.
 //
 // Virtual-clock numbers (throughput, per-op p50/p99/p999) report the
-// modeled cost of the descent funnel. The read-heavy mix also runs as the
-// queue-path-only ablation (optimistic reads disabled end to end), and the
-// wall p99 Get speedup between the two is reported, not gated: the ledger's
-// btree_get row prices a Get against a floor instead.
+// modeled cost of a descent, whose every node read is a Vector::Read. Each
+// mix runs once; the wall p99 Get latency is reported, not gated: the
+// ledger's btree_get row prices a Get against a floor instead.
 //
 // Gates (ci/check_perf.py "ycsb"): scans in exact sorted order,
-// std::map-oracle checksum bit-exact across 3 seeds, optimistic restart
+// std::map-oracle checksum bit-exact across 3 seeds, descent restart
 // rate < 5%.
 #include <chrono>
 #include <cstdio>
@@ -53,21 +52,15 @@ struct MixResult {
   std::uint64_t unsorted_scans = 0;
   std::uint64_t descents = 0;
   std::uint64_t restarts = 0;
-  std::uint64_t pcache_hits = 0;
-  std::uint64_t scache_probes = 0;
-  std::uint64_t queue_fallbacks = 0;
   double sim_seconds = 0.0;
 };
 
-// One full mix measurement. `latch_free` flips BOTH the tree's descent
-// tiers and the service's optimistic read path, so false is the pure
-// queue-path ablation the speedup compares against.
-MixResult RunMix(const MixSpec& mix, bool latch_free) {
+// One full mix measurement.
+MixResult RunMix(const MixSpec& mix) {
   auto cluster = mm::sim::Cluster::PaperTestbed(mix.nodes);
   mm::core::ServiceOptions so;
   so.tier_grants = {{mm::sim::TierKind::kDram, mm::MEGABYTES(64)},
                     {mm::sim::TierKind::kNvme, mm::MEGABYTES(256)}};
-  so.enable_optimistic_reads = latch_free;
   mm::core::Service svc(cluster.get(), so);
 
   std::vector<MixResult> per_rank(mix.nodes);
@@ -77,10 +70,7 @@ MixResult RunMix(const MixSpec& mix, bool latch_free) {
         mm::index::BTreeOptions opt;
         opt.max_nodes = 1 << 16;
         opt.cache_bytes = kCacheNodes * 4096;
-        opt.latch_free = latch_free;
-        KvTree tree(svc, ctx, std::string("mem://ycsb_") + mix.name +
-                                  (latch_free ? "_lf" : "_q"),
-                    opt);
+        KvTree tree(svc, ctx, std::string("mem://ycsb_") + mix.name, opt);
         if (comm.rank() == 0) tree.Create();
         comm.Barrier();
         tree.Refresh();
@@ -138,9 +128,6 @@ MixResult RunMix(const MixSpec& mix, bool latch_free) {
         const mm::index::DescentStats after = tree.stats();
         mine.descents = after.descents - before.descents;
         mine.restarts = after.restarts - before.restarts;
-        mine.pcache_hits = after.pcache_hits - before.pcache_hits;
-        mine.scache_probes = after.scache_probes - before.scache_probes;
-        mine.queue_fallbacks = after.queue_fallbacks - before.queue_fallbacks;
         comm.Barrier();
       });
   if (!run.ok()) {
@@ -162,9 +149,6 @@ MixResult RunMix(const MixSpec& mix, bool latch_free) {
     total.unsorted_scans += r.unsorted_scans;
     total.descents += r.descents;
     total.restarts += r.restarts;
-    total.pcache_hits += r.pcache_hits;
-    total.scache_probes += r.scache_probes;
-    total.queue_fallbacks += r.queue_fallbacks;
     total.sim_seconds = std::max(total.sim_seconds, r.sim_seconds);
   }
   return total;
@@ -208,41 +192,21 @@ int main(int argc, char** argv) {
       argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_ycsb.json";
   const bool csv = mmbench::CsvMode(argc, argv);
 
-  // YCSB-A update-heavy, -B read-heavy, -C read-only-plus-scans. B and C
-  // both get an ablation twin running the identical workload with every
-  // latch-free tier disabled; C's pair carries the gate.
+  // YCSB-A update-heavy, -B read-heavy, -C read-only-plus-scans.
   const MixSpec mix_a{"A", 0.50, 0.50, 0.00, 2};
   const MixSpec mix_b{"B", 0.95, 0.05, 0.00, 2};
   const MixSpec mix_c{"C", 0.95, 0.00, 0.05, 4};
 
-  MixResult a = RunMix(mix_a, /*latch_free=*/true);
-  MixResult b = RunMix(mix_b, /*latch_free=*/true);
-  MixResult b_queue = RunMix(mix_b, /*latch_free=*/false);
-  MixResult c = RunMix(mix_c, /*latch_free=*/true);
-  MixResult c_queue = RunMix(mix_c, /*latch_free=*/false);
+  MixResult a = RunMix(mix_a);
+  MixResult b = RunMix(mix_b);
+  MixResult c = RunMix(mix_c);
 
-  // The gated speedup comes from the C pair: same 95%-read workload, only
-  // the read tiers differ, and no update traffic muddies the Get tail. The
-  // B pair's speedup is reported alongside (it carries 5% writer
-  // interference in both halves and lands lower).
-  mm::StatAccumulator b_wall, bq_wall, c_wall, cq_wall;
+  mm::StatAccumulator b_wall, c_wall;
   for (double v : b.get_wall_ns) b_wall.Add(v);
-  for (double v : b_queue.get_wall_ns) bq_wall.Add(v);
   for (double v : c.get_wall_ns) c_wall.Add(v);
-  for (double v : c_queue.get_wall_ns) cq_wall.Add(v);
-  const double p99_get_speedup =
-      c_wall.Percentile(99) > 0
-          ? cq_wall.Percentile(99) / c_wall.Percentile(99)
-          : 0.0;
-  const double b_p99_get_speedup =
-      b_wall.Percentile(99) > 0
-          ? bq_wall.Percentile(99) / b_wall.Percentile(99)
-          : 0.0;
 
-  const std::uint64_t scans_total = c.scan_items + c_queue.scan_items;
-  const std::uint64_t unsorted = a.unsorted_scans + b.unsorted_scans +
-                                 b_queue.unsorted_scans + c.unsorted_scans +
-                                 c_queue.unsorted_scans;
+  const std::uint64_t unsorted =
+      a.unsorted_scans + b.unsorted_scans + c.unsorted_scans;
   const double scan_sorted = unsorted == 0 ? 1.0 : 0.0;
 
   bool oracle_ok = true;
@@ -251,11 +215,11 @@ int main(int argc, char** argv) {
   }
   const double oracle_identical = oracle_ok ? 1.0 : 0.0;
 
-  const std::uint64_t lf_descents = a.descents + b.descents + c.descents;
-  const std::uint64_t lf_restarts = a.restarts + b.restarts + c.restarts;
+  const std::uint64_t descents = a.descents + b.descents + c.descents;
+  const std::uint64_t restarts = a.restarts + b.restarts + c.restarts;
   const double restart_rate =
-      lf_descents > 0
-          ? static_cast<double>(lf_restarts) / static_cast<double>(lf_descents)
+      descents > 0
+          ? static_cast<double>(restarts) / static_cast<double>(descents)
           : 0.0;
 
   mm::TablePrinter table({"mix", "nodes", "ops", "kops_per_sim_s",
@@ -274,23 +238,14 @@ int main(int argc, char** argv) {
   };
   add_row("A", mix_a, a);
   add_row("B", mix_b, b);
-  add_row("B/queue", mix_b, b_queue);
   add_row("C", mix_c, c);
-  add_row("C/queue", mix_c, c_queue);
   std::printf("%s", table.Render(csv).c_str());
   std::printf(
-      "p99_get_speedup=%.2fx scan_sorted=%.0f oracle_identical=%.0f "
-      "restart_rate=%.4f (descents=%llu scans=%llu)\n",
-      p99_get_speedup, scan_sorted, oracle_identical, restart_rate,
-      static_cast<unsigned long long>(lf_descents),
-      static_cast<unsigned long long>(scans_total));
-
-  // Funnel shares on the latch-free read-heavy mix: how much index traffic
-  // the lock-free tiers absorbed before the task queue.
-  const double node_reads = static_cast<double>(
-      b.pcache_hits + b.scache_probes + b.queue_fallbacks);
-  const double queue_share =
-      node_reads > 0 ? b.queue_fallbacks / node_reads : 0.0;
+      "scan_sorted=%.0f oracle_identical=%.0f restart_rate=%.4f "
+      "(descents=%llu scans=%llu)\n",
+      scan_sorted, oracle_identical, restart_rate,
+      static_cast<unsigned long long>(descents),
+      static_cast<unsigned long long>(c.scan_items));
 
   mm::StatAccumulator b_get_sim, b_update_sim, c_scan_sim;
   for (double v : b.get_sim_s) b_get_sim.Add(v);
@@ -303,23 +258,17 @@ int main(int argc, char** argv) {
   report.Config("cache_nodes", static_cast<double>(kCacheNodes));
   report.Config("zipf_theta", kZipfTheta);
   report.Config("scan_len", static_cast<double>(kScanLen));
-  report.Metric("p99_get_speedup", p99_get_speedup);
-  report.Metric("b_p99_get_speedup", b_p99_get_speedup);
   report.Metric("scan_sorted", scan_sorted);
   report.Metric("oracle_identical", oracle_identical);
   report.Metric("restart_rate", restart_rate);
-  report.Metric("queue_share_read_heavy", queue_share);
   report.Metric("c_get_p99_wall_ns", c_wall.Percentile(99));
-  report.Metric("c_queue_get_p99_wall_ns", cq_wall.Percentile(99));
   report.Metric("b_get_p99_wall_ns", b_wall.Percentile(99));
-  report.Metric("b_queue_get_p99_wall_ns", bq_wall.Percentile(99));
   report.Metric("b_kops_per_sim_s",
                 b.sim_seconds > 0 ? b.ops / b.sim_seconds / 1e3 : 0.0);
   report.Series("b_get_sim_s", b_get_sim);
   report.Series("b_update_sim_s", b_update_sim);
   report.Series("c_scan_sim_s", c_scan_sim);
   report.Series("b_get_wall_ns", b_wall);
-  report.Series("b_queue_get_wall_ns", bq_wall);
   if (!report.Write(out_path)) return 1;
   return 0;
 }

@@ -59,12 +59,6 @@ GATES = {
         },
         "exact": {"converged": 1.0, "pages_lost": 0.0},
     },
-    # Optimistic read fast path (DESIGN.md §14): hit_ratio and retry_rate
-    # are counters. Its wall cost is the ledger's opt_read_remote row.
-    "readpath": {
-        "ceilings": {"retry_rate": 0.05},
-        "floors": {"hit_ratio": 0.95},
-    },
     # Graph500-style BFS: depths identical to the in-memory reference, and
     # a TEPS floor on the virtual clock (observed ~1.2e7).
     "bfs": {
@@ -83,7 +77,7 @@ GATES = {
             "critpath_attributed_ms": 1.0,
         },
     },
-    # Ordered index (DESIGN.md §15): optimistic restarts under 5%, scans in
+    # Ordered index (DESIGN.md §15): descent restarts under 5%, scans in
     # exact sorted order, and the DSM run bit-exact with its std::map
     # oracle across 3 seeds. The Get's wall cost is the ledger's btree_get
     # row.

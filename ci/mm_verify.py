@@ -166,7 +166,6 @@ RANDOM_DEVICE_RE = re.compile(r"std::random_device\b")
 # Benchmarks that intentionally measure real elapsed wall time.
 MML104_BENCH_ALLOWLIST = (
     "bench/ledger.cc",
-    "bench/readpath.cc",
     "bench/ycsb.cc",
 )
 

@@ -39,12 +39,4 @@ inline bool RequiresOrderedWrites(CoherenceMode mode) {
          mode == CoherenceMode::kReadWriteGlobal;
 }
 
-/// True when read intents under this mode may be served on the calling
-/// thread through the optimistic read path (DESIGN.md §14) instead of a
-/// task on the owner node. Reads validate the directory version across the
-/// copy, so every mode qualifies except write-only: its phases have no
-/// read intents by contract, and a mid-phase read would race the write
-/// stream into wasted retries rather than useful hits.
-bool AllowsOptimisticReads(CoherenceMode mode);
-
 }  // namespace mm::core

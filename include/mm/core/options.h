@@ -95,12 +95,6 @@ struct ServiceOptions {
   /// "with no optimizations enabled") and the ablations.
   bool enable_prefetch = true;
   bool enable_organizer = true;
-  /// Read fast path (DESIGN.md §14): read intents first try a lock-free
-  /// versioned read on the calling thread — directory lookup, direct
-  /// scache copy, version re-check — and only fall back to the routed
-  /// kGetPage task on conflict, miss, or ineligible mode. The
-  /// readpath bench flips this off to measure the queue path.
-  bool enable_optimistic_reads = true;
   /// Verify per-page CRC-32 on reads that already pay a metadata lookup;
   /// mismatches on clean pages self-heal from the backend, mismatches on
   /// dirty pages surface as kDataLoss.

@@ -119,20 +119,6 @@ class NodeRuntime {
   /// Rejects every later Submit, once the task running now (if any) ends.
   void Shutdown();
 
-  // ---- read fast path telemetry (DESIGN.md §14) ----
-  // Incremented by Service::TryReadPageOptimistic outside any task: the
-  // handles are cached here because this node's runtime is where every
-  // other per-node counter lives.
-
-  /// A read served lock-free on the calling thread, without a task.
-  void CountReadpathHit() { readpath_hit_->Inc(); }
-  /// One version-conflict retry inside an optimistic attempt (a hit with
-  /// one stable re-read after a racing writer counts 1).
-  void CountReadpathRetry() { readpath_retry_->Inc(); }
-  /// An eligible optimistic read that declined (the caller takes the
-  /// routed fault instead).
-  void CountReadpathFallback() { readpath_fallback_->Inc(); }
-
  private:
   /// Runs one task under exec_mu_ (or rejects it after Shutdown), then
   /// records its count, latency histogram and span and recycles its
@@ -220,9 +206,6 @@ class NodeRuntime {
   telemetry::Counter* stager_retries_;         // mm.stager.retries_count
   telemetry::Histogram* task_latency_[5];      // mm.task.<kind>_ns, by Kind
   telemetry::Counter* ckpt_journal_bytes_;     // mm.ckpt.journal_bytes
-  telemetry::Counter* readpath_hit_;           // mm.readpath.fastpath_hit_count
-  telemetry::Counter* readpath_retry_;         // mm.readpath.retry_count
-  telemetry::Counter* readpath_fallback_;      // mm.readpath.fallback_count
   storage::BufferManager bm_;
   PagePool pool_;
   // Held for the whole of one task's execution, so everything a task takes
@@ -437,36 +420,17 @@ class Service {
 
   /// Synchronous page fault: fetches the whole page. Charges metadata
   /// lookup, remote transfer (if the owner is another node), device time,
-  /// and stage-in as applicable. `read_intent` first tries
-  /// TryReadPageOptimistic; a valid copy in this node's scache is served
-  /// on the calling thread; anything else is a routed kGetPage, shared by
-  /// concurrent faults for the page on this node. `*done` receives the
+  /// and stage-in as applicable. A valid copy in this node's scache is
+  /// served on the calling thread; anything else is a routed kGetPage,
+  /// shared by concurrent faults for the page on this node, whose delivery
+  /// replicates under read-only-global coherence. `*done` receives the
   /// simulated completion.
   StatusOr<std::vector<std::uint8_t>> ReadPage(VectorMeta& meta,
                                                std::uint64_t page,
                                                std::size_t from_node,
                                                sim::SimTime now,
                                                sim::SimTime* done,
-                                               std::uint64_t* version = nullptr,
-                                               bool read_intent = false);
-
-  /// Lock-free read fast path (DESIGN.md §14): serves a whole-page read on
-  /// the calling thread without a task. The directory entry is sampled,
-  /// the bytes are copied straight out of the source the §6 rule blesses
-  /// (primary or registered replica — never a stale cache), and the
-  /// directory version is re-sampled; a changed version, or a copy whose
-  /// stamp is not the sampled version, means a racing writer and the copy
-  /// is retried (bounded).
-  /// Returns nullopt — caller falls back to ReadPage — on: miss (unplaced
-  /// page), version conflict after retries, ineligible coherence mode,
-  /// fenced source, CRC mismatch (the slow path heals it), or the
-  /// `enable_optimistic_reads` switch being off. On success charges the
-  /// metadata round trips plus the owner→reader transfer when remote.
-  /// Counts mm.readpath.fastpath_hit_count / retry_count on `from_node`,
-  /// and fallback_count when an eligible attempt declines.
-  std::optional<std::vector<std::uint8_t>> TryReadPageOptimistic(
-      VectorMeta& meta, std::uint64_t page, std::size_t from_node,
-      sim::SimTime now, sim::SimTime* done, std::uint64_t* version = nullptr);
+                                               std::uint64_t* version = nullptr);
 
   /// Fetches pages [first, first + n) for the prefetch path, asynchronous
   /// in virtual time only; one PendingFetch per page, in order. The caller

@@ -304,10 +304,7 @@ class Vector {
     MM_CHECK_MSG(i < size(), "mm::Vector index out of range");
     std::uint64_t elem;
     const std::uint64_t page = PageOf(i, &elem);
-    // Read-mostly intent: a non-writing transaction's At() never dirties,
-    // so its misses qualify for the optimistic service bypass.
-    PageFrame* frame =
-        TouchFrame(page, /*read_intent=*/tx_ != nullptr && !tx_->writes());
+    PageFrame* frame = TouchFrame(page);
     ctx_->Compute(scalar_access_cost_s_);
     if (tx_ != nullptr) {
       if (tx_->writes()) pcache_->MarkElemDirty(frame, elem);
@@ -324,7 +321,7 @@ class Vector {
     MM_CHECK_MSG(i < size(), "mm::Vector index out of range");
     std::uint64_t elem;
     const std::uint64_t page = PageOf(i, &elem);
-    PageFrame* frame = TouchFrame(page, /*read_intent=*/true);
+    PageFrame* frame = TouchFrame(page);
     ctx_->Compute(scalar_access_cost_s_);
     if (tx_ != nullptr) tx_->AdvanceTail();
     return *reinterpret_cast<const T*>(frame->data.data() + elem * sizeof(T));
@@ -335,7 +332,7 @@ class Vector {
     MM_CHECK_MSG(i < size(), "mm::Vector index out of range");
     std::uint64_t elem;
     const std::uint64_t page = PageOf(i, &elem);
-    PageFrame* frame = TouchFrame(page, /*read_intent=*/false);
+    PageFrame* frame = TouchFrame(page);
     ctx_->Compute(scalar_access_cost_s_);
     pcache_->MarkElemDirty(frame, elem);
     if (tx_ != nullptr) tx_->AdvanceTail();
@@ -565,7 +562,7 @@ class Vector {
   /// Common access prologue: run the prefetcher at page-boundary ticks and
   /// resolve the frame through the last-page cache (§III-E: iterative
   /// algorithms usually stay within one page for many accesses).
-  PageFrame* TouchFrame(std::uint64_t page, bool read_intent) {
+  PageFrame* TouchFrame(std::uint64_t page) {
     // Run the prefetcher BEFORE taking a frame reference: its eviction pass
     // may drop pages (including, for unaligned scans, this one — which then
     // simply refaults below).
@@ -574,7 +571,7 @@ class Vector {
     }
     PageFrame* frame = (page == last_page_ && last_frame_ != nullptr)
                            ? last_frame_
-                           : FetchFrame(page, read_intent);
+                           : FetchFrame(page);
     last_page_ = page;
     last_frame_ = frame;
     return frame;
@@ -642,7 +639,7 @@ class Vector {
     span.first_page_ = first;
     span.pages_.reserve(last - first + 1);
     for (std::uint64_t p = first; p <= last; ++p) {
-      PageFrame* frame = FetchFrame(p, /*read_intent=*/!writable);
+      PageFrame* frame = FetchFrame(p);
       pcache_->Pin(p);
       span.pages_.push_back(reinterpret_cast<T*>(frame->data.data()));
       if (writable) {
@@ -669,7 +666,7 @@ class Vector {
     }
   }
 
-  PageFrame* FetchFrame(std::uint64_t page, bool read_intent = false) {
+  PageFrame* FetchFrame(std::uint64_t page) {
     if (PageFrame* f = pcache_->Find(page)) {
       hit_count_->Inc();
       return f;
@@ -705,15 +702,15 @@ class Vector {
       data = std::move(outcome.data);
       version = outcome.version;
     } else {
-      // Page fault: one service call. Read intents first try the lock-free
-      // fast path (DESIGN.md §14); every decline takes the routed fault.
+      // Page fault: one service call (DESIGN.md §6), which serves this
+      // node's valid copy or routes the fault to the page's owner.
       ++faults_;
       ctx_->Compute(ctx_->costs().page_fault_soft_s);
       sim::SimTime done = ctx_->clock().now();
       // A page this rank staged ahead is read no earlier than it landed.
       if (!staged_.empty()) done = std::max(done, StagedReadyTime(page));
       auto data_or = service_->ReadPage(*meta_, page, ctx_->node(), done,
-                                        &done, &version, read_intent);
+                                        &done, &version);
       if (!data_or.ok()) {
         throw std::runtime_error("page fault failed: " +
                                  data_or.status().ToString());

@@ -4,16 +4,16 @@
 // arena (`mm::Vector<NodeBlock>`), so every coherence, caching, and
 // recovery property of the page layer carries over to the index:
 //
-//   reads    latch-free root-to-leaf descents over validated node
-//            snapshots, served by a three-tier funnel: (1) the local
-//            pcache frame seqlock (`Vector::TryReadOptimistic`), (2) the
-//            scache-side directory-validated probe
-//            (`Service::TryReadPageOptimistic` — PR 7's open follow-up),
-//            (3) the routed queue fault. Fence keys + right-sibling links
-//            make any committed snapshot a valid starting point: keys that
-//            split away are found by moving right, and structurally
-//            insane snapshots trigger a bounded restart before the queue
-//            path takes over.
+//   reads    root-to-leaf descents over node snapshots. The owner reads
+//            every node and the anchor with `Vector::Read`, so a miss is
+//            the page layer's one fault path (`Service::ReadPage`) and the
+//            pcache's LRU decides which nodes stay resident. Cross-thread
+//            `TryGet`/`TryScan` read resident frames only, under the frame
+//            seqlock (`Vector::TryReadOptimistic`). Fence keys +
+//            right-sibling links make any committed snapshot a valid
+//            starting point: keys that split away are found by moving
+//            right, and structurally insane snapshots trigger a bounded
+//            restart.
 //   writes   Put/Delete/splits run under the SMO write lease: the
 //            per-rank `smo_mu_` (annotated, in the MM_ACQUIRED_BEFORE
 //            hierarchy so mm-verify MML101 checks its order) nested around
@@ -27,11 +27,10 @@
 //
 // Thread-affinity follows mm::Vector: a BTree instance belongs to one
 // rank; other ranks construct their own handle with the same name. Only
-// `TryGet`/`TryScan` may be called from other threads (latch-free tiers
+// `TryGet`/`TryScan` may be called from other threads (resident frames
 // only — they never fault, never touch the LRU, never charge the clock).
 #pragma once
 
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -51,15 +50,10 @@ struct BTreeOptions {
   /// Arena capacity in nodes (== pages). Backing pages materialize lazily,
   /// so a generous ceiling costs nothing until allocated.
   std::uint64_t max_nodes = 1ull << 20;
-  /// Per-rank pcache budget for the node arena; 0 = 64 nodes. Kept small
-  /// on purpose: the descent funnel, not residency, is the fast path.
+  /// Per-rank pcache budget for the node arena; 0 = 64 nodes.
   std::uint64_t cache_bytes = 0;
-  /// Latch-free descent tiers (pcache seqlock + scache probe). Off = the
-  /// queue-path-only ablation bench/ycsb compares against.
-  bool latch_free = true;
-  /// Descent restarts (validation failure, fence-chase overrun) before the
-  /// owner path falls back to queue-fault reads, mirroring
-  /// TryReadPageOptimistic's bounded attempts.
+  /// Descent restarts (validation failure, fence-chase overrun) before a
+  /// descent gives up.
   int max_restarts = 8;
   /// Lateral (right-sibling) hops tolerated within one descent.
   int max_lateral = 64;
@@ -68,7 +62,9 @@ struct BTreeOptions {
 };
 
 /// Owner-thread descent statistics (cross-thread Try* paths report through
-/// their out-params and the lock-free mm.index.* counters instead).
+/// their out-params and the lock-free mm.index.* counters instead). Every
+/// owner node read is a `Vector::Read` and counts as a queue fallback;
+/// `pcache_hits` and `scache_probes` stay 0 on the owner path.
 struct DescentStats {
   std::uint64_t descents = 0;
   std::uint64_t node_reads = 0;
@@ -104,8 +100,7 @@ class BTree : public BTreeBase {
 
   BTree(core::Service& service, comm::RankContext& ctx,
         const std::string& name, BTreeOptions opt = {})
-      : svc_(&service),
-        ctx_(&ctx),
+      : ctx_(&ctx),
         opt_(opt),
         name_(name),
         arena_(service, ctx, name + "/nodes", opt.max_nodes,
@@ -165,15 +160,14 @@ class BTree : public BTreeBase {
 
   // ---- owner-thread operations ----
 
-  /// Point lookup. Latch-free descent with bounded restart, then the queue
-  /// path (owner reads of committed pages, which cannot fail validation).
+  /// Point lookup: a descent with bounded restarts.
   bool Get(const K& k, V* out) {
     metrics_.descents->Inc();
     ++stats_.descents;
-    TreeAnchor a = ReadAnchorOwner();
+    TreeAnchor a = anchor_.Read(0);
     if (a.height == 0) return false;
     Block blk;
-    if (!DescendOwner(k, a, &blk)) return false;
+    DescendOwner(k, a, &blk);
     Ref r(&blk);
     std::uint32_t i = r.LowerBound(k);
     if (i < r.count() && !(k < r.key(i))) {
@@ -260,10 +254,10 @@ class BTree : public BTreeBase {
                      std::vector<std::pair<K, V>>* out) {
     metrics_.descents->Inc();
     ++stats_.descents;
-    TreeAnchor a = ReadAnchorOwner();
+    TreeAnchor a = anchor_.Read(0);
     if (a.height == 0 || limit == 0) return 0;
     Block blk;
-    if (!DescendOwner(from, a, &blk)) return 0;
+    DescendOwner(from, a, &blk);
     std::uint64_t emitted = 0;
     K last{};
     int hops = 0;
@@ -278,7 +272,7 @@ class BTree : public BTreeBase {
       }
       if (emitted >= limit || r.right() == kInvalidNode) break;
       if (++hops > static_cast<int>(opt_.max_nodes)) break;  // cycle guard
-      ReadNodeOwner(r.right(), &blk, /*leaf_hint=*/true);
+      ReadNodeOwner(r.right(), &blk);
     }
     return emitted;
   }
@@ -286,19 +280,19 @@ class BTree : public BTreeBase {
   // ---- cross-thread latch-free probes ----
 
   /// Lock-free point lookup from ANY thread while the owner mutates: only
-  /// the latch-free tiers, bounded restarts, no faulting, no clock. A
+  /// resident frames, bounded restarts, no faulting, no clock. A
   /// false return with `*conclusive == false` means "couldn't tell" (miss
   /// or persistent races) — callers retry or route to the owner thread.
   bool TryGet(const K& k, V* out, bool* conclusive = nullptr,
               int* restarts = nullptr) const {
     if (conclusive != nullptr) *conclusive = false;
     TreeAnchor a;
-    if (!TryReadAnchor(&a)) return false;
+    if (!anchor_.TryReadOptimistic(0, &a)) return false;
     if (a.height == 0) return false;
     for (int attempt = 0; attempt <= opt_.max_restarts; ++attempt) {
       Block blk;
       int rc = TryDescend(k, a, &blk);
-      if (rc < 0) return false;  // a tier-1/2 miss: inconclusive
+      if (rc < 0) return false;  // a non-resident node: inconclusive
       if (rc > 0) {              // structural restart
         if (restarts != nullptr) ++*restarts;
         metrics_.restarts->Inc();
@@ -321,7 +315,7 @@ class BTree : public BTreeBase {
   std::int64_t TryScan(const K& from, std::uint64_t limit,
                        std::vector<std::pair<K, V>>* out) const {
     TreeAnchor a;
-    if (!TryReadAnchor(&a) || a.height == 0) return -1;
+    if (!anchor_.TryReadOptimistic(0, &a) || a.height == 0) return -1;
     for (int attempt = 0; attempt <= opt_.max_restarts; ++attempt) {
       Block blk;
       int rc = TryDescend(from, a, &blk);
@@ -370,14 +364,14 @@ class BTree : public BTreeBase {
   /// the bottom chain, keys strictly sorted globally, levels consistent.
   /// Used by the node-death test after CollectiveRecover.
   Status CheckIntegrity(std::uint64_t* keys_out = nullptr) {
-    TreeAnchor a = ReadAnchorOwner();
+    TreeAnchor a = anchor_.Read(0);
     if (a.height == 0) {
       if (keys_out != nullptr) *keys_out = 0;
       return Status::Ok();
     }
     // Leftmost spine: child(0) at every inner level.
     Block blk;
-    ReadNodeOwner(a.root, &blk, /*leaf_hint=*/a.height == 1);
+    ReadNodeOwner(a.root, &blk);
     int guard = 0;
     while (blk.hdr.level > 0) {
       Ref r(&blk);
@@ -385,7 +379,7 @@ class BTree : public BTreeBase {
         return Internal("insane inner node on leftmost spine");
       }
       if (++guard > 64) return Internal("leftmost spine too deep");
-      ReadNodeOwner(r.child(0), &blk, /*leaf_hint=*/blk.hdr.level == 1);
+      ReadNodeOwner(r.child(0), &blk);
     }
     // Bottom chain: strict global order, bounded length.
     std::uint64_t keys = 0;
@@ -405,7 +399,7 @@ class BTree : public BTreeBase {
       }
       if (r.right() == kInvalidNode) break;
       if (++hops > opt_.max_nodes) return Internal("leaf chain cycle");
-      ReadNodeOwner(r.right(), &blk, /*leaf_hint=*/true);
+      ReadNodeOwner(r.right(), &blk);
     }
     if (keys_out != nullptr) *keys_out = keys;
     return Status::Ok();
@@ -414,7 +408,7 @@ class BTree : public BTreeBase {
   const DescentStats& stats() const { return stats_; }
   const BTreeOptions& options() const { return opt_; }
   const std::string& name() const { return name_; }
-  TreeAnchor anchor_snapshot() { return ReadAnchorOwner(); }
+  TreeAnchor anchor_snapshot() { return anchor_.Read(0); }
 
  private:
   static core::VectorOptions ArenaOptions(const BTreeOptions& o) {
@@ -470,81 +464,20 @@ class BTree : public BTreeBase {
     arena_.Set(id, blk);
   }
 
-  TreeAnchor ReadAnchorOwner() {
-    TreeAnchor a;
-    if (anchor_.TryReadOptimistic(0, &a)) return a;
-    return anchor_.Read(0);
-  }
-
-  bool TryReadAnchor(TreeAnchor* a) const {
-    if (anchor_.TryReadOptimistic(0, a)) return true;
-    return TryProbeScache(anchor_meta(), 0, a, sizeof(TreeAnchor));
-  }
-
-  /// Tier 1 + 2 node snapshot; false = inconclusive miss. Any thread.
+  /// Resident-frame node snapshot; false = inconclusive miss. Any thread.
   bool TryReadNode(std::uint64_t id, Block* out) const {
-    if (!opt_.latch_free) return false;
     metrics_.node_reads->Inc();
-    if (arena_.TryReadOptimistic(id, out)) {
-      metrics_.pcache_hits->Inc();
-      return true;
-    }
-    if (TryProbeScache(arena_meta(), id, out, sizeof(Block))) {
-      metrics_.scache_probes->Inc();
-      return true;
-    }
-    return false;
+    if (!arena_.TryReadOptimistic(id, out)) return false;
+    metrics_.pcache_hits->Inc();
+    return true;
   }
 
-  /// Directory-validated scache copy on the calling thread (thread-safe:
-  /// the metadata and buffer managers are internally synchronized). The
-  /// default detached virtual timestamp serves cross-thread probes, which
-  /// have no rank clock to charge, exactly like Vector::TryReadOptimistic.
-  /// The probe's pooled page buffer goes straight back to the node pool.
-  template <class T>
-  bool TryProbeScache(core::VectorMeta& meta, std::uint64_t page, T* out,
-                      std::size_t bytes, sim::SimTime now = 0.0,
-                      sim::SimTime* done = nullptr) const {
-    auto data =
-        svc_->TryReadPageOptimistic(meta, page, ctx_->node(), now, done);
-    if (!data.has_value()) return false;
-    const bool whole = data->size() >= bytes;
-    if (whole) std::memcpy(out, data->data(), bytes);
-    svc_->runtime(ctx_->node()).pool().Release(std::move(*data));
-    return whole;
-  }
-
-  /// Owner-thread node snapshot through the three-tier funnel. The funnel
-  /// is level-aware: inner nodes — a handful of hot pages by construction —
-  /// stage through the normal fault tier on a miss so the tree's upper
-  /// levels stay pcache-resident, while leaf reads (the overwhelming bulk
-  /// of the arena) go pcache seqlock → scache probe → queue and never
-  /// stage, so leaf traffic cannot thrash the frames the inners live in.
-  /// The queue tier cannot fail (committed pages always serve).
-  void ReadNodeOwner(std::uint64_t id, Block* out, bool leaf_hint) {
+  /// Owner-thread node snapshot: one `Vector::Read`, which charges the
+  /// access and turns a miss into the page layer's fault.
+  void ReadNodeOwner(std::uint64_t id, Block* out) {
     metrics_.node_reads->Inc();
     ++stats_.node_reads;
-    ctx_->Compute(ctx_->costs().memory_access_s +
-                  ctx_->costs().mm_access_overhead_s);
-    if (opt_.latch_free) {
-      if (arena_.TryReadOptimistic(id, out)) {
-        metrics_.pcache_hits->Inc();
-        ++stats_.pcache_hits;
-        return;
-      }
-      if (leaf_hint) {
-        sim::SimTime done = ctx_->clock().now();
-        const bool hit = TryProbeScache(arena_.meta(), id, out, sizeof(Block),
-                                        done, &done);
-        ctx_->clock().AdvanceTo(done);
-        if (hit) {
-          metrics_.scache_probes->Inc();
-          ++stats_.scache_probes;
-          return;
-        }
-      }
-    }
-    metrics_.queue_fallbacks->Inc();
+    metrics_.owner_reads->Inc();
     ++stats_.queue_fallbacks;
     *out = arena_.Read(id);
   }
@@ -553,18 +486,17 @@ class BTree : public BTreeBase {
   /// leaf covering k, moving right past fences, validating every snapshot.
   /// Returns 0 = *out is the leaf, 1 = restart (structural anomaly),
   /// -1 = inconclusive read (Try path only).
-  /// ReadFn is (id, expected_level, out) -> bool so the funnel can route
-  /// inner levels and leaves to different tiers. The expected level comes
-  /// from the anchor (height - 1 at the root), not from the node bytes —
-  /// Sane() then cross-checks every snapshot against it, so a stale
-  /// root-vs-anchor pairing surfaces as a restart, never a wrong walk.
+  /// ReadFn is (id, out) -> bool. The expected level comes from the anchor
+  /// (height - 1 at the root), not from the node bytes — Sane() then
+  /// cross-checks every snapshot against it, so a stale root-vs-anchor
+  /// pairing surfaces as a restart, never a wrong walk.
   template <class ReadFn>
   int DescendWith(const K& k, const TreeAnchor& a, Block* out,
                   ReadFn&& read, std::vector<std::uint64_t>* path) const {
     if (a.root >= opt_.max_nodes || a.height == 0 || a.height >= 64) return 1;
     std::uint32_t level = static_cast<std::uint32_t>(a.height - 1);
     std::uint64_t id = a.root;
-    if (!read(id, level, out)) return -1;
+    if (!read(id, out)) return -1;
     int lateral = 0;
     while (true) {
       Ref r(out);
@@ -572,7 +504,7 @@ class BTree : public BTreeBase {
       if (r.FenceMiss(k) && r.right() != kInvalidNode) {
         if (++lateral > opt_.max_lateral) return 1;
         id = r.right();
-        if (!read(id, level, out)) return -1;
+        if (!read(id, out)) return -1;
         continue;  // same expected level
       }
       if (path != nullptr) {
@@ -582,69 +514,46 @@ class BTree : public BTreeBase {
       if (level == 0) return 0;
       id = r.ChildFor(k);
       --level;
-      if (!read(id, level, out)) return -1;
+      if (!read(id, out)) return -1;
     }
   }
 
-  /// Owner descent: latch-free with bounded restarts, then one final pass
-  /// on the queue tier alone (committed reads cannot fail validation, but
-  /// keep the structural guards — a zeroed never-written page must surface
-  /// as Internal, not UB).
-  bool DescendOwner(const K& k, const TreeAnchor& a, Block* out) {
-    auto funnel = [this](std::uint64_t id, std::uint32_t lvl, Block* b) {
-      ReadNodeOwner(id, b, /*leaf_hint=*/lvl == 0);
+  /// Owner descent with bounded restarts. The structural guards stay on
+  /// committed state too: a zeroed never-written page must surface as an
+  /// error, not UB.
+  void DescendOwner(const K& k, const TreeAnchor& a, Block* out) {
+    auto read = [this](std::uint64_t id, Block* b) {
+      ReadNodeOwner(id, b);
       return true;
     };
     for (int attempt = 0; attempt <= opt_.max_restarts; ++attempt) {
-      int rc = DescendWith(k, a, out, funnel, nullptr);
-      if (rc == 0) return true;
+      if (DescendWith(k, a, out, read, nullptr) == 0) return;
       metrics_.restarts->Inc();
       ++stats_.restarts;
     }
-    auto queue_only = [this](std::uint64_t id, std::uint32_t, Block* b) {
-      metrics_.node_reads->Inc();
-      ++stats_.node_reads;
-      metrics_.queue_fallbacks->Inc();
-      ++stats_.queue_fallbacks;
-      *b = arena_.Read(id);
-      return true;
-    };
-    int rc = DescendWith(k, a, out, queue_only, nullptr);
-    if (rc != 0) {
-      throw std::runtime_error("mm::BTree descent failed on committed state"
-                               " (tree '" + name_ + "' corrupt?)");
-    }
-    return true;
+    throw std::runtime_error("mm::BTree descent failed on committed state"
+                             " (tree '" + name_ + "' corrupt?)");
   }
 
-  /// Cross-thread descent attempt: tiers 1+2 only.
+  /// Cross-thread descent attempt over resident frames only.
   int TryDescend(const K& k, const TreeAnchor& a, Block* out) const {
-    auto probe = [this](std::uint64_t id, std::uint32_t, Block* b) {
+    auto probe = [this](std::uint64_t id, Block* b) {
       return TryReadNode(id, b);
     };
     return DescendWith(k, a, out, probe, nullptr);
   }
 
   /// Writer descent under the lease: coherent by construction, records the
-  /// exact node id used per level (root first, leaf last).
+  /// exact node id used per level (root first, leaf last). The lease
+  /// excludes concurrent writers, so a structural anomaly is not a race.
   void DescendForWrite(const K& k, const TreeAnchor& a, Block* leaf,
                        std::vector<std::uint64_t>* path) {
-    auto funnel = [this](std::uint64_t id, std::uint32_t lvl, Block* b) {
-      ReadNodeOwner(id, b, /*leaf_hint=*/lvl == 0);
+    auto read = [this](std::uint64_t id, Block* b) {
+      ReadNodeOwner(id, b);
       return true;
     };
-    int rc = DescendWith(k, a, leaf, funnel, path);
-    if (rc != 0) {
-      // The lease excludes concurrent writers, so a structural anomaly here
-      // is not a race: re-read through the queue tier once, then give up.
-      path->clear();
-      auto queue_only = [this](std::uint64_t id, std::uint32_t, Block* b) {
-        *b = arena_.Read(id);
-        return true;
-      };
-      rc = DescendWith(k, a, leaf, queue_only, path);
-      MM_CHECK_MSG(rc == 0, "mm::BTree writer descent failed under lease");
-    }
+    const int rc = DescendWith(k, a, leaf, read, path);
+    MM_CHECK_MSG(rc == 0, "mm::BTree writer descent failed under lease");
   }
 
   static void InsertLeafSlot(Block* blk, std::uint32_t i, const K& k,
@@ -713,8 +622,7 @@ class BTree : public BTreeBase {
         return;
       }
       Block parent;
-      ReadNodeOwner(path[static_cast<std::size_t>(p)], &parent,
-                    /*leaf_hint=*/false);
+      ReadNodeOwner(path[static_cast<std::size_t>(p)], &parent);
       Ref pr(&parent);
       std::uint32_t i = pr.LowerBound(sep);
       if (parent.hdr.count < Inner::kCap) {
@@ -778,7 +686,7 @@ class BTree : public BTreeBase {
     const std::uint64_t root_id = AllocNode(a);
     Block root{};
     Block probe;
-    ReadNodeOwner(left, &probe, /*leaf_hint=*/false);
+    ReadNodeOwner(left, &probe);
     root.hdr.level = probe.hdr.level + 1;
     root.hdr.count = 1;
     root.hdr.right = kInvalidNode;
@@ -792,14 +700,6 @@ class BTree : public BTreeBase {
     ++a->smo_epoch;
   }
 
-  core::VectorMeta& arena_meta() const {
-    return const_cast<BTree*>(this)->arena_.meta();
-  }
-  core::VectorMeta& anchor_meta() const {
-    return const_cast<BTree*>(this)->anchor_.meta();
-  }
-
-  core::Service* svc_;
   comm::RankContext* ctx_;
   BTreeOptions opt_;
   std::string name_;

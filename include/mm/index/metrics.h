@@ -1,11 +1,9 @@
 // Index read-path telemetry (DESIGN.md §11 "mm.index.*", §15). Handles are
-// resolved once per tree at construction from the node's sink; the
-// counters narrate the three-tier descent funnel:
+// resolved once per tree at construction from the node's sink. A node
+// read is either an owner `Vector::Read` (owner_read) or a cross-thread
+// attempt that hits a resident frame (pcache_hit) or misses:
 //
-//   node_read_count  = pcache_hit + scache_probe_hit + queue_fallback
-//
-// so dashboards can see exactly how much of the index traffic the
-// latch-free tiers absorb before the task queue (PR 7's open follow-up).
+//   node_read_count  >= pcache_hit + owner_read
 #pragma once
 
 #include "mm/telemetry/sink.h"
@@ -15,9 +13,8 @@ namespace mm::index {
 struct IndexMetrics {
   telemetry::Counter* descents = nullptr;        // root-to-leaf walks
   telemetry::Counter* node_reads = nullptr;      // node snapshots taken
-  telemetry::Counter* pcache_hits = nullptr;     // tier 1: local frame seqlock
-  telemetry::Counter* scache_probes = nullptr;   // tier 2: directory-validated
-  telemetry::Counter* queue_fallbacks = nullptr; // tier 3: routed fault
+  telemetry::Counter* pcache_hits = nullptr;     // cross-thread frame seqlock
+  telemetry::Counter* owner_reads = nullptr;     // owner Vector::Read
   telemetry::Counter* restarts = nullptr;        // descent restarts (any cause)
   telemetry::Counter* smos = nullptr;            // splits + root growths
 

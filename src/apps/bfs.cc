@@ -124,8 +124,8 @@ BfsResult MegaBfs(core::Service& service, comm::Communicator& comm,
     store(cols, csr.cols);
   }
   comm.Barrier();
-  // The graph is immutable from here: read-only coherence replicates pages
-  // freely AND qualifies every touch for the optimistic read path.
+  // The graph is immutable from here: read-only coherence replicates every
+  // remotely faulted page into the reader's scache.
   rows.ChangePhase(core::CoherenceMode::kReadOnlyGlobal);
   cols.ChangePhase(core::CoherenceMode::kReadOnlyGlobal);
   comm.Barrier();
@@ -148,10 +148,10 @@ BfsResult MegaBfs(core::Service& service, comm::Communicator& comm,
   std::int64_t level = 0;
   while (!frontier.empty()) {
     std::vector<std::uint64_t> discovered;
-    // The frontier is unordered vertex ids — exactly the random, read-only
-    // page touches the optimistic read guards serve without a queue round
-    // trip. No transaction: the access sequence is data-dependent, so
-    // there is nothing useful to declare to the prefetcher.
+    // The frontier is unordered vertex ids: random, read-only page touches,
+    // each miss one ReadPage whose remote fetch leaves a replica behind.
+    // No transaction: the access sequence is data-dependent, so there is
+    // nothing useful to declare to the prefetcher.
     for (std::uint64_t v : frontier) {
       if (static_cast<int>(v % nprocs) != comm.rank()) continue;
       std::uint64_t lo = rows.Read(v);

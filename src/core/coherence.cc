@@ -18,8 +18,4 @@ const char* CoherenceModeName(CoherenceMode mode) {
   return "?";
 }
 
-bool AllowsOptimisticReads(CoherenceMode mode) {
-  return mode != CoherenceMode::kWriteOnlyGlobal;
-}
-
 }  // namespace mm::core

@@ -17,8 +17,8 @@ StatusOr<sim::TierKind> ParseTierKind(const std::string& name) {
 
 // Every key FromYaml reads under `runtime:`.
 constexpr std::string_view kRuntimeKeys[] = {
-    "organize_every",          "enable_prefetch",  "enable_organizer",
-    "enable_optimistic_reads", "verify_checksums", "recovery_policy"};
+    "organize_every",   "enable_prefetch", "enable_organizer",
+    "verify_checksums", "recovery_policy"};
 
 }  // namespace
 
@@ -37,8 +37,6 @@ StatusOr<ServiceOptions> ServiceOptions::FromYaml(const yaml::Node& root) {
         runtime.GetBool("enable_prefetch", opts.enable_prefetch);
     opts.enable_organizer =
         runtime.GetBool("enable_organizer", opts.enable_organizer);
-    opts.enable_optimistic_reads = runtime.GetBool(
-        "enable_optimistic_reads", opts.enable_optimistic_reads);
     opts.verify_checksums =
         runtime.GetBool("verify_checksums", opts.verify_checksums);
     std::string policy = runtime.GetString("recovery_policy", "");

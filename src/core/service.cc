@@ -85,8 +85,7 @@ telemetry::Gauge* TierUsedGauge(telemetry::MetricsRegistry& reg,
 // ---------------------------------------------------------------------------
 // The page-read pipeline (DESIGN.md §6). Every read path is built from the
 // same three stages: the caller-thread fault (Service::ReadPage), the
-// lock-free probe (Service::TryReadPageOptimistic), the prefetch
-// (Service::ReadPagesAsync) and the owner's kGetPage task
+// prefetch (Service::ReadPagesAsync) and the owner's kGetPage task
 // (NodeRuntime::ExecuteGetPage).
 // ---------------------------------------------------------------------------
 
@@ -164,8 +163,7 @@ StatusOr<storage::BlobStamp> VerifiedCopy(Service& svc, std::size_t node,
 
 /// VerifiedCopy into a pooled `bytes`-sized buffer of `from_node`, under
 /// the one failure policy of the healing readers (the caller-thread fault,
-/// the owner's kGetPage task and the stage-out snapshot; the lock-free
-/// probe declines instead). A CRC mismatch drops the copy on `node` and the
+/// the owner's kGetPage task and the stage-out snapshot). A CRC mismatch drops the copy on `node` and the
 /// directory's claim on it — the replica record, or the whole entry for the
 /// primary — and a dirty primary's loss is recorded; a clean copy that
 /// errored is dropped. Returns the bytes and sets *stamp, or returns
@@ -328,11 +326,6 @@ NodeRuntime::NodeRuntime(Service* service, std::size_t node_id,
                     TaskHistogram(tel_, MemoryTask::Kind::kStageOut),
                     TaskHistogram(tel_, MemoryTask::Kind::kErase)},
       ckpt_journal_bytes_(tel_.metrics->GetCounter("mm.ckpt.journal_bytes")),
-      readpath_hit_(
-          tel_.metrics->GetCounter("mm.readpath.fastpath_hit_count")),
-      readpath_retry_(tel_.metrics->GetCounter("mm.readpath.retry_count")),
-      readpath_fallback_(
-          tel_.metrics->GetCounter("mm.readpath.fallback_count")),
       bm_(&service->cluster().node(node_id), grants,
           &service->fault_injector(), options.retry, tel_) {
   bm_.SetTierFailureHandler(
@@ -1591,23 +1584,8 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
                                                       std::size_t from_node,
                                                       sim::SimTime now,
                                                       sim::SimTime* done,
-                                                      std::uint64_t* version,
-                                                      bool read_intent) {
+                                                      std::uint64_t* version) {
   telemetry::NodeSink sink = telemetry_sink(from_node);
-  if (read_intent) {
-    sim::SimTime fast_done = now;
-    if (auto fast = TryReadPageOptimistic(meta, page, from_node, now,
-                                          &fast_done, version)) {
-      // A bare fault-cat span, like prefetch_wait: the critical-path
-      // analyzer counts it as data-movement stall.
-      if (fast_done > now) {
-        sink.trace->Complete("opt_read", "fault", sink.node, 0, now,
-                             fast_done);
-      }
-      Merge(fast_done, done);
-      return std::move(*fast);
-    }
-  }
   storage::BlobId id{meta.vector_id, page};
   if (IsDataLost(id)) {
     return DataLoss("page " + id.ToString() + " lost unstaged modifications");
@@ -1688,67 +1666,6 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
   Merge(complete, done);
   if (!outcome.status.ok()) return outcome.status;
   return std::move(outcome.data);
-}
-
-std::optional<std::vector<std::uint8_t>> Service::TryReadPageOptimistic(
-    VectorMeta& meta, std::uint64_t page, std::size_t from_node,
-    sim::SimTime now, sim::SimTime* done, std::uint64_t* version) {
-  if (!options_.enable_optimistic_reads ||
-      !AllowsOptimisticReads(meta.mode.load(std::memory_order_relaxed))) {
-    return std::nullopt;
-  }
-  storage::BlobId id{meta.vector_id, page};
-  telemetry::NodeSink sink = telemetry_sink(from_node);
-  PagePool& pool = runtime(from_node).pool();
-  std::vector<std::uint8_t> bytes;
-  PoolReturn pool_guard(pool, bytes);
-  sim::SimTime t = now;
-  constexpr int kMaxAttempts = 3;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    // v1: sample the directory and take the source the §6 rule blesses.
-    // Unplaced pages have no authoritative bytes anywhere yet — only the
-    // routed fault may materialize them (or tell their typed data loss) —
-    // and fenced sources decline.
-    const ReadSource src = ResolveSource(*this, meta, id, from_node, t, &t);
-    if (!src.loc || !src.has_copy) break;
-    // Copy the bytes straight out of the source scache on this thread —
-    // the BufferManager is internally synchronized; no task, no node
-    // mutex.
-    if (bytes.empty()) bytes = pool.Acquire(meta.page_bytes);
-    sim::SimTime copy_done = t;
-    auto stamp = VerifiedCopy(*this, src.node, id, &bytes, t, &copy_done);
-    // The copy failed (raced an eviction, tier error): the routed fault
-    // re-stages.
-    if (!stamp.ok() && stamp.status().code() != StatusCode::kDataLoss) break;
-    // v2, the entry re-read after the copy: the copy is coherent only if no
-    // writer committed or moved the primary meanwhile, and it is the state
-    // v1 named. This is the optimistic guard's validate step at directory
-    // granularity.
-    auto v2 = metadata().Lookup(id, from_node, copy_done, &t);
-    if (!v2.ok() || v2->node != src.loc->node ||
-        v2->version != src.loc->version ||
-        (stamp.ok() && stamp->version != src.loc->version)) {
-      runtime(from_node).CountReadpathRetry();
-      continue;
-    }
-    // Corruption healing (replica drop, typed data loss) lives on the
-    // routed fault; the fast path just declines.
-    if (!stamp.ok()) break;
-    if (src.node != from_node) {
-      t = cluster().network().Transfer(t, src.node, from_node, bytes.size())
-              .delivered;
-    }
-    if (version != nullptr) *version = v2->version;
-    runtime(from_node).CountReadpathHit();
-    sink.trace->Instant("readpath_hit", "readpath", sink.node, 0, t);
-    Merge(t, done);
-    return bytes;  // implicit move detaches from pool_guard (capacity 0 after)
-  }
-  // An eligible attempt declined: the caller takes the routed fault, and
-  // hit + fallback counts cover every attempted read (DESIGN.md §14).
-  runtime(from_node).CountReadpathFallback();
-  sink.trace->Instant("readpath_fallback", "readpath", sink.node, 0, now);
-  return std::nullopt;
 }
 
 sim::SimTime Service::DeliverPage(VectorMeta& meta, std::uint64_t page,

@@ -308,42 +308,33 @@ TEST_P(BTreeRanksTest, CrossRankInsertsAllVisible) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, BTreeRanksTest, ::testing::Values(2, 4));
 
-// A scache probe hands its pooled page buffer back to the node pool, so
-// repeated probes of one resident leaf recycle a single buffer instead of
-// allocating per probe.
-TEST(BTreeProbe, RepeatedScacheProbesReuseOnePoolBuffer) {
-  auto cluster = sim::Cluster::PaperTestbed(2);
+// An owner Get over a resident tree charges each read once: the anchor and
+// every node on the root-to-leaf path are one Vector::Read apiece, and
+// Vector::Read's scalar access charge is the whole cost of a pcache hit.
+TEST(BTreeCharge, ResidentGetChargesEachReadOnce) {
+  auto cluster = sim::Cluster::PaperTestbed(1);
   core::Service svc(cluster.get(), SvcOptions());
-  auto run = comm::RunRanks(*cluster, 2, 1, [&](comm::RankContext& ctx) {
-    comm::Communicator comm(&ctx);
+  auto run = comm::RunRanks(*cluster, 1, 1, [&](comm::RankContext& ctx) {
     BTreeOptions opt;
     opt.max_nodes = 1 << 10;
-    SmallTree tree(svc, ctx, "mem://bt_probe", opt);
-    if (comm.rank() == 0) {
-      tree.Create();
-      for (std::uint64_t k = 1; k <= 4; ++k) tree.Put(k, k * 10);  // one leaf
-    }
-    comm.Barrier();
-    if (comm.rank() == 1) {
-      tree.Refresh();
-      // The owner-path Get faults the anchor into this rank's pcache; the
-      // root leaf is served by the scache probe and never staged here.
-      std::uint64_t v = 0;
-      EXPECT_TRUE(tree.Get(3, &v));
-      core::PagePool& pool = svc.runtime(ctx.node()).pool();
-      telemetry::Counter* probes = svc.metrics(ctx.node()).GetCounter(
-          "mm.index.scache_probe_hit_count");
-      const std::uint64_t allocs = pool.allocations();
-      const std::uint64_t probes_before = probes->value();
-      for (int i = 0; i < 1000; ++i) {
-        v = 0;
-        EXPECT_TRUE(tree.TryGet(3, &v));
-        EXPECT_EQ(v, 30u);
-      }
-      EXPECT_EQ(probes->value() - probes_before, 1000u);
-      EXPECT_LE(pool.allocations() - allocs, 1u);
-    }
-    comm.Barrier();
+    SmallTree tree(svc, ctx, "mem://bt_charge", opt);
+    tree.Create();
+    for (std::uint64_t k = 1; k <= 200; ++k) tree.Put(k, k * 10);
+    const std::uint64_t height = tree.anchor_snapshot().height;
+    ASSERT_GE(height, 2u);
+    std::uint64_t v = 0;
+    ASSERT_TRUE(tree.Get(77, &v));  // warms the path
+    const DescentStats before = tree.stats();
+    const double t0 = ctx.clock().now();
+    ASSERT_TRUE(tree.Get(77, &v));
+    EXPECT_EQ(v, 770u);
+    const std::uint64_t reads = tree.stats().node_reads - before.node_reads;
+    EXPECT_EQ(reads, height);
+    const double access =
+        ctx.costs().memory_access_s + ctx.costs().mm_access_overhead_s;
+    double expect = t0;
+    for (std::uint64_t i = 0; i < reads + 1; ++i) expect += access;
+    EXPECT_EQ(ctx.clock().now(), expect);
   });
   ASSERT_TRUE(run.ok()) << run.error;
 }

@@ -3,6 +3,7 @@
 // (retirement), recycling, and guarded writes. A validated read must NEVER
 // be torn — pages are filled with a uniform byte so any mix of two
 // versions is detectable — and retries must stay bounded per attempt.
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -10,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "mm/comm/communicator.h"
+#include "mm/comm/launch.h"
 #include "mm/core/optimistic_guard.h"
 #include "mm/core/pcache.h"
 #include "mm/core/service.h"
@@ -226,95 +229,49 @@ TEST(ReadpathStressTest, VectorTryReadOptimisticVsOwnerWrites) {
   EXPECT_LT(total_retries.load(), (fast_hits.load() + 1) * 10);
 }
 
-// Service-level fast path: a read-only page already placed in the scache
-// is served without entering any worker queue, and the telemetry reconciles
-// (hits + fallbacks cover all attempts).
-TEST(ReadpathServiceTest, OptimisticHitBypassesQueueAndCounts) {
+// Every pcache miss is a Service::ReadPage, so a read-only-global page read
+// from another node replicates into the reader's scache (Fig. 3).
+TEST(ReadpathServiceTest, ReadOnlyGlobalRemoteReadReplicates) {
   auto cluster = sim::Cluster::PaperTestbed(2);
-  core::ServiceOptions so;
-  so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(8)},
-                    {sim::TierKind::kNvme, MEGABYTES(32)}};
-  core::Service svc(cluster.get(), so);
-  core::VectorOptions vo;
-  vo.nonvolatile = false;
-  vo.page_size = 1024;
-  auto meta = svc.RegisterVector("svc_readpath", 8, vo, 1024);
-  ASSERT_TRUE(meta.ok());
-
-  // Place page 0 on node 0 via the regular fault path.
-  sim::SimTime done = 0.0;
-  std::uint64_t version = 0;
-  auto first = svc.ReadPage(**meta, 0, 0, 0.0, &done, &version);
-  ASSERT_TRUE(first.ok());
-
-  // Local optimistic read on node 0: pure fast path.
-  std::uint64_t fast_version = 0;
-  auto fast = svc.TryReadPageOptimistic(**meta, 0, 0, done, &done,
-                                        &fast_version);
-  ASSERT_TRUE(fast.has_value());
-  EXPECT_EQ(fast->size(), (*meta)->page_bytes);
-  EXPECT_EQ(fast_version, version);
-  EXPECT_EQ(svc.metrics(0).GetCounter("mm.readpath.retry_count")->value(),
-            0u);
-  EXPECT_EQ(
-      svc.metrics(0).GetCounter("mm.readpath.fastpath_hit_count")->value(),
-      1u);
-
-  // Remote optimistic read from node 1: still lock-free, pays the
-  // owner→reader transfer on the virtual clock.
-  sim::SimTime remote_done = done;
-  auto remote = svc.TryReadPageOptimistic(**meta, 0, 1, done, &remote_done);
-  ASSERT_TRUE(remote.has_value());
-  EXPECT_GT(remote_done, done);
-  EXPECT_EQ(
-      svc.metrics(1).GetCounter("mm.readpath.fastpath_hit_count")->value(),
-      1u);
-
-  // Unplaced page: the fast path declines (miss) and counts the fallback
-  // itself; the routed fault that serves the read counts nothing more.
-  auto miss = svc.TryReadPageOptimistic(**meta, 7, 0, remote_done,
-                                        &remote_done);
-  EXPECT_FALSE(miss.has_value());
-  auto fallback = svc.ReadPage(**meta, 7, 0, remote_done, &remote_done);
-  ASSERT_TRUE(fallback.ok());
-  EXPECT_EQ(svc.metrics(0).GetCounter("mm.readpath.fallback_count")->value(),
-            1u);
-
-  // The master switch turns the path off entirely.
-  core::ServiceOptions off = so;
-  off.enable_optimistic_reads = false;
-  auto cluster2 = sim::Cluster::PaperTestbed(1);
-  core::Service svc2(cluster2.get(), off);
-  auto meta2 = svc2.RegisterVector("svc_readpath_off", 8, vo, 128);
-  ASSERT_TRUE(meta2.ok());
-  sim::SimTime d2 = 0.0;
-  ASSERT_TRUE(svc2.ReadPage(**meta2, 0, 0, 0.0, &d2).ok());
-  EXPECT_FALSE(
-      svc2.TryReadPageOptimistic(**meta2, 0, 0, d2, &d2).has_value());
-}
-
-// Write-only coherence is the one mode the fast path must refuse.
-TEST(ReadpathServiceTest, WriteOnlyModeIneligible) {
-  EXPECT_TRUE(AllowsOptimisticReads(CoherenceMode::kLocal));
-  EXPECT_TRUE(AllowsOptimisticReads(CoherenceMode::kReadOnlyGlobal));
-  EXPECT_TRUE(AllowsOptimisticReads(CoherenceMode::kAppendOnlyGlobal));
-  EXPECT_TRUE(AllowsOptimisticReads(CoherenceMode::kReadWriteGlobal));
-  EXPECT_FALSE(AllowsOptimisticReads(CoherenceMode::kWriteOnlyGlobal));
-
-  auto cluster = sim::Cluster::PaperTestbed(1);
   core::ServiceOptions so;
   so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(8)}};
   core::Service svc(cluster.get(), so);
-  core::VectorOptions vo;
-  vo.nonvolatile = false;
-  vo.page_size = 1024;
-  vo.mode = CoherenceMode::kWriteOnlyGlobal;
-  auto meta = svc.RegisterVector("svc_readpath_wo", 8, vo, 128);
-  ASSERT_TRUE(meta.ok());
-  sim::SimTime done = 0.0;
-  ASSERT_TRUE(svc.ReadPage(**meta, 0, 0, 0.0, &done).ok());
-  EXPECT_FALSE(
-      svc.TryReadPageOptimistic(**meta, 0, 0, done, &done).has_value());
+  constexpr std::uint64_t kElems = 1024, kEpp = 128;  // 8 pages
+  auto run = comm::RunRanks(*cluster, 2, 1, [&](comm::RankContext& ctx) {
+    core::VectorOptions vo;
+    vo.nonvolatile = false;
+    vo.page_size = kEpp * sizeof(double);
+    vo.mode = CoherenceMode::kReadOnlyGlobal;
+    Vector<double> vec(svc, ctx, "ro_replicate", kElems, vo);
+    comm::Communicator comm(&ctx);
+    vec.Pgas(ctx.rank(), 2);
+    // The transaction handle only iterates; TxEnd below closes it.
+    (void)vec.SeqTxBegin(vec.local_off(), vec.local_off() + vec.local_size(),
+                         core::MM_WRITE_ONLY);
+    for (std::uint64_t i = vec.local_off();
+         i < vec.local_off() + vec.local_size(); ++i) {
+      vec[i] = double(i);
+    }
+    vec.TxEnd();
+    comm.Barrier();
+    if (ctx.rank() == 0) {
+      const std::uint64_t page = kElems / kEpp - 1;  // rank 1's half
+      const storage::BlobId id{vec.meta().vector_id, page};
+      auto home = svc.metadata().Lookup(id, 0, 0.0, nullptr);
+      ASSERT_TRUE(home.ok());
+      ASSERT_EQ(home->node, 1u);
+      telemetry::Counter* replicated =
+          svc.metrics(0).GetCounter("mm.coherence.replicate_count");
+      const std::uint64_t before = replicated->value();
+      EXPECT_EQ(vec.Read(page * kEpp), double(page * kEpp));
+      const auto replicas = svc.metadata().Replicas(id, 0, 0.0, nullptr);
+      EXPECT_NE(std::find(replicas.begin(), replicas.end(), 0u),
+                replicas.end());
+      EXPECT_GT(replicated->value(), before);
+    }
+    comm.Barrier();
+  });
+  ASSERT_TRUE(run.ok()) << run.error;
 }
 
 }  // namespace

@@ -175,8 +175,7 @@ TEST_F(ServiceTest, ReaderInACommitGapGetsACommittedStateAndHealsNothing) {
     SCOPED_TRACE("reader on node " + std::to_string(reader));
     std::uint64_t version = 0;
     sim::SimTime done = first.done;
-    auto page = svc_->ReadPage(**meta, 0, reader, first.done, &done, &version,
-                               /*read_intent=*/reader == remote);
+    auto page = svc_->ReadPage(**meta, 0, reader, first.done, &done, &version);
     ASSERT_TRUE(page.ok()) << page.status().ToString();
     if (*page == new_bytes) {
       EXPECT_EQ(version, stamp->version);
