@@ -32,9 +32,6 @@ whole-program rules (see DESIGN.md §10):
   MML008  Unbounded Recv/RecvValue/RecvBytes in include/ + src/ outside
           comm/: peer death must surface as a kPeerDead Status through the
           deadline *Or variants (DESIGN.md §13).
-  MML009  Raw `frame->version` / `frame.version` access outside
-          core/pcache and core/optimistic_guard: the version word is half
-          of the §14 seqlock; use OptimisticGuard::Version / SetVersion.
   MML010  Metric catalog drift: every `mm.*` metric literal in include/ +
           src/ must appear in the DESIGN.md §11 "Metric catalog" table and
           every catalog entry must be registered somewhere. Rows are
@@ -42,8 +39,9 @@ whole-program rules (see DESIGN.md §10):
           expanded combinatorially.
   MML011  Raw B-tree node byte access (`.leaf.keys`, `->inner.seps`,
           `node.hdr`, ...) outside include/mm/index/ + src/index/
-          (tests/test_btree.cc is the white-box layout test): node bytes are
-          only coherent under the §15 frame-seqlock protocol.
+          (tests/test_btree.cc is the white-box layout test): the node
+          layout belongs to index/ (DESIGN.md §15), and everything else
+          reads nodes through NodeRef or the mm::BTree API.
   MML101  Lock order / deadlock. Every nested `mm::MutexLock` acquisition
           pair (resolved to `Class::field`, following callees to
           CALL_DEPTH) is an edge in a global lock graph. Cycles are reported
@@ -56,11 +54,6 @@ whole-program rules (see DESIGN.md §10):
   MML102  Guarded-field escape: a pointer/reference to an `MM_GUARDED_BY`
           field returned, stored into a longer-lived object, or captured by
           reference in a lambda handed to a deferred sink (Submit/Push/...).
-  MML103  Seqlock discipline: frame-byte writes (`StoreBytes`,
-          `frame->bytes.store`, `memcpy(frame->data...)`) sit inside a
-          `FrameWriteGuard` section, and data copied through an
-          `OptimisticGuard` is not used on the `Validate()`-failed path.
-          core/pcache and core/optimistic_guard are exempt.
   MML104  Determinism: wall clocks, `time()`, `rand()`/`srand()` and
           `std::random_device` are banned in src/, include/mm/ and bench/
           outside sim/ (DESIGN.md §4); real-time benches are allowlisted.
@@ -143,11 +136,6 @@ UNBOUNDED_RECV_RE = re.compile(
     r"(?:\.|->)\s*(Recv(?:Bytes|Value)?)(?=\s*[<(])")
 COMM_DIRS = ("src/comm/", "include/mm/comm/")
 
-# MML009 / MML103 ------------------------------------------------------------
-FRAME_VERSION_RE = re.compile(
-    r"\b(\w*[Ff]rame\w*)\s*(?:\.|->)\s*version\b")
-SEQLOCK_EXEMPT = ("core/pcache", "core/optimistic_guard")
-
 # MML011 ---------------------------------------------------------------------
 # Two routes into node bytes: the NodeBlock union arms (`blk.leaf.keys`) or
 # an identifier containing "node" touching a node field directly.
@@ -168,14 +156,6 @@ MML104_BENCH_ALLOWLIST = (
     "bench/ledger.cc",
     "bench/ycsb.cc",
 )
-
-# MML103 ---------------------------------------------------------------------
-STORE_BYTES_RE = re.compile(r"OptimisticGuard::StoreBytes\s*\(")
-BYTES_STORE_RE = re.compile(r"\b(\w+)\s*(?:->|\.)\s*bytes\s*\.\s*store\s*\(")
-FRAME_MEMCPY_RE = re.compile(
-    r"(?:std::)?memcpy\s*\(\s*(\w*[Ff]rame\w*)\s*(?:->|\.)\s*data\b")
-VALIDATE_FAIL_RE = re.compile(r"if\s*\(\s*!\s*(\w+)\s*\.\s*Validate\s*\(\s*\)")
-READBYTES_OUT_RE = re.compile(r"\.\s*ReadBytes\s*\([^;]*?&\s*(\w+)")
 
 # MML102 ---------------------------------------------------------------------
 DEFERRED_SINKS = ("Submit", "Push", "Post", "Enqueue", "Defer", "Schedule",
@@ -295,7 +275,6 @@ class ClassInfo:
 
 @dataclass
 class LockEvent:
-    kind: str                  # "mutex" | "frame"
     var: str                   # RAII variable name
     expr: str                  # constructor argument text
     lock_id: str               # resolved id, "local:..." or "?:<expr>"
@@ -662,7 +641,7 @@ def _classify_member(model: Model, sf: SourceFile, ci: ClassInfo,
 # ---------------------------------------------------------------------------
 
 LOCK_DECL_RE = re.compile(
-    r"\b(?:mm::)?(?:util::)?(MutexLock|FrameWriteGuard)\s+(\w+)\s*"
+    r"\b(?:mm::)?(?:util::)?MutexLock\s+(\w+)\s*"
     r"[({]\s*([^;{}]*?)\s*[)}]\s*;")
 LOCAL_DECL_RE = re.compile(
     r"(?:^|[;{}()]\s*)(?:const\s+)?([\w:]+(?:<[^;=(){}]*>)?)\s*([&\*]*)\s+"
@@ -830,8 +809,7 @@ def _parse_body(model: Model, sf: SourceFile, fi: FunctionInfo) -> None:
 
     # Lock events ---------------------------------------------------------
     for m in LOCK_DECL_RE.finditer(body):
-        kind = "mutex" if m.group(1) == "MutexLock" else "frame"
-        var, expr = m.group(2), m.group(3)
+        var, expr = m.group(1), m.group(2)
         pos = base + m.start()
         scope = sf.innermost_brace(pos, (fi.open, fi.close - 1))
         end = scope[1] if scope else fi.close - 1
@@ -841,7 +819,7 @@ def _parse_body(model: Model, sf: SourceFile, fi: FunctionInfo) -> None:
             end = pos + un.start()
         lock_id, resolved = _resolve_lock_expr(model, fi, ci, expr)
         fi.lock_events.append(LockEvent(
-            kind=kind, var=var, expr=expr, lock_id=lock_id,
+            var=var, expr=expr, lock_id=lock_id,
             resolved=resolved, pos=pos, end=end, line=sf.line_of(pos)))
 
     # Call events ---------------------------------------------------------
@@ -969,7 +947,7 @@ def compute_summaries(model: Model
         qn: {} for qn in model.functions}
     for fi in model.bodies():
         for ev in fi.lock_events:
-            if ev.kind == "mutex" and ev.resolved:
+            if ev.resolved:
                 summaries[fi.qualname].setdefault(ev.lock_id,
                                                   (fi.rel, ev.line, ""))
     for _ in range(CALL_DEPTH):
@@ -1010,11 +988,10 @@ def observed_edges(model: Model, summaries) -> list[LockEdge]:
     edges: list[LockEdge] = []
     seen: set[tuple[str, str, str, int]] = set()
     for fi in model.bodies():
-        mutex_events = [e for e in fi.lock_events if e.kind == "mutex"]
-        for outer in mutex_events:
+        for outer in fi.lock_events:
             if not outer.resolved:
                 continue
-            for inner in mutex_events:
+            for inner in fi.lock_events:
                 if inner is outer:
                     continue
                 if outer.pos < inner.pos < outer.end and inner.resolved:
@@ -1342,84 +1319,6 @@ def check_mml102(model: Model) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# MML103: seqlock discipline
-# ---------------------------------------------------------------------------
-
-def check_mml103(model: Model) -> list[Finding]:
-    findings: list[Finding] = []
-    for fi in model.bodies():
-        if any(part in fi.rel for part in SEQLOCK_EXEMPT):
-            continue
-        sf = model.files[fi.rel]
-        body = sf.code[fi.open + 1:fi.close - 1]
-        base = fi.open + 1
-        guards = [e for e in fi.lock_events if e.kind == "frame"]
-
-        def in_guard(pos: int) -> bool:
-            return any(g.pos < pos < g.end for g in guards)
-
-        def emit(pos: int, msg: str) -> None:
-            sf.report(findings, sf.line_of(pos), "MML103", msg)
-
-        for m in STORE_BYTES_RE.finditer(body):
-            pos = base + m.start()
-            if not in_guard(pos):
-                emit(pos, "OptimisticGuard::StoreBytes outside a "
-                          "FrameWriteGuard section — optimistic readers can "
-                          "validate a torn write (DESIGN.md §14)")
-        for m in BYTES_STORE_RE.finditer(body):
-            pos = base + m.start()
-            if not in_guard(pos):
-                emit(pos, f"`{m.group(1)}->bytes.store()` outside a "
-                          "FrameWriteGuard section — republishing the byte "
-                          "pointer needs the seqlock held odd")
-        for m in FRAME_MEMCPY_RE.finditer(body):
-            pos = base + m.start()
-            if not in_guard(pos):
-                emit(pos, f"memcpy into `{m.group(1)}` page bytes outside a "
-                          "FrameWriteGuard section — a concurrent optimistic "
-                          "reader can validate a torn copy")
-
-        # Validate()-failure path must not consume the torn copy.
-        for vm in VALIDATE_FAIL_RE.finditer(body):
-            gvar = vm.group(1)
-            copied: set[str] = set()
-            for rm in re.finditer(
-                    r"\b" + re.escape(gvar) + READBYTES_OUT_RE.pattern,
-                    body[:vm.start()]):
-                copied.add(rm.group(1))
-            for am in re.finditer(
-                    r"(\w+)\s*=[^;=]*\b" + re.escape(gvar) +
-                    r"\s*\.\s*(?:page|version)\s*\(", body[:vm.start()]):
-                copied.add(am.group(1))
-            if not copied:
-                continue
-            blk_open = body.find("{", vm.end())
-            if blk_open < 0:
-                continue
-            pair = sf.innermost_brace(base + blk_open + 1,
-                                      (fi.open, fi.close - 1))
-            if pair is None or pair[0] != base + blk_open:
-                continue
-            blk = sf.code[pair[0] + 1:pair[1]]
-            for var in sorted(copied):
-                for um in re.finditer(r"\b" + re.escape(var) + r"\b", blk):
-                    tail = blk[um.end():um.end() + 16].lstrip()
-                    before = blk[:um.start()].rstrip()
-                    if tail.startswith("=") and not tail.startswith("=="):
-                        continue  # reassignment before retry is fine
-                    if before.endswith("&"):
-                        continue  # retrying ReadBytes(&var, ...)
-                    pos = pair[0] + 1 + um.start()
-                    emit(pos,
-                         f"`{var}` was copied through OptimisticGuard "
-                         f"`{gvar}` but is used on the Validate()-failed "
-                         "path — the copy may be torn; refetch before use")
-                    break
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # MML104: determinism (lexical)
 # ---------------------------------------------------------------------------
 
@@ -1458,7 +1357,7 @@ def check_mml104(sf: SourceFile) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Per-line and per-file rules: MML001, MML004–MML011
+# Per-line and per-file rules: MML001, MML004–MML008, MML010, MML011
 # ---------------------------------------------------------------------------
 
 def _runtime(rel: str) -> bool:
@@ -1575,21 +1474,6 @@ def check_mml008(sf: SourceFile) -> list[Finding]:
     return findings
 
 
-def check_mml009(sf: SourceFile) -> list[Finding]:
-    if any(part in sf.rel for part in SEQLOCK_EXEMPT):
-        return []
-    findings: list[Finding] = []
-    for idx, line in enumerate(sf.code_lines):
-        m = FRAME_VERSION_RE.search(line)
-        if m:
-            sf.report(findings, idx + 1, "MML009",
-                      f"raw `{m.group(1)}` version access outside the "
-                      "seqlock implementation — use OptimisticGuard::"
-                      "Version/SetVersion (reads need the acquire + "
-                      "validate protocol, writes a FrameWriteGuard)")
-    return findings
-
-
 def check_mml011(sf: SourceFile) -> list[Finding]:
     if sf.rel.startswith(TREE_NODE_EXEMPT):
         return []
@@ -1602,7 +1486,7 @@ def check_mml011(sf: SourceFile) -> list[Finding]:
             sf.report(findings, idx + 1, "MML011",
                       f"raw node {what} access `{m.group(1)}.{m.group(2)}` "
                       "outside index/ — go through mm::BTree (or NodeRef "
-                      "over a guard-validated snapshot)")
+                      "over a node snapshot)")
     return findings
 
 
@@ -1804,9 +1688,9 @@ def build_model(file_texts: list[tuple[str, str]]) -> Model:
 
 
 FILE_RULES = (check_mml001, check_mml005, check_mml006, check_mml008,
-              check_mml009, check_mml011, check_mml104)
+              check_mml011, check_mml104)
 MODEL_RULES = (check_mml002, check_mml003, check_mml004, check_mml007,
-               check_mml102, check_mml103)
+               check_mml102)
 
 
 def run_rules(model: Model, dot_path: str | None = None,

@@ -533,140 +533,6 @@ class A {
 
 
 # ---------------------------------------------------------------------------
-# MML103: seqlock discipline
-# ---------------------------------------------------------------------------
-
-class TestMML103Seqlock(unittest.TestCase):
-    def test_store_bytes_outside_guard(self):
-        files = {
-            "src/x/w.cc": """
-namespace mm::x {
-class W {
- public:
-  void Write(PageFrame* frame) {
-    OptimisticGuard::StoreBytes(*frame, 0, src_, 8);
-  }
-  char* src_;
-};
-}  // namespace mm::x
-""",
-        }
-        fs = findings_for(files, "MML103")
-        self.assertEqual(len(fs), 1, fs)
-        self.assertIn("StoreBytes", fs[0].message)
-
-    def test_store_bytes_inside_guard_ok(self):
-        files = {
-            "src/x/w.cc": """
-namespace mm::x {
-class W {
- public:
-  void Write(PageFrame* frame) {
-    FrameWriteGuard wg(frame);
-    OptimisticGuard::StoreBytes(*frame, 0, src_, 8);
-  }
-  char* src_;
-};
-}  // namespace mm::x
-""",
-        }
-        self.assertEqual(findings_for(files, "MML103"), [])
-
-    def test_raw_memcpy_into_frame_outside_guard(self):
-        files = {
-            "src/x/w.cc": """
-namespace mm::x {
-class W {
- public:
-  void Write(PageFrame* frame, const char* src) {
-    std::memcpy(frame->data.data(), src, 8);
-  }
-};
-}  // namespace mm::x
-""",
-        }
-        fs = findings_for(files, "MML103")
-        self.assertEqual(len(fs), 1, fs)
-        self.assertIn("memcpy", fs[0].message)
-
-    def test_bytes_store_outside_guard(self):
-        files = {
-            "src/x/w.cc": """
-namespace mm::x {
-class W {
- public:
-  void Publish(PageFrame* frame, unsigned char* p) {
-    frame->bytes.store(p);
-  }
-};
-}  // namespace mm::x
-""",
-        }
-        fs = findings_for(files, "MML103")
-        self.assertEqual(len(fs), 1, fs)
-
-    def test_seqlock_implementation_exempt(self):
-        files = {
-            "src/core/pcache.cc": """
-namespace mm::core {
-class PCache {
- public:
-  void Write(PageFrame* frame) {
-    OptimisticGuard::StoreBytes(*frame, 0, src_, 8);
-  }
-  char* src_;
-};
-}  // namespace mm::core
-""",
-        }
-        self.assertEqual(findings_for(files, "MML103"), [])
-
-    def test_deref_on_validate_failure_path(self):
-        files = {
-            "src/x/r.cc": """
-namespace mm::x {
-class R {
- public:
-  int Read(OptimisticGuard& g) {
-    int value = 0;
-    g.ReadBytes(0, &value, 4);
-    if (!g.Validate()) {
-      return value;
-    }
-    return value;
-  }
-};
-}  // namespace mm::x
-""",
-        }
-        fs = findings_for(files, "MML103")
-        self.assertEqual(len(fs), 1, fs)
-        self.assertIn("Validate()-failed", fs[0].message)
-
-    def test_retry_without_use_is_clean(self):
-        files = {
-            "src/x/r.cc": """
-namespace mm::x {
-class R {
- public:
-  int Read(OptimisticGuard& g) {
-    int value = 0;
-    g.ReadBytes(0, &value, 4);
-    if (!g.Validate()) {
-      retries_ += 1;
-      return 0;
-    }
-    return value;
-  }
-  int retries_;
-};
-}  // namespace mm::x
-""",
-        }
-        self.assertEqual(findings_for(files, "MML103"), [])
-
-
-# ---------------------------------------------------------------------------
 # MML104: determinism
 # ---------------------------------------------------------------------------
 
@@ -1252,70 +1118,6 @@ class Mml008UnboundedRecvTest(unittest.TestCase):
         snippet = ("void F(Communicator& comm) {\n"
                    "  // mm-verify: allow(MML008 bootstrap runs pre-detector)\n"
                    "  auto b = comm.RecvBytes(0, 2);\n"
-                   "}\n")
-        self.assertEqual(lint_snippet(snippet), [])
-
-
-class Mml009FrameVersionTest(unittest.TestCase):
-    def test_flags_arrow_access_in_core(self):
-        snippet = ("void F(PageFrame* frame) {\n"
-                   "  std::uint64_t v = frame->version.load();\n"
-                   "}\n")
-        findings = lint_snippet(snippet, rel="src/core/vector_impl.cc")
-        self.assertEqual(rules_of(findings), ["MML009"])
-        self.assertEqual(findings[0].line, 2)
-
-    def test_flags_dot_access_and_frame_substring_names(self):
-        snippet = ("void F(PageFrame& victim_frame, PageFrame* frame_ptr) {\n"
-                   "  auto a = victim_frame.version;\n"
-                   "  frame_ptr->version = 7;\n"
-                   "}\n")
-        self.assertEqual(rules_of(lint_snippet(snippet)),
-                         ["MML009", "MML009"])
-
-    def test_flags_in_tests_and_benches_too(self):
-        # The guard protocol binds every reader, fixtures included.
-        snippet = ("TEST(X, Y) {\n"
-                   "  EXPECT_EQ(frame->version.load(), 1u);\n"
-                   "}\n")
-        self.assertEqual(
-            rules_of(lint_snippet(snippet, rel="tests/test_vector.cc")),
-            ["MML009"])
-
-    def test_guard_api_is_clean(self):
-        snippet = ("void F(const PageFrame& frame) {\n"
-                   "  OptimisticGuard g(frame);\n"
-                   "  std::uint64_t v = OptimisticGuard::Version(frame);\n"
-                   "  OptimisticGuard::SetVersion(frame, v + 1);\n"
-                   "  std::uint64_t gv = g.version();\n"
-                   "}\n")
-        self.assertEqual(lint_snippet(snippet), [])
-
-    def test_implementation_files_are_exempt(self):
-        snippet = ("void F(PageFrame* frame) {\n"
-                   "  frame->version.store(2, std::memory_order_release);\n"
-                   "}\n")
-        self.assertEqual(
-            lint_snippet(snippet, rel="src/core/pcache.cc"), [])
-        self.assertEqual(
-            lint_snippet(snippet, rel="include/mm/core/pcache.h"), [])
-        self.assertEqual(
-            lint_snippet(snippet,
-                         rel="include/mm/core/optimistic_guard.h"), [])
-
-    def test_non_frame_version_fields_are_ignored(self):
-        # BlobLocation and friends have version fields too; only
-        # frame-named identifiers are the seqlock word.
-        snippet = ("void F(const BlobLocation& loc, Record* rec) {\n"
-                   "  auto a = loc.version;\n"
-                   "  auto b = rec->version;\n"
-                   "}\n")
-        self.assertEqual(lint_snippet(snippet), [])
-
-    def test_suppression_applies(self):
-        snippet = ("void F(PageFrame* frame) {\n"
-                   "  // mm-verify: allow(MML009 owner thread, no readers yet)\n"
-                   "  frame->version = 1;\n"
                    "}\n")
         self.assertEqual(lint_snippet(snippet), [])
 

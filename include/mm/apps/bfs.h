@@ -1,9 +1,8 @@
 // Graph500-style breadth-first search (the repo's first irregular-access
 // app, PR 7). A synthetic R-MAT graph is built into a CSR laid out across
 // two MegaMmap vectors (row offsets + column indices); the BFS kernel then
-// stresses exactly the access pattern the optimistic read path (DESIGN.md
-// §14) exists for: random, read-only page touches with no useful spatial
-// locality, where queueing a MemoryTask per fault is pure overhead.
+// stresses random, read-only page touches with no useful spatial locality,
+// where every pcache miss is a page fault.
 //
 //   * GenerateRmat  — deterministic R-MAT edge list (Graph500 kernel 0);
 //   * BuildCsr      — in-memory CSR (shared by reference and loader);

@@ -62,13 +62,6 @@ struct VectorOptions {
   int prefetch_depth = 4;
   /// Volatile vectors are never staged to a backend.
   bool nonvolatile = true;
-  /// Enables cross-thread lock-free readers on this vector's pcache frames
-  /// (Vector::TryReadOptimistic, DESIGN.md §14). When on, the owning
-  /// rank's scalar Set() brackets its byte stores in a seqlock write
-  /// section so concurrent optimistic readers can never validate a torn
-  /// element. Off by default: the extra two atomic bumps per scalar write
-  /// are pure cost for the common single-threaded-per-rank discipline.
-  bool optimistic_readers = false;
 };
 
 /// What survivors do with a dead node's DSM pages after fencing it

@@ -32,7 +32,6 @@
 #include <unordered_map>
 
 #include "mm/comm/world.h"
-#include "mm/core/optimistic_guard.h"
 #include "mm/core/pcache.h"
 #include "mm/core/prefetcher.h"
 #include "mm/core/service.h"
@@ -60,8 +59,7 @@ class Vector {
     }
     meta_ = *meta;
     pcache_ = std::make_unique<PCache>(
-        meta_->page_bytes, meta_->elems_per_page(), options_.pcache_bytes,
-        options_.optimistic_readers);
+        meta_->page_bytes, meta_->elems_per_page(), options_.pcache_bytes);
     epp_ = meta_->elems_per_page();
     if (epp_ > 0 && (epp_ & (epp_ - 1)) == 0) {
       epp_shift_ = std::countr_zero(epp_);
@@ -85,8 +83,6 @@ class Vector {
     prefetch_wasted_ = tel.metrics->GetCounter("mm.prefetch.wasted_count");
     score_count_ = tel.metrics->GetCounter("mm.prefetch.score_count");
     staged_count_ = tel.metrics->GetCounter("mm.prefetch.staged_count");
-    readpath_hit_ = tel.metrics->GetCounter("mm.readpath.fastpath_hit_count");
-    readpath_retry_ = tel.metrics->GetCounter("mm.readpath.retry_count");
   }
 
   // Paper semantics: vectors are NOT destroyed in the destructor; call
@@ -336,57 +332,7 @@ class Vector {
     ctx_->Compute(scalar_access_cost_s_);
     pcache_->MarkElemDirty(frame, elem);
     if (tx_ != nullptr) tx_->AdvanceTail();
-    if (options_.optimistic_readers) {
-      // Concurrent TryReadOptimistic readers may be copying this frame:
-      // bracket the store in a seqlock write section so an overlapped read
-      // can never validate a torn element. A live Span pin holds the latch
-      // odd; a nested write section would flip it even mid-span, so scalar
-      // Set and a Span on the same page must not mix.
-      MM_CHECK_MSG(frame->pins.load(std::memory_order_relaxed) == 0,
-                   "Set on a span-pinned page with optimistic_readers on");
-      FrameWriteGuard wg(frame);
-      OptimisticGuard::StoreBytes(*frame, elem * sizeof(T), &value, sizeof(T));
-    } else {
-      // mm-verify: allow(MML103 optimistic_readers off: no concurrent frame readers to tear)
-      std::memcpy(frame->data.data() + elem * sizeof(T), &value, sizeof(T));
-    }
-  }
-
-  /// Lock-free cross-thread element read (DESIGN.md §14). Safe to call from
-  /// any thread while the owning rank mutates the vector, PROVIDED the
-  /// vector was created with `optimistic_readers` on (otherwise the owner's
-  /// scalar stores are unguarded and this returns false immediately). Never
-  /// faults, never touches the LRU, never charges the virtual clock: on a
-  /// non-resident page, an index overflow, or a persistently-racing writer
-  /// it returns false and the caller falls back to the owner's path.
-  /// `*retries` (optional) accumulates validation conflicts.
-  bool TryReadOptimistic(std::uint64_t i, T* out, int* retries = nullptr) const {
-    if (!options_.optimistic_readers || i >= size()) return false;
-    std::uint64_t elem;
-    const std::uint64_t page = PageOf(i, &elem);
-    constexpr int kMaxAttempts = 3;
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      const PageFrame* frame = pcache_->PeekFrame(page);
-      if (frame == nullptr) return false;  // miss: nothing to retry against
-      OptimisticGuard guard(*frame);
-      if (!guard.valid() || guard.page() != page) {
-        // Odd seq (writer in section / retired) or a recycled frame now
-        // holding another page: re-probe the index.
-        if (retries != nullptr) ++*retries;
-        readpath_retry_->Inc();
-        continue;
-      }
-      alignas(T) std::uint8_t buf[sizeof(T)];
-      guard.ReadBytes(elem * sizeof(T), buf, sizeof(T));
-      if (guard.Validate()) {
-        std::memcpy(out, buf, sizeof(T));
-        readpath_hit_->Inc();
-        return true;
-      }
-      if (retries != nullptr) ++*retries;
-      readpath_retry_->Inc();
-    }
-    return false;
+    std::memcpy(frame->data.data() + elem * sizeof(T), &value, sizeof(T));
   }
 
   /// Atomically extends the vector by one element; returns its index.
@@ -455,9 +401,8 @@ class Vector {
       if (pcache_->IsPinned(page)) continue;
       PageFrame* f = pcache_->Find(page);
       if (f != nullptr && !f->dirty.Any()) {
-        // The retired frame keeps its buffer parked on the free list (a
-        // racing optimistic reader must dereference live memory); the next
-        // Insert recycles it through the pool.
+        // The retired frame keeps its buffer parked on the free list; the
+        // next Insert recycles it through the pool.
         pcache_->Remove(page);
       }
     }
@@ -616,7 +561,7 @@ class Vector {
       PageFrame* frame = pcache_->Find(pages[i]);
       if (frame == nullptr) continue;
       std::uint64_t current = locs[i].has_value() ? locs[i]->version : 0;
-      if (current != OptimisticGuard::Version(*frame)) {
+      if (current != frame->version) {
         pcache_->Remove(pages[i]);  // buffer stays parked on the free list
         if (pages[i] == last_page_) {
           last_page_ = kNoPage;
@@ -724,7 +669,7 @@ class Vector {
     // A recycled frame's previous buffer goes back to the node pool so the
     // zero-alloc fetch loop (DESIGN.md §7) stays closed.
     if (displaced.capacity() > 0) ReleasePageBytes(std::move(displaced));
-    OptimisticGuard::SetVersion(*frame, version);
+    frame->version = version;
     return frame;
   }
 
@@ -748,9 +693,8 @@ class Vector {
   /// application pays only the copy (paper §III-B "Lifecycle of Modified
   /// Data"). The page buffer returns to the node's pool for the next fetch.
   void EvictPage(std::uint64_t page) {
-    // The retired frame stays alive on the pcache free list: a racing
-    // optimistic reader dereferences live memory and fails validation. Its
-    // dirty runs are still this rank's to ship.
+    // The retired frame stays alive on the pcache free list until the next
+    // Insert; its dirty runs are still this rank's to ship.
     PageFrame* frame = pcache_->Remove(page);
     if (frame == nullptr) return;
     if (page == last_page_) {
@@ -762,10 +706,7 @@ class Vector {
     if (frame->dirty.Any()) {
       ShipDirtyRuns(page, *frame);
     }
-    // Without optimistic readers nothing can still read the buffer, so it
-    // goes back to the pool now, for the fetches that refill the frame;
-    // with them it stays parked until the next Insert recycles it.
-    if (!options_.optimistic_readers) ReleasePageBytes(std::move(frame->data));
+    ReleasePageBytes(std::move(frame->data));
   }
 
   /// Sends each dirty run of a frame as a partial-page write task. The
@@ -831,8 +772,8 @@ class Vector {
                                  outcome.status.ToString());
       }
       if (PageFrame* frame = pcache_->Find(it->first)) {
-        if (outcome.prev_version == OptimisticGuard::Version(*frame)) {
-          OptimisticGuard::SetVersion(*frame, outcome.version);
+        if (outcome.prev_version == frame->version) {
+          frame->version = outcome.version;
         }
       }
       it = outstanding_.erase(it);
@@ -973,8 +914,6 @@ class Vector {
   telemetry::Counter* prefetch_wasted_ = nullptr;
   telemetry::Counter* score_count_ = nullptr;
   telemetry::Counter* staged_count_ = nullptr;
-  telemetry::Counter* readpath_hit_ = nullptr;
-  telemetry::Counter* readpath_retry_ = nullptr;
   telemetry::NodeSink tel_ = telemetry::NodeSink::Dummy();
   sim::SimTime tx_begin_s_ = 0.0;
 };

@@ -7,9 +7,7 @@
 //   reads    root-to-leaf descents over node snapshots. The owner reads
 //            every node and the anchor with `Vector::Read`, so a miss is
 //            the page layer's one fault path (`Service::ReadPage`) and the
-//            pcache's LRU decides which nodes stay resident. Cross-thread
-//            `TryGet`/`TryScan` read resident frames only, under the frame
-//            seqlock (`Vector::TryReadOptimistic`). Fence keys +
+//            pcache's LRU decides which nodes stay resident. Fence keys +
 //            right-sibling links make any committed snapshot a valid
 //            starting point: keys that split away are found by moving
 //            right, and structurally insane snapshots trigger a bounded
@@ -19,16 +17,14 @@
 //            hierarchy so mm-verify MML101 checks its order) nested around
 //            the cross-rank `DistributedLock`. The lease holder refreshes
 //            coherence (stale clean pages dropped), mutates node pages
-//            through `Vector::Set` — each store a FrameWriteGuard seqlock
-//            section — and publishes level-by-level: a split commits the
-//            new sibling and the shrunk+linked old node BEFORE the parent
-//            separator, so concurrent readers only ever see B-link-
-//            consistent states, locally and across nodes.
+//            through `Vector::Set` and publishes level-by-level: a split
+//            commits the new sibling and the shrunk+linked old node BEFORE
+//            the parent separator, so other ranks' readers only ever see
+//            B-link-consistent states.
 //
 // Thread-affinity follows mm::Vector: a BTree instance belongs to one
-// rank; other ranks construct their own handle with the same name. Only
-// `TryGet`/`TryScan` may be called from other threads (resident frames
-// only — they never fault, never touch the LRU, never charge the clock).
+// rank; other ranks construct their own handle with the same name, and
+// they are the only concurrent readers.
 #pragma once
 
 #include <stdexcept>
@@ -52,7 +48,7 @@ struct BTreeOptions {
   std::uint64_t max_nodes = 1ull << 20;
   /// Per-rank pcache budget for the node arena; 0 = 64 nodes.
   std::uint64_t cache_bytes = 0;
-  /// Descent restarts (validation failure, fence-chase overrun) before a
+  /// Descent restarts (insane snapshot, fence-chase overrun) before a
   /// descent gives up.
   int max_restarts = 8;
   /// Lateral (right-sibling) hops tolerated within one descent.
@@ -61,10 +57,8 @@ struct BTreeOptions {
   std::size_t lock_home = 0;
 };
 
-/// Owner-thread descent statistics (cross-thread Try* paths report through
-/// their out-params and the lock-free mm.index.* counters instead). Every
-/// owner node read is a `Vector::Read` and counts as a queue fallback;
-/// `pcache_hits` and `scache_probes` stay 0 on the owner path.
+/// Descent statistics. Every node read is a `Vector::Read` and counts as a
+/// queue fallback; `pcache_hits` and `scache_probes` stay 0.
 struct DescentStats {
   std::uint64_t descents = 0;
   std::uint64_t node_reads = 0;
@@ -277,87 +271,6 @@ class BTree : public BTreeBase {
     return emitted;
   }
 
-  // ---- cross-thread latch-free probes ----
-
-  /// Lock-free point lookup from ANY thread while the owner mutates: only
-  /// resident frames, bounded restarts, no faulting, no clock. A
-  /// false return with `*conclusive == false` means "couldn't tell" (miss
-  /// or persistent races) — callers retry or route to the owner thread.
-  bool TryGet(const K& k, V* out, bool* conclusive = nullptr,
-              int* restarts = nullptr) const {
-    if (conclusive != nullptr) *conclusive = false;
-    TreeAnchor a;
-    if (!anchor_.TryReadOptimistic(0, &a)) return false;
-    if (a.height == 0) return false;
-    for (int attempt = 0; attempt <= opt_.max_restarts; ++attempt) {
-      Block blk;
-      int rc = TryDescend(k, a, &blk);
-      if (rc < 0) return false;  // a non-resident node: inconclusive
-      if (rc > 0) {              // structural restart
-        if (restarts != nullptr) ++*restarts;
-        metrics_.restarts->Inc();
-        continue;
-      }
-      Ref r(&blk);
-      std::uint32_t i = r.LowerBound(k);
-      if (conclusive != nullptr) *conclusive = true;
-      if (i < r.count() && !(k < r.key(i))) {
-        if (out != nullptr) *out = r.value(i);
-        return true;
-      }
-      return false;
-    }
-    return false;
-  }
-
-  /// Lock-free ordered scan from any thread. Returns the count appended,
-  /// or -1 when inconclusive (miss/races); output is strictly sorted.
-  std::int64_t TryScan(const K& from, std::uint64_t limit,
-                       std::vector<std::pair<K, V>>* out) const {
-    TreeAnchor a;
-    if (!anchor_.TryReadOptimistic(0, &a) || a.height == 0) return -1;
-    for (int attempt = 0; attempt <= opt_.max_restarts; ++attempt) {
-      Block blk;
-      int rc = TryDescend(from, a, &blk);
-      if (rc < 0) return -1;
-      if (rc > 0) {
-        metrics_.restarts->Inc();
-        continue;
-      }
-      const std::size_t base = out->size();
-      std::uint64_t emitted = 0;
-      K last{};
-      bool inconclusive = false;
-      int hops = 0;
-      while (emitted < limit) {
-        Ref r(&blk);
-        if (!r.Sane(0, opt_.max_nodes)) {
-          inconclusive = true;  // racing writer: retry whole scan
-          break;
-        }
-        for (std::uint32_t i = r.LowerBound(from); i < r.count(); ++i) {
-          const K& key = r.key(i);
-          if (emitted > 0 && !(last < key)) continue;
-          out->emplace_back(key, r.value(i));
-          last = key;
-          if (++emitted >= limit) break;
-        }
-        if (emitted >= limit || r.right() == kInvalidNode) break;
-        if (++hops > static_cast<int>(opt_.max_nodes)) {
-          inconclusive = true;
-          break;
-        }
-        if (!TryReadNode(r.right(), &blk)) {
-          inconclusive = true;
-          break;
-        }
-      }
-      if (!inconclusive) return static_cast<std::int64_t>(emitted);
-      out->resize(base);
-    }
-    return -1;
-  }
-
   // ---- introspection ----
 
   /// Structural integrity walk (owner thread): every leaf reachable along
@@ -413,12 +326,11 @@ class BTree : public BTreeBase {
  private:
   static core::VectorOptions ArenaOptions(const BTreeOptions& o) {
     core::VectorOptions vo;
-    vo.page_size = sizeof(Block);  // one node per page: frame seqlock == node lock
+    vo.page_size = sizeof(Block);  // one node per page: a page write is a node write
     vo.pcache_bytes =
         o.cache_bytes != 0 ? o.cache_bytes : 64 * sizeof(Block);
     vo.prefetch_depth = 0;  // descents are pointer chases; prefetch is noise
     vo.nonvolatile = false;
-    vo.optimistic_readers = true;
     return vo;
   }
   static core::VectorOptions AnchorOptions() {
@@ -427,7 +339,6 @@ class BTree : public BTreeBase {
     vo.pcache_bytes = 4 * sizeof(TreeAnchor);
     vo.prefetch_depth = 0;
     vo.nonvolatile = false;
-    vo.optimistic_readers = true;
     return vo;
   }
 
@@ -457,19 +368,9 @@ class BTree : public BTreeBase {
   };
 
   void WriteNode(std::uint64_t id, const Block& blk) {
-    // Vector::Set brackets the store in a FrameWriteGuard seqlock section
-    // (optimistic_readers is on) and marks the element dirty; the commit
-    // at lease end routes it through the coherence directory so remote
-    // replicas invalidate.
+    // Vector::Set marks the element dirty; the commit at lease end routes
+    // it through the coherence directory so remote replicas invalidate.
     arena_.Set(id, blk);
-  }
-
-  /// Resident-frame node snapshot; false = inconclusive miss. Any thread.
-  bool TryReadNode(std::uint64_t id, Block* out) const {
-    metrics_.node_reads->Inc();
-    if (!arena_.TryReadOptimistic(id, out)) return false;
-    metrics_.pcache_hits->Inc();
-    return true;
   }
 
   /// Owner-thread node snapshot: one `Vector::Read`, which charges the
@@ -482,52 +383,48 @@ class BTree : public BTreeBase {
     *out = arena_.Read(id);
   }
 
-  /// Shared descent step semantics: walk from the anchor's root to the
-  /// leaf covering k, moving right past fences, validating every snapshot.
-  /// Returns 0 = *out is the leaf, 1 = restart (structural anomaly),
-  /// -1 = inconclusive read (Try path only).
-  /// ReadFn is (id, out) -> bool. The expected level comes from the anchor
-  /// (height - 1 at the root), not from the node bytes — Sane() then
-  /// cross-checks every snapshot against it, so a stale root-vs-anchor
-  /// pairing surfaces as a restart, never a wrong walk.
-  template <class ReadFn>
-  int DescendWith(const K& k, const TreeAnchor& a, Block* out,
-                  ReadFn&& read, std::vector<std::uint64_t>* path) const {
-    if (a.root >= opt_.max_nodes || a.height == 0 || a.height >= 64) return 1;
+  /// One descent: walk from the anchor's root to the leaf covering k,
+  /// moving right past fences, checking every snapshot. Returns true when
+  /// *out is the leaf, false on a structural anomaly (restart). The
+  /// expected level comes from the anchor (height - 1 at the root), not
+  /// from the node bytes — Sane() then cross-checks every snapshot against
+  /// it, so a stale root-vs-anchor pairing surfaces as a restart, never a
+  /// wrong walk. `path` (optional) records the node used per level.
+  bool Descend(const K& k, const TreeAnchor& a, Block* out,
+               std::vector<std::uint64_t>* path) {
+    if (a.root >= opt_.max_nodes || a.height == 0 || a.height >= 64) {
+      return false;
+    }
     std::uint32_t level = static_cast<std::uint32_t>(a.height - 1);
     std::uint64_t id = a.root;
-    if (!read(id, out)) return -1;
+    ReadNodeOwner(id, out);
     int lateral = 0;
     while (true) {
       Ref r(out);
-      if (!r.Sane(level, opt_.max_nodes)) return 1;
+      if (!r.Sane(level, opt_.max_nodes)) return false;
       if (r.FenceMiss(k) && r.right() != kInvalidNode) {
-        if (++lateral > opt_.max_lateral) return 1;
+        if (++lateral > opt_.max_lateral) return false;
         id = r.right();
-        if (!read(id, out)) return -1;
+        ReadNodeOwner(id, out);
         continue;  // same expected level
       }
       if (path != nullptr) {
         // Record the node actually used at this level (post fence-chase).
         if (path->empty() || path->back() != id) path->push_back(id);
       }
-      if (level == 0) return 0;
+      if (level == 0) return true;
       id = r.ChildFor(k);
       --level;
-      if (!read(id, out)) return -1;
+      ReadNodeOwner(id, out);
     }
   }
 
-  /// Owner descent with bounded restarts. The structural guards stay on
+  /// Reader descent with bounded restarts. The structural guards stay on
   /// committed state too: a zeroed never-written page must surface as an
   /// error, not UB.
   void DescendOwner(const K& k, const TreeAnchor& a, Block* out) {
-    auto read = [this](std::uint64_t id, Block* b) {
-      ReadNodeOwner(id, b);
-      return true;
-    };
     for (int attempt = 0; attempt <= opt_.max_restarts; ++attempt) {
-      if (DescendWith(k, a, out, read, nullptr) == 0) return;
+      if (Descend(k, a, out, nullptr)) return;
       metrics_.restarts->Inc();
       ++stats_.restarts;
     }
@@ -535,25 +432,13 @@ class BTree : public BTreeBase {
                              " (tree '" + name_ + "' corrupt?)");
   }
 
-  /// Cross-thread descent attempt over resident frames only.
-  int TryDescend(const K& k, const TreeAnchor& a, Block* out) const {
-    auto probe = [this](std::uint64_t id, Block* b) {
-      return TryReadNode(id, b);
-    };
-    return DescendWith(k, a, out, probe, nullptr);
-  }
-
   /// Writer descent under the lease: coherent by construction, records the
   /// exact node id used per level (root first, leaf last). The lease
   /// excludes concurrent writers, so a structural anomaly is not a race.
   void DescendForWrite(const K& k, const TreeAnchor& a, Block* leaf,
                        std::vector<std::uint64_t>* path) {
-    auto read = [this](std::uint64_t id, Block* b) {
-      ReadNodeOwner(id, b);
-      return true;
-    };
-    const int rc = DescendWith(k, a, leaf, read, path);
-    MM_CHECK_MSG(rc == 0, "mm::BTree writer descent failed under lease");
+    const bool reached = Descend(k, a, leaf, path);
+    MM_CHECK_MSG(reached, "mm::BTree writer descent failed under lease");
   }
 
   static void InsertLeafSlot(Block* blk, std::uint32_t i, const K& k,

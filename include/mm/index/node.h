@@ -1,12 +1,12 @@
 // B-link tree node layout (DESIGN.md §15). One node occupies exactly one
 // DSM page of the tree's node arena (`page_size == sizeof(NodeBlock)`), so
-// the pcache frame seqlock IS the node's version lock and a validated
-// OptimisticGuard copy of the page is a consistent node snapshot.
+// a page commit publishes a whole node and every page another rank reads
+// is a consistent node snapshot.
 //
 // Both node kinds share a header carrying the B-link invariants:
 //
 //   level    0 = leaf, >0 = inner; a descent checks it against the level it
-//            expects, so a torn/recycled/stale page can never be followed.
+//            expects, so a stale page can never be followed.
 //   right    right-sibling node id at the same level (kInvalidNode at the
 //            rightmost edge). Splits publish the new sibling FIRST, then
 //            shrink the old node and link it — so a reader holding any
@@ -145,8 +145,8 @@ class NodeRef {
 
   /// Structural sanity of a snapshot: expected level, bounded count, keys
   /// strictly sorted, children under the allocation horizon. A snapshot
-  /// failing this (torn commit interleaving, recycled frame, stale zero
-  /// page) sends the descent into a restart, never into undefined behavior.
+  /// failing this (stale parent-vs-child pairing, stale zero page) sends
+  /// the descent into a restart, never into undefined behavior.
   bool Sane(std::uint32_t expected_level, std::uint64_t next_node) const {
     if (blk_->hdr.level != expected_level) return false;
     const std::uint32_t cap = is_leaf()

@@ -43,9 +43,8 @@ CritpathBreakdown AnalyzeCritpath(const std::vector<TraceEvent>& events,
     if (ev.cat == "coherence" && ev_end > begin_us && ev_end <= end_us) {
       out.coherence_ns += ToNs(ev.dur_us);
     }
-    // Bare fault-cat spans (prefetch adoption waits, optimistic remote
-    // copies) are caller stall that runs no task: pure
-    // data-movement time.
+    // Bare fault-cat spans (prefetch adoption waits) are caller stall
+    // that runs no task: pure data-movement time.
     if (ev.cat == "fault" && ev_end > begin_us && ev_end <= end_us) {
       out.network_ns += ToNs(ev.dur_us);
     }

@@ -1,7 +1,7 @@
 // mm::BTree (DESIGN.md §15): node-layout invariants, single- and
 // multi-rank correctness against a std::map oracle (MM_FAULT_SEED sweeps
-// the op stream), TSan-labeled latch-free readers racing structure
-// modifications (reader-vs-split, scan-vs-delete), and a node-death case —
+// the op stream), a TSan-labeled cross-rank reader racing another rank's
+// splits and deletes, and a node-death case —
 // rank killed mid-split burst, survivors roll back to the epoch checkpoint
 // and the tree must come back structurally whole.
 #include "mm/index/btree.h"
@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "mm/apps/kvstore.h"
@@ -340,127 +339,86 @@ TEST(BTreeCharge, ResidentGetChargesEachReadOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// TSan stress: latch-free readers vs structure modifications
+// TSan stress: a cross-rank reader vs structure modifications
 // ---------------------------------------------------------------------------
 
-// Reader threads TryGet keys the owner has already published while the
-// owner drives continuous splits. A conclusive hit must return the exact
-// value; a conclusive miss is only legal for not-yet-inserted keys.
-TEST(BTreeStress, ReadersVsSplit) {
-  auto cluster = sim::Cluster::PaperTestbed(1);
+// Rank 0 inserts every key (continuous splits), then deletes every
+// odd-indexed one (leaf churn). Meanwhile rank 1 loops Refresh() and then
+// owner Get/Scan on keys rank 0 published before that refresh, so its
+// descents meet committed states from the middle of splits and must reach
+// every key through the B-link move-right logic. A Get of a published
+// even-indexed key (never deleted) must return its exact value, and every
+// scan must be strictly sorted with exact values.
+TEST(BTreeStress, CrossRankReaderVsSplitAndDelete) {
+  auto cluster = sim::Cluster::PaperTestbed(2);
   core::Service svc(cluster.get(), SvcOptions());
-  auto run = comm::RunRanks(*cluster, 1, 1, [&](comm::RankContext& ctx) {
+  constexpr std::uint64_t kN = 2000;
+  std::vector<std::uint64_t> keys(kN);
+  for (std::uint64_t i = 0; i < kN; ++i) keys[i] = MixU64(i) | 1;
+  auto value_of = [](std::uint64_t k) { return k * 3 + 1; };
+  // published: index watermark — keys[0..published) are committed.
+  std::atomic<std::uint64_t> published{0};
+  std::atomic<bool> done{false};
+  std::uint64_t gets = 0, scans = 0, lost = 0, wrong = 0, unsorted = 0;
+  auto run = comm::RunRanks(*cluster, 2, 1, [&](comm::RankContext& ctx) {
+    comm::Communicator comm(&ctx);
     BTreeOptions opt;
     opt.max_nodes = 1 << 16;
-    SmallTree tree(svc, ctx, "mem://bt_race", opt);
-    tree.Create();
-    constexpr std::uint64_t kN = 3000;
-    std::vector<std::uint64_t> keys(kN);
-    for (std::uint64_t i = 0; i < kN; ++i) keys[i] = MixU64(i) | 1;
-    // published: index watermark — keys[0..published) are committed.
-    std::atomic<std::uint64_t> published{0};
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> conclusive{0}, wrong{0}, lost{0};
-
-    constexpr int kReaders = 3;
-    std::vector<std::thread> readers;
-    for (int r = 0; r < kReaders; ++r) {
-      readers.emplace_back([&, r] {
-        Rng rng(0x5eedULL + r);
-        while (!stop.load(std::memory_order_relaxed)) {
-          const std::uint64_t hi = published.load(std::memory_order_acquire);
-          if (hi == 0) continue;
-          const std::uint64_t k = keys[rng.NextBounded(hi)];
+    SmallTree tree(svc, ctx, "mem://bt_stress", opt);
+    if (comm.rank() == 0) tree.Create();
+    comm.Barrier();
+    if (comm.rank() == 0) {
+      for (std::uint64_t i = 0; i < kN; ++i) {
+        tree.Put(keys[i], value_of(keys[i]));
+        // Put committed before the watermark moves.
+        published.store(i + 1, std::memory_order_release);
+      }
+      for (std::uint64_t i = 1; i < kN; i += 2) {
+        EXPECT_TRUE(tree.Delete(keys[i]));
+      }
+      done.store(true, std::memory_order_release);
+    } else {
+      Rng rng(FaultSeed());
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+      bool last = false;
+      while (!last) {
+        // One more round after rank 0 finishes, so the reader always runs.
+        last = done.load(std::memory_order_acquire);
+        const std::uint64_t hi = published.load(std::memory_order_acquire);
+        tree.Refresh();
+        if (hi < 2) continue;
+        for (int j = 0; j < 8; ++j) {
+          const std::uint64_t k = keys[rng.NextBounded(hi) & ~1ULL];
           std::uint64_t v = 0;
-          bool sure = false;
-          const bool hit = tree.TryGet(k, &v, &sure);
-          if (!sure) continue;
-          conclusive.fetch_add(1, std::memory_order_relaxed);
-          if (!hit) {
-            lost.fetch_add(1, std::memory_order_relaxed);
-          } else if (v != k * 3 + 1) {
-            wrong.fetch_add(1, std::memory_order_relaxed);
+          ++gets;
+          if (!tree.Get(k, &v)) {
+            ++lost;
+          } else if (v != value_of(k)) {
+            ++wrong;
           }
         }
-      });
-    }
-
-    for (std::uint64_t i = 0; i < kN; ++i) {
-      tree.Put(keys[i], keys[i] * 3 + 1);
-      // Put committed before the watermark moves: a published key is
-      // always findable from any committed snapshot.
-      published.store(i + 1, std::memory_order_release);
-      if (i % 256 == 0) std::this_thread::yield();
-    }
-    stop.store(true, std::memory_order_relaxed);
-    for (auto& t : readers) t.join();
-
-    EXPECT_EQ(wrong.load(), 0u) << "latch-free read returned a torn value";
-    EXPECT_EQ(lost.load(), 0u) << "published key invisible to reader";
-    EXPECT_GT(conclusive.load(), 0u);
-  });
-  ASSERT_TRUE(run.ok()) << run.error;
-}
-
-// Reader threads TryScan while the owner deletes: every conclusive scan
-// must be strictly sorted and contain no deleted-before-publish keys that
-// reappear out of order (the seqlock + Sane() contract).
-TEST(BTreeStress, ScanVsDelete) {
-  auto cluster = sim::Cluster::PaperTestbed(1);
-  core::Service svc(cluster.get(), SvcOptions());
-  auto run = comm::RunRanks(*cluster, 1, 1, [&](comm::RankContext& ctx) {
-    BTreeOptions opt;
-    opt.max_nodes = 1 << 16;
-    SmallTree tree(svc, ctx, "mem://bt_scandel", opt);
-    tree.Create();
-    constexpr std::uint64_t kN = 2500;
-    for (std::uint64_t i = 0; i < kN; ++i) {
-      tree.Put(MixU64(i) | 1, i);
-    }
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> scans{0}, unsorted{0};
-
-    constexpr int kReaders = 3;
-    std::vector<std::thread> readers;
-    for (int r = 0; r < kReaders; ++r) {
-      readers.emplace_back([&, r] {
-        Rng rng(0xabcdULL * (r + 1));
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-        while (!stop.load(std::memory_order_relaxed)) {
-          out.clear();
-          const std::uint64_t from = rng.Next() | 1;
-          const std::int64_t got = tree.TryScan(from, 24, &out);
-          if (got < 0) continue;
-          scans.fetch_add(1, std::memory_order_relaxed);
-          for (std::size_t i = 1; i < out.size(); ++i) {
-            if (!(out[i - 1].first < out[i].first)) {
-              unsorted.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
+        out.clear();
+        tree.Scan(rng.Next() | 1, 24, &out);
+        ++scans;
+        for (std::size_t j = 0; j < out.size(); ++j) {
+          if (j > 0 && !(out[j - 1].first < out[j].first)) ++unsorted;
+          if (out[j].second != value_of(out[j].first)) ++wrong;
         }
-      });
-    }
-
-    // Owner: delete every other key, then reinsert — continuous leaf churn.
-    for (int round = 0; round < 3; ++round) {
-      for (std::uint64_t i = 0; i < kN; i += 2) {
-        tree.Delete(MixU64(i) | 1);
-        if (i % 512 == 0) std::this_thread::yield();
-      }
-      for (std::uint64_t i = 0; i < kN; i += 2) {
-        tree.Put(MixU64(i) | 1, i + round);
       }
     }
-    stop.store(true, std::memory_order_relaxed);
-    for (auto& t : readers) t.join();
-
-    EXPECT_EQ(unsorted.load(), 0u) << "latch-free scan out of order";
-    EXPECT_GT(scans.load(), 0u);
-    std::uint64_t keys = 0;
-    ASSERT_TRUE(tree.CheckIntegrity(&keys).ok());
-    EXPECT_EQ(keys, kN);
+    comm.Barrier();
+    tree.Refresh();
+    std::uint64_t n = 0;
+    EXPECT_TRUE(tree.CheckIntegrity(&n).ok()) << "rank " << comm.rank();
+    EXPECT_EQ(n, kN / 2) << "rank " << comm.rank();
+    comm.Barrier();
   });
   ASSERT_TRUE(run.ok()) << run.error;
+  EXPECT_EQ(lost, 0u) << "published key invisible to the other rank";
+  EXPECT_EQ(wrong, 0u) << "cross-rank read returned a wrong value";
+  EXPECT_EQ(unsorted, 0u) << "cross-rank scan out of order";
+  EXPECT_GT(gets, 0u);
+  EXPECT_GT(scans, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 // Service-level tests: vector registry, inline task execution,
-// organizer wiring, ownership/placement, phases, YAML options.
+// organizer wiring, ownership/placement, phases, YAML options, and
+// read-only-global replication on a remote read.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
+#include "mm/comm/communicator.h"
+#include "mm/comm/launch.h"
 #include "mm/mega_mmap.h"
 #include "mm/core/pcache.h"
 #include "mm/sim/cost_model.h"
@@ -716,6 +720,51 @@ TEST(ServiceOptionsYaml, ConfigFileEndToEnd) {
   Service svc(cluster.get(), *opts);
   EXPECT_EQ(svc.options().organize_every, 16);
   std::filesystem::remove_all(dir);
+}
+
+// Every pcache miss is a Service::ReadPage, so a read-only-global page read
+// from another node replicates into the reader's scache (Fig. 3).
+TEST(ReadpathServiceTest, ReadOnlyGlobalRemoteReadReplicates) {
+  auto cluster = sim::Cluster::PaperTestbed(2);
+  core::ServiceOptions so;
+  so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(8)}};
+  core::Service svc(cluster.get(), so);
+  constexpr std::uint64_t kElems = 1024, kEpp = 128;  // 8 pages
+  auto run = comm::RunRanks(*cluster, 2, 1, [&](comm::RankContext& ctx) {
+    core::VectorOptions vo;
+    vo.nonvolatile = false;
+    vo.page_size = kEpp * sizeof(double);
+    vo.mode = CoherenceMode::kReadOnlyGlobal;
+    Vector<double> vec(svc, ctx, "ro_replicate", kElems, vo);
+    comm::Communicator comm(&ctx);
+    vec.Pgas(ctx.rank(), 2);
+    // The transaction handle only iterates; TxEnd below closes it.
+    (void)vec.SeqTxBegin(vec.local_off(), vec.local_off() + vec.local_size(),
+                         core::MM_WRITE_ONLY);
+    for (std::uint64_t i = vec.local_off();
+         i < vec.local_off() + vec.local_size(); ++i) {
+      vec[i] = double(i);
+    }
+    vec.TxEnd();
+    comm.Barrier();
+    if (ctx.rank() == 0) {
+      const std::uint64_t page = kElems / kEpp - 1;  // rank 1's half
+      const storage::BlobId id{vec.meta().vector_id, page};
+      auto home = svc.metadata().Lookup(id, 0, 0.0, nullptr);
+      ASSERT_TRUE(home.ok());
+      ASSERT_EQ(home->node, 1u);
+      telemetry::Counter* replicated =
+          svc.metrics(0).GetCounter("mm.coherence.replicate_count");
+      const std::uint64_t before = replicated->value();
+      EXPECT_EQ(vec.Read(page * kEpp), double(page * kEpp));
+      const auto replicas = svc.metadata().Replicas(id, 0, 0.0, nullptr);
+      EXPECT_NE(std::find(replicas.begin(), replicas.end(), 0u),
+                replicas.end());
+      EXPECT_GT(replicated->value(), before);
+    }
+    comm.Barrier();
+  });
+  ASSERT_TRUE(run.ok()) << run.error;
 }
 
 }  // namespace
