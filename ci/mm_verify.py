@@ -7,9 +7,12 @@ call graph — and one file walk feeds both the per-line rules and the
 whole-program rules (see DESIGN.md §10):
 
   MML001  Raw std synchronization primitive (std::mutex, std::lock_guard,
-          std::condition_variable, <mutex>, ...) in include/ + src/ outside
-          util/: runtime code uses the annotated mm::Mutex / MutexLock /
-          CondVar wrappers so Clang's -Wthread-safety sees the locking.
+          std::condition_variable, std::promise/future/shared_future/
+          packaged_task/async, <mutex>, <future>, ...) in include/ + src/
+          outside util/: runtime code blocks only through the annotated
+          mm::Mutex / MutexLock / CondVar wrappers, so Clang's
+          -Wthread-safety sees the locking and every wait goes through
+          one file.
   MML002  PagePool Acquire/AcquireZeroed whose result variable is neither
           PoolReturn-guarded, std::move'd, Release'd, returned, stored into
           an outgoing object, nor handed to a callee (per-variable
@@ -96,7 +99,8 @@ RAW_SYNC_RE = re.compile(
     r"std::(?:recursive_|timed_|shared_)?mutex\b"
     r"|std::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b"
     r"|std::condition_variable(?:_any)?\b"
-    r"|#\s*include\s*<(?:mutex|shared_mutex|condition_variable)>"
+    r"|std::(?:promise|future|shared_future|packaged_task|async)\b"
+    r"|#\s*include\s*<(?:mutex|shared_mutex|condition_variable|future)>"
 )
 
 # MML004: (file-name substring, qualified hot-path function) -----------------
@@ -590,7 +594,7 @@ def _classify_member(model: Model, sf: SourceFile, ci: ClassInfo,
     bare = re.sub(r"\{[^{}]*\}\s*$", " ", bare).strip()
 
     # Method declaration? Record reference/pointer accessor return classes
-    # so `runtime(node).Submit(...)` chains resolve.
+    # so `runtime(node).GetPages(...)` chains resolve.
     mm = re.match(
         r"^(?:virtual\s+|static\s+|inline\s+|constexpr\s+|explicit\s+|"
         r"\[\[\w+\]\]\s*)*"
@@ -837,7 +841,7 @@ def _parse_body(model: Model, sf: SourceFile, fi: FunctionInfo) -> None:
         recv, accessor, callee = m.group(1), m.group(2), m.group(3)
         if callee in KEYWORDS or accessor in KEYWORDS:
             continue
-        # `runtime(n).Submit(` on this class, or `svc.runtime(n).Submit(`
+        # `runtime(n).Erase(` on this class, or `svc.runtime(n).Erase(`
         # on a typed receiver.
         owner = ci
         if recv is not None:

@@ -872,6 +872,28 @@ class Mml001RawSyncTest(unittest.TestCase):
         findings = lint_snippet("// replaces std::mutex with mm::Mutex\n")
         self.assertEqual(findings, [])
 
+    def test_flags_shared_future_in_src(self):
+        snippet = ("#include <future>\n"
+                   "std::shared_future<int> fetch;\n")
+        self.assertEqual(rules_of(lint_snippet(snippet)),
+                         ["MML001", "MML001"])
+
+    def test_flags_promise_packaged_task_and_async(self):
+        snippet = ("std::promise<int> publish;\n"
+                   "std::packaged_task<int()> job;\n"
+                   "auto f = std::async(run);\n"
+                   "std::future<int> g;\n")
+        self.assertEqual(rules_of(lint_snippet(snippet)), ["MML001"] * 4)
+
+    def test_shared_future_under_util_is_exempt(self):
+        findings = lint_snippet("std::shared_future<int> fetch;\n",
+                                rel="include/mm/util/latch.h")
+        self.assertEqual(findings, [])
+
+    def test_future_status_is_not_a_future(self):
+        findings = lint_snippet("auto s = std::future_status::ready;\n")
+        self.assertEqual(findings, [])
+
 
 class Mml004HotPathTest(unittest.TestCase):
     def test_flags_check_in_span_subscript(self):

@@ -14,8 +14,8 @@ enum class CoherenceMode : std::uint8_t {
   /// Read Only Global: data is immutable; pages replicate freely into the
   /// pcache and nearby scache partitions to improve availability.
   kReadOnlyGlobal = 1,
-  /// Write Only Global: concurrent writers; MemoryTasks for the same page
-  /// run on its owner node, one at a time, in submission order.
+  /// Write Only Global: concurrent writers; commits to the same page run
+  /// on its owner node's runtime, one at a time, in call order.
   kWriteOnlyGlobal = 2,
   /// Append Only Global: like write-only, plus atomic tail extension.
   kAppendOnlyGlobal = 3,

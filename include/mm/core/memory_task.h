@@ -1,29 +1,25 @@
-// MemoryTasks: the unit of work submitted by the MegaMmap library to the
-// runtime (paper §III-B). Tasks carry the blob id, payload, and a simulated
-// issue time; NodeRuntime::Submit runs each on the submitting thread, one
-// at a time per node in submission order, against the node's
-// BufferManager, metadata, and stagers, and returns the outcome.
+// What the paper's MemoryTasks (§III-B) carry in and out of a node's
+// runtime: the recycled page buffers of their payloads (PagePool,
+// PoolReturn) and the outcome each NodeRuntime entry point (GetPages,
+// WritePartial, Score, StageOut, Erase) returns to its caller.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "mm/sim/virtual_clock.h"
-#include "mm/storage/blob.h"
-#include "mm/telemetry/trace.h"
 #include "mm/util/mutex.h"
 #include "mm/util/status.h"
 
 namespace mm::core {
 
-/// Thread-safe free-list of byte buffers recycled across MemoryTasks and
-/// page frames. Page-sized payloads (kGetPage faults, kWritePartial
-/// commits, kStageOut staging, evicted pcache frames) churn at scan rate;
+/// Thread-safe free-list of byte buffers recycled across runtime calls and
+/// page frames. Page-sized payloads (GetPages faults, WritePartial
+/// commits, StageOut staging, evicted pcache frames) churn at scan rate;
 /// without pooling every one is a fresh heap allocation. Buffers are
 /// bucketed by capacity; Acquire hits when a buffer of the exact size was
 /// released before (page sizes are uniform per vector, so the hit rate on
@@ -104,7 +100,7 @@ class PagePool {
 };
 
 /// RAII guard returning a buffer to its pool on every exit path (success
-/// and error alike), so failed tasks do not leak their payload buffers out
+/// and error alike), so failed calls do not leak their payload buffers out
 /// of the recycling loop.
 class PoolReturn {
  public:
@@ -126,6 +122,9 @@ struct TaskOutcome {
   std::vector<std::uint8_t> data;  // for reads
   sim::SimTime done = 0.0;         // simulated completion time
   std::uint64_t version = 0;       // page write-version (see BlobLocation)
+  /// For reads: the CRC of the stamp `data` was checked or stamped under,
+  /// so a replica of `data` reuses it instead of recomputing it.
+  std::uint32_t crc = 0;
   /// For write commits: the page version BEFORE this write. A writer's
   /// cached frame may adopt `version` only when its current frame version
   /// equals `prev_version` (otherwise another rank's bytes are missing
@@ -135,44 +134,6 @@ struct TaskOutcome {
   /// payload bytes (trimmed to the vector's logical extent).
   std::uint64_t pages_written = 0;
   std::uint64_t bytes_written = 0;
-};
-
-struct MemoryTask {
-  enum class Kind : std::uint8_t {
-    kGetPage,       // read of a run of n >= 1 consecutive pages
-    kWritePartial,  // async dirty-region update (copy-on-write commit)
-    kScore,         // prefetcher importance score for the Data Organizer
-    kStageOut,      // persist one owner's dirty pages to the backend
-    kErase,         // drop a page from the scache
-  };
-
-  Kind kind = Kind::kGetPage;
-  std::uint64_t vector_id = 0;
-  storage::BlobId id;  // the page; kGetPage: the run's first page
-  std::uint64_t offset = 0;  // for partial ops, offset within the page
-  std::uint64_t size = 0;    // kGetPage: bytes per page (page_bytes)
-  std::vector<std::uint8_t> data;  // for writes
-  float score = 1.0f;
-  std::size_t from_node = 0;
-  sim::SimTime issue_time = 0.0;
-  /// Causal flow identity minted at the request origin (DESIGN.md §11).
-  /// The runtime opens a child span linked to the origin's flow and
-  /// installs the context while the task runs, so nested stager spans join
-  /// it too. Invalid (zero) for background work — prefetch, scores, erases.
-  telemetry::TraceContext tctx;
-  /// True when this task is the terminal hop of an *async* flow (write
-  /// commits): the task span closes the flow ('f') instead of a plain step
-  /// ('t'), since no origin span outlives it.
-  bool trace_terminal = false;
-  /// kGetPage stage-ahead (Service::StageAhead): the pages are placed in
-  /// the scache only. Staged bytes move into it, and any other bytes the
-  /// task read go back to the node's pool, so the outcomes carry a status
-  /// and a `done` time but no data.
-  bool placement_only = false;
-  /// kStageOut: the batch's page indices on this owner, ascending.
-  /// kGetPage: the run's consecutive pages, `id` being the first. Last, so
-  /// the fields every task touches keep their offsets.
-  std::vector<std::uint64_t> pages;
 };
 
 }  // namespace mm::core

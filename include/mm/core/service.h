@@ -1,14 +1,13 @@
-// The MegaMmap service: per-node runtimes (each runs MemoryTasks one at a
-// time, on the thread that submits them), the distributed metadata
-// manager, the vector registry, and the scache client API that mm::Vector
-// uses. One Service instance exists per simulated job, shared by all ranks
-// (paper Fig. 2 has application processes submit MemoryTasks to a runtime
-// through queues; here the submitting rank thread runs the task itself).
+// The MegaMmap service: per-node runtimes (each runs its entry points one
+// at a time, on the calling thread), the distributed metadata manager, the
+// vector registry, and the scache client API that mm::Vector uses. One
+// Service instance exists per simulated job, shared by all ranks (paper
+// Fig. 2 has application processes submit MemoryTasks to a runtime through
+// queues; here the rank thread calls the runtime's entry point itself).
 #pragma once
 
 #include <atomic>
 #include <functional>
-#include <future>
 #include <optional>
 #include <map>
 #include <span>
@@ -79,14 +78,22 @@ struct VectorMeta {
   }
 };
 
-/// One node's runtime. It owns no thread: Submit runs each MemoryTask on
-/// the calling thread under the node's execution mutex, so every task on
-/// the node runs alone and in submission order. That gives §III-B's
-/// same-page ordering for every page and block, stage-ins against commits
-/// included. The paper's per-node worker pool is not reproduced
-/// (EXPERIMENTS.md, "Inline tasks"): a task carries its own issue time and
-/// a worker has no clock, so workers would add wall-clock interleavings
-/// and no virtual-time behaviour.
+/// One node's runtime. It owns no thread: each entry point below is one
+/// of the paper's MemoryTasks (§III-B), run on the calling thread under the
+/// node's execution mutex, so every call on the node runs alone and in call
+/// order. That gives §III-B's same-page ordering for every page and block,
+/// stage-ins against commits included. The paper's per-node worker pool is
+/// not reproduced (EXPERIMENTS.md, "Inline tasks"): a call carries its own
+/// issue time and a worker has no clock, so workers would add wall-clock
+/// interleavings and no virtual-time behaviour.
+///
+/// Every entry point is thread-safe, starts `task_dispatch_s` after its
+/// `issued` time, counts into `mm.task.executed_count` and
+/// `mm.task.<name>_ns`, and records a `<name>` span, linked to the flow
+/// `tctx` when given. After Shutdown it does none of that and returns
+/// kFailedPrecondition at `issued`. No entry point runs inside another on
+/// one thread: the one call made from inside a step, the tier-failure
+/// re-stage (Service::OnTierFailure), runs once the step has ended.
 class NodeRuntime {
  public:
   NodeRuntime(Service* service, std::size_t node_id,
@@ -97,49 +104,72 @@ class NodeRuntime {
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
 
-  /// Runs `task` on the calling thread once every task submitted to this
-  /// node before it has run, and returns its outcome. A kGetPage run also
-  /// leaves one outcome per page in *pages (optional; without it the
-  /// pages' bytes go back to the pool). Thread-safe. After Shutdown the
-  /// task is rejected: the outcome, and each page's, carry
-  /// kFailedPrecondition. A Submit made from inside a running task (the
-  /// tier-failure re-stage) is deferred until the outermost task on this
-  /// thread ends, so the thread never waits on a mutex it holds; it returns
-  /// at once with an Ok outcome at the issue time and no page outcomes.
-  TaskOutcome Submit(MemoryTask task,
-                     std::vector<TaskOutcome>* pages = nullptr);
+  /// `get_page`: reads the run of pages [first, first + n) of `meta`.
+  /// Re-resolves each page's source, stages the run in with one backend
+  /// read while every page is still unplaced, else serves page by page
+  /// (ServePage). Staged-in pages are cached at `score`, scored for
+  /// `from_node`. Returns one outcome per page. A `placement_only` run
+  /// (Service::StageAhead) leaves its staged bytes in the scache, so its
+  /// outcomes carry a status and a `done` time but no data.
+  std::vector<TaskOutcome> GetPages(VectorMeta& meta, std::uint64_t first,
+                                    std::uint64_t n, std::size_t from_node,
+                                    sim::SimTime issued,
+                                    telemetry::TraceContext tctx,
+                                    float score = 1.0f,
+                                    bool placement_only = false);
+
+  /// `write_partial`: commits `bytes` at `offset` of `page` (the
+  /// copy-on-write commit of a dirty region) and ends the async flow `tctx`
+  /// that Service::WriteRegion opened. The payload goes back to the pool.
+  TaskOutcome WritePartial(VectorMeta& meta, std::uint64_t page,
+                           std::uint64_t offset,
+                           std::vector<std::uint8_t> bytes,
+                           std::size_t from_node, sim::SimTime issued,
+                           telemetry::TraceContext tctx);
+
+  /// `score`: sets the Data Organizer's importance score of `id`, and
+  /// rebalances the tiers every `organize_every` scores. Fire-and-forget:
+  /// a rejection loses only a hint.
+  void Score(const storage::BlobId& id, float score, sim::SimTime issued);
+
+  /// `stage_out`: persists `pages` of `meta` (this owner's dirty pages,
+  /// ascending) as one journaled group commit, part of the flush flow
+  /// `tctx`. The outcome counts the pages and bytes written.
+  TaskOutcome StageOut(VectorMeta& meta,
+                       const std::vector<std::uint64_t>& pages,
+                       sim::SimTime issued, telemetry::TraceContext tctx);
+
+  /// `erase`: drops `id` from this node's scache (absent is fine).
+  void Erase(const storage::BlobId& id, sim::SimTime issued);
 
   storage::BufferManager& buffer() { return bm_; }
 
-  /// Per-node recycled page-buffer pool: kGetPage/kWritePartial/kStageOut
+  /// Per-node recycled page-buffer pool: GetPages/WritePartial/StageOut
   /// payloads and evicted pcache frames draw from (and return to) it
-  /// instead of allocating fresh vectors on every task.
+  /// instead of allocating fresh vectors on every call.
   PagePool& pool() { return pool_; }
 
-  /// Rejects every later Submit, once the task running now (if any) ends.
+  /// Rejects every later call, once the one running now (if any) ends.
   void Shutdown();
 
  private:
-  /// Runs one task under exec_mu_ (or rejects it after Shutdown), then
-  /// records its count, latency histogram and span and recycles its
-  /// payload.
-  TaskOutcome Run(MemoryTask& task, std::vector<TaskOutcome>* pages);
-  TaskOutcome Execute(MemoryTask& task, std::vector<TaskOutcome>* pages);
-  /// A kGetPage run of n >= 1 pages: re-resolves each page's source,
-  /// stages the run in with one backend read while every page is still
-  /// unplaced, else serves page by page (ServePage); hands each page's
-  /// outcome to *pages.
-  TaskOutcome ExecuteGetPage(MemoryTask& task,
-                             std::vector<TaskOutcome>* pages);
-  TaskOutcome ExecuteWritePartial(MemoryTask& task);
-  TaskOutcome ExecuteScore(MemoryTask& task);
-  TaskOutcome ExecuteStageOut(MemoryTask& task);
-  TaskOutcome ExecuteErase(MemoryTask& task);
+  /// One entry point's run: its dispatch charge, count, histogram, span,
+  /// payload recycling and the deferred re-stages (service.cc).
+  class TaskScope;
 
-  /// One page of a kGetPage task from `src`: this node's copy, else served
-  /// through from the recorded owner, else staged in (or zero-filled) alone.
-  TaskOutcome ServePage(VectorMeta& meta, const MemoryTask& task,
-                        std::uint64_t page, const ReadSource& src);
+  /// WritePartial's commit, started at `now`.
+  TaskOutcome CommitPartial(VectorMeta& meta, const storage::BlobId& id,
+                            std::uint64_t offset,
+                            const std::vector<std::uint8_t>& bytes,
+                            std::size_t from_node, sim::SimTime now);
+
+  /// One page of a GetPages run from `src`, started at `now`: this node's
+  /// copy, else served through from the recorded owner, else staged in (or
+  /// zero-filled) alone and cached as GetPages says.
+  TaskOutcome ServePage(VectorMeta& meta, std::uint64_t page,
+                        const ReadSource& src, sim::SimTime now,
+                        std::size_t from_node, float score,
+                        bool placement_only);
 
   /// Loads pages [first, first + outs.size()) into one pooled buffer each,
   /// zero-filled past what the backend holds. The pages the backend holds
@@ -147,13 +177,14 @@ class NodeRuntime {
   void StageInOrZero(VectorMeta& meta, std::uint64_t first,
                      std::span<TaskOutcome> outs, sim::SimTime now);
 
-  /// Caches a page staged in for `task` in this node's scache and records
-  /// its directory entry under `version` (sets out->version and out->done).
-  /// A full scache is not an error for reads: the page is served uncached.
-  /// A placement-only task's bytes move into the cache, leaving out->data
-  /// empty.
-  void CacheStagedPage(const MemoryTask& task, const storage::BlobId& id,
-                       std::uint64_t version, TaskOutcome* out);
+  /// Caches a staged-in page in this node's scache at `score` and records
+  /// its directory entry under `version`, scored for `from_node` (sets
+  /// out->version, out->crc and out->done). A full scache is not an error
+  /// for reads: the page is served uncached. A `placement_only` page's
+  /// bytes move into the cache, leaving out->data empty.
+  void CacheStagedPage(const storage::BlobId& id, std::uint64_t version,
+                       std::size_t from_node, float score,
+                       bool placement_only, TaskOutcome* out);
 
   /// Reads `size` backend bytes from `offset` as one request, each page
   /// straight into its own buffer (pages[i] gets the bytes from offset + i
@@ -204,12 +235,16 @@ class NodeRuntime {
   telemetry::Counter* stager_write_bytes_;     // mm.stager.write_bytes
   telemetry::Counter* stager_errors_;          // mm.stager.errors_count
   telemetry::Counter* stager_retries_;         // mm.stager.retries_count
-  telemetry::Histogram* task_latency_[5];      // mm.task.<kind>_ns, by Kind
+  telemetry::Histogram* get_page_ns_;          // mm.task.get_page_ns
+  telemetry::Histogram* write_partial_ns_;     // mm.task.write_partial_ns
+  telemetry::Histogram* score_ns_;             // mm.task.score_ns
+  telemetry::Histogram* stage_out_ns_;         // mm.task.stage_out_ns
+  telemetry::Histogram* erase_ns_;             // mm.task.erase_ns
   telemetry::Counter* ckpt_journal_bytes_;     // mm.ckpt.journal_bytes
   storage::BufferManager bm_;
   PagePool pool_;
-  // Held for the whole of one task's execution, so everything a task takes
-  // comes after it (MML101).
+  // Held for the whole of one entry point's step, so everything a step
+  // takes comes after it (MML101).
   Mutex exec_mu_ MM_ACQUIRED_BEFORE(
       Service::vectors_mu_, Service::lost_mu_, VectorMeta::backend_mu,
       VectorMeta::hint_mu, storage::MetadataManager::Shard::mu,
@@ -363,7 +398,7 @@ class Service {
   /// Coordinated incremental epoch checkpoint (single-rank form; ranks of a
   /// job use ckpt::CollectiveCheckpoint, which wraps this in a barrier
   /// serial section). Stages out only pages dirtied since the previous
-  /// epoch (journaled; every task submitted before the call has run), and
+  /// epoch (journaled; every runtime call made before this one has run), and
   /// atomically publishes the `<tag>.mmck` manifest via temp + rename.
   /// Defined in src/ckpt/service_ckpt.cc.
   StatusOr<ckpt::CheckpointStats> Checkpoint(const std::string& tag,
@@ -421,7 +456,7 @@ class Service {
   /// Synchronous page fault: fetches the whole page. Charges metadata
   /// lookup, remote transfer (if the owner is another node), device time,
   /// and stage-in as applicable. A valid copy in this node's scache is
-  /// served on the calling thread; anything else is a routed kGetPage,
+  /// served on the calling thread; anything else is a routed GetPages,
   /// shared by concurrent faults for the page on this node, whose delivery
   /// replicates under read-only-global coherence. `*done` receives the
   /// simulated completion.
@@ -437,7 +472,7 @@ class Service {
   /// charges itself nothing now; when it adopts a page it hands the
   /// outcome to DeliverPage.
   /// Consecutive pages of one stage-in block (RunPages) that are unplaced
-  /// and share an owner form one kGetPage run that stages them in with one
+  /// and share an owner form one GetPages run that stages them in with one
   /// backend read. Every other page is a run of one.
   std::vector<PendingFetch> ReadPagesAsync(VectorMeta& meta,
                                            std::uint64_t first,
@@ -450,7 +485,7 @@ class Service {
   /// [first, first + n), those still unplaced and inside the backend's
   /// extent are staged in from the backend and cached at `score`, without
   /// returning their bytes. Each run of them within one stage-in block and
-  /// owner is one placement-only kGetPage task. Returns one outcome per
+  /// owner is one placement-only GetPages run. Returns one outcome per
   /// submitted page; its `done` is when the page landed in the scache.
   std::vector<std::pair<std::uint64_t, TaskOutcome>>
   StageAhead(VectorMeta& meta, std::uint64_t first, std::uint64_t n,
@@ -481,7 +516,7 @@ class Service {
   /// Stages all dirty pages of a vector to its backend; returns when
   /// persisted. `*done` gets the last simulated completion.
   /// Group commit (DESIGN.md §12): the dirty pages are grouped by owner
-  /// node, and each owner runs one kStageOut batch — one journal append of
+  /// node, and each owner runs one StageOut batch — one journal append of
   /// all its redo records (one PFS write), then one in-place PFS write per
   /// contiguous run. Under the Pgas hint an owner's pages form one run, so
   /// a flush costs about two large writes per node. `*written` (optional)
@@ -532,7 +567,7 @@ class Service {
   ServiceOptions options_;
   std::unique_ptr<sim::FaultInjector> injector_;
   std::unique_ptr<storage::MetadataManager> metadata_;
-  // Precedes runtimes_: tasks consult the journals while executing.
+  // Precedes runtimes_: runtime steps consult the journals.
   std::unique_ptr<ckpt::Coordinator> ckpt_;
   // Telemetry state must precede runtimes_: each NodeRuntime grabs its sink
   // during construction.
@@ -576,8 +611,9 @@ class Service {
 
   // Per-node in-flight page-fault dedup: concurrent faults for the same
   // blob on one node share one fetch (also how MM_COLLECTIVE transactions
-  // avoid overloading the owner). The leader publishes its fetch's future
-  // here and runs the fetch outside the lock; followers wait on it.
+  // avoid overloading the owner). The leader publishes a slot here and runs
+  // the fetch outside the lock; followers wait on inflight_cv_ until the
+  // leader fills the slot, and keep it alive after the leader erases it.
   struct InflightKey {
     std::size_t node;
     storage::BlobId id;
@@ -588,8 +624,15 @@ class Service {
       return HashCombine(k.id.Digest(), k.node);
     }
   };
+  /// One shared fetch. `done` is guarded by inflight_mu_; the leader writes
+  /// `outcome` before it sets `done`, and followers read it after.
+  struct InflightFetch {
+    TaskOutcome outcome;
+    bool done = false;
+  };
   Mutex inflight_mu_;
-  std::unordered_map<InflightKey, std::shared_future<TaskOutcome>,
+  CondVar inflight_cv_;  // a leader filled its slot
+  std::unordered_map<InflightKey, std::shared_ptr<InflightFetch>,
                      InflightKeyHash>
       inflight_ MM_GUARDED_BY(inflight_mu_);
 

@@ -11,7 +11,7 @@
 //   pts.TxEnd();
 //
 // Element access faults pages into a per-process pcache; dirty fragments
-// are committed copy-on-write through asynchronous MemoryTasks; the
+// are committed copy-on-write through asynchronous runtime commits; the
 // transaction drives Algorithm 1's eviction/prefetching.
 //
 // Hot loops should use the Span API (ReadSpan/WriteSpan): a span resolves
@@ -689,7 +689,7 @@ class Vector {
     }
   }
 
-  /// Evicts one page; dirty fragments become async writer MemoryTasks. The
+  /// Evicts one page; dirty fragments become async WritePartial commits. The
   /// application pays only the copy (paper §III-B "Lifecycle of Modified
   /// Data"). The page buffer returns to the node's pool for the next fetch.
   void EvictPage(std::uint64_t page) {

@@ -378,7 +378,6 @@ class BTree : public BTreeBase {
   void ReadNodeOwner(std::uint64_t id, Block* out) {
     metrics_.node_reads->Inc();
     ++stats_.node_reads;
-    metrics_.owner_reads->Inc();
     ++stats_.queue_fallbacks;
     *out = arena_.Read(id);
   }
@@ -404,6 +403,7 @@ class BTree : public BTreeBase {
       if (!r.Sane(level, opt_.max_nodes)) return false;
       if (r.FenceMiss(k) && r.right() != kInvalidNode) {
         if (++lateral > opt_.max_lateral) return false;
+        ++stats_.lateral_moves;
         id = r.right();
         ReadNodeOwner(id, out);
         continue;  // same expected level

@@ -1,6 +1,6 @@
 // Index read-path telemetry (DESIGN.md §11 "mm.index.*", §15). Handles are
 // resolved once per tree at construction from the node's sink. Every node
-// read is an owner `Vector::Read`, so node_read_count == owner_read_count.
+// read is an owner `Vector::Read`.
 #pragma once
 
 #include "mm/telemetry/sink.h"
@@ -10,7 +10,6 @@ namespace mm::index {
 struct IndexMetrics {
   telemetry::Counter* descents = nullptr;        // root-to-leaf walks
   telemetry::Counter* node_reads = nullptr;      // node snapshots taken
-  telemetry::Counter* owner_reads = nullptr;     // owner Vector::Read
   telemetry::Counter* restarts = nullptr;        // descent restarts (any cause)
   telemetry::Counter* smos = nullptr;            // splits + root growths
 

@@ -32,7 +32,7 @@ struct CostModel {
   double memcpy_Bps = 8e9;
 
   // --- software-path costs (seconds) ---
-  double task_dispatch_s = 1.5e-6;   // dispatch one MemoryTask
+  double task_dispatch_s = 1.5e-6;   // dispatch one runtime call
   double page_fault_soft_s = 0.8e-6; // library fault-path bookkeeping
   double jvm_dispatch_s = 12e-6;     // Spark-style task dispatch (JVM, ser/de)
 

@@ -6,7 +6,8 @@
 // track, and `tid` carries the rank within the node (0 for task spans).
 //
 // Causal tracing: a `TraceContext` (trace id + parent span id) is minted at
-// fault origin, rides through MemoryTask and the comm::Message header, and
+// fault origin, rides through the runtime's entry points (their `tctx`
+// argument) and the comm::Message header, and
 // downstream spans recorded with CompleteFlow() carry Perfetto flow events
 // ('s' at the origin, 't' on each downstream hop, 'f' closing the flow) so
 // one page fault renders as a single connected arrow chain across nodes.
@@ -37,8 +38,9 @@ namespace mm::telemetry {
 /// Causal identity carried across task queues and the wire. `trace_id`
 /// names the whole flow (one page fault / flush / commit); `parent_span`
 /// names the span that caused the current hop. Zero trace_id = no flow.
-/// Defined outside the MM_TELEMETRY gate: MemoryTask and comm::Message
-/// embed it by value in both build modes (two u64s, no behavior).
+/// Defined outside the MM_TELEMETRY gate: the runtime's entry points and
+/// comm::Message carry it by value in both build modes (two u64s, no
+/// behavior).
 struct TraceContext {
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span = 0;

@@ -22,48 +22,10 @@ struct ReadSource {
 };
 
 namespace {
-constexpr std::uint64_t kControlBytes = 64;  // task request envelope
+constexpr std::uint64_t kControlBytes = 64;  // read request envelope
 
 void Merge(sim::SimTime end, sim::SimTime* done) {
   if (done != nullptr) *done = std::max(*done, end);
-}
-
-const char* TaskKindName(MemoryTask::Kind kind) {
-  switch (kind) {
-    case MemoryTask::Kind::kGetPage:
-      return "get_page";
-    case MemoryTask::Kind::kWritePartial:
-      return "write_partial";
-    case MemoryTask::Kind::kScore:
-      return "score";
-    case MemoryTask::Kind::kStageOut:
-      return "stage_out";
-    case MemoryTask::Kind::kErase:
-      return "erase";
-  }
-  return "task";
-}
-
-// Names are spelt out per kind so they stay literal (lint rule MML006
-// validates literals).
-telemetry::Histogram* TaskHistogram(telemetry::NodeSink sink,
-                                    MemoryTask::Kind kind) {
-  std::vector<double> bounds = telemetry::LatencyBoundsNs();
-  switch (kind) {
-    case MemoryTask::Kind::kGetPage:
-      return sink.metrics->GetHistogram("mm.task.get_page_ns",
-                                        std::move(bounds));
-    case MemoryTask::Kind::kWritePartial:
-      return sink.metrics->GetHistogram("mm.task.write_partial_ns",
-                                        std::move(bounds));
-    case MemoryTask::Kind::kScore:
-      return sink.metrics->GetHistogram("mm.task.score_ns", std::move(bounds));
-    case MemoryTask::Kind::kStageOut:
-      return sink.metrics->GetHistogram("mm.task.stage_out_ns",
-                                        std::move(bounds));
-    default:
-      return sink.metrics->GetHistogram("mm.task.erase_ns", std::move(bounds));
-  }
 }
 
 telemetry::Gauge* TierUsedGauge(telemetry::MetricsRegistry& reg,
@@ -85,8 +47,8 @@ telemetry::Gauge* TierUsedGauge(telemetry::MetricsRegistry& reg,
 // ---------------------------------------------------------------------------
 // The page-read pipeline (DESIGN.md §6). Every read path is built from the
 // same three stages: the caller-thread fault (Service::ReadPage), the
-// prefetch (Service::ReadPagesAsync) and the owner's kGetPage task
-// (NodeRuntime::ExecuteGetPage).
+// prefetch (Service::ReadPagesAsync) and the owner's read
+// (NodeRuntime::GetPages).
 // ---------------------------------------------------------------------------
 
 /// Stage 1, the §6 replica-validity rule: this node's own copy when the
@@ -113,7 +75,7 @@ ReadSource ResolveSource(Service& svc, VectorMeta& meta,
   src.node = entry->node;
   // Local bytes count only while the directory maps the blob here or
   // registers this node as a replica: an invalidated replica's bytes linger
-  // until the erase task runs, and serving them would label stale data with
+  // until the Erase call runs, and serving them would label stale data with
   // the current version — or, routed at a node the erase beat, fabricate a
   // zero page.
   const bool replicated =
@@ -163,12 +125,13 @@ StatusOr<storage::BlobStamp> VerifiedCopy(Service& svc, std::size_t node,
 
 /// VerifiedCopy into a pooled `bytes`-sized buffer of `from_node`, under
 /// the one failure policy of the healing readers (the caller-thread fault,
-/// the owner's kGetPage task and the stage-out snapshot). A CRC mismatch drops the copy on `node` and the
-/// directory's claim on it — the replica record, or the whole entry for the
-/// primary — and a dirty primary's loss is recorded; a clean copy that
-/// errored is dropped. Returns the bytes and sets *stamp, or returns
-/// kNotFound when the page must be fetched elsewhere, or a terminal error
-/// (typed data loss, an I/O error on dirty bytes). The heal's directory
+/// the owner's GetPages and the stage-out snapshot). A CRC mismatch drops
+/// the copy on `node` and the directory's claim on it — the replica
+/// record, or the whole entry for the primary — and a dirty primary's loss
+/// is recorded; a clean copy that errored is dropped. Returns the bytes and
+/// sets *stamp, or returns kNotFound when the page must be fetched
+/// elsewhere, or a terminal error (typed data loss, an I/O error on dirty
+/// bytes). The heal's directory
 /// lookup is uncharged; its other charges land on *done (non-null).
 StatusOr<std::vector<std::uint8_t>> CopyOrHeal(
     Service& svc, std::size_t node, const storage::BlobId& id,
@@ -261,44 +224,41 @@ std::uint64_t BackendExtent(VectorMeta& meta) {
   return std::min(meta.size_bytes.load(std::memory_order_relaxed), *size_or);
 }
 
-/// Stage 3: builds the kGetPage task for the run of pages [first, first +
-/// n) and routes it to `owner`, stage 1's verdict for its first page,
-/// charging the request envelope when remote. Staged-in pages are cached at
-/// `score`; a `placement_only` task returns no bytes. Returns one outcome
-/// per page (none when the Submit was deferred).
+/// Stage 3: routes the run of pages [first, first + n) to `owner`, stage
+/// 1's verdict for its first page, charging the request envelope when
+/// remote. Staged-in pages are cached at `score`; a `placement_only` run
+/// returns no bytes. Returns one outcome per page.
 std::vector<TaskOutcome> SubmitGetPages(
     Service& svc, VectorMeta& meta, std::uint64_t first, std::uint64_t n,
     std::size_t owner, std::size_t from_node, sim::SimTime now,
     telemetry::TraceContext tctx, float score = 1.0f,
     bool placement_only = false) {
-  MemoryTask task;
-  task.kind = MemoryTask::Kind::kGetPage;
-  task.vector_id = meta.vector_id;
-  task.id = {meta.vector_id, first};
-  task.size = meta.page_bytes;
-  task.score = score;
-  task.from_node = from_node;
-  task.tctx = tctx;
-  task.placement_only = placement_only;
-  for (std::uint64_t i = 0; i < n; ++i) task.pages.push_back(first + i);
-  task.issue_time =
+  const sim::SimTime issued =
       owner == from_node
           ? now
           : svc.cluster()
                 .network()
                 .Transfer(now, from_node, owner, kControlBytes)
                 .delivered;
-  std::vector<TaskOutcome> outs;
-  // The pages' outcomes are in `outs`; a shutdown rejection gives each one.
-  (void)svc.runtime(owner).Submit(std::move(task), &outs);
-  return outs;
+  return svc.runtime(owner).GetPages(meta, first, n, from_node, issued, tctx,
+                                     score, placement_only);
 }
 
+/// A tier-failure re-stage made from inside a runtime step: one page of
+/// `meta`, owned and read by `runtime`'s node, issued at `issued`.
+struct Restage {
+  NodeRuntime* runtime;
+  VectorMeta* meta;
+  std::uint64_t page;
+  sim::SimTime issued;
+};
+
 /// The calling thread's inline-execution state: whether it is running a
-/// task, and the Submits made from inside that task, which run after it.
+/// runtime step, and the re-stages made from inside that step, which run
+/// after it.
 struct InlineState {
   bool executing = false;
-  std::deque<std::pair<NodeRuntime*, MemoryTask>> deferred;
+  std::deque<Restage> deferred;
 };
 thread_local InlineState t_inline;
 }  // namespace
@@ -320,11 +280,16 @@ NodeRuntime::NodeRuntime(Service* service, std::size_t node_id,
       stager_write_bytes_(tel_.metrics->GetCounter("mm.stager.write_bytes")),
       stager_errors_(tel_.metrics->GetCounter("mm.stager.errors_count")),
       stager_retries_(tel_.metrics->GetCounter("mm.stager.retries_count")),
-      task_latency_{TaskHistogram(tel_, MemoryTask::Kind::kGetPage),
-                    TaskHistogram(tel_, MemoryTask::Kind::kWritePartial),
-                    TaskHistogram(tel_, MemoryTask::Kind::kScore),
-                    TaskHistogram(tel_, MemoryTask::Kind::kStageOut),
-                    TaskHistogram(tel_, MemoryTask::Kind::kErase)},
+      get_page_ns_(tel_.metrics->GetHistogram("mm.task.get_page_ns",
+                                              telemetry::LatencyBoundsNs())),
+      write_partial_ns_(tel_.metrics->GetHistogram(
+          "mm.task.write_partial_ns", telemetry::LatencyBoundsNs())),
+      score_ns_(tel_.metrics->GetHistogram("mm.task.score_ns",
+                                           telemetry::LatencyBoundsNs())),
+      stage_out_ns_(tel_.metrics->GetHistogram("mm.task.stage_out_ns",
+                                               telemetry::LatencyBoundsNs())),
+      erase_ns_(tel_.metrics->GetHistogram("mm.task.erase_ns",
+                                           telemetry::LatencyBoundsNs())),
       ckpt_journal_bytes_(tel_.metrics->GetCounter("mm.ckpt.journal_bytes")),
       bm_(&service->cluster().node(node_id), grants,
           &service->fault_injector(), options.retry, tel_) {
@@ -338,99 +303,109 @@ NodeRuntime::NodeRuntime(Service* service, std::size_t node_id,
 NodeRuntime::~NodeRuntime() { Shutdown(); }
 
 void NodeRuntime::Shutdown() {
-  // Taking the mutex waits for the task running now; every later Submit
-  // then sees the flag and is rejected.
+  // Taking the mutex waits for the step running now; every later call then
+  // sees the flag and is rejected.
   MutexLock lock(exec_mu_);
   shut_down_ = true;
 }
 
-TaskOutcome NodeRuntime::Submit(MemoryTask task,
-                                std::vector<TaskOutcome>* pages) {
-  InlineState& state = t_inline;
-  if (state.executing) {
-    // Only the tier-failure re-stage submits from inside a task. Run now,
-    // it would wait on this node's mutex, which this thread may hold, or on
-    // another node's whose holder waits on one this thread holds.
+/// Declared first in an entry point, before its `MutexLock lock(exec_mu_)`,
+/// so the lock is released before this records the step. It marks the
+/// thread as running a step, installs `tctx` as the ambient flow for the
+/// nested stager spans, and starts the step `task_dispatch_s` after
+/// `issued`. On exit it counts the step, observes `done - issued` in
+/// `latency`, records the `name` span over [issued, done] (a flow hop `hop`
+/// when `tctx` is valid), recycles `payload`, and then runs the re-stages
+/// the step deferred. A rejected step records nothing.
+class NodeRuntime::TaskScope {
+ public:
+  TaskScope(NodeRuntime& rt, std::string_view name,
+            telemetry::Histogram* latency, sim::SimTime issued,
+            telemetry::TraceContext tctx = {}, char hop = 't',
+            std::vector<std::uint8_t>* payload = nullptr)
+      : rt_(rt),
+        name_(name),
+        latency_(latency),
+        issued_(issued),
+        start_(issued + sim::CostModel::Default().task_dispatch_s),
+        done_(start_),
+        tctx_(tctx),
+        hop_(hop),
+        payload_(payload),
+        flow_(tctx) {
+    // A step that started another on this thread could wait on a mutex the
+    // thread holds; OnTierFailure defers its re-stage instead.
+    MM_CHECK_MSG(!t_inline.executing, "runtime step started inside a step");
+    t_inline.executing = true;
+  }
+
+  ~TaskScope() {
+    t_inline.executing = false;
+    if (!rejected_) {
+      rt_.task_executed_->Inc();
+      latency_->Observe((done_ - issued_) * 1e9);
+      if (tctx_.valid()) {
+        rt_.tel_.trace->CompleteFlow(name_, "task", rt_.tel_.node, /*tid=*/0,
+                                     issued_, done_, tctx_, hop_);
+      } else {
+        rt_.tel_.trace->Complete(name_, "task", rt_.tel_.node, /*tid=*/0,
+                                 issued_, done_);
+      }
+      if (payload_ != nullptr && payload_->capacity() > 0) {
+        rt_.pool_.Release(std::move(*payload_));
+      }
+    }
+    // The deferred re-stages run in order once no mutex is held; each may
+    // defer more. No one waits on them, so their bytes go back to the pool.
+    while (!t_inline.deferred.empty()) {
+      const Restage r = t_inline.deferred.front();
+      t_inline.deferred.pop_front();
+      for (TaskOutcome& out :
+           r.runtime->GetPages(*r.meta, r.page, 1, r.runtime->node_id_,
+                               r.issued, {})) {
+        r.runtime->pool_.Release(std::move(out.data));
+      }
+    }
+  }
+
+  TaskScope(const TaskScope&) = delete;
+  TaskScope& operator=(const TaskScope&) = delete;
+
+  /// When the step starts: `task_dispatch_s` after its issue.
+  sim::SimTime start() const { return start_; }
+
+  /// Whether the step is rejected: `shut_down` is the runtime's flag, read
+  /// under exec_mu_.
+  bool Rejected(bool shut_down) { return rejected_ = shut_down; }
+
+  /// The outcome of a rejected step.
+  TaskOutcome Rejection() const {
     TaskOutcome out;
-    out.done = task.issue_time;
-    state.deferred.emplace_back(this, std::move(task));
+    out.status = FailedPrecondition("call after runtime shutdown");
+    out.done = issued_;
     return out;
   }
-  TaskOutcome out = Run(task, pages);
-  // The deferred Submits run in order once no mutex is held; each may
-  // defer more.
-  while (!state.deferred.empty()) {
-    auto [runtime, next] = std::move(state.deferred.front());
-    state.deferred.pop_front();
-    // No one waits on a deferred task: its outcome has no reader.
-    (void)runtime->Run(next, nullptr);
-  }
-  return out;
-}
 
-TaskOutcome NodeRuntime::Run(MemoryTask& task,
-                             std::vector<TaskOutcome>* pages) {
-  const MemoryTask::Kind kind = task.kind;
-  const sim::SimTime issued = task.issue_time;
-  TaskOutcome outcome;
-  {
-    MutexLock lock(exec_mu_);
-    if (shut_down_) {
-      // An orderly rejection, not a crash: every page gets the status too.
-      outcome.status = FailedPrecondition("submit after runtime shutdown");
-      outcome.done = issued;
-      if (pages != nullptr) pages->assign(task.pages.size(), outcome);
-      return outcome;
-    }
-    // Marks the thread as running a task, on every exit path, so a Submit
-    // from inside the task is deferred.
-    struct Executing {
-      Executing() { t_inline.executing = true; }
-      ~Executing() { t_inline.executing = false; }
-    } executing;
-    // Ambient context for the duration of the task: nested stager/tier
-    // spans join the origin's flow without parameter plumbing.
-    telemetry::TraceContextScope flow_scope(task.tctx);
-    outcome = Execute(task, pages);
+  /// Ends the step at `done`.
+  void Finish(sim::SimTime done) { done_ = done; }
+  TaskOutcome Finish(TaskOutcome out) {
+    done_ = out.done;
+    return out;
   }
-  task_executed_->Inc();
-  task_latency_[static_cast<int>(kind)]->Observe((outcome.done - issued) *
-                                                 1e9);
-  if (task.tctx.valid()) {
-    // Child span of the origin's flow; terminal tasks (async write
-    // commits) close the flow, everything else is a plain step.
-    tel_.trace->CompleteFlow(TaskKindName(kind), "task", tel_.node,
-                             /*tid=*/0, issued, outcome.done, task.tctx,
-                             task.trace_terminal ? 'f' : 't');
-  } else {
-    tel_.trace->Complete(TaskKindName(kind), "task", tel_.node, /*tid=*/0,
-                         issued, outcome.done);
-  }
-  // Recycle the request payload (Execute consumed it) whether the task
-  // succeeded or failed, so error paths do not leak buffers out of the
-  // pool's circulation.
-  if (task.data.capacity() > 0) pool_.Release(std::move(task.data));
-  return outcome;
-}
 
-TaskOutcome NodeRuntime::Execute(MemoryTask& task,
-                                 std::vector<TaskOutcome>* pages) {
-  // Every task pays the software dispatch cost before touching devices.
-  task.issue_time += sim::CostModel::Default().task_dispatch_s;
-  switch (task.kind) {
-    case MemoryTask::Kind::kGetPage:
-      return ExecuteGetPage(task, pages);
-    case MemoryTask::Kind::kWritePartial:
-      return ExecuteWritePartial(task);
-    case MemoryTask::Kind::kScore:
-      return ExecuteScore(task);
-    case MemoryTask::Kind::kStageOut:
-      return ExecuteStageOut(task);
-    case MemoryTask::Kind::kErase:
-      return ExecuteErase(task);
-  }
-  return TaskOutcome{Internal("unknown task kind"), {}, task.issue_time};
-}
+ private:
+  NodeRuntime& rt_;
+  std::string_view name_;
+  telemetry::Histogram* latency_;
+  sim::SimTime issued_;
+  sim::SimTime start_;
+  sim::SimTime done_;
+  telemetry::TraceContext tctx_;
+  char hop_;
+  std::vector<std::uint8_t>* payload_;
+  bool rejected_ = false;
+  telemetry::TraceContextScope flow_;
+};
 
 Status NodeRuntime::BackendRead(
     VectorMeta& meta, std::uint64_t offset, std::uint64_t size,
@@ -653,31 +628,32 @@ void NodeRuntime::StageInOrZero(VectorMeta& meta, std::uint64_t first,
   }
 }
 
-void NodeRuntime::CacheStagedPage(const MemoryTask& task,
-                                  const storage::BlobId& id,
-                                  std::uint64_t version, TaskOutcome* out) {
+void NodeRuntime::CacheStagedPage(const storage::BlobId& id,
+                                  std::uint64_t version,
+                                  std::size_t from_node, float score,
+                                  bool placement_only, TaskOutcome* out) {
   // The cached copy comes from the pool so the steady-state read path
-  // allocates nothing. A placement-only task has no reader for the bytes:
+  // allocates nothing. A placement-only page has no reader for the bytes:
   // they move into the cache uncopied.
   sim::SimTime put_done = out->done;
   const std::uint64_t size = out->data.size();
   const storage::BlobStamp stamp{version, Crc32(out->data)};
   std::vector<std::uint8_t> cache_copy;
-  if (task.placement_only) {
+  if (placement_only) {
     cache_copy = std::move(out->data);
   } else {
     cache_copy = pool_.Acquire(size);
     std::copy(out->data.begin(), out->data.end(), cache_copy.begin());
   }
-  auto tier = bm_.PutScored(id, std::move(cache_copy), task.score, stamp,
+  auto tier = bm_.PutScored(id, std::move(cache_copy), score, stamp,
                             out->done, &put_done);
   if (!tier.ok()) return;
   storage::BlobLocation loc;
   loc.node = node_id_;
   loc.tier = bm_.tier(*tier).kind();
   loc.size = size;
-  loc.score = task.score;
-  loc.score_node = task.from_node;
+  loc.score = score;
+  loc.score_node = from_node;
   loc.dirty = false;
   loc.version = stamp.version;
   loc.crc = stamp.crc;
@@ -685,78 +661,80 @@ void NodeRuntime::CacheStagedPage(const MemoryTask& task,
   // through `done` on the read path instead.
   (void)service_->metadata().Update(id, loc, node_id_, out->done, nullptr);
   out->version = loc.version;
+  out->crc = loc.crc;
   out->done = put_done;
 }
 
-TaskOutcome NodeRuntime::ExecuteGetPage(MemoryTask& task,
-                                        std::vector<TaskOutcome>* pages) {
-  const std::size_t n = task.pages.size();
+std::vector<TaskOutcome> NodeRuntime::GetPages(
+    VectorMeta& meta, std::uint64_t first, std::uint64_t n,
+    std::size_t from_node, sim::SimTime issued, telemetry::TraceContext tctx,
+    float score, bool placement_only) {
+  TaskScope task(*this, "get_page", get_page_ns_, issued, tctx);
+  MutexLock lock(exec_mu_);
+  if (task.Rejected(shut_down_)) {
+    return std::vector<TaskOutcome>(n, task.Rejection());
+  }
+  const sim::SimTime now = task.start();
   std::vector<TaskOutcome> outs(n);
   std::vector<ReadSource> srcs(n);
-  VectorMeta* meta = service_->FindVectorById(task.vector_id);
   // Stage 1 again for every page: a commit, fault or restore may have
-  // placed one since the task formed.
+  // placed one since the run formed.
   bool unplaced = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    const storage::BlobId id{task.vector_id, task.pages[i]};
-    outs[i].done = task.issue_time;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const storage::BlobId id{meta.vector_id, first + i};
+    outs[i].done = now;
     if (service_->IsDataLost(id)) {
       outs[i].status =
           DataLoss("page " + id.ToString() + " lost unstaged modifications");
-    } else if (meta == nullptr) {
-      outs[i].status = NotFound("unknown vector for blob " + id.ToString());
     } else {
-      srcs[i] = ResolveSource(*service_, *meta, id, node_id_, task.issue_time,
-                              nullptr);
+      srcs[i] = ResolveSource(*service_, meta, id, node_id_, now, nullptr);
     }
     unplaced = unplaced && outs[i].status.ok() && Unplaced(srcs[i]);
   }
   if (unplaced) {
     // One backend read for the run; each page is then cached and published
     // under version 0.
-    StageInOrZero(*meta, task.pages.front(), outs, task.issue_time);
-    for (std::size_t i = 0; i < n; ++i) {
+    StageInOrZero(meta, first, outs, now);
+    for (std::uint64_t i = 0; i < n; ++i) {
       if (outs[i].status.ok()) {
-        CacheStagedPage(task, {task.vector_id, task.pages[i]}, 0, &outs[i]);
+        CacheStagedPage({meta.vector_id, first + i}, 0, from_node, score,
+                        placement_only, &outs[i]);
       }
     }
   } else {
     // Page by page; a stage-ahead skips the pages found placed.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!outs[i].status.ok() ||
-          (task.placement_only && !Unplaced(srcs[i]))) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (!outs[i].status.ok() || (placement_only && !Unplaced(srcs[i]))) {
         continue;
       }
-      outs[i] = ServePage(*meta, task, task.pages[i], srcs[i]);
+      outs[i] = ServePage(meta, first + i, srcs[i], now, from_node, score,
+                          placement_only);
     }
   }
-  TaskOutcome run;
-  run.done = task.issue_time;
-  for (std::size_t i = 0; i < n; ++i) {
-    run.done = std::max(run.done, outs[i].done);
-    if (run.status.ok()) run.status = outs[i].status;
+  sim::SimTime done = now;
+  for (TaskOutcome& out : outs) {
+    done = std::max(done, out.done);
     // A stage-ahead's staged bytes moved into the scache; whatever else it
-    // read (a failed stage-in's buffer) has no reader, and neither has a
-    // run submitted without page outcomes.
-    if (task.placement_only || pages == nullptr) {
-      pool_.Release(std::move(outs[i].data));
-    }
+    // read (a failed stage-in's buffer) has no reader.
+    if (placement_only) pool_.Release(std::move(out.data));
   }
-  if (pages != nullptr) *pages = std::move(outs);
-  return run;
+  task.Finish(done);
+  return outs;
 }
 
-TaskOutcome NodeRuntime::ServePage(VectorMeta& meta, const MemoryTask& task,
-                                   std::uint64_t page, const ReadSource& src) {
-  const storage::BlobId id{task.vector_id, page};
+TaskOutcome NodeRuntime::ServePage(VectorMeta& meta, std::uint64_t page,
+                                   const ReadSource& src, sim::SimTime now,
+                                   std::size_t from_node, float score,
+                                   bool placement_only) {
+  const storage::BlobId id{meta.vector_id, page};
   TaskOutcome out;
-  out.done = task.issue_time;
+  out.done = now;
   StatusOr<std::vector<std::uint8_t>> copy =
       NotFound("no valid copy on this node");
   storage::BlobStamp stamp;
   if (src.node == node_id_ && src.has_copy) {
-    copy = CopyOrHeal(*service_, node_id_, id, node_id_, task.size, out.done,
-                      &out.done, &stamp);
+    copy = CopyOrHeal(*service_, node_id_, id, node_id_, meta.page_bytes,
+                      out.done, &out.done, &stamp);
   }
   // No usable local bytes. If the directory maps the blob to another node,
   // serve the read through from the recorded owner. Falling into the
@@ -766,8 +744,8 @@ TaskOutcome NodeRuntime::ServePage(VectorMeta& meta, const MemoryTask& task,
   if (copy.status().code() == StatusCode::kNotFound && src.loc &&
       src.loc->node != node_id_) {
     const std::size_t owner = src.loc->node;
-    copy = CopyOrHeal(*service_, owner, id, node_id_, task.size, out.done,
-                      &out.done, &stamp);
+    copy = CopyOrHeal(*service_, owner, id, node_id_, meta.page_bytes,
+                      out.done, &out.done, &stamp);
     if (copy.ok()) {
       out.done = service_->cluster()
                      .network()
@@ -778,6 +756,7 @@ TaskOutcome NodeRuntime::ServePage(VectorMeta& meta, const MemoryTask& task,
   if (copy.ok()) {
     out.data = std::move(copy).value();
     out.version = stamp.version;
+    out.crc = stamp.crc;
     return out;
   }
   if (copy.status().code() != StatusCode::kNotFound) {
@@ -786,7 +765,7 @@ TaskOutcome NodeRuntime::ServePage(VectorMeta& meta, const MemoryTask& task,
   }
   // Fault through to the backend (or zero-fill a fresh page): a run of one.
   out = TaskOutcome{};
-  StageInOrZero(meta, page, {&out, 1}, task.issue_time);
+  StageInOrZero(meta, page, {&out, 1}, now);
   if (!out.status.ok()) return out;
   // Restored and written-through pages keep a directory entry with a kPfs
   // residency hint and the committed full-page CRC: verify the staged-in
@@ -805,32 +784,50 @@ TaskOutcome NodeRuntime::ServePage(VectorMeta& meta, const MemoryTask& task,
   }
   // Preserve an existing version if the page previously lived elsewhere
   // (e.g. written through to the backend).
-  CacheStagedPage(task, id, src.loc ? src.loc->version : 0, &out);
+  CacheStagedPage(id, src.loc ? src.loc->version : 0, from_node, score,
+                  placement_only, &out);
   return out;
 }
 
-TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
+TaskOutcome NodeRuntime::WritePartial(VectorMeta& meta, std::uint64_t page,
+                                      std::uint64_t offset,
+                                      std::vector<std::uint8_t> bytes,
+                                      std::size_t from_node,
+                                      sim::SimTime issued,
+                                      telemetry::TraceContext tctx) {
+  // The span closes the flow ('f'): no origin span outlives an async
+  // commit.
+  TaskScope task(*this, "write_partial", write_partial_ns_, issued, tctx, 'f',
+                 &bytes);
+  MutexLock lock(exec_mu_);
+  if (task.Rejected(shut_down_)) return task.Rejection();
+  return task.Finish(CommitPartial(meta, {meta.vector_id, page}, offset, bytes,
+                                   from_node, task.start()));
+}
+
+TaskOutcome NodeRuntime::CommitPartial(VectorMeta& meta,
+                                       const storage::BlobId& id,
+                                       std::uint64_t offset,
+                                       const std::vector<std::uint8_t>& bytes,
+                                       std::size_t from_node,
+                                       sim::SimTime now) {
+  // A commit caches its page at the default score.
+  constexpr float kScore = 1.0f;
   TaskOutcome out;
-  out.done = task.issue_time;
-  VectorMeta* meta = service_->FindVectorById(task.id.vector_id);
-  if (meta == nullptr) {
-    out.status = NotFound("unknown vector for blob " + task.id.ToString());
-    return out;
-  }
-  if (service_->IsDataLost(task.id)) {
-    if (task.offset == 0 && task.data.size() >= meta->page_bytes) {
+  out.done = now;
+  if (service_->IsDataLost(id)) {
+    if (offset == 0 && bytes.size() >= meta.page_bytes) {
       // A full-page overwrite replaces the lost bytes entirely, so the page
       // is whole again.
-      service_->ClearDataLoss(task.id);
+      service_->ClearDataLoss(id);
     } else {
-      out.status = DataLoss("partial write to page " + task.id.ToString() +
+      out.status = DataLoss("partial write to page " + id.ToString() +
                             " that lost unstaged modifications");
       return out;
     }
   }
-  sim::SimTime dev_done = task.issue_time;
-  auto stamp = bm_.PutPartial(task.id, task.offset, task.data,
-                              task.issue_time, &dev_done);
+  sim::SimTime dev_done = now;
+  auto stamp = bm_.PutPartial(id, offset, bytes, now, &dev_done);
   if (stamp.status().code() == StatusCode::kNotFound ||
       stamp.status().code() == StatusCode::kUnavailable) {
     // Page not resident (or its tier just died): materialize it (stage-in
@@ -838,44 +835,43 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
     // death took unstaged modifications with it (recorded by OnTierFailure
     // during the failed PutPartial), a partial rewrite over zeros would be
     // silent corruption — surface it instead.
-    if (service_->IsDataLost(task.id)) {
-      if (task.offset == 0 && task.data.size() >= meta->page_bytes) {
-        service_->ClearDataLoss(task.id);
+    if (service_->IsDataLost(id)) {
+      if (offset == 0 && bytes.size() >= meta.page_bytes) {
+        service_->ClearDataLoss(id);
       } else {
-        out.status = DataLoss("partial write to page " + task.id.ToString() +
+        out.status = DataLoss("partial write to page " + id.ToString() +
                               " that lost unstaged modifications");
         return out;
       }
     }
     TaskOutcome base;
-    StageInOrZero(*meta, task.id.page_idx, {&base, 1}, task.issue_time);
+    StageInOrZero(meta, id.page_idx, {&base, 1}, now);
     if (!base.status.ok()) return base;
-    MM_CHECK(task.offset + task.data.size() <= base.data.size());
-    std::copy(task.data.begin(), task.data.end(),
-              base.data.begin() + static_cast<std::ptrdiff_t>(task.offset));
+    MM_CHECK(offset + bytes.size() <= base.data.size());
+    std::copy(bytes.begin(), bytes.end(),
+              base.data.begin() + static_cast<std::ptrdiff_t>(offset));
     dev_done = base.done;
     std::vector<std::uint8_t> page_data = std::move(base.data);
     // page_data came from the pool (StageInOrZero); hand it back on every
     // exit from this scope, including errors.
     PoolReturn page_guard(pool_, page_data);
-    auto prev = service_->metadata().Lookup(task.id, node_id_, dev_done,
-                                            nullptr);
+    auto prev = service_->metadata().Lookup(id, node_id_, dev_done, nullptr);
     storage::BlobLocation loc;
     loc.node = node_id_;
-    loc.size = meta->page_bytes;
-    loc.score = task.score;
-    loc.score_node = task.from_node;
+    loc.size = meta.page_bytes;
+    loc.score = kScore;
+    loc.score_node = from_node;
     loc.version = (prev.ok() ? prev->version : 0) + 1;
     loc.crc = Crc32(page_data);
     std::vector<std::uint8_t> cache_copy = pool_.Acquire(page_data.size());
     std::copy(page_data.begin(), page_data.end(), cache_copy.begin());
-    auto tier = bm_.PutScored(task.id, std::move(cache_copy), task.score,
+    auto tier = bm_.PutScored(id, std::move(cache_copy), kScore,
                               {loc.version, loc.crc}, dev_done, &dev_done);
     if (tier.ok()) {
       loc.tier = bm_.tier(*tier).kind();
       loc.dirty = true;
     } else {
-      if (meta->stager == nullptr) {
+      if (meta.stager == nullptr) {
         // Volatile vector with a full scache: the write cannot be held.
         out.status = tier.status();
         return out;
@@ -883,13 +879,13 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
       // Nonvolatile vector, scache full (or dead) everywhere: write
       // straight through to the backend. Later faults stage the page back
       // in from there.
-      Status eb = service_->EnsureBackend(*meta);
+      Status eb = service_->EnsureBackend(meta);
       if (!eb.ok()) {
         out.status = eb;
         return out;
       }
-      std::uint64_t page_off = task.id.page_idx * meta->page_bytes;
-      std::uint64_t logical = meta->size_bytes.load(std::memory_order_relaxed);
+      std::uint64_t page_off = id.page_idx * meta.page_bytes;
+      std::uint64_t logical = meta.size_bytes.load(std::memory_order_relaxed);
       std::uint64_t want = std::min<std::uint64_t>(
           page_data.size(), logical > page_off ? logical - page_off : 0);
       page_data.resize(want);
@@ -898,14 +894,13 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
       // replays if the in-place write tears. A batch of one page; the
       // pooled bytes swap back for page_guard.
       ckpt::JournalRecord rec;
-      rec.id = task.id;
+      rec.id = id;
       rec.version = loc.version;
       rec.page_crc = loc.crc;
       rec.offset = page_off;
-      rec.key = meta->key;
+      rec.key = meta.key;
       rec.payload.swap(page_data);
-      Status wt =
-          JournaledBackendWrite(*meta, {&rec, 1}, dev_done, &dev_done);
+      Status wt = JournaledBackendWrite(meta, {&rec, 1}, dev_done, &dev_done);
       rec.payload.swap(page_data);
       if (!wt.ok()) {
         out.status = wt;
@@ -916,8 +911,7 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
     }
     // Directory upsert cannot fail; the write outcome already carries the
     // authoritative status.
-    (void)service_->metadata().Update(task.id, loc, node_id_, dev_done,
-                                      nullptr);
+    (void)service_->metadata().Update(id, loc, node_id_, dev_done, nullptr);
     out.version = loc.version;
     out.done = dev_done;
     return out;
@@ -928,14 +922,14 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
   }
   // The commit point was the PutPartial: mirror its stamp into the
   // directory entry and mark the page dirty.
-  auto loc = service_->metadata().Lookup(task.id, node_id_, dev_done, nullptr);
+  auto loc = service_->metadata().Lookup(id, node_id_, dev_done, nullptr);
   if (loc.ok()) {
     storage::BlobLocation updated = *loc;
     updated.dirty = true;
     updated.version = stamp->version;
     updated.crc = stamp->crc;
     // Directory upsert cannot fail; the commit's status is what callers see.
-    (void)service_->metadata().Update(task.id, updated, node_id_, dev_done,
+    (void)service_->metadata().Update(id, updated, node_id_, dev_done,
                                       nullptr);
   }
   out.prev_version = stamp->version - 1;
@@ -944,19 +938,20 @@ TaskOutcome NodeRuntime::ExecuteWritePartial(MemoryTask& task) {
   return out;
 }
 
-TaskOutcome NodeRuntime::ExecuteScore(MemoryTask& task) {
-  TaskOutcome out;
-  out.done = task.issue_time;
-  bm_.SetScore(task.id, task.score);
+void NodeRuntime::Score(const storage::BlobId& id, float score,
+                        sim::SimTime issued) {
+  TaskScope task(*this, "score", score_ns_, issued);
+  MutexLock lock(exec_mu_);
+  if (task.Rejected(shut_down_)) return;
+  bm_.SetScore(id, score);
   if (options_.enable_organizer && options_.organize_every > 0) {
     int n = score_updates_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (n % options_.organize_every == 0) {
-      sim::SimTime done = task.issue_time;
-      bm_.Rebalance(task.issue_time, &done);
-      out.done = done;
+      sim::SimTime done = task.start();
+      bm_.Rebalance(task.start(), &done);
+      task.Finish(done);
     }
   }
-  return out;
 }
 
 StatusOr<storage::BlobLocation> NodeRuntime::SnapshotPage(
@@ -973,30 +968,31 @@ StatusOr<storage::BlobLocation> NodeRuntime::SnapshotPage(
   return entry;
 }
 
-TaskOutcome NodeRuntime::ExecuteStageOut(MemoryTask& task) {
+TaskOutcome NodeRuntime::StageOut(VectorMeta& meta,
+                                  const std::vector<std::uint64_t>& pages,
+                                  sim::SimTime issued,
+                                  telemetry::TraceContext tctx) {
+  TaskScope task(*this, "stage_out", stage_out_ns_, issued, tctx);
+  MutexLock lock(exec_mu_);
+  if (task.Rejected(shut_down_)) return task.Rejection();
   TaskOutcome out;
-  out.done = task.issue_time;
-  VectorMeta* meta = service_->FindVectorById(task.vector_id);
-  if (meta == nullptr || meta->stager == nullptr) {
-    out.status = FailedPrecondition("stage-out of volatile/unknown vector");
-    return out;
-  }
-  out.status = service_->EnsureBackend(*meta);
-  if (!out.status.ok()) return out;
+  out.done = task.start();
+  out.status = service_->EnsureBackend(meta);
+  if (!out.status.ok()) return task.Finish(out);
   const std::uint64_t logical =
-      meta->size_bytes.load(std::memory_order_relaxed);
+      meta.size_bytes.load(std::memory_order_relaxed);
   // Copy every page into its own pooled buffer; a run is written from
   // these buffers, never concatenated into a fresh one.
   std::vector<ckpt::JournalRecord> batch;
-  batch.reserve(task.pages.size());
-  sim::SimTime read_done = task.issue_time;
-  for (std::uint64_t page : task.pages) {
-    const storage::BlobId id{meta->vector_id, page};
-    const std::uint64_t page_off = page * meta->page_bytes;
+  batch.reserve(pages.size());
+  sim::SimTime read_done = task.start();
+  for (std::uint64_t page : pages) {
+    const storage::BlobId id{meta.vector_id, page};
+    const std::uint64_t page_off = page * meta.page_bytes;
     if (page_off >= logical) continue;  // page past the logical end
     ckpt::JournalRecord rec;
-    auto snap = SnapshotPage(id, meta->page_bytes, &rec.payload,
-                             task.issue_time, &read_done);
+    auto snap = SnapshotPage(id, meta.page_bytes, &rec.payload,
+                             task.start(), &read_done);
     if (!snap.ok() || !snap->dirty) {
       // Not resident or no longer placed (nothing to persist), or already
       // staged by an earlier flush. A dirty page whose copy failed its CRC
@@ -1015,13 +1011,13 @@ TaskOutcome NodeRuntime::ExecuteStageOut(MemoryTask& task) {
     rec.version = snap->version;
     rec.page_crc = snap->crc;
     rec.offset = page_off;
-    rec.key = meta->key;
-    rec.payload.resize(std::min(meta->page_bytes, logical - page_off));
+    rec.key = meta.key;
+    rec.payload.resize(std::min(meta.page_bytes, logical - page_off));
     batch.push_back(std::move(rec));
   }
   out.done = read_done;
   if (!batch.empty()) {
-    Status st = JournaledBackendWrite(*meta, batch, read_done, &out.done);
+    Status st = JournaledBackendWrite(meta, batch, read_done, &out.done);
     if (st.ok()) {
       for (const auto& rec : batch) {
         // A commit that landed after the snapshot keeps the page dirty.
@@ -1035,14 +1031,14 @@ TaskOutcome NodeRuntime::ExecuteStageOut(MemoryTask& task) {
     }
   }
   for (auto& rec : batch) pool_.Release(std::move(rec.payload));
-  return out;
+  return task.Finish(out);
 }
 
-TaskOutcome NodeRuntime::ExecuteErase(MemoryTask& task) {
-  TaskOutcome out;
-  out.done = task.issue_time;
-  (void)bm_.Erase(task.id);  // absent is fine
-  return out;
+void NodeRuntime::Erase(const storage::BlobId& id, sim::SimTime issued) {
+  TaskScope task(*this, "erase", erase_ns_, issued);
+  MutexLock lock(exec_mu_);
+  if (task.Rejected(shut_down_)) return;
+  (void)bm_.Erase(id);  // absent is fine
 }
 
 // ---------------------------------------------------------------------------
@@ -1077,8 +1073,8 @@ Service::Service(sim::Cluster* cluster, ServiceOptions options)
   }
   reporter_ =
       std::make_unique<telemetry::EpochReporter>(options_.telemetry.report_path);
-  // The checkpoint coordinator precedes the runtimes: tasks consult the
-  // per-node journals while executing, and startup recovery must heal the
+  // The checkpoint coordinator precedes the runtimes: their steps consult
+  // the per-node journals, and startup recovery must heal the
   // backends before any stage-in reads them (DESIGN.md §12).
   ckpt_ = std::make_unique<ckpt::Coordinator>(options_.ckpt,
                                               cluster->num_nodes());
@@ -1129,8 +1125,8 @@ void Service::Shutdown() {
   if (!injector_->crashed()) {
     std::vector<VectorMeta*> to_flush;
     {
-      // Collect outside the lock: stage-out tasks call FindVectorById,
-      // which takes vectors_mu_.
+      // Collect, then flush outside the lock: a flush never holds the
+      // registry.
       MutexLock lock(vectors_mu_);
       for (auto& [key, meta] : vectors_) {
         if (meta->stager != nullptr && !meta->destroyed.load()) {
@@ -1428,6 +1424,13 @@ void Service::OnTierFailure(std::size_t node, sim::TierKind tier,
     (void)metadata().Remove(id, node, now, nullptr);
     VectorMeta* meta = FindVectorById(id.vector_id);
     if (meta == nullptr || meta->stager == nullptr) continue;
+    // From inside a step the re-stage runs once the step ends: run now, it
+    // would wait on this node's mutex, which this thread may hold, or on
+    // another node's whose holder waits on one this thread holds.
+    if (t_inline.executing) {
+      t_inline.deferred.push_back({&runtime(node), meta, id.page_idx, now});
+      continue;
+    }
     // No waiter; the page is unplaced, owned by `node`.
     (void)SubmitGetPages(*this, *meta, id.page_idx, 1, node, node, now, {});
   }
@@ -1611,16 +1614,15 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
 
   // Routed fault = a service-level page fault: count it here (the local
   // copy above is the scache's business), and span the whole fault —
-  // metadata lookup, task execution, and transfer — on success.
+  // metadata lookup, the owner's GetPages, and transfer — on success.
   sink.metrics->GetCounter("mm.service.fault_count")->Inc();
   const std::size_t owner = src.node;
   // Concurrent faults for the same blob on this node share one fetch.
   InflightKey key{from_node, id};
-  std::promise<TaskOutcome> publish;  // the leader's
-  std::shared_future<TaskOutcome> fetch;  // a follower's
+  std::shared_ptr<InflightFetch> fetch;
   bool leader = false;
   // Flow identity of this fault, minted by the leader only: one connected
-  // origin → task → stager chain per shared fetch (followers record plain
+  // origin → get_page → stager chain per shared fetch (followers record plain
   // spans so no flow ever has two origins).
   telemetry::TraceContext fault_ctx;
   {
@@ -1631,22 +1633,29 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
     } else {
       leader = true;
       fault_ctx = telemetry::TraceRecorder::NewContext(sink.node);
-      inflight_.emplace(key, publish.get_future().share());
+      fetch = std::make_shared<InflightFetch>();
+      inflight_.emplace(key, fetch);
     }
   }
   TaskOutcome outcome;
   if (leader) {
     // Outside the dedup lock: holding it across the fetch would serialise
     // every fault in the service.
-    std::vector<TaskOutcome> outs = SubmitGetPages(
-        *this, meta, page, 1, src.node, from_node, t, fault_ctx);
-    MM_CHECK_MSG(outs.size() == 1, "page fault submitted inside a task");
-    outcome = std::move(outs.front());
-    publish.set_value(outcome);
+    outcome = std::move(SubmitGetPages(*this, meta, page, 1, src.node,
+                                       from_node, t, fault_ctx)
+                            .front());
+    // Written before `done`, which publishes it to the followers.
+    fetch->outcome = outcome;
     MutexLock lock(inflight_mu_);
+    fetch->done = true;
     inflight_.erase(key);
+    inflight_cv_.NotifyAll();
   } else {
-    outcome = fetch.get();
+    {
+      MutexLock lock(inflight_mu_);
+      while (!fetch->done) inflight_cv_.Wait(lock);
+    }
+    outcome = fetch->outcome;  // immutable once `done` is set
   }
   sim::SimTime complete = outcome.done;
   if (outcome.status.ok()) {
@@ -1658,8 +1667,8 @@ StatusOr<std::vector<std::uint8_t>> Service::ReadPage(VectorMeta& meta,
         ->Observe((complete - now) * 1e9);
   }
   // Sync origin of the fault's flow (plain span for non-leader sharers):
-  // origin → get_page task on the owner → stager, one connected arrow
-  // chain across nodes. Closed on the error path too — the task already
+  // origin → get_page on the owner → stager, one connected arrow chain
+  // across nodes. Closed on the error path too — get_page already
   // recorded its 't' hop, and a dangling flow would fail trace validation.
   sink.trace->CompleteFlow("page_fault", "fault", sink.node, 0, now, complete,
                            fault_ctx, 's');
@@ -1687,8 +1696,9 @@ sim::SimTime Service::DeliverPage(VectorMeta& meta, std::uint64_t page,
   PagePool& pool = runtime(from_node).pool();
   std::vector<std::uint8_t> copy = pool.Acquire(outcome.data.size());
   std::copy(outcome.data.begin(), outcome.data.end(), copy.begin());
-  // The replica carries the stamp of the bytes it copies.
-  const storage::BlobStamp stamp{outcome.version, Crc32(outcome.data)};
+  // The replica carries the stamp the owner checked or stamped its bytes
+  // under.
+  const storage::BlobStamp stamp{outcome.version, outcome.crc};
   auto tier = runtime(from_node).buffer().PutScored(
       id, std::move(copy), /*score=*/1.0f, stamp, now, &put_done);
   if (tier.ok()) {
@@ -1789,31 +1799,23 @@ TaskOutcome Service::WriteRegion(VectorMeta& meta, std::uint64_t page,
   auto loc = metadata().Lookup(id, from_node, now, nullptr);
   if (loc.ok()) owner = loc->node;
 
-  MemoryTask task;
-  task.kind = MemoryTask::Kind::kWritePartial;
-  task.vector_id = meta.vector_id;
-  task.id = id;
-  task.offset = offset;
-  task.data = std::move(bytes);
-  task.from_node = from_node;
   // Async flow origin: the caller's clock does not wait for the commit, so
   // the origin span covers only issue (+ the cross-node transfer). The
-  // task's write_partial span is the terminal hop and closes the flow.
+  // owner's write_partial span is the terminal hop and closes the flow.
   telemetry::TraceContext wctx =
       telemetry::TraceRecorder::NewContext(static_cast<int>(from_node));
-  task.tctx = wctx;
-  task.trace_terminal = true;
-  if (owner == from_node) {
-    task.issue_time = now;
-  } else {
-    auto xfer =
-        cluster().network().Transfer(now, from_node, owner, task.data.size());
-    task.issue_time = xfer.delivered;
-  }
+  const sim::SimTime issued =
+      owner == from_node
+          ? now
+          : cluster()
+                .network()
+                .Transfer(now, from_node, owner, bytes.size())
+                .delivered;
   telemetry::NodeSink sink = telemetry_sink(from_node);
-  sink.trace->CompleteFlow("write_commit", "commit", sink.node, 0, now,
-                           task.issue_time, wctx, 'a');
-  return runtime(owner).Submit(std::move(task));
+  sink.trace->CompleteFlow("write_commit", "commit", sink.node, 0, now, issued,
+                           wctx, 'a');
+  return runtime(owner).WritePartial(meta, page, offset, std::move(bytes),
+                                     from_node, issued, wctx);
 }
 
 void Service::SubmitScore(VectorMeta& meta, std::uint64_t page, float score,
@@ -1822,15 +1824,7 @@ void Service::SubmitScore(VectorMeta& meta, std::uint64_t page, float score,
   storage::BlobId id{meta.vector_id, page};
   auto loc = metadata().Lookup(id, from_node, now, nullptr);
   if (!loc.ok()) return;  // nothing placed yet; nothing to organize
-  MemoryTask task;
-  task.kind = MemoryTask::Kind::kScore;
-  task.vector_id = meta.vector_id;
-  task.id = id;
-  task.score = score;
-  task.from_node = from_node;
-  task.issue_time = now;
-  // Fire-and-forget score hint: a shutdown rejection loses only a hint.
-  (void)runtime(loc->node).Submit(std::move(task));
+  runtime(loc->node).Score(id, score, now);
 }
 
 Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,
@@ -1845,24 +1839,18 @@ Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,
     if (loc.ok() && loc->dirty) batches[loc->node].push_back(id.page_idx);
   }
   // One flow for the whole flush: the sync "flush" origin below fans out to
-  // every stage_out task span ('t' hops) across the owning nodes.
+  // every stage_out span ('t' hops) across the owning nodes.
   telemetry::TraceContext flush_ctx =
       telemetry::TraceRecorder::NewContext(static_cast<int>(from_node));
   Status first_error;
   sim::SimTime flush_end = now;
   for (auto& [owner, pages] : batches) {
     std::sort(pages.begin(), pages.end());
-    MemoryTask task;
-    task.kind = MemoryTask::Kind::kStageOut;
-    task.vector_id = meta.vector_id;
-    // The owner runs its tasks in submission order, so concurrent flushes
-    // of one vector serialize there: a later batch never journals an older
+    // The owner runs its steps in call order, so concurrent flushes of one
+    // vector serialize there: a later batch never journals an older
     // snapshot of a page than an earlier one.
-    task.pages = std::move(pages);
-    task.from_node = from_node;
-    task.issue_time = now;
-    task.tctx = flush_ctx;
-    const TaskOutcome outcome = runtime(owner).Submit(std::move(task));
+    const TaskOutcome outcome =
+        runtime(owner).StageOut(meta, pages, now, flush_ctx);
     Merge(outcome.done, done);
     Merge(outcome.done, &flush_end);
     if (written != nullptr) {
@@ -1906,17 +1894,9 @@ Status Service::ChangePhase(VectorMeta& meta, CoherenceMode new_mode,
         sink.trace->Complete("invalidate", "coherence", sink.node, 0, now,
                              inval_done);
       }
-      for (std::size_t node : dropped) {
-        MemoryTask task;
-        task.kind = MemoryTask::Kind::kErase;
-        task.vector_id = meta.vector_id;
-        task.id = id;
-        task.from_node = from_node;
-        task.issue_time = inval_done;
-        // Fire-and-forget replica erase; stale bytes are re-validated by
-        // version on the next acquire anyway.
-        (void)runtime(node).Submit(std::move(task));
-      }
+      // Fire-and-forget replica erases; stale bytes are re-validated by
+      // version on the next acquire anyway.
+      for (std::size_t node : dropped) runtime(node).Erase(id, inval_done);
     }
   }
   return Status::Ok();

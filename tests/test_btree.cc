@@ -421,6 +421,43 @@ TEST(BTreeStress, CrossRankReaderVsSplitAndDelete) {
   EXPECT_GT(scans, 0u);
 }
 
+// A reader whose anchor predates the first split descends from the old
+// root, now the left leaf, and reaches a right-half key through the leaf's
+// right link: exactly one lateral move, counted in DescentStats.
+TEST(BTreeCrossRank, StaleAnchorReaderFollowsRightLink) {
+  auto cluster = sim::Cluster::PaperTestbed(2);
+  core::Service svc(cluster.get(), SvcOptions());
+  // One more key than a leaf holds: the root leaf splits exactly once.
+  constexpr std::uint64_t kKeys = SmallTree::Leaf::kCap + 1;
+  auto run = comm::RunRanks(*cluster, 2, 1, [&](comm::RankContext& ctx) {
+    comm::Communicator comm(&ctx);
+    BTreeOptions opt;
+    opt.max_nodes = 1 << 10;
+    SmallTree tree(svc, ctx, "mem://bt_stale_anchor", opt);
+    if (comm.rank() == 0) tree.Create();
+    comm.Barrier();
+    // Rank 1 caches the one-leaf anchor and no node.
+    if (comm.rank() == 1) EXPECT_EQ(tree.anchor_snapshot().height, 1u);
+    comm.Barrier();
+    if (comm.rank() == 0) {
+      for (std::uint64_t k = 1; k <= kKeys; ++k) tree.Put(k, k * 7);
+      EXPECT_EQ(tree.anchor_snapshot().height, 2u);
+      EXPECT_EQ(tree.stats().smos, 2u);  // the split and the root growth
+    }
+    comm.Barrier();
+    if (comm.rank() == 1) {
+      EXPECT_EQ(tree.anchor_snapshot().height, 1u) << "anchor not stale";
+      std::uint64_t v = 0;
+      EXPECT_TRUE(tree.Get(kKeys, &v));
+      EXPECT_EQ(v, kKeys * 7);
+      EXPECT_EQ(tree.stats().lateral_moves, 1u);
+      EXPECT_EQ(tree.stats().restarts, 0u);
+    }
+    comm.Barrier();
+  });
+  ASSERT_TRUE(run.ok()) << run.error;
+}
+
 // ---------------------------------------------------------------------------
 // Node death mid-split: rollback to the epoch checkpoint, tree comes back
 // structurally whole with exactly the checkpointed contents.

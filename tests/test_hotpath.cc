@@ -1,6 +1,6 @@
 // Hot-path overhaul tests: pinned Span access under eviction pressure,
 // span<->scalar write-visibility equivalence, and the page-buffer pool
-// recycling MemoryTask payloads.
+// recycling runtime payloads.
 #include <gtest/gtest.h>
 
 #include <filesystem>

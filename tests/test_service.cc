@@ -350,6 +350,57 @@ TEST(ServiceInline, EveryOutcomeIsFinalWhenSubmitReturns) {
 #endif
 }
 
+// Concurrent routed faults of one page on one node share fetches through
+// ReadPage's in-flight slot: leaders and followers alike return the
+// committed bytes and version, and no fault runs more than one get_page.
+TEST(ServiceInline, ConcurrentFaultsOfOnePageAgree) {
+  auto cluster = sim::Cluster::PaperTestbed(2);
+  ServiceOptions so;
+  so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(16)}};
+  Service svc(cluster.get(), so);
+  // Large pages keep each fetch (copy and CRC check) long enough for the
+  // other readers to join it.
+  constexpr std::uint64_t kPage = 256 * kKiB, kElems = 2 * kPage / 8;
+  VectorOptions vo;
+  vo.page_size = kPage;
+  vo.nonvolatile = false;
+  auto meta = svc.RegisterVector("dedup", 8, vo, kElems);
+  ASSERT_TRUE(meta.ok());
+  // Page 1 lives on node 1; node 0 holds no copy, so every read from node
+  // 0 is a routed fault.
+  svc.SetPgasHint(**meta, VectorMeta::PgasHint{kElems, 2, 1});
+  const std::vector<std::uint8_t> bytes(kPage, 0x5a);
+  ASSERT_TRUE(svc.WriteRegion(**meta, 1, 0, bytes, 1, 0.0).status.ok());
+  constexpr int kThreads = 4, kReads = 50;
+  std::atomic<int> arrived{0}, wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < kReads; ++i) {
+        // Start read i together with the other readers.
+        arrived.fetch_add(1);
+        while (arrived.load() < (i + 1) * kThreads) std::this_thread::yield();
+        sim::SimTime done = 0.0;
+        std::uint64_t version = 0;
+        auto got = svc.ReadPage(**meta, 1, 0, 0.0, &done, &version);
+        if (!got.ok() || *got != bytes || version != 1) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+#if MM_TELEMETRY_ENABLED
+  EXPECT_EQ(svc.metrics(0).GetCounter("mm.service.fault_count")->value(),
+            std::uint64_t{kThreads * kReads});
+  const std::uint64_t fetches =
+      svc.metrics(1)
+          .GetHistogram("mm.task.get_page_ns", telemetry::LatencyBoundsNs())
+          ->count();
+  EXPECT_GE(fetches, 1u);
+  EXPECT_LE(fetches, std::uint64_t{kThreads * kReads});
+#endif
+}
+
 // ---- run stage-in (ReadPagesAsync) ----
 
 constexpr std::uint64_t kRunPage = 64 * kKiB;
@@ -761,6 +812,19 @@ TEST(ReadpathServiceTest, ReadOnlyGlobalRemoteReadReplicates) {
       EXPECT_NE(std::find(replicas.begin(), replicas.end(), 0u),
                 replicas.end());
       EXPECT_GT(replicated->value(), before);
+      // The replica carries the stamp the primary was copied under, and
+      // both match the directory entry.
+      std::vector<std::uint8_t> bytes;
+      sim::SimTime t = 0.0;
+      auto replica = svc.runtime(0).buffer().GetInto(id, &bytes, 0.0, &t);
+      auto primary = svc.runtime(1).buffer().GetInto(id, &bytes, 0.0, &t);
+      auto entry = svc.metadata().Lookup(id, 0, 0.0, nullptr);
+      ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+      ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+      ASSERT_TRUE(entry.ok());
+      EXPECT_EQ(*replica, *primary);
+      EXPECT_EQ(replica->crc, entry->crc);
+      EXPECT_EQ(replica->crc, Crc32(bytes));
     }
     comm.Barrier();
   });

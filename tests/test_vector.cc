@@ -1,5 +1,5 @@
-// End-to-end tests of mm::Vector over the full stack: pcache, runtime
-// MemoryTasks, tiered scache, metadata, staging backends, coherence modes.
+// End-to-end tests of mm::Vector over the full stack: pcache, the node
+// runtime, tiered scache, metadata, staging backends, coherence modes.
 #include <gtest/gtest.h>
 
 #include <atomic>
