@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
         return result;
       });
       if (prefetch) with = t;
-      // Blank when telemetry is compiled out (no misses counted).
+      // Blank when the runs took no pcache miss.
       const std::string coverage =
           misses > 0 ? Fmt(static_cast<double>(useful) / misses, 3) : "";
       table.AddRow({prefetch ? "on" : "off", Fmt(frac, 3), Fmt(t),

@@ -38,8 +38,12 @@ whole-program rules (see DESIGN.md §10):
   MML010  Metric catalog drift: every `mm.*` metric literal in include/ +
           src/ must appear in the DESIGN.md §11 "Metric catalog" table and
           every catalog entry must be registered somewhere. Rows are
-          `| `mm.family.*` | `name`, `{a,b}_suffix`, ... |`, brace groups
-          expanded combinatorially.
+          `| `mm.family.*` | `name`, `{a,b}_suffix`, ... | `reader/path` |`,
+          brace groups expanded combinatorially. Each row names the file
+          that reads its metrics by name (a gate, a bench column, a test);
+          the row fails when that file is missing, is where the metric is
+          registered, or does not contain each metric's full name (for a
+          brace token, the name up to its first `{`).
   MML011  Raw B-tree node byte access (`.leaf.keys`, `->inner.seps`,
           `node.hdr`, ...) outside include/mm/index/ + src/index/
           (tests/test_btree.cc is the white-box layout test): the node
@@ -1507,15 +1511,23 @@ def expand_token(token: str) -> list[str]:
     return out
 
 
-def parse_metric_catalog(design_text: str) -> dict[str, int] | None:
-    """Full metric names -> 1-based DESIGN.md line, from the §11 catalog
-    table. None when the `### Metric catalog` section is missing."""
+@dataclass
+class CatalogRow:
+    line: int                   # 1-based DESIGN.md line
+    family: str                 # `mm.pcache`
+    tokens: list[str]           # unexpanded metric tokens
+    reader: str | None          # repo-relative path of the reading file
+
+
+def parse_catalog_rows(design_text: str) -> list[CatalogRow] | None:
+    """The §11 catalog table's family rows. None when the `### Metric
+    catalog` section is missing."""
     lines = design_text.split("\n")
     start = next((i for i, line in enumerate(lines)
                   if line.strip() == CATALOG_HEADER), None)
     if start is None:
         return None
-    names: dict[str, int] = {}
+    rows: list[CatalogRow] = []
     for idx in range(start + 1, len(lines)):
         line = lines[idx]
         if line.startswith("#"):
@@ -1527,24 +1539,76 @@ def parse_metric_catalog(design_text: str) -> dict[str, int] | None:
         fam = CATALOG_FAMILY_RE.match(cells[0]) if len(cells) >= 2 else None
         if fam is None:
             continue  # header / divider rows
-        for tok in CATALOG_TOKEN_RE.finditer(cells[1]):
-            for name in expand_token(tok.group(1)):
-                names.setdefault(fam.group(1) + "." + name, idx + 1)
+        reader = (CATALOG_TOKEN_RE.search(cells[2])
+                  if len(cells) >= 3 else None)
+        rows.append(CatalogRow(
+            idx + 1, fam.group(1),
+            [t.group(1) for t in CATALOG_TOKEN_RE.finditer(cells[1])],
+            reader.group(1) if reader else None))
+    return rows
+
+
+def catalog_names(rows: list[CatalogRow]) -> dict[str, int]:
+    """Full metric names -> 1-based DESIGN.md line of their row."""
+    names: dict[str, int] = {}
+    for row in rows:
+        for tok in row.tokens:
+            for name in expand_token(tok):
+                names.setdefault(row.family + "." + name, row.line)
     return names
 
 
-def check_mml010(model: Model, design_text: str | None) -> list[Finding]:
+def parse_metric_catalog(design_text: str) -> dict[str, int] | None:
+    """Full metric names -> 1-based DESIGN.md line, from the §11 catalog
+    table. None when the `### Metric catalog` section is missing."""
+    rows = parse_catalog_rows(design_text)
+    return None if rows is None else catalog_names(rows)
+
+
+def reader_problems(row: CatalogRow, root: str,
+                    registered_in: dict[str, set[str]]) -> list[str]:
+    """Why a catalog row's reader does not count: it is missing, it is
+    where the row's metrics are registered, or it does not name each of
+    them. Empty when the reader is good."""
+    if row.reader is None:
+        return [f"catalog row `{row.family}.*` names no reader — add the "
+                "file that reads its metrics by name (a gate, a bench "
+                "column, a test), or delete the metrics"]
+    try:
+        with open(os.path.join(root, row.reader), "r", encoding="utf-8",
+                  errors="replace") as f:
+            text = f.read()
+    except OSError:
+        return [f"reader `{row.reader}` of `{row.family}.*` does not exist"]
+    problems: list[str] = []
+    for tok in row.tokens:
+        brace = tok.find("{")
+        needle = row.family + "." + (tok if brace < 0 else tok[:brace])
+        if needle not in text:
+            problems.append(f"reader `{row.reader}` does not read `{needle}`")
+        elif any(row.reader in registered_in.get(row.family + "." + n, ())
+                 for n in expand_token(tok)):
+            problems.append(f"reader `{row.reader}` registers `{needle}`; a "
+                            "metric needs a reader other than its source")
+    return problems
+
+
+def check_mml010(model: Model, design_text: str | None,
+                 root: str | None = None) -> list[Finding]:
     """Code metric literals in include/ + src/ vs the DESIGN.md §11 catalog,
-    both directions. Without a DESIGN.md there is nothing to check."""
+    both directions, plus each row's reader when the repo root is given.
+    Without a DESIGN.md there is nothing to check."""
     if design_text is None:
         return []
-    catalog = parse_metric_catalog(design_text)
-    if catalog is None:
+    rows = parse_catalog_rows(design_text)
+    if rows is None:
         return [Finding("DESIGN.md", 1, "MML010",
                         f"missing `{CATALOG_HEADER}` section in §11 — the "
                         "metric catalog is the contract MML010 checks "
                         "registrations against")]
+    catalog = catalog_names(rows)
     used: dict[str, tuple[str, int]] = {}
+    registered_in: dict[str, set[str]] = {}
     for sf in model.files.values():
         if not _runtime(sf.rel):
             continue
@@ -1553,6 +1617,7 @@ def check_mml010(model: Model, design_text: str | None) -> list[Finding]:
             if not name.startswith("mm."):
                 continue  # MML006's problem, not drift
             line = sf.line_of(m.start(1))
+            registered_in.setdefault(name, set()).add(sf.rel)
             if not sf.suppressed(line, "MML010"):
                 used.setdefault(name, (sf.rel, line))
     findings = [Finding(*used[name], "MML010",
@@ -1564,6 +1629,10 @@ def check_mml010(model: Model, design_text: str | None) -> list[Finding]:
                          "anywhere in include/ or src/ — remove the entry "
                          "or wire the metric up")
                  for name in sorted(catalog) if name not in used]
+    if root is not None:
+        findings += [Finding("DESIGN.md", row.line, "MML010", msg)
+                     for row in rows
+                     for msg in reader_problems(row, root, registered_in)]
     return findings
 
 
@@ -1699,9 +1768,10 @@ MODEL_RULES = (check_mml002, check_mml003, check_mml004, check_mml007,
 
 def run_rules(model: Model, dot_path: str | None = None,
               verbose: bool = False,
-              design_text: str | None = None) -> list[Finding]:
+              design_text: str | None = None,
+              root: str | None = None) -> list[Finding]:
     """Every rule over the model; MML010 runs when design_text (DESIGN.md)
-    is given."""
+    is given, and checks catalog readers when the repo root is given."""
     findings: list[Finding] = []
     for sf in model.files.values():
         findings.extend(sf.bad_suppressions)
@@ -1711,7 +1781,7 @@ def run_rules(model: Model, dot_path: str | None = None,
         findings.extend(check(model))
     findings.extend(check_mml101(model, compute_summaries(model), dot_path,
                                  verbose))
-    findings.extend(check_mml010(model, design_text))
+    findings.extend(check_mml010(model, design_text, root))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 
@@ -1726,7 +1796,7 @@ def analyze(root: str, dot_path: str | None = None,
             design_text: str | None = f.read()
     except OSError:
         design_text = None
-    return model, run_rules(model, dot_path, verbose, design_text)
+    return model, run_rules(model, dot_path, verbose, design_text, root)
 
 
 def main(argv: list[str]) -> int:

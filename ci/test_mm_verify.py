@@ -1195,18 +1195,41 @@ class Mml011TreeNodeBytesTest(unittest.TestCase):
 
 CATALOG_STUB = ("## 11. Telemetry\n"
                 "### Metric catalog\n"
-                "| family | metrics |\n"
-                "|---|---|\n"
-                "| `mm.pcache.*` | `hit_count`, `miss_count` |\n"
-                "| `mm.tier.*` | `{dram,nvme}_{read,write}_bytes` |\n"
+                "| family | metrics | reader |\n"
+                "|---|---|---|\n"
+                "| `mm.pcache.*` | `hit_count`, `miss_count` "
+                "| `tests/test_pcache.cc` |\n"
+                "| `mm.tier.*` | `{dram,nvme}_{read,write}_bytes` "
+                "| `bench/tiers.cc` |\n"
                 "## 12. Next\n")
 
+# Reader files that satisfy CATALOG_STUB: each names its row's metrics
+# (the tier row by its family prefix, as a reader composing names would).
+STUB_READERS = {
+    "tests/test_pcache.cc":
+        'EXPECT_EQ(c["mm.pcache.hit_count"], c["mm.pcache.miss_count"]);\n',
+    "bench/tiers.cc":
+        'for (auto k : kinds) Print(c["mm.tier." + k + "_read_bytes"]);\n',
+}
 
-def write_tree(root: str, design: str, sources: dict):
-    """Lays out a fake repo: DESIGN.md plus {relpath: text} source files."""
+ALL_STUB_METRICS = ('void F() {\n'
+                    '  reg.GetCounter("mm.pcache.hit_count");\n'
+                    '  reg.GetCounter("mm.pcache.miss_count");\n'
+                    '  reg.GetCounter("mm.tier.dram_read_bytes");\n'
+                    '  reg.GetCounter("mm.tier.dram_write_bytes");\n'
+                    '  reg.GetCounter("mm.tier.nvme_read_bytes");\n'
+                    '  reg.GetCounter("mm.tier.nvme_write_bytes");\n'
+                    '}\n')
+
+
+def write_tree(root: str, design: str, sources: dict,
+               readers: dict | None = None):
+    """Lays out a fake repo: DESIGN.md plus {relpath: text} source files,
+    plus the catalog stub's reader files unless `readers` overrides them."""
     with open(os.path.join(root, "DESIGN.md"), "w") as f:
         f.write(design)
-    for rel, text in sources.items():
+    for rel, text in {**(STUB_READERS if readers is None else readers),
+                      **sources}.items():
         path = os.path.join(root, rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w") as f:
@@ -1232,33 +1255,74 @@ class Mml010CatalogDriftTest(unittest.TestCase):
     def test_parse_missing_section_returns_none(self):
         self.assertIsNone(mm_verify.parse_metric_catalog("## 11\nno table\n"))
 
+    def test_parse_catalog_rows_reads_reader_column(self):
+        rows = mm_verify.parse_catalog_rows(CATALOG_STUB)
+        self.assertEqual([(r.line, r.family, r.reader) for r in rows],
+                         [(5, "mm.pcache", "tests/test_pcache.cc"),
+                          (6, "mm.tier", "bench/tiers.cc")])
+        self.assertEqual(rows[1].tokens, ["{dram,nvme}_{read,write}_bytes"])
+
     def test_clean_round_trip(self):
         with tempfile.TemporaryDirectory() as root:
-            write_tree(root, CATALOG_STUB, {
-                "src/core/a.cc":
-                    'void F() {\n'
-                    '  reg.GetCounter("mm.pcache.hit_count");\n'
-                    '  reg.GetCounter("mm.pcache.miss_count");\n'
-                    '  reg.GetCounter("mm.tier.dram_read_bytes");\n'
-                    '  reg.GetCounter("mm.tier.dram_write_bytes");\n'
-                    '  reg.GetCounter("mm.tier.nvme_read_bytes");\n'
-                    '  reg.GetCounter("mm.tier.nvme_write_bytes");\n'
-                    '}\n'})
+            write_tree(root, CATALOG_STUB, {"src/core/a.cc": ALL_STUB_METRICS})
             self.assertEqual(catalog_findings(root), [])
+
+    def test_flags_missing_reader_file(self):
+        with tempfile.TemporaryDirectory() as root:
+            write_tree(root, CATALOG_STUB, {"src/core/a.cc": ALL_STUB_METRICS},
+                       readers={"tests/test_pcache.cc":
+                                STUB_READERS["tests/test_pcache.cc"]})
+            findings = catalog_findings(root)
+            self.assertEqual(rules_of(findings), ["MML010"])
+            self.assertEqual((findings[0].path, findings[0].line),
+                             ("DESIGN.md", 6))
+            self.assertIn("bench/tiers.cc", findings[0].message)
+            self.assertIn("does not exist", findings[0].message)
+
+    def test_flags_reader_that_does_not_read_the_metric(self):
+        with tempfile.TemporaryDirectory() as root:
+            write_tree(root, CATALOG_STUB, {"src/core/a.cc": ALL_STUB_METRICS},
+                       readers={**STUB_READERS, "tests/test_pcache.cc":
+                                'EXPECT_GT(c["mm.pcache.hit_count"], 0);\n'})
+            findings = catalog_findings(root)
+            self.assertEqual(rules_of(findings), ["MML010"])
+            self.assertEqual(findings[0].line, 5)
+            self.assertIn("mm.pcache.miss_count", findings[0].message)
+
+    def test_flags_brace_row_reader_without_family_prefix(self):
+        with tempfile.TemporaryDirectory() as root:
+            write_tree(root, CATALOG_STUB, {"src/core/a.cc": ALL_STUB_METRICS},
+                       readers={**STUB_READERS,
+                                "bench/tiers.cc": "Print(c[\"bytes\"]);\n"})
+            findings = catalog_findings(root)
+            self.assertEqual(rules_of(findings), ["MML010"])
+            self.assertEqual(findings[0].line, 6)
+            self.assertIn("`mm.tier.`", findings[0].message)
+
+    def test_flags_row_without_reader(self):
+        design = CATALOG_STUB.replace(" | `bench/tiers.cc` |", " |")
+        with tempfile.TemporaryDirectory() as root:
+            write_tree(root, design, {"src/core/a.cc": ALL_STUB_METRICS})
+            findings = catalog_findings(root)
+            self.assertEqual(rules_of(findings), ["MML010"])
+            self.assertEqual(findings[0].line, 6)
+            self.assertIn("names no reader", findings[0].message)
+
+    def test_registering_file_is_not_a_reader(self):
+        design = CATALOG_STUB.replace("`tests/test_pcache.cc`",
+                                      "`src/core/a.cc`")
+        with tempfile.TemporaryDirectory() as root:
+            write_tree(root, design, {"src/core/a.cc": ALL_STUB_METRICS})
+            findings = catalog_findings(root)
+            self.assertEqual(rules_of(findings), ["MML010", "MML010"])
+            self.assertTrue(all(f.line == 5 and "registers" in f.message
+                                for f in findings))
 
     def test_flags_metric_missing_from_catalog(self):
         with tempfile.TemporaryDirectory() as root:
             write_tree(root, CATALOG_STUB, {
-                "src/core/a.cc":
-                    'void F() {\n'
-                    '  reg.GetCounter("mm.pcache.hit_count");\n'
-                    '  reg.GetCounter("mm.pcache.miss_count");\n'
-                    '  reg.GetCounter("mm.tier.dram_read_bytes");\n'
-                    '  reg.GetCounter("mm.tier.dram_write_bytes");\n'
-                    '  reg.GetCounter("mm.tier.nvme_read_bytes");\n'
-                    '  reg.GetCounter("mm.tier.nvme_write_bytes");\n'
-                    '  reg.GetCounter("mm.rogue.thing_count");\n'
-                    '}\n'})
+                "src/core/a.cc": ALL_STUB_METRICS.replace(
+                    "}\n", '  reg.GetCounter("mm.rogue.thing_count");\n}\n')})
             findings = catalog_findings(root)
             self.assertEqual(rules_of(findings), ["MML010"])
             self.assertEqual(findings[0].path, "src/core/a.cc")

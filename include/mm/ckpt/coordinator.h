@@ -46,9 +46,9 @@ class Coordinator {
 
   Coordinator(CkptOptions options, std::size_t num_nodes);
 
+  /// Whether flushes append redo records before writing in place and
+  /// Checkpoint/Restore work.
   bool enabled() const { return options_.enabled(); }
-  /// Whether flushes must append redo records before writing in place.
-  bool journaling() const { return enabled() && options_.journal_writeback; }
   const CkptOptions& options() const { return options_; }
 
   /// Node-local redo journal; nullptr when the subsystem is disabled.

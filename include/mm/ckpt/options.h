@@ -11,11 +11,10 @@ namespace mm::ckpt {
 /// epoch manifests (`<tag>.mmck`) live there.
 struct CkptOptions {
   /// Checkpoint directory; empty disables journaling and Checkpoint/Restore.
+  /// When set, every stager flush appends a redo record to the node's
+  /// journal before the in-place backend write, making flushes page-atomic
+  /// under crashes.
   std::string dir;
-  /// When true (default), every stager flush appends a redo record to the
-  /// node's journal before the in-place backend write, making flushes
-  /// page-atomic under crashes.
-  bool journal_writeback = true;
 
   bool enabled() const { return !dir.empty(); }
 };

@@ -331,7 +331,6 @@ class Communicator {
   std::vector<int> world_to_index_;  // world rank -> index (-1: not a member)
   int my_index_;
   int color_epoch_ = 0;      // disambiguates tags across Split generations
-  telemetry::Counter* retransmit_counter_;      // mm.net.retransmit_count
   telemetry::Counter* heartbeat_miss_counter_;  // mm.net.heartbeat_miss_count
 };
 

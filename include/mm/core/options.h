@@ -18,16 +18,13 @@
 
 namespace mm::core {
 
-/// Observability knobs (DESIGN.md §11). Metrics counters are always live
-/// when compiled in (MM_TELEMETRY=ON, the default); these options gate the
-/// trace recorder and the epoch report.
+/// Observability knobs (DESIGN.md §11). Metric counters are always live;
+/// these options arm the trace recorder, the flight ring and the epoch
+/// report file.
 struct TelemetryOptions {
-  /// Master switch for tracing + reporting. Metric counters stay on (they
-  /// are relaxed atomics off the per-access path); compile with
-  /// -DMM_TELEMETRY=OFF to remove instrumentation entirely.
-  bool enabled = true;
   /// Non-empty: record virtual-clock spans and write a Chrome/Perfetto
   /// trace (chrome://tracing, https://ui.perfetto.dev) here at Shutdown.
+  /// Tracing is on exactly when this is set.
   std::string trace_path;
   /// Trace ring-buffer capacity in events (oldest dropped when full).
   std::uint64_t trace_capacity = 1 << 16;
@@ -37,13 +34,11 @@ struct TelemetryOptions {
   double report_interval_s = 0.0;
   /// Non-empty: per-epoch JSON lines are appended here.
   std::string report_path;
-  /// Non-empty: arms the crash flight recorder. A bounded ring of the
-  /// most recent spans is kept even when trace_path is unset, and crash
-  /// points / rank kills / kDataLoss dump `flightrec_<rank>.json` into
-  /// this directory as a postmortem.
+  /// Non-empty: arms the crash flight recorder. A ring of the most recent
+  /// spans (TraceRecorder::kFlightSpans) is kept even when trace_path is
+  /// unset, and crash points / rank kills / kDataLoss dump
+  /// `flightrec_<rank>.json` into this directory as a postmortem.
   std::string flightrec_dir;
-  /// Flight-ring capacity in spans (most recent kept).
-  std::uint64_t flightrec_capacity = 256;
 };
 
 /// Per-vector knobs. Page size is immutable after creation (paper §III-C:
@@ -101,13 +96,14 @@ struct ServiceOptions {
   /// Observability: trace recording and per-epoch runtime reports.
   TelemetryOptions telemetry;
   /// Crash consistency (DESIGN.md §12): journaled writeback and epoch
-  /// checkpoints, enabled by setting `ckpt.dir`.
+  /// checkpoints, both on exactly when `ckpt.dir` is set.
   ckpt::CkptOptions ckpt;
   /// How ckpt::CollectiveRecover treats a dead node's pages.
   RecoveryPolicy recovery_policy = RecoveryPolicy::kRehome;
 
-  /// Parses a service config from YAML; a `runtime:` key it does not know
-  /// is an InvalidArgument error naming the key. E.g.:
+  /// Parses a service config from YAML; a `runtime:`, `telemetry:` or
+  /// `ckpt:` key it does not know is an InvalidArgument error naming the
+  /// key. E.g.:
   ///   runtime:
   ///     organize_every: 64
   ///     recovery_policy: rehome   # or: rollback
@@ -124,13 +120,11 @@ struct ServiceOptions {
   ///     nvme:
   ///       transient_error_rate: 0.01
   ///   telemetry:
-  ///     enabled: true
   ///     trace_path: /tmp/mm_trace.json
   ///     report_interval_s: 1.0
   ///     report_path: /tmp/mm_report.jsonl
   ///   ckpt:
   ///     dir: /tmp/mm_ckpt
-  ///     journal_writeback: true
   static StatusOr<ServiceOptions> FromYaml(const yaml::Node& root);
 };
 

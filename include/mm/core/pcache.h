@@ -178,16 +178,11 @@ class PCache {
   }
   std::optional<PendingFetch> TakePending(std::uint64_t page);
   std::size_t num_pending() const { return pending_.size(); }
-  /// Drops every pending fetch (as in Clear); resident frames stay.
-  /// Returns how many fetches were dropped. Used at phase changes: a
-  /// pending prefetch was routed and versioned under the old phase's
-  /// coherence rules, so adopting it later could resurrect an invalidated
-  /// replica's data.
-  std::size_t DropPendings() {
-    std::size_t n = pending_.size();
-    pending_.clear();
-    return n;
-  }
+  /// Drops every pending fetch (as in Clear); resident frames stay. Used
+  /// at phase changes: a pending prefetch was routed and versioned under
+  /// the old phase's coherence rules, so adopting it later could resurrect
+  /// an invalidated replica's data.
+  void DropPendings() { pending_.clear(); }
   /// Prefetches in flight also count against the capacity budget.
   std::uint64_t committed() const {
     return used() + pending_.size() * page_bytes_;

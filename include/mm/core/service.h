@@ -233,7 +233,6 @@ class NodeRuntime {
   telemetry::Counter* stager_read_bytes_;      // mm.stager.read_bytes
   telemetry::Counter* stager_read_count_;      // mm.stager.read_count
   telemetry::Counter* stager_write_bytes_;     // mm.stager.write_bytes
-  telemetry::Counter* stager_errors_;          // mm.stager.errors_count
   telemetry::Counter* stager_retries_;         // mm.stager.retries_count
   telemetry::Histogram* get_page_ns_;          // mm.task.get_page_ns
   telemetry::Histogram* write_partial_ns_;     // mm.task.write_partial_ns

@@ -75,13 +75,9 @@ class Vector {
     hit_count_ = tel.metrics->GetCounter("mm.pcache.hit_count");
     miss_count_ = tel.metrics->GetCounter("mm.pcache.miss_count");
     eviction_count_ = tel.metrics->GetCounter("mm.pcache.eviction_count");
-    pin_stall_count_ = tel.metrics->GetCounter("mm.pcache.pin_stall_count");
-    writeback_count_ = tel.metrics->GetCounter("mm.pcache.writeback_count");
     writeback_bytes_ = tel.metrics->GetCounter("mm.pcache.writeback_bytes");
     prefetch_issued_ = tel.metrics->GetCounter("mm.prefetch.issued_count");
     prefetch_useful_ = tel.metrics->GetCounter("mm.prefetch.useful_count");
-    prefetch_wasted_ = tel.metrics->GetCounter("mm.prefetch.wasted_count");
-    score_count_ = tel.metrics->GetCounter("mm.prefetch.score_count");
     staged_count_ = tel.metrics->GetCounter("mm.prefetch.staged_count");
   }
 
@@ -180,7 +176,6 @@ class Vector {
   void TxEnd() {
     MM_CHECK_MSG(tx_ != nullptr, "TxEnd without active transaction");
     FlushDirtyFrames(/*retain=*/true);
-    RetireCommits();
     tel_.trace->Complete(tx_->writes() ? "tx_write" : "tx_read", "tx",
                          tel_.node, ctx_->rank(), tx_begin_s_,
                          ctx_->clock().now());
@@ -350,7 +345,6 @@ class Vector {
   /// stages the vector's dirty pages to the backend.
   void Flush() {
     FlushDirtyFrames(/*retain=*/true);
-    RetireCommits();
     sim::SimTime done = ctx_->clock().now();
     Status st =
         service_->FlushVector(*meta_, ctx_->node(), ctx_->clock().now(), &done);
@@ -363,7 +357,6 @@ class Vector {
   /// non-transactional writes (Append/Set) before a synchronization point.
   void Commit() {
     FlushDirtyFrames(/*retain=*/true);
-    RetireCommits();
   }
 
   /// Commits local modifications and stages dirty pages without stalling
@@ -373,7 +366,6 @@ class Vector {
   /// staging before returning, so the data is durable.
   void FlushAsync() {
     FlushDirtyFrames(/*retain=*/true);
-    RetireCommits();
     Status st = service_->FlushVector(*meta_, ctx_->node(),
                                       ctx_->clock().now(), nullptr);
     if (!st.ok()) throw std::runtime_error("FlushAsync: " + st.ToString());
@@ -385,7 +377,6 @@ class Vector {
   void ChangePhase(CoherenceMode new_mode) {
     // Local modifications must be committed under the old phase's rules.
     FlushDirtyFrames(/*retain=*/true);
-    RetireCommits();
     sim::SimTime done = ctx_->clock().now();
     Status st = service_->ChangePhase(*meta_, new_mode, ctx_->node(),
                                       ctx_->clock().now(), &done);
@@ -393,7 +384,7 @@ class Vector {
     ctx_->clock().AdvanceTo(done);
     // In-flight prefetches were routed and versioned under the old phase;
     // adopting one after the switch could resurrect invalidated data.
-    prefetch_wasted_->Inc(pcache_->DropPendings());
+    pcache_->DropPendings();
     // Replicas this rank was reading may be gone.
     last_page_ = kNoPage;
     last_frame_ = nullptr;
@@ -411,10 +402,7 @@ class Vector {
   /// Destroys the shared object (all processes' view of it). Explicit by
   /// design. The backend object is kept unless `remove_backend`.
   void Destroy(bool remove_backend = false) {
-    RetireCommits();
     staged_.clear();
-    // Pending prefetches dropped here were fetched for nothing.
-    prefetch_wasted_->Inc(pcache_->num_pending());
     pcache_->Clear();
     last_page_ = kNoPage;
     last_frame_ = nullptr;
@@ -617,14 +605,11 @@ class Vector {
       return f;
     }
     miss_count_->Inc();
-    // Read-your-writes: retire this rank's commits of the page (in virtual
-    // time they are still asynchronous).
-    RetireCommits(page);
     std::vector<std::uint8_t> data;
     std::uint64_t version = 0;
     if (auto pending = pcache_->TakePending(page)) {
       // A demand access adopting an in-flight prefetch is what makes the
-      // prefetch useful; pendings dropped unadopted count as wasted.
+      // prefetch useful.
       prefetch_useful_->Inc();
       // A prefetch already fetched this page: the access only stalls for
       // whatever part of the fetch has not overlapped with compute.
@@ -681,8 +666,7 @@ class Vector {
       auto victim = pcache_->PickVictim();
       if (!victim.has_value()) {
         // Everything evictable is pinned by live spans: the cache runs over
-        // its bound until a span ends. Surfaced as a pin stall.
-        pin_stall_count_->Inc();
+        // its bound until a span ends.
         break;
       }
       EvictPage(*victim);
@@ -709,10 +693,13 @@ class Vector {
     ReleasePageBytes(std::move(frame->data));
   }
 
-  /// Sends each dirty run of a frame as a partial-page write task. The
-  /// frame's dirty bits are left set; resident frames are reset via
-  /// PCache::MarkClean (keeping the LRU lists in sync), detached frames
-  /// are discarded wholesale.
+  /// Sends each dirty run of a frame as a partial-page write; a failed one
+  /// throws. A resident frame adopts each committed version, in run order,
+  /// only when no other rank's write landed in between (its bytes would be
+  /// missing here). No virtual charge beyond the copy: the writes are
+  /// asynchronous in simulated time. The frame's dirty bits are left set;
+  /// resident frames are reset via PCache::MarkClean (keeping the LRU lists
+  /// in sync), detached frames are discarded wholesale.
   void ShipDirtyRuns(std::uint64_t page, PageFrame& frame) {
     const std::size_t es = sizeof(T);
     PagePool& pool = service_->runtime(ctx_->node()).pool();
@@ -721,12 +708,19 @@ class Vector {
       std::uint64_t len = (hi - lo) * es;
       std::vector<std::uint8_t> bytes = pool.Acquire(len);
       std::memcpy(bytes.data(), frame.data.data() + off, len);
-      writeback_count_->Inc();
       writeback_bytes_->Inc(len);
       ctx_->Compute(static_cast<double>(len) / ctx_->costs().memcpy_Bps);
-      outstanding_.emplace_back(
-          page, service_->WriteRegion(*meta_, page, off, std::move(bytes),
-                                      ctx_->node(), ctx_->clock().now()));
+      const TaskOutcome outcome =
+          service_->WriteRegion(*meta_, page, off, std::move(bytes),
+                                ctx_->node(), ctx_->clock().now());
+      if (!outcome.status.ok()) {
+        throw std::runtime_error("commit failed: " + outcome.status.ToString());
+      }
+      if (PageFrame* resident = pcache_->Find(page)) {
+        if (outcome.prev_version == resident->version) {
+          resident->version = outcome.version;
+        }
+      }
     });
   }
 
@@ -754,32 +748,6 @@ class Vector {
     service_->runtime(ctx_->node()).pool().Release(std::move(data));
   }
 
-  /// Retires this rank's commits (of `page` only, when given): a failed
-  /// one throws, and a resident frame adopts the committed version only
-  /// when no other rank's write landed in between (its bytes would be
-  /// missing here). No virtual charge: the writes are asynchronous in
-  /// simulated time.
-  void RetireCommits(std::uint64_t page = kNoPage) {
-    auto it = outstanding_.begin();
-    while (it != outstanding_.end()) {
-      if (page != kNoPage && it->first != page) {
-        ++it;
-        continue;
-      }
-      const TaskOutcome& outcome = it->second;
-      if (!outcome.status.ok()) {
-        throw std::runtime_error("async commit failed: " +
-                                 outcome.status.ToString());
-      }
-      if (PageFrame* frame = pcache_->Find(it->first)) {
-        if (outcome.prev_version == frame->version) {
-          frame->version = outcome.version;
-        }
-      }
-      it = outstanding_.erase(it);
-    }
-  }
-
   /// One Algorithm 1 invocation. The step's fetch-ahead pages are issued
   /// together once it returns, one ReadPagesAsync per ascending run of
   /// consecutive pages, so the service can stage unplaced ones in as runs;
@@ -797,7 +765,6 @@ class Vector {
     std::vector<float> stage_scores;
     PrefetcherOps ops;
     ops.set_score = [&](std::uint64_t page, float score) {
-      score_count_->Inc();
       service_->SubmitScore(*meta_, page, score, ctx_->node(),
                             ctx_->clock().now());
     };
@@ -809,8 +776,6 @@ class Vector {
     };
     ops.fetch_ahead = [&](std::uint64_t page) {
       if (page * epp_ >= size()) return;
-      // Read-your-writes, as on the fault path.
-      RetireCommits(page);
       fetch.push_back(page);
     };
     ops.cached_or_pending = [&](std::uint64_t page) {
@@ -882,8 +847,6 @@ class Vector {
   VectorMeta* meta_ = nullptr;
   std::unique_ptr<PCache> pcache_;
   std::unique_ptr<Transaction> tx_;
-  /// This rank's commits by page, until RetireCommits.
-  std::vector<std::pair<std::uint64_t, TaskOutcome>> outstanding_;
   /// When this rank's stage-aheads landed, by page, kept until the rank's
   /// clock passes the time (StagedReadyTime).
   std::unordered_map<std::uint64_t, sim::SimTime> staged_;
@@ -906,13 +869,9 @@ class Vector {
   telemetry::Counter* hit_count_ = nullptr;
   telemetry::Counter* miss_count_ = nullptr;
   telemetry::Counter* eviction_count_ = nullptr;
-  telemetry::Counter* pin_stall_count_ = nullptr;
-  telemetry::Counter* writeback_count_ = nullptr;
   telemetry::Counter* writeback_bytes_ = nullptr;
   telemetry::Counter* prefetch_issued_ = nullptr;
   telemetry::Counter* prefetch_useful_ = nullptr;
-  telemetry::Counter* prefetch_wasted_ = nullptr;
-  telemetry::Counter* score_count_ = nullptr;
   telemetry::Counter* staged_count_ = nullptr;
   telemetry::NodeSink tel_ = telemetry::NodeSink::Dummy();
   sim::SimTime tx_begin_s_ = 0.0;

@@ -36,7 +36,6 @@
 #include "mm/comm/world.h"
 #include "mm/core/service.h"
 #include "mm/core/vector.h"
-#include "mm/index/metrics.h"
 #include "mm/index/node.h"
 #include "mm/util/mutex.h"
 
@@ -104,7 +103,8 @@ class BTree : public BTreeBase {
         // object: the real mutex inside it is the cross-rank exclusion.
         smo_lease_(&service.GetDistributedLock(name + "/smo_lock",
                                                opt.lock_home)),
-        metrics_(service.telemetry_sink(ctx.node())) {}
+        descent_count_(service.telemetry_sink(ctx.node())
+                           .metrics->GetCounter("mm.index.descent_count")) {}
 
   BTree(const BTree&) = delete;
   BTree& operator=(const BTree&) = delete;
@@ -156,7 +156,7 @@ class BTree : public BTreeBase {
 
   /// Point lookup: a descent with bounded restarts.
   bool Get(const K& k, V* out) {
-    metrics_.descents->Inc();
+    descent_count_->Inc();
     ++stats_.descents;
     TreeAnchor a = anchor_.Read(0);
     if (a.height == 0) return false;
@@ -246,7 +246,7 @@ class BTree : public BTreeBase {
   /// present a key twice — once in the old leaf, once right of it).
   std::uint64_t Scan(const K& from, std::uint64_t limit,
                      std::vector<std::pair<K, V>>* out) {
-    metrics_.descents->Inc();
+    descent_count_->Inc();
     ++stats_.descents;
     TreeAnchor a = anchor_.Read(0);
     if (a.height == 0 || limit == 0) return 0;
@@ -376,7 +376,6 @@ class BTree : public BTreeBase {
   /// Owner-thread node snapshot: one `Vector::Read`, which charges the
   /// access and turns a miss into the page layer's fault.
   void ReadNodeOwner(std::uint64_t id, Block* out) {
-    metrics_.node_reads->Inc();
     ++stats_.node_reads;
     ++stats_.queue_fallbacks;
     *out = arena_.Read(id);
@@ -425,7 +424,6 @@ class BTree : public BTreeBase {
   void DescendOwner(const K& k, const TreeAnchor& a, Block* out) {
     for (int attempt = 0; attempt <= opt_.max_restarts; ++attempt) {
       if (Descend(k, a, out, nullptr)) return;
-      metrics_.restarts->Inc();
       ++stats_.restarts;
     }
     throw std::runtime_error("mm::BTree descent failed on committed state"
@@ -464,7 +462,6 @@ class BTree : public BTreeBase {
   /// so every committed prefix is a consistent B-link tree.
   void SplitAndInsert(TreeAnchor* a, const std::vector<std::uint64_t>& path,
                       Block leaf, const K& k, const V& v) {
-    metrics_.smos->Inc();
     ++stats_.smos;
     const std::uint64_t left_id = path.back();
     const std::uint64_t right_id = AllocNode(a);
@@ -523,7 +520,6 @@ class BTree : public BTreeBase {
       }
       // Inner split: push up seps[mid]; the right half takes the upper
       // separators and children, the left keeps fence = pushed separator.
-      metrics_.smos->Inc();
       ++stats_.smos;
       const std::uint64_t inner_right_id = AllocNode(a);
       const std::uint32_t c = parent.hdr.count;
@@ -566,7 +562,6 @@ class BTree : public BTreeBase {
 
   void GrowRoot(TreeAnchor* a, std::uint64_t left, const K& sep,
                 std::uint64_t right) {
-    metrics_.smos->Inc();
     ++stats_.smos;
     const std::uint64_t root_id = AllocNode(a);
     Block root{};
@@ -591,7 +586,7 @@ class BTree : public BTreeBase {
   core::Vector<Block> arena_;
   core::Vector<TreeAnchor> anchor_;
   comm::DistributedLock* smo_lease_;
-  IndexMetrics metrics_;
+  telemetry::Counter* descent_count_;  // mm.index.descent_count, per node
   DescentStats stats_;
 };
 

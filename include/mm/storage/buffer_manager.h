@@ -173,8 +173,7 @@ class BufferManager {
 
   std::vector<std::unique_ptr<TierStore>> tiers_;
   RetryPolicy retry_;
-  telemetry::Counter* demotions_;   // mm.tier.demotion_count
-  telemetry::Counter* promotions_;  // mm.tier.promotion_count
+  telemetry::Counter* demotions_;  // mm.tier.demotion_count
   // Guards scores_ and placement orchestration. Lock order (MML101): the
   // placement paths call into TierStore (Contains/Erase/FindBlob) while
   // holding mu_, and each TierStore locks its own mutex.

@@ -2,10 +2,7 @@
 // the TraceRecorder's always-on flight ring plus a metrics snapshot to
 // `<dir>/flightrec_<rank>.json`, so every crash point, rank kill, and
 // kDataLoss leaves a postmortem artifact even when full tracing is off.
-//
-// Compiled in BOTH telemetry modes: with -DMM_TELEMETRY=OFF the span list
-// and metrics come back empty but the file is still written, so crash
-// tooling never has to special-case the build.
+// The ring is armed exactly when `telemetry.flightrec_dir` is set.
 #pragma once
 
 #include <string>

@@ -4,12 +4,11 @@
 // resolved once at construction time under the registry mutex and then
 // incremented lock-free; registration is the only synchronized operation.
 //
-// Compile-out: configuring with -DMM_TELEMETRY=OFF defines
-// MM_TELEMETRY_ENABLED=0 and swaps every class below for a stateless
-// inline stub, so instrumentation compiles to nothing.
-//
 // Metric names follow `mm.<subsystem>.<name>` with a unit suffix
 // (`_bytes`, `_ns`, `_count`, `_ratio`) — enforced by ci/mm_verify.py MML006.
+// Every `mm.*` metric registered in include/ + src/ names its reader (a
+// gate, a bench column, a test) in the DESIGN.md §11 catalog, and MML010
+// checks that the reader reads it.
 #pragma once
 
 #include <atomic>
@@ -20,10 +19,6 @@
 #include <vector>
 
 #include "mm/util/mutex.h"
-
-#ifndef MM_TELEMETRY_ENABLED
-#define MM_TELEMETRY_ENABLED 1
-#endif
 
 namespace mm::telemetry {
 
@@ -47,8 +42,6 @@ struct MetricsSnapshot {
   /// Accumulates `other` into this snapshot (cluster-total aggregation).
   void Merge(const MetricsSnapshot& other);
 };
-
-#if MM_TELEMETRY_ENABLED
 
 /// Monotonic event counter. Relaxed increments: totals are exact, but
 /// cross-metric ordering is unspecified — fine for reporting.
@@ -130,49 +123,5 @@ class MetricsRegistry {
   std::map<std::string, Gauge*> gauge_names_ MM_GUARDED_BY(mu_);
   std::map<std::string, Histogram*> histogram_names_ MM_GUARDED_BY(mu_);
 };
-
-#else  // !MM_TELEMETRY_ENABLED
-
-// Stateless stubs: every call inlines to nothing, every read returns zero.
-class Counter {
- public:
-  void Inc(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void Set(std::int64_t) {}
-  void Add(std::int64_t) {}
-  std::int64_t value() const { return 0; }
-};
-
-class Histogram {
- public:
-  void Observe(double) {}
-  std::uint64_t count() const { return 0; }
-  double sum() const { return 0.0; }
-  HistogramSnapshot Snapshot() const { return {}; }
-};
-
-inline std::vector<double> LatencyBoundsNs() { return {}; }
-
-class MetricsRegistry {
- public:
-  Counter* GetCounter(const std::string&) { return &counter_; }
-  Gauge* GetGauge(const std::string&) { return &gauge_; }
-  Histogram* GetHistogram(const std::string&, std::vector<double>) {
-    return &histogram_;
-  }
-  MetricsSnapshot Snapshot() const { return {}; }
-  static MetricsRegistry& Dummy();
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-#endif  // MM_TELEMETRY_ENABLED
 
 }  // namespace mm::telemetry

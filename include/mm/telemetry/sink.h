@@ -4,8 +4,9 @@
 // value and resolve metric handles from it once at construction.
 //
 // NodeSink::Dummy() points at shared never-reported instances, so
-// components built without telemetry (unit tests, standalone benches)
-// need no null checks anywhere.
+// components constructed outside a Service (unit tests, standalone
+// benches) need no null checks anywhere. There is one telemetry build:
+// every metric behind a sink is live.
 #pragma once
 
 #include "mm/telemetry/metrics.h"

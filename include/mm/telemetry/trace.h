@@ -15,8 +15,8 @@
 // Storage is a bounded ring: when full, the oldest event is overwritten
 // and `dropped()` counts the loss. Recording is off by default; when
 // disabled, Complete/Instant are a single relaxed atomic load. A second,
-// small "flight" ring can be armed independently (set_flight_capacity);
-// it keeps the most recent spans even when full tracing is off, so a
+// small "flight" ring can be armed independently (arm_flight); it keeps
+// the most recent kFlightSpans spans even when full tracing is off, so a
 // crash can dump a postmortem (flightrec_<rank>.json) from any run.
 #pragma once
 
@@ -29,18 +29,12 @@
 #include "mm/util/mutex.h"
 #include "mm/util/status.h"
 
-#ifndef MM_TELEMETRY_ENABLED
-#define MM_TELEMETRY_ENABLED 1
-#endif
-
 namespace mm::telemetry {
 
 /// Causal identity carried across task queues and the wire. `trace_id`
 /// names the whole flow (one page fault / flush / commit); `parent_span`
 /// names the span that caused the current hop. Zero trace_id = no flow.
-/// Defined outside the MM_TELEMETRY gate: the runtime's entry points and
-/// comm::Message carry it by value in both build modes (two u64s, no
-/// behavior).
+/// The runtime's entry points and comm::Message carry it by value.
 struct TraceContext {
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span = 0;
@@ -70,8 +64,6 @@ struct TraceEvent {
   char flow_ph = 0;  // 0 = no flow; else one of 's', 'a', 't', 'f'
 };
 
-#if MM_TELEMETRY_ENABLED
-
 class TraceRecorder {
  public:
   explicit TraceRecorder(std::size_t capacity = 1 << 16);
@@ -80,9 +72,12 @@ class TraceRecorder {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Arms the always-on flight ring holding the last `capacity` spans for
-  /// postmortems (0 disables). Independent of set_enabled().
-  void set_flight_capacity(std::size_t capacity);
+  /// Spans the flight ring keeps (the most recent ones).
+  static constexpr std::size_t kFlightSpans = 256;
+
+  /// Arms the always-on flight ring holding the last kFlightSpans spans
+  /// for postmortems. Independent of set_enabled().
+  void arm_flight() { flight_on_.store(true, std::memory_order_relaxed); }
 
   /// Records a complete span covering virtual seconds [begin_s, end_s].
   void Complete(std::string_view name, std::string_view cat, int node, int tid,
@@ -136,7 +131,6 @@ class TraceRecorder {
   std::size_t head_ MM_GUARDED_BY(mu_) = 0;  // next overwrite slot once full
   std::uint64_t dropped_ MM_GUARDED_BY(mu_) = 0;
   std::vector<TraceEvent> flight_ MM_GUARDED_BY(mu_);  // postmortem ring
-  std::size_t flight_cap_ MM_GUARDED_BY(mu_) = 0;
   std::size_t flight_head_ MM_GUARDED_BY(mu_) = 0;
 };
 
@@ -157,42 +151,5 @@ class TraceContextScope {
 
 /// The innermost TraceContextScope's context (invalid when none active).
 TraceContext CurrentTraceContext();
-
-#else  // !MM_TELEMETRY_ENABLED
-
-class TraceRecorder {
- public:
-  explicit TraceRecorder(std::size_t = 0) {}
-  void set_enabled(bool) {}
-  bool enabled() const { return false; }
-  void set_flight_capacity(std::size_t) {}
-  void Complete(std::string_view, std::string_view, int, int, double, double) {
-  }
-  std::uint64_t CompleteFlow(std::string_view, std::string_view, int, int,
-                             double, double, const TraceContext&, char) {
-    return 0;
-  }
-  void Instant(std::string_view, std::string_view, int, int, double) {}
-  static TraceContext NewContext(int) { return {}; }
-  std::vector<TraceEvent> Snapshot() const { return {}; }
-  std::vector<TraceEvent> FlightSnapshot() const { return {}; }
-  std::uint64_t dropped() const { return 0; }
-  std::size_t size() const { return 0; }
-  std::size_t capacity() const { return 0; }
-  std::string ToJson() const { return "{\"traceEvents\":[]}\n"; }
-  Status WriteJson(const std::string&) const { return Status::Ok(); }
-  static TraceRecorder& Dummy();
-};
-
-class TraceContextScope {
- public:
-  explicit TraceContextScope(const TraceContext&) {}
-  TraceContextScope(const TraceContextScope&) = delete;
-  TraceContextScope& operator=(const TraceContextScope&) = delete;
-};
-
-inline TraceContext CurrentTraceContext() { return {}; }
-
-#endif  // MM_TELEMETRY_ENABLED
 
 }  // namespace mm::telemetry

@@ -19,12 +19,6 @@ void Merge(sim::SimTime end, sim::SimTime* done) {
   if (done != nullptr) *done = std::max(*done, end);
 }
 
-/// Bounds for the per-checkpoint incremental-savings distribution: the
-/// fraction of manifest pages this checkpoint actually had to flush.
-std::vector<double> RatioBounds() {
-  return {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0};
-}
-
 }  // namespace
 
 StatusOr<ckpt::CheckpointStats> Service::Checkpoint(const std::string& tag,
@@ -128,13 +122,6 @@ StatusOr<ckpt::CheckpointStats> Service::Checkpoint(const std::string& tag,
 
   stats.duration_s = t - now;
   Merge(t, done);
-  sink.metrics->GetCounter("mm.ckpt.checkpoint_count")->Inc();
-  sink.metrics->GetCounter("mm.ckpt.written_bytes")->Inc(stats.bytes_written);
-  sink.metrics->GetHistogram("mm.ckpt.duration_ns",
-                             telemetry::LatencyBoundsNs())
-      ->Observe(stats.duration_s * 1e9);
-  sink.metrics->GetHistogram("mm.ckpt.incremental_ratio", RatioBounds())
-      ->Observe(stats.incremental_ratio);
   sink.trace->Complete("checkpoint", "ckpt", sink.node, 0, now, t);
   MM_INFO("ckpt") << "epoch " << stats.epoch << " ('" << tag << "') published: "
                   << stats.pages_written << "/" << stats.pages_total
@@ -218,7 +205,6 @@ Status Service::Restore(const std::string& tag, std::size_t from_node,
   // The overlay is folded into the directory: the journals are spent.
   MM_RETURN_IF_ERROR(ckpt_->TruncateJournals());
   Merge(t, done);
-  sink.metrics->GetCounter("mm.ckpt.restore_count")->Inc();
   sink.trace->Complete("restore", "ckpt", sink.node, 0, now, t);
   MM_INFO("ckpt") << "restored epoch " << manifest.epoch << " ('" << tag
                   << "'): " << manifest.vectors.size() << " vector(s)";

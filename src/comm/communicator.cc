@@ -25,8 +25,6 @@ Communicator::Communicator(RankContext* ctx, std::vector<int> group)
   MM_CHECK_MSG(it != group_.end(), "rank not in communicator group");
   my_index_ = static_cast<int>(it - group_.begin());
   world_to_index_ = BuildWorldToIndex(group_, ctx->size());
-  retransmit_counter_ =
-      ctx_->world().metrics().GetCounter("mm.net.retransmit_count");
   heartbeat_miss_counter_ =
       ctx_->world().metrics().GetCounter("mm.net.heartbeat_miss_count");
 }
@@ -68,9 +66,6 @@ void Communicator::SendFrame(int dst, int tag, const std::uint8_t* verdict,
   // MPI_Send semantics: the sender resumes once its buffer is reusable,
   // i.e. when egress serialization completes.
   ctx_->clock().AdvanceTo(res.egress_done);
-  if (outcome.retransmits > 0) {
-    retransmit_counter_->Inc(static_cast<std::uint64_t>(outcome.retransmits));
-  }
   // Each logical message is its own flow: one msg_send async origin here,
   // one msg_recv terminal hop when the receiver pops it. Retransmitted /
   // duplicated copies share the seq AND the trace ids, and the mailbox

@@ -1,6 +1,7 @@
 #include "mm/core/options.h"
 
 #include <algorithm>
+#include <span>
 #include <string_view>
 
 namespace mm::core {
@@ -15,10 +16,27 @@ StatusOr<sim::TierKind> ParseTierKind(const std::string& name) {
   return InvalidArgument("unknown tier kind '" + name + "'");
 }
 
-// Every key FromYaml reads under `runtime:`.
+// Every key FromYaml reads under `runtime:`, `telemetry:` and `ckpt:`.
 constexpr std::string_view kRuntimeKeys[] = {
     "organize_every",   "enable_prefetch", "enable_organizer",
     "verify_checksums", "recovery_policy"};
+constexpr std::string_view kTelemetryKeys[] = {
+    "trace_path", "trace_capacity", "report_interval_s", "report_path",
+    "flightrec_dir"};
+constexpr std::string_view kCkptKeys[] = {"dir"};
+
+/// InvalidArgument naming the first key of `section` not in `known`, so a
+/// typo or a retired knob fails loudly instead of being ignored.
+Status CheckKeys(const yaml::Node& section, std::string_view name,
+                 std::span<const std::string_view> known) {
+  for (const std::string& key : section.Keys()) {
+    if (std::ranges::count(known, key) == 0) {
+      return InvalidArgument("unknown " + std::string(name) + " key '" + key +
+                             "'");
+    }
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -26,11 +44,7 @@ StatusOr<ServiceOptions> ServiceOptions::FromYaml(const yaml::Node& root) {
   ServiceOptions opts;
   const yaml::Node& runtime = root["runtime"];
   if (runtime.IsMap()) {
-    for (const std::string& key : runtime.Keys()) {
-      if (std::ranges::count(kRuntimeKeys, key) == 0) {
-        return InvalidArgument("unknown runtime key '" + key + "'");
-      }
-    }
+    MM_RETURN_IF_ERROR(CheckKeys(runtime, "runtime", kRuntimeKeys));
     opts.organize_every =
         static_cast<int>(runtime.GetInt("organize_every", opts.organize_every));
     opts.enable_prefetch =
@@ -57,8 +71,7 @@ StatusOr<ServiceOptions> ServiceOptions::FromYaml(const yaml::Node& root) {
   }
   const yaml::Node& telemetry = root["telemetry"];
   if (telemetry.IsMap()) {
-    opts.telemetry.enabled =
-        telemetry.GetBool("enabled", opts.telemetry.enabled);
+    MM_RETURN_IF_ERROR(CheckKeys(telemetry, "telemetry", kTelemetryKeys));
     opts.telemetry.trace_path =
         telemetry.GetString("trace_path", opts.telemetry.trace_path);
     opts.telemetry.trace_capacity =
@@ -69,16 +82,11 @@ StatusOr<ServiceOptions> ServiceOptions::FromYaml(const yaml::Node& root) {
         telemetry.GetString("report_path", opts.telemetry.report_path);
     opts.telemetry.flightrec_dir =
         telemetry.GetString("flightrec_dir", opts.telemetry.flightrec_dir);
-    opts.telemetry.flightrec_capacity = static_cast<std::uint64_t>(
-        telemetry.GetInt("flightrec_capacity",
-                         static_cast<std::int64_t>(
-                             opts.telemetry.flightrec_capacity)));
   }
   const yaml::Node& ckpt = root["ckpt"];
   if (ckpt.IsMap()) {
+    MM_RETURN_IF_ERROR(CheckKeys(ckpt, "ckpt", kCkptKeys));
     opts.ckpt.dir = ckpt.GetString("dir", opts.ckpt.dir);
-    opts.ckpt.journal_writeback =
-        ckpt.GetBool("journal_writeback", opts.ckpt.journal_writeback);
   }
   const yaml::Node& tiers = root["tiers"];
   if (tiers.IsList()) {

@@ -28,22 +28,6 @@ void Merge(sim::SimTime end, sim::SimTime* done) {
   if (done != nullptr) *done = std::max(*done, end);
 }
 
-telemetry::Gauge* TierUsedGauge(telemetry::MetricsRegistry& reg,
-                                sim::TierKind kind) {
-  switch (kind) {
-    case sim::TierKind::kDram:
-      return reg.GetGauge("mm.tier.dram_used_bytes");
-    case sim::TierKind::kNvme:
-      return reg.GetGauge("mm.tier.nvme_used_bytes");
-    case sim::TierKind::kSsd:
-      return reg.GetGauge("mm.tier.ssd_used_bytes");
-    case sim::TierKind::kHdd:
-      return reg.GetGauge("mm.tier.hdd_used_bytes");
-    default:
-      return reg.GetGauge("mm.tier.pfs_used_bytes");
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The page-read pipeline (DESIGN.md §6). Every read path is built from the
 // same three stages: the caller-thread fault (Service::ReadPage), the
@@ -278,7 +262,6 @@ NodeRuntime::NodeRuntime(Service* service, std::size_t node_id,
       stager_read_bytes_(tel_.metrics->GetCounter("mm.stager.read_bytes")),
       stager_read_count_(tel_.metrics->GetCounter("mm.stager.read_count")),
       stager_write_bytes_(tel_.metrics->GetCounter("mm.stager.write_bytes")),
-      stager_errors_(tel_.metrics->GetCounter("mm.stager.errors_count")),
       stager_retries_(tel_.metrics->GetCounter("mm.stager.retries_count")),
       get_page_ns_(tel_.metrics->GetHistogram("mm.task.get_page_ns",
                                               telemetry::LatencyBoundsNs())),
@@ -446,8 +429,7 @@ Status NodeRuntime::BackendRead(
   if (!st.ok()) {
     // One warning per retry burst — RunWithRetry already exhausted the
     // per-attempt detail; repeating the URI for every attempt only de-tunes
-    // the log. The counter is what the epoch report surfaces.
-    stager_errors_->Inc();
+    // the log.
     MM_WARN("stager") << "backend read of '" << meta.key << "' failed after "
                       << attempts << " attempt(s): " << st.ToString();
     return st;
@@ -498,7 +480,6 @@ Status NodeRuntime::BackendWrite(VectorMeta& meta,
   Merge(end, done);
   if (!st.ok()) {
     // Same once-per-burst policy as BackendRead.
-    stager_errors_->Inc();
     MM_WARN("stager") << "backend write of '" << meta.key << "' failed after "
                       << attempts << " attempt(s): " << st.ToString();
     return st;
@@ -521,9 +502,7 @@ Status NodeRuntime::JournaledBackendWrite(
     // touch disk after the armed crash fired.
     return Unavailable("node crashed (simulated)");
   }
-  ckpt::Journal* journal =
-      service_->checkpointer().journaling() ? service_->journal(node_id_)
-                                            : nullptr;
+  ckpt::Journal* journal = service_->journal(node_id_);
   // In-place writes start once every redo record is durable.
   sim::SimTime durable = now;
   if (journal != nullptr) {
@@ -1063,14 +1042,10 @@ Service::Service(sim::Cluster* cluster, ServiceOptions options)
   }
   trace_ = std::make_unique<telemetry::TraceRecorder>(
       static_cast<std::size_t>(options_.telemetry.trace_capacity));
-  trace_->set_enabled(options_.telemetry.enabled &&
-                      !options_.telemetry.trace_path.empty());
+  trace_->set_enabled(!options_.telemetry.trace_path.empty());
   // Flight recorder is independent of the trace switch: the small span
-  // ring stays warm in every run so a crash can leave a postmortem.
-  if (!options_.telemetry.flightrec_dir.empty()) {
-    trace_->set_flight_capacity(
-        static_cast<std::size_t>(options_.telemetry.flightrec_capacity));
-  }
+  // ring stays warm so a crash can leave a postmortem.
+  if (!options_.telemetry.flightrec_dir.empty()) trace_->arm_flight();
   reporter_ =
       std::make_unique<telemetry::EpochReporter>(options_.telemetry.report_path);
   // The checkpoint coordinator precedes the runtimes: their steps consult
@@ -1153,42 +1128,33 @@ void Service::Shutdown() {
   // Final telemetry drain, after every runtime has shut down: one closing
   // epoch (stamped at the last reported virtual time) and the Chrome-trace
   // dump.
-  if (options_.telemetry.enabled) {
-    double final_s;
-    {
-      MutexLock lock(report_mu_);
-      final_s = last_epoch_s_;
-    }
-    // The line was already appended to the report file; the returned copy
-    // has no reader at shutdown.
-    (void)EpochReport(final_s);
-    if (!options_.telemetry.trace_path.empty()) {
-      Status st = trace_->WriteJson(options_.telemetry.trace_path);
-      if (!st.ok()) {
-        MM_WARN("service") << "trace dump to '" << options_.telemetry.trace_path
-                           << "' failed: " << st.ToString();
-      }
+  double final_s;
+  {
+    MutexLock lock(report_mu_);
+    final_s = last_epoch_s_;
+  }
+  // The line was already appended to the report file; the returned copy
+  // has no reader at shutdown.
+  (void)EpochReport(final_s);
+  if (!options_.telemetry.trace_path.empty()) {
+    Status st = trace_->WriteJson(options_.telemetry.trace_path);
+    if (!st.ok()) {
+      MM_WARN("service") << "trace dump to '" << options_.telemetry.trace_path
+                         << "' failed: " << st.ToString();
     }
   }
 }
 
 telemetry::ClusterSnapshot Service::TelemetrySnapshot() {
-  // Refresh snapshot-time gauges first: tier occupancy and pool counters
-  // are levels sampled from their owners, not events counted at the source.
+  // Refresh the pool gauges first: they are levels sampled from each
+  // node's PagePool, not events counted at the source.
   for (std::size_t n = 0; n < runtimes_.size(); ++n) {
     telemetry::MetricsRegistry& reg = *metrics_[n];
-    auto& bm = runtimes_[n]->buffer();
-    for (std::size_t t = 0; t < bm.num_tiers(); ++t) {
-      TierUsedGauge(reg, bm.tier(t).kind())
-          ->Set(static_cast<std::int64_t>(bm.tier(t).used()));
-    }
     PagePool& pool = runtimes_[n]->pool();
     reg.GetGauge("mm.pool.alloc_count")
         ->Set(static_cast<std::int64_t>(pool.allocations()));
     reg.GetGauge("mm.pool.reuse_count")
         ->Set(static_cast<std::int64_t>(pool.reuses()));
-    reg.GetGauge("mm.pool.pooled_bytes")
-        ->Set(static_cast<std::int64_t>(pool.pooled_bytes()));
   }
   telemetry::ClusterSnapshot snap;
   snap.per_node.reserve(metrics_.size());
@@ -1200,7 +1166,6 @@ telemetry::ClusterSnapshot Service::TelemetrySnapshot() {
 }
 
 std::string Service::EpochReport(double now_s) {
-  if (!options_.telemetry.enabled) return "";
   UpdateCritpathCounters(now_s);
   telemetry::ClusterSnapshot snap = TelemetrySnapshot();
   {
@@ -1259,7 +1224,6 @@ void Service::DumpFlightRecord(std::size_t node, std::string_view reason,
 }
 
 std::string Service::MaybeEpochReport(double now_s) {
-  if (!options_.telemetry.enabled) return "";
   double interval = options_.telemetry.report_interval_s;
   if (interval <= 0.0) return "";
   {
@@ -1493,10 +1457,7 @@ Service::RecoveryStats Service::RecoverDeadNode(std::size_t dead_node,
     last_recovery_.lost += stats.lost;
   }
   telemetry::MetricsRegistry& reg = *metrics_[from_node];
-  reg.GetCounter("mm.recovery.pages_scanned_count")->Inc(stats.pages_scanned);
   reg.GetCounter("mm.recovery.rehomed_count")->Inc(stats.rehomed);
-  reg.GetCounter("mm.recovery.journal_recovered_count")
-      ->Inc(stats.journal_recovered);
   reg.GetCounter("mm.recovery.data_loss_count")->Inc(stats.lost);
   MM_WARN("service") << "node " << dead_node << " fenced and re-homed: "
                      << stats.pages_scanned << " pages scanned, "
@@ -1508,7 +1469,6 @@ Service::RecoveryStats Service::RecoverDeadNode(std::size_t dead_node,
 
 bool Service::TryJournalRecover(std::size_t node, const storage::BlobId& id,
                                 const storage::BlobLocation& loc) {
-  if (ckpt_ == nullptr || !ckpt_->journaling()) return false;
   ckpt::Journal* journal = ckpt_->journal(node);
   if (journal == nullptr) return false;
   auto rec = journal->Latest(id);
@@ -1527,7 +1487,6 @@ bool Service::TryJournalRecover(std::size_t node, const storage::BlobId& id,
   Status ws = stager->Write(uri, rec->offset, rec->payload.data(),
                             rec->payload.size());
   if (!ws.ok()) return false;
-  metrics_[node]->GetCounter("mm.ckpt.journal_recovered_count")->Inc();
   MM_WARN("ckpt") << "page " << id.ToString() << " on node " << node
                   << " recovered from its redo journal at version "
                   << rec->version;
@@ -1880,15 +1839,12 @@ Status Service::ChangePhase(VectorMeta& meta, CoherenceMode new_mode,
     // Leaving read-only: all replicas produced during reads are invalidated
     // (paper §III-C "Changing Phases").
     telemetry::NodeSink sink = telemetry_sink(from_node);
-    telemetry::Counter* invalidations =
-        sink.metrics->GetCounter("mm.coherence.invalidate_count");
     for (const auto& id : metadata().BlobsOfVector(meta.vector_id)) {
       sim::SimTime inval_done = now;
       auto dropped =
           metadata().InvalidateReplicas(id, from_node, now, &inval_done);
       Merge(inval_done, done);
       if (!dropped.empty()) {
-        invalidations->Inc(dropped.size());
         // A real span (not an instant): the critical-path analyzer charges
         // coherence stalls by span duration.
         sink.trace->Complete("invalidate", "coherence", sink.node, 0, now,

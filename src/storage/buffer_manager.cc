@@ -15,8 +15,7 @@ BufferManager::BufferManager(sim::Node* node,
                              sim::FaultInjector* injector, RetryPolicy retry,
                              telemetry::NodeSink sink)
     : retry_(retry),
-      demotions_(sink.metrics->GetCounter("mm.tier.demotion_count")),
-      promotions_(sink.metrics->GetCounter("mm.tier.promotion_count")) {
+      demotions_(sink.metrics->GetCounter("mm.tier.demotion_count")) {
   for (const TierGrant& grant : grants) {
     sim::Device* dev = node->FindTier(grant.kind);
     MM_CHECK_MSG(dev != nullptr, "node lacks granted tier");
@@ -330,10 +329,7 @@ int BufferManager::Rebalance(sim::SimTime now, sim::SimTime* done) {
       // Find the fastest live tier with room.
       for (std::size_t up = 0; up < t; ++up) {
         if (!tiers_[up]->failed() && tiers_[up]->free_bytes() >= size) {
-          if (Move(id, t, up, now, done).ok()) {
-            ++moved;
-            promotions_->Inc();
-          }
+          if (Move(id, t, up, now, done).ok()) ++moved;
           break;
         }
       }

@@ -23,8 +23,6 @@ void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
   }
 }
 
-#if MM_TELEMETRY_ENABLED
-
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {}
 
@@ -98,8 +96,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   }
   return snap;
 }
-
-#endif  // MM_TELEMETRY_ENABLED
 
 MetricsRegistry& MetricsRegistry::Dummy() {
   static MetricsRegistry dummy;

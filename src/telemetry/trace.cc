@@ -6,8 +6,6 @@
 
 namespace mm::telemetry {
 
-#if MM_TELEMETRY_ENABLED
-
 namespace {
 
 /// Minimal JSON string escaping; event names/categories are internal
@@ -112,14 +110,6 @@ thread_local TraceContext g_current_ctx;
 TraceRecorder::TraceRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-void TraceRecorder::set_flight_capacity(std::size_t capacity) {
-  MutexLock lock(mu_);
-  flight_cap_ = capacity;
-  flight_.clear();
-  flight_head_ = 0;
-  flight_on_.store(capacity > 0, std::memory_order_relaxed);
-}
-
 TraceContext TraceRecorder::NewContext(int node) {
   TraceContext ctx;
   // Node id in the high bits keeps ids readable in dumps; the counter in
@@ -186,12 +176,12 @@ void TraceRecorder::Instant(std::string_view name, std::string_view cat,
 
 void TraceRecorder::Push(TraceEvent ev) {
   MutexLock lock(mu_);
-  if (flight_cap_ > 0 && ev.ph == 'X') {
-    if (flight_.size() < flight_cap_) {
+  if (flight_on_.load(std::memory_order_relaxed) && ev.ph == 'X') {
+    if (flight_.size() < kFlightSpans) {
       flight_.push_back(ev);
     } else {
       flight_[flight_head_] = ev;
-      flight_head_ = (flight_head_ + 1) % flight_cap_;
+      flight_head_ = (flight_head_ + 1) % kFlightSpans;
     }
   }
   if (!enabled()) return;
@@ -268,8 +258,6 @@ TraceContextScope::TraceContextScope(const TraceContext& ctx)
 TraceContextScope::~TraceContextScope() { g_current_ctx = saved_; }
 
 TraceContext CurrentTraceContext() { return g_current_ctx; }
-
-#endif  // MM_TELEMETRY_ENABLED
 
 TraceRecorder& TraceRecorder::Dummy() {
   static TraceRecorder dummy(1);

@@ -257,7 +257,6 @@ using CoordinatorTest = CkptDirTest;
 TEST_F(CoordinatorTest, DisabledWithoutDir) {
   ckpt::Coordinator coord(ckpt::CkptOptions{}, 2);
   EXPECT_FALSE(coord.enabled());
-  EXPECT_FALSE(coord.journaling());
   EXPECT_EQ(coord.journal(0), nullptr);
   EXPECT_TRUE(coord.RecoverOnStartup().ok());
 }
@@ -274,7 +273,6 @@ TEST_F(CoordinatorTest, RecoverAppliesJournalAndKeepsOverlay) {
   {
     ckpt::Coordinator coord(opts, 1);
     ASSERT_TRUE(coord.enabled());
-    ASSERT_TRUE(coord.journaling());
     ASSERT_TRUE(coord.journal(0)->Append(MakeRecord(1, 2, 5, 42, key)).ok());
   }
   // Restart: a fresh coordinator over the same directory replays the record

@@ -569,13 +569,11 @@ TEST_F(ServiceFaultTest, TierFailureInsideATaskRestagesAfterIt) {
       << fetched[0].outcome.status.ToString();
   EXPECT_EQ(fetched[0].outcome.data, PagePattern(0, 4096));
   EXPECT_EQ(svc->fault_injector().permanent_failures(), 1u);
-  if (MM_TELEMETRY_ENABLED) {
-    // The read, then one re-stage per lost page: the read staged page 0 in
-    // itself, so its re-stage finds it placed; every other one is a
-    // backend read. All ran before ReadPagesAsync returned.
-    EXPECT_EQ(counter("mm.task.executed_count") - executed, 1 + kPages);
-    EXPECT_EQ(counter("mm.stager.read_count") - reads, kPages);
-  }
+  // The read, then one re-stage per lost page: the read staged page 0 in
+  // itself, so its re-stage finds it placed; every other one is a backend
+  // read. All ran before ReadPagesAsync returned.
+  EXPECT_EQ(counter("mm.task.executed_count") - executed, 1 + kPages);
+  EXPECT_EQ(counter("mm.stager.read_count") - reads, kPages);
   for (std::uint64_t p = 0; p < kPages; ++p) {
     auto loc = svc->metadata().Lookup({(*meta)->vector_id, p}, 0, t, nullptr);
     ASSERT_TRUE(loc.ok()) << "page " << p << " was not re-staged";

@@ -103,13 +103,11 @@ TEST(NodeDeath, DetectorChargesLatencyAndCountsMisses) {
           ASSERT_TRUE(world.RankDead(1));
           EXPECT_GE(ctx.clock().now(),
                     world.DeathTime(1) + world.detector().DetectionLatency());
-#if MM_TELEMETRY_ENABLED
           EXPECT_EQ(world.metrics()
                         .GetCounter("mm.net.heartbeat_miss_count")
                         ->value(),
                     static_cast<std::uint64_t>(
                         world.detector().miss_threshold));
-#endif
         } else {
           comm.SendValue<int>(0, /*tag=*/3, 42);  // never executes the send
           ADD_FAILURE() << "killed rank survived its trigger";
@@ -333,12 +331,10 @@ TEST_F(NodeFailureCkptTest, RehomePolicyRestagesCleanPagesOfDeadNode) {
   EXPECT_EQ(stats.pages_scanned, kPages);
   EXPECT_GT(stats.rehomed, 0u);  // clean primaries on node 1
   EXPECT_EQ(stats.lost, 0u);
-#if MM_TELEMETRY_ENABLED
   EXPECT_EQ(svc->metrics(0).GetCounter("mm.recovery.rehomed_count")->value(),
             stats.rehomed);
   EXPECT_EQ(
       svc->metrics(0).GetCounter("mm.recovery.data_loss_count")->value(), 0u);
-#endif
 }
 
 TEST_F(NodeFailureCkptTest, RollbackPolicyRestoresLastCheckpoint) {

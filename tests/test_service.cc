@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <utility>
 
 #include "mm/comm/communicator.h"
 #include "mm/comm/launch.h"
@@ -345,9 +346,7 @@ TEST(ServiceInline, EveryOutcomeIsFinalWhenSubmitReturns) {
     }
     ++submitted;  // every page is a run of one: each is placed
   }
-#if MM_TELEMETRY_ENABLED
   EXPECT_EQ(executed() - before, submitted);
-#endif
 }
 
 // Concurrent routed faults of one page on one node share fetches through
@@ -389,7 +388,6 @@ TEST(ServiceInline, ConcurrentFaultsOfOnePageAgree) {
   }
   for (auto& t : readers) t.join();
   EXPECT_EQ(wrong.load(), 0);
-#if MM_TELEMETRY_ENABLED
   EXPECT_EQ(svc.metrics(0).GetCounter("mm.service.fault_count")->value(),
             std::uint64_t{kThreads * kReads});
   const std::uint64_t fetches =
@@ -398,7 +396,6 @@ TEST(ServiceInline, ConcurrentFaultsOfOnePageAgree) {
           ->count();
   EXPECT_GE(fetches, 1u);
   EXPECT_LE(fetches, std::uint64_t{kThreads * kReads});
-#endif
 }
 
 // ---- run stage-in (ReadPagesAsync) ----
@@ -713,18 +710,36 @@ TEST(ServiceOptionsYaml, DefaultsWhenSectionsMissing) {
   EXPECT_EQ(opts->organize_every, ServiceOptions{}.organize_every);
 }
 
-// A typo or a key the runtime no longer has is an error that names the
-// key, not a silently ignored setting.
-TEST(ServiceOptionsYaml, RejectsUnknownRuntimeKeys) {
-  for (const std::string key : {"workers_per_node", "enable_prefech"}) {
-    auto root = yaml::Parse("runtime:\n  " + key + ": 2\n");
+// A typo or a key the runtime no longer has (`telemetry.enabled`,
+// `flightrec_capacity`, `ckpt.journal_writeback`) under `runtime:`,
+// `telemetry:` or `ckpt:` is an error that names the key, not a silently
+// ignored setting.
+TEST(ServiceOptionsYaml, RejectsUnknownKeys) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"runtime", "workers_per_node"},
+      {"runtime", "enable_prefech"},
+      {"telemetry", "enabled"},
+      {"telemetry", "flightrec_capacity"},
+      {"telemetry", "trace_pth"},
+      {"ckpt", "journal_writeback"},
+      {"ckpt", "dri"},
+  };
+  for (const auto& [section, key] : cases) {
+    auto root = yaml::Parse(section + ":\n  " + key + ": 2\n");
     ASSERT_TRUE(root.ok());
     auto opts = ServiceOptions::FromYaml(*root);
-    ASSERT_FALSE(opts.ok()) << key;
+    ASSERT_FALSE(opts.ok()) << section << "." << key;
     EXPECT_EQ(opts.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(opts.status().message().find(key), std::string::npos)
         << opts.status().ToString();
   }
+  auto root = yaml::Parse(
+      "telemetry:\n  flightrec_dir: /tmp/fr\nckpt:\n  dir: /tmp/ck\n");
+  ASSERT_TRUE(root.ok());
+  auto opts = ServiceOptions::FromYaml(*root);
+  ASSERT_TRUE(opts.ok()) << opts.status().ToString();
+  EXPECT_EQ(opts->telemetry.flightrec_dir, "/tmp/fr");
+  EXPECT_EQ(opts->ckpt.dir, "/tmp/ck");
 }
 
 // The shipped example config stays loadable.

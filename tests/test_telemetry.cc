@@ -1,7 +1,6 @@
 // Unit tests for the telemetry subsystem (DESIGN.md §11): concurrent
 // counter exactness, histogram bucket boundaries, snapshot merging, and
-// the trace recorder's JSON shape / ring-overflow behavior. The whole file
-// skips under -DMM_TELEMETRY=OFF, where every class is a stateless stub.
+// the trace recorder's JSON shape / ring-overflow behavior.
 #include <algorithm>
 #include <set>
 #include <thread>
@@ -15,12 +14,6 @@
 
 namespace mm::telemetry {
 namespace {
-
-#if !MM_TELEMETRY_ENABLED
-TEST(Telemetry, CompiledOut) {
-  GTEST_SKIP() << "built with -DMM_TELEMETRY=OFF";
-}
-#else
 
 TEST(MetricsRegistry, HandlesAreStableAndShared) {
   MetricsRegistry reg;
@@ -165,8 +158,6 @@ TEST(EpochReporter, DeltasBetweenEpochs) {
   EXPECT_NE(line2.find("\"mm.test.level_bytes\":70"), std::string::npos);
   EXPECT_EQ(reporter.epochs(), 2);
 }
-
-#endif  // MM_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace mm::telemetry

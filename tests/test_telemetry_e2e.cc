@@ -20,12 +20,6 @@
 namespace mm {
 namespace {
 
-#if !MM_TELEMETRY_ENABLED
-TEST(TelemetryE2e, CompiledOut) {
-  GTEST_SKIP() << "built with -DMM_TELEMETRY=OFF";
-}
-#else
-
 class TelemetryE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -189,8 +183,6 @@ TEST_F(TelemetryE2eTest, EpochReportReconcilesPcacheHitsAndMisses) {
   EXPECT_NE(table.find("mm.pcache.miss_count"), std::string::npos);
   EXPECT_NE(table.find("mm.task.executed_count"), std::string::npos);
 }
-
-#endif  // MM_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace mm

@@ -5,8 +5,6 @@
 // and duplicates are dedup'd by (src, seq) in the mailbox — so the trace
 // must still show exactly one origin and one terminal per flow, no
 // duplicate span ids, and no dangling flow references.
-//
-// Skips under -DMM_TELEMETRY=OFF, where the recorder is a stateless stub.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -21,12 +19,6 @@
 
 namespace mm {
 namespace {
-
-#if !MM_TELEMETRY_ENABLED
-TEST(TraceFlowFaults, Skipped) {
-  GTEST_SKIP() << "built with -DMM_TELEMETRY=OFF";
-}
-#else
 
 std::uint64_t FaultSeed() {
   const char* env = std::getenv("MM_FAULT_SEED");
@@ -151,8 +143,6 @@ TEST(TraceFlowFaults, DropsAndDupsNeverDangleFlows) {
             0u);
   CheckFlowIntegrity(rec.Snapshot());
 }
-
-#endif  // MM_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace mm
