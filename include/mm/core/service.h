@@ -178,13 +178,15 @@ class NodeRuntime {
                      std::span<TaskOutcome> outs, sim::SimTime now);
 
   /// Caches a staged-in page in this node's scache at `score` and records
-  /// its directory entry under `version`, scored for `from_node` (sets
-  /// out->version, out->crc and out->done). A full scache is not an error
-  /// for reads: the page is served uncached. A `placement_only` page's
-  /// bytes move into the cache, leaving out->data empty.
-  void CacheStagedPage(const storage::BlobId& id, std::uint64_t version,
-                       std::size_t from_node, float score,
-                       bool placement_only, TaskOutcome* out);
+  /// its directory entry under `stamp`, scored for `from_node` (sets
+  /// out->version, out->crc and out->done). `stamp.crc` is the caller's CRC
+  /// of out->data, so the staged bytes are checksummed once. A full scache
+  /// is not an error for reads: the page is served uncached. A
+  /// `placement_only` page's bytes move into the cache, leaving out->data
+  /// empty.
+  void CacheStagedPage(const storage::BlobId& id,
+                       const storage::BlobStamp& stamp, std::size_t from_node,
+                       float score, bool placement_only, TaskOutcome* out);
 
   /// Reads `size` backend bytes from `offset` as one request, each page
   /// straight into its own buffer (pages[i] gets the bytes from offset + i

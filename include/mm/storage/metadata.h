@@ -6,7 +6,6 @@
 #pragma once
 
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 

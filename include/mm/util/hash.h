@@ -46,4 +46,10 @@ inline std::uint32_t Crc32(const std::vector<std::uint8_t>& data) {
   return Crc32(data.data(), data.size());
 }
 
+namespace detail {
+/// The slicing-by-8 table loop Crc32 falls back to where the CPU lacks
+/// carry-less multiply; tests compare the two paths through it.
+std::uint32_t Crc32Portable(const std::uint8_t* data, std::size_t size);
+}  // namespace detail
+
 }  // namespace mm

@@ -608,7 +608,7 @@ void NodeRuntime::StageInOrZero(VectorMeta& meta, std::uint64_t first,
 }
 
 void NodeRuntime::CacheStagedPage(const storage::BlobId& id,
-                                  std::uint64_t version,
+                                  const storage::BlobStamp& stamp,
                                   std::size_t from_node, float score,
                                   bool placement_only, TaskOutcome* out) {
   // The cached copy comes from the pool so the steady-state read path
@@ -616,7 +616,6 @@ void NodeRuntime::CacheStagedPage(const storage::BlobId& id,
   // they move into the cache uncopied.
   sim::SimTime put_done = out->done;
   const std::uint64_t size = out->data.size();
-  const storage::BlobStamp stamp{version, Crc32(out->data)};
   std::vector<std::uint8_t> cache_copy;
   if (placement_only) {
     cache_copy = std::move(out->data);
@@ -676,7 +675,8 @@ std::vector<TaskOutcome> NodeRuntime::GetPages(
     StageInOrZero(meta, first, outs, now);
     for (std::uint64_t i = 0; i < n; ++i) {
       if (outs[i].status.ok()) {
-        CacheStagedPage({meta.vector_id, first + i}, 0, from_node, score,
+        CacheStagedPage({meta.vector_id, first + i},
+                        {0, Crc32(outs[i].data)}, from_node, score,
                         placement_only, &outs[i]);
       }
     }
@@ -749,10 +749,12 @@ TaskOutcome NodeRuntime::ServePage(VectorMeta& meta, std::uint64_t page,
   // Restored and written-through pages keep a directory entry with a kPfs
   // residency hint and the committed full-page CRC: verify the staged-in
   // bytes against it, so a torn or stale backend page surfaces as typed
-  // data loss instead of silently serving wrong bytes (DESIGN.md §12).
+  // data loss instead of silently serving wrong bytes (DESIGN.md §12). The
+  // one CRC of the staged bytes is also the cached copy's stamp.
+  const std::uint32_t crc = Crc32(out.data);
   if (options_.verify_checksums && meta.stager != nullptr && src.loc &&
       src.loc->tier == sim::TierKind::kPfs && !src.loc->dirty &&
-      src.loc->crc != 0 && Crc32(out.data) != src.loc->crc) {
+      src.loc->crc != 0 && crc != src.loc->crc) {
     service_->RecordDataLoss(id, node_id_, out.done);
     pool_.Release(std::move(out.data));
     out.data.clear();
@@ -763,8 +765,8 @@ TaskOutcome NodeRuntime::ServePage(VectorMeta& meta, std::uint64_t page,
   }
   // Preserve an existing version if the page previously lived elsewhere
   // (e.g. written through to the backend).
-  CacheStagedPage(id, src.loc ? src.loc->version : 0, from_node, score,
-                  placement_only, &out);
+  CacheStagedPage(id, {src.loc ? src.loc->version : 0, crc}, from_node,
+                  score, placement_only, &out);
   return out;
 }
 

@@ -36,24 +36,29 @@ StatusOr<BlobLocation> MetadataManager::Lookup(const BlobId& id,
 std::vector<std::optional<BlobLocation>> MetadataManager::LookupBatch(
     const std::vector<BlobId>& ids, std::size_t from_node, sim::SimTime now,
     sim::SimTime* done) const {
-  // One coalesced request per touched shard; shards answer in parallel.
-  std::set<std::size_t> homes;
-  for (const BlobId& id : ids) homes.insert(HomeNode(id));
+  // One coalesced request per touched shard, charged in ascending home
+  // order; shards answer in parallel.
+  std::vector<std::size_t> homes(ids.size());
+  std::vector<bool> touched(shards_.size(), false);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    homes[i] = HomeNode(ids[i]);
+    touched[homes[i]] = true;
+  }
   sim::SimTime end = now;
-  for (std::size_t home : homes) {
-    end = std::max(end, ChargeRtt(home, from_node, now));
+  for (std::size_t home = 0; home < shards_.size(); ++home) {
+    if (touched[home]) end = std::max(end, ChargeRtt(home, from_node, now));
   }
   SetDone(end, done);
-  std::vector<std::optional<BlobLocation>> out;
-  out.reserve(ids.size());
-  for (const BlobId& id : ids) {
-    Shard& shard = shards_[HomeNode(id)];
+  // Each touched shard is locked once and answers its ids in input order.
+  std::vector<std::optional<BlobLocation>> out(ids.size());
+  for (std::size_t home = 0; home < shards_.size(); ++home) {
+    if (!touched[home]) continue;
+    Shard& shard = shards_[home];
     MutexLock lock(shard.mu);
-    auto it = shard.entries.find(id);
-    if (it == shard.entries.end()) {
-      out.push_back(std::nullopt);
-    } else {
-      out.push_back(it->second.loc);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (homes[i] != home) continue;
+      auto it = shard.entries.find(ids[i]);
+      if (it != shard.entries.end()) out[i] = it->second.loc;
     }
   }
   return out;

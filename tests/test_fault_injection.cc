@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <string>
 #include <thread>
 #include <unistd.h>
 
@@ -259,6 +260,19 @@ TEST(RetryPolicy, YamlRoundTripAndValidation) {
   EXPECT_FALSE(RetryPolicy::FromYaml(*bad).ok());
 }
 
+// The bitwise definition of the reflected 0xEDB88320 CRC: advances the
+// register `crc` over `n` bytes. Every CRC test compares against it.
+std::uint32_t BitwiseCrcUpdate(std::uint32_t crc, const std::uint8_t* p,
+                               std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : (crc >> 1);
+    }
+  }
+  return crc;
+}
+
 TEST(Crc32, MatchesKnownVector) {
   // The canonical CRC-32 ("123456789") check value.
   const char* s = "123456789";
@@ -267,16 +281,8 @@ TEST(Crc32, MatchesKnownVector) {
 }
 
 TEST(Crc32, MatchesTheBytewiseDefinitionAtEveryLengthAndOffset) {
-  // Reference: the bitwise definition of the reflected 0xEDB88320 CRC.
   auto reference = [](const std::uint8_t* p, std::size_t n) {
-    std::uint32_t crc = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < n; ++i) {
-      crc ^= p[i];
-      for (int k = 0; k < 8; ++k) {
-        crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : (crc >> 1);
-      }
-    }
-    return crc ^ 0xFFFFFFFFu;
+    return BitwiseCrcUpdate(0xFFFFFFFFu, p, n) ^ 0xFFFFFFFFu;
   };
   std::vector<std::uint8_t> data(300);
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -289,6 +295,48 @@ TEST(Crc32, MatchesTheBytewiseDefinitionAtEveryLengthAndOffset) {
           << "offset " << off << " length " << n;
     }
   }
+}
+
+TEST(Crc32, HardwarePathMatchesPortableAtEveryLengthAndAlignment) {
+  // Every length through one 4 KiB node, then a stride up to two 64 KiB
+  // pages that ends each 64-byte fold block in every way the folding path
+  // distinguishes: whole 64-byte blocks, a 16-byte fold, a table tail.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 4096; ++n) lengths.push_back(n);
+  for (std::size_t blocks = 65; blocks <= 2048; blocks += 61) {
+    for (std::size_t r : {0, 1, 15, 16, 63, 64}) {
+      lengths.push_back(blocks * 64 + r);
+    }
+  }
+  lengths.push_back(2 * 65536);
+  std::vector<std::uint8_t> data(lengths.back() + 16);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(MixU64(i));
+  }
+  std::size_t cases = 0;
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  for (std::size_t off = 0; off < 16; ++off) {
+    const std::uint8_t* p = data.data() + off;
+    // The reference register advances only over the bytes each longer
+    // case adds, so the bitwise loop reads every byte once per alignment.
+    std::uint32_t reg = 0xFFFFFFFFu;
+    std::size_t done = 0;
+    for (std::size_t n : lengths) {
+      reg = BitwiseCrcUpdate(reg, p + done, n - done);
+      done = n;
+      const std::uint32_t got = Crc32(p, n);
+      ++cases;
+      if (got != detail::Crc32Portable(p, n) || got != (reg ^ 0xFFFFFFFFu)) {
+        if (mismatches++ == 0) {
+          first_mismatch =
+              "offset " + std::to_string(off) + " length " + std::to_string(n);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << cases << "; first at "
+                            << first_mismatch;
 }
 
 // ---------------------------------------------------------------------------

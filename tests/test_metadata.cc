@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "mm/sim/network.h"
 
 namespace mm::storage {
@@ -57,6 +60,42 @@ TEST_F(MetadataTest, RemoteLookupChargesRtt) {
   EXPECT_DOUBLE_EQ(local_done, 0.0);    // local shard: free
   EXPECT_GT(remote_done, 0.0);          // remote shard: round trip
   EXPECT_GE(remote_done, 2 * network_.spec().latency_s);
+}
+
+TEST_F(MetadataTest, LookupBatchMatchesPerIdLookup) {
+  // Ids over every shard, every third one never registered.
+  std::vector<BlobId> ids;
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    ids.push_back(BlobId{5, i});
+    if (i % 3 == 0) continue;
+    const BlobLocation loc{.node = i % 4, .size = i, .version = i + 1};
+    ASSERT_TRUE(md_.Update(ids.back(), loc, 0, 0.0, nullptr).ok());
+  }
+  // From the last shard: the last round trip charged is the free local
+  // one, so only the slowest of them gives `*done`.
+  const std::size_t from = 3;
+  const sim::SimTime now = 2.0;
+  sim::SimTime done = 0;
+  const auto batch = md_.LookupBatch(ids, from, now, &done);
+  ASSERT_EQ(batch.size(), ids.size());
+  std::set<std::size_t> homes;
+  sim::SimTime slowest = now;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    homes.insert(md_.HomeNode(ids[i]));
+    sim::SimTime one = 0;
+    const auto single = md_.Lookup(ids[i], from, now, &one);
+    slowest = std::max(slowest, one);
+    ASSERT_EQ(batch[i].has_value(), single.ok()) << "id " << i;
+    if (!single.ok()) continue;
+    EXPECT_EQ(batch[i]->node, single->node) << "id " << i;
+    EXPECT_EQ(batch[i]->size, single->size) << "id " << i;
+    EXPECT_EQ(batch[i]->version, single->version) << "id " << i;
+  }
+  EXPECT_EQ(homes.size(), 4u);
+  // The shards answer in parallel: the batch takes the slowest one round
+  // trip, not their sum.
+  EXPECT_GT(slowest, now);
+  EXPECT_DOUBLE_EQ(done, slowest);
 }
 
 TEST_F(MetadataTest, RemoveErases) {

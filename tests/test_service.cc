@@ -519,6 +519,55 @@ TEST_F(RunStageInTest, PlacedPagesSplitTheRun) {
   EXPECT_EQ(Counter("mm.stager.read_count") - reads, 2u);  // [0,5) + [6,16)
 }
 
+TEST_F(RunStageInTest, RestoredPageStagesInUnderItsDirectoryStamp) {
+  // Both pages carry the directory entry a restore writes: backend
+  // residency, clean, the committed version and the CRC of the committed
+  // bytes. Page 1's backend bytes are then corrupted.
+  VectorMeta& meta = Open(2, 1);
+  for (std::uint64_t page = 0; page < 2; ++page) {
+    storage::BlobLocation loc;
+    loc.tier = sim::TierKind::kPfs;
+    loc.size = meta.page_bytes;
+    loc.version = 7;
+    loc.crc = Crc32(FilePage(meta, page));
+    ASSERT_TRUE(svc_->metadata()
+                    .Update({meta.vector_id, page}, loc, 0, 0.0, nullptr)
+                    .ok());
+  }
+  {
+    std::fstream f(dir_ / "run.bin",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(meta.page_bytes + 100));
+    f.put(static_cast<char>(file_[meta.page_bytes + 100] ^ 0x5A));
+  }
+
+  // The intact page stages in and is cached under its directory stamp.
+  const storage::BlobId good{meta.vector_id, 0};
+  sim::SimTime done = 0.0;
+  auto bytes = svc_->ReadPage(meta, 0, 0, 0.0, &done);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(*bytes, FilePage(meta, 0));
+  std::vector<std::uint8_t> cached;
+  auto stamp = svc_->runtime(0).buffer().GetInto(good, &cached, done, nullptr);
+  ASSERT_TRUE(stamp.ok()) << stamp.status().ToString();
+  EXPECT_EQ(stamp->version, 7u);
+  EXPECT_EQ(stamp->crc, Crc32(FilePage(meta, 0)));
+  auto loc = svc_->metadata().Lookup(good, 0, done, nullptr);
+  ASSERT_TRUE(loc.ok());
+  EXPECT_NE(loc->tier, sim::TierKind::kPfs);
+  EXPECT_EQ(loc->version, 7u);
+  EXPECT_EQ(loc->crc, stamp->crc);
+
+  // The corrupted page fails its check against the directory CRC: typed
+  // data loss, nothing cached.
+  const storage::BlobId bad{meta.vector_id, 1};
+  auto lost = svc_->ReadPage(meta, 1, 0, done, &done);
+  EXPECT_EQ(lost.status().code(), StatusCode::kDataLoss)
+      << lost.status().ToString();
+  EXPECT_TRUE(svc_->IsDataLost(bad));
+  EXPECT_FALSE(svc_->runtime(0).buffer().FindBlob(bad).has_value());
+}
+
 TEST_F(RunStageInTest, FourRunsShareTheStripeServers) {
   // Four ranks (one per node) each prefetch their own 16-page block at t=0:
   // four 1 MiB requests on the PFS's eight stripe servers all start at
