@@ -25,6 +25,9 @@
 //   fault_*                    a page faulted from local scache DRAM, a
 //                              remote node's scache, the NVMe and HDD
 //                              tiers, and a backend stage-in (2 nodes);
+//   flush_journaled,           one Vector::Flush of 64 contiguous 64 KiB
+//   flush_unjournaled          pages split over 2 owner nodes, with and
+//                              without a redo journal (priced per flush);
 //   btree_get                  BTree::Get over a warmed 1-node tree with the
 //                              default 64-node pcache;
 //   bcast_*, allreduce_*,      8-rank collectives at 16 doubles and 1 MiB
@@ -48,6 +51,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
@@ -437,6 +441,57 @@ bool FaultOnce(const FaultSource& src, const std::string& dir, Row* row) {
   return true;
 }
 
+// ---- flush rows ----
+
+constexpr std::uint64_t kFlushPages = 64;
+
+/// Rank 0 flushes a Pgas-split nonvolatile vector of kFlushPages pages
+/// (each rank dirtied its half) on a fresh 2-node cluster, journaled when
+/// `journaled`; returns false if the job failed. The floor copies the
+/// flushed pages once.
+bool FlushOnce(bool journaled, const std::string& dir, Row* row) {
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::create_directories(dir);
+  auto cluster = sim::Cluster::PaperTestbed(2);
+  core::ServiceOptions so;
+  so.tier_grants = {{sim::TierKind::kDram, GIGABYTES(1)}};
+  so.enable_prefetch = false;
+  so.enable_organizer = false;
+  if (journaled) so.ckpt.dir = dir + "/ckpt";
+  core::Service svc(cluster.get(), so);
+  const std::uint64_t n = kFlushPages * kFaultPage / sizeof(double);
+  core::VectorOptions vo;
+  vo.page_size = kFaultPage;
+  vo.nonvolatile = true;
+  auto result = comm::RunRanks(*cluster, 2, 1, [&](comm::RankContext& ctx) {
+    Vector<double> v(svc, ctx, "posix://" + dir + "/flush_bench.bin", n, vo);
+    comm::Communicator comm(&ctx);
+    v.Pgas(ctx.rank(), 2);
+    auto tx = v.SeqTxBegin(v.local_off(), v.local_off() + v.local_size(),
+                           core::MM_WRITE_ONLY);
+    for (std::uint64_t i = v.local_off(); i < v.local_off() + v.local_size();
+         ++i) {
+      v[i] = double(i);
+    }
+    v.TxEnd();
+    comm.Barrier();
+    if (ctx.rank() == 0) {
+      const double t0 = ctx.clock().now();
+      const double wall = WallNs([&] { v.Flush(); });
+      row->Add((ctx.clock().now() - t0) * 1e9, wall,
+               PageCopyNs(kFaultPage, kFlushPages));
+    }
+    comm.Barrier();
+  });
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s: %s\n", row->name.c_str(),
+                 result.error.c_str());
+    return false;
+  }
+  return true;
+}
+
 // ---- index row ----
 
 constexpr std::uint64_t kTreeKeys = 4000;  // ~120 leaves at 100 B values
@@ -639,6 +694,15 @@ int main(int argc, char** argv) {
     Row row(src.name);
     for (int r = 0; r < reps; ++r) {
       if (!FaultOnce(src, dir.path().string(), &row)) return 1;
+    }
+    rows.push_back(std::move(row));
+  }
+  for (const bool journaled : {true, false}) {
+    Row row(journaled ? "flush_journaled" : "flush_unjournaled");
+    for (int r = 0; r < reps; ++r) {
+      if (!FlushOnce(journaled, (dir.path() / row.name).string(), &row)) {
+        return 1;
+      }
     }
     rows.push_back(std::move(row));
   }

@@ -117,6 +117,15 @@ class PoolReturn {
   std::vector<std::uint8_t>& buf_;
 };
 
+/// One in-place backend write whose bytes already sit on the backend and
+/// whose PFS time is still to be reserved: `bytes` from `start`, each
+/// piece scaled by `time_factor` (an injected latency spike).
+struct WritebackCharge {
+  sim::SimTime start = 0.0;
+  std::uint64_t bytes = 0;
+  double time_factor = 1.0;
+};
+
 struct TaskOutcome {
   Status status;
   std::vector<std::uint8_t> data;  // for reads
@@ -134,6 +143,10 @@ struct TaskOutcome {
   /// payload bytes (trimmed to the vector's logical extent).
   std::uint64_t pages_written = 0;
   std::uint64_t bytes_written = 0;
+  /// For journaled stage-outs: the PFS charges of the in-place runs, which
+  /// Service::FlushVector reserves once every owner has journaled. `done`
+  /// is then the journal's durability, not the runs' end.
+  std::vector<WritebackCharge> writeback;
 };
 
 }  // namespace mm::core

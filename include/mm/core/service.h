@@ -68,6 +68,19 @@ struct VectorMeta {
   Mutex hint_mu;
   std::optional<PgasHint> pgas_hint MM_GUARDED_BY(hint_mu);
 
+  /// Write-back horizon: when the last in-place write a flush of this
+  /// vector left behind its journal ends on the PFS (0 before any).
+  /// Monotone. A backend read of the vector starts no earlier, and a
+  /// checkpoint publishes no earlier.
+  std::atomic<sim::SimTime> writeback_horizon{0.0};
+
+  void RaiseWritebackHorizon(sim::SimTime t) {
+    sim::SimTime cur = writeback_horizon.load(std::memory_order_relaxed);
+    while (cur < t && !writeback_horizon.compare_exchange_weak(
+                          cur, t, std::memory_order_relaxed)) {
+    }
+  }
+
   std::uint64_t num_elements() const {
     return size_bytes.load(std::memory_order_relaxed) / elem_size;
   }
@@ -134,7 +147,9 @@ class NodeRuntime {
 
   /// `stage_out`: persists `pages` of `meta` (this owner's dirty pages,
   /// ascending) as one journaled group commit, part of the flush flow
-  /// `tctx`. The outcome counts the pages and bytes written.
+  /// `tctx`. The outcome counts the pages and bytes written. With a
+  /// journal it ends when the batch is durable and hands the in-place
+  /// runs' PFS charges back in `writeback`; their bytes are written.
   TaskOutcome StageOut(VectorMeta& meta,
                        const std::vector<std::uint64_t>& pages,
                        sim::SimTime issued, telemetry::TraceContext tctx);
@@ -197,21 +212,28 @@ class NodeRuntime {
                      std::span<std::vector<std::uint8_t>* const> pages,
                      sim::SimTime now, sim::SimTime* done);
   /// Writes one contiguous run of pages in place, each from its own
-  /// buffer: one fault decision and one PFS charge of the run's bytes per
-  /// attempt.
+  /// buffer: one fault decision per attempt, and one PFS charge of the
+  /// run's bytes for the attempt that succeeds. With `writeback`, that
+  /// charge is appended there instead of made, and a success leaves
+  /// `*done` alone (failed attempts still stall the PFS inline).
   Status BackendWrite(VectorMeta& meta,
                       std::span<const ckpt::JournalRecord> run,
-                      sim::SimTime now, sim::SimTime* done);
+                      sim::SimTime now, sim::SimTime* done,
+                      std::vector<WritebackCharge>* writeback = nullptr);
 
   /// Crash-consistent group commit (DESIGN.md §12): appends the redo
   /// records of `batch` (ascending offsets; each carries its page's
   /// committed version and full-page CRC) to this node's journal as one
   /// batch charged as one PFS write, then — once they are durable — writes
   /// each contiguous run in place with one BackendWrite. Honors the armed
-  /// crash points. Without journaling only the in-place writes run.
-  Status JournaledBackendWrite(VectorMeta& meta,
-                               std::span<const ckpt::JournalRecord> batch,
-                               sim::SimTime now, sim::SimTime* done);
+  /// crash points. Without journaling only the in-place writes run, and
+  /// they are the durability. With a journal and `writeback`, the runs'
+  /// PFS charges go to `writeback` and `*done` is the journal's
+  /// durability.
+  Status JournaledBackendWrite(
+      VectorMeta& meta, std::span<const ckpt::JournalRecord> batch,
+      sim::SimTime now, sim::SimTime* done,
+      std::vector<WritebackCharge>* writeback = nullptr);
 
   /// Copies resident page `id` (`bytes` long) into a pooled *buf under
   /// the healing readers' policy and returns its directory entry with the
@@ -515,13 +537,17 @@ class Service {
                    std::size_t from_node, sim::SimTime now);
 
   /// Stages all dirty pages of a vector to its backend; returns when
-  /// persisted. `*done` gets the last simulated completion.
-  /// Group commit (DESIGN.md §12): the dirty pages are grouped by owner
-  /// node, and each owner runs one StageOut batch — one journal append of
-  /// all its redo records (one PFS write), then one in-place PFS write per
-  /// contiguous run. Under the Pgas hint an owner's pages form one run, so
-  /// a flush costs about two large writes per node. `*written` (optional)
-  /// accumulates the pages and payload bytes persisted.
+  /// every dirty page is durable in its owner's journal, or, for a vector
+  /// without one (`ckpt.dir` unset), written in place. `*done` gets that
+  /// time. Group commit (DESIGN.md §12): the dirty pages are grouped by
+  /// owner node, and each owner runs one StageOut batch — one journal
+  /// append of all its redo records (one PFS write), then one in-place PFS
+  /// write per contiguous run. Under the Pgas hint an owner's pages form
+  /// one run. The in-place writes are off the flush's critical path: their
+  /// PFS time is reserved once every owner has journaled, each from its
+  /// owner's durability, and raises the vector's `writeback_horizon`.
+  /// `*written` (optional) accumulates the pages and payload bytes
+  /// persisted.
   Status FlushVector(VectorMeta& meta, std::size_t from_node, sim::SimTime now,
                      sim::SimTime* done, FlushCounts* written = nullptr);
 

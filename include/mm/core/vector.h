@@ -342,7 +342,10 @@ class Vector {
   // ---- persistence & lifecycle ----
 
   /// Synchronously commits this process's modifications to the scache and
-  /// stages the vector's dirty pages to the backend.
+  /// stages the vector's dirty pages to the backend. Returns once every
+  /// dirty page is durable in its owner's journal (or, without a journal,
+  /// written in place); the in-place writes finish off the clock
+  /// (Service::FlushVector).
   void Flush() {
     FlushDirtyFrames(/*retain=*/true);
     sim::SimTime done = ctx_->clock().now();
@@ -363,7 +366,8 @@ class Vector {
   /// the simulated clock: the staging engine drains in the background
   /// (paper §III-B "MegaMmap actively flushes modified data to storage
   /// during periods of computation"). Real execution still completes the
-  /// staging before returning, so the data is durable.
+  /// staging before returning, so every dirty page is durable in its
+  /// owner's journal (or written in place) when it returns.
   void FlushAsync() {
     FlushDirtyFrames(/*retain=*/true);
     Status st = service_->FlushVector(*meta_, ctx_->node(),

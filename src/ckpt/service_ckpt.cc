@@ -64,6 +64,11 @@ StatusOr<ckpt::CheckpointStats> Service::Checkpoint(const std::string& tag,
     stats.pages_written += written.pages;
     stats.bytes_written += written.bytes;
   }
+  // The manifest promises the backend bytes and truncating spends the
+  // journals that heal them, so both wait for every in-place write-back.
+  for (VectorMeta* meta : nonvolatile) {
+    t = std::max(t, meta->writeback_horizon.load(std::memory_order_relaxed));
+  }
 
   // 2. Build the manifest from directory state. Versions/CRCs are the
   //    commit-time values — independent of when the flush above happened.

@@ -395,6 +395,9 @@ Status NodeRuntime::BackendRead(
     std::span<std::vector<std::uint8_t>* const> pages, sim::SimTime now,
     sim::SimTime* done) {
   sim::Device& pfs = service_->cluster().pfs();
+  // The read starts once the vector's in-place write-backs have ended, so
+  // it never overtakes bytes a flush left queued on the PFS.
+  now = std::max(now, meta.writeback_horizon.load(std::memory_order_relaxed));
   sim::SimTime end = now;
   int attempts = 0;
   Status st = RunWithRetry(
@@ -446,7 +449,8 @@ Status NodeRuntime::BackendRead(
 
 Status NodeRuntime::BackendWrite(VectorMeta& meta,
                                  std::span<const ckpt::JournalRecord> run,
-                                 sim::SimTime now, sim::SimTime* done) {
+                                 sim::SimTime now, sim::SimTime* done,
+                                 std::vector<WritebackCharge>* writeback) {
   sim::Device& pfs = service_->cluster().pfs();
   std::uint64_t run_bytes = 0;
   for (const auto& rec : run) run_bytes += rec.payload.size();
@@ -472,13 +476,17 @@ Status NodeRuntime::BackendWrite(VectorMeta& meta,
           MM_RETURN_IF_ERROR(meta.stager->Write(
               meta.uri, rec.offset, rec.payload.data(), rec.payload.size()));
         }
-        *attempt_done = std::max(*attempt_done,
-                                 pfs.Write(start, run_bytes, d.spike_factor));
+        if (writeback != nullptr) {
+          writeback->push_back({start, run_bytes, d.spike_factor});
+        } else {
+          *attempt_done = std::max(
+              *attempt_done, pfs.Write(start, run_bytes, d.spike_factor));
+        }
         return Status::Ok();
       },
       &attempts);
-  Merge(end, done);
   if (!st.ok()) {
+    Merge(end, done);
     // Same once-per-burst policy as BackendRead.
     MM_WARN("stager") << "backend write of '" << meta.key << "' failed after "
                       << attempts << " attempt(s): " << st.ToString();
@@ -488,14 +496,18 @@ Status NodeRuntime::BackendWrite(VectorMeta& meta,
     stager_retries_->Inc(static_cast<std::uint64_t>(attempts - 1));
   }
   stager_write_bytes_->Inc(run_bytes);
-  tel_.trace->CompleteFlow("stager_write", "stager", tel_.node, 0, now, end,
-                           telemetry::CurrentTraceContext(), 't');
+  if (writeback == nullptr) {
+    Merge(end, done);
+    tel_.trace->CompleteFlow("stager_write", "stager", tel_.node, 0, now, end,
+                             telemetry::CurrentTraceContext(), 't');
+  }
   return st;
 }
 
 Status NodeRuntime::JournaledBackendWrite(
     VectorMeta& meta, std::span<const ckpt::JournalRecord> batch,
-    sim::SimTime now, sim::SimTime* done) {
+    sim::SimTime now, sim::SimTime* done,
+    std::vector<WritebackCharge>* writeback) {
   sim::FaultInjector& inj = service_->fault_injector();
   if (inj.crashed()) {
     // A dead process writes nothing: later flushes of the same run must not
@@ -567,7 +579,8 @@ Status NodeRuntime::JournaledBackendWrite(
           durable);
       return Unavailable("simulated crash mid in-place write");
     }
-    MM_RETURN_IF_ERROR(BackendWrite(meta, run, durable, done));
+    MM_RETURN_IF_ERROR(BackendWrite(meta, run, durable, done,
+                                    journal != nullptr ? writeback : nullptr));
   }
   return Status::Ok();
 }
@@ -998,7 +1011,8 @@ TaskOutcome NodeRuntime::StageOut(VectorMeta& meta,
   }
   out.done = read_done;
   if (!batch.empty()) {
-    Status st = JournaledBackendWrite(meta, batch, read_done, &out.done);
+    Status st = JournaledBackendWrite(meta, batch, read_done, &out.done,
+                                      &out.writeback);
     if (st.ok()) {
       for (const auto& rec : batch) {
         // A commit that landed after the snapshot keeps the page dirty.
@@ -1805,13 +1819,19 @@ Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,
       telemetry::TraceRecorder::NewContext(static_cast<int>(from_node));
   Status first_error;
   sim::SimTime flush_end = now;
+  // Each journaled owner's in-place runs: its durability and PFS charges.
+  struct Writeback {
+    std::size_t owner;
+    sim::SimTime durable;
+    std::vector<WritebackCharge> charges;
+  };
+  std::vector<Writeback> writebacks;
   for (auto& [owner, pages] : batches) {
     std::sort(pages.begin(), pages.end());
     // The owner runs its steps in call order, so concurrent flushes of one
     // vector serialize there: a later batch never journals an older
     // snapshot of a page than an earlier one.
-    const TaskOutcome outcome =
-        runtime(owner).StageOut(meta, pages, now, flush_ctx);
+    TaskOutcome outcome = runtime(owner).StageOut(meta, pages, now, flush_ctx);
     Merge(outcome.done, done);
     Merge(outcome.done, &flush_end);
     if (written != nullptr) {
@@ -1821,6 +1841,25 @@ Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,
     if (!outcome.status.ok() && first_error.ok()) {
       first_error = outcome.status;
     }
+    if (!outcome.writeback.empty()) {
+      writebacks.push_back(
+          {owner, outcome.done, std::move(outcome.writeback)});
+    }
+  }
+  // Every owner has journaled, so every append above was charged to the PFS
+  // before any write-back: none queues behind another owner's in-place
+  // writes. The write-backs run from each owner's durability; nobody waits
+  // for them, so each is a span outside the flush's flow.
+  sim::Device& pfs = cluster().pfs();
+  for (const Writeback& wb : writebacks) {
+    sim::SimTime wb_end = wb.durable;
+    for (const WritebackCharge& c : wb.charges) {
+      wb_end = std::max(wb_end, pfs.Write(c.start, c.bytes, c.time_factor));
+    }
+    telemetry::NodeSink sink = telemetry_sink(wb.owner);
+    sink.trace->Complete("writeback", "stager", sink.node, 0, wb.durable,
+                         wb_end);
+    meta.RaiseWritebackHorizon(wb_end);
   }
   if (!batches.empty()) {
     telemetry::NodeSink sink = telemetry_sink(from_node);

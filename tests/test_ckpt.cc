@@ -18,6 +18,7 @@
 #include "mm/comm/launch.h"
 #include "mm/core/service.h"
 #include "mm/sim/cost_model.h"
+#include "mm/telemetry/critpath.h"
 #include "mm/util/byte_units.h"
 #include "mm/util/hash.h"
 
@@ -460,34 +461,69 @@ TEST_F(ServiceCkptTest, FlushAppendsJournalRecordsBeforeInPlaceWrites) {
 // 512 KiB runs) and spans two stripes (64 KiB pages, 2 MiB runs).
 class FlushGroupCommitTest
     : public ServiceCkptTest,
-      public ::testing::WithParamInterface<std::uint64_t> {};
+      public ::testing::WithParamInterface<std::uint64_t> {
+ protected:
+  static constexpr std::uint64_t kN = 64;
 
-TEST_P(FlushGroupCommitTest, FlushGroupCommitsOneBatchPerOwner) {
-  // A Pgas-split vector over two nodes: each node owns one contiguous half.
-  const std::uint64_t kBig = GetParam();
-  constexpr std::uint64_t kN = 64;
-  clusters_.push_back(sim::Cluster::PaperTestbed(2));
-  sim::Cluster& cluster = *clusters_.back();
-  core::ServiceOptions so;
-  so.tier_grants = {{TierKind::kDram, MEGABYTES(8)},
-                    {TierKind::kNvme, MEGABYTES(16)}};
-  so.ckpt.dir = (dir_ / "ckpt").string();
-  core::Service svc(&cluster, so);
-  core::VectorOptions vo;
-  vo.page_size = kBig;
-  auto meta = svc.RegisterVector("posix://" + (dir_ / "pgas.bin").string(), 1,
-                                 vo, kN * kBig);
-  ASSERT_TRUE(meta.ok());
-  svc.SetPgasHint(**meta, {kN * kBig, /*nprocs=*/2, /*ranks_per_node=*/1});
-  sim::SimTime t = 0.0;
-  for (std::uint64_t p = 0; p < kN; ++p) {
-    auto out = svc.WriteRegion(**meta, p, 0, Pattern(kBig, p), 0, t);
-    ASSERT_TRUE(out.status.ok()) << "page " << p;
-    t = std::max(t, out.done);
+  /// A Pgas-split vector of `pages` pages over two nodes, each node owning
+  /// one contiguous half, every page committed and dirty by `t_`.
+  /// Journaled unless `journaled` is false.
+  void WriteSplitVector(bool journaled = true, std::uint64_t pages = kN) {
+    big_ = GetParam();
+    pages_ = pages;
+    clusters_.push_back(sim::Cluster::PaperTestbed(2));
+    cluster_ = clusters_.back().get();
+    core::ServiceOptions so;
+    so.tier_grants = {{TierKind::kDram, MEGABYTES(8)},
+                      {TierKind::kNvme, MEGABYTES(16)}};
+    if (journaled) so.ckpt.dir = (dir_ / "ckpt").string();
+    so.faults = faults_;
+    svc_ = std::make_unique<core::Service>(cluster_, so);
+    core::VectorOptions vo;
+    vo.page_size = big_;
+    auto meta = svc_->RegisterVector(
+        "posix://" + (dir_ / "pgas.bin").string(), 1, vo, pages_ * big_);
+    ASSERT_TRUE(meta.ok());
+    meta_ = *meta;
+    svc_->SetPgasHint(*meta_,
+                      {pages_ * big_, /*nprocs=*/2, /*ranks_per_node=*/1});
+    t_ = 0.0;
+    for (std::uint64_t p = 0; p < pages_; ++p) {
+      auto out = svc_->WriteRegion(*meta_, p, 0, Pattern(big_, p), 0, t_);
+      ASSERT_TRUE(out.status.ok()) << "page " << p;
+      t_ = std::max(t_, out.done);
+    }
   }
 
+  /// One owner's payload bytes: its contiguous half of the pages.
+  std::uint64_t RunBytes() const { return pages_ / 2 * big_; }
+
+  /// What an owner pays before its PFS writes: the dispatch and its DRAM
+  /// reads, one page after another.
+  double DispatchAndTierReads() const {
+    const sim::DeviceSpec dram = sim::DeviceSpec::Dram(0);
+    return sim::CostModel::Default().task_dispatch_s +
+           pages_ / 2 * (dram.read_latency_s + big_ / dram.read_bw_Bps);
+  }
+
+  sim::FaultConfig faults_;  // set before WriteSplitVector
+  std::uint64_t big_ = 0;
+  std::uint64_t pages_ = 0;
+  sim::Cluster* cluster_ = nullptr;
+  std::unique_ptr<core::Service> svc_;
+  core::VectorMeta* meta_ = nullptr;
+  sim::SimTime t_ = 0.0;
+};
+
+TEST_P(FlushGroupCommitTest, FlushGroupCommitsOneBatchPerOwner) {
+  const std::uint64_t kBig = GetParam();
+  WriteSplitVector();
+  const sim::SimTime t = t_;
+  sim::Cluster& cluster = *cluster_;
+  core::Service& svc = *svc_;
+
   sim::SimTime done = t;
-  ASSERT_TRUE(svc.FlushVector(**meta, 0, t, &done).ok());
+  ASSERT_TRUE(svc.FlushVector(*meta_, 0, t, &done).ok());
 
   std::uint64_t stage_outs = 0, records = 0, stager_bytes = 0,
                 journal_bytes = 0;
@@ -530,6 +566,167 @@ TEST_P(FlushGroupCommitTest, FlushGroupCommitsOneBatchPerOwner) {
               2 * (pfs.spec().write_latency_s +
                    static_cast<double>(run_bytes) / pfs.spec().write_bw_Bps));
   }
+}
+
+TEST_P(FlushGroupCommitTest, JournaledFlushReturnsWhenItsJournalIsDurable) {
+  // 3 MiB per owner: its journal takes 4 of the 8 stripe servers and its
+  // run 3, so an append charged after the other owner's write-back would
+  // queue behind it.
+  WriteSplitVector(/*journaled=*/true, 6 * kMiB / GetParam());
+  sim::SimTime done = t_;
+  ASSERT_TRUE(svc_->FlushVector(*meta_, 0, t_, &done).ok());
+  const sim::Device& pfs = cluster_->pfs();
+  // One striped journal round on an idle PFS: both owners' appends run
+  // side by side, with no in-place term and no append queued behind the
+  // other owner's write-back.
+  EXPECT_LE(done - t_,
+            DispatchAndTierReads() +
+                pfs.WriteDuration(RunBytes() + pages_ / 2 *
+                                      ckpt::Journal::kRecordOverheadBytes));
+  // The in-place writes start at their owner's durability and end at the
+  // horizon, past the flush.
+  const sim::SimTime horizon = meta_->writeback_horizon.load();
+  EXPECT_GE(horizon, done + pfs.WriteDuration(RunBytes()));
+  // Every byte still reaches the backend in place.
+  std::uint64_t stager_bytes = 0;
+  for (std::size_t n = 0; n < 2; ++n) {
+    stager_bytes +=
+        svc_->metrics(n).GetCounter("mm.stager.write_bytes")->value();
+  }
+  EXPECT_EQ(stager_bytes, pages_ * big_);
+}
+
+TEST_P(FlushGroupCommitTest, SpikedWriteBackStaysOffTheFlushsClock) {
+  // Every backend op is 10x slow: the in-place runs pay it on the PFS, the
+  // journal appends and so the flush do not.
+  constexpr double kSpike = 10.0;
+  faults_.backend.latency_spike_rate = 1.0;
+  faults_.backend.latency_spike_factor = kSpike;
+  WriteSplitVector();
+  sim::SimTime done = t_;
+  ASSERT_TRUE(svc_->FlushVector(*meta_, 0, t_, &done).ok());
+  const sim::Device& pfs = cluster_->pfs();
+  EXPECT_LE(done - t_,
+            DispatchAndTierReads() +
+                pfs.WriteDuration(RunBytes() + pages_ / 2 *
+                                      ckpt::Journal::kRecordOverheadBytes));
+  EXPECT_GE(meta_->writeback_horizon.load(),
+            done + kSpike * pfs.WriteDuration(RunBytes()));
+}
+
+TEST_P(FlushGroupCommitTest, UnjournaledFlushWaitsForItsInPlaceWrite) {
+  WriteSplitVector(/*journaled=*/false);
+  sim::SimTime done = t_;
+  ASSERT_TRUE(svc_->FlushVector(*meta_, 0, t_, &done).ok());
+  // Without a journal the in-place write is the durability: the flush
+  // waits for it, and leaves no write-back behind.
+  EXPECT_GE(done - t_, cluster_->pfs().WriteDuration(RunBytes()));
+  EXPECT_LE(done - t_,
+            DispatchAndTierReads() + cluster_->pfs().WriteDuration(RunBytes()));
+  EXPECT_EQ(meta_->writeback_horizon.load(), 0.0);
+}
+
+TEST_P(FlushGroupCommitTest, CheckpointAfterFlushPublishesPastTheHorizon) {
+  WriteSplitVector();
+  sim::SimTime done = t_;
+  ASSERT_TRUE(svc_->FlushVector(*meta_, 0, t_, &done).ok());
+  const sim::SimTime horizon = meta_->writeback_horizon.load();
+  ASSERT_GT(horizon, done);
+  // Nothing is dirty, yet the manifest waits for the in-place writes it
+  // promises, and so does the truncation of the journals that heal them.
+  sim::SimTime ckpt_done = done;
+  auto stats = svc_->Checkpoint("e", 0, done, &ckpt_done);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->pages_written, 0u);
+  EXPECT_GE(ckpt_done, horizon);
+}
+
+TEST_P(FlushGroupCommitTest, StageInWaitsForTheWriteBackOfItsVector) {
+  // A vector that is never flushed, its backend file written beforehand.
+  const std::uint64_t kOther = 4;
+  WriteSplitVector();
+  const std::filesystem::path other_file = dir_ / "other.bin";
+  {
+    std::ofstream out(other_file, std::ios::binary);
+    for (std::uint64_t p = 0; p < kOther; ++p) {
+      const auto bytes = Pattern(big_, 500 + p);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+  }
+  core::VectorOptions vo;
+  vo.page_size = big_;
+  auto other = svc_->RegisterVector("posix://" + other_file.string(), 1, vo,
+                                    kOther * big_);
+  ASSERT_TRUE(other.ok());
+
+  sim::SimTime done = t_;
+  ASSERT_TRUE(svc_->FlushVector(*meta_, 0, t_, &done).ok());
+  const sim::SimTime horizon = meta_->writeback_horizon.load();
+  ASSERT_GT(horizon, done);
+
+  // Drop a flushed (clean) page everywhere: the next read stages it in,
+  // and that backend read starts no earlier than the vector's horizon.
+  const storage::BlobId id{meta_->vector_id, 3};
+  auto loc = svc_->metadata().Lookup(id, 0, done, nullptr);
+  ASSERT_TRUE(loc.ok());
+  ASSERT_FALSE(loc->dirty);
+  ASSERT_TRUE(svc_->runtime(loc->node).buffer().Erase(id).ok());
+  ASSERT_TRUE(svc_->metadata().Remove(id, 0, done, nullptr).ok());
+  sim::SimTime read_done = done;
+  auto page = svc_->ReadPage(*meta_, 3, 0, done, &read_done);
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  EXPECT_EQ(*page, Pattern(big_, 3));
+  EXPECT_GE(read_done, horizon + cluster_->pfs().ReadDuration(big_));
+
+  // The never-flushed vector has no horizon: its stage-in starts at once.
+  EXPECT_EQ((*other)->writeback_horizon.load(), 0.0);
+  sim::SimTime other_done = done;
+  auto other_page = svc_->ReadPage(**other, 1, 0, done, &other_done);
+  ASSERT_TRUE(other_page.ok()) << other_page.status().ToString();
+  EXPECT_EQ(*other_page, Pattern(big_, 501));
+  EXPECT_LT(other_done, horizon);
+}
+
+TEST_P(FlushGroupCommitTest, FlushFlowEndsAtDurabilityAndWriteBackIsBare) {
+  WriteSplitVector();
+  svc_->trace().set_enabled(true);
+  sim::SimTime done = t_;
+  ASSERT_TRUE(svc_->FlushVector(*meta_, 0, t_, &done).ok());
+  const sim::SimTime horizon = meta_->writeback_horizon.load();
+  const std::vector<telemetry::TraceEvent> events = svc_->trace().Snapshot();
+
+  // The sync flush origin ends where the caller's clock does, and every
+  // span of its flow ends by then.
+  const telemetry::TraceEvent* flush = nullptr;
+  for (const auto& ev : events) {
+    if (ev.name == "flush") flush = &ev;
+  }
+  ASSERT_NE(flush, nullptr);
+  EXPECT_EQ(flush->flow_ph, 's');
+  const double flush_end_us = flush->ts_us + flush->dur_us;
+  EXPECT_NEAR(flush_end_us, done * 1e6, 1e-3);
+  int stage_outs = 0, writebacks = 0;
+  double writeback_end_us = 0;
+  for (const auto& ev : events) {
+    if (ev.flow_id == flush->flow_id) {
+      EXPECT_LE(ev.ts_us + ev.dur_us, flush_end_us + 1e-3) << ev.name;
+      stage_outs += ev.name == "stage_out";
+    }
+    if (ev.name == "writeback") {
+      // One write-back per owner, in no flow: nobody waits for it.
+      ++writebacks;
+      EXPECT_EQ(ev.flow_id, 0u);
+      writeback_end_us = std::max(writeback_end_us, ev.ts_us + ev.dur_us);
+    }
+  }
+  EXPECT_EQ(stage_outs, 2);
+  EXPECT_EQ(writebacks, 2);
+  EXPECT_NEAR(writeback_end_us, horizon * 1e6, 1e-3);
+  // The analyzer attributes the stall the caller paid, no more.
+  const telemetry::CritpathBreakdown cp =
+      telemetry::AnalyzeCritpath(events, 0.0, horizon * 1e6 + 1.0);
+  EXPECT_LE(static_cast<double>(cp.attributed_ns()), (done - t_) * 1e9 + 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(PageSizes, FlushGroupCommitTest,
