@@ -11,9 +11,7 @@
 using namespace mm;
 using namespace mmbench;
 
-int main(int argc, char** argv) {
-  bool csv = CsvMode(argc, argv);
-  int reps = Reps(argc, argv);
+Report mmbench::AblationCoherence(const Args& args) {
   BenchDir dir("ablation_coherence");
   const std::uint64_t n = 1 << 19;  // 4 MiB of doubles
   std::string key = dir.Key("posix", "shared.bin");
@@ -23,12 +21,13 @@ int main(int argc, char** argv) {
     (void)resolved->first->Create(resolved->second, n * sizeof(double));
   }
 
-  std::printf("=== Ablation: coherence policy for a shared read-mostly "
-              "dataset ===\n\n");
-  TablePrinter table({"mode", "runtime_s", "speedup_vs_rw_global"});
+  Report report({"mode", "runtime_s", "speedup_vs_rw_global"});
+  report.intro =
+      "=== Ablation: coherence policy for a shared read-mostly "
+      "dataset ===\n\n";
 
   auto run_mode = [&](core::CoherenceMode mode) {
-    return MeasureSeconds(reps, [&] {
+    return MeasureSeconds(report, args.reps, [&] {
       auto cluster = sim::Cluster::PaperTestbed(4);
       core::ServiceOptions so;
       so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(64)}};
@@ -56,10 +55,12 @@ int main(int argc, char** argv) {
 
   double rw = run_mode(core::CoherenceMode::kReadWriteGlobal);
   double ro = run_mode(core::CoherenceMode::kReadOnlyGlobal);
-  table.AddRow({"read_write_global", Fmt(rw), "1.00"});
-  table.AddRow({"read_only_global", Fmt(ro), Fmt(rw / ro, 2)});
-  std::printf("%s", table.Render(csv).c_str());
-  std::printf("\nExpected: read-only-global wins by replicating pages near\n"
-              "readers and skipping per-transaction version checks.\n");
-  return ExitCode();
+  report.Row("read_write_global",
+             {"read_write_global", rw, Cell("1.00", 1.0)});
+  report.Row("read_only_global",
+             {"read_only_global", ro, Cell(rw / ro, 2)});
+  report.outro =
+      "\nExpected: read-only-global wins by replicating pages near\n"
+      "readers and skipping per-transaction version checks.\n";
+  return report;
 }

@@ -14,9 +14,9 @@ namespace {
 
 volatile double g_keepalive = 0;
 
-double RunScan(const std::string& key, std::uint64_t n,
+double RunScan(Report& report, const std::string& key, std::uint64_t n,
                std::uint64_t page_size, bool random, int reps) {
-  return MeasureSeconds(reps, [&] {
+  return MeasureSeconds(report, reps, [&] {
     auto cluster = sim::Cluster::PaperTestbed(2);
     core::ServiceOptions so;
     so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(64)}};
@@ -51,9 +51,7 @@ double RunScan(const std::string& key, std::uint64_t n,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool csv = CsvMode(argc, argv);
-  int reps = Reps(argc, argv);
+Report mmbench::AblationPagesize(const Args& args) {
   BenchDir dir("ablation_pagesize");
   const std::uint64_t n = MEGABYTES(64) / sizeof(std::uint64_t);
   std::string key = dir.Key("posix", "data.bin");
@@ -63,20 +61,21 @@ int main(int argc, char** argv) {
     (void)resolved->first->Create(resolved->second, n * sizeof(std::uint64_t));
   }
 
-  std::printf("=== Ablation: page-size sweep, sequential vs sparse random "
-              "===\n\n");
-  TablePrinter table({"page_size", "seq_scan_s", "random_sample_s"});
+  Report report({"page_size", "seq_scan_s", "random_sample_s"});
+  report.intro =
+      "=== Ablation: page-size sweep, sequential vs sparse random "
+      "===\n\n";
   for (std::uint64_t page : {std::uint64_t(4) * kKiB, std::uint64_t(16) * kKiB,
                              std::uint64_t(64) * kKiB,
                              std::uint64_t(256) * kKiB,
                              std::uint64_t(1024) * kKiB}) {
-    double seq = RunScan(key, n, page, /*random=*/false, reps);
-    double rnd = RunScan(key, n, page, /*random=*/true, reps);
-    table.AddRow({FormatBytes(page), Fmt(seq), Fmt(rnd)});
+    double seq = RunScan(report, key, n, page, /*random=*/false, args.reps);
+    double rnd = RunScan(report, key, n, page, /*random=*/true, args.reps);
+    report.Row("page_" + std::to_string(page), {FormatBytes(page), seq, rnd});
   }
-  std::printf("%s", table.Render(csv).c_str());
-  std::printf("\nExpected: sequential improves with page size (fewer, larger\n"
-              "faults); sparse random degrades past a knee (I/O\n"
-              "amplification) — the paper's case for per-vector page sizes.\n");
-  return ExitCode();
+  report.outro =
+      "\nExpected: sequential improves with page size (fewer, larger\n"
+      "faults); sparse random degrades past a knee (I/O\n"
+      "amplification) — the paper's case for per-vector page sizes.\n";
+  return report;
 }

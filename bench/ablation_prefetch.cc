@@ -14,16 +14,15 @@
 using namespace mm;
 using namespace mmbench;
 
-int main(int argc, char** argv) {
-  bool csv = CsvMode(argc, argv);
-  int reps = Reps(argc, argv);
+Report mmbench::AblationPrefetch(const Args& args) {
+  const int reps = args.reps;
   BenchDir dir("ablation_prefetch");
   std::string key = StageParticles(dir, 160000, 8, 42);
 
-  std::printf("=== Ablation: prefetcher on/off under memory pressure ===\n\n");
-  TablePrinter table(
-      {"prefetch", "pcache_frac", "runtime_s", "slowdown_vs_prefetch",
-       "coverage", "staged"});
+  Report report({"prefetch", "pcache_frac", "runtime_s",
+                 "slowdown_vs_prefetch", "coverage", "staged"});
+  report.intro =
+      "=== Ablation: prefetcher on/off under memory pressure ===\n\n";
 
   apps::KMeansConfig cfg;
   cfg.k = 8;
@@ -38,7 +37,7 @@ int main(int argc, char** argv) {
     double with = 0;
     for (bool prefetch : {true, false}) {
       std::uint64_t useful = 0, misses = 0, staged = 0;
-      double t = MeasureSeconds(reps, [&] {
+      double t = MeasureSeconds(report, reps, [&] {
         auto cluster = sim::Cluster::PaperTestbed(2);
         core::ServiceOptions so;
         so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(64)}};
@@ -57,16 +56,18 @@ int main(int argc, char** argv) {
       });
       if (prefetch) with = t;
       // Blank when the runs took no pcache miss.
-      const std::string coverage =
-          misses > 0 ? Fmt(static_cast<double>(useful) / misses, 3) : "";
-      table.AddRow({prefetch ? "on" : "off", Fmt(frac, 3), Fmt(t),
-                    Fmt(t / with, 2), coverage,
-                    std::to_string(staged / std::max(reps, 1))});
+      const Cell coverage =
+          misses > 0 ? Cell(static_cast<double>(useful) / misses, 3) : "";
+      report.Row(std::string(prefetch ? "on" : "off") + "_" +
+                     std::to_string(static_cast<int>(frac * 1000)),
+                 {prefetch ? "on" : "off", Cell(frac, 3), t,
+                  Cell(t / with, 2), coverage,
+                  Cell(double(staged / std::max(reps, 1)), 0)});
     }
   }
-  std::printf("%s", table.Render(csv).c_str());
-  std::printf("\nExpected: prefetch-off degrades as the pcache shrinks;\n"
-              "prefetch-on stays close to flat (Algorithm 1 pipelines the\n"
-              "sequential window).\n");
-  return ExitCode();
+  report.outro =
+      "\nExpected: prefetch-off degrades as the pcache shrinks;\n"
+      "prefetch-on stays close to flat (Algorithm 1 pipelines the\n"
+      "sequential window).\n";
+  return report;
 }

@@ -3,18 +3,17 @@
 // virtual clock. The irregular, read-only page touches fault through
 // ReadPage and replicate under read-only-global coherence; correctness is
 // gated hard — the traversal must match the in-memory reference
-// depth-for-depth (bfs_identical).
+// depth-for-depth (rmat.identical).
 #include <cstdio>
 
 #include "bench/common.h"
 #include "mm/apps/bfs.h"
 #include "mm/mega_mmap.h"
 
-int main(int argc, char** argv) {
-  const std::string out_path =
-      argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_bfs.json";
-  const bool csv = mmbench::CsvMode(argc, argv);
-  const int reps = mmbench::Reps(argc, argv);
+mmbench::Report mmbench::Bfs(const Args& args) {
+  const int reps = args.reps;
+  Report report(
+      {"nodes", "scale", "edges", "teps", "sim_s", "faults", "identical"});
 
   mm::apps::RmatConfig rmat;
   rmat.scale = 12;        // 4096 vertices
@@ -48,8 +47,8 @@ int main(int argc, char** argv) {
           if (comm.rank() == 0) result = std::move(r);
         });
     if (!run.ok()) {
-      std::fprintf(stderr, "bfs run failed: %s\n", run.error.c_str());
-      return 1;
+      report.Fail(run.error);
+      return report;
     }
     for (std::size_t v = 0; v < want.size(); ++v) {
       if (result.depth[v] != want[v]) identical = false;
@@ -59,25 +58,15 @@ int main(int argc, char** argv) {
     faults_acc.Add(static_cast<double>(result.faults));
   }
 
-  mm::TablePrinter table({"nodes", "scale", "edges", "teps", "sim_s",
-                          "faults", "identical"});
-  table.AddRow({std::to_string(nodes), std::to_string(rmat.scale),
-                std::to_string(csr.cols.size()), mmbench::Fmt(teps_acc.Mean()),
-                mmbench::Fmt(sim_s_acc.Mean()),
-                mmbench::Fmt(faults_acc.Mean(), 0), identical ? "yes" : "NO"});
-  std::printf("%s", table.Render(csv).c_str());
-
-  mmbench::BenchReport report("bfs");
+  report.Row("rmat", {std::to_string(nodes), std::to_string(rmat.scale),
+                      std::to_string(csr.cols.size()), teps_acc.Mean(),
+                      sim_s_acc.Mean(), Cell(faults_acc.Mean(), 0),
+                      Flag(identical)});
   report.Config("nodes", nodes);
   report.Config("scale", rmat.scale);
   report.Config("edge_factor", rmat.edge_factor);
   report.Config("page_bytes", static_cast<double>(cfg.page_size));
   report.Config("pcache_bytes", static_cast<double>(cfg.pcache_bytes));
-  report.Metric("bfs_identical", identical ? 1.0 : 0.0);
-  report.Metric("teps", teps_acc.Mean());
-  report.Metric("sim_seconds", sim_s_acc.Mean());
-  report.Metric("faults", faults_acc.Mean());
-  report.Series("teps", teps_acc);
-  if (!report.Write(out_path)) return 1;
-  return identical ? 0 : 1;
+  if (!identical) report.Fail("BFS depths differ from the reference");
+  return report;
 }

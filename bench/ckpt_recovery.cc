@@ -210,10 +210,8 @@ KmState Setup(core::Service& svc, const std::string& data_key,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string out_path =
-      argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_ckpt_recovery.json";
-  bool csv = CsvMode(argc, argv);
+Report mmbench::CkptRecovery(const Args&) {
+  Report report;
   BenchDir dir("ckpt_recovery");
   std::string data_key = StageParticles(dir, kNumPoints, 8, 42);
 
@@ -234,8 +232,8 @@ int main(int argc, char** argv) {
                           /*crash_at=*/-1, &times);
     });
     if (!run.ok()) {
-      std::fprintf(stderr, "reference run failed: %s\n", run.error.c_str());
-      return 1;
+      report.Fail("reference run: " + run.error);
+      return report;
     }
   }
 
@@ -255,8 +253,8 @@ int main(int argc, char** argv) {
                     nullptr);
     });
     if (!run.ok()) {
-      std::fprintf(stderr, "crash run failed: %s\n", run.error.c_str());
-      return 1;
+      report.Fail("crash run: " + run.error);
+      return report;
     }
     // The service dies here with the crash flag set: no clean-exit flush.
   }
@@ -285,8 +283,8 @@ int main(int argc, char** argv) {
                         /*crash_at=*/-1, nullptr);
     });
     if (!run.ok()) {
-      std::fprintf(stderr, "resume run failed: %s\n", run.error.c_str());
-      return 1;
+      report.Fail("resume run: " + run.error);
+      return report;
     }
   }
 
@@ -297,25 +295,7 @@ int main(int argc, char** argv) {
   double overhead = times.ckpt_s.Mean() /
                     (times.epoch_s.Mean() > 0 ? times.epoch_s.Mean() : 1.0);
 
-  std::printf("=== Checkpoint/recovery: KMeans killed mid-iteration ===\n\n");
-  TablePrinter table({"metric", "value"});
-  table.AddRow({"epoch_s_mean", Fmt(times.epoch_s.Mean())});
-  table.AddRow({"ckpt_s_mean", Fmt(times.ckpt_s.Mean())});
-  table.AddRow({"ckpt_overhead_fraction", Fmt(overhead)});
-  table.AddRow({"incremental_ratio", Fmt(times.last_ratio)});
-  table.AddRow({"restored_at_iter", std::to_string(restored_iters)});
-  table.AddRow({"resumed_iterations",
-                std::to_string(kIters - static_cast<int>(restored_iters))});
-  table.AddRow({"restore_identical", identical ? "yes" : "NO"});
-  std::printf("%s", table.Render(csv).c_str());
-  std::printf(
-      "\nExpected: the resumed run restores at iteration %d (the last\n"
-      "published epoch before the crash) and finishes with the reference\n"
-      "run's exact centroids; checkpoints cost well under 10%% of an epoch\n"
-      "because only the dirty state page is flushed.\n",
-      kCrashIter);
-
-  BenchReport report("ckpt_recovery");
+  report.intro = "=== Checkpoint/recovery: KMeans killed mid-iteration ===\n\n";
   report.Config("points", static_cast<double>(kNumPoints));
   report.Config("clusters", kClusters);
   report.Config("iterations", kIters);
@@ -325,10 +305,16 @@ int main(int argc, char** argv) {
   report.Metric("ckpt_s_mean", times.ckpt_s.Mean());
   report.Metric("ckpt_overhead_fraction", overhead);
   report.Metric("incremental_ratio", times.last_ratio);
-  report.Metric("restored_at_iter", static_cast<double>(restored_iters));
-  report.Metric("restore_identical", identical ? 1.0 : 0.0);
-  report.Series("epoch_s", times.epoch_s);
-  report.Series("ckpt_s", times.ckpt_s);
-  if (!report.Write(out_path)) return 1;
-  return identical ? 0 : 1;
+  report.Metric("restored_at_iter", Cell(restored_iters, 0));
+  report.Metric("resumed_iterations",
+                Cell(kIters - static_cast<double>(restored_iters), 0));
+  report.Metric("restore_identical", Flag(identical));
+  report.outro = Format(
+      "\nExpected: the resumed run restores at iteration %d (the last\n"
+      "published epoch before the crash) and finishes with the reference\n"
+      "run's exact centroids; checkpoints cost well under 10%% of an epoch\n"
+      "because only the dirty state page is flushed.\n",
+      kCrashIter);
+  if (!identical) report.Fail("resumed centroids differ from the reference");
+  return report;
 }

@@ -1,11 +1,13 @@
-// Shared helpers for the figure-reproduction benchmarks: repeated runs with
-// averaging (the paper runs each experiment 3 times and reports the
-// average), dataset staging, table/CSV output, and scaled-down experiment
-// geometry (documented per figure in EXPERIMENTS.md).
+// Shared pieces of the `mmbench` benches: the report every bench returns
+// (rows of cells `mmbench` prints as a table and writes as
+// BENCH_<name>.json), repeated runs with averaging (the paper runs each
+// experiment 3 times and reports the average), dataset staging, and
+// scaled-down experiment geometry (documented per figure in EXPERIMENTS.md).
 #pragma once
 
 #include <charconv>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -18,21 +20,12 @@
 
 namespace mmbench {
 
-/// True when the binary was invoked with --csv.
-inline bool CsvMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--csv") return true;
-  }
-  return false;
-}
-
-/// Repetitions per configuration (paper: 3).
-inline int Reps(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--reps") return std::atoi(argv[i + 1]);
-  }
-  return 3;
-}
+/// The flags of `mmbench NAME [OUT.json] [--reps N] [--csv] [--trace FILE]`
+/// a bench reads.
+struct Args {
+  int reps = 3;            // repetitions per configuration (paper: 3)
+  std::string trace_path;  // ledger only: also write a Perfetto trace here
+};
 
 /// Scratch directory for datasets and backends; wiped on construction.
 class BenchDir {
@@ -59,105 +52,112 @@ class BenchDir {
   std::filesystem::path path_;
 };
 
-/// Set when any MeasureSeconds repetition fails; every figure and ablation
-/// main returns ExitCode(), so a failed run cannot pass as a fast one.
-inline bool g_run_failed = false;
-
-inline int ExitCode() { return g_run_failed ? 1 : 0; }
-
-/// One measured configuration: runs `body` `reps` times, returns the mean
-/// virtual runtime in seconds. `body` returns the job RunResult. When
-/// `samples` is given the per-rep runtimes are appended to it (for
-/// BenchReport percentile series). With reps > 1 it prints the spread to
-/// stderr: one line per configuration with the mean and the coefficient of
-/// variation (stddev / mean).
-///
-/// A simulated OOM with `oom` given sets `*oom` and returns 0 (the caller
-/// prints its own OOM-killed cell). Any other failed repetition, or an OOM
-/// nobody asked about, sets g_run_failed and returns NaN, which Fmt prints
-/// as FAILED.
-inline double MeasureSeconds(int reps,
-                             const std::function<mm::comm::RunResult()>& body,
-                             bool* oom = nullptr,
-                             mm::StatAccumulator* samples = nullptr) {
-  mm::StatAccumulator acc;
-  if (oom != nullptr) *oom = false;
-  for (int r = 0; r < reps; ++r) {
-    auto result = body();
-    if (result.oom && oom != nullptr) {
-      *oom = true;
-      return 0.0;
-    }
-    if (!result.ok()) {
-      std::fprintf(stderr, "bench run failed: %s\n",
-                   result.oom ? "OOM" : result.error.c_str());
-      g_run_failed = true;
-      return std::nan("");
-    }
-    acc.Add(result.max_time);
-    if (samples != nullptr) samples->Add(result.max_time);
-  }
-  if (reps > 1) {
-    std::fprintf(stderr, "spread: %d reps, mean %.6g s, cv %.4f\n", reps,
-                 acc.Mean(), acc.Mean() > 0 ? acc.Stddev() / acc.Mean() : 0.0);
-  }
-  return acc.Mean();
+/// printf into a std::string.
+__attribute__((format(printf, 1, 2))) inline std::string Format(
+    const char* fmt, ...) {
+  va_list ap, again;
+  va_start(ap, fmt);
+  va_copy(again, ap);
+  std::string out(std::vsnprintf(nullptr, 0, fmt, ap), '\0');
+  va_end(ap);
+  std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+  va_end(again);
+  return out;
 }
 
-/// Unified BENCH_*.json emission, shared by every benchmark binary and read
-/// by ci/check_perf.py. One schema for all reports:
+/// A number as table text; NaN marks a failed measurement (MeasureSeconds).
+inline std::string Fmt(double v, int prec = 4) {
+  return std::isnan(v) ? "FAILED" : mm::FormatDouble(v, prec);
+}
+
+/// One table cell: the text the table prints and, when numeric, the value
+/// the JSON report carries for it.
+struct Cell {
+  Cell(const char* s) : text(s) {}
+  Cell(std::string s) : text(std::move(s)) {}
+  Cell(double v, int prec = 4) : text(Fmt(v, prec)), value(v), numeric(true) {}
+  Cell(std::string s, double v) : text(std::move(s)), value(v), numeric(true) {}
+
+  std::string text;
+  double value = 0;
+  bool numeric = false;
+};
+
+/// An oracle verdict: "yes" / "NO" in the table, 1 / 0 in the report.
+inline Cell Flag(bool ok) { return Cell(ok ? "yes" : "NO", ok ? 1.0 : 0.0); }
+
+/// What one bench measured. `mmbench` renders it once: `intro`, the row
+/// table, a metric/value table of the scalar metrics and `outro` on stdout,
+/// and the same numbers as BENCH_<name>.json, read by ci/check_perf.py:
 ///
 ///   {
-///     "name":    "<benchmark>",
-///     "config":  { string or numeric knobs of this run },
-///     "metrics": { flat scalar results, e.g. "scalar_ns_per_access": 3.5 },
-///     "series":  { "<label>": {"count": n, "mean": m,
-///                              "p50": ..., "p95": ..., "p99": ...} }
+///     "name":    "<bench>",
+///     "failed":  <failed repetitions>,
+///     "config":  { numeric knobs of this run },
+///     "metrics": { "<row key>.<column>": v for each numeric row cell,
+///                  "<metric>": v for each scalar metric }
 ///   }
-///
-/// `metrics` carries single numbers (gate targets); `series` carries
-/// repeated-run distributions summarized through StatAccumulator's
-/// linear-interpolated percentiles.
-class BenchReport {
+class Report {
  public:
-  explicit BenchReport(std::string name) : name_(std::move(name)) {}
+  explicit Report(std::vector<std::string> columns = {})
+      : columns_(columns), table_(std::move(columns)) {}
 
-  void Config(const std::string& key, const std::string& value) {
-    config_.push_back({key, "\"" + Escape(value) + "\""});
-  }
   void Config(const std::string& key, double value) {
     config_.push_back({key, Num(value)});
   }
-  void Metric(const std::string& key, double value) {
-    metrics_.push_back({key, Num(value)});
-  }
-  void Series(const std::string& key, const mm::StatAccumulator& acc) {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"count\": %zu, \"mean\": %s, \"p50\": %s, \"p95\": %s, "
-                  "\"p99\": %s, \"p999\": %s}",
-                  acc.count(), Num(acc.Mean()).c_str(),
-                  Num(acc.Percentile(50)).c_str(),
-                  Num(acc.Percentile(95)).c_str(),
-                  Num(acc.Percentile(99)).c_str(),
-                  Num(acc.Percentile(99.9)).c_str());
-    series_.push_back({key, buf});
+
+  /// A table row; each numeric cell becomes the metric `key.<column>`.
+  void Row(const std::string& key, const std::vector<Cell>& cells) {
+    MM_CHECK(cells.size() == columns_.size());
+    std::vector<std::string> text;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      text.push_back(cells[i].text);
+      if (cells[i].numeric) {
+        metrics_.push_back({key + "." + columns_[i], Num(cells[i].value)});
+      }
+    }
+    table_.AddRow(std::move(text));
   }
 
-  /// Serializes the report; `path` defaults from argv in the callers.
-  bool Write(const std::string& path) const {
+  /// A scalar result: one line of the metric/value table.
+  void Metric(const std::string& key, Cell cell) {
+    if (cell.numeric) metrics_.push_back({key, Num(cell.value)});
+    scalars_.push_back({key, std::move(cell.text)});
+  }
+
+  /// Records a failed repetition; `mmbench` then exits 1.
+  void Fail(const std::string& why) {
+    std::fprintf(stderr, "bench run failed: %s\n", why.c_str());
+    ++failed_;
+  }
+  int failed() const { return failed_; }
+
+  std::string intro;  // printed before the tables
+  std::string outro;  // printed after them
+
+  std::string Render(bool csv) const {
+    std::string out = intro + (columns_.empty() ? "" : table_.Render(csv));
+    if (!scalars_.empty()) {
+      mm::TablePrinter table({"metric", "value"});
+      for (const auto& [key, text] : scalars_) table.AddRow({key, text});
+      out += (columns_.empty() ? "" : "\n") + table.Render(csv);
+    }
+    return out + outro;
+  }
+
+  bool WriteJson(const std::string& name, const std::string& path) const {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot open %s\n", path.c_str());
       return false;
     }
-    std::fprintf(f, "{\n  \"name\": \"%s\",\n", Escape(name_).c_str());
+    std::fprintf(f, "{\n  \"name\": \"%s\",\n  \"failed\": %d,\n",
+                 Escape(name).c_str(), failed_);
     WriteSection(f, "config", config_, /*last=*/false);
-    WriteSection(f, "metrics", metrics_, /*last=*/false);
-    WriteSection(f, "series", series_, /*last=*/true);
+    WriteSection(f, "metrics", metrics_, /*last=*/true);
     std::fprintf(f, "}\n");
     std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
     return true;
   }
 
@@ -197,11 +197,46 @@ class BenchReport {
                  last ? "" : ",");
   }
 
-  std::string name_;
+  std::vector<std::string> columns_;
+  mm::TablePrinter table_;
+  std::vector<std::pair<std::string, std::string>> scalars_;
   std::vector<Entry> config_;
   std::vector<Entry> metrics_;
-  std::vector<Entry> series_;
+  int failed_ = 0;
 };
+
+/// One measured configuration: runs `body` `reps` times, returns the mean
+/// virtual runtime in seconds. `body` returns the job RunResult. With
+/// reps > 1 it prints the spread to stderr: one line per configuration with
+/// the mean and the coefficient of variation (stddev / mean).
+///
+/// A simulated OOM with `oom` given sets `*oom` and returns 0 (the caller
+/// prints its own OOM-killed cell). Any other failed repetition, or an OOM
+/// nobody asked about, is recorded in `report` and returns NaN, which Fmt
+/// prints as FAILED.
+inline double MeasureSeconds(Report& report, int reps,
+                             const std::function<mm::comm::RunResult()>& body,
+                             bool* oom = nullptr) {
+  mm::StatAccumulator acc;
+  if (oom != nullptr) *oom = false;
+  for (int r = 0; r < reps; ++r) {
+    auto result = body();
+    if (result.oom && oom != nullptr) {
+      *oom = true;
+      return 0.0;
+    }
+    if (!result.ok()) {
+      report.Fail(result.oom ? "OOM" : result.error);
+      return std::nan("");
+    }
+    acc.Add(result.max_time);
+  }
+  if (reps > 1) {
+    std::fprintf(stderr, "spread: %d reps, mean %.6g s, cv %.4f\n", reps,
+                 acc.Mean(), acc.Mean() > 0 ? acc.Stddev() / acc.Mean() : 0.0);
+  }
+  return acc.Mean();
+}
 
 /// Generates a particle dataset once and returns its key.
 inline std::string StageParticles(const BenchDir& dir,
@@ -227,9 +262,21 @@ inline std::string StageParticles(const BenchDir& dir,
   return key;
 }
 
-/// A table cell; NaN marks a failed measurement (see MeasureSeconds).
-inline std::string Fmt(double v, int prec = 4) {
-  return std::isnan(v) ? "FAILED" : mm::FormatDouble(v, prec);
-}
+// The benches, one per paper figure, ablation or drill; bench/mmbench.cc
+// maps each name to its function.
+Report AblationCoherence(const Args& args);
+Report AblationPagesize(const Args& args);
+Report AblationPrefetch(const Args& args);
+Report Bfs(const Args& args);
+Report CkptRecovery(const Args& args);
+Report FaultTolerance(const Args& args);
+Report Fig4Loc(const Args& args);
+Report Fig5WeakScaling(const Args& args);
+Report Fig6Resolution(const Args& args);
+Report Fig7Tiering(const Args& args);
+Report Fig8MemScaling(const Args& args);
+Report Ledger(const Args& args);
+Report NodeFailure(const Args& args);
+Report Ycsb(const Args& args);
 
 }  // namespace mmbench

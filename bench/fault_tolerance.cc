@@ -10,7 +10,8 @@
 //
 // Reported: mean virtual runtime, recovery overhead vs the baseline, the
 // injector's fault counters, and whether the answer stayed byte-identical
-// (it must: the dataset is read-only, so no fault can lose dirty state).
+// (it must: the dataset is read-only, so no fault can lose dirty state;
+// bench/gates.json gates same_answer and data_loss of every configuration).
 #include "bench/common.h"
 
 #include <cstring>
@@ -40,9 +41,12 @@ bool SameAnswer(const apps::KMeansResult& a, const apps::KMeansResult& b) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool csv = CsvMode(argc, argv);
-  int reps = Reps(argc, argv);
+Report mmbench::FaultTolerance(const Args& args) {
+  const int reps = args.reps;
+  Report report({"config", "runtime_s", "overhead", "transients", "spikes",
+                 "tier_deaths", "data_loss", "same_answer"});
+  report.intro =
+      "=== Fault tolerance: KMeans under injected NVMe faults ===\n\n";
   BenchDir dir("fault_tolerance");
   std::string key = StageParticles(dir, 60000, 8, 42);
 
@@ -71,8 +75,9 @@ int main(int argc, char** argv) {
         stats.result = apps::KMeansMega(svc, comm, key, cfg);
       });
       if (!result.ok()) {
-        std::fprintf(stderr, "run failed: %s\n", result.error.c_str());
-        std::exit(1);
+        report.Fail(result.error);
+        stats.runtime_s = std::nan("");
+        return stats;
       }
       acc.Add(result.max_time);
       stats.transients = svc.fault_injector().transient_faults();
@@ -83,8 +88,6 @@ int main(int argc, char** argv) {
     stats.runtime_s = acc.Mean();
     return stats;
   };
-
-  std::printf("=== Fault tolerance: KMeans under injected NVMe faults ===\n\n");
 
   sim::FaultConfig none;
 
@@ -100,23 +103,26 @@ int main(int argc, char** argv) {
   RunStats flaky = run(transient, 6);
   RunStats dead = run(death, 4);
 
-  TablePrinter table({"config", "runtime_s", "overhead", "transients",
-                      "spikes", "tier_deaths", "data_loss", "same_answer"});
+  // The answer must stay byte-identical and nothing may be lost: the
+  // dataset is read-only, so no fault can lose dirty state.
   auto add = [&](const char* name, const RunStats& s) {
-    table.AddRow({name, Fmt(s.runtime_s),
-                  Fmt(s.runtime_s / base.runtime_s, 3) + "x",
-                  std::to_string(s.transients), std::to_string(s.spikes),
-                  std::to_string(s.permanents), std::to_string(s.data_loss),
-                  SameAnswer(base.result, s.result) ? "yes" : "NO"});
+    const bool same = SameAnswer(base.result, s.result);
+    const double overhead = s.runtime_s / base.runtime_s;
+    report.Row(name, {name, s.runtime_s, Cell(Fmt(overhead, 3) + "x", overhead),
+                      Cell(s.transients, 0), Cell(s.spikes, 0),
+                      Cell(s.permanents, 0), Cell(s.data_loss, 0),
+                      Flag(same)});
+    if (!same || s.data_loss != 0) {
+      report.Fail(std::string(name) + ": answer changed or data lost");
+    }
   };
   add("baseline", base);
   add("transient_10pct", flaky);
   add("nvme_death", dead);
-  std::printf("%s", table.Render(csv).c_str());
-  std::printf(
+  report.outro =
       "\nExpected: both fault configurations finish with the baseline's\n"
       "exact answer. Transient faults cost retries plus backoff on the\n"
       "virtual clock; the tier death costs a recovery burst (backend\n"
-      "re-stages) and a degraded steady state (DRAM-only scache).\n");
-  return 0;
+      "re-stages) and a degraded steady state (DRAM-only scache).\n";
+  return report;
 }

@@ -14,15 +14,15 @@
 #include <string>
 #include <vector>
 
-#include "mm/util/stats.h"
+#include "bench/common.h"
 
 namespace {
 
+/// Reads `path`, relative to the source tree, so any directory will do.
 std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(std::string(MM_SOURCE_DIR) + "/" + path);
   if (!in) {
-    std::fprintf(stderr, "cannot open %s (run from the repo root)\n",
-                 path.c_str());
+    std::fprintf(stderr, "cannot open %s/%s\n", MM_SOURCE_DIR, path.c_str());
     std::exit(1);
   }
   std::ostringstream oss;
@@ -89,12 +89,7 @@ struct AppEntry {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool csv = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--csv") csv = true;
-  }
-
+mmbench::Report mmbench::Fig4Loc(const Args&) {
   // The paper counts each application's own code, including its data
   // loading/partitioning/serialization scaffolding. Our Spark-style apps
   // delegate that scaffolding to Rdd<T>::Load, so it is attributed to each
@@ -123,11 +118,11 @@ int main(int argc, char** argv) {
        "MPI-style"},
   };
 
-  std::printf("=== Fig. 4: application code volume (cloc-style LoC) ===\n");
-  std::printf("Paper: MegaMmap versions are 45%% to 2x smaller than the "
-              "originals.\n\n");
-  mm::TablePrinter table(
-      {"app", "megammap_loc", "baseline_loc", "baseline", "ratio"});
+  Report report({"app", "megammap_loc", "baseline_loc", "baseline", "ratio"});
+  report.intro =
+      "=== Fig. 4: application code volume (cloc-style LoC) ===\n"
+      "Paper: MegaMmap versions are 45% to 2x smaller than the "
+      "originals.\n\n";
   for (const AppEntry& app : apps) {
     int mega = 0, base = 0;
     for (const FnRef& fn : app.mega_functions) {
@@ -136,13 +131,12 @@ int main(int argc, char** argv) {
     for (const FnRef& fn : app.baseline_functions) {
       base += CountLoc(ExtractFunction(ReadFile(fn.file), fn.signature));
     }
-    table.AddRow({app.app, std::to_string(mega), std::to_string(base),
-                  app.baseline_name,
-                  mm::FormatDouble(static_cast<double>(base) / mega, 2)});
+    report.Row(app.app, {app.app, Cell(mega, 0), Cell(base, 0),
+                         app.baseline_name, Cell(double(base) / mega, 2)});
   }
-  std::printf("%s\n", table.Render(csv).c_str());
-  std::printf("(Shared algorithm kernels — stencil update, leaf DBSCAN,\n"
-              " tree induction — are excluded from both columns; the\n"
-              " comparison isolates distribution/I-O scaffolding.)\n");
-  return 0;
+  report.outro =
+      "\n(Shared algorithm kernels — stencil update, leaf DBSCAN,\n"
+      " tree induction — are excluded from both columns; the\n"
+      " comparison isolates distribution/I-O scaffolding.)\n";
+  return report;
 }

@@ -51,27 +51,23 @@ std::unique_ptr<sim::Cluster> TcpCluster(int nodes) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool csv = CsvMode(argc, argv);
-  int reps = Reps(argc, argv);
+Report mmbench::Fig5WeakScaling(const Args& args) {
+  const int reps = args.reps;
   std::vector<int> node_counts = {1, 2, 4, 8};
 
-  std::printf("=== Fig. 5: weak scaling, in-memory datasets ===\n");
-  std::printf("(%d procs/node, %d reps averaged, virtual seconds)\n\n",
-              kProcsPerNode, reps);
-  TablePrinter table({"app", "impl", "nodes", "procs", "runtime_s"});
-
-  BenchReport report("fig5_weak_scaling");
+  Report report({"app", "impl", "nodes", "procs", "runtime_s"});
+  report.intro = Format(
+      "=== Fig. 5: weak scaling, in-memory datasets ===\n"
+      "(%d procs/node, %d reps averaged, virtual seconds)\n\n",
+      kProcsPerNode, reps);
   report.Config("procs_per_node", kProcsPerNode);
   report.Config("reps", reps);
   report.Config("particles_per_node", double(kParticlesPerNode));
-  // Each measurement lands in the report twice: a per-run distribution in
-  // `series` (virtual seconds) and the mean as a flat gate metric.
-  StatAccumulator acc;
-  auto record = [&](const std::string& label, double mean_s) {
-    report.Series(label + "_runtime_s", acc);
-    report.Metric(label + "_mean_s", mean_s);
-    acc.Clear();
+  auto record = [&](const char* app, const char* impl, int nodes,
+                    double mean_s) {
+    report.Row(std::string(app) + "_" + impl + "_n" + std::to_string(nodes),
+               {app, impl, std::to_string(nodes),
+                std::to_string(nodes * kProcsPerNode), mean_s});
   };
 
   for (int nodes : node_counts) {
@@ -88,7 +84,7 @@ int main(int argc, char** argv) {
       cfg.max_iter = 4;
       cfg.page_size = 256 * 1024;
       cfg.pcache_bytes = MEGABYTES(2);
-      double mega = MeasureSeconds(reps, [&] {
+      double mega = MeasureSeconds(report, reps, [&] {
         auto cluster = RoceCluster(nodes);
         core::Service svc(cluster.get(), MemoryOnlyService());
         return comm::RunRanks(*cluster, procs, kProcsPerNode,
@@ -96,9 +92,9 @@ int main(int argc, char** argv) {
                                 comm::Communicator comm(&ctx);
                                 apps::KMeansMega(svc, comm, key, cfg);
                               });
-      }, nullptr, &acc);
-      record("kmeans_megammap_n" + std::to_string(nodes), mega);
-      double spark = MeasureSeconds(reps, [&] {
+      });
+      record("KMeans", "MegaMmap", nodes, mega);
+      double spark = MeasureSeconds(report, reps, [&] {
         auto cluster = TcpCluster(nodes);
         return comm::RunRanks(*cluster, procs, kProcsPerNode,
                               [&](comm::RankContext& ctx) {
@@ -106,13 +102,9 @@ int main(int argc, char** argv) {
                                 apps::sparklike::SparkEnv env(ctx);
                                 apps::KMeansSpark(env, comm, key, cfg);
                               });
-      }, nullptr, &acc);
-      record("kmeans_spark_n" + std::to_string(nodes), spark);
+      });
+      record("KMeans", "Spark", nodes, spark);
       std::fprintf(stderr, "[fig5]   KMeans done\n");
-      table.AddRow({"KMeans", "MegaMmap", std::to_string(nodes),
-                    std::to_string(procs), Fmt(mega)});
-      table.AddRow({"KMeans", "Spark", std::to_string(nodes),
-                    std::to_string(procs), Fmt(spark)});
     }
 
     // ---- Random Forest: MegaMmap vs Spark ----
@@ -144,7 +136,7 @@ int main(int argc, char** argv) {
       cfg.max_depth = 10;
       cfg.page_size = 256 * 1024;
       cfg.pcache_bytes = MEGABYTES(2);
-      double mega = MeasureSeconds(reps, [&] {
+      double mega = MeasureSeconds(report, reps, [&] {
         auto cluster = RoceCluster(nodes);
         core::Service svc(cluster.get(), MemoryOnlyService());
         return comm::RunRanks(
@@ -152,9 +144,9 @@ int main(int argc, char** argv) {
               comm::Communicator comm(&ctx);
               apps::RandomForestMega(svc, comm, key, lkey, cfg);
             });
-      }, nullptr, &acc);
-      record("rf_megammap_n" + std::to_string(nodes), mega);
-      double spark = MeasureSeconds(reps, [&] {
+      });
+      record("RF", "MegaMmap", nodes, mega);
+      double spark = MeasureSeconds(report, reps, [&] {
         auto cluster = TcpCluster(nodes);
         return comm::RunRanks(
             *cluster, procs, kProcsPerNode, [&](comm::RankContext& ctx) {
@@ -162,13 +154,9 @@ int main(int argc, char** argv) {
               apps::sparklike::SparkEnv env(ctx);
               apps::RandomForestSpark(env, comm, key, lkey, cfg);
             });
-      }, nullptr, &acc);
-      record("rf_spark_n" + std::to_string(nodes), spark);
+      });
+      record("RF", "Spark", nodes, spark);
       std::fprintf(stderr, "[fig5]   RF done\n");
-      table.AddRow({"RF", "MegaMmap", std::to_string(nodes),
-                    std::to_string(procs), Fmt(mega)});
-      table.AddRow({"RF", "Spark", std::to_string(nodes),
-                    std::to_string(procs), Fmt(spark)});
     }
 
     // ---- DBSCAN: MegaMmap vs MPI ----
@@ -185,7 +173,7 @@ int main(int argc, char** argv) {
       cfg.min_pts = 32;
       cfg.page_size = 256 * 1024;
       cfg.pcache_bytes = MEGABYTES(2);
-      double mega = MeasureSeconds(reps, [&] {
+      double mega = MeasureSeconds(report, reps, [&] {
         auto cluster = RoceCluster(nodes);
         core::Service svc(cluster.get(), MemoryOnlyService());
         return comm::RunRanks(*cluster, procs, kProcsPerNode,
@@ -193,22 +181,18 @@ int main(int argc, char** argv) {
                                 comm::Communicator comm(&ctx);
                                 apps::DbscanMega(svc, comm, key, cfg);
                               });
-      }, nullptr, &acc);
-      record("dbscan_megammap_n" + std::to_string(nodes), mega);
-      double mpi = MeasureSeconds(reps, [&] {
+      });
+      record("DBSCAN", "MegaMmap", nodes, mega);
+      double mpi = MeasureSeconds(report, reps, [&] {
         auto cluster = RoceCluster(nodes);
         return comm::RunRanks(*cluster, procs, kProcsPerNode,
                               [&](comm::RankContext& ctx) {
                                 comm::Communicator comm(&ctx);
                                 apps::DbscanMpi(comm, key, cfg);
                               });
-      }, nullptr, &acc);
-      record("dbscan_mpi_n" + std::to_string(nodes), mpi);
+      });
+      record("DBSCAN", "MPI", nodes, mpi);
       std::fprintf(stderr, "[fig5]   DBSCAN done\n");
-      table.AddRow({"DBSCAN", "MegaMmap", std::to_string(nodes),
-                    std::to_string(procs), Fmt(mega)});
-      table.AddRow({"DBSCAN", "MPI", std::to_string(nodes),
-                    std::to_string(procs), Fmt(mpi)});
     }
 
     // ---- Gray-Scott: MegaMmap vs MPI (plotgap=0, no checkpoints) ----
@@ -223,7 +207,7 @@ int main(int argc, char** argv) {
       cfg.plotgap = 0;
       cfg.page_size = 64 * 1024;
       cfg.pcache_bytes = MEGABYTES(8);
-      double mega = MeasureSeconds(reps, [&] {
+      double mega = MeasureSeconds(report, reps, [&] {
         auto cluster = RoceCluster(nodes);
         core::Service svc(cluster.get(), MemoryOnlyService());
         return comm::RunRanks(*cluster, procs, kProcsPerNode,
@@ -231,25 +215,19 @@ int main(int argc, char** argv) {
                                 comm::Communicator comm(&ctx);
                                 apps::GrayScottMega(svc, comm, cfg);
                               });
-      }, nullptr, &acc);
-      record("grayscott_megammap_n" + std::to_string(nodes), mega);
-      double mpi = MeasureSeconds(reps, [&] {
+      });
+      record("GrayScott", "MegaMmap", nodes, mega);
+      double mpi = MeasureSeconds(report, reps, [&] {
         auto cluster = RoceCluster(nodes);
         return comm::RunRanks(*cluster, procs, kProcsPerNode,
                               [&](comm::RankContext& ctx) {
                                 comm::Communicator comm(&ctx);
                                 apps::GrayScottMpi(comm, cfg);
                               });
-      }, nullptr, &acc);
-      record("grayscott_mpi_n" + std::to_string(nodes), mpi);
+      });
+      record("GrayScott", "MPI", nodes, mpi);
       std::fprintf(stderr, "[fig5]   GrayScott done\n");
-      table.AddRow({"GrayScott", "MegaMmap", std::to_string(nodes),
-                    std::to_string(procs), Fmt(mega)});
-      table.AddRow({"GrayScott", "MPI", std::to_string(nodes),
-                    std::to_string(procs), Fmt(mpi)});
     }
   }
-  std::printf("%s", table.Render(csv).c_str());
-  report.Write("BENCH_fig5_weak_scaling.json");
-  return ExitCode();
+  return report;
 }

@@ -15,18 +15,17 @@
 using namespace mm;
 using namespace mmbench;
 
-int main(int argc, char** argv) {
-  bool csv = CsvMode(argc, argv);
-  int reps = Reps(argc, argv);
+Report mmbench::Fig6Resolution(const Args& args) {
+  const int reps = args.reps;
   const int nodes = 4, procs_per_node = 4;
   const double scale = 1.0 / 16384.0;  // 48 GB -> 3 MB DRAM etc.
 
-  std::printf("=== Fig. 6: Gray-Scott resolution sweep (tiered memory) ===\n");
-  std::printf("(%d nodes x %d procs, device sizes scaled by 1/16384;\n"
-              " node DRAM=%.1f MB; MPI rows crash past the DRAM boundary)\n\n",
-              nodes, procs_per_node,
-              48.0 * 1024.0 * scale);
-  TablePrinter table({"L", "grid_MiB", "impl", "backend", "runtime_s"});
+  Report report({"L", "grid_MiB", "impl", "backend", "runtime_s"});
+  report.intro = Format(
+      "=== Fig. 6: Gray-Scott resolution sweep (tiered memory) ===\n"
+      "(%d nodes x %d procs, device sizes scaled by 1/16384;\n"
+      " node DRAM=%.1f MB; MPI rows crash past the DRAM boundary)\n\n",
+      nodes, procs_per_node, 48.0 * 1024.0 * scale);
 
   std::vector<std::size_t> Ls = {40, 56, 72, 88, 104};
   for (std::size_t L : Ls) {
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
       mpi_cfg.ckpt = row.backend;
       bool oom = false;
       double t = MeasureSeconds(
-          reps,
+          report, reps,
           [&] {
             auto cluster = sim::Cluster::PaperTestbed(nodes, scale);
             return comm::RunRanks(*cluster, nodes * procs_per_node,
@@ -62,15 +61,16 @@ int main(int argc, char** argv) {
                                   });
           },
           &oom);
-      table.AddRow({std::to_string(L), Fmt(grid_mib, 1), "MPI", row.name,
-                    oom ? "OOM-killed" : Fmt(t)});
+      report.Row("L" + std::to_string(L) + "_mpi_" + row.name,
+                 {std::to_string(L), Cell(grid_mib, 1), "MPI", row.name,
+                  oom ? Cell("OOM-killed") : Cell(t)});
     }
 
     {
       BenchDir dir("fig6_L" + std::to_string(L));
       apps::GrayScottConfig mega_cfg = cfg;
       mega_cfg.out_key = dir.Key("shdf", "gs.h5");
-      double t = MeasureSeconds(reps, [&] {
+      double t = MeasureSeconds(report, reps, [&] {
         auto cluster = sim::Cluster::PaperTestbed(nodes, scale);
         core::ServiceOptions so;
         // Paper config: 48 GB DRAM + 128 GB NVMe per node, scaled.
@@ -86,13 +86,14 @@ int main(int argc, char** argv) {
                                 apps::GrayScottMega(svc, comm, mega_cfg);
                               });
       });
-      table.AddRow({std::to_string(L), Fmt(grid_mib, 1), "MegaMmap", "DMSH",
-                    Fmt(t)});
+      report.Row("L" + std::to_string(L) + "_megammap",
+                 {std::to_string(L), Cell(grid_mib, 1), "MegaMmap", "DMSH",
+                  t});
     }
   }
-  std::printf("%s", table.Render(csv).c_str());
-  std::printf("\nExpected shape: all MPI rows OOM once the slabs exceed the\n"
-              "scaled node DRAM; MegaMmap keeps running (NVMe spill) and is\n"
-              "faster than the synchronous backends below the cliff.\n");
-  return ExitCode();
+  report.outro =
+      "\nExpected shape: all MPI rows OOM once the slabs exceed the\n"
+      "scaled node DRAM; MegaMmap keeps running (NVMe spill) and is\n"
+      "faster than the synchronous backends below the cliff.\n";
+  return report;
 }

@@ -23,11 +23,8 @@
 using namespace mm;
 using namespace mmbench;
 
-int main(int argc, char** argv) {
-  const std::string out_path =
-      argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_fig7_tiering.json";
-  bool csv = CsvMode(argc, argv);
-  int reps = Reps(argc, argv);
+Report mmbench::Fig7Tiering(const Args& args) {
+  const int reps = args.reps;
   const int nodes = 4, procs_per_node = 4;
   const double scale = 1.0 / 4096.0;
   auto scaled = [&](std::uint64_t gb) {
@@ -67,14 +64,13 @@ int main(int argc, char** argv) {
   cfg.page_size = 1024 * 1024;
   cfg.pcache_bytes = 3 * 1024 * 1024;
 
-  std::printf("=== Fig. 7: DMSH tiering study (Gray-Scott, plotgap=1) ===\n");
-  std::printf("(%d nodes, device sizes scaled 1/4096, %d reps; cost uses\n"
-              " the paper's $/GB: HDD 0.02, SSD 0.04, NVMe 0.08)\n\n",
-              nodes, reps);
-  TablePrinter table({"composition", "runtime_s", "speedup_vs_48D-48H",
-                      "storage_cost_$per_node_unscaled"});
-
-  BenchReport report("fig7_tiering");
+  Report report({"composition", "runtime_s", "speedup_vs_48D-48H",
+                 "storage_cost_$per_node_unscaled"});
+  report.intro = Format(
+      "=== Fig. 7: DMSH tiering study (Gray-Scott, plotgap=1) ===\n"
+      "(%d nodes, device sizes scaled 1/4096, %d reps; cost uses\n"
+      " the paper's $/GB: HDD 0.02, SSD 0.04, NVMe 0.08)\n\n",
+      nodes, reps);
   report.Config("nodes", nodes);
   report.Config("reps", reps);
   report.Config("grid_L", double(cfg.L));
@@ -84,8 +80,7 @@ int main(int argc, char** argv) {
   for (const Composition& comp : comps) {
     BenchDir dir(std::string("fig7_") + comp.label);
     std::string out_key = dir.Key("shdf", "gs.h5");
-    StatAccumulator acc;
-    double t = MeasureSeconds(reps, [&] {
+    double t = MeasureSeconds(report, reps, [&] {
       auto cluster = sim::Cluster::PaperTestbed(nodes, scale);
       core::ServiceOptions so;
       so.tier_grants = comp.grants;
@@ -97,7 +92,7 @@ int main(int argc, char** argv) {
                               comm::Communicator comm(&ctx);
                               apps::GrayScottMega(svc, comm, run_cfg);
                             });
-    }, nullptr, &acc);
+    });
     if (baseline == 0) baseline = t;
     // Dollar cost of the storage (non-DRAM) granted per node, reported at
     // the paper's unscaled sizes.
@@ -108,14 +103,9 @@ int main(int argc, char** argv) {
       dollars += sim::DollarsForCapacity(
           spec, static_cast<std::uint64_t>(grant.capacity / scale));
     }
-    table.AddRow({comp.label, Fmt(t), Fmt(baseline / t, 2), Fmt(dollars, 2)});
-    report.Series(std::string(comp.label) + "_runtime_s", acc);
-    report.Metric(std::string(comp.label) + "_mean_s", t);
-    report.Metric(std::string(comp.label) + "_speedup", t > 0 ? baseline / t
-                                                              : 0);
-    report.Metric(std::string(comp.label) + "_cost_dollars", dollars);
+    report.Row(comp.label,
+               {comp.label, t, Cell(baseline / t, 2), Cell(dollars, 2)});
   }
-  std::printf("%s", table.Render(csv).c_str());
 
   // Critical-path attribution run (untimed, all-NVMe composition):
   // per-step epoch reports carry a "critpath" breakdown of the measured
@@ -185,20 +175,21 @@ int main(int argc, char** argv) {
       other_ns += ns_field(line, "\"other_stall_ns\":");
     }
     if (cov_epochs == 0) cov_min = 0.0;
-    std::printf("\ncritpath: %d attributed epoch(s), coverage [%0.4f, %0.4f]\n"
-                "  stall breakdown (ms): queue %.2f  network %.2f  device %.2f"
-                "  coherence %.2f  other %.2f\n",
-                cov_epochs, cov_min, cov_max, queue_ns / 1e6, net_ns / 1e6,
-                dev_ns / 1e6, coh_ns / 1e6, other_ns / 1e6);
-    report.Metric("critpath_epochs", cov_epochs);
+    report.Metric("critpath_epochs", Cell(cov_epochs, 0));
     report.Metric("critpath_coverage_min", cov_min);
     report.Metric("critpath_coverage_max", cov_max);
     report.Metric("critpath_attributed_ms",
-                  (queue_ns + net_ns + dev_ns + coh_ns) / 1e6);
+                  Cell((queue_ns + net_ns + dev_ns + coh_ns) / 1e6, 2));
+    // The attributed stall by cause.
+    report.Metric("critpath_queue_ms", Cell(queue_ns / 1e6, 2));
+    report.Metric("critpath_network_ms", Cell(net_ns / 1e6, 2));
+    report.Metric("critpath_device_ms", Cell(dev_ns / 1e6, 2));
+    report.Metric("critpath_coherence_ms", Cell(coh_ns / 1e6, 2));
+    report.Metric("critpath_other_ms", Cell(other_ns / 1e6, 2));
   }
 
-  report.Write(out_path);
-  std::printf("\nExpected shape: HDD-only overflow slowest; adding NVMe/SSD\n"
-              "improves ~1.5x; all-NVMe ~1.8x; cost tracks performance.\n");
-  return ExitCode();
+  report.outro =
+      "\nExpected shape: HDD-only overflow slowest; adding NVMe/SSD\n"
+      "improves ~1.5x; all-NVMe ~1.8x; cost tracks performance.\n";
+  return report;
 }

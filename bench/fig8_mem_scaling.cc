@@ -34,16 +34,22 @@ core::ServiceOptions TieredService(std::uint64_t dram_per_node) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool csv = CsvMode(argc, argv);
-  int reps = Reps(argc, argv);
+Report mmbench::Fig8MemScaling(const Args& args) {
+  const int reps = args.reps;
   const int procs = kNodes * kProcsPerNode;
 
-  std::printf("=== Fig. 8: DRAM scaling (overflow to NVMe) ===\n");
-  std::printf("(%d nodes x %d procs, %d reps; dram_frac = DRAM grant as a\n"
-              " fraction of the dataset's per-node footprint)\n\n",
-              kNodes, kProcsPerNode, reps);
-  TablePrinter table({"app", "dram_frac", "runtime_s", "vs_full_dram"});
+  Report report({"app", "dram_frac", "runtime_s", "vs_full_dram"});
+  report.intro = Format(
+      "=== Fig. 8: DRAM scaling (overflow to NVMe) ===\n"
+      "(%d nodes x %d procs, %d reps; dram_frac = DRAM grant as a\n"
+      " fraction of the dataset's per-node footprint)\n\n",
+      kNodes, kProcsPerNode, reps);
+  // Row keys name the app and the DRAM fraction in thousandths.
+  auto add_row = [&](const char* app, double frac, double t, double full) {
+    report.Row(std::string(app) + "_" +
+                   std::to_string(static_cast<int>(frac * 1000)),
+               {app, Cell(frac, 3), t, Cell(t / full, 2)});
+  };
 
   BenchDir dir("fig8");
   const std::uint64_t particles = 240000;  // ~5.8 MB dataset
@@ -57,7 +63,7 @@ int main(int argc, char** argv) {
                        core::Service&, sim::Cluster&, double frac)>& run) {
     double full = 0;
     for (double frac : kFractions) {
-      double t = MeasureSeconds(reps, [&] {
+      double t = MeasureSeconds(report, reps, [&] {
         auto cluster = sim::Cluster::PaperTestbed(kNodes);
         core::Service svc(
             cluster.get(),
@@ -65,7 +71,7 @@ int main(int argc, char** argv) {
         return run(svc, *cluster, frac);
       });
       if (frac == 1.0) full = t;
-      table.AddRow({app, Fmt(frac, 3), Fmt(t), Fmt(t / full, 2)});
+      add_row(app, frac, t, full);
     }
   };
 
@@ -118,9 +124,8 @@ int main(int argc, char** argv) {
                                      apps::KMeansMega(svc, comm, key, kcfg);
                                    });
     if (!seed_run.ok()) {
-      std::fprintf(stderr, "assignment stage failed: %s\n",
-                   seed_run.error.c_str());
-      return 1;
+      report.Fail("assignment stage: " + seed_run.error);
+      return report;
     }
     svc.Shutdown();
   }
@@ -158,7 +163,7 @@ int main(int argc, char** argv) {
       cfg.pcache_bytes = std::max<std::uint64_t>(
           2 * cfg.page_size,
           static_cast<std::uint64_t>(grid_per_node / kProcsPerNode * frac));
-      double t = MeasureSeconds(reps, [&] {
+      double t = MeasureSeconds(report, reps, [&] {
         auto cluster = sim::Cluster::PaperTestbed(kNodes);
         core::Service svc(
             cluster.get(),
@@ -170,12 +175,12 @@ int main(int argc, char** argv) {
                               });
       });
       if (frac == 1.0) full = t;
-      table.AddRow({"GrayScott", Fmt(frac, 3), Fmt(t), Fmt(t / full, 2)});
+      add_row("GrayScott", frac, t, full);
     }
   }
 
-  std::printf("%s", table.Render(csv).c_str());
-  std::printf("\nExpected shape: flat (within ~10%%) down to ~0.4-0.5 of the\n"
-              "full grant, then a fault/spill cliff of up to ~2.5x.\n");
-  return ExitCode();
+  report.outro =
+      "\nExpected shape: flat (within ~10%) down to ~0.4-0.5 of the\n"
+      "full grant, then a fault/spill cliff of up to ~2.5x.\n";
+  return report;
 }

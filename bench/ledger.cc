@@ -39,11 +39,12 @@
 // The access rows always time kAccessPasses passes; --reps (default 3)
 // repeats the eviction, fault and collective rows.
 //
-// Usage: ledger [OUT.json] [--reps N] [--csv] [--trace FILE]. Writes
-// BENCH_ledger.json by default; CI gates it against
-// bench/BENCH_ledger_baseline.json. --trace first runs an untimed 2-node
-// job whose remote faults after a write commit each record one causal
-// flow (origin -> remote get_page -> stager), and writes its trace to FILE.
+// Usage: mmbench ledger [OUT.json] [--reps N] [--csv] [--trace FILE].
+// Writes BENCH_ledger.json by default; CI gates it with bench/gates.json.
+// --trace first runs an untimed 2-node job whose remote faults after a
+// write commit each record one causal flow (origin -> remote get_page ->
+// stager), plus one async flush over both owners, and writes its trace to
+// FILE.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -378,8 +379,9 @@ struct FaultSource {
 constexpr std::uint64_t kFaultPage = 64 * 1024;
 
 /// Rank 0 faults one element per page from `src` on a fresh 2-node
-/// cluster; returns false if the job failed.
-bool FaultOnce(const FaultSource& src, const std::string& dir, Row* row) {
+/// cluster; returns false if the job failed, recorded in `report`.
+bool FaultOnce(const FaultSource& src, const std::string& dir, Row* row,
+               mmbench::Report& report) {
   auto cluster = sim::Cluster::PaperTestbed(2);
   core::ServiceOptions so;
   so.tier_grants = src.grants;
@@ -435,7 +437,7 @@ bool FaultOnce(const FaultSource& src, const std::string& dir, Row* row) {
              PageCopyNs(kFaultPage, pages) / double(pages));
   });
   if (!result.ok()) {
-    std::fprintf(stderr, "%s: %s\n", src.name, result.error.c_str());
+    report.Fail(std::string(src.name) + ": " + result.error);
     return false;
   }
   return true;
@@ -447,9 +449,10 @@ constexpr std::uint64_t kFlushPages = 64;
 
 /// Rank 0 flushes a Pgas-split nonvolatile vector of kFlushPages pages
 /// (each rank dirtied its half) on a fresh 2-node cluster, journaled when
-/// `journaled`; returns false if the job failed. The floor copies the
-/// flushed pages once.
-bool FlushOnce(bool journaled, const std::string& dir, Row* row) {
+/// `journaled`; returns false if the job failed, recorded in `report`. The
+/// floor copies the flushed pages once.
+bool FlushOnce(bool journaled, const std::string& dir, Row* row,
+               mmbench::Report& report) {
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   std::filesystem::create_directories(dir);
@@ -485,8 +488,7 @@ bool FlushOnce(bool journaled, const std::string& dir, Row* row) {
     comm.Barrier();
   });
   if (!result.ok()) {
-    std::fprintf(stderr, "%s: %s\n", row->name.c_str(),
-                 result.error.c_str());
+    report.Fail(row->name + ": " + result.error);
     return false;
   }
   return true;
@@ -528,9 +530,13 @@ void BTreeGetOnce(Row* row) {
 
 /// Writes the trace of an untimed 2-node job to `path`: four pages are
 /// committed on node 1, then faulted from node 0, so each read is one
-/// origin -> remote get_page -> stager flow.
+/// origin -> remote get_page -> stager flow. Then one async flush
+/// (Vector::FlushAsync's path) of a backed vector with a dirty page on each
+/// node: one flow of an async origin, a stage_out hop per owner and a
+/// terminal hop.
 void EmitTrace(const std::string& path) {
   constexpr std::uint64_t kPageBytes = 4096, kPages = 64;
+  const mmbench::BenchDir dir("ledger_trace");
   auto cluster = sim::Cluster::PaperTestbed(2);
   core::ServiceOptions so;
   so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(64)},
@@ -543,12 +549,16 @@ void EmitTrace(const std::string& path) {
     vo.page_size = kPageBytes;
     const std::uint64_t elems = kPages * kPageBytes / 8;
     auto meta = svc.RegisterVector("ledger_trace", 8, vo, elems);
-    if (!meta.ok()) {
-      std::fprintf(stderr, "RegisterVector: %s\n",
-                   meta.status().ToString().c_str());
+    core::VectorOptions backed_vo = vo;
+    backed_vo.nonvolatile = true;
+    auto backed = svc.RegisterVector(dir.Key("posix", "flush.bin"), 8,
+                                     backed_vo, elems);
+    if (!meta.ok() || !backed.ok()) {
+      std::fprintf(stderr, "RegisterVector failed\n");
       std::exit(1);
     }
     svc.SetPgasHint(**meta, {elems, /*nprocs=*/2, /*ranks_per_node=*/1});
+    svc.SetPgasHint(**backed, {elems, /*nprocs=*/2, /*ranks_per_node=*/1});
     sim::SimTime t = 0.0;
     for (std::uint64_t p = kPages / 2; p < kPages / 2 + 4; ++p) {
       std::vector<std::uint8_t> bytes(kPageBytes, 0x5a);
@@ -560,9 +570,17 @@ void EmitTrace(const std::string& path) {
       // Only the emitted fault flows matter; the data is checked elsewhere.
       (void)svc.ReadPage(**meta, p, /*from_node=*/0, t, &t);
     }
+    for (const std::size_t node : {0, 1}) {
+      auto out = svc.WriteRegion(**backed, node * kPages / 2, 0,
+                                 std::vector<std::uint8_t>(kPageBytes, 0xa5),
+                                 node, t);
+      t = std::max(t, out.done);
+    }
+    MM_CHECK(svc.FlushVector(**backed, /*from_node=*/0, t, /*done=*/nullptr)
+                 .ok());
     // The Service destructor writes the trace.
   }
-  std::printf("wrote %s\n", path.c_str());
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
 // ---- collective rows ----
@@ -580,7 +598,7 @@ constexpr int kRanks = 8;
 /// slowest rank's clock after the first op; wall is rank 0's time per op
 /// between two barriers; the floor is a ping-pong of the same payload
 /// between ranks 0 and 1 of the same world.
-bool CollectiveOnce(const Collective& c, Row* row) {
+bool CollectiveOnce(const Collective& c, Row* row, mmbench::Report& report) {
   auto cluster = sim::Cluster::PaperTestbed(kRanks);
   std::vector<sim::SimTime> first_op(kRanks, 0.0);
   double wall = 0, ping = 0;
@@ -628,7 +646,7 @@ bool CollectiveOnce(const Collective& c, Row* row) {
   };
   const comm::RunResult result = comm::RunRanks(*cluster, kRanks, 1, body);
   if (!result.ok()) {
-    std::fprintf(stderr, "%s: %s\n", c.name, result.error.c_str());
+    report.Fail(std::string(c.name) + ": " + result.error);
     return false;
   }
   row->Add(*std::max_element(first_op.begin(), first_op.end()) * 1e9,
@@ -638,14 +656,10 @@ bool CollectiveOnce(const Collective& c, Row* row) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string out_path =
-      argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_ledger.json";
-  const bool csv = mmbench::CsvMode(argc, argv);
-  const int reps = mmbench::Reps(argc, argv);
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trace") EmitTrace(argv[i + 1]);
-  }
+mmbench::Report mmbench::Ledger(const Args& args) {
+  const int reps = args.reps;
+  Report report({"row", "virtual_ns", "wall_ns", "floor_ratio"});
+  if (!args.trace_path.empty()) EmitTrace(args.trace_path);
 
   std::vector<Row> rows;
   double telemetry_overhead_ns = 0;
@@ -693,15 +707,16 @@ int main(int argc, char** argv) {
   for (const FaultSource& src : sources) {
     Row row(src.name);
     for (int r = 0; r < reps; ++r) {
-      if (!FaultOnce(src, dir.path().string(), &row)) return 1;
+      if (!FaultOnce(src, dir.path().string(), &row, report)) return report;
     }
     rows.push_back(std::move(row));
   }
   for (const bool journaled : {true, false}) {
     Row row(journaled ? "flush_journaled" : "flush_unjournaled");
     for (int r = 0; r < reps; ++r) {
-      if (!FlushOnce(journaled, (dir.path() / row.name).string(), &row)) {
-        return 1;
+      if (!FlushOnce(journaled, (dir.path() / row.name).string(), &row,
+                     report)) {
+        return report;
       }
     }
     rows.push_back(std::move(row));
@@ -722,31 +737,19 @@ int main(int argc, char** argv) {
   for (const Collective& c : collectives) {
     Row row(c.name);
     for (int r = 0; r < reps; ++r) {
-      if (!CollectiveOnce(c, &row)) return 1;
+      if (!CollectiveOnce(c, &row, report)) return report;
     }
     rows.push_back(std::move(row));
   }
 
-  mmbench::BenchReport report("ledger");
   report.Config("access_elements", double(kAccessElems));
   report.Config("access_passes", kAccessPasses);
   report.Config("reps", reps);
-  mm::TablePrinter table({"row", "virtual_ns", "wall_ns", "floor_ratio"});
   for (const Row& r : rows) {
-    report.Metric(r.name + ".virtual_ns", r.virtual_ns);
-    report.Metric(r.name + ".wall_ns", r.wall_ns());
-    report.Metric(r.name + ".floor_ratio", r.floor_ratio());
-    table.AddRow({r.name, mmbench::Fmt(r.virtual_ns),
-                  mmbench::Fmt(r.wall_ns()), mmbench::Fmt(r.floor_ratio())});
+    report.Row(r.name, {r.name, r.virtual_ns, r.wall_ns(), r.floor_ratio()});
   }
-  report.Metric("eviction_cost_flatness", flatness.Percentile(50));
-  report.Metric("task_allocs_per_op", task_allocs_per_op);
-  report.Metric("telemetry_overhead_ns", telemetry_overhead_ns);
-  std::printf("%s", table.Render(csv).c_str());
-  std::printf(
-      "eviction_cost_flatness %.3f, task_allocs_per_op %.4f, "
-      "telemetry_overhead_ns %.3f\n",
-      flatness.Percentile(50), task_allocs_per_op, telemetry_overhead_ns);
-  if (!report.Write(out_path)) return 1;
-  return 0;
+  report.Metric("eviction_cost_flatness", Cell(flatness.Percentile(50), 3));
+  report.Metric("task_allocs_per_op", Cell(task_allocs_per_op, 4));
+  report.Metric("telemetry_overhead_ns", Cell(telemetry_overhead_ns, 3));
+  return report;
 }

@@ -231,10 +231,8 @@ comm::RunResult RunJob(sim::Cluster& cluster, core::Service& svc,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string out_path =
-      argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_node_failure.json";
-  bool csv = CsvMode(argc, argv);
+Report mmbench::NodeFailure(const Args&) {
+  Report report;
   BenchDir dir("node_failure");
   std::string data_key = StageParticles(dir, kNumPoints, 8, 42);
 
@@ -245,8 +243,8 @@ int main(int argc, char** argv) {
     core::Service svc(cluster.get(), MakeOptions(dir, "ckpt_ref"));
     auto run = RunJob(*cluster, svc, data_key, /*kill=*/false, &reference);
     if (!run.ok()) {
-      std::fprintf(stderr, "reference run failed: %s\n", run.error.c_str());
-      return 1;
+      report.Fail("reference run: " + run.error);
+      return report;
     }
   }
 
@@ -264,8 +262,8 @@ int main(int argc, char** argv) {
     core::Service svc(cluster.get(), MakeOptions(dir, "ckpt_kill"));
     auto run = RunJob(*cluster, svc, data_key, /*kill=*/true, &failed);
     if (!run.ok()) {
-      std::fprintf(stderr, "failure run failed: %s\n", run.error.c_str());
-      return 1;
+      report.Fail("failure run: " + run.error);
+      return report;
     }
     retransmits = cluster->network().retransmits();
     messages = cluster->network().total_messages();
@@ -292,27 +290,7 @@ int main(int argc, char** argv) {
                          static_cast<double>(messages)
                    : 0.0;
 
-  std::printf("=== Node failure: KMeans rank killed mid-epoch ===\n\n");
-  TablePrinter table({"metric", "value"});
-  table.AddRow({"total_s", Fmt(failed.total_s)});
-  table.AddRow({"recovery_s", Fmt(failed.recovery_s)});
-  table.AddRow({"recovery_time_fraction", Fmt(recovery_fraction)});
-  table.AddRow({"retransmit_overhead", Fmt(retransmit_overhead)});
-  table.AddRow({"pages_rehomed",
-                std::to_string(failed.rec_stats.rehomed)});
-  table.AddRow({"pages_lost", std::to_string(failed.rec_stats.lost)});
-  table.AddRow({"max_centroid_diff", Fmt(max_diff, 9)});
-  table.AddRow({"converged", converged ? "yes" : "NO"});
-  std::printf("%s", table.Render(csv).c_str());
-  std::printf(
-      "\nExpected: rank %d dies reading epoch %d; the survivors detect it\n"
-      "through the bounded collective, re-home the dead node's pages (all\n"
-      "durable thanks to the per-epoch checkpoint: 0 lost), redo the epoch\n"
-      "3-wide, and land on the reference centroids within reassociation\n"
-      "tolerance.\n",
-      kVictim, kKillIter);
-
-  BenchReport report("node_failure");
+  report.intro = "=== Node failure: KMeans rank killed mid-epoch ===\n\n";
   report.Config("points", static_cast<double>(kNumPoints));
   report.Config("clusters", kClusters);
   report.Config("iterations", kIters);
@@ -324,10 +302,17 @@ int main(int argc, char** argv) {
   report.Metric("recovery_s", failed.recovery_s);
   report.Metric("recovery_time_fraction", recovery_fraction);
   report.Metric("retransmit_overhead", retransmit_overhead);
-  report.Metric("pages_rehomed", static_cast<double>(failed.rec_stats.rehomed));
-  report.Metric("pages_lost", static_cast<double>(failed.rec_stats.lost));
-  report.Metric("max_centroid_diff", max_diff);
-  report.Metric("converged", converged ? 1.0 : 0.0);
-  if (!report.Write(out_path)) return 1;
-  return converged ? 0 : 1;
+  report.Metric("pages_rehomed", Cell(failed.rec_stats.rehomed, 0));
+  report.Metric("pages_lost", Cell(failed.rec_stats.lost, 0));
+  report.Metric("max_centroid_diff", Cell(max_diff, 9));
+  report.Metric("converged", Flag(converged));
+  report.outro = Format(
+      "\nExpected: rank %d dies reading epoch %d; the survivors detect it\n"
+      "through the bounded collective, re-home the dead node's pages (all\n"
+      "durable thanks to the per-epoch checkpoint: 0 lost), redo the epoch\n"
+      "3-wide, and land on the reference centroids within reassociation\n"
+      "tolerance.\n",
+      kVictim, kKillIter);
+  if (!converged) report.Fail("survivors did not converge");
+  return report;
 }

@@ -7,7 +7,7 @@
 // mix runs once; the wall p99 Get latency is reported, not gated: the
 // ledger's btree_get row prices a Get against a floor instead.
 //
-// Gates (ci/check_perf.py "ycsb"): scans in exact sorted order,
+// Gates (bench/gates.json "ycsb"): scans in exact sorted order,
 // std::map-oracle checksum bit-exact across 3 seeds, descent restart
 // rate < 5%.
 #include <chrono>
@@ -45,7 +45,7 @@ struct MixSpec {
 };
 
 struct MixResult {
-  std::vector<double> get_sim_s, update_sim_s, scan_sim_s;
+  std::vector<double> get_sim_s;
   std::vector<double> get_wall_ns;
   std::uint64_t ops = 0;
   std::uint64_t scan_items = 0;
@@ -55,8 +55,8 @@ struct MixResult {
   double sim_seconds = 0.0;
 };
 
-// One full mix measurement.
-MixResult RunMix(const MixSpec& mix) {
+// One full mix measurement; false if the job failed.
+bool RunMix(const MixSpec& mix, mmbench::Report& report, MixResult* out) {
   auto cluster = mm::sim::Cluster::PaperTestbed(mix.nodes);
   mm::core::ServiceOptions so;
   so.tier_grants = {{mm::sim::TierKind::kDram, mm::MEGABYTES(64)},
@@ -107,12 +107,10 @@ MixResult RunMix(const MixSpec& mix) {
             }
           } else if (u < mix.read + mix.update) {
             tree.Put(key, MakeRecord(key, op + 1));
-            if (timed) mine.update_sim_s.push_back(ctx.clock().now() - t0);
           } else {
             scan_buf.clear();
             const std::uint64_t got = tree.Scan(key, kScanLen, &scan_buf);
             if (timed) {
-              mine.scan_sim_s.push_back(ctx.clock().now() - t0);
               mine.scan_items += got;
               for (std::size_t i = 1; i < scan_buf.size(); ++i) {
                 if (!(scan_buf[i - 1].first < scan_buf[i].first)) {
@@ -131,18 +129,16 @@ MixResult RunMix(const MixSpec& mix) {
         comm.Barrier();
       });
   if (!run.ok()) {
-    std::fprintf(stderr, "ycsb %s: %s\n", mix.name, run.error.c_str());
-    std::exit(1);
+    report.Fail(std::string("ycsb ") + mix.name + ": " + run.error);
+    return false;
   }
 
-  MixResult total;
+  MixResult& total = *out;
   for (MixResult& r : per_rank) {
     auto app = [](std::vector<double>& dst, const std::vector<double>& src) {
       dst.insert(dst.end(), src.begin(), src.end());
     };
     app(total.get_sim_s, r.get_sim_s);
-    app(total.update_sim_s, r.update_sim_s);
-    app(total.scan_sim_s, r.scan_sim_s);
     app(total.get_wall_ns, r.get_wall_ns);
     total.ops += r.ops;
     total.scan_items += r.scan_items;
@@ -151,7 +147,7 @@ MixResult RunMix(const MixSpec& mix) {
     total.restarts += r.restarts;
     total.sim_seconds = std::max(total.sim_seconds, r.sim_seconds);
   }
-  return total;
+  return true;
 }
 
 // std::map-oracle property check: the apps driver's DSM run must fold the
@@ -187,19 +183,20 @@ bool OracleIdentical(std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string out_path =
-      argc > 1 && argv[1][0] != '-' ? argv[1] : "BENCH_ycsb.json";
-  const bool csv = mmbench::CsvMode(argc, argv);
+mmbench::Report mmbench::Ycsb(const Args&) {
+  Report report({"mix", "nodes", "ops", "kops_per_sim_s", "get_p50_us",
+                 "get_p99_us", "get_p999_us"});
 
   // YCSB-A update-heavy, -B read-heavy, -C read-only-plus-scans.
   const MixSpec mix_a{"A", 0.50, 0.50, 0.00, 2};
   const MixSpec mix_b{"B", 0.95, 0.05, 0.00, 2};
   const MixSpec mix_c{"C", 0.95, 0.00, 0.05, 4};
 
-  MixResult a = RunMix(mix_a);
-  MixResult b = RunMix(mix_b);
-  MixResult c = RunMix(mix_c);
+  MixResult a, b, c;
+  if (!RunMix(mix_a, report, &a) || !RunMix(mix_b, report, &b) ||
+      !RunMix(mix_c, report, &c)) {
+    return report;
+  }
 
   mm::StatAccumulator b_wall, c_wall;
   for (double v : b.get_wall_ns) b_wall.Add(v);
@@ -222,53 +219,31 @@ int main(int argc, char** argv) {
           ? static_cast<double>(restarts) / static_cast<double>(descents)
           : 0.0;
 
-  mm::TablePrinter table({"mix", "nodes", "ops", "kops_per_sim_s",
-                          "get_p50_us", "get_p99_us", "get_p999_us"});
   auto add_row = [&](const char* name, const MixSpec& m, MixResult& r) {
     mm::StatAccumulator acc;
     for (double v : r.get_sim_s) acc.Add(v);
     const double kops =
         r.sim_seconds > 0 ? r.ops / r.sim_seconds / 1e3 : 0.0;
-    table.AddRow({name, mmbench::Fmt(m.nodes, 0),
-                  mmbench::Fmt(static_cast<double>(r.ops), 0),
-                  mmbench::Fmt(kops, 1),
-                  mmbench::Fmt(acc.Percentile(50) * 1e6, 2),
-                  mmbench::Fmt(acc.Percentile(99) * 1e6, 2),
-                  mmbench::Fmt(acc.Percentile(99.9) * 1e6, 2)});
+    report.Row(name, {name, Cell(m.nodes, 0), Cell(double(r.ops), 0),
+                      Cell(kops, 1), Cell(acc.Percentile(50) * 1e6, 2),
+                      Cell(acc.Percentile(99) * 1e6, 2),
+                      Cell(acc.Percentile(99.9) * 1e6, 2)});
   };
   add_row("A", mix_a, a);
   add_row("B", mix_b, b);
   add_row("C", mix_c, c);
-  std::printf("%s", table.Render(csv).c_str());
-  std::printf(
-      "scan_sorted=%.0f oracle_identical=%.0f restart_rate=%.4f "
-      "(descents=%llu scans=%llu)\n",
-      scan_sorted, oracle_identical, restart_rate,
-      static_cast<unsigned long long>(descents),
-      static_cast<unsigned long long>(c.scan_items));
 
-  mm::StatAccumulator b_get_sim, b_update_sim, c_scan_sim;
-  for (double v : b.get_sim_s) b_get_sim.Add(v);
-  for (double v : b.update_sim_s) b_update_sim.Add(v);
-  for (double v : c.scan_sim_s) c_scan_sim.Add(v);
-
-  mmbench::BenchReport report("ycsb");
   report.Config("num_keys", static_cast<double>(kNumKeys));
   report.Config("ops_per_rank", static_cast<double>(kOpsPerRank));
   report.Config("cache_nodes", static_cast<double>(kCacheNodes));
   report.Config("zipf_theta", kZipfTheta);
   report.Config("scan_len", static_cast<double>(kScanLen));
-  report.Metric("scan_sorted", scan_sorted);
-  report.Metric("oracle_identical", oracle_identical);
+  report.Metric("scan_sorted", Cell(scan_sorted, 0));
+  report.Metric("oracle_identical", Cell(oracle_identical, 0));
   report.Metric("restart_rate", restart_rate);
-  report.Metric("c_get_p99_wall_ns", c_wall.Percentile(99));
-  report.Metric("b_get_p99_wall_ns", b_wall.Percentile(99));
-  report.Metric("b_kops_per_sim_s",
-                b.sim_seconds > 0 ? b.ops / b.sim_seconds / 1e3 : 0.0);
-  report.Series("b_get_sim_s", b_get_sim);
-  report.Series("b_update_sim_s", b_update_sim);
-  report.Series("c_scan_sim_s", c_scan_sim);
-  report.Series("b_get_wall_ns", b_wall);
-  if (!report.Write(out_path)) return 1;
-  return 0;
+  report.Metric("descents", Cell(double(descents), 0));
+  report.Metric("scans", Cell(double(c.scan_items), 0));
+  report.Metric("c_get_p99_wall_ns", Cell(c_wall.Percentile(99), 0));
+  report.Metric("b_get_p99_wall_ns", Cell(b_wall.Percentile(99), 0));
+  return report;
 }

@@ -64,7 +64,11 @@ class VirtualClock {
 
  private:
   /// A single writer needs no atomic add: the store publishes the sum.
-  static void Add(std::atomic<std::uint64_t>& sink, SimTime seconds) {
+  /// Always inlined: every scalar Vector::Read pays this charge, and GCC's
+  /// per-file inline budget otherwise decides, file by file, whether it is
+  /// a call.
+  [[gnu::always_inline]] static void Add(std::atomic<std::uint64_t>& sink,
+                                         SimTime seconds) {
     sink.store(sink.load(std::memory_order_relaxed) +
                    static_cast<std::uint64_t>(seconds * 1e9),
                std::memory_order_relaxed);

@@ -1813,7 +1813,7 @@ Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,
     auto loc = metadata().Lookup(id, from_node, now, nullptr);
     if (loc.ok() && loc->dirty) batches[loc->node].push_back(id.page_idx);
   }
-  // One flow for the whole flush: the sync "flush" origin below fans out to
+  // One flow for the whole flush: the "flush" origin below fans out to
   // every stage_out span ('t' hops) across the owning nodes.
   telemetry::TraceContext flush_ctx =
       telemetry::TraceRecorder::NewContext(static_cast<int>(from_node));
@@ -1865,9 +1865,15 @@ Status Service::FlushVector(VectorMeta& meta, std::size_t from_node,
     telemetry::NodeSink sink = telemetry_sink(from_node);
     // `done == nullptr` is the FlushAsync path: the caller's clock never
     // advances to flush_end, so the flow must be async ('a') or the
-    // critical-path analyzer would charge a stall nobody paid.
+    // critical-path analyzer would charge a stall nobody paid. An async
+    // origin does not close its flow; a terminal hop at flush_end, after
+    // every stage_out hop, does.
     sink.trace->CompleteFlow("flush", "flush", sink.node, 0, now, flush_end,
                              flush_ctx, done != nullptr ? 's' : 'a');
+    if (done == nullptr) {
+      sink.trace->CompleteFlow("flush_done", "flush", sink.node, 0, flush_end,
+                               flush_end, flush_ctx, 'f');
+    }
   }
   return first_error;
 }

@@ -1,4 +1,5 @@
-// Causal-flow integrity under network fault injection (DESIGN.md §11, §13).
+// Causal-flow integrity under network fault injection (DESIGN.md §11, §13),
+// and for an async flush's fan-out to its owners.
 // Every logical message is one trace flow: a msg_send async origin on the
 // sender, a msg_recv terminal hop on the receiver. Link faults retransmit
 // and duplicate wire copies, but retransmits happen below the message layer
@@ -7,12 +8,15 @@
 // duplicate span ids, and no dangling flow references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <set>
 
 #include "mm/comm/communicator.h"
 #include "mm/comm/launch.h"
+#include "mm/core/service.h"
 #include "mm/sim/cluster.h"
 #include "mm/sim/fault.h"
 #include "mm/telemetry/trace.h"
@@ -142,6 +146,57 @@ TEST(TraceFlowFaults, DropsAndDupsNeverDangleFlows) {
   EXPECT_GT(cluster->network().retransmits() + cluster->network().duplicates(),
             0u);
   CheckFlowIntegrity(rec.Snapshot());
+}
+
+// An async flush (Vector::FlushAsync's path) of dirty pages on two owners
+// is one flow: its async origin, a stage_out hop per owner, and one
+// terminal hop that ends no earlier than any hop starts.
+TEST(TraceFlowFlush, AsyncFlushClosesItsFlow) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "mm_test_trace_flow_flush";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto cluster = sim::Cluster::PaperTestbed(2);
+  core::ServiceOptions so;
+  so.tier_grants = {{sim::TierKind::kDram, MEGABYTES(16)}};
+  core::Service svc(cluster.get(), so);
+  constexpr std::uint64_t kPage = 4096, kPages = 8;
+  core::VectorOptions vo;
+  vo.page_size = kPage;
+  auto meta = svc.RegisterVector("posix://" + (dir / "v.bin").string(), 1, vo,
+                                 kPages * kPage);
+  ASSERT_TRUE(meta.ok());
+  svc.SetPgasHint(**meta, {kPages * kPage, /*nprocs=*/2,
+                           /*ranks_per_node=*/1});
+  sim::SimTime t = 0.0;
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    auto out = svc.WriteRegion(**meta, p, 0,
+                               std::vector<std::uint8_t>(kPage, 0x3c), 0, t);
+    ASSERT_TRUE(out.status.ok()) << "page " << p;
+    t = std::max(t, out.done);
+  }
+  svc.trace().set_enabled(true);
+  ASSERT_TRUE(svc.FlushVector(**meta, 0, t, /*done=*/nullptr).ok());
+  const std::vector<telemetry::TraceEvent> events = svc.trace().Snapshot();
+
+  CheckFlowIntegrity(events);
+  std::set<std::uint64_t> flows;
+  int stage_outs = 0;
+  double last_hop_us = 0, terminal_end_us = -1;
+  for (const auto& ev : events) {
+    if (ev.flow_id == 0) continue;
+    flows.insert(ev.flow_id);
+    if (ev.name == "flush") {
+      EXPECT_EQ(ev.flow_ph, 'a');
+    }
+    if (ev.flow_ph == 't') last_hop_us = std::max(last_hop_us, ev.ts_us);
+    if (ev.flow_ph == 'f') terminal_end_us = ev.ts_us + ev.dur_us;
+    stage_outs += ev.name == "stage_out";
+  }
+  EXPECT_EQ(flows.size(), 1u);
+  EXPECT_EQ(stage_outs, 2);  // one batch per owner
+  EXPECT_GE(terminal_end_us, last_hop_us);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
