@@ -238,6 +238,31 @@ inline double MeasureSeconds(Report& report, int reps,
   return acc.Mean();
 }
 
+/// Channel wait (sim::ChannelWait) summed over the clusters of a figure's
+/// timed runs: RunRanks runs a job and adds its cluster's wait, and Record
+/// prints the sum as the ungated cells `channel_wait_s` and
+/// `skew_wait_share` (the part spent behind a booking that starts later in
+/// virtual time than the waiting request).
+class WaitTally {
+ public:
+  mm::comm::RunResult RunRanks(
+      mm::sim::Cluster& cluster, int num_ranks, int ranks_per_node,
+      const std::function<void(mm::comm::RankContext&)>& body) {
+    auto result = mm::comm::RunRanks(cluster, num_ranks, ranks_per_node, body);
+    sum_ += cluster.channel_wait();
+    return result;
+  }
+
+  void Record(Report& report) const {
+    report.Metric("channel_wait_s", sum_.wait_s);
+    report.Metric("skew_wait_share",
+                  sum_.wait_s > 0 ? sum_.skew_s / sum_.wait_s : 0.0);
+  }
+
+ private:
+  mm::sim::ChannelWait sum_;
+};
+
 /// Generates a particle dataset once and returns its key.
 inline std::string StageParticles(const BenchDir& dir,
                                   std::uint64_t num_particles, int halos,

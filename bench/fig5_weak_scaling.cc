@@ -60,6 +60,7 @@ Report mmbench::Fig5WeakScaling(const Args& args) {
       "=== Fig. 5: weak scaling, in-memory datasets ===\n"
       "(%d procs/node, %d reps averaged, virtual seconds)\n\n",
       kProcsPerNode, reps);
+  WaitTally waits;
   report.Config("procs_per_node", kProcsPerNode);
   report.Config("reps", reps);
   report.Config("particles_per_node", double(kParticlesPerNode));
@@ -87,7 +88,7 @@ Report mmbench::Fig5WeakScaling(const Args& args) {
       double mega = MeasureSeconds(report, reps, [&] {
         auto cluster = RoceCluster(nodes);
         core::Service svc(cluster.get(), MemoryOnlyService());
-        return comm::RunRanks(*cluster, procs, kProcsPerNode,
+        return waits.RunRanks(*cluster, procs, kProcsPerNode,
                               [&](comm::RankContext& ctx) {
                                 comm::Communicator comm(&ctx);
                                 apps::KMeansMega(svc, comm, key, cfg);
@@ -96,7 +97,7 @@ Report mmbench::Fig5WeakScaling(const Args& args) {
       record("KMeans", "MegaMmap", nodes, mega);
       double spark = MeasureSeconds(report, reps, [&] {
         auto cluster = TcpCluster(nodes);
-        return comm::RunRanks(*cluster, procs, kProcsPerNode,
+        return waits.RunRanks(*cluster, procs, kProcsPerNode,
                               [&](comm::RankContext& ctx) {
                                 comm::Communicator comm(&ctx);
                                 apps::sparklike::SparkEnv env(ctx);
@@ -139,7 +140,7 @@ Report mmbench::Fig5WeakScaling(const Args& args) {
       double mega = MeasureSeconds(report, reps, [&] {
         auto cluster = RoceCluster(nodes);
         core::Service svc(cluster.get(), MemoryOnlyService());
-        return comm::RunRanks(
+        return waits.RunRanks(
             *cluster, procs, kProcsPerNode, [&](comm::RankContext& ctx) {
               comm::Communicator comm(&ctx);
               apps::RandomForestMega(svc, comm, key, lkey, cfg);
@@ -148,7 +149,7 @@ Report mmbench::Fig5WeakScaling(const Args& args) {
       record("RF", "MegaMmap", nodes, mega);
       double spark = MeasureSeconds(report, reps, [&] {
         auto cluster = TcpCluster(nodes);
-        return comm::RunRanks(
+        return waits.RunRanks(
             *cluster, procs, kProcsPerNode, [&](comm::RankContext& ctx) {
               comm::Communicator comm(&ctx);
               apps::sparklike::SparkEnv env(ctx);
@@ -176,7 +177,7 @@ Report mmbench::Fig5WeakScaling(const Args& args) {
       double mega = MeasureSeconds(report, reps, [&] {
         auto cluster = RoceCluster(nodes);
         core::Service svc(cluster.get(), MemoryOnlyService());
-        return comm::RunRanks(*cluster, procs, kProcsPerNode,
+        return waits.RunRanks(*cluster, procs, kProcsPerNode,
                               [&](comm::RankContext& ctx) {
                                 comm::Communicator comm(&ctx);
                                 apps::DbscanMega(svc, comm, key, cfg);
@@ -185,7 +186,7 @@ Report mmbench::Fig5WeakScaling(const Args& args) {
       record("DBSCAN", "MegaMmap", nodes, mega);
       double mpi = MeasureSeconds(report, reps, [&] {
         auto cluster = RoceCluster(nodes);
-        return comm::RunRanks(*cluster, procs, kProcsPerNode,
+        return waits.RunRanks(*cluster, procs, kProcsPerNode,
                               [&](comm::RankContext& ctx) {
                                 comm::Communicator comm(&ctx);
                                 apps::DbscanMpi(comm, key, cfg);
@@ -210,7 +211,7 @@ Report mmbench::Fig5WeakScaling(const Args& args) {
       double mega = MeasureSeconds(report, reps, [&] {
         auto cluster = RoceCluster(nodes);
         core::Service svc(cluster.get(), MemoryOnlyService());
-        return comm::RunRanks(*cluster, procs, kProcsPerNode,
+        return waits.RunRanks(*cluster, procs, kProcsPerNode,
                               [&](comm::RankContext& ctx) {
                                 comm::Communicator comm(&ctx);
                                 apps::GrayScottMega(svc, comm, cfg);
@@ -219,7 +220,7 @@ Report mmbench::Fig5WeakScaling(const Args& args) {
       record("GrayScott", "MegaMmap", nodes, mega);
       double mpi = MeasureSeconds(report, reps, [&] {
         auto cluster = RoceCluster(nodes);
-        return comm::RunRanks(*cluster, procs, kProcsPerNode,
+        return waits.RunRanks(*cluster, procs, kProcsPerNode,
                               [&](comm::RankContext& ctx) {
                                 comm::Communicator comm(&ctx);
                                 apps::GrayScottMpi(comm, cfg);
@@ -229,5 +230,6 @@ Report mmbench::Fig5WeakScaling(const Args& args) {
       std::fprintf(stderr, "[fig5]   GrayScott done\n");
     }
   }
+  waits.Record(report);
   return report;
 }

@@ -26,6 +26,7 @@ Report mmbench::Fig6Resolution(const Args& args) {
       "(%d nodes x %d procs, device sizes scaled by 1/16384;\n"
       " node DRAM=%.1f MB; MPI rows crash past the DRAM boundary)\n\n",
       nodes, procs_per_node, 48.0 * 1024.0 * scale);
+  WaitTally waits;
 
   std::vector<std::size_t> Ls = {40, 56, 72, 88, 104};
   for (std::size_t L : Ls) {
@@ -53,7 +54,7 @@ Report mmbench::Fig6Resolution(const Args& args) {
           report, reps,
           [&] {
             auto cluster = sim::Cluster::PaperTestbed(nodes, scale);
-            return comm::RunRanks(*cluster, nodes * procs_per_node,
+            return waits.RunRanks(*cluster, nodes * procs_per_node,
                                   procs_per_node,
                                   [&](comm::RankContext& ctx) {
                                     comm::Communicator comm(&ctx);
@@ -80,7 +81,7 @@ Report mmbench::Fig6Resolution(const Args& args) {
             {sim::TierKind::kNvme,
              static_cast<std::uint64_t>(GIGABYTES(128) * scale * 0.9)}};
         core::Service svc(cluster.get(), so);
-        return comm::RunRanks(*cluster, nodes * procs_per_node, procs_per_node,
+        return waits.RunRanks(*cluster, nodes * procs_per_node, procs_per_node,
                               [&](comm::RankContext& ctx) {
                                 comm::Communicator comm(&ctx);
                                 apps::GrayScottMega(svc, comm, mega_cfg);
@@ -91,6 +92,7 @@ Report mmbench::Fig6Resolution(const Args& args) {
                   t});
     }
   }
+  waits.Record(report);
   report.outro =
       "\nExpected shape: all MPI rows OOM once the slabs exceed the\n"
       "scaled node DRAM; MegaMmap keeps running (NVMe spill) and is\n"

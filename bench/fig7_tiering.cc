@@ -76,6 +76,7 @@ Report mmbench::Fig7Tiering(const Args& args) {
   report.Config("grid_L", double(cfg.L));
   report.Config("scale", scale);
 
+  WaitTally waits;
   double baseline = 0;
   for (const Composition& comp : comps) {
     BenchDir dir(std::string("fig7_") + comp.label);
@@ -87,7 +88,7 @@ Report mmbench::Fig7Tiering(const Args& args) {
       core::Service svc(cluster.get(), so);
       apps::GrayScottConfig run_cfg = cfg;
       run_cfg.out_key = out_key;
-      return comm::RunRanks(*cluster, nodes * procs_per_node, procs_per_node,
+      return waits.RunRanks(*cluster, nodes * procs_per_node, procs_per_node,
                             [&](comm::RankContext& ctx) {
                               comm::Communicator comm(&ctx);
                               apps::GrayScottMega(svc, comm, run_cfg);
@@ -106,6 +107,8 @@ Report mmbench::Fig7Tiering(const Args& args) {
     report.Row(comp.label,
                {comp.label, t, Cell(baseline / t, 2), Cell(dollars, 2)});
   }
+
+  waits.Record(report);
 
   // Critical-path attribution run (untimed, all-NVMe composition):
   // per-step epoch reports carry a "critpath" breakdown of the measured

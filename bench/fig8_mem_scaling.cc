@@ -44,6 +44,7 @@ Report mmbench::Fig8MemScaling(const Args& args) {
       "(%d nodes x %d procs, %d reps; dram_frac = DRAM grant as a\n"
       " fraction of the dataset's per-node footprint)\n\n",
       kNodes, kProcsPerNode, reps);
+  WaitTally waits;
   // Row keys name the app and the DRAM fraction in thousandths.
   auto add_row = [&](const char* app, double frac, double t, double full) {
     report.Row(std::string(app) + "_" +
@@ -84,7 +85,7 @@ Report mmbench::Fig8MemScaling(const Args& args) {
     cfg.pcache_bytes = std::max<std::uint64_t>(
         2 * cfg.page_size,
         static_cast<std::uint64_t>(dataset_bytes / procs * frac));
-    return comm::RunRanks(cluster, procs, kProcsPerNode,
+    return waits.RunRanks(cluster, procs, kProcsPerNode,
                           [&](comm::RankContext& ctx) {
                             comm::Communicator comm(&ctx);
                             apps::KMeansMega(svc, comm, key, cfg);
@@ -100,7 +101,7 @@ Report mmbench::Fig8MemScaling(const Args& args) {
     cfg.pcache_bytes = std::max<std::uint64_t>(
         2 * cfg.page_size,
         static_cast<std::uint64_t>(dataset_bytes / procs * frac));
-    return comm::RunRanks(cluster, procs, kProcsPerNode,
+    return waits.RunRanks(cluster, procs, kProcsPerNode,
                           [&](comm::RankContext& ctx) {
                             comm::Communicator comm(&ctx);
                             apps::DbscanMega(svc, comm, key, cfg);
@@ -139,7 +140,7 @@ Report mmbench::Fig8MemScaling(const Args& args) {
     cfg.pcache_bytes = std::max<std::uint64_t>(
         2 * cfg.page_size,
         static_cast<std::uint64_t>(dataset_bytes / procs * frac));
-    return comm::RunRanks(cluster, procs, kProcsPerNode,
+    return waits.RunRanks(cluster, procs, kProcsPerNode,
                           [&](comm::RankContext& ctx) {
                             comm::Communicator comm(&ctx);
                             apps::RandomForestMega(svc, comm, key, assign_key,
@@ -168,7 +169,7 @@ Report mmbench::Fig8MemScaling(const Args& args) {
         core::Service svc(
             cluster.get(),
             TieredService(static_cast<std::uint64_t>(grid_per_node * 2 * frac)));
-        return comm::RunRanks(*cluster, procs, kProcsPerNode,
+        return waits.RunRanks(*cluster, procs, kProcsPerNode,
                               [&](comm::RankContext& ctx) {
                                 comm::Communicator comm(&ctx);
                                 apps::GrayScottMega(svc, comm, cfg);
@@ -179,6 +180,7 @@ Report mmbench::Fig8MemScaling(const Args& args) {
     }
   }
 
+  waits.Record(report);
   report.outro =
       "\nExpected shape: flat (within ~10%) down to ~0.4-0.5 of the\n"
       "full grant, then a fault/spill cliff of up to ~2.5x.\n";

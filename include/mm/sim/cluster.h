@@ -76,6 +76,10 @@ class Cluster {
   static std::unique_ptr<Cluster> PaperTestbed(std::size_t num_nodes,
                                                double scale = 1.0);
 
+  /// Wait charged on every device, NIC lane and the PFS since the last
+  /// ResetStats.
+  ChannelWait channel_wait() const;
+
   void ResetStats();
 
  private:

@@ -77,8 +77,9 @@ class Device {
 
   /// Simulates a read of `bytes` starting at `now`; returns completion time.
   /// On a striped device a request larger than one stripe is split into
-  /// stripe-sized pieces, each paying its own latency on the least-busy
-  /// channel from `now`; the request completes with its last piece.
+  /// stripe-sized pieces, each paying its own latency on the channel with
+  /// the earliest gap that fits it from `now`; the request completes with
+  /// its last piece.
   /// `time_factor` scales every piece (fault-injected latency spikes).
   SimTime Read(SimTime now, std::uint64_t bytes, double time_factor = 1.0) {
     bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
@@ -94,7 +95,7 @@ class Device {
                  spec_.write_bw_Bps, time_factor);
   }
 
-  /// Occupies the least-busy channel for `seconds` without transferring
+  /// Occupies the earliest-free channel for `seconds` without transferring
   /// bytes. Models fault-injected latency spikes and failed-attempt stalls,
   /// which consume device time but move no data.
   SimTime Stall(SimTime now, double seconds) {
@@ -116,11 +117,11 @@ class Device {
   std::uint64_t bytes_written() const {
     return bytes_written_.load(std::memory_order_relaxed);
   }
-  /// Latest completion across all channels.
-  SimTime busy_until() const {
-    SimTime latest = 0.0;
-    for (const auto& ch : channels_) latest = std::max(latest, ch.busy_until());
-    return latest;
+  /// Wait charged on this device's channels since the last ResetStats.
+  ChannelWait channel_wait() const {
+    ChannelWait sum;
+    for (const auto& ch : channels_) sum += ch.wait();
+    return sum;
   }
 
   void ResetStats() {
@@ -131,7 +132,8 @@ class Device {
 
  private:
   /// Serves one request on `channels` from `now`: one piece per stripe (the
-  /// whole request on an unstriped device), each on the least-busy channel.
+  /// whole request on an unstriped device), each on the channel whose gap
+  /// fits it earliest.
   SimTime Serve(std::span<BusyChannel> channels, SimTime now,
                 std::uint64_t bytes, double latency_s, double bw_Bps,
                 double time_factor) const {

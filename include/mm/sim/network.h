@@ -32,7 +32,12 @@ struct NetworkSpec {
 /// Tracks per-node NIC contention and total traffic. Each NIC has several
 /// lanes (DMA engines / QPs): a few in-flight transfers proceed without
 /// queueing. Messages at or below kControlCutoff bytes bypass reservation
-/// entirely — they cost latency + wire time but never occupy a lane.
+/// entirely — they cost latency + wire time but never occupy a lane. The
+/// calendar lanes no longer charge clock skew as queueing, but the bypass
+/// stays for cost: booking every control message as well raised perfbench
+/// kv's setup_s by 12-15% (median 0.0654 to 0.0736 s, 6 of 6 alternating
+/// pairs on a 4-core box) and left its sim_s where it was; an earlier
+/// measurement also lost 22-25% of kv's wall throughput.
 class Network {
  public:
   static constexpr std::uint64_t kControlCutoff = 4096;
@@ -104,6 +109,9 @@ class Network {
   std::uint64_t partition_holds() const {
     return partition_holds_.load(std::memory_order_relaxed);
   }
+
+  /// Wait charged on every NIC lane since the last ResetStats.
+  ChannelWait channel_wait() const;
 
   void ResetStats();
 

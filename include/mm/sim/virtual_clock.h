@@ -9,10 +9,12 @@
 // to the global max.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
+#include <vector>
+
+#include "mm/util/mutex.h"
 
 namespace mm::sim {
 
@@ -78,53 +80,98 @@ class VirtualClock {
   CritpathSlot* sinks_ = nullptr;
 };
 
-/// A serialized shared resource (device channel, NIC): requests queue behind
-/// one another. Thread-safe; multiple rank threads contend for the same
-/// device.
-class BusyChannel {
- public:
-  /// Reserves the channel for `duration` starting no earlier than
-  /// `earliest`, but only while it is still busy until `seen`: a pick made
-  /// by reading `seen` cannot land behind a request that took the channel
-  /// in between. Callers go through ReserveLeastBusy.
-  bool ReserveIfUnchanged(SimTime seen, SimTime earliest, SimTime duration) {
-    double expected = seen;
-    return busy_until_.compare_exchange_strong(
-        expected, std::max(earliest, seen) + duration,
-        std::memory_order_acq_rel);
+/// Device or NIC time a set of channels charged as waiting: `wait_s` sums,
+/// over every request, how long it started after its own earliest start;
+/// `skew_s` is the part charged to requests placed after a booking that
+/// starts later in virtual time than they do. Such a booking was made by a
+/// rank running ahead of the waiting one, so that wait is clock skew
+/// between free-running ranks rather than contention.
+struct ChannelWait {
+  double wait_s = 0.0;
+  double skew_s = 0.0;
+
+  ChannelWait& operator+=(const ChannelWait& other) {
+    wait_s += other.wait_s;
+    skew_s += other.skew_s;
+    return *this;
   }
-
-  SimTime busy_until() const {
-    return busy_until_.load(std::memory_order_relaxed);
-  }
-
-  void Reset() { busy_until_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> busy_until_{0.0};
 };
 
-/// Reserves `duration` from `earliest` on the least-busy of `channels`
-/// (device channels, NIC lanes). The pick and the reservation are one CAS:
-/// if another request took the chosen channel after the scan, the scan
-/// reruns, so concurrent requests never queue on one channel while another
-/// idles. busy_until only grows (between resets), so a channel that still
-/// holds the value it was chosen by is still a least-busy one. Returns the
-/// completion time.
+/// A serialized shared resource (device channel, PFS stripe server, NIC
+/// lane), kept as a calendar of busy intervals: a request takes the
+/// earliest gap at or after its own start that fits its duration, so a
+/// rank that is behind in virtual time backfills the gap before a booking
+/// a rank ahead of it already made, instead of queueing behind it.
+/// Thread-safe; rank threads contend for the same channels.
+///
+/// The calendar holds at most kKeep intervals, sorted and disjoint;
+/// touching bookings coalesce. When one more is needed the oldest folds
+/// into `floor_`, before which the channel counts as solidly busy: a
+/// request that starts before `floor_` waits until `floor_`, as a FIFO
+/// channel would make it. Known limit: a backfilled request never pushes
+/// back a booking that is already made, so contention between a request
+/// early in virtual time but late in wall time and the bookings after it
+/// is slightly under-charged.
+class BusyChannel {
+ public:
+  static constexpr std::size_t kKeep = 64;
+
+  /// Start of the earliest gap at or after `earliest` that fits `duration`.
+  SimTime EarliestFit(SimTime earliest, SimTime duration) const;
+
+  /// Books `duration` from `start` if `start` is still the earliest fit for
+  /// a request from `earliest`; false if another request took that gap
+  /// after EarliestFit returned it. Callers go through ReserveLeastBusy.
+  bool BookIfEarliest(SimTime start, SimTime earliest, SimTime duration);
+
+  ChannelWait wait() const;
+  std::size_t intervals() const;
+  SimTime floor() const;
+
+  void Reset();
+
+ private:
+  struct Busy {
+    SimTime begin;
+    SimTime end;
+    /// Latest start among the bookings coalesced into this interval.
+    SimTime last_start;
+  };
+  struct Fit {
+    SimTime start;
+    std::size_t at;  // index of the first interval after the gap
+    bool skew;       // placed after a booking that starts after `earliest`
+  };
+  Fit FindFit(SimTime earliest, SimTime duration) const MM_REQUIRES(mu_);
+
+  mutable Mutex mu_;
+  std::vector<Busy> busy_ MM_GUARDED_BY(mu_);
+  SimTime floor_ MM_GUARDED_BY(mu_) = 0.0;
+  /// Latest booking start folded into `floor_`.
+  SimTime floor_last_start_ MM_GUARDED_BY(mu_) = 0.0;
+  ChannelWait wait_ MM_GUARDED_BY(mu_);
+};
+
+/// Reserves `duration` from `earliest` on whichever of `channels` (device
+/// channels, stripe servers, NIC lanes) has the earliest fitting gap, the
+/// first such channel on a tie. If another request took that gap between
+/// the scan and the booking, the scan reruns: a channel's earliest fit only
+/// moves later, so one whose fit is unchanged is still a best pick.
+/// Returns the completion time.
 inline SimTime ReserveLeastBusy(std::span<BusyChannel> channels,
                                 SimTime earliest, SimTime duration) {
   while (true) {
     std::size_t best = 0;
-    SimTime best_t = channels[0].busy_until();
-    for (std::size_t i = 1; i < channels.size(); ++i) {
-      SimTime t = channels[i].busy_until();
+    SimTime best_t = channels[0].EarliestFit(earliest, duration);
+    for (std::size_t i = 1; i < channels.size() && best_t > earliest; ++i) {
+      SimTime t = channels[i].EarliestFit(earliest, duration);
       if (t < best_t) {
         best_t = t;
         best = i;
       }
     }
-    if (channels[best].ReserveIfUnchanged(best_t, earliest, duration)) {
-      return std::max(earliest, best_t) + duration;
+    if (channels[best].BookIfEarliest(best_t, earliest, duration)) {
+      return best_t + duration;
     }
   }
 }

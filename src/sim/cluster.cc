@@ -89,6 +89,17 @@ std::unique_ptr<Cluster> Cluster::PaperTestbed(std::size_t num_nodes,
                                    /*pfs_capacity=*/TERABYTES(64));
 }
 
+ChannelWait Cluster::channel_wait() const {
+  ChannelWait sum = network_->channel_wait();
+  sum += pfs_->channel_wait();
+  for (const auto& node : nodes_) {
+    for (std::size_t t = 0; t < node->num_tiers(); ++t) {
+      sum += node->tier(t).channel_wait();
+    }
+  }
+  return sum;
+}
+
 void Cluster::ResetStats() {
   for (auto& node : nodes_) {
     for (std::size_t t = 0; t < node->num_tiers(); ++t) {

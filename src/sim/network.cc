@@ -107,9 +107,12 @@ Network::TransferResult Network::Transfer(SimTime now, std::size_t src,
   if (src != dst && faults_armed_.load(std::memory_order_acquire)) {
     now = ApplyLinkFaults(now, src, dst, &extra_latency, outcome);
   }
-  // Small control messages do not meaningfully occupy a multi-GB/s link;
-  // reserving lanes for them lets clock skew between ranks masquerade as
-  // queueing (a conservatism artifact of the shared high-water channels).
+  // Small control messages do not meaningfully occupy a multi-GB/s link.
+  // The calendar lanes would let them backfill rather than queue behind
+  // clock skew, but booking them puts a lane lock and a gap search on
+  // every metadata RPC, lock request, invalidation and small send: kv's
+  // setup_s rose 12-15% and its wall throughput fell 22-25% (network.h), so
+  // they keep bypassing the lanes.
   if (bytes <= kControlCutoff) {
     return {now + wire, now + link.latency_s + extra_latency + wire};
   }
@@ -132,6 +135,14 @@ double Network::TransferDuration(std::size_t src, std::size_t dst,
                                  std::uint64_t bytes) const {
   const NetworkSpec& link = (src == dst) ? loopback_ : spec_;
   return link.latency_s + static_cast<double>(bytes) / link.bandwidth_Bps;
+}
+
+ChannelWait Network::channel_wait() const {
+  ChannelWait sum;
+  for (const auto& nic : nics_) {
+    for (const auto& lane : nic->lanes) sum += lane.wait();
+  }
+  return sum;
 }
 
 void Network::ResetStats() {

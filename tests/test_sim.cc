@@ -42,13 +42,17 @@ TEST(BusyChannel, SerializesOverlappingRequests) {
   EXPECT_DOUBLE_EQ(c, 11.0);
 }
 
-TEST(BusyChannel, ReserveIfUnchangedFailsOnceTaken) {
+TEST(BusyChannel, ShortGapIsSkipped) {
   BusyChannel ch;
-  EXPECT_TRUE(ch.ReserveIfUnchanged(0.0, 2.0, 1.0));
-  EXPECT_DOUBLE_EQ(ch.busy_until(), 3.0);
-  // A pick made when the channel read 0.0 is stale now.
-  EXPECT_FALSE(ch.ReserveIfUnchanged(0.0, 0.0, 1.0));
-  EXPECT_DOUBLE_EQ(ch.busy_until(), 3.0);
+  std::span<BusyChannel> one(&ch, 1);
+  EXPECT_DOUBLE_EQ(ReserveLeastBusy(one, 0.0, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(ReserveLeastBusy(one, 2.0, 1.0), 3.0);
+  // [1, 2) is too short for 1.5 s: the request goes after [2, 3).
+  EXPECT_DOUBLE_EQ(ReserveLeastBusy(one, 0.0, 1.5), 4.5);
+  // It still fits a request of 1 s, which backfills it.
+  EXPECT_DOUBLE_EQ(ReserveLeastBusy(one, 0.0, 1.0), 2.0);
+  // [0, 4.5) is now one coalesced interval.
+  EXPECT_EQ(ch.intervals(), 1u);
 }
 
 TEST(BusyChannel, ConcurrentReservationsNeverOverlap) {
@@ -56,25 +60,91 @@ TEST(BusyChannel, ConcurrentReservationsNeverOverlap) {
   std::span<BusyChannel> one(&ch, 1);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
+  constexpr double kDuration = 0.001;
   std::vector<std::thread> threads;
   std::vector<std::vector<SimTime>> ends(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      // Each thread runs its own clock, offset from the others, so later
+      // threads backfill gaps earlier ones left.
       for (int i = 0; i < kPerThread; ++i) {
-        ends[t].push_back(ReserveLeastBusy(one, 0.0, 0.001));
+        ends[t].push_back(
+            ReserveLeastBusy(one, (t % 4) * 0.05 + i * 0.0015, kDuration));
       }
     });
   }
   for (auto& th : threads) th.join();
-  // Total busy time must equal requests * duration: no two overlapped.
-  EXPECT_NEAR(ch.busy_until(), kThreads * kPerThread * 0.001, 1e-9);
-  // All completion times distinct.
+  // The booked intervals [end - duration, end) are pairwise disjoint.
   std::vector<SimTime> all;
   for (auto& v : ends) all.insert(all.end(), v.begin(), v.end());
   std::sort(all.begin(), all.end());
   for (std::size_t i = 1; i < all.size(); ++i) {
-    EXPECT_GT(all[i], all[i - 1]);
+    EXPECT_GE(all[i] - kDuration, all[i - 1] - 1e-12) << i;
   }
+  EXPECT_LE(ch.intervals(), BusyChannel::kKeep);
+}
+
+TEST(BusyChannel, CalendarStaysBoundedAndFloorIsSolid) {
+  BusyChannel ch;
+  std::span<BusyChannel> one(&ch, 1);
+  // Disjoint bookings [2i, 2i + 1): none coalesce.
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_DOUBLE_EQ(ReserveLeastBusy(one, 2.0 * i, 1.0), 2.0 * i + 1.0);
+    ASSERT_LE(ch.intervals(), BusyChannel::kKeep);
+  }
+  EXPECT_EQ(ch.intervals(), BusyChannel::kKeep);
+  const SimTime floor = ch.floor();
+  EXPECT_DOUBLE_EQ(floor, 2.0 * (10'000 - BusyChannel::kKeep) - 1.0);
+  // The gaps before the floor are gone: an early request starts at it.
+  EXPECT_DOUBLE_EQ(ReserveLeastBusy(one, 0.0, 1.0), floor + 1.0);
+}
+
+// Clock skew is not queueing: a rank that is later in virtual time books
+// the channel first, and a rank that is earlier must not queue behind it.
+TEST(BusyChannel, EarlierRankBackfillsBeforeALaterBooking) {
+  DeviceSpec spec = DeviceSpec::Hdd(GIGABYTES(1));
+  ASSERT_EQ(spec.channels, 1);
+  spec.read_latency_s = 0.5;
+  spec.read_bw_Bps = 2000.0;  // 1000 bytes: 0.5 + 0.5 = 1 s
+  Device dev(spec);
+  VirtualClock ahead, behind;
+  ahead.Advance(10.0);
+  ahead.AdvanceTo(dev.Read(ahead.now(), 1000));
+  EXPECT_DOUBLE_EQ(ahead.now(), 11.0);
+  behind.AdvanceTo(dev.Read(behind.now(), 1000));
+  EXPECT_DOUBLE_EQ(behind.now(), 1.0);  // not 12
+  EXPECT_DOUBLE_EQ(dev.channel_wait().wait_s, 0.0);
+
+  // The same through a lane-reserving transfer (> kControlCutoff): the
+  // rank ahead fills every lane of both NICs first.
+  Network net(2, NetworkSpec::Roce40());
+  const std::uint64_t bytes = 5'000'000'000;  // 1 s on the wire
+  ASSERT_DOUBLE_EQ(static_cast<double>(bytes) / net.spec().bandwidth_Bps,
+                   1.0);
+  for (std::size_t i = 0; i < Network::kNicLanes; ++i) {
+    EXPECT_DOUBLE_EQ(net.Transfer(10.0, 0, 1, bytes).egress_done, 11.0);
+  }
+  auto early = net.Transfer(0.0, 0, 1, bytes);
+  EXPECT_DOUBLE_EQ(early.egress_done, 1.0);
+  EXPECT_NEAR(early.delivered, 1.0 + net.spec().latency_s, 1e-9);
+}
+
+TEST(BusyChannel, WaitBehindALaterBookingCountsAsSkew) {
+  BusyChannel ch;
+  std::span<BusyChannel> one(&ch, 1);
+  ReserveLeastBusy(one, 0.0, 1.0);
+  // Queues behind [0, 1), which started before it: contention.
+  EXPECT_DOUBLE_EQ(ReserveLeastBusy(one, 0.5, 1.0), 2.0);
+  EXPECT_DOUBLE_EQ(ch.wait().wait_s, 0.5);
+  EXPECT_DOUBLE_EQ(ch.wait().skew_s, 0.0);
+  // This one also waits behind the booking that starts at 1, after it
+  // does: skew.
+  EXPECT_DOUBLE_EQ(ReserveLeastBusy(one, 0.75, 2.0), 4.0);
+  EXPECT_DOUBLE_EQ(ch.wait().wait_s, 0.5 + 1.25);
+  EXPECT_DOUBLE_EQ(ch.wait().skew_s, 1.25);
+  ch.Reset();
+  EXPECT_DOUBLE_EQ(ch.wait().wait_s, 0.0);
+  EXPECT_EQ(ch.intervals(), 0u);
 }
 
 TEST(Device, ReadChargesLatencyPlusBandwidth) {
@@ -200,6 +270,18 @@ TEST(Device, IdleDurationEqualsTheIdleCharge) {
     Device r(s);
     EXPECT_DOUBLE_EQ(r.Read(0.0, bytes), r.ReadDuration(bytes)) << bytes;
   }
+}
+
+TEST(Device, StripedReadOnIdleChannelsEqualsReadDuration) {
+  const DeviceSpec s = DeviceSpec::Pfs(GIGABYTES(1));
+  const std::uint64_t bytes = 11 * kMiB + 5;
+  Device pfs(s);
+  EXPECT_DOUBLE_EQ(pfs.Read(0.0, bytes), pfs.ReadDuration(bytes));
+  // Every stripe server busy from t=100 on: a read at t=5 is idle in
+  // virtual time and backfills all of its pieces before those bookings.
+  Device later(s);
+  later.Read(100.0, bytes);
+  EXPECT_DOUBLE_EQ(later.Read(5.0, bytes), 5.0 + later.ReadDuration(bytes));
 }
 
 TEST(Device, TimeFactorScalesEveryPiece) {
