@@ -6,12 +6,14 @@
 //   transient       — 10% of NVMe ops fail with kIoError and are absorbed
 //                     by retry/backoff (charged to the virtual clock);
 //   nvme_death      — the NVMe tier permanently fails mid-run; the scache
-//                     degrades to DRAM and clean pages re-stage from PFS.
+//                     degrades to DRAM and the lost clean pages re-stage
+//                     from PFS on their next touch.
 //
 // Reported: mean virtual runtime, recovery overhead vs the baseline, the
 // injector's fault counters, and whether the answer stayed byte-identical
 // (it must: the dataset is read-only, so no fault can lose dirty state;
-// bench/gates.json gates same_answer and data_loss of every configuration).
+// bench/gates.json gates same_answer, data_loss and the single-rank
+// virtual runtime_s of every configuration).
 #include "bench/common.h"
 
 #include <cstring>
@@ -122,7 +124,8 @@ Report mmbench::FaultTolerance(const Args& args) {
   report.outro =
       "\nExpected: both fault configurations finish with the baseline's\n"
       "exact answer. Transient faults cost retries plus backoff on the\n"
-      "virtual clock; the tier death costs a recovery burst (backend\n"
-      "re-stages) and a degraded steady state (DRAM-only scache).\n";
+      "virtual clock; the tier death costs a degraded steady state\n"
+      "(DRAM-only scache) in which each lost page stages back in from\n"
+      "the backend on its next touch.\n";
   return report;
 }

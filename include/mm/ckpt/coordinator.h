@@ -34,6 +34,14 @@ struct CheckpointStats {
   double duration_s = 0.0;
 };
 
+/// Idempotent redo of one journal record: resolves its key, creates the
+/// backing object when it is missing (sized to the extent the record
+/// addresses), and writes the payload at its offset. Whatever part of the
+/// in-place write landed before, the object then holds the record's bytes.
+/// Startup recovery and the loss rule's heal (Service::DropCopy) both
+/// re-apply through it.
+Status ReapplyRecord(const JournalRecord& rec);
+
 /// Owns the ckpt-subsystem state of one Service. Thread-safe.
 class Coordinator {
  public:

@@ -104,9 +104,10 @@ struct VectorMeta {
 /// `issued` time, counts into `mm.task.executed_count` and
 /// `mm.task.<name>_ns`, and records a `<name>` span, linked to the flow
 /// `tctx` when given. After Shutdown it does none of that and returns
-/// kFailedPrecondition at `issued`. No entry point runs inside another on
-/// one thread: the one call made from inside a step, the tier-failure
-/// re-stage (Service::OnTierFailure), runs once the step has ended.
+/// kFailedPrecondition at `issued`. No step calls an entry point: one that
+/// ran inside another on one thread could wait on a mutex the thread holds.
+/// A copy a step finds lost is dropped (Service::DropCopy) and staged back
+/// in on its next touch.
 class NodeRuntime {
  public:
   NodeRuntime(Service* service, std::size_t node_id,
@@ -168,8 +169,8 @@ class NodeRuntime {
   void Shutdown();
 
  private:
-  /// One entry point's run: its dispatch charge, count, histogram, span,
-  /// payload recycling and the deferred re-stages (service.cc).
+  /// One entry point's run: its dispatch charge, count, histogram, span and
+  /// payload recycling (service.cc).
   class TaskScope;
 
   /// WritePartial's commit, started at `now`.
@@ -348,10 +349,33 @@ class Service {
 
   // ---- fault recovery ----
 
+  /// What DropCopy made of a lost copy.
+  enum class DropOutcome {
+    kUnplaced,  // the page has no directory entry: nothing to reconcile
+    kReplica,   // a replica: its record is unregistered, the primary stays
+    kClean,     // a clean primary: the entry is dropped
+    kHealed,    // a dirty primary re-applied from its redo record, dropped
+    kLost,      // a dirty primary with no durable copy: recorded, dropped
+  };
+
+  /// The one loss rule (DESIGN.md §9): `node` no longer holds a good copy
+  /// of `id`. Erases the node's bytes (best effort) and unregisters a
+  /// replica. A dirty primary is healed from `node`'s redo journal when a
+  /// record at or past its version is durable (TryJournalRecover), else
+  /// recorded as data loss, before its entry goes, so a racing fault never
+  /// stages in stale backend bytes. Then the primary's entry is dropped,
+  /// and the next touch stages the page in through the one page-read path.
+  /// Tier death, node death and a failed CRC check all decide a lost copy's
+  /// fate here. The lookup is uncharged; the directory update is charged to
+  /// *done (nullable), attributed to `from_node`.
+  DropOutcome DropCopy(std::size_t node, const storage::BlobId& id,
+                       std::size_t from_node, sim::SimTime now,
+                       sim::SimTime* done);
+
   /// Tier-failure recovery, invoked by a node's BufferManager after a tier
-  /// permanently fails: lost replicas are unregistered, lost clean primaries
-  /// are re-staged from the backend, and lost dirty primaries are recorded
-  /// as data loss (surfaced as kDataLoss on the next access).
+  /// permanently fails: each lost copy goes through DropCopy, so clean
+  /// primaries re-stage lazily on their next touch and unhealable dirty
+  /// ones surface as kDataLoss.
   void OnTierFailure(std::size_t node, sim::TierKind tier,
                      const std::vector<storage::BlobId>& lost,
                      sim::SimTime now);
@@ -381,13 +405,10 @@ class Service {
   std::size_t Unfenced(std::size_t node) const;
 
   /// Survivor-side recovery of a dead node's pages (RecoveryPolicy::kRehome):
-  /// fences the node, then walks every registered vector's directory
-  /// entries. Primaries on the dead node are dropped — clean ones re-stage
-  /// lazily from the backend, dirty ones are replayed from the dead node's
-  /// redo journal when durable, else recorded as typed data loss. Replica
-  /// records on the dead node are unregistered. Call from the recovery
-  /// barrier's serial section (all survivors parked), attributed to
-  /// `from_node` for metadata-latency and metrics purposes.
+  /// fences the node, then hands each page of every registered vector to
+  /// DropCopy as a copy lost on the dead node and counts the outcomes. Call
+  /// from the recovery barrier's serial section (all survivors parked),
+  /// attributed to `from_node` for metadata-latency and metrics purposes.
   RecoveryStats RecoverDeadNode(std::size_t dead_node, std::size_t from_node,
                                 sim::SimTime now);
 
@@ -572,17 +593,16 @@ class Service {
   std::uint64_t ScacheDramUsed() const;
 
   // ---- internals shared with NodeRuntime ----
-  VectorMeta* FindVectorById(std::uint64_t vector_id);
   /// Ensures the backend object exists with at least the vector's size.
   Status EnsureBackend(VectorMeta& meta);
 
  private:
   friend class NodeRuntime;
 
-  /// Satellite recovery path for tier death: a dirty page whose redo record
-  /// is durable in the failing node's journal is re-applied to the backend
-  /// (idempotent) instead of being declared lost. Returns true when the
-  /// backend now holds the journaled version.
+  /// DropCopy's heal: re-applies the latest redo record of `id` in `node`'s
+  /// journal to the backend (ckpt::ReapplyRecord) when it is at or past
+  /// `loc`'s version. Returns true when the backend now holds the journaled
+  /// version.
   bool TryJournalRecover(std::size_t node, const storage::BlobId& id,
                          const storage::BlobLocation& loc);
 
@@ -625,8 +645,6 @@ class Service {
   Mutex vectors_mu_
       MM_ACQUIRED_BEFORE(VectorMeta::backend_mu, VectorMeta::hint_mu);
   std::map<std::string, std::unique_ptr<VectorMeta>> vectors_
-      MM_GUARDED_BY(vectors_mu_);
-  std::unordered_map<std::uint64_t, VectorMeta*> vectors_by_id_
       MM_GUARDED_BY(vectors_mu_);
 
   // Named distributed locks (GetDistributedLock). locks_mu_ only guards

@@ -15,7 +15,8 @@
 //   * permanent tier death  — after `fail_after_ops` operations (or an
 //     explicit FailTier call) every subsequent op on the tier returns
 //     kUnavailable; the BufferManager then marks the tier dead and the
-//     Service re-stages lost clean pages from the PFS backend.
+//     Service drops the lost copies (Service::DropCopy): clean pages stage
+//     back in from the PFS backend on their next touch.
 #pragma once
 
 #include <array>

@@ -9,8 +9,10 @@
 // kIoError), with backoff charged to the virtual clock. A permanent tier
 // failure (kUnavailable) marks the tier dead: its contents are drained,
 // placement re-routes to surviving tiers, and the registered tier-failure
-// handler (the Service) is told which blobs were lost so clean pages can
-// be re-staged from the PFS backend and dirty pages flagged as data loss.
+// handler (the Service) is told which blobs were lost: it drops their
+// copies, so clean pages stage back in from the PFS backend on their next
+// touch and dirty pages are healed from the redo journal or flagged as
+// data loss.
 #pragma once
 
 #include <functional>

@@ -8,6 +8,19 @@
 
 namespace mm::ckpt {
 
+Status ReapplyRecord(const JournalRecord& rec) {
+  MM_ASSIGN_OR_RETURN(auto resolved,
+                      storage::StagerRegistry::Default().Resolve(rec.key));
+  auto [stager, uri] = resolved;
+  if (!stager->Exists(uri)) {
+    // The backing object vanished (e.g. created but never sized before a
+    // crash): re-create the extent the record addresses.
+    MM_RETURN_IF_ERROR(stager->Create(uri, rec.offset + rec.payload.size()));
+  }
+  return stager->Write(uri, rec.offset, rec.payload.data(),
+                       rec.payload.size());
+}
+
 Coordinator::Coordinator(CkptOptions options, std::size_t num_nodes)
     : options_(std::move(options)) {
   if (!enabled()) return;
@@ -42,23 +55,12 @@ Status Coordinator::RecoverOnStartup(std::uint64_t* applied,
   if (applied != nullptr) *applied = 0;
   if (torn != nullptr) *torn = 0;
   if (!enabled()) return Status::Ok();
-  auto& registry = storage::StagerRegistry::Default();
   Status first_error = Status::Ok();
   for (auto& journal : journals_) {
     std::uint64_t journal_applied = 0, journal_torn = 0;
     Status st = journal->Replay(
         [&](const JournalRecord& rec) {
-          MM_ASSIGN_OR_RETURN(auto resolved, registry.Resolve(rec.key));
-          auto [stager, uri] = resolved;
-          if (!stager->Exists(uri)) {
-            // The backing object vanished with the crash (e.g. created but
-            // never sized): re-create the extent the record addresses.
-            MM_RETURN_IF_ERROR(
-                stager->Create(uri, rec.offset + rec.payload.size()));
-          }
-          MM_RETURN_IF_ERROR(stager->Write(uri, rec.offset,
-                                           rec.payload.data(),
-                                           rec.payload.size()));
+          MM_RETURN_IF_ERROR(ReapplyRecord(rec));
           MutexLock lock(mu_);
           DurableState& state = replayed_[rec.id];
           if (rec.version >= state.version) {

@@ -1,7 +1,6 @@
 #include "mm/core/service.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "mm/core/pcache.h"
 #include "mm/sim/cost_model.h"
@@ -109,14 +108,12 @@ StatusOr<storage::BlobStamp> VerifiedCopy(Service& svc, std::size_t node,
 
 /// VerifiedCopy into a pooled `bytes`-sized buffer of `from_node`, under
 /// the one failure policy of the healing readers (the caller-thread fault,
-/// the owner's GetPages and the stage-out snapshot). A CRC mismatch drops
-/// the copy on `node` and the directory's claim on it — the replica
-/// record, or the whole entry for the primary — and a dirty primary's loss
-/// is recorded; a clean copy that errored is dropped. Returns the bytes and
-/// sets *stamp, or returns kNotFound when the page must be fetched
-/// elsewhere, or a terminal error (typed data loss, an I/O error on dirty
-/// bytes). The heal's directory
-/// lookup is uncharged; its other charges land on *done (non-null).
+/// the owner's GetPages and the stage-out snapshot). A CRC mismatch hands
+/// the copy on `node` to the loss rule (Service::DropCopy); a clean copy
+/// that errored is dropped. Returns the bytes and sets *stamp, or returns
+/// kNotFound when the page must be fetched elsewhere, or a terminal error
+/// (typed data loss, an I/O error on dirty bytes). The drop's charges land
+/// on *done (non-null).
 StatusOr<std::vector<std::uint8_t>> CopyOrHeal(
     Service& svc, std::size_t node, const storage::BlobId& id,
     std::size_t from_node, std::uint64_t bytes, sim::SimTime now,
@@ -131,22 +128,12 @@ StatusOr<std::vector<std::uint8_t>> CopyOrHeal(
   }
   const Status& st = copied.status();
   if (st.code() == StatusCode::kDataLoss) {
-    // Silent media corruption. Drop the poisoned bytes (best effort: the
-    // page is re-fetched next, so a failed erase only wastes cache bytes),
-    // then the directory's claim on them, if any.
-    (void)svc.runtime(node).buffer().Erase(id);
-    auto loc = svc.metadata().Lookup(id, from_node, *done, nullptr);
-    if (loc.ok() && loc->node != node) {
-      // Idempotent: the replica may already be unregistered.
-      (void)svc.metadata().RemoveReplica(id, node, from_node, *done, done);
-    } else if (loc.ok()) {
-      // Idempotent: a racing removal leaves nothing to remove.
-      (void)svc.metadata().Remove(id, from_node, *done, done);
-      if (loc->dirty) {
-        svc.RecordDataLoss(id, from_node, *done);
-        return DataLoss("page " + id.ToString() +
-                        " failed CRC check with unstaged modifications");
-      }
+    // Silent media corruption: the copy is lost, and the page is re-fetched
+    // next unless its unstaged modifications went with it.
+    if (svc.DropCopy(node, id, from_node, *done, done) ==
+        Service::DropOutcome::kLost) {
+      return DataLoss("page " + id.ToString() +
+                      " failed CRC check with unstaged modifications");
     }
   } else if (st.code() == StatusCode::kUnavailable) {
     // The tier died under this read. The BufferManager already drained it
@@ -228,23 +215,24 @@ std::vector<TaskOutcome> SubmitGetPages(
                                      score, placement_only);
 }
 
-/// A tier-failure re-stage made from inside a runtime step: one page of
-/// `meta`, owned and read by `runtime`'s node, issued at `issued`.
-struct Restage {
-  NodeRuntime* runtime;
-  VectorMeta* meta;
-  std::uint64_t page;
-  sim::SimTime issued;
-};
+/// Whether the calling thread is running a runtime step.
+thread_local bool t_in_step = false;
 
-/// The calling thread's inline-execution state: whether it is running a
-/// runtime step, and the re-stages made from inside that step, which run
-/// after it.
-struct InlineState {
-  bool executing = false;
-  std::deque<Restage> deferred;
-};
-thread_local InlineState t_inline;
+/// The lost-page gate of a commit: a page that lost unstaged modifications
+/// takes only a full-page overwrite, which makes it whole again; a partial
+/// write to it would land over zeros or stale bytes, so it is typed data
+/// loss.
+Status AdmitCommit(Service& svc, const VectorMeta& meta,
+                   const storage::BlobId& id, std::uint64_t offset,
+                   std::uint64_t size) {
+  if (!svc.IsDataLost(id)) return Status::Ok();
+  if (offset == 0 && size >= meta.page_bytes) {
+    svc.ClearDataLoss(id);
+    return Status::Ok();
+  }
+  return DataLoss("partial write to page " + id.ToString() +
+                  " that lost unstaged modifications");
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -298,8 +286,8 @@ void NodeRuntime::Shutdown() {
 /// nested stager spans, and starts the step `task_dispatch_s` after
 /// `issued`. On exit it counts the step, observes `done - issued` in
 /// `latency`, records the `name` span over [issued, done] (a flow hop `hop`
-/// when `tctx` is valid), recycles `payload`, and then runs the re-stages
-/// the step deferred. A rejected step records nothing.
+/// when `tctx` is valid) and recycles `payload`. A rejected step records
+/// nothing.
 class NodeRuntime::TaskScope {
  public:
   TaskScope(NodeRuntime& rt, std::string_view name,
@@ -317,13 +305,13 @@ class NodeRuntime::TaskScope {
         payload_(payload),
         flow_(tctx) {
     // A step that started another on this thread could wait on a mutex the
-    // thread holds; OnTierFailure defers its re-stage instead.
-    MM_CHECK_MSG(!t_inline.executing, "runtime step started inside a step");
-    t_inline.executing = true;
+    // thread holds, so no step makes a runtime call.
+    MM_CHECK_MSG(!t_in_step, "runtime step started inside a step");
+    t_in_step = true;
   }
 
   ~TaskScope() {
-    t_inline.executing = false;
+    t_in_step = false;
     if (!rejected_) {
       rt_.task_executed_->Inc();
       latency_->Observe((done_ - issued_) * 1e9);
@@ -336,17 +324,6 @@ class NodeRuntime::TaskScope {
       }
       if (payload_ != nullptr && payload_->capacity() > 0) {
         rt_.pool_.Release(std::move(*payload_));
-      }
-    }
-    // The deferred re-stages run in order once no mutex is held; each may
-    // defer more. No one waits on them, so their bytes go back to the pool.
-    while (!t_inline.deferred.empty()) {
-      const Restage r = t_inline.deferred.front();
-      t_inline.deferred.pop_front();
-      for (TaskOutcome& out :
-           r.runtime->GetPages(*r.meta, r.page, 1, r.runtime->node_id_,
-                               r.issued, {})) {
-        r.runtime->pool_.Release(std::move(out.data));
       }
     }
   }
@@ -809,35 +786,18 @@ TaskOutcome NodeRuntime::CommitPartial(VectorMeta& meta,
   constexpr float kScore = 1.0f;
   TaskOutcome out;
   out.done = now;
-  if (service_->IsDataLost(id)) {
-    if (offset == 0 && bytes.size() >= meta.page_bytes) {
-      // A full-page overwrite replaces the lost bytes entirely, so the page
-      // is whole again.
-      service_->ClearDataLoss(id);
-    } else {
-      out.status = DataLoss("partial write to page " + id.ToString() +
-                            " that lost unstaged modifications");
-      return out;
-    }
-  }
+  out.status = AdmitCommit(*service_, meta, id, offset, bytes.size());
+  if (!out.status.ok()) return out;
   sim::SimTime dev_done = now;
   auto stamp = bm_.PutPartial(id, offset, bytes, now, &dev_done);
   if (stamp.status().code() == StatusCode::kNotFound ||
       stamp.status().code() == StatusCode::kUnavailable) {
     // Page not resident (or its tier just died): materialize it (stage-in
-    // or zeros), apply the modification, and cache the result. If the tier
-    // death took unstaged modifications with it (recorded by OnTierFailure
-    // during the failed PutPartial), a partial rewrite over zeros would be
-    // silent corruption — surface it instead.
-    if (service_->IsDataLost(id)) {
-      if (offset == 0 && bytes.size() >= meta.page_bytes) {
-        service_->ClearDataLoss(id);
-      } else {
-        out.status = DataLoss("partial write to page " + id.ToString() +
-                              " that lost unstaged modifications");
-        return out;
-      }
-    }
+    // or zeros), apply the modification, and cache the result. The gate
+    // runs again: a tier death during the failed PutPartial may have just
+    // recorded the page as lost.
+    out.status = AdmitCommit(*service_, meta, id, offset, bytes.size());
+    if (!out.status.ok()) return out;
     TaskOutcome base;
     StageInOrZero(meta, id.page_idx, {&base, 1}, now);
     if (!base.status.ok()) return base;
@@ -1295,7 +1255,6 @@ StatusOr<VectorMeta*> Service::RegisterVector(const std::string& key,
     meta->size_bytes.store(initial_elems * elem_size);
   }
   VectorMeta* raw = meta.get();
-  vectors_by_id_[meta->vector_id] = raw;
   vectors_[key] = std::move(meta);
   return raw;
 }
@@ -1372,48 +1331,10 @@ void Service::OnTierFailure(std::size_t node, sim::TierKind tier,
                             sim::SimTime now) {
   MM_WARN("service") << "tier " << sim::TierKindName(tier) << " on node "
                      << node << " failed permanently; " << lost.size()
-                     << " pages lost, starting recovery";
-  for (const storage::BlobId& id : lost) {
-    auto loc = metadata().Lookup(id, node, now, nullptr);
-    if (!loc.ok()) continue;  // never registered; nothing to reconcile
-    if (loc->node != node) {
-      // Only a replica died here; the primary is intact elsewhere.
-      (void)metadata().RemoveReplica(id, node, node, now, nullptr);
-      continue;
-    }
-    if (loc->dirty) {
-      // The resident copy of unstaged modifications went down with the
-      // tier, but journaled writeback may have already made those bytes
-      // durable (the redo record lands before the in-place write). A
-      // journal record at or past the lost version means the backend can
-      // be healed — re-apply it and fall through to the clean-primary
-      // re-stage below instead of declaring data loss.
-      if (!TryJournalRecover(node, id, *loc)) {
-        // The only copy is gone. Record typed data loss; accesses surface
-        // kDataLoss, not an abort.
-        RecordDataLoss(id, node, now);
-        // Idempotent drop of the lost page's directory entry; kNotFound on
-        // a concurrent removal is fine.
-        (void)metadata().Remove(id, node, now, nullptr);
-        continue;
-      }
-    }
-    // Clean primary: the backend still has the bytes. Drop the stale
-    // mapping and eagerly re-stage so the working set recovers without
-    // waiting for the next fault (volatile vectors re-read as zeros).
-    (void)metadata().Remove(id, node, now, nullptr);
-    VectorMeta* meta = FindVectorById(id.vector_id);
-    if (meta == nullptr || meta->stager == nullptr) continue;
-    // From inside a step the re-stage runs once the step ends: run now, it
-    // would wait on this node's mutex, which this thread may hold, or on
-    // another node's whose holder waits on one this thread holds.
-    if (t_inline.executing) {
-      t_inline.deferred.push_back({&runtime(node), meta, id.page_idx, now});
-      continue;
-    }
-    // No waiter; the page is unplaced, owned by `node`.
-    (void)SubmitGetPages(*this, *meta, id.page_idx, 1, node, node, now, {});
-  }
+                     << " pages lost, dropping their copies";
+  // A dropped primary stages back in on its next touch, as after a node
+  // death; a lost one is in the loss registry.
+  for (const storage::BlobId& id : lost) DropCopy(node, id, node, now, nullptr);
 }
 
 Service::RecoveryStats Service::RecoverDeadNode(std::size_t dead_node,
@@ -1431,38 +1352,26 @@ Service::RecoveryStats Service::RecoverDeadNode(std::size_t dead_node,
       }
     }
   }
+  // Every copy on the dead node is lost; survivors re-stage a dropped
+  // primary lazily on its next touch, through the remapped DefaultOwner.
   for (VectorMeta* meta : vecs) {
     for (const storage::BlobId& id :
          metadata().BlobsOfVector(meta->vector_id)) {
       ++stats.pages_scanned;
-      auto loc = metadata().Lookup(id, from_node, now, nullptr);
-      if (!loc.ok()) continue;
-      // A replica record pointing at the dead node only costs a remote
-      // re-read; unregister it unconditionally (idempotent).
-      (void)metadata().RemoveReplica(id, dead_node, from_node, now, nullptr);
-      if (loc->node != dead_node) continue;
-      if (loc->dirty) {
-        // The primary copy of unstaged modifications died with the node.
-        // Journaled writeback may have made those bytes durable before the
-        // death; replaying the redo record heals the backend. Volatile
-        // vectors have no backend or journal: their dirty pages are gone.
-        if (meta->stager != nullptr && TryJournalRecover(dead_node, id, *loc)) {
+      switch (DropCopy(dead_node, id, from_node, now, nullptr)) {
+        case DropOutcome::kClean:
+          ++stats.rehomed;
+          break;
+        case DropOutcome::kHealed:
           ++stats.journal_recovered;
-        } else {
-          RecordDataLoss(id, dead_node, now);
+          break;
+        case DropOutcome::kLost:
           ++stats.lost;
-        }
-      } else {
-        ++stats.rehomed;
+          break;
+        case DropOutcome::kUnplaced:
+        case DropOutcome::kReplica:
+          break;
       }
-      // Drop the stale mapping (and the dead node's resident bytes, so a
-      // later unfencing experiment cannot resurrect them); survivors
-      // re-stage from the backend lazily on next touch via the remapped
-      // DefaultOwner.
-      // Already-absent entries are fine: fencing is idempotent and the
-      // page may never have been staged on the dead node.
-      (void)runtime(dead_node).buffer().Erase(id);
-      (void)metadata().Remove(id, from_node, now, nullptr);  // idempotent
     }
   }
   {
@@ -1483,26 +1392,44 @@ Service::RecoveryStats Service::RecoverDeadNode(std::size_t dead_node,
   return stats;
 }
 
+Service::DropOutcome Service::DropCopy(std::size_t node,
+                                       const storage::BlobId& id,
+                                       std::size_t from_node, sim::SimTime now,
+                                       sim::SimTime* done) {
+  // Best effort: the bytes may be gone already (a drained tier), and a
+  // failed erase only wastes cache bytes once the directory forgets them.
+  (void)runtime(node).buffer().Erase(id);
+  auto loc = metadata().Lookup(id, from_node, now, nullptr);
+  if (!loc.ok()) return DropOutcome::kUnplaced;
+  if (loc->node != node) {
+    // Idempotent: the replica may never have been registered, or already
+    // be unregistered.
+    (void)metadata().RemoveReplica(id, node, from_node, now, done);
+    return DropOutcome::kReplica;
+  }
+  DropOutcome outcome = DropOutcome::kClean;
+  if (loc->dirty) {
+    // Settled before the entry goes: a fault racing the drop stages in
+    // either the healed backend or nothing, never the stale bytes.
+    if (TryJournalRecover(node, id, *loc)) {
+      outcome = DropOutcome::kHealed;
+    } else {
+      RecordDataLoss(id, node, now);
+      outcome = DropOutcome::kLost;
+    }
+  }
+  // Idempotent: a racing removal leaves nothing to remove.
+  (void)metadata().Remove(id, from_node, now, done);
+  return outcome;
+}
+
 bool Service::TryJournalRecover(std::size_t node, const storage::BlobId& id,
                                 const storage::BlobLocation& loc) {
   ckpt::Journal* journal = ckpt_->journal(node);
   if (journal == nullptr) return false;
   auto rec = journal->Latest(id);
   if (!rec.ok() || rec->version < loc.version) return false;
-  auto resolved = storage::StagerRegistry::Default().Resolve(rec->key);
-  if (!resolved.ok()) return false;
-  storage::Stager* stager = resolved->first;
-  const auto& uri = resolved->second;
-  if (!stager->Exists(uri)) {
-    Status cs = stager->Create(uri, rec->offset + rec->payload.size());
-    if (!cs.ok()) return false;
-  }
-  // Idempotent re-apply: the in-place write may have landed (fully or
-  // partially) before the tier died; replaying the record converges the
-  // backend to the journaled version either way.
-  Status ws = stager->Write(uri, rec->offset, rec->payload.data(),
-                            rec->payload.size());
-  if (!ws.ok()) return false;
+  if (!ckpt::ReapplyRecord(*rec).ok()) return false;
   MM_WARN("ckpt") << "page " << id.ToString() << " on node " << node
                   << " recovered from its redo journal at version "
                   << rec->version;
@@ -1535,12 +1462,6 @@ void Service::ClearDataLoss(const storage::BlobId& id) {
 std::size_t Service::data_loss_count() const {
   MutexLock lock(lost_mu_);
   return lost_.size();
-}
-
-VectorMeta* Service::FindVectorById(std::uint64_t vector_id) {
-  MutexLock lock(vectors_mu_);
-  auto it = vectors_by_id_.find(vector_id);
-  return it == vectors_by_id_.end() ? nullptr : it->second;
 }
 
 Status Service::EnsureBackend(VectorMeta& meta) {

@@ -553,12 +553,12 @@ TEST_F(ServiceFaultTest, PermanentTierFailureDegradesAndRestoresCleanPages) {
   EXPECT_TRUE(out.status.ok());
 }
 
-TEST_F(ServiceFaultTest, TierFailureInsideATaskRestagesAfterIt) {
+TEST_F(ServiceFaultTest, TierFailureInsideATaskLeavesLostPagesUnplaced) {
   // The NVMe tier dies, and the first to notice is a page read's task on
-  // the node: the tier-failure handler then re-stages the lost clean pages
-  // by submitting to that same node from inside the task. The re-stage must
-  // run once the task ends, and the read must return, not wait forever on
-  // the node's execution mutex its own thread holds.
+  // the node. The tier-failure handler runs inside that task: it drops the
+  // lost clean pages and makes no runtime call, so the read must return
+  // (not wait forever on the node's execution mutex its own thread holds),
+  // and the other lost pages stage back in on their next touch.
   auto svc = MakeService();
   core::VectorOptions vo;
   vo.page_size = 4096;
@@ -617,16 +617,22 @@ TEST_F(ServiceFaultTest, TierFailureInsideATaskRestagesAfterIt) {
       << fetched[0].outcome.status.ToString();
   EXPECT_EQ(fetched[0].outcome.data, PagePattern(0, 4096));
   EXPECT_EQ(svc->fault_injector().permanent_failures(), 1u);
-  // The read, then one re-stage per lost page: the read staged page 0 in
-  // itself, so its re-stage finds it placed; every other one is a backend
-  // read. All ran before ReadPagesAsync returned.
-  EXPECT_EQ(counter("mm.task.executed_count") - executed, 1 + kPages);
-  EXPECT_EQ(counter("mm.stager.read_count") - reads, kPages);
-  for (std::uint64_t p = 0; p < kPages; ++p) {
-    auto loc = svc->metadata().Lookup({(*meta)->vector_id, p}, 0, t, nullptr);
-    ASSERT_TRUE(loc.ok()) << "page " << p << " was not re-staged";
-    EXPECT_FALSE(loc->dirty);
-    EXPECT_EQ(loc->tier, TierKind::kDram) << "page " << p;
+  // The read was one step and one backend read, its own page's stage-in.
+  EXPECT_EQ(counter("mm.task.executed_count") - executed, 1u);
+  EXPECT_EQ(counter("mm.stager.read_count") - reads, 1u);
+  auto first = svc->metadata().Lookup({(*meta)->vector_id, 0}, 0, t, nullptr);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->tier, TierKind::kDram);
+  for (std::uint64_t p = 1; p < kPages; ++p) {
+    EXPECT_FALSE(
+        svc->metadata().Lookup({(*meta)->vector_id, p}, 0, t, nullptr).ok())
+        << "page " << p << " was re-staged eagerly";
+  }
+  for (std::uint64_t p = 1; p < kPages; ++p) {
+    sim::SimTime done = t;
+    auto page = svc->ReadPage(**meta, p, 0, t, &done);
+    ASSERT_TRUE(page.ok()) << "page " << p << ": " << page.status().message();
+    EXPECT_EQ(*page, PagePattern(p, 4096)) << "page " << p;
   }
   EXPECT_EQ(svc->data_loss_count(), 0u);
 }
@@ -716,6 +722,124 @@ TEST_F(ServiceFaultTest, CrcCatchesSilentCorruption) {
     auto clean_read = svc->ReadPage(**meta, 1, 0, t, &done2, version_out);
     ASSERT_TRUE(clean_read.ok()) << clean_read.status().message();
     EXPECT_EQ(*clean_read, PagePattern(1, 4096));
+  }
+}
+
+// The one loss rule: whatever drops a copy (its tier's death, its node's
+// death, or a failed CRC check), one page state gets one outcome: the same
+// directory entry, loss count and read result.
+enum class CopyState { kReplica, kCleanPrimary, kDirtyWithRecord, kDirtyNoRecord };
+enum class LossTrigger { kTierDeath, kNodeDeath, kCrcMismatch };
+
+TEST_F(ServiceFaultTest, EveryLossTriggerGivesAPageStateOneOutcome) {
+  struct Cell {
+    CopyState state;
+    const char* name;
+    const char* expected;  // entry, loss count and read result
+  };
+  const Cell cells[] = {
+      {CopyState::kReplica, "replica",
+       "entry v1 clean; 0 lost; read OK, committed bytes"},
+      {CopyState::kCleanPrimary, "clean primary",
+       "entry v0 clean; 0 lost; read OK, committed bytes"},
+      {CopyState::kDirtyWithRecord, "dirty primary with a durable record",
+       "entry v0 clean; 0 lost; read OK, committed bytes"},
+      {CopyState::kDirtyNoRecord, "dirty primary without a record",
+       "no entry; 1 lost; read DATA_LOSS"},
+  };
+  const std::pair<LossTrigger, const char*> triggers[] = {
+      {LossTrigger::kTierDeath, "FailTier"},
+      {LossTrigger::kNodeDeath, "RecoverDeadNode"},
+      {LossTrigger::kCrcMismatch, "CorruptBlob + ReadPage"},
+  };
+  constexpr std::uint64_t kPage = 4096;
+  const std::vector<std::uint8_t> committed = PagePattern(0, kPage);
+  int run = 0;
+  for (const Cell& cell : cells) {
+    for (const auto& [trigger, trigger_name] : triggers) {
+      SCOPED_TRACE(std::string(cell.name) + " x " + trigger_name);
+      // A fresh two-node service per cell, with its own journals and
+      // backend.
+      const std::filesystem::path cell_dir = dir_ / std::to_string(run++);
+      std::filesystem::create_directories(cell_dir);
+      core::ServiceOptions so;
+      so.tier_grants = {{TierKind::kDram, 128 * kKiB},
+                        {TierKind::kNvme, MEGABYTES(4)}};
+      so.ckpt.dir = (cell_dir / "ckpt").string();
+      cluster_ = sim::Cluster::PaperTestbed(2);
+      auto svc = std::make_unique<core::Service>(cluster_.get(), so);
+      core::VectorOptions vo;
+      vo.page_size = kPage;
+      auto meta = svc->RegisterVector(
+          "posix://" + (cell_dir / "v.bin").string(), 1, vo, 4 * kPage);
+      ASSERT_TRUE(meta.ok());
+      const storage::BlobId id{(*meta)->vector_id, 0};
+      sim::SimTime t = 0.0;
+      core::TaskOutcome wrote = svc->WriteRegion(**meta, 0, 0, committed, 0, t);
+      ASSERT_TRUE(wrote.status.ok());
+      t = std::max(t, wrote.done);
+      auto primary = svc->metadata().Lookup(id, 0, t, nullptr);
+      ASSERT_TRUE(primary.ok());
+      // `holder` is the node whose copy is lost.
+      std::size_t holder = primary->node;
+      switch (cell.state) {
+        case CopyState::kReplica: {
+          ASSERT_TRUE(svc->FlushVector(**meta, 0, t, &t).ok());
+          ASSERT_TRUE(svc->ChangePhase(**meta,
+                                       core::CoherenceMode::kReadOnlyGlobal,
+                                       0, t, &t)
+                          .ok());
+          holder = 1 - primary->node;
+          ASSERT_TRUE(svc->ReadPage(**meta, 0, holder, t, &t).ok());
+          ASSERT_EQ(svc->metadata().Replicas(id, 0, t, nullptr),
+                    std::vector<std::size_t>{holder});
+          break;
+        }
+        case CopyState::kCleanPrimary:
+          ASSERT_TRUE(svc->FlushVector(**meta, 0, t, &t).ok());
+          break;
+        case CopyState::kDirtyWithRecord: {
+          ckpt::JournalRecord rec;
+          rec.id = id;
+          rec.version = primary->version;
+          rec.page_crc = Crc32(committed);
+          rec.key = (*meta)->key;
+          rec.payload = committed;
+          ASSERT_TRUE(svc->journal(holder)->Append(rec).ok());
+          break;
+        }
+        case CopyState::kDirtyNoRecord:
+          break;
+      }
+      storage::BufferManager& bm = svc->runtime(holder).buffer();
+      auto tier = bm.FindBlob(id);
+      ASSERT_TRUE(tier.has_value());
+      std::size_t reader = holder;
+      switch (trigger) {
+        case LossTrigger::kTierDeath:
+          svc->fault_injector().FailTier(bm.tier(*tier).kind());
+          break;
+        case LossTrigger::kNodeDeath:
+          reader = 1 - holder;
+          svc->RecoverDeadNode(holder, reader, t);
+          break;
+        case LossTrigger::kCrcMismatch:
+          ASSERT_TRUE(bm.tier(*tier).CorruptBlob(id, 100).ok());
+          break;
+      }
+      sim::SimTime done = t;
+      auto read = svc->ReadPage(**meta, 0, reader, t, &done);
+      auto entry = svc->metadata().Lookup(id, reader, done, nullptr);
+      std::string got =
+          entry.ok() ? "entry v" + std::to_string(entry->version) +
+                           (entry->dirty ? " dirty" : " clean")
+                     : std::string("no entry");
+      got += "; " + std::to_string(svc->data_loss_count()) + " lost; read ";
+      got += read.ok() ? (*read == committed ? "OK, committed bytes"
+                                             : "OK, wrong bytes")
+                       : std::string(StatusCodeName(read.status().code()));
+      EXPECT_EQ(got, cell.expected);
+    }
   }
 }
 

@@ -55,15 +55,13 @@ TEST_F(ServiceTest, RegisterVectorRejectsElementSizeMismatch) {
   EXPECT_FALSE(svc_->RegisterVector("vec", 4, vo, 100).ok());
 }
 
-TEST_F(ServiceTest, FindVectorByKeyAndId) {
+TEST_F(ServiceTest, FindVectorByKey) {
   VectorOptions vo;
   vo.nonvolatile = false;
   auto meta = svc_->RegisterVector("lookup_me", 8, vo, 10);
   ASSERT_TRUE(meta.ok());
   EXPECT_EQ(svc_->FindVector("lookup_me"), *meta);
-  EXPECT_EQ(svc_->FindVectorById((*meta)->vector_id), *meta);
   EXPECT_EQ(svc_->FindVector("nope"), nullptr);
-  EXPECT_EQ(svc_->FindVectorById(12345), nullptr);
 }
 
 TEST_F(ServiceTest, PageBytesRoundedToWholeElements) {
