@@ -30,6 +30,8 @@
 //                              without a redo journal (priced per flush);
 //   btree_get                  BTree::Get over a warmed 1-node tree with the
 //                              default 64-node pcache;
+//   lease                      an uncontended DistributedLock Acquire +
+//                              Release from node 1 on a lock homed on node 0;
 //   bcast_*, allreduce_*,      8-rank collectives at 16 doubles and 1 MiB
 //   allgatherv_*               per rank (one rank per node).
 //
@@ -526,6 +528,39 @@ void BTreeGetOnce(Row* row) {
   row->Add(virt / n, wall / n, PageCopyNs(4096, kTreeKeys) / n);
 }
 
+// ---- lease row ----
+
+constexpr int kLeaseOps = 20000;
+
+/// One repetition of lease: rank 1 of a 2-node world takes and drops a lock
+/// homed on node 0, uncontended. virtual_ns is the first pair's clock
+/// advance; the floor is an uncontended mm::Mutex lock and unlock, the real
+/// exclusion every lease pays.
+void LeaseOnce(Row* row) {
+  auto cluster = sim::Cluster::PaperTestbed(2);
+  comm::World world(cluster.get(), 2, 1);
+  comm::RankContext ctx(&world, 1);
+  comm::DistributedLock lock(cluster.get(), /*home_node=*/0);
+  auto lease = [&] {
+    lock.Acquire(ctx);
+    lock.Release(ctx);
+  };
+  const double t0 = ctx.clock().now();
+  lease();
+  const double virt = (ctx.clock().now() - t0) * 1e9;
+  const double wall = WallNs([&] {
+    for (int i = 0; i < kLeaseOps; ++i) lease();
+  });
+  Mutex mu;
+  const double floor = WallNs([&] {
+    for (int i = 0; i < kLeaseOps; ++i) {
+      mu.Lock();
+      mu.Unlock();
+    }
+  });
+  row->Add(virt, wall / kLeaseOps, floor / kLeaseOps);
+}
+
 // ---- trace ----
 
 /// Writes the trace of an untimed 2-node job to `path`: four pages are
@@ -724,6 +759,9 @@ mmbench::Report mmbench::Ledger(const Args& args) {
   Row btree_get("btree_get");
   for (int r = 0; r < reps; ++r) BTreeGetOnce(&btree_get);
   rows.push_back(std::move(btree_get));
+  Row lease("lease");
+  for (int r = 0; r < reps; ++r) LeaseOnce(&lease);
+  rows.push_back(std::move(lease));
 
   constexpr std::size_t kLarge = (1u << 20) / sizeof(double);
   const std::vector<Collective> collectives = {

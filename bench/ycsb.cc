@@ -5,7 +5,10 @@
 // Virtual-clock numbers (throughput, per-op p50/p99/p999) report the
 // modeled cost of a descent, whose every node read is a Vector::Read. Each
 // mix runs once; the wall p99 Get latency is reported, not gated: the
-// ledger's btree_get row prices a Get against a floor instead.
+// ledger's btree_get row prices a Get against a floor instead. So are
+// lease_wait_s, the virtual time writers waited for the SMO lease over all
+// three mixes, and lease_skew_share, the part of it spent behind a hold
+// that starts later than the waiting request (sim::ChannelWait).
 //
 // Gates (bench/gates.json "ycsb"): scans in exact sorted order,
 // std::map-oracle checksum bit-exact across 3 seeds, descent restart
@@ -53,6 +56,7 @@ struct MixResult {
   std::uint64_t descents = 0;
   std::uint64_t restarts = 0;
   double sim_seconds = 0.0;
+  mm::sim::ChannelWait lease_wait;  // the tree's SMO lease (all ranks)
 };
 
 // One full mix measurement; false if the job failed.
@@ -134,6 +138,7 @@ bool RunMix(const MixSpec& mix, mmbench::Report& report, MixResult* out) {
   }
 
   MixResult& total = *out;
+  total.lease_wait = svc.lease_wait();
   for (MixResult& r : per_rank) {
     auto app = [](std::vector<double>& dst, const std::vector<double>& src) {
       dst.insert(dst.end(), src.begin(), src.end());
@@ -245,5 +250,11 @@ mmbench::Report mmbench::Ycsb(const Args&) {
   report.Metric("scans", Cell(double(c.scan_items), 0));
   report.Metric("c_get_p99_wall_ns", Cell(c_wall.Percentile(99), 0));
   report.Metric("b_get_p99_wall_ns", Cell(b_wall.Percentile(99), 0));
+  mm::sim::ChannelWait lease = a.lease_wait;
+  lease += b.lease_wait;
+  lease += c.lease_wait;
+  report.Metric("lease_wait_s", lease.wait_s);
+  report.Metric("lease_skew_share",
+                lease.wait_s > 0 ? lease.skew_s / lease.wait_s : 0.0);
   return report;
 }

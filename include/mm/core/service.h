@@ -429,6 +429,12 @@ class Service {
   void ClearDataLoss(const storage::BlobId& id);
   std::size_t data_loss_count() const;
 
+  /// Version an unplaced page is staged in or first committed from: the
+  /// version of its primary when DropCopy last dropped it, else 0. A page
+  /// that comes back resumes its version, so a pcache frame still holding
+  /// its pre-drop bytes never matches a later commit's version.
+  std::uint64_t RestageVersion(const storage::BlobId& id) const;
+
   // ---- checkpoint / restore (mm::ckpt, DESIGN.md §12) ----
 
   /// Checkpoint subsystem state: per-node redo journals, epoch counter, the
@@ -477,6 +483,9 @@ class Service {
   /// thread-safe; `home_node` must agree across callers of one key.
   comm::DistributedLock& GetDistributedLock(const std::string& key,
                                             std::size_t home_node);
+
+  /// Lock wait (DistributedLock::wait) summed over the named locks.
+  sim::ChannelWait lease_wait() const;
 
   /// Registers the PGAS partition of a vector (from Vector::Pgas). All
   /// ranks must pass identical values.
@@ -634,6 +643,9 @@ class Service {
   mutable Mutex lost_mu_;
   std::unordered_set<storage::BlobId, storage::BlobIdHash> lost_
       MM_GUARDED_BY(lost_mu_);
+  /// Version of each primary DropCopy dropped (RestageVersion).
+  std::unordered_map<storage::BlobId, std::uint64_t, storage::BlobIdHash>
+      dropped_versions_ MM_GUARDED_BY(lost_mu_);
 
   /// Fenced (dead) nodes, excluded from page placement. Written once per
   /// death (release); placement paths acquire-load.
@@ -649,8 +661,9 @@ class Service {
 
   // Named distributed locks (GetDistributedLock). locks_mu_ only guards
   // the registry map — never held across an Acquire, so it takes no place
-  // above DistributedLock::mu_ in the hierarchy.
-  Mutex locks_mu_;
+  // above DistributedLock::mu_ in the hierarchy. lease_wait reads each
+  // lock's calendar (the leaf BusyChannel::mu_) under it.
+  mutable Mutex locks_mu_;
   std::map<std::string, std::unique_ptr<comm::DistributedLock>> dlocks_
       MM_GUARDED_BY(locks_mu_);
 

@@ -144,6 +144,7 @@ class BusyChannel {
   };
   Fit FindFit(SimTime earliest, SimTime duration) const MM_REQUIRES(mu_);
 
+  // mm-verify: leaf-lock(calendar intervals only, never calls out while held)
   mutable Mutex mu_;
   std::vector<Busy> busy_ MM_GUARDED_BY(mu_);
   SimTime floor_ MM_GUARDED_BY(mu_) = 0.0;

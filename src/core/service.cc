@@ -661,13 +661,14 @@ std::vector<TaskOutcome> NodeRuntime::GetPages(
   }
   if (unplaced) {
     // One backend read for the run; each page is then cached and published
-    // under version 0.
+    // under its RestageVersion (0 unless the page was dropped).
     StageInOrZero(meta, first, outs, now);
     for (std::uint64_t i = 0; i < n; ++i) {
       if (outs[i].status.ok()) {
-        CacheStagedPage({meta.vector_id, first + i},
-                        {0, Crc32(outs[i].data)}, from_node, score,
-                        placement_only, &outs[i]);
+        const storage::BlobId id{meta.vector_id, first + i};
+        CacheStagedPage(id,
+                        {service_->RestageVersion(id), Crc32(outs[i].data)},
+                        from_node, score, placement_only, &outs[i]);
       }
     }
   } else {
@@ -754,9 +755,10 @@ TaskOutcome NodeRuntime::ServePage(VectorMeta& meta, std::uint64_t page,
     return out;
   }
   // Preserve an existing version if the page previously lived elsewhere
-  // (e.g. written through to the backend).
-  CacheStagedPage(id, {src.loc ? src.loc->version : 0, crc}, from_node,
-                  score, placement_only, &out);
+  // (e.g. written through to the backend) or was dropped.
+  CacheStagedPage(
+      id, {src.loc ? src.loc->version : service_->RestageVersion(id), crc},
+      from_node, score, placement_only, &out);
   return out;
 }
 
@@ -815,7 +817,8 @@ TaskOutcome NodeRuntime::CommitPartial(VectorMeta& meta,
     loc.size = meta.page_bytes;
     loc.score = kScore;
     loc.score_node = from_node;
-    loc.version = (prev.ok() ? prev->version : 0) + 1;
+    loc.version =
+        (prev.ok() ? prev->version : service_->RestageVersion(id)) + 1;
     loc.crc = Crc32(page_data);
     std::vector<std::uint8_t> cache_copy = pool_.Acquire(page_data.size());
     std::copy(page_data.begin(), page_data.end(), cache_copy.begin());
@@ -1278,6 +1281,16 @@ comm::DistributedLock& Service::GetDistributedLock(const std::string& key,
   return *it->second;
 }
 
+sim::ChannelWait Service::lease_wait() const {
+  MutexLock lock(locks_mu_);
+  sim::ChannelWait sum;
+  for (const auto& entry : dlocks_) {
+    const comm::DistributedLock& dlock = *entry.second;
+    sum += dlock.wait();
+  }
+  return sum;
+}
+
 void Service::SetPgasHint(VectorMeta& meta, VectorMeta::PgasHint hint) {
   MutexLock lock(meta.hint_mu);
   meta.pgas_hint = hint;
@@ -1407,6 +1420,10 @@ Service::DropOutcome Service::DropCopy(std::size_t node,
     (void)metadata().RemoveReplica(id, node, from_node, now, done);
     return DropOutcome::kReplica;
   }
+  {
+    MutexLock lock(lost_mu_);
+    dropped_versions_[id] = loc->version;
+  }
   DropOutcome outcome = DropOutcome::kClean;
   if (loc->dirty) {
     // Settled before the entry goes: a fault racing the drop stages in
@@ -1462,6 +1479,12 @@ void Service::ClearDataLoss(const storage::BlobId& id) {
 std::size_t Service::data_loss_count() const {
   MutexLock lock(lost_mu_);
   return lost_.size();
+}
+
+std::uint64_t Service::RestageVersion(const storage::BlobId& id) const {
+  MutexLock lock(lost_mu_);
+  auto it = dropped_versions_.find(id);
+  return it == dropped_versions_.end() ? 0 : it->second;
 }
 
 Status Service::EnsureBackend(VectorMeta& meta) {

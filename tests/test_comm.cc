@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "mm/comm/communicator.h"
 #include "mm/comm/dlock.h"
@@ -205,6 +206,127 @@ TEST(DLock, MutualExclusionAndVirtualSerialization) {
   EXPECT_EQ(counter, 800);
   // Virtual time must reflect 800 serialized round trips > 0.
   EXPECT_GT(result.max_time, 0.0);
+}
+
+// Calendar lease: two ranks, one per node, on a lock homed on node 0. The
+// ranks are ordered in wall time by a flag, never by a barrier (which would
+// align their clocks) or a sleep.
+class Lease : public ::testing::Test {
+ protected:
+  void SetUp() override { cluster_ = sim::Cluster::PaperTestbed(2); }
+
+  /// One-way control-message cost from `src` to `dst` on an idle network.
+  double Hop(std::size_t src, std::size_t dst) const {
+    return cluster_->network().TransferDuration(src, dst, 64);
+  }
+
+  static void Publish(std::atomic<bool>& flag) {
+    flag.store(true, std::memory_order_release);
+  }
+  static void AwaitFlag(const std::atomic<bool>& flag) {
+    while (!flag.load(std::memory_order_acquire)) std::this_thread::yield();
+  }
+
+  std::unique_ptr<sim::Cluster> cluster_;
+};
+
+TEST_F(Lease, LaterRankReleasingFirstDoesNotDelayAnEarlierRequest) {
+  DistributedLock lock(cluster_.get(), /*home_node=*/0);
+  std::atomic<bool> released{false};
+  double request = -1, granted = -1;
+  auto result = RunRanks(*cluster_, 2, 1, [&](RankContext& ctx) {
+    if (ctx.rank() == 0) {
+      // Ahead in virtual time, first in wall time.
+      ctx.Compute(1.0);
+      { DistributedLock::Guard guard(lock, ctx); }
+      Publish(released);
+    } else {
+      AwaitFlag(released);
+      request = ctx.clock().now();
+      lock.Acquire(ctx);
+      granted = ctx.clock().now();
+      lock.Release(ctx);
+    }
+  });
+  ASSERT_TRUE(result.ok()) << result.error;
+  // The hold at t = 1 s starts after this request: only the round trip.
+  EXPECT_NEAR(granted, request + Hop(1, 0) + Hop(0, 1), 1e-12);
+  EXPECT_DOUBLE_EQ(lock.wait().wait_s, 0.0);
+}
+
+TEST_F(Lease, RequestInsideAnEarlierBookedHoldWaitsForItsEnd) {
+  DistributedLock lock(cluster_.get(), /*home_node=*/0);
+  std::atomic<bool> released{false};
+  double long_release = -1, short_release = -1, request = -1, granted = -1;
+  auto result = RunRanks(*cluster_, 2, 1, [&](RankContext& ctx) {
+    if (ctx.rank() == 0) {
+      // First in wall order: a 5 s hold from t = 10 s.
+      ctx.Compute(10.0);
+      {
+        DistributedLock::Guard guard(lock, ctx);
+        ctx.Compute(5.0);
+        long_release = ctx.clock().now();
+      }
+      Publish(released);
+    } else {
+      AwaitFlag(released);
+      // Second in wall order, so its release is the last one: a short hold
+      // near t = 0, virtually before the request that follows.
+      {
+        DistributedLock::Guard guard(lock, ctx);
+        short_release = ctx.clock().now();
+      }
+      ctx.Compute(12.0 - ctx.clock().now());
+      request = ctx.clock().now();
+      lock.Acquire(ctx);
+      granted = ctx.clock().now();
+      lock.Release(ctx);
+    }
+  });
+  ASSERT_TRUE(result.ok()) << result.error;
+  ASSERT_LT(short_release + Hop(1, 0), request);
+  // The request lands inside the long hold and waits for its release.
+  EXPECT_NEAR(granted, long_release + Hop(0, 0) + Hop(0, 1), 1e-9);
+  EXPECT_GT(granted, request + 3.0);
+}
+
+TEST_F(Lease, HoldThatOutgrowsItsGapMovesAfterTheHoldItWouldOverlap) {
+  DistributedLock lock(cluster_.get(), /*home_node=*/0);
+  std::atomic<bool> released{false};
+  double early_release = -1, request = -1, granted = -1, before_release = -1,
+         after_release = -1;
+  auto result = RunRanks(*cluster_, 2, 1, [&](RankContext& ctx) {
+    if (ctx.rank() == 0) {
+      // First in wall order: a short hold at t = 5 s.
+      ctx.Compute(5.0);
+      {
+        DistributedLock::Guard guard(lock, ctx);
+        early_release = ctx.clock().now();
+      }
+      Publish(released);
+    } else {
+      AwaitFlag(released);
+      // Granted in the gap before t = 5 s, then held for 10 s: the hold
+      // does not fit there.
+      request = ctx.clock().now();
+      lock.Acquire(ctx);
+      granted = ctx.clock().now();
+      ctx.Compute(10.0);
+      before_release = ctx.clock().now();
+      lock.Release(ctx);
+      after_release = ctx.clock().now();
+    }
+  });
+  ASSERT_TRUE(result.ok()) << result.error;
+  const double grant_at_home = request + Hop(1, 0);
+  EXPECT_NEAR(granted, grant_at_home + Hop(0, 1), 1e-12);
+  // Booked after the hold it would overlap; the holder pays the shift, as
+  // if its grant had waited for that hold's release.
+  const double shift = early_release + Hop(0, 0) - grant_at_home;
+  EXPECT_NEAR(after_release - before_release, shift, 1e-9);
+  // The shift is the hold's wait, charged behind a virtually later hold.
+  EXPECT_NEAR(lock.wait().wait_s, shift, 1e-9);
+  EXPECT_NEAR(lock.wait().skew_s, shift, 1e-9);
 }
 
 }  // namespace

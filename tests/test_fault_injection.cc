@@ -727,7 +727,8 @@ TEST_F(ServiceFaultTest, CrcCatchesSilentCorruption) {
 
 // The one loss rule: whatever drops a copy (its tier's death, its node's
 // death, or a failed CRC check), one page state gets one outcome: the same
-// directory entry, loss count and read result.
+// directory entry, loss count and read result. A dropped primary stages
+// back in at the version it was dropped at (Service::RestageVersion).
 enum class CopyState { kReplica, kCleanPrimary, kDirtyWithRecord, kDirtyNoRecord };
 enum class LossTrigger { kTierDeath, kNodeDeath, kCrcMismatch };
 
@@ -741,9 +742,9 @@ TEST_F(ServiceFaultTest, EveryLossTriggerGivesAPageStateOneOutcome) {
       {CopyState::kReplica, "replica",
        "entry v1 clean; 0 lost; read OK, committed bytes"},
       {CopyState::kCleanPrimary, "clean primary",
-       "entry v0 clean; 0 lost; read OK, committed bytes"},
+       "entry v1 clean; 0 lost; read OK, committed bytes"},
       {CopyState::kDirtyWithRecord, "dirty primary with a durable record",
-       "entry v0 clean; 0 lost; read OK, committed bytes"},
+       "entry v1 clean; 0 lost; read OK, committed bytes"},
       {CopyState::kDirtyNoRecord, "dirty primary without a record",
        "no entry; 1 lost; read DATA_LOSS"},
   };

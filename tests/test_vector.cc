@@ -622,6 +622,75 @@ TEST_F(VectorTest, LargeDatasetSpillsToNvme) {
   ASSERT_TRUE(result.ok()) << result.error;
 }
 
+TEST_F(VectorTest, DroppedPageKeepsItsVersionSoAStaleFrameRevalidates) {
+  // A clean primary is dropped by the loss rule. If it came back at
+  // version 0, the next commit would publish v1 again, and a reader's
+  // frame still holding the pre-drop v1 bytes would pass the version check
+  // at its next transaction. Two ways back: a failed CRC check whose read
+  // stages the page in, and a tier death that the next commit finds.
+  for (const bool tier_death : {false, true}) {
+    SCOPED_TRACE(tier_death ? "tier death, then a commit"
+                            : "CRC mismatch, then a read");
+    cluster_ = sim::Cluster::PaperTestbed(2);
+    Service svc(cluster_.get(), sopts_);
+    const std::string key = Key("posix", tier_death ? "tier.bin" : "crc.bin");
+    auto result = comm::RunRanks(*cluster_, 2, 1, [&](comm::RankContext& ctx) {
+      comm::Communicator comm(&ctx);
+      VectorOptions o = SmallPages();
+      o.mode = core::CoherenceMode::kReadWriteGlobal;
+      Vector<std::uint64_t> v(svc, ctx, key, kEpp, o);
+      if (ctx.rank() == 0) {
+        auto tx = v.SeqTxBegin(0, kEpp, MM_WRITE_ONLY);
+        for (std::uint64_t i = 0; i < kEpp; ++i) v[i] = 1;
+        v.TxEnd();
+        v.Flush();  // the primary is clean: its bytes are on the backend
+      }
+      comm.Barrier();
+      if (ctx.rank() == 1) {
+        // Caches the page at v1.
+        auto tx = v.SeqTxBegin(0, kEpp, MM_READ_ONLY);
+        EXPECT_EQ(v[0], 1u);
+        v.TxEnd();
+      }
+      comm.Barrier();
+      if (ctx.rank() == 0) {
+        const storage::BlobId id{v.meta().vector_id, 0};
+        sim::SimTime t = ctx.clock().now();
+        auto entry = svc.metadata().Lookup(id, 0, t, nullptr);
+        ASSERT_TRUE(entry.ok());
+        ASSERT_EQ(entry->version, 1u);
+        const std::size_t owner = entry->node;
+        storage::BufferManager& bm = svc.runtime(owner).buffer();
+        auto tier = bm.FindBlob(id);
+        ASSERT_TRUE(tier.has_value());
+        if (tier_death) {
+          svc.fault_injector().FailTier(bm.tier(*tier).kind());
+        } else {
+          ASSERT_TRUE(bm.tier(*tier).CorruptBlob(id, 100).ok());
+          // The owner's read drops the bad copy and stages the page in.
+          ASSERT_TRUE(svc.ReadPage(v.meta(), 0, owner, t, &t).ok());
+          auto restaged = svc.metadata().Lookup(id, 0, t, nullptr);
+          ASSERT_TRUE(restaged.ok());
+          EXPECT_EQ(restaged->version, 1u);
+        }
+        auto tx = v.SeqTxBegin(0, kEpp, MM_WRITE_ONLY);
+        for (std::uint64_t i = 0; i < kEpp; ++i) v[i] = 2;
+        v.TxEnd();
+        auto committed = svc.metadata().Lookup(id, 0, t, nullptr);
+        ASSERT_TRUE(committed.ok());
+        EXPECT_EQ(committed->version, 2u);
+      }
+      comm.Barrier();
+      if (ctx.rank() == 1) {
+        auto tx = v.SeqTxBegin(0, kEpp, MM_READ_ONLY);
+        EXPECT_EQ(v[0], 2u) << "a frame kept the pre-drop bytes";
+        v.TxEnd();
+      }
+    });
+    ASSERT_TRUE(result.ok()) << result.error;
+  }
+}
+
 TEST_F(VectorTest, ElementSizeMismatchRejected) {
   Service svc(cluster_.get(), sopts_);
   auto result = comm::RunRanks(*cluster_, 1, 1, [&](comm::RankContext& ctx) {
